@@ -21,9 +21,10 @@ from pathlib import Path
 import numpy as np
 
 from .configfile import GeneratorSpec, load_config, load_sweep_spec
-from .energy_model import ConfigError, SystemConfig, validate_config
-from .engine import SimResult, export_timeseries, run_simulation
+from .energy_model import DEFAULT_V_SUPPLY, ConfigError, SystemConfig, validate_config
+from .engine import SECONDS_PER_DAY, SimResult, export_timeseries, run_simulation
 from .harvest import (
+    DEFAULT_COMBINER_EFFICIENCY,
     HARVEST_HEADER,
     IRRADIANCE_HEADER,
     ActivityProfile,
@@ -44,8 +45,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_TRACE = 3
 EXIT_IO = 4
-
-SECONDS_PER_DAY = 86400
 
 COMPARISON_COLUMNS = [
     "capacitance_f", "leakage_ma", "fix_interval_s",
@@ -107,7 +106,20 @@ def _print_run_summary(result: SimResult) -> None:
           f"discarded {led.discarded_at_clamp_j:.2f} J, stored delta {led.delta_stored_j:+.2f} J")
 
 
+def _run_duration(days: int | None, trace: HarvestTrace) -> int | None:
+    """Run length for --days: None (the whole trace) when the flag is absent."""
+    if days is None:
+        return None
+    return min(days * SECONDS_PER_DAY, len(trace) * trace.resolution_s)
+
+
+def _check_days(days: int | None) -> None:
+    if days is not None and days < 1:
+        raise ConfigError([f"--days must be >= 1, got {days}"])
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
+    _check_days(args.days)
     config = load_config(args.config) if args.config else validate_config(SystemConfig())
     if args.seed is not None:
         config = replace(config, random_seed=args.seed)
@@ -115,10 +127,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         trace = _load_trace(args.trace, config)
     else:
         trace = _generate_trace(GeneratorSpec(days=args.days or 14), config)
-    duration = None
-    if args.days:
-        duration = min(args.days * SECONDS_PER_DAY, len(trace) * trace.resolution_s)
-    result = run_simulation(config, trace, duration)
+    result = run_simulation(config, trace, _run_duration(args.days, trace))
     _write_run_outputs(result, Path(args.out))
     _print_run_summary(result)
     print(f"outputs in {args.out}/: timeseries.csv metrics.json ledger.json")
@@ -126,6 +135,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    _check_days(args.days)
     spec = load_sweep_spec(args.spec)
     if args.seed is not None:
         spec = replace(spec, base=replace(spec.base, random_seed=args.seed))
@@ -134,9 +144,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         trace = _load_trace(spec.trace_path, configs[0])
     else:
         trace = _generate_trace(spec.generator, configs[0])
-    duration = None
-    if args.days:
-        duration = min(args.days * SECONDS_PER_DAY, len(trace) * trace.resolution_s)
+    duration = _run_duration(args.days, trace)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -166,8 +174,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_gen_solar(args: argparse.Namespace) -> int:
-    if args.days < 1:
-        raise ConfigError([f"--days must be >= 1, got {args.days}"])
+    _check_days(args.days)
     try:
         profile = SolarProfile(
             sunrise_min=args.sunrise_min,
@@ -202,8 +209,7 @@ def _quad(raw: str, cast, flag: str):
 
 
 def cmd_gen_kinetic(args: argparse.Namespace) -> int:
-    if args.days < 1:
-        raise ConfigError([f"--days must be >= 1, got {args.days}"])
+    _check_days(args.days)
     defaults = ActivityProfile()
     try:
         profile = ActivityProfile(
@@ -273,8 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
     kin.add_argument("--period-starts", help="four period start minutes, e.g. 300,540,1020,1260")
     kin.add_argument("--duty", help="four activity duty fractions")
     kin.add_argument("--mean-bout-min", type=float, default=ActivityProfile().mean_bout_min)
-    kin.add_argument("--v-supply", type=float, default=3.3)
-    kin.add_argument("--efficiency", type=float, default=0.88, help="combiner efficiency for the combined column")
+    kin.add_argument("--v-supply", type=float, default=DEFAULT_V_SUPPLY)
+    kin.add_argument("--efficiency", type=float, default=DEFAULT_COMBINER_EFFICIENCY, help="combiner efficiency for the combined column")
     kin.set_defaults(func=cmd_gen_kinetic)
     return parser
 

@@ -160,6 +160,11 @@ def read_coulomb(state: DeviceState) -> float:
     return value
 
 
+# The upload whose bench-measured duration is TASKS["NbIot"].duration_s;
+# payload-scaled uploads last in proportion to their size over this one.
+REFERENCE_PAYLOAD_BYTES = 30 * DataSample.WIRE_BYTES
+
+
 def payload_bytes(samples: int) -> int:
     """Upload size for a buffer of samples; 16 bytes each."""
     if samples < 0:

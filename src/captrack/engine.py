@@ -9,8 +9,8 @@ rather than discretized to the tick.
 
 from __future__ import annotations
 
-import csv
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,7 +19,7 @@ from . import device as dev
 from .capacitor import equivalent_resistance, integrate_segment
 from .device import DeviceState, GpsMode, Power, due_tasks, select_gps_mode
 from .energy_model import TASKS, SystemConfig, compose_task_current, validate_config
-from .harvest import HarvestTrace, TraceError
+from .harvest import HarvestTrace, TraceError, csv_field, current_text, format_floats, write_csv
 
 SECONDS_PER_DAY = 86400
 
@@ -328,7 +328,7 @@ class _Simulator:
                 )
                 duration = self._draw(spec.duration_s, spec.duration_std_s)
                 if cfg.payload_scaling:
-                    duration *= dev.payload_bytes(samples) / 480.0
+                    duration *= dev.payload_bytes(samples) / dev.REFERENCE_PAYLOAD_BYTES
                 v_before = v
                 cursor, v, failed = self._run_activity(cursor, v, [("NbIot", current, duration)], i_h)
                 if failed:
@@ -550,42 +550,54 @@ def compute_metrics(
 def export_timeseries(result: SimResult, path: str) -> None:
     """Write the run as CSV: one row per tick boundary plus one per event.
 
-    Event rows repeat the harvest currents of their containing tick; the
-    power_state column tracks depletion/recovery flips through the log.
+    Rows are in time order; on equal times the tick row comes first and
+    events keep log order. Event rows repeat the harvest currents of their
+    containing tick; the power_state column tracks depletion/recovery flips
+    through the log.
     """
     harvest = result.harvest
+    events = result.events
     n = len(result.times_s) - 1
-    rows: list[tuple[float, int, list[str]]] = []
+    tick_t = result.times_s
+    event_t = np.array([e.time_s for e in events], dtype=float)
+    row_t = np.concatenate([tick_t, event_t])
+    order = np.argsort(row_t, kind="stable")
+    voltage = np.concatenate([result.voltages, [e.voltage_after for e in events]])
+    # Trace step of each row, clamped to the run: the final tick row, and any
+    # event at or past the end, repeat the last step's currents.
+    steps = np.maximum(np.minimum(row_t // harvest.resolution_s, n - 1), 0).astype(np.intp)
 
-    def currents_at(t: float) -> tuple[float, float, float]:
-        i = max(0, min(int(t // harvest.resolution_s), n - 1))
-        return float(harvest.solar_a[i]), float(harvest.kinetic_a[i]), float(harvest.combined_a[i])
+    # The "power_state,event" fields come from a table: "Off," and "On," for
+    # tick rows, then an Off/On pair for each distinct (kind, detail) of the log.
+    labels: dict[tuple[str, str], int] = {}
+    label = [labels.setdefault((e.kind, e.detail), len(labels)) for e in events]
+    tails = ["Off,", "On,"]
+    sets_power = []  # per label: 0 for Depletion, 1 for Recovery, None otherwise
+    for kind, detail in labels:
+        text = csv_field(f"{kind}:{detail}" if detail else kind)
+        tails += [f"Off,{text}", f"On,{text}"]
+        sets_power.append({"Depletion": 0, "Recovery": 1}.get(kind))
+    codes = np.where(result.power_on, 1, 0).tolist()
+    power = codes[0]
+    for code in label:  # in log order, not time order
+        if sets_power[code] is not None:
+            power = sets_power[code]
+        codes.append(2 + 2 * code + power)
+    codes = np.array(codes)
+    tail_text = np.array(tails, dtype=object)
 
-    for i in range(n + 1):
-        t = float(result.times_s[i])
-        solar, kinetic, combined = currents_at(t if i < n else t - 1.0)
-        state = "On" if result.power_on[i] else "Off"
-        rows.append(
-            (t, 0, [f"{t:.5f}", f"{result.voltages[i]:.6f}", f"{solar:.9e}", f"{kinetic:.9e}",
-                    f"{combined:.9e}", state, ""])
+    def rows(start: int, stop: int) -> Iterable[tuple[str, str, str, str]]:
+        idx = order[start:stop]
+        tick = idx <= n
+        time_text = np.empty(idx.size, dtype=object)  # tick times are whole seconds
+        time_text[tick] = np.array(["%d.00000" % t for t in tick_t[idx[tick]].tolist()], dtype=object)
+        time_text[~tick] = np.array(format_floats(event_t[idx[~tick] - (n + 1)], "%.5f"), dtype=object)
+        step = steps[idx]
+        first = int(step.min())
+        step_text = np.array(current_text(harvest, first, int(step.max()) + 1), dtype=object)
+        return zip(
+            time_text.tolist(), format_floats(voltage[idx], "%.6f"),
+            step_text[step - first].tolist(), tail_text[codes[idx]].tolist(),
         )
 
-    power = "On" if result.power_on[0] else "Off"
-    for seq, e in enumerate(result.events):
-        if e.kind == "Depletion":
-            power = "Off"
-        elif e.kind == "Recovery":
-            power = "On"
-        solar, kinetic, combined = currents_at(e.time_s)
-        label = f"{e.kind}:{e.detail}" if e.detail else e.kind
-        rows.append(
-            (e.time_s, 1, [f"{e.time_s:.5f}", f"{e.voltage_after:.6f}", f"{solar:.9e}",
-                           f"{kinetic:.9e}", f"{combined:.9e}", power, label])
-        )
-
-    rows.sort(key=lambda r: (r[0], r[1]))
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(TIMESERIES_HEADER)
-        for _, _, fields in rows:
-            writer.writerow(fields)
+    write_csv(path, TIMESERIES_HEADER, len(order), rows)

@@ -11,15 +11,17 @@ from __future__ import annotations
 
 import csv
 import math
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
 import numpy as np
 
-from .energy_model import DEFAULT_V_SUPPLY
+from .energy_model import DEFAULT_V_SUPPLY, SystemConfig
 
 MINUTES_PER_DAY = 1440
-DEFAULT_COMBINER_EFFICIENCY = 0.88
+DEFAULT_COMBINER_EFFICIENCY = SystemConfig.combiner_efficiency
+CSV_CHUNK_ROWS = 8192  # rows per write(); a chunk holds ~400 bytes of text per row
 
 IRRADIANCE_HEADER = ["timestamp", "irradiance_wm2"]
 HARVEST_HEADER = ["t_s", "solar_a", "kinetic_a", "combined_a"]
@@ -351,29 +353,63 @@ def load_irradiance_csv(path: str, resolution_s: int = 60, max_gap_steps: int = 
     return IrradianceTrace(start, resolution_s, np.array(samples), gaps)
 
 
+def format_floats(values: np.ndarray, spec: str) -> list[str]:
+    """spec % value for each value, formatting each distinct value once.
+
+    Values are told apart by their bit pattern, not compared as floats, so
+    -0.0 is not merged into 0.0 and keeps its sign.
+    """
+    bits = np.asarray(values, dtype=np.float64).view(np.int64)
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    text = np.array([spec % v for v in distinct.view(np.float64).tolist()], dtype=object)
+    return text[inverse].tolist()
+
+
+def csv_field(text: str) -> str:
+    """One CSV field, quoted the way csv.writer's default dialect quotes it."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def write_csv(path: str, header: list[str], n_rows: int, rows: Callable[[int, int], Iterable[Iterable[str]]]) -> None:
+    """Write a header line and n_rows rows, each line ending in \\r\\n.
+
+    rows(start, stop) returns the fields of rows start..stop-1 as finished
+    CSV text. It is called once per chunk of CSV_CHUNK_ROWS rows, so only one
+    chunk of text is held at a time.
+    """
+    with open(path, "w", newline="") as handle:
+        handle.write(",".join(map(csv_field, header)) + "\r\n")
+        for start in range(0, n_rows, CSV_CHUNK_ROWS):
+            handle.write("\r\n".join(map(",".join, rows(start, min(start + CSV_CHUNK_ROWS, n_rows)))))
+            handle.write("\r\n")
+
+
+def current_text(trace: HarvestTrace, start: int, stop: int) -> list[str]:
+    """The three currents of trace steps start..stop-1, as "%.9e,%.9e,%.9e" text."""
+    series = (trace.solar_a, trace.kinetic_a, trace.combined_a)
+    return list(map(",".join, zip(*(format_floats(s[start:stop], "%.9e") for s in series))))
+
+
 def save_irradiance_csv(trace: IrradianceTrace, path: str) -> None:
     """Write "timestamp,irradiance_wm2" rows with epoch-second timestamps."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(IRRADIANCE_HEADER)
-        for i, value in enumerate(trace.samples):
-            writer.writerow([trace.start_epoch_s + i * trace.resolution_s, f"{value:.6f}"])
+
+    def rows(start: int, stop: int) -> Iterable[tuple[str, str]]:
+        stamps = (trace.start_epoch_s + np.arange(start, stop) * trace.resolution_s).tolist()
+        return zip(map(str, stamps), format_floats(trace.samples[start:stop], "%.6f"))
+
+    write_csv(path, IRRADIANCE_HEADER, trace.samples.size, rows)
 
 
 def save_harvest_csv(trace: HarvestTrace, path: str) -> None:
     """Write "t_s,solar_a,kinetic_a,combined_a" rows, one per trace step."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(HARVEST_HEADER)
-        for i in range(len(trace)):
-            writer.writerow(
-                [
-                    i * trace.resolution_s,
-                    f"{trace.solar_a[i]:.9e}",
-                    f"{trace.kinetic_a[i]:.9e}",
-                    f"{trace.combined_a[i]:.9e}",
-                ]
-            )
+
+    def rows(start: int, stop: int) -> Iterable[tuple[str, str]]:
+        times = (np.arange(start, stop) * trace.resolution_s).tolist()
+        return zip(map(str, times), current_text(trace, start, stop))
+
+    write_csv(path, HARVEST_HEADER, len(trace), rows)
 
 
 def load_harvest_csv(path: str) -> HarvestTrace:

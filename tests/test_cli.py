@@ -129,3 +129,31 @@ def test_sweep_bad_spec(tmp_path, capsys):
     assert code == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
     assert not (tmp_path / "grid").exists()  # nothing ran
+
+
+@pytest.mark.parametrize("days", ["0", "-1"])
+def test_simulate_rejects_days_below_one(tmp_path, capsys, days):
+    out = tmp_path / "run"
+    assert main(["simulate", "--out", str(out), "--days", days]) == EXIT_CONFIG
+    assert "--days must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("days", ["0", "-1"])
+def test_simulate_with_trace_rejects_days_below_one(tmp_path, capsys, days):
+    sun = tmp_path / "sun.csv"
+    assert main(["gen-solar", "--out", str(sun), "--days", "1"]) == EXIT_OK
+    out = tmp_path / "run"
+    assert main(["simulate", "--trace", str(sun), "--out", str(out), "--days", days]) == EXIT_CONFIG
+    assert "--days must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("days", ["0", "-1"])
+def test_sweep_rejects_days_below_one(tmp_path, capsys, days):
+    spec = tmp_path / "sweep.yaml"
+    spec.write_text("capacitors: [2.5]\nfix_intervals_s: [300]\ngenerate: {days: 1}\n")
+    out = tmp_path / "grid"
+    assert main(["sweep", "--spec", str(spec), "--out", str(out), "--days", days]) == EXIT_CONFIG
+    assert "--days must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
