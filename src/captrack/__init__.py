@@ -50,7 +50,9 @@ from .energy_model import (
     validate_config,
 )
 from .engine import (
+    EVENT_KINDS,
     EnergyLedger,
+    EventLog,
     SimEvent,
     SimMetrics,
     SimResult,
@@ -80,11 +82,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ActivityProfile", "CapacitorSpec", "CapacitorState", "ComponentDraw", "ConfigError",
-    "DataSample", "DeviceState", "EnergyLedger", "GeneratorSpec", "GpsContext", "GpsDecision",
+    "DataSample", "DeviceState", "EnergyLedger", "EventLog", "GeneratorSpec", "GpsContext", "GpsDecision",
     "GpsMode", "HarvestTrace", "IrradianceTrace", "Power", "Segment", "SimEvent", "SimMetrics",
     "SimResult", "SolarChain", "SolarProfile", "SweepSpec", "SystemConfig", "TaskSpec",
     "TraceError", "VoltageThresholds",
-    "GPS_BACKUP_MA", "LEAKAGE_BY_CAPACITANCE", "MCU_ACTIVE_BASE_MA", "TASKS",
+    "EVENT_KINDS", "GPS_BACKUP_MA", "LEAKAGE_BY_CAPACITANCE", "MCU_ACTIVE_BASE_MA", "TASKS",
     "builtin_component_table", "combine_sources", "compose_task_current", "compute_metrics",
     "due_tasks", "equivalent_resistance", "export_timeseries", "generate_kinetic_trace",
     "generate_synthetic_irradiance", "integrate_segment", "integrate_tick", "load_config",

@@ -12,6 +12,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .energy_model import SystemConfig, VoltageThresholds
 
 SENSE = "sense"
@@ -105,21 +107,31 @@ def select_gps_mode(
     the refresh age, falling back to plain hot if the download threshold is
     not met but the hot one is.
     """
-    skip = GpsDecision(None, "low-voltage")
     age = gps.ephemeris_age_s
     if not gps.backup_valid or age is None or age > config.ephemeris_warm_limit_s:
         if voltage >= thresholds.cold_start:
-            return GpsDecision(GpsMode.COLD)
-        return skip
+            return _COLD
+        return _SKIP
     if age <= config.ephemeris_hot_limit_s:
         if age >= config.ephemeris_refresh_age_s and voltage >= thresholds.hot_ephemeris:
-            return GpsDecision(GpsMode.HOT_EPHEMERIS)
+            return _HOT_EPHEMERIS
         if voltage >= thresholds.hot_start:
-            return GpsDecision(GpsMode.HOT)
-        return skip
+            return _HOT
+        return _SKIP
     if voltage >= thresholds.warm_ephemeris:
-        return GpsDecision(GpsMode.WARM_EPHEMERIS)
-    return skip
+        return _WARM_EPHEMERIS
+    return _SKIP
+
+
+# The decisions select_gps_mode returns; they are immutable, so one of each
+# serves every call.
+_HOT = GpsDecision(GpsMode.HOT)
+_HOT_EPHEMERIS = GpsDecision(GpsMode.HOT_EPHEMERIS)
+_WARM_EPHEMERIS = GpsDecision(GpsMode.WARM_EPHEMERIS)
+_COLD = GpsDecision(GpsMode.COLD)
+_SKIP = GpsDecision(None, "low-voltage")
+# Modes whose fix leaves a fresh ephemeris.
+_EPHEMERIS_RESET = (GpsMode.HOT_EPHEMERIS, GpsMode.WARM_EPHEMERIS, GpsMode.COLD)
 
 
 def due_tasks(clock: int, config: SystemConfig) -> list[str]:
@@ -127,15 +139,20 @@ def due_tasks(clock: int, config: SystemConfig) -> list[str]:
     (None) never fire; everything fires at clock 0."""
     if clock % config.base_tick_s != 0:
         raise ValueError(f"clock {clock} not on the {config.base_tick_s} s tick grid")
-    due = []
-    for name, interval in (
-        (SENSE, config.sense_interval_s),
-        (FIX, config.fix_interval_s),
-        (TRANSMIT, config.transmit_interval_s),
-    ):
-        if interval is not None and clock % interval == 0:
-            due.append(name)
-    return due
+    return list(due_schedule(clock, 1, config)[0])
+
+
+def due_schedule(clock0: int, n_ticks: int, config: SystemConfig) -> list[tuple[str, ...]]:
+    """due_tasks of n_ticks consecutive ticks from clock0, one tuple each."""
+    clock = clock0 + np.arange(n_ticks, dtype=np.int64) * config.base_tick_s
+    code = np.zeros(n_ticks, dtype=np.int64)
+    names = (SENSE, FIX, TRANSMIT)
+    intervals = (config.sense_interval_s, config.fix_interval_s, config.transmit_interval_s)
+    for bit, interval in enumerate(intervals):
+        if interval is not None:
+            code |= (clock % interval == 0).astype(np.int64) << bit
+    sets = [tuple(name for bit, name in enumerate(names) if c >> bit & 1) for c in range(8)]
+    return [sets[c] for c in code.tolist()]
 
 
 def on_fix_success(state: DeviceState, mode: GpsMode, coulomb_value: float) -> None:
@@ -147,7 +164,7 @@ def on_fix_success(state: DeviceState, mode: GpsMode, coulomb_value: float) -> N
     """
     state.buffer.append(DataSample(state.clock, coulomb_value))
     state.gps.backup_valid = True
-    if mode in (GpsMode.HOT_EPHEMERIS, GpsMode.WARM_EPHEMERIS, GpsMode.COLD):
+    if mode in _EPHEMERIS_RESET:
         state.gps.ephemeris_age_s = 0
     elif state.gps.ephemeris_age_s is None:
         state.gps.ephemeris_age_s = 0

@@ -5,32 +5,72 @@ of the closed-form capacitor solution, then sleeps for the remainder. Floor
 (v_min) and ceiling (v_max) crossings are located analytically inside
 segments, so depletion times, clamp windows, and the energy ledger are exact
 rather than discretized to the tick.
+
+The loop steps each segment with constants built once per run: per load its
+resistance, time constant and leakage share, and per (load, exact duration)
+the three exponentials of the solution. The event log is kept as columns.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
+from collections import defaultdict
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import device as dev
 from .capacitor import equivalent_resistance, integrate_segment
-from .device import DeviceState, GpsMode, Power, due_tasks, select_gps_mode
+from .device import DeviceState, GpsMode, Power, select_gps_mode
 from .energy_model import TASKS, SystemConfig, compose_task_current, validate_config
 from .harvest import HarvestTrace, TraceError, csv_field, current_text, format_floats, write_csv
 
 SECONDS_PER_DAY = 86400
 
-# Event kinds, fixed vocabulary.
+# Event kinds, fixed vocabulary. An event log stores each kind as its index
+# in this tuple.
+EVENT_KINDS = (
+    "Sense", "FixHot", "FixHotEph", "FixWarmEph", "FixCold", "FixSkipped",
+    "Transmit", "TransmitSkipped", "TransmitFailed", "TaskFailed",
+    "Depletion", "Recovery", "ClampStart", "ClampEnd",
+)
 FIX_EVENT_KIND = {
     GpsMode.HOT: "FixHot",
     GpsMode.HOT_EPHEMERIS: "FixHotEph",
     GpsMode.WARM_EPHEMERIS: "FixWarmEph",
     GpsMode.COLD: "FixCold",
 }
-FIX_EVENT_KINDS = frozenset(FIX_EVENT_KIND.values())
+(
+    _SENSE, _FIX_HOT, _FIX_HOT_EPH, _FIX_WARM_EPH, _FIX_COLD, _FIX_SKIPPED,
+    _TRANSMIT, _TRANSMIT_SKIPPED, _TRANSMIT_FAILED, _TASK_FAILED,
+    _DEPLETION, _RECOVERY, _CLAMP_START, _CLAMP_END,
+) = range(len(EVENT_KINDS))
+_KIND_CODE = {kind: code for code, kind in enumerate(EVENT_KINDS)}
+_FIX_CODE = {mode: _KIND_CODE[kind] for mode, kind in FIX_EVENT_KIND.items()}
+# Kinds counted per day, in DayMetrics field order, and each kind code's
+# column in the per-day table (-1: not counted).
+_DAY_KINDS = (_FIX_HOT, _FIX_HOT_EPH, _FIX_WARM_EPH, _FIX_COLD, _TRANSMIT, _DEPLETION)
+_DAY_COLUMN = np.full(len(EVENT_KINDS), -1)
+_DAY_COLUMN[list(_DAY_KINDS)] = np.arange(len(_DAY_KINDS))
+
+_EVENT_ROW = np.dtype([
+    ("time_s", "f8"), ("kind", "i8"), ("voltage_before", "f8"), ("voltage_after", "f8"), ("detail", "i8"),
+])
+
+# Distinct durations whose exponentials one load keeps. A fixed task
+# duration is one value; the closing sleeps of a run without jitter took 37
+# values over 20 days and 49 over a year (how the activities' end times round
+# depends on the tick's start time). Durations past the limit, as with
+# jitter, are computed per segment and not kept.
+_FACTOR_CACHE_LIMIT = 256
+
+# Relative margin M of the cheap test that rules a crossing out before its
+# logarithm is taken. It passes only where the logarithm's ratio exceeds
+# M exp(x), so the crossing time exceeds the duration by ~1e-9 tau, far above
+# the ~1e-15 relative rounding of either side, for x below ~1e6. For x past
+# ~700, exp(-x) is 0 and the test never passes.
+_CROSSING_MARGIN = 1.0 + 1e-9
 
 TIMESERIES_HEADER = ["t_s", "voltage_v", "i_solar_a", "i_kinetic_a", "i_combined_a", "power_state", "event"]
 
@@ -46,6 +86,59 @@ class SimEvent:
     voltage_before: float
     voltage_after: float
     detail: str = ""
+
+
+@dataclass
+class EventLog:
+    """A run's events as parallel columns, in log order.
+
+    kind indexes EVENT_KINDS; detail indexes details, whose entry 0 is the
+    empty detail.
+    """
+
+    time_s: np.ndarray
+    kind: np.ndarray
+    voltage_before: np.ndarray
+    voltage_after: np.ndarray
+    detail: np.ndarray
+    details: tuple[str, ...] = ("",)
+
+    @classmethod
+    def from_rows(
+        cls, rows: Sequence[tuple[float, int, float, float, int]], details: Iterable[str] = ("",)
+    ) -> "EventLog":
+        """Columns from (time, kind code, v_before, v_after, detail code) rows."""
+        table = np.fromiter(rows, dtype=_EVENT_ROW, count=len(rows))
+        return cls(
+            table["time_s"], table["kind"], table["voltage_before"], table["voltage_after"],
+            table["detail"], tuple(details),
+        )
+
+    @classmethod
+    def from_events(cls, events: Iterable[SimEvent]) -> "EventLog":
+        details = {"": 0}
+        try:
+            rows = [
+                (e.time_s, _KIND_CODE[e.kind], e.voltage_before, e.voltage_after,
+                 details.setdefault(e.detail, len(details)))
+                for e in events
+            ]
+        except KeyError as exc:
+            raise ValueError(f"unknown event kind {exc.args[0]!r}; expected one of {EVENT_KINDS}") from None
+        return cls.from_rows(rows, details)
+
+    def __len__(self) -> int:
+        return int(self.time_s.size)
+
+    def to_events(self) -> list[SimEvent]:
+        details = self.details
+        return [
+            SimEvent(t, EVENT_KINDS[k], before, after, details[d])
+            for t, k, before, after, d in zip(
+                self.time_s.tolist(), self.kind.tolist(), self.voltage_before.tolist(),
+                self.voltage_after.tolist(), self.detail.tolist(),
+            )
+        ]
 
 
 @dataclass
@@ -144,41 +237,90 @@ class SimResult:
     times_s: np.ndarray  # tick boundaries, length n+1
     voltages: np.ndarray  # voltage at each boundary
     power_on: np.ndarray  # power state at each boundary (bool)
-    events: list[SimEvent]
+    log: EventLog
     metrics: SimMetrics
     ledger: EnergyLedger
     device: DeviceState  # end-of-run device state (buffer, accumulator, gps)
+    _events: list[SimEvent] | None = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def events(self) -> list[SimEvent]:
+        """The log as SimEvent objects, built on first access.
+
+        Assigning a list replaces the log; changing the returned list in
+        place does not.
+        """
+        if self._events is None:
+            self._events = self.log.to_events()
+        return self._events
+
+    @events.setter
+    def events(self, events: Iterable[SimEvent]) -> None:
+        self.log = EventLog.from_events(events)
+        self._events = None
 
 
 class _Simulator:
-    """Mutable per-run machinery; one instance per run, strictly sequential."""
+    """Mutable per-run machinery; one instance per run, strictly sequential.
+
+    t and v are the time and voltage at the end of the last segment.
+    """
 
     def __init__(self, config: SystemConfig):
         self.config = config
         self.rng = np.random.default_rng(config.random_seed)
-        self.events: list[SimEvent] = []
-        self.ledger = EnergyLedger()
+        self.rows: list[tuple[float, int, float, float, int]] = []  # EventLog.from_rows input
+        self.details: dict[str, int] = {"": 0}
+        self.harvested_j = 0.0
+        self.leakage_j = 0.0
+        self.discarded_j = 0.0
+        self.consumed: defaultdict[str, float] = defaultdict(float)  # tasks in first-use order
         self.clamp_active = False
         self.off_since: float | None = None
         self.total_off_s = 0.0
         power_on = config.initial_voltage >= config.thresholds.v_turn_on
         self.state = DeviceState.initial(config, power_on)
+        self.t = 0.0
         self.v = config.initial_voltage
-        self._current_cache = {
-            name: compose_task_current(name, config.capacitor.leakage_ma) for name in TASKS
+        cap = config.capacitor
+        self.c = cap.capacitance_f
+        self.v_max = cap.v_max
+        self.v_pinned = cap.v_max - 1e-12
+        self.v_min = config.thresholds.v_min
+        self.loads = {name: self._load(name, compose_task_current(name, cap.leakage_ma)) for name in TASKS}
+        first = {
+            GpsMode.HOT: ("HotStart",),
+            GpsMode.HOT_EPHEMERIS: ("HotStart", "EphemerisDownload"),
+            GpsMode.WARM_EPHEMERIS: ("WarmStart", "EphemerisDownload"),
+            GpsMode.COLD: ("ColdStart",),
+        }
+        # Per mode: the event code, and (load, mean duration, duration
+        # deviation) of each segment.
+        self.fixes = {
+            mode: (_FIX_CODE[mode], tuple(
+                (self.loads[name], TASKS[name].duration_s, TASKS[name].duration_std_s)
+                for name in (*names, "GpsI2cWrite", "I2cReadCoulomb")
+            ))
+            for mode, names in first.items()
         }
 
-    # -- primitives ---------------------------------------------------------
+    def _load(self, task: str, current_ma: float) -> tuple:
+        """Per-run constants of a constant-current load, in _step's order:
+        task, R, tau = R C, tau / 2, the leakage share of its consumption
+        and the rest, v_max^2 / R (its draw while pinned), and a table of
+        exact duration -> (exp(-x), -expm1(-x), -expm1(-2x)), x = duration / tau.
+        """
+        cfg = self.config
+        r = equivalent_resistance(cfg.v_supply, current_ma)
+        tau = r * self.c
+        leak = min(1.0, cfg.capacitor.leakage_ma / current_ma)
+        return task, r, tau, tau / 2.0, leak, 1.0 - leak, self.v_max * self.v_max / r, {}
 
-    def _emit(self, kind: str, time_s: float, before: float, after: float, detail: str = "") -> None:
-        self.events.append(SimEvent(time_s, kind, before, after, detail))
+    def log(self) -> EventLog:
+        return EventLog.from_rows(self.rows, self.details)
 
-    def _account(self, task: str, harvested: float, consumed: float, leak_frac: float, discarded: float = 0.0) -> None:
-        led = self.ledger
-        led.harvested_in_j += harvested
-        led.discarded_at_clamp_j += discarded
-        led.leakage_j += consumed * leak_frac
-        led.consumed_by_task_j[task] = led.consumed_by_task_j.get(task, 0.0) + consumed * (1.0 - leak_frac)
+    def _detail(self, text: str) -> int:
+        return self.details.setdefault(text, len(self.details))
 
     def _draw(self, mean: float, std: float) -> float:
         """Per-event jittered value, truncated at three sigma; mean when off."""
@@ -187,218 +329,213 @@ class _Simulator:
         value = float(self.rng.normal(mean, std))
         return min(max(value, mean - 3.0 * std, 1e-9), mean + 3.0 * std)
 
-    def _segment(
-        self, t0: float, v0: float, task: str, current_ma: float, duration: float,
-        i_h: float, check_floor: bool,
-    ) -> tuple[float, float, bool]:
-        """Advance one constant-load segment with crossing handling.
+    def _step(self, load: tuple, duration: float, i_h: float, check_floor: bool) -> bool:
+        """Advance t and v over one constant-load segment and book its energy.
 
-        Returns (end time, end voltage, depleted). On depletion the segment
-        stops at the v_min crossing; the caller decides what happens next.
+        Returns whether the device depleted: then the segment stops at the
+        v_min crossing, and the caller decides what happens next. The
+        arithmetic is capacitor.integrate_segment's, term for term.
         """
         if duration <= 0.0:
-            return t0, v0, False
-        cfg = self.config
-        cap = cfg.capacitor
-        r = equivalent_resistance(cfg.v_supply, current_ma)
-        c = cap.capacitance_f
-        v_max, v_min = cap.v_max, cfg.thresholds.v_min
-        leak_frac = min(1.0, cap.leakage_ma / current_ma)
-        asymptote = i_h * r
-        tau = r * c
-
-        pinned = v0 >= v_max - 1e-12 and asymptote >= v_max
+            return False
+        task, r, tau, half_tau, leak, keep, pinned_w, factors = load
+        t0 = self.t
+        v0 = self.v
+        v_max = self.v_max
+        a = i_h * r  # asymptote
+        pinned = v0 >= self.v_pinned and a >= v_max
         if self.clamp_active and not pinned:
-            self._emit("ClampEnd", t0, v0, v0)
+            self.rows.append((t0, _CLAMP_END, v0, v0, 0))
             self.clamp_active = False
+        depleted = False
         if pinned:
             if not self.clamp_active:
-                self._emit("ClampStart", t0, v_max, v_max)
+                self.rows.append((t0, _CLAMP_START, v_max, v_max, 0))
                 self.clamp_active = True
             harvested = i_h * v_max * duration
-            consumed = v_max * v_max / r * duration
-            self._account(task, harvested, consumed, leak_frac, discarded=harvested - consumed)
-            return t0 + duration, v_max, False
-
-        if asymptote > v_max and v0 < v_max:
-            t_up = tau * math.log((v0 - asymptote) / (v_max - asymptote))
-            if t_up <= duration:
-                _, harvested, consumed = integrate_segment(v0, i_h, r, c, t_up)
-                self._account(task, harvested, consumed, leak_frac)
-                t_cross = t0 + t_up
-                self._emit("ClampStart", t_cross, v_max, v_max)
+            consumed = pinned_w * duration
+            self.discarded_j += harvested - consumed
+            self.t = t0 + duration
+            self.v = v_max
+        else:
+            f = factors.get(duration)
+            if f is None:
+                x = duration / tau
+                f = (math.exp(-x), -math.expm1(-x), -math.expm1(-2.0 * x))
+                if len(factors) < _FACTOR_CACHE_LIMIT:
+                    factors[duration] = f
+            e, em1, em2 = f
+            b = v0 - a
+            # A crossing time takes a logarithm, skipped where the unclamped
+            # end voltage a + b e stays clear of the bound: b e < (v_max - a) M
+            # or b e > (v_min - a) M puts the crossing past the duration.
+            if (
+                a > v_max and v0 < v_max and not b * e < (v_max - a) * _CROSSING_MARGIN
+                and (t_up := tau * math.log(b / (v_max - a))) <= duration
+            ):
+                _, harvested, consumed = integrate_segment(v0, i_h, r, self.c, t_up)
+                self.harvested_j += harvested
+                self.leakage_j += consumed * leak
+                self.consumed[task] += consumed * keep
+                self.rows.append((t0 + t_up, _CLAMP_START, v_max, v_max, 0))
                 self.clamp_active = True
                 rest = duration - t_up
                 harvested = i_h * v_max * rest
-                consumed = v_max * v_max / r * rest
-                self._account(task, harvested, consumed, leak_frac, discarded=harvested - consumed)
-                return t0 + duration, v_max, False
-
-        if check_floor and asymptote < v_min and v0 > v_min:
-            t_dn = tau * math.log((v0 - asymptote) / (v_min - asymptote))
-            if t_dn <= duration:
-                _, harvested, consumed = integrate_segment(v0, i_h, r, c, t_dn)
-                self._account(task, harvested, consumed, leak_frac)
-                return t0 + t_dn, v_min, True
-
-        v_end, harvested, consumed = integrate_segment(v0, i_h, r, c, duration)
-        self._account(task, harvested, consumed, leak_frac)
-        return t0 + duration, min(v_end, v_max), False
+                consumed = pinned_w * rest
+                self.discarded_j += harvested - consumed
+                self.t = t0 + duration
+                self.v = v_max
+            elif (
+                check_floor and a < self.v_min and v0 > self.v_min
+                and not b * e > (self.v_min - a) * _CROSSING_MARGIN
+                and (t_dn := tau * math.log(b / (self.v_min - a))) <= duration
+            ):
+                _, harvested, consumed = integrate_segment(v0, i_h, r, self.c, t_dn)
+                self.t = t0 + t_dn
+                self.v = self.v_min
+                depleted = True
+            else:
+                harvested = i_h * (a * duration + b * tau * em1)
+                consumed = (a * a * duration + 2.0 * a * b * tau * em1 + b * b * half_tau * em2) / r
+                v_end = a + b * e
+                self.t = t0 + duration
+                self.v = v_max if v_end > v_max else v_end
+        self.harvested_j += harvested
+        self.leakage_j += consumed * leak
+        self.consumed[task] += consumed * keep
+        return depleted
 
     # -- tick execution -----------------------------------------------------
 
-    def _deplete(self, t: float, v: float, i_h: float, tick_end: float, failure: tuple[str, str] | None) -> float:
+    def _deplete(self, i_h: float, tick_end: float, failure: int | None, detail: str) -> float:
         """Shut down at a v_min crossing and coast on leakage to tick end."""
+        t, v = self.t, self.v
         if failure is not None:
-            kind, detail = failure
-            self._emit(kind, t, v, v, detail)
-        self._emit("Depletion", t, v, v)
+            self.rows.append((t, failure, v, v, self._detail(detail)))
+        self.rows.append((t, _DEPLETION, v, v, 0))
         dev.on_depletion(self.state)
         self.off_since = t
-        _, v, _ = self._segment(t, v, "TurnedOff", self._current_cache["TurnedOff"], tick_end - t, i_h, False)
-        return v
+        self._step(self.loads["TurnedOff"], tick_end - t, i_h, False)
+        return self.v
 
-    def _run_activity(
-        self, cursor: float, v: float, segments: list[tuple[str, float, float]], i_h: float
-    ) -> tuple[float, float, str | None]:
-        """Run consecutive task segments; stop at depletion, naming the task."""
-        for task, current_ma, duration in segments:
-            cursor, v, depleted = self._segment(cursor, v, task, current_ma, duration, i_h, True)
-            if depleted:
-                return cursor, v, task
-        return cursor, v, None
-
-    def _fix_segments(self, mode: GpsMode) -> list[tuple[str, float, float]]:
-        names = {
-            GpsMode.HOT: ("HotStart",),
-            GpsMode.HOT_EPHEMERIS: ("HotStart", "EphemerisDownload"),
-            GpsMode.WARM_EPHEMERIS: ("WarmStart", "EphemerisDownload"),
-            GpsMode.COLD: ("ColdStart",),
-        }[mode]
-        segments = []
-        for name in names:
-            spec = TASKS[name]
-            segments.append((name, self._current_cache[name], self._draw(spec.duration_s, spec.duration_std_s)))
-        for name in ("GpsI2cWrite", "I2cReadCoulomb"):
-            segments.append((name, self._current_cache[name], TASKS[name].duration_s))
-        return segments
-
-    def execute_tick(self, t_start: float, tasks: list[str], i_h: float) -> float:
+    def execute_tick(self, t_start: float, activities: Iterable[str], i_h: float) -> float:
         """Run one On-state tick: due activities then sleep, with gating."""
         cfg = self.config
         thr = cfg.thresholds
         state = self.state
+        step = self._step
+        rows = self.rows
+        loads = self.loads
         tick_end = t_start + cfg.base_tick_s
-        cursor = float(t_start)
-        v = self.v
+        self.t = float(t_start)
 
-        for activity in tasks:
+        for activity in activities:
             if activity == dev.SENSE:
-                spec = TASKS["AdcRead"]
-                v_before = v
-                cursor, v, failed = self._run_activity(
-                    cursor, v, [("AdcRead", self._current_cache["AdcRead"], spec.duration_s)], i_h
-                )
-                if failed:
-                    return self._deplete(cursor, v, i_h, tick_end, ("TaskFailed", failed))
-                self._emit("Sense", cursor, v_before, v)
+                v_before = self.v
+                if step(loads["AdcRead"], TASKS["AdcRead"].duration_s, i_h, True):
+                    return self._deplete(i_h, tick_end, _TASK_FAILED, "AdcRead")
+                rows.append((self.t, _SENSE, v_before, self.v, 0))
 
             elif activity == dev.FIX:
-                decision = select_gps_mode(state.gps, v, thr, cfg)
+                decision = select_gps_mode(state.gps, self.v, thr, cfg)
                 if decision.skipped:
-                    self._emit("FixSkipped", cursor, v, v, decision.skip_reason)
+                    rows.append((self.t, _FIX_SKIPPED, self.v, self.v, self._detail(decision.skip_reason)))
                     continue
-                v_before = v
-                cursor, v, failed = self._run_activity(cursor, v, self._fix_segments(decision.mode), i_h)
-                if failed:
-                    return self._deplete(cursor, v, i_h, tick_end, ("TaskFailed", failed))
+                kind, plan = self.fixes[decision.mode]
+                if cfg.task_jitter:  # draw every duration before the first segment runs
+                    plan = [(load, self._draw(mean, std), 0.0) for load, mean, std in plan]
+                v_before = self.v
+                for load, duration, _ in plan:
+                    if step(load, duration, i_h, True):
+                        return self._deplete(i_h, tick_end, _TASK_FAILED, load[0])
                 coulomb = dev.read_coulomb(state)
                 dev.on_fix_success(state, decision.mode, coulomb)
-                self._emit(FIX_EVENT_KIND[decision.mode], cursor, v_before, v)
+                rows.append((self.t, kind, v_before, self.v, 0))
 
             elif activity == dev.TRANSMIT:
                 samples = len(state.buffer)
-                detail = f"samples={samples}"
-                if v < thr.nbiot:
-                    self._emit("TransmitSkipped", cursor, v, v, "low-voltage")
+                if self.v < thr.nbiot:
+                    rows.append((self.t, _TRANSMIT_SKIPPED, self.v, self.v, self._detail("low-voltage")))
                     continue
                 spec = TASKS["NbIot"]
-                current = compose_task_current(
-                    "NbIot", cfg.capacitor.leakage_ma, base_ma=self._draw(spec.base_ma, spec.base_std_ma)
-                )
+                load = loads["NbIot"]
+                if cfg.task_jitter:
+                    base_ma = self._draw(spec.base_ma, spec.base_std_ma)
+                    load = self._load("NbIot", compose_task_current("NbIot", cfg.capacitor.leakage_ma, base_ma))
                 duration = self._draw(spec.duration_s, spec.duration_std_s)
                 if cfg.payload_scaling:
                     duration *= dev.payload_bytes(samples) / dev.REFERENCE_PAYLOAD_BYTES
-                v_before = v
-                cursor, v, failed = self._run_activity(cursor, v, [("NbIot", current, duration)], i_h)
-                if failed:
-                    return self._deplete(cursor, v, i_h, tick_end, ("TransmitFailed", detail))
+                detail = f"samples={samples}"
+                v_before = self.v
+                if step(load, duration, i_h, True):
+                    return self._deplete(i_h, tick_end, _TRANSMIT_FAILED, detail)
                 state.buffer.clear()
-                self._emit("Transmit", cursor, v_before, v, detail)
+                rows.append((self.t, _TRANSMIT, v_before, self.v, self._detail(detail)))
 
             else:
                 raise ValueError(f"unknown activity {activity!r}")
 
-        cursor, v, depleted = self._segment(
-            cursor, v, "Sleep", self._current_cache["Sleep"], tick_end - cursor, i_h, True
-        )
-        if depleted:
-            return self._deplete(cursor, v, i_h, tick_end, None)
-        return v
+        if step(loads["Sleep"], tick_end - self.t, i_h, True):
+            return self._deplete(i_h, tick_end, None, "")
+        return self.v
 
     def execute_off_tick(self, t_start: float, i_h: float) -> float:
-        _, v, _ = self._segment(
-            t_start, self.v, "TurnedOff", self._current_cache["TurnedOff"], self.config.base_tick_s, i_h, False
-        )
-        return v
+        self.t = t_start
+        self._step(self.loads["TurnedOff"], self.config.base_tick_s, i_h, False)
+        return self.v
 
     # -- whole run ----------------------------------------------------------
 
     def run(self, harvest: HarvestTrace, n_ticks: int) -> SimResult:
         cfg = self.config
         tick = cfg.base_tick_s
+        v_turn_on = cfg.thresholds.v_turn_on
+        on = Power.ON
         state = self.state
-        if state.power is Power.OFF:
+        if state.power is not on:
             self.off_since = 0.0
 
         times = np.arange(n_ticks + 1, dtype=np.int64) * tick
-        voltages = np.empty(n_ticks + 1)
-        power_on = np.empty(n_ticks + 1, dtype=bool)
-        voltages[0] = self.v
-        power_on[0] = state.power is Power.ON
+        schedule = dev.due_schedule(state.clock, n_ticks, cfg)
+        combined = harvest.combined_a[:n_ticks].tolist()
+        kinetic = harvest.kinetic_a[:n_ticks].tolist()
         v_initial = self.v
+        voltages = [v_initial]
+        power_on = []
+        execute_tick = self.execute_tick
+        execute_off_tick = self.execute_off_tick
 
         for i in range(n_ticks):
             t = i * tick
-            if state.power is Power.OFF and self.v >= cfg.thresholds.v_turn_on:
+            if state.power is not on and self.v >= v_turn_on:
                 dev.on_recovery(state)
                 self.total_off_s += t - self.off_since
                 self.off_since = None
-                self._emit("Recovery", float(t), self.v, self.v)
-            power_on[i] = state.power is Power.ON
-
-            i_h = float(harvest.combined_a[i])
-            if state.power is Power.ON:
-                self.v = self.execute_tick(float(t), due_tasks(state.clock, cfg), i_h)
+                self.rows.append((float(t), _RECOVERY, self.v, self.v, 0))
+            if state.power is on:
+                power_on.append(True)
+                voltages.append(execute_tick(float(t), schedule[i], combined[i]))
             else:
-                self.v = self.execute_off_tick(float(t), i_h)
-
-            state.coulomb_accumulator += float(harvest.kinetic_a[i]) * tick
+                power_on.append(False)
+                voltages.append(execute_off_tick(float(t), combined[i]))
+            state.coulomb_accumulator += kinetic[i] * tick
             state.clock += tick
             state.gps.advance(tick)
-            voltages[i + 1] = self.v
 
-        power_on[n_ticks] = state.power is Power.ON
+        power_on.append(state.power is on)
         duration = n_ticks * tick
         if self.off_since is not None:
             self.total_off_s += duration - self.off_since
 
-        self.ledger.delta_stored_j = 0.5 * cfg.capacitor.capacitance_f * (self.v**2 - v_initial**2)
-        metrics = compute_metrics(
-            self.events, duration, voltages=voltages, total_off_s=self.total_off_s
+        ledger = EnergyLedger(
+            self.harvested_j, dict(self.consumed), self.leakage_j, self.discarded_j,
+            0.5 * cfg.capacitor.capacitance_f * (self.v**2 - v_initial**2),
         )
+        voltages = np.array(voltages)
+        log = self.log()
+        metrics = compute_metrics(log, duration, voltages=voltages, total_off_s=self.total_off_s)
         return SimResult(
-            cfg, harvest, duration, times, voltages, power_on, self.events, metrics, self.ledger, state
+            cfg, harvest, duration, times, voltages, np.array(power_on, dtype=bool), log, metrics, ledger, state
         )
 
 
@@ -450,100 +587,86 @@ def integrate_tick(
         v_end = sim.execute_tick(tick_start_s, tasks, harvest_current_a)
     else:
         v_end = sim.execute_off_tick(tick_start_s, harvest_current_a)
-    return v_end, sim.events
+    return v_end, sim.log().to_events()
 
 
 def compute_metrics(
-    events: list[SimEvent],
+    events: EventLog | Iterable[SimEvent],
     run_length_s: float,
     voltages: np.ndarray | None = None,
     total_off_s: float | None = None,
 ) -> SimMetrics:
     """Aggregate an event log into schedule metrics.
 
-    Per-day statistics cover complete days only (population deviation);
-    partial trailing days are excluded. An empty log yields all zeros.
+    events is an EventLog or SimEvent objects in log order. Per-day
+    statistics cover complete days only (population deviation); partial
+    trailing days are excluded. An empty log yields all zeros.
     """
+    log = events if isinstance(events, EventLog) else EventLog.from_events(events)
     m = SimMetrics()
-    if not events and voltages is None:
+    if not len(log) and voltages is None:
         return m
 
-    kind_counts: dict[str, int] = {}
-    for e in events:
-        kind_counts[e.kind] = kind_counts.get(e.kind, 0) + 1
-    m.hot_fixes = kind_counts.get("FixHot", 0)
-    m.hot_ephemeris = kind_counts.get("FixHotEph", 0)
-    m.warm_ephemeris = kind_counts.get("FixWarmEph", 0)
-    m.cold_starts = kind_counts.get("FixCold", 0)
+    kind = log.kind
+    counts = np.bincount(kind, minlength=len(EVENT_KINDS)).tolist()
+    m.hot_fixes = counts[_FIX_HOT]
+    m.hot_ephemeris = counts[_FIX_HOT_EPH]
+    m.warm_ephemeris = counts[_FIX_WARM_EPH]
+    m.cold_starts = counts[_FIX_COLD]
     m.total_fixes = m.hot_fixes + m.hot_ephemeris + m.warm_ephemeris + m.cold_starts
-    m.skipped_fixes = kind_counts.get("FixSkipped", 0)
-    m.failed_tasks = kind_counts.get("TaskFailed", 0)
-    m.transmissions = kind_counts.get("Transmit", 0)
-    m.skipped_transmissions = kind_counts.get("TransmitSkipped", 0)
-    m.failed_transmissions = kind_counts.get("TransmitFailed", 0)
-    m.depletion_count = kind_counts.get("Depletion", 0)
+    m.skipped_fixes = counts[_FIX_SKIPPED]
+    m.failed_tasks = counts[_TASK_FAILED]
+    m.transmissions = counts[_TRANSMIT]
+    m.skipped_transmissions = counts[_TRANSMIT_SKIPPED]
+    m.failed_transmissions = counts[_TRANSMIT_FAILED]
+    m.depletion_count = counts[_DEPLETION]
 
     if total_off_s is not None:
         m.total_off_s = total_off_s
     else:
         # Reconstruct from depletion/recovery alternation; leading Off time
         # before the first event is not observable from the log alone.
+        flips = np.flatnonzero((kind == _DEPLETION) | (kind == _RECOVERY))
         off_since = None
-        for e in events:
-            if e.kind == "Depletion":
-                off_since = e.time_s
-            elif e.kind == "Recovery" and off_since is not None:
-                m.total_off_s += e.time_s - off_since
+        for k, t in zip(kind[flips].tolist(), log.time_s[flips].tolist()):
+            if k == _DEPLETION:
+                off_since = t
+            elif off_since is not None:
+                m.total_off_s += t - off_since
                 off_since = None
         if off_since is not None:
             m.total_off_s += run_length_s - off_since
 
-    fix_times = [e.time_s for e in events if e.kind in FIX_EVENT_KINDS]
-    if fix_times:
-        edges = [0.0, *fix_times, float(run_length_s)]
-        m.longest_data_gap_s = max(b - a for a, b in zip(edges, edges[1:]))
-    elif events:
+    is_fix = (kind >= _FIX_HOT) & (kind <= _FIX_COLD)
+    fix_times = log.time_s[is_fix]
+    if fix_times.size:
+        edges = np.concatenate([[0.0], fix_times, [float(run_length_s)]])
+        m.longest_data_gap_s = float(np.diff(edges).max())
+    elif len(log):
         m.longest_data_gap_s = float(run_length_s)
 
     candidates = []
     if voltages is not None and len(voltages):
         candidates.append(float(np.min(voltages)))
-    if events:
-        candidates.append(min(min(e.voltage_before, e.voltage_after) for e in events))
+    if len(log):
+        low = float(np.minimum(log.voltage_before, log.voltage_after).min())
+        if not low > 0.0:  # keep min()'s choice between 0.0 and -0.0
+            low = min(map(min, zip(log.voltage_before.tolist(), log.voltage_after.tolist())))
+        candidates.append(low)
     if candidates:
         m.min_voltage = min(candidates)
 
     complete_days = int(run_length_s) // SECONDS_PER_DAY
-    day_counts = np.zeros(complete_days, dtype=int)
-    per_day: dict[int, dict[str, int]] = {
-        d: {"hot": 0, "hot_eph": 0, "warm_eph": 0, "cold": 0, "tx": 0, "depl": 0} for d in range(complete_days)
-    }
-    for e in events:
-        day = int(e.time_s // SECONDS_PER_DAY)
-        if day >= complete_days:
-            continue
-        row = per_day[day]
-        if e.kind == "FixHot":
-            row["hot"] += 1
-        elif e.kind == "FixHotEph":
-            row["hot_eph"] += 1
-        elif e.kind == "FixWarmEph":
-            row["warm_eph"] += 1
-        elif e.kind == "FixCold":
-            row["cold"] += 1
-        elif e.kind == "Transmit":
-            row["tx"] += 1
-        elif e.kind == "Depletion":
-            row["depl"] += 1
-        if e.kind in FIX_EVENT_KINDS:
-            day_counts[day] += 1
     if complete_days:
+        day = log.time_s // SECONDS_PER_DAY
+        column = _DAY_COLUMN[kind]
+        counted = (day < complete_days) & (column >= 0)
+        cell = day[counted].astype(np.int64) * len(_DAY_KINDS) + column[counted]
+        table = np.bincount(cell, minlength=complete_days * len(_DAY_KINDS)).reshape(complete_days, -1)
+        day_counts = table[:, :4].sum(axis=1)
         m.fixes_per_day_mean = float(day_counts.mean())
         m.fixes_per_day_std = float(day_counts.std())  # population deviation
-        m.per_day = [
-            DayMetrics(d, r["hot"], r["hot_eph"], r["warm_eph"], r["cold"], r["tx"], r["depl"])
-            for d, r in per_day.items()
-        ]
+        m.per_day = [DayMetrics(d, *row) for d, row in enumerate(table.tolist())]
     return m
 
 
@@ -556,34 +679,32 @@ def export_timeseries(result: SimResult, path: str) -> None:
     through the log.
     """
     harvest = result.harvest
-    events = result.events
+    log = result.log
     n = len(result.times_s) - 1
     tick_t = result.times_s
-    event_t = np.array([e.time_s for e in events], dtype=float)
+    event_t = log.time_s
     row_t = np.concatenate([tick_t, event_t])
     order = np.argsort(row_t, kind="stable")
-    voltage = np.concatenate([result.voltages, [e.voltage_after for e in events]])
+    voltage = np.concatenate([result.voltages, log.voltage_after])
     # Trace step of each row, clamped to the run: the final tick row, and any
     # event at or past the end, repeat the last step's currents.
     steps = np.maximum(np.minimum(row_t // harvest.resolution_s, n - 1), 0).astype(np.intp)
 
     # The "power_state,event" fields come from a table: "Off," and "On," for
     # tick rows, then an Off/On pair for each distinct (kind, detail) of the log.
-    labels: dict[tuple[str, str], int] = {}
-    label = [labels.setdefault((e.kind, e.detail), len(labels)) for e in events]
+    n_details = len(log.details)
+    pairs, label = np.unique(log.kind * n_details + log.detail, return_inverse=True)
     tails = ["Off,", "On,"]
-    sets_power = []  # per label: 0 for Depletion, 1 for Recovery, None otherwise
-    for kind, detail in labels:
+    for pair in pairs.tolist():
+        kind, detail = EVENT_KINDS[pair // n_details], log.details[pair % n_details]
         text = csv_field(f"{kind}:{detail}" if detail else kind)
         tails += [f"Off,{text}", f"On,{text}"]
-        sets_power.append({"Depletion": 0, "Recovery": 1}.get(kind))
-    codes = np.where(result.power_on, 1, 0).tolist()
-    power = codes[0]
-    for code in label:  # in log order, not time order
-        if sets_power[code] is not None:
-            power = sets_power[code]
-        codes.append(2 + 2 * code + power)
-    codes = np.array(codes)
+    # Power state after each event, in log order (not time order): set by the
+    # latest Depletion or Recovery so far, else the first tick row's state.
+    sets_power = np.where(log.kind == _DEPLETION, 0, np.where(log.kind == _RECOVERY, 1, -1))
+    latest = np.maximum.accumulate(np.where(sets_power >= 0, np.arange(len(log)), -1))
+    power = np.where(latest >= 0, sets_power[latest], 1 if result.power_on[0] else 0)
+    codes = np.concatenate([np.where(result.power_on, 1, 0), 2 + 2 * label + power])
     tail_text = np.array(tails, dtype=object)
 
     def rows(start: int, stop: int) -> Iterable[tuple[str, str, str, str]]:

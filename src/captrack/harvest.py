@@ -31,6 +31,13 @@ class TraceError(ValueError):
     """Malformed or inconsistent trace data."""
 
 
+def _check_finite(name: str, values: np.ndarray) -> None:
+    finite = np.isfinite(values)
+    if not finite.all():
+        index = int(np.argmin(finite))
+        raise TraceError(f"non-finite {name} {values[index]} at index {index}")
+
+
 @dataclass
 class IrradianceTrace:
     start_epoch_s: int
@@ -42,6 +49,7 @@ class IrradianceTrace:
         self.samples = np.asarray(self.samples, dtype=float)
         if self.resolution_s <= 0:
             raise TraceError(f"resolution must be positive, got {self.resolution_s}")
+        _check_finite("irradiance", self.samples)
         if self.samples.size and float(self.samples.min()) < 0:
             index = int(np.argmin(self.samples))
             raise TraceError(f"negative irradiance {self.samples[index]} at index {index}")
@@ -63,6 +71,7 @@ class HarvestTrace:
         if len(lengths) != 1:
             raise TraceError(f"source series lengths differ: {sorted(lengths)}")
         for name, series in (("solar", self.solar_a), ("kinetic", self.kinetic_a), ("combined", self.combined_a)):
+            _check_finite(f"{name} current", series)
             if series.size and float(series.min()) < 0:
                 raise TraceError(f"negative {name} current in trace")
 
@@ -233,21 +242,35 @@ def generate_kinetic_trace(
         return np.zeros(n)
 
     rng = np.random.default_rng(profile.seed)
-    labels = np.array([profile.period_of_minute(m % MINUTES_PER_DAY) for m in range(n)])
+    # Period of each minute, as period_of_minute gives it: the last period
+    # starting at or before the minute, and the wrapped last period before
+    # the first start.
+    day_labels = np.searchsorted(profile.period_starts_min, np.arange(MINUTES_PER_DAY), side="right") - 1
+    day_labels[day_labels < 0] = 3
+    labels = np.tile(day_labels.astype(np.int8), days)
 
     # Bout chain: stay-active prob fixes the mean bout length; activation prob
-    # fixes the duty cycle of each period.
+    # fixes the duty cycle of each period. One uniform starts the chain and
+    # one decides each minute: an active minute stays active on its stay
+    # draw, an idle one turns active on its activation draw.
     p_stay = 1.0 - 1.0 / profile.mean_bout_min
-    active = np.zeros(n, dtype=bool)
-    is_active = bool(rng.random() < profile.duty[labels[0]])
-    for i in range(n):
-        duty = profile.duty[labels[i]]
-        if is_active:
-            is_active = bool(rng.random() < p_stay)
-        else:
-            p_activate = min(1.0, duty / (profile.mean_bout_min * max(1.0 - duty, 1e-9)))
-            is_active = bool(rng.random() < p_activate)
-        active[i] = is_active
+    p_activate = np.array([min(1.0, d / (profile.mean_bout_min * max(1.0 - d, 1e-9))) for d in profile.duty])
+    uniforms = rng.random(n + 1)
+    first = uniforms[0] < profile.duty[labels[0]]
+    stay = uniforms[1:] < p_stay
+    activate = (uniforms[1:].reshape(days, MINUTES_PER_DAY) < p_activate[day_labels]).reshape(n)
+    del uniforms  # n floats, not needed next to the n-sized index arrays below
+    # Where both draws agree the minute takes their value whatever came
+    # before; where only activation holds it flips the chain; otherwise it
+    # keeps the previous value. So each minute is the value at the last
+    # agreeing minute (or the start), flipped once per flip since then.
+    flips = np.logical_xor.accumulate(activate & ~stay)
+    last = np.arange(n)
+    last[stay != activate] = -1
+    np.maximum.accumulate(last, out=last)
+    known = last >= 0
+    active = np.where(known, stay[last], first)
+    active ^= flips ^ (known & flips[last])
 
     current = np.zeros(n)
     for day in range(days):
@@ -330,8 +353,10 @@ def load_irradiance_csv(path: str, resolution_s: int = 60, max_gap_steps: int = 
                 value = float(row[1])
             except ValueError:
                 raise TraceError(f"line {line}: unparseable irradiance {row[1]!r}") from None
-            if value < 0:
-                raise TraceError(f"line {line}: negative irradiance {value}")
+            if not 0.0 <= value < math.inf:  # false for NaN too
+                if math.isfinite(value):
+                    raise TraceError(f"line {line}: negative irradiance {value}")
+                raise TraceError(f"line {line}: non-finite irradiance {row[1]!r}")
             if start is None:
                 start = stamp
             elif stamp <= previous:
@@ -426,21 +451,26 @@ def load_harvest_csv(path: str) -> HarvestTrace:
             raise TraceError(f"{path}: empty file") from None
         if [h.strip().lower() for h in header] != HARVEST_HEADER:
             raise TraceError(f"{path}: expected header {','.join(HARVEST_HEADER)!r}, got {','.join(header)!r}")
-        times: list[int] = []
-        columns: list[list[float]] = [[], [], []]
+        lines: list[int] = []
+        columns: list[list[float]] = [[], [], [], []]
         for line, row in enumerate(reader, start=2):
             if not row or all(not cell.strip() for cell in row):
                 continue
             if len(row) != 4:
                 raise TraceError(f"line {line}: expected 4 fields, got {len(row)}")
             try:
-                times.append(int(float(row[0])))
-                for k in range(3):
-                    columns[k].append(float(row[k + 1]))
+                for k in range(4):
+                    columns[k].append(float(row[k]))
             except ValueError:
                 raise TraceError(f"line {line}: unparseable row {row!r}") from None
-    if not times:
+            lines.append(line)
+    if not lines:
         raise TraceError(f"{path}: no data rows")
+    table = np.array(columns)
+    finite = np.isfinite(table).all(axis=0)
+    if not finite.all():
+        raise TraceError(f"line {lines[int(np.argmin(finite))]}: non-finite value")
+    times = [int(t) for t in columns[0]]
     if len(times) == 1:
         resolution = 60
     else:
@@ -448,4 +478,4 @@ def load_harvest_csv(path: str) -> HarvestTrace:
         if len(spacings) != 1 or min(spacings) <= 0:
             raise TraceError(f"{path}: time column not uniformly spaced")
         resolution = spacings.pop()
-    return HarvestTrace(0, resolution, np.array(columns[0]), np.array(columns[1]), np.array(columns[2]))
+    return HarvestTrace(0, resolution, table[1], table[2], table[3])

@@ -71,6 +71,22 @@ def test_simulate_with_irradiance_trace(tmp_path):
     assert metrics["total_fixes"] > 0
 
 
+@pytest.mark.parametrize(
+    ("header", "row"),
+    [("t_s,solar_a,kinetic_a,combined_a", "120,nan,0,nan"), ("timestamp,irradiance_wm2", "120,inf")],
+)
+def test_simulate_rejects_non_finite_trace(tmp_path, capsys, header, row):
+    # Before, a NaN cell ran to completion and reported min_voltage NaN.
+    first = "0,0,0,0" if header.startswith("t_s") else "0,0"
+    trace = tmp_path / "trace.csv"
+    trace.write_text(f"{header}\n{first}\n60,{first[2:]}\n{row}\n")
+    out = tmp_path / "out"
+    code = main(["simulate", "--trace", str(trace), "--out", str(out)])
+    assert code == EXIT_TRACE
+    assert "line 4: non-finite" in capsys.readouterr().err
+    assert not (out / "metrics.json").exists()
+
+
 def test_simulate_invalid_config(tmp_path, capsys):
     config = tmp_path / "config.yaml"
     config.write_text("intervals:\n  fix_s: 90\n")

@@ -253,6 +253,11 @@ def test_metrics_longest_gap():
     assert m.longest_data_gap_s == 1000.0
 
 
+def test_metrics_reject_unknown_event_kind():
+    with pytest.raises(ValueError, match="unknown event kind 'Fix'"):
+        compute_metrics([make_fix(0), SimEvent(60.0, "Fix", 3.0, 3.0)], 1000)
+
+
 def test_metrics_partial_day_excluded():
     events = [make_fix(i * 120) for i in range(720)] + [make_fix(86400 + 60)]
     m = compute_metrics(events, 86400 + 7200)

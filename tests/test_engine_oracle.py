@@ -1,0 +1,595 @@
+"""Bit identity of the engine against the per-segment call chain it replaced.
+
+OracleSimulator and oracle_compute_metrics below are the earlier bodies of
+engine._Simulator (with its _segment, _account and _run_activity) and
+engine.compute_metrics, kept verbatim apart from their names. Every case
+runs the same config and trace through both engines and compares voltages
+and power states bit for bit, and the events, ledger, metrics and end-of-run
+device state for equality.
+"""
+
+import math
+import warnings
+from dataclasses import dataclass, replace
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from captrack import device as dev
+from captrack import engine
+from captrack.capacitor import equivalent_resistance, integrate_segment
+from captrack.device import DeviceState, GpsMode, Power, due_tasks, select_gps_mode
+from captrack.energy_model import (
+    TASKS,
+    CapacitorSpec,
+    SystemConfig,
+    VoltageThresholds,
+    compose_task_current,
+    validate_config,
+)
+from captrack.engine import (
+    FIX_EVENT_KIND,
+    SECONDS_PER_DAY,
+    DayMetrics,
+    EnergyLedger,
+    EventLog,
+    SimEvent,
+    SimMetrics,
+    compute_metrics,
+    run_simulation,
+)
+from captrack.harvest import HarvestTrace
+
+
+@dataclass
+class SimResult:
+    """The result record the oracle builds: the event log is a list."""
+
+    config: SystemConfig
+    harvest: HarvestTrace
+    duration_s: int
+    times_s: np.ndarray
+    voltages: np.ndarray
+    power_on: np.ndarray
+    events: list[SimEvent]
+    metrics: SimMetrics
+    ledger: EnergyLedger
+    device: DeviceState
+
+
+FIX_EVENT_KINDS = frozenset(FIX_EVENT_KIND.values())
+
+
+def oracle_run(config: SystemConfig, harvest: HarvestTrace, duration_s: int) -> SimResult:
+    config = validate_config(config)
+    return OracleSimulator(config).run(harvest, duration_s // config.base_tick_s)
+
+
+# -- oracle: the replaced engine loop and metrics, verbatim ---------------------
+
+
+class OracleSimulator:
+    """Mutable per-run machinery; one instance per run, strictly sequential."""
+
+    def __init__(self, config: SystemConfig):
+        self.config = config
+        self.rng = np.random.default_rng(config.random_seed)
+        self.events: list[SimEvent] = []
+        self.ledger = EnergyLedger()
+        self.clamp_active = False
+        self.off_since: float | None = None
+        self.total_off_s = 0.0
+        power_on = config.initial_voltage >= config.thresholds.v_turn_on
+        self.state = DeviceState.initial(config, power_on)
+        self.v = config.initial_voltage
+        self._current_cache = {
+            name: compose_task_current(name, config.capacitor.leakage_ma) for name in TASKS
+        }
+
+    # -- primitives ---------------------------------------------------------
+
+    def _emit(self, kind: str, time_s: float, before: float, after: float, detail: str = "") -> None:
+        self.events.append(SimEvent(time_s, kind, before, after, detail))
+
+    def _account(self, task: str, harvested: float, consumed: float, leak_frac: float, discarded: float = 0.0) -> None:
+        led = self.ledger
+        led.harvested_in_j += harvested
+        led.discarded_at_clamp_j += discarded
+        led.leakage_j += consumed * leak_frac
+        led.consumed_by_task_j[task] = led.consumed_by_task_j.get(task, 0.0) + consumed * (1.0 - leak_frac)
+
+    def _draw(self, mean: float, std: float) -> float:
+        """Per-event jittered value, truncated at three sigma; mean when off."""
+        if std == 0.0 or not self.config.task_jitter:
+            return mean
+        value = float(self.rng.normal(mean, std))
+        return min(max(value, mean - 3.0 * std, 1e-9), mean + 3.0 * std)
+
+    def _segment(
+        self, t0: float, v0: float, task: str, current_ma: float, duration: float,
+        i_h: float, check_floor: bool,
+    ) -> tuple[float, float, bool]:
+        """Advance one constant-load segment with crossing handling.
+
+        Returns (end time, end voltage, depleted). On depletion the segment
+        stops at the v_min crossing; the caller decides what happens next.
+        """
+        if duration <= 0.0:
+            return t0, v0, False
+        cfg = self.config
+        cap = cfg.capacitor
+        r = equivalent_resistance(cfg.v_supply, current_ma)
+        c = cap.capacitance_f
+        v_max, v_min = cap.v_max, cfg.thresholds.v_min
+        leak_frac = min(1.0, cap.leakage_ma / current_ma)
+        asymptote = i_h * r
+        tau = r * c
+
+        pinned = v0 >= v_max - 1e-12 and asymptote >= v_max
+        if self.clamp_active and not pinned:
+            self._emit("ClampEnd", t0, v0, v0)
+            self.clamp_active = False
+        if pinned:
+            if not self.clamp_active:
+                self._emit("ClampStart", t0, v_max, v_max)
+                self.clamp_active = True
+            harvested = i_h * v_max * duration
+            consumed = v_max * v_max / r * duration
+            self._account(task, harvested, consumed, leak_frac, discarded=harvested - consumed)
+            return t0 + duration, v_max, False
+
+        if asymptote > v_max and v0 < v_max:
+            t_up = tau * math.log((v0 - asymptote) / (v_max - asymptote))
+            if t_up <= duration:
+                _, harvested, consumed = integrate_segment(v0, i_h, r, c, t_up)
+                self._account(task, harvested, consumed, leak_frac)
+                t_cross = t0 + t_up
+                self._emit("ClampStart", t_cross, v_max, v_max)
+                self.clamp_active = True
+                rest = duration - t_up
+                harvested = i_h * v_max * rest
+                consumed = v_max * v_max / r * rest
+                self._account(task, harvested, consumed, leak_frac, discarded=harvested - consumed)
+                return t0 + duration, v_max, False
+
+        if check_floor and asymptote < v_min and v0 > v_min:
+            t_dn = tau * math.log((v0 - asymptote) / (v_min - asymptote))
+            if t_dn <= duration:
+                _, harvested, consumed = integrate_segment(v0, i_h, r, c, t_dn)
+                self._account(task, harvested, consumed, leak_frac)
+                return t0 + t_dn, v_min, True
+
+        v_end, harvested, consumed = integrate_segment(v0, i_h, r, c, duration)
+        self._account(task, harvested, consumed, leak_frac)
+        return t0 + duration, min(v_end, v_max), False
+
+    # -- tick execution -----------------------------------------------------
+
+    def _deplete(self, t: float, v: float, i_h: float, tick_end: float, failure: tuple[str, str] | None) -> float:
+        """Shut down at a v_min crossing and coast on leakage to tick end."""
+        if failure is not None:
+            kind, detail = failure
+            self._emit(kind, t, v, v, detail)
+        self._emit("Depletion", t, v, v)
+        dev.on_depletion(self.state)
+        self.off_since = t
+        _, v, _ = self._segment(t, v, "TurnedOff", self._current_cache["TurnedOff"], tick_end - t, i_h, False)
+        return v
+
+    def _run_activity(
+        self, cursor: float, v: float, segments: list[tuple[str, float, float]], i_h: float
+    ) -> tuple[float, float, str | None]:
+        """Run consecutive task segments; stop at depletion, naming the task."""
+        for task, current_ma, duration in segments:
+            cursor, v, depleted = self._segment(cursor, v, task, current_ma, duration, i_h, True)
+            if depleted:
+                return cursor, v, task
+        return cursor, v, None
+
+    def _fix_segments(self, mode: GpsMode) -> list[tuple[str, float, float]]:
+        names = {
+            GpsMode.HOT: ("HotStart",),
+            GpsMode.HOT_EPHEMERIS: ("HotStart", "EphemerisDownload"),
+            GpsMode.WARM_EPHEMERIS: ("WarmStart", "EphemerisDownload"),
+            GpsMode.COLD: ("ColdStart",),
+        }[mode]
+        segments = []
+        for name in names:
+            spec = TASKS[name]
+            segments.append((name, self._current_cache[name], self._draw(spec.duration_s, spec.duration_std_s)))
+        for name in ("GpsI2cWrite", "I2cReadCoulomb"):
+            segments.append((name, self._current_cache[name], TASKS[name].duration_s))
+        return segments
+
+    def execute_tick(self, t_start: float, tasks: list[str], i_h: float) -> float:
+        """Run one On-state tick: due activities then sleep, with gating."""
+        cfg = self.config
+        thr = cfg.thresholds
+        state = self.state
+        tick_end = t_start + cfg.base_tick_s
+        cursor = float(t_start)
+        v = self.v
+
+        for activity in tasks:
+            if activity == dev.SENSE:
+                spec = TASKS["AdcRead"]
+                v_before = v
+                cursor, v, failed = self._run_activity(
+                    cursor, v, [("AdcRead", self._current_cache["AdcRead"], spec.duration_s)], i_h
+                )
+                if failed:
+                    return self._deplete(cursor, v, i_h, tick_end, ("TaskFailed", failed))
+                self._emit("Sense", cursor, v_before, v)
+
+            elif activity == dev.FIX:
+                decision = select_gps_mode(state.gps, v, thr, cfg)
+                if decision.skipped:
+                    self._emit("FixSkipped", cursor, v, v, decision.skip_reason)
+                    continue
+                v_before = v
+                cursor, v, failed = self._run_activity(cursor, v, self._fix_segments(decision.mode), i_h)
+                if failed:
+                    return self._deplete(cursor, v, i_h, tick_end, ("TaskFailed", failed))
+                coulomb = dev.read_coulomb(state)
+                dev.on_fix_success(state, decision.mode, coulomb)
+                self._emit(FIX_EVENT_KIND[decision.mode], cursor, v_before, v)
+
+            elif activity == dev.TRANSMIT:
+                samples = len(state.buffer)
+                detail = f"samples={samples}"
+                if v < thr.nbiot:
+                    self._emit("TransmitSkipped", cursor, v, v, "low-voltage")
+                    continue
+                spec = TASKS["NbIot"]
+                current = compose_task_current(
+                    "NbIot", cfg.capacitor.leakage_ma, base_ma=self._draw(spec.base_ma, spec.base_std_ma)
+                )
+                duration = self._draw(spec.duration_s, spec.duration_std_s)
+                if cfg.payload_scaling:
+                    duration *= dev.payload_bytes(samples) / dev.REFERENCE_PAYLOAD_BYTES
+                v_before = v
+                cursor, v, failed = self._run_activity(cursor, v, [("NbIot", current, duration)], i_h)
+                if failed:
+                    return self._deplete(cursor, v, i_h, tick_end, ("TransmitFailed", detail))
+                state.buffer.clear()
+                self._emit("Transmit", cursor, v_before, v, detail)
+
+            else:
+                raise ValueError(f"unknown activity {activity!r}")
+
+        cursor, v, depleted = self._segment(
+            cursor, v, "Sleep", self._current_cache["Sleep"], tick_end - cursor, i_h, True
+        )
+        if depleted:
+            return self._deplete(cursor, v, i_h, tick_end, None)
+        return v
+
+    def execute_off_tick(self, t_start: float, i_h: float) -> float:
+        _, v, _ = self._segment(
+            t_start, self.v, "TurnedOff", self._current_cache["TurnedOff"], self.config.base_tick_s, i_h, False
+        )
+        return v
+
+    # -- whole run ----------------------------------------------------------
+
+    def run(self, harvest: HarvestTrace, n_ticks: int) -> SimResult:
+        cfg = self.config
+        tick = cfg.base_tick_s
+        state = self.state
+        if state.power is Power.OFF:
+            self.off_since = 0.0
+
+        times = np.arange(n_ticks + 1, dtype=np.int64) * tick
+        voltages = np.empty(n_ticks + 1)
+        power_on = np.empty(n_ticks + 1, dtype=bool)
+        voltages[0] = self.v
+        power_on[0] = state.power is Power.ON
+        v_initial = self.v
+
+        for i in range(n_ticks):
+            t = i * tick
+            if state.power is Power.OFF and self.v >= cfg.thresholds.v_turn_on:
+                dev.on_recovery(state)
+                self.total_off_s += t - self.off_since
+                self.off_since = None
+                self._emit("Recovery", float(t), self.v, self.v)
+            power_on[i] = state.power is Power.ON
+
+            i_h = float(harvest.combined_a[i])
+            if state.power is Power.ON:
+                self.v = self.execute_tick(float(t), due_tasks(state.clock, cfg), i_h)
+            else:
+                self.v = self.execute_off_tick(float(t), i_h)
+
+            state.coulomb_accumulator += float(harvest.kinetic_a[i]) * tick
+            state.clock += tick
+            state.gps.advance(tick)
+            voltages[i + 1] = self.v
+
+        power_on[n_ticks] = state.power is Power.ON
+        duration = n_ticks * tick
+        if self.off_since is not None:
+            self.total_off_s += duration - self.off_since
+
+        self.ledger.delta_stored_j = 0.5 * cfg.capacitor.capacitance_f * (self.v**2 - v_initial**2)
+        metrics = oracle_compute_metrics(
+            self.events, duration, voltages=voltages, total_off_s=self.total_off_s
+        )
+        return SimResult(
+            cfg, harvest, duration, times, voltages, power_on, self.events, metrics, self.ledger, state
+        )
+
+
+def oracle_compute_metrics(
+    events: list[SimEvent],
+    run_length_s: float,
+    voltages: np.ndarray | None = None,
+    total_off_s: float | None = None,
+) -> SimMetrics:
+    """Aggregate an event log into schedule metrics.
+
+    Per-day statistics cover complete days only (population deviation);
+    partial trailing days are excluded. An empty log yields all zeros.
+    """
+    m = SimMetrics()
+    if not events and voltages is None:
+        return m
+
+    kind_counts: dict[str, int] = {}
+    for e in events:
+        kind_counts[e.kind] = kind_counts.get(e.kind, 0) + 1
+    m.hot_fixes = kind_counts.get("FixHot", 0)
+    m.hot_ephemeris = kind_counts.get("FixHotEph", 0)
+    m.warm_ephemeris = kind_counts.get("FixWarmEph", 0)
+    m.cold_starts = kind_counts.get("FixCold", 0)
+    m.total_fixes = m.hot_fixes + m.hot_ephemeris + m.warm_ephemeris + m.cold_starts
+    m.skipped_fixes = kind_counts.get("FixSkipped", 0)
+    m.failed_tasks = kind_counts.get("TaskFailed", 0)
+    m.transmissions = kind_counts.get("Transmit", 0)
+    m.skipped_transmissions = kind_counts.get("TransmitSkipped", 0)
+    m.failed_transmissions = kind_counts.get("TransmitFailed", 0)
+    m.depletion_count = kind_counts.get("Depletion", 0)
+
+    if total_off_s is not None:
+        m.total_off_s = total_off_s
+    else:
+        # Reconstruct from depletion/recovery alternation; leading Off time
+        # before the first event is not observable from the log alone.
+        off_since = None
+        for e in events:
+            if e.kind == "Depletion":
+                off_since = e.time_s
+            elif e.kind == "Recovery" and off_since is not None:
+                m.total_off_s += e.time_s - off_since
+                off_since = None
+        if off_since is not None:
+            m.total_off_s += run_length_s - off_since
+
+    fix_times = [e.time_s for e in events if e.kind in FIX_EVENT_KINDS]
+    if fix_times:
+        edges = [0.0, *fix_times, float(run_length_s)]
+        m.longest_data_gap_s = max(b - a for a, b in zip(edges, edges[1:]))
+    elif events:
+        m.longest_data_gap_s = float(run_length_s)
+
+    candidates = []
+    if voltages is not None and len(voltages):
+        candidates.append(float(np.min(voltages)))
+    if events:
+        candidates.append(min(min(e.voltage_before, e.voltage_after) for e in events))
+    if candidates:
+        m.min_voltage = min(candidates)
+
+    complete_days = int(run_length_s) // SECONDS_PER_DAY
+    day_counts = np.zeros(complete_days, dtype=int)
+    per_day: dict[int, dict[str, int]] = {
+        d: {"hot": 0, "hot_eph": 0, "warm_eph": 0, "cold": 0, "tx": 0, "depl": 0} for d in range(complete_days)
+    }
+    for e in events:
+        day = int(e.time_s // SECONDS_PER_DAY)
+        if day >= complete_days:
+            continue
+        row = per_day[day]
+        if e.kind == "FixHot":
+            row["hot"] += 1
+        elif e.kind == "FixHotEph":
+            row["hot_eph"] += 1
+        elif e.kind == "FixWarmEph":
+            row["warm_eph"] += 1
+        elif e.kind == "FixCold":
+            row["cold"] += 1
+        elif e.kind == "Transmit":
+            row["tx"] += 1
+        elif e.kind == "Depletion":
+            row["depl"] += 1
+        if e.kind in FIX_EVENT_KINDS:
+            day_counts[day] += 1
+    if complete_days:
+        m.fixes_per_day_mean = float(day_counts.mean())
+        m.fixes_per_day_std = float(day_counts.std())  # population deviation
+        m.per_day = [
+            DayMetrics(d, r["hot"], r["hot_eph"], r["warm_eph"], r["cold"], r["tx"], r["depl"])
+            for d, r in per_day.items()
+        ]
+    return m
+
+
+# -- helpers --------------------------------------------------------------------
+
+
+def bits(values) -> list[int]:
+    return np.asarray(values, dtype=np.float64).view(np.int64).tolist()
+
+
+def assert_same_run(config: SystemConfig, trace: HarvestTrace, duration_s: int) -> SimResult:
+    new = run_simulation(config, trace, duration_s)
+    old = oracle_run(config, trace, duration_s)
+    assert bits(new.voltages) == bits(old.voltages)
+    assert np.array_equal(new.power_on, old.power_on)
+    assert np.array_equal(new.times_s, old.times_s)
+    assert new.events == old.events
+    assert [bits([e.time_s, e.voltage_before, e.voltage_after]) for e in new.events] == [
+        bits([e.time_s, e.voltage_before, e.voltage_after]) for e in old.events
+    ]
+    # repr tells -0.0 from 0.0 and shows every bit of a float.
+    assert repr(new.ledger.to_dict()) == repr(old.ledger.to_dict())
+    assert list(new.ledger.consumed_by_task_j) == list(old.ledger.consumed_by_task_j)
+    assert repr(new.metrics.to_dict()) == repr(old.metrics.to_dict())
+    assert new.device == old.device
+    return old
+
+
+def harvest_trace(kind: str, n: int, level: float, seed: int) -> HarvestTrace:
+    rng = np.random.default_rng(seed)
+    if kind == "flat":
+        combined = np.full(n, level)
+    elif kind == "blocks":  # hours of strong sun between dark spells
+        combined = np.repeat(rng.choice([0.0, level, level * 1e-3], size=n // 60 + 1), 60)[:n]
+    else:
+        combined = rng.uniform(0.0, level, n)
+    kinetic = rng.uniform(0.0, 1e-5, n) * (rng.random(n) < 0.3)
+    return HarvestTrace(0, 60, combined, kinetic, combined)
+
+
+def out_of_order(events) -> int:
+    return sum(b.time_s < a.time_s for a, b in zip(events, events[1:]))
+
+
+# -- cases ------------------------------------------------------------------------
+
+
+def test_payload_scaled_upload_out_of_time_order():
+    # ROADMAP 4a: a day's buffer makes the upload overrun its tick, and the
+    # log goes out of time order; the new loop must keep that exactly.
+    config = SystemConfig(payload_scaling=True, transmit_interval_s=86400, fix_interval_s=120)
+    trace = harvest_trace("uniform", 3 * 1440, 2e-3, 5)
+    old = assert_same_run(config, trace, 3 * 86400)
+    assert out_of_order(old.events) >= 2
+
+
+def test_depleting_dark_run_with_jitter():
+    # Gates just above v_min let activities start and fail at the floor.
+    gates = VoltageThresholds(hot_start=1.81, hot_ephemeris=1.82, warm_ephemeris=1.83, nbiot=1.81, cold_start=1.84)
+    config = SystemConfig(
+        capacitor=CapacitorSpec.from_capacitance(1.0), thresholds=gates, initial_voltage=2.3,
+        task_jitter=True, random_seed=3,
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # gates below their safe bounds, on purpose
+        old = assert_same_run(config, harvest_trace("blocks", 2 * 1440, 2e-4, 0), 2 * 86400)
+    kinds = {e.kind for e in old.events}
+    assert {"Depletion", "Recovery", "TaskFailed", "TransmitFailed", "TransmitSkipped", "FixSkipped"} <= kinds
+
+
+def test_full_factor_tables(monkeypatch):
+    # Durations past a load's table limit are computed per segment, with the
+    # same bits, and the tables stay bounded however long the run.
+    monkeypatch.setattr(engine, "_FACTOR_CACHE_LIMIT", 2)
+    config = validate_config(SystemConfig(task_jitter=True, initial_voltage=3.0))
+    trace = harvest_trace("blocks", 1440, 1e-3, 4)
+    assert_same_run(config, trace, 86400)
+    sim = engine._Simulator(config)
+    sim.run(trace, 1440)
+    assert max(len(load[-1]) for load in sim.loads.values()) == 2
+
+
+def test_clamp_heavy_strong_harvest():
+    config = SystemConfig(initial_voltage=5.5)
+    old = assert_same_run(config, harvest_trace("uniform", 1500, 0.05, 2), 1500 * 60)
+    assert sum(e.kind == "ClampStart" for e in old.events) > 10
+
+
+def test_crossings_at_the_end_of_a_segment():
+    # Start voltages whose v_max or v_min crossing lands just before or just
+    # after the closing sleep ends, around the margin of the cheap test that
+    # skips the crossing logarithm.
+    config = validate_config(SystemConfig())
+    r = equivalent_resistance(config.v_supply, compose_task_current("Sleep", config.capacitor.leakage_ma))
+    grow = math.exp(60.0 / (r * config.capacitor.capacitance_f))
+    offsets = [0.0] + [sign * 10.0**k for k in range(-17, -5) for sign in (1.0, -1.0)]
+    cases = []
+    for i_h in (1.2e-4, 2e-4, 1e-3):  # asymptote above v_max: the ceiling
+        a = i_h * r
+        cases += [(a + (5.5 - a) * grow * (1.0 + d), i_h) for d in offsets]
+    for i_h in (0.0, 1e-5):  # asymptote below v_min: the floor
+        a = i_h * r
+        cases += [(a + (1.8 - a) * grow * (1.0 + d), i_h) for d in offsets]
+    crossed = 0
+    for v0, i_h in cases:
+        new, old = engine._Simulator(config), OracleSimulator(config)
+        new.v = old.v = v0
+        assert bits([new.execute_tick(0.0, [], i_h)]) == bits([old.execute_tick(0.0, [], i_h)])
+        assert new.log().to_events() == old.events
+        led = old.ledger
+        assert bits([new.harvested_j, new.leakage_j, new.discarded_j]) == bits(
+            [led.harvested_in_j, led.leakage_j, led.discarded_at_clamp_j]
+        )
+        assert dict(new.consumed) == led.consumed_by_task_j
+        crossed += bool(old.events)
+    assert 0 < crossed < len(cases)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    capacitor=st.one_of(
+        st.sampled_from([1.0, 2.5, 5.0]).map(CapacitorSpec.from_capacitance),
+        st.builds(CapacitorSpec, st.floats(0.2, 10.0), st.floats(0.001, 0.1)),
+    ),
+    tick=st.sampled_from([60, 120]),
+    sense=st.sampled_from([1, 2, None]),
+    fix=st.sampled_from([1, 2, 10, 30, None]),
+    transmit=st.sampled_from([10, 60, 1440, None]),
+    jitter=st.booleans(),
+    payload=st.booleans(),
+    initial_voltage=st.one_of(st.floats(0.0, 5.5), st.sampled_from([0.0, 1.8, 2.19, 5.5])),
+    initial_age=st.sampled_from([0, 12000, 100000, 200000]),
+    trace_kind=st.sampled_from(["flat", "blocks", "uniform"]),
+    level=st.sampled_from([0.0, 1e-5, 2e-4, 1e-3, 5e-3, 0.05]),
+    n_ticks=st.integers(1, 1600),
+    seed=st.integers(0, 2**16),
+)
+def test_random_configs_and_traces(
+    capacitor, tick, sense, fix, transmit, jitter, payload, initial_voltage, initial_age,
+    trace_kind, level, n_ticks, seed,
+):
+    config = SystemConfig(  # intervals are drawn in ticks; None disables
+        capacitor=capacitor, base_tick_s=tick, sense_interval_s=sense and sense * tick,
+        fix_interval_s=fix and fix * tick, transmit_interval_s=transmit and transmit * tick,
+        task_jitter=jitter, payload_scaling=payload,
+        initial_voltage=min(initial_voltage, capacitor.v_max), initial_ephemeris_age_s=initial_age,
+        random_seed=seed,
+    )
+    trace = replace(harvest_trace(trace_kind, n_ticks, level, seed), resolution_s=tick)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # thresholds below the safe bound of small capacitors
+        assert_same_run(config, trace, n_ticks * tick)
+
+
+events_strategy = st.lists(
+    st.builds(
+        SimEvent,
+        st.floats(0.0, 3.5 * SECONDS_PER_DAY),
+        st.sampled_from(["Sense", "FixHot", "FixHotEph", "FixWarmEph", "FixCold", "FixSkipped", "Transmit",
+                         "TransmitSkipped", "TransmitFailed", "TaskFailed", "Depletion", "Recovery", "ClampEnd"]),
+        st.one_of(st.floats(0.0, 5.5), st.sampled_from([0.0, -0.0])),
+        st.one_of(st.floats(0.0, 5.5), st.sampled_from([0.0, -0.0])),
+        st.sampled_from(["", "low-voltage", "samples=3"]),
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    events=events_strategy,
+    run_length=st.sampled_from([1000, SECONDS_PER_DAY, 3 * SECONDS_PER_DAY + 7200]),
+    voltages=st.one_of(st.none(), st.lists(st.floats(0.0, 5.5), max_size=5).map(np.array)),
+    total_off=st.one_of(st.none(), st.floats(0.0, 1e5)),
+)
+def test_metrics_of_hand_built_logs(events, run_length, voltages, total_off):
+    new = compute_metrics(events, run_length, voltages=voltages, total_off_s=total_off)
+    old = oracle_compute_metrics(events, run_length, voltages=voltages, total_off_s=total_off)
+    assert repr(new.to_dict()) == repr(old.to_dict())
+    assert compute_metrics(EventLog.from_events(events), run_length, voltages, total_off) == new
+    assert EventLog.from_events(events).to_events() == events

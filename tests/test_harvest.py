@@ -1,9 +1,14 @@
 """Harvest sources: solar chain, synthetic generators, combiner, CSV i/o."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from captrack.harvest import (
+    MINUTES_PER_DAY,
     ActivityProfile,
     HarvestTrace,
     IrradianceTrace,
@@ -266,3 +271,112 @@ def test_load_harvest_errors(tmp_path):
     path.write_text("t_s,solar_a,kinetic_a,combined_a\n0,0,0,0\n60,0,0,0\n180,0,0,0\n")
     with pytest.raises(TraceError, match="uniformly spaced"):
         load_harvest_csv(str(path))
+
+
+# -- kinetic synthesis against the per-minute loop it replaced -----------------
+
+
+def oracle_generate_kinetic_trace(days, profile=ActivityProfile(), v_supply=3.3):
+    """The earlier body of generate_kinetic_trace, verbatim."""
+    if days < 1:
+        raise ValueError(f"days must be >= 1, got {days}")
+    if v_supply <= 0:
+        raise ValueError(f"v_supply must be positive, got {v_supply}")
+
+    n = days * MINUTES_PER_DAY
+    if profile.daily_energy_j == 0.0:
+        return np.zeros(n)
+
+    rng = np.random.default_rng(profile.seed)
+    labels = np.array([profile.period_of_minute(m % MINUTES_PER_DAY) for m in range(n)])
+
+    # Bout chain: stay-active prob fixes the mean bout length; activation prob
+    # fixes the duty cycle of each period.
+    p_stay = 1.0 - 1.0 / profile.mean_bout_min
+    active = np.zeros(n, dtype=bool)
+    is_active = bool(rng.random() < profile.duty[labels[0]])
+    for i in range(n):
+        duty = profile.duty[labels[i]]
+        if is_active:
+            is_active = bool(rng.random() < p_stay)
+        else:
+            p_activate = min(1.0, duty / (profile.mean_bout_min * max(1.0 - duty, 1e-9)))
+            is_active = bool(rng.random() < p_activate)
+        active[i] = is_active
+
+    current = np.zeros(n)
+    for day in range(days):
+        sl = slice(day * MINUTES_PER_DAY, (day + 1) * MINUTES_PER_DAY)
+        day_labels = labels[sl]
+        day_active = active[sl].copy()
+        for p in range(4):
+            weight = profile.weights[p]
+            in_period = day_labels == p
+            if weight == 0.0 or not in_period.any():
+                continue
+            chosen = in_period & day_active
+            if not chosen.any():
+                indices = np.flatnonzero(in_period)
+                chosen = np.zeros_like(in_period)
+                chosen[rng.choice(indices)] = True
+            energy_per_minute = profile.daily_energy_j * weight / int(chosen.sum())
+            current[sl][chosen] = energy_per_minute / (60.0 * v_supply)
+    return current
+
+
+@st.composite
+def activity_profiles(draw):
+    starts = draw(st.lists(st.integers(0, MINUTES_PER_DAY - 1), min_size=4, max_size=4, unique=True).map(sorted))
+    raw = draw(st.lists(st.sampled_from([0.0, 0.0, 1.0, 2.0, 3.5]), min_size=4, max_size=4).filter(any))
+    weights = [w / sum(raw) for w in raw]
+    weights[-1] = 1.0 - sum(weights[:-1])  # sums to 1 within the profile's 1e-12
+    # Tiny duties leave periods without an active minute, which forces one.
+    duty = draw(st.lists(st.sampled_from([1.0, 0.5, 0.15, 1e-4, 1e-7]), min_size=4, max_size=4))
+    return ActivityProfile(
+        period_starts_min=tuple(starts), weights=tuple(weights),
+        daily_energy_j=draw(st.sampled_from([0.0, 13.07, 1.5])),
+        mean_bout_min=draw(st.sampled_from([1.0, 2.5, 20.0, 200.0])),
+        duty=tuple(duty), seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(profile=activity_profiles(), days=st.integers(1, 4), v_supply=st.sampled_from([3.3, 1.8]))
+def test_kinetic_trace_matches_minute_loop(profile, days, v_supply):
+    new = generate_kinetic_trace(days, profile, v_supply)
+    old = oracle_generate_kinetic_trace(days, profile, v_supply)
+    assert new.view(np.int64).tolist() == old.view(np.int64).tolist()
+
+
+def test_kinetic_trace_matches_minute_loop_on_defaults():
+    for seed in (1, 7, 42):
+        profile = ActivityProfile(seed=seed)
+        new = generate_kinetic_trace(30, profile)
+        assert new.view(np.int64).tolist() == oracle_generate_kinetic_trace(30, profile).view(np.int64).tolist()
+
+
+# -- non-finite input --------------------------------------------------------------
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_traces_reject_non_finite_values(bad):
+    with pytest.raises(TraceError, match=r"non-finite solar current -?(nan|inf) at index 0"):
+        HarvestTrace.build([bad, 1.0], [0.0, 0.0])
+    with pytest.raises(TraceError, match=r"non-finite kinetic current -?(nan|inf) at index 1"):
+        HarvestTrace(0, 60, np.zeros(2), np.array([0.0, bad]), np.zeros(2))
+    with pytest.raises(TraceError, match=r"non-finite irradiance -?(nan|inf) at index 2"):
+        IrradianceTrace(0, 60, np.array([1.0, 2.0, bad]))
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN", "Infinity"])
+def test_csv_loaders_reject_non_finite_cells(tmp_path, cell):
+    path = tmp_path / "sun.csv"
+    path.write_text(f"timestamp,irradiance_wm2\n0,5\n60,{cell}\n")
+    with pytest.raises(TraceError, match="line 3: non-finite irradiance"):
+        load_irradiance_csv(str(path))
+
+    path = tmp_path / "harvest.csv"
+    for row in (f"60,{cell},0,0", f"60,0,0,{cell}", f"{cell},0,0,0"):
+        path.write_text(f"t_s,solar_a,kinetic_a,combined_a\n0,0,0,0\n\n{row}\n")
+        with pytest.raises(TraceError, match="line 4: non-finite value"):
+            load_harvest_csv(str(path))
