@@ -7,15 +7,7 @@ hysteresis, harvest-trace generators, an exact energy ledger, and a CLI
 for runs and parameter sweeps.
 """
 
-from .capacitor import (
-    CapacitorState,
-    Segment,
-    equivalent_resistance,
-    integrate_segment,
-    step_voltage,
-    stored_energy,
-    time_to_voltage,
-)
+from .capacitor import equivalent_resistance, integrate_segment, time_to_voltage
 from .configfile import GeneratorSpec, SweepSpec, load_config, load_sweep_spec
 from .device import (
     DataSample,
@@ -81,9 +73,9 @@ from .harvest import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ActivityProfile", "CapacitorSpec", "CapacitorState", "ComponentDraw", "ConfigError",
+    "ActivityProfile", "CapacitorSpec", "ComponentDraw", "ConfigError",
     "DataSample", "DeviceState", "EnergyLedger", "EventLog", "GeneratorSpec", "GpsContext", "GpsDecision",
-    "GpsMode", "HarvestTrace", "IrradianceTrace", "Power", "Segment", "SimEvent", "SimMetrics",
+    "GpsMode", "HarvestTrace", "IrradianceTrace", "Power", "SimEvent", "SimMetrics",
     "SimResult", "SolarChain", "SolarProfile", "SweepSpec", "SystemConfig", "TaskSpec",
     "TraceError", "VoltageThresholds",
     "EVENT_KINDS", "GPS_BACKUP_MA", "LEAKAGE_BY_CAPACITANCE", "MCU_ACTIVE_BASE_MA", "TASKS",
@@ -93,6 +85,6 @@ __all__ = [
     "load_harvest_csv", "load_irradiance_csv", "load_sweep_spec", "on_depletion",
     "on_fix_success", "on_recovery", "payload_bytes", "read_coulomb", "run_simulation",
     "safe_voltage_threshold", "save_harvest_csv", "save_irradiance_csv", "select_gps_mode",
-    "solar_current_from_irradiance", "step_voltage", "stored_energy", "task_energy",
+    "solar_current_from_irradiance", "task_energy",
     "time_to_voltage", "validate_config",
 ]

@@ -6,43 +6,13 @@ solution over a segment of length dt is
 
     V' = I_H R_eq + (V - I_H R_eq) exp(-dt / (R_eq C))
 
-Everything here is built on that solution: stepping, analytic crossing times,
-and closed-form energy integrals for the ledger.
+Everything here is built on that solution: analytic crossing times and
+closed-form energy integrals for the ledger.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
-from .energy_model import CapacitorSpec
-
-
-@dataclass
-class CapacitorState:
-    spec: CapacitorSpec
-    voltage: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.voltage <= self.spec.v_max + 1e-12:
-            raise ValueError(f"voltage {self.voltage} outside [0, {self.spec.v_max}]")
-
-
-@dataclass(frozen=True)
-class Segment:
-    """Constant-condition stretch: harvest current, load resistance, duration."""
-
-    harvest_current: float  # amperes
-    equivalent_resistance: float  # ohms
-    duration: float  # seconds
-
-    def __post_init__(self) -> None:
-        if self.duration < 0:
-            raise ValueError(f"duration must be >= 0, got {self.duration}")
-        if self.equivalent_resistance <= 0:
-            raise ValueError(f"resistance must be positive, got {self.equivalent_resistance}")
-        if self.harvest_current < 0:
-            raise ValueError(f"harvest current must be >= 0, got {self.harvest_current}")
 
 
 def equivalent_resistance(v_supply: float, task_current_ma: float) -> float:
@@ -52,29 +22,10 @@ def equivalent_resistance(v_supply: float, task_current_ma: float) -> float:
     return v_supply / (task_current_ma * 1e-3)
 
 
-def step_voltage(state: CapacitorState, segment: Segment) -> tuple[float, float | None]:
-    """Advance one segment; returns (new voltage, clamp crossing time or None).
-
-    The new voltage is capped at v_max. When the unclamped trajectory would
-    cross v_max inside the segment, the crossing time (seconds from segment
-    start) comes back so callers can account the discarded harvest.
-    """
-    v_max = state.spec.v_max
-    asymptote = segment.harvest_current * segment.equivalent_resistance
-    tau = segment.equivalent_resistance * state.spec.capacitance_f
-    raw = asymptote + (state.voltage - asymptote) * math.exp(-segment.duration / tau)
-    if raw <= v_max:
-        return raw, None
-    if state.voltage >= v_max:
-        return v_max, 0.0
-    crossing = tau * math.log((state.voltage - asymptote) / (v_max - asymptote))
-    return v_max, crossing
-
-
 def time_to_voltage(
-    state: CapacitorState, harvest_current: float, resistance: float, target: float
+    v0: float, harvest_current: float, resistance: float, capacitance: float, target: float
 ) -> float | None:
-    """Seconds until the trajectory reaches target, or None if it never does.
+    """Seconds until the trajectory from v0 reaches target, or None if it never does.
 
     The solution moves monotonically from V toward I_H R_eq, so the target is
     reachable iff it lies between the two (asymptote excluded).
@@ -83,20 +34,14 @@ def time_to_voltage(
         raise ValueError(f"target must be positive, got {target}")
     if resistance <= 0:
         raise ValueError(f"resistance must be positive, got {resistance}")
-    v = state.voltage
-    if target == v:
+    if target == v0:
         return 0.0
     asymptote = harvest_current * resistance
     # Reachable only strictly between V and the asymptote.
-    if not (min(v, asymptote) < target < max(v, asymptote)) :
+    if not (min(v0, asymptote) < target < max(v0, asymptote)):
         return None
-    tau = resistance * state.spec.capacitance_f
-    return tau * math.log((v - asymptote) / (target - asymptote))
-
-
-def stored_energy(state: CapacitorState) -> float:
-    """Energy held by the capacitor in joules: half C V squared."""
-    return 0.5 * state.spec.capacitance_f * state.voltage**2
+    tau = resistance * capacitance
+    return tau * math.log((v0 - asymptote) / (target - asymptote))
 
 
 def integrate_segment(

@@ -126,7 +126,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.trace:
         trace = _load_trace(args.trace, config)
     else:
-        trace = _generate_trace(GeneratorSpec(days=args.days or 14), config)
+        trace = _generate_trace(GeneratorSpec() if args.days is None else GeneratorSpec(days=args.days), config)
     result = run_simulation(config, trace, _run_duration(args.days, trace))
     _write_run_outputs(result, Path(args.out))
     _print_run_summary(result)

@@ -1,48 +1,40 @@
 """Configuration and sweep-spec files.
 
-Config files are YAML with one section per concern; every field is optional
-and falls back to the built-in defaults. Unknown keys are errors so typos
-cannot silently revert a field to its default.
+Config files are YAML with one section per concern. Every key is optional:
+a key left out keeps the default of the field it sets. Unknown keys are
+errors so typos cannot silently revert a field to its default. SECTIONS
+maps each key to its dataclass field, and the field's type decides which
+values it takes: whole numbers for seconds, seeds, days and minutes, finite
+numbers for the rest, booleans only as booleans.
 
     capacitor:
-      capacitance_f: 2.5
-      leakage_ma: 0.016        # omitted: paired by capacitance for stocked sizes
-      v_max: 5.5
+      capacitance_f, v_max: <number>
+      leakage_ma: <number>      # omitted: paired by capacitance for stocked sizes
     thresholds:
-      v_min: 1.8
-      v_turn_on: 2.2
-      hot_start: 1.9
-      hot_ephemeris: 2.0
-      warm_ephemeris: 2.1
-      nbiot: 2.0
-      cold_start: null         # null: derived from the safe-energy bound
+      v_min, v_turn_on, hot_start, hot_ephemeris, warm_ephemeris, nbiot: <number>
+      cold_start: <number>      # null: derived from the safe-energy bound
     intervals:
-      sense_s: 60              # null disables an activity
-      fix_s: 120
-      transmit_s: 3600
-      base_tick_s: 60
+      sense_s, fix_s, transmit_s: <whole seconds>   # null disables an activity
+      base_tick_s: <whole seconds>
     ephemeris:
-      hot_limit_s: 14400
-      warm_limit_s: 172800
-      refresh_age_s: 10800
+      hot_limit_s, warm_limit_s, refresh_age_s: <whole seconds>
     harvest:
-      combiner_efficiency: 0.88
+      combiner_efficiency: <number>
     sim:
-      v_supply: 3.3
-      initial_voltage: 5.5
-      initial_ephemeris_age_s: 0
-      initial_backup_valid: true
-      random_seed: 42
-      task_jitter: false
-      payload_scaling: false
+      v_supply, initial_voltage: <number>
+      initial_ephemeris_age_s, random_seed: <whole number>
+      initial_backup_valid, task_jitter, payload_scaling: <boolean>
 
-A sweep spec lists capacitors and fix intervals to cross, a shared base
-config, and one trace source (a file or generator parameters).
+A sweep spec lists capacitors (stocked sizes, or capacitor sections) and
+fix intervals to cross, a shared base config, and one trace source: a file
+(trace) or generator parameters (generate: days, a solar section, and a
+kinetic section or false for solar only).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field, fields, replace
 
 import yaml
 
@@ -55,135 +47,6 @@ from .energy_model import (
     validate_config,
 )
 from .harvest import ActivityProfile, SolarProfile
-
-
-def _require_mapping(node, name: str) -> dict:
-    if node is None:
-        return {}
-    if not isinstance(node, dict):
-        raise ConfigError([f"section {name!r} must be a mapping"])
-    return node
-
-
-def _check_keys(section: dict, allowed: set[str], name: str) -> None:
-    unknown = set(section) - allowed
-    if unknown:
-        raise ConfigError([f"unknown key(s) in {name!r}: {sorted(unknown)}"])
-
-
-def _number(section: dict, key: str, default, name: str, optional: bool = False):
-    value = section.get(key, default)
-    if value is None:
-        if optional:
-            return None
-        raise ConfigError([f"{name}.{key} must be a number"])
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError([f"{name}.{key} must be a number, got {value!r}"])
-    return value
-
-
-def config_from_dict(data: dict) -> SystemConfig:
-    """Build an unvalidated SystemConfig from a parsed config mapping."""
-    data = _require_mapping(data, "config")
-    _check_keys(data, {"capacitor", "thresholds", "intervals", "ephemeris", "harvest", "sim"}, "config")
-
-    cap_sec = _require_mapping(data.get("capacitor"), "capacitor")
-    _check_keys(cap_sec, {"capacitance_f", "leakage_ma", "v_max"}, "capacitor")
-    defaults = SystemConfig()
-    capacitance = float(_number(cap_sec, "capacitance_f", defaults.capacitor.capacitance_f, "capacitor"))
-    v_max = float(_number(cap_sec, "v_max", defaults.capacitor.v_max, "capacitor"))
-    leakage = _number(cap_sec, "leakage_ma", None, "capacitor", optional=True)
-    if leakage is None:
-        if capacitance in LEAKAGE_BY_CAPACITANCE:
-            leakage = LEAKAGE_BY_CAPACITANCE[capacitance]
-        else:
-            raise ConfigError(
-                [f"capacitor.leakage_ma required for non-stocked capacitance {capacitance} F"]
-            )
-    capacitor = CapacitorSpec(capacitance, float(leakage), v_max)
-
-    thr_sec = _require_mapping(data.get("thresholds"), "thresholds")
-    _check_keys(
-        thr_sec,
-        {"v_min", "v_turn_on", "hot_start", "hot_ephemeris", "warm_ephemeris", "nbiot", "cold_start"},
-        "thresholds",
-    )
-    thr_defaults = VoltageThresholds()
-    thresholds = VoltageThresholds(
-        v_min=float(_number(thr_sec, "v_min", thr_defaults.v_min, "thresholds")),
-        v_turn_on=float(_number(thr_sec, "v_turn_on", thr_defaults.v_turn_on, "thresholds")),
-        hot_start=float(_number(thr_sec, "hot_start", thr_defaults.hot_start, "thresholds")),
-        hot_ephemeris=float(_number(thr_sec, "hot_ephemeris", thr_defaults.hot_ephemeris, "thresholds")),
-        warm_ephemeris=float(_number(thr_sec, "warm_ephemeris", thr_defaults.warm_ephemeris, "thresholds")),
-        nbiot=float(_number(thr_sec, "nbiot", thr_defaults.nbiot, "thresholds")),
-        cold_start=(
-            None
-            if thr_sec.get("cold_start") is None
-            else float(_number(thr_sec, "cold_start", None, "thresholds"))
-        ),
-    )
-
-    int_sec = _require_mapping(data.get("intervals"), "intervals")
-    _check_keys(int_sec, {"sense_s", "fix_s", "transmit_s", "base_tick_s"}, "intervals")
-
-    def interval(key: str, default):
-        if key in int_sec and int_sec[key] is None:
-            return None
-        value = _number(int_sec, key, default, "intervals", optional=True)
-        return None if value is None else int(value)
-
-    eph_sec = _require_mapping(data.get("ephemeris"), "ephemeris")
-    _check_keys(eph_sec, {"hot_limit_s", "warm_limit_s", "refresh_age_s"}, "ephemeris")
-
-    harv_sec = _require_mapping(data.get("harvest"), "harvest")
-    _check_keys(harv_sec, {"combiner_efficiency"}, "harvest")
-
-    sim_sec = _require_mapping(data.get("sim"), "sim")
-    _check_keys(
-        sim_sec,
-        {"v_supply", "initial_voltage", "initial_ephemeris_age_s", "initial_backup_valid",
-         "random_seed", "task_jitter", "payload_scaling"},
-        "sim",
-    )
-    for key in ("initial_backup_valid", "task_jitter", "payload_scaling"):
-        if key in sim_sec and not isinstance(sim_sec[key], bool):
-            raise ConfigError([f"sim.{key} must be a boolean, got {sim_sec[key]!r}"])
-
-    return SystemConfig(
-        capacitor=capacitor,
-        thresholds=thresholds,
-        v_supply=float(_number(sim_sec, "v_supply", defaults.v_supply, "sim")),
-        sense_interval_s=interval("sense_s", defaults.sense_interval_s),
-        fix_interval_s=interval("fix_s", defaults.fix_interval_s),
-        transmit_interval_s=interval("transmit_s", defaults.transmit_interval_s),
-        ephemeris_hot_limit_s=int(_number(eph_sec, "hot_limit_s", defaults.ephemeris_hot_limit_s, "ephemeris")),
-        ephemeris_warm_limit_s=int(_number(eph_sec, "warm_limit_s", defaults.ephemeris_warm_limit_s, "ephemeris")),
-        ephemeris_refresh_age_s=int(_number(eph_sec, "refresh_age_s", defaults.ephemeris_refresh_age_s, "ephemeris")),
-        base_tick_s=int(_number(int_sec, "base_tick_s", defaults.base_tick_s, "intervals")),
-        initial_voltage=float(_number(sim_sec, "initial_voltage", defaults.initial_voltage, "sim")),
-        initial_ephemeris_age_s=int(_number(sim_sec, "initial_ephemeris_age_s", defaults.initial_ephemeris_age_s, "sim")),
-        initial_backup_valid=bool(sim_sec.get("initial_backup_valid", defaults.initial_backup_valid)),
-        combiner_efficiency=float(_number(harv_sec, "combiner_efficiency", defaults.combiner_efficiency, "harvest")),
-        random_seed=int(_number(sim_sec, "random_seed", defaults.random_seed, "sim")),
-        task_jitter=bool(sim_sec.get("task_jitter", defaults.task_jitter)),
-        payload_scaling=bool(sim_sec.get("payload_scaling", defaults.payload_scaling)),
-    )
-
-
-def _load_yaml(path: str, what: str) -> dict:
-    try:
-        with open(path) as handle:
-            data = yaml.safe_load(handle)
-    except OSError as exc:
-        raise ConfigError([f"cannot read {what} {path}: {exc}"]) from exc
-    except yaml.YAMLError as exc:
-        raise ConfigError([f"unparseable {what} {path}: {exc}"]) from exc
-    return {} if data is None else data
-
-
-def load_config(path: str) -> SystemConfig:
-    """Read and validate a YAML config file."""
-    return validate_config(config_from_dict(_load_yaml(path, "config file")))
 
 
 @dataclass(frozen=True)
@@ -221,98 +84,203 @@ class SweepSpec:
         return configs
 
 
-def solar_profile_from_dict(data: dict, name: str = "solar") -> SolarProfile:
-    data = _require_mapping(data, name)
-    allowed = {"sunrise_min", "sunset_min", "peak_wm2", "cloud_amplitude", "cloud_correlation_min", "seed"}
-    _check_keys(data, allowed, name)
-    defaults = SolarProfile()
+def _same(*names: str) -> dict[str, str]:
+    return {name: name for name in names}
+
+
+# Each YAML section: the dataclass whose fields its keys set, and per key the
+# field. The capacitor and thresholds sections fill the SystemConfig fields
+# of those names; a sweep's generate section holds solar and kinetic
+# sections for the GeneratorSpec fields of those names.
+SECTIONS: dict[str, tuple[type, dict[str, str]]] = {
+    "capacitor": (CapacitorSpec, _same("capacitance_f", "leakage_ma", "v_max")),
+    "thresholds": (VoltageThresholds, _same(
+        "v_min", "v_turn_on", "hot_start", "hot_ephemeris", "warm_ephemeris", "nbiot", "cold_start",
+    )),
+    "intervals": (SystemConfig, {
+        "sense_s": "sense_interval_s", "fix_s": "fix_interval_s", "transmit_s": "transmit_interval_s",
+        "base_tick_s": "base_tick_s",
+    }),
+    "ephemeris": (SystemConfig, {
+        "hot_limit_s": "ephemeris_hot_limit_s", "warm_limit_s": "ephemeris_warm_limit_s",
+        "refresh_age_s": "ephemeris_refresh_age_s",
+    }),
+    "harvest": (SystemConfig, _same("combiner_efficiency")),
+    "sim": (SystemConfig, _same(
+        "v_supply", "initial_voltage", "initial_ephemeris_age_s", "initial_backup_valid",
+        "random_seed", "task_jitter", "payload_scaling",
+    )),
+    "generate": (GeneratorSpec, _same("days", "solar", "kinetic")),
+    "solar": (SolarProfile, _same(
+        "sunrise_min", "sunset_min", "peak_wm2", "cloud_amplitude", "cloud_correlation_min", "seed",
+    )),
+    "kinetic": (ActivityProfile, _same(
+        "period_starts_min", "weights", "daily_energy_j", "mean_bout_min", "duty", "seed",
+    )),
+}
+CONFIG_SECTIONS = ("capacitor", "thresholds", "intervals", "ephemeris", "harvest", "sim")
+
+
+def _mapping(node, name: str) -> dict:
+    if node is None:
+        return {}
+    if not isinstance(node, dict):
+        raise ConfigError([f"section {name!r} must be a mapping"])
+    return node
+
+
+def _check_keys(section: dict, allowed, name: str) -> None:
+    unknown = set(section).difference(allowed)
+    if unknown:
+        raise ConfigError([f"unknown key(s) in {name!r}: {sorted(map(str, unknown))}"])
+
+
+def _number(value, where: str):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError([f"{where} must be a number, got {value!r}"])
     try:
-        return SolarProfile(
-            sunrise_min=int(_number(data, "sunrise_min", defaults.sunrise_min, name)),
-            sunset_min=int(_number(data, "sunset_min", defaults.sunset_min, name)),
-            peak_wm2=float(_number(data, "peak_wm2", defaults.peak_wm2, name)),
-            cloud_amplitude=float(_number(data, "cloud_amplitude", defaults.cloud_amplitude, name)),
-            cloud_correlation_min=float(_number(data, "cloud_correlation_min", defaults.cloud_correlation_min, name)),
-            seed=int(_number(data, "seed", defaults.seed, name)),
-        )
-    except ValueError as exc:
+        finite = math.isfinite(value)
+    except OverflowError:  # an int past the float range
+        finite = False
+    if not finite:
+        raise ConfigError([f"{where} must be finite, got {value!r}"])
+    return value
+
+
+def _float(value, where: str) -> float:
+    return float(_number(value, where))
+
+
+def _int(value, where: str) -> int:
+    value = _number(value, where)
+    if value != int(value):
+        raise ConfigError([f"{where} must be a whole number, got {value!r}"])
+    return int(value)
+
+
+def _bool(value, where: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError([f"{where} must be a boolean, got {value!r}"])
+    return value
+
+
+def _optional(coerce):
+    return lambda value, where: None if value is None else coerce(value, where)
+
+
+def _four(coerce):
+    def four(value, where: str) -> tuple:
+        if not isinstance(value, (list, tuple)) or len(value) != 4:
+            raise ConfigError([f"{where} must be a list of four values"])
+        return tuple(coerce(item, f"{where}[{i}]") for i, item in enumerate(value))
+    return four
+
+
+# One coercion per field type, keyed by the type as annotated.
+_COERCE = {
+    "float": _float,
+    "float | None": _optional(_float),
+    "int": _int,
+    "int | None": _optional(_int),
+    "bool": _bool,
+    "tuple[int, int, int, int]": _four(_int),
+    "tuple[float, float, float, float]": _four(_float),
+    "SolarProfile": lambda value, where: _build("solar", value, where),
+    "ActivityProfile | None": lambda value, where: None if value is False else _build("kinetic", value, where),
+}
+
+
+def _values(section: str, data, name: str) -> dict:
+    """The fields that a section's keys set, each value coerced by its field's type."""
+    data = _mapping(data, name)
+    cls, keys = SECTIONS[section]
+    _check_keys(data, keys, name)
+    types = {f.name: f.type for f in fields(cls)}
+    return {keys[key]: _COERCE[types[keys[key]]](value, f"{name}.{key}") for key, value in data.items()}
+
+
+def _build(section: str, data, name: str):
+    """The section's dataclass; fields whose keys are left out keep their defaults."""
+    values = _values(section, data, name)
+    try:
+        return SECTIONS[section][0](**values)
+    except ValueError as exc:  # a profile's own range checks
         raise ConfigError([f"{name}: {exc}"]) from exc
+
+
+def capacitor_from_dict(data, name: str = "capacitor") -> CapacitorSpec:
+    """A capacitor section; a stocked size may leave out its leakage."""
+    values = _values("capacitor", data, name)
+    capacitance = values.setdefault("capacitance_f", SystemConfig().capacitor.capacitance_f)
+    if "leakage_ma" not in values:
+        if capacitance not in LEAKAGE_BY_CAPACITANCE:
+            raise ConfigError([
+                f"{name}.leakage_ma required for non-stocked capacitance {capacitance} F; "
+                f"stocked sizes: {sorted(LEAKAGE_BY_CAPACITANCE)}"
+            ])
+        values["leakage_ma"] = LEAKAGE_BY_CAPACITANCE[capacitance]
+    return CapacitorSpec(**values)
+
+
+def config_from_dict(data: dict) -> SystemConfig:
+    """Build an unvalidated SystemConfig from a parsed config mapping."""
+    data = _mapping(data, "config")
+    _check_keys(data, CONFIG_SECTIONS, "config")
+    values = {}
+    for section in CONFIG_SECTIONS:
+        if SECTIONS[section][0] is SystemConfig:
+            values.update(_values(section, data.get(section), section))
+    return SystemConfig(
+        capacitor=capacitor_from_dict(data.get("capacitor")),
+        thresholds=_build("thresholds", data.get("thresholds"), "thresholds"),
+        **values,
+    )
+
+
+def solar_profile_from_dict(data: dict, name: str = "solar") -> SolarProfile:
+    return _build("solar", data, name)
 
 
 def activity_profile_from_dict(data: dict, name: str = "kinetic") -> ActivityProfile:
-    data = _require_mapping(data, name)
-    allowed = {"period_starts_min", "weights", "daily_energy_j", "mean_bout_min", "duty", "seed"}
-    _check_keys(data, allowed, name)
-    defaults = ActivityProfile()
-
-    def quad(key: str, default, cast):
-        value = data.get(key, default)
-        if not isinstance(value, (list, tuple)) or len(value) != 4:
-            raise ConfigError([f"{name}.{key} must be a list of four values"])
-        return tuple(cast(v) for v in value)
-
-    try:
-        return ActivityProfile(
-            period_starts_min=quad("period_starts_min", list(defaults.period_starts_min), int),
-            weights=quad("weights", list(defaults.weights), float),
-            daily_energy_j=float(_number(data, "daily_energy_j", defaults.daily_energy_j, name)),
-            mean_bout_min=float(_number(data, "mean_bout_min", defaults.mean_bout_min, name)),
-            duty=quad("duty", list(defaults.duty), float),
-            seed=int(_number(data, "seed", defaults.seed, name)),
-        )
-    except ValueError as exc:
-        raise ConfigError([f"{name}: {exc}"]) from exc
+    return _build("kinetic", data, name)
 
 
 def generator_from_dict(data: dict) -> GeneratorSpec:
-    data = _require_mapping(data, "generate")
-    _check_keys(data, {"days", "solar", "kinetic"}, "generate")
-    days = int(_number(data, "days", 14, "generate"))
-    solar = solar_profile_from_dict(data.get("solar", {}))
-    kinetic_sec = data.get("kinetic", {})
-    if kinetic_sec is False:
-        kinetic = None
-    else:
-        kinetic = activity_profile_from_dict(kinetic_sec or {})
-    return GeneratorSpec(days, solar, kinetic)
+    return _build("generate", data, "generate")
+
+
+def _load_yaml(path: str, what: str) -> dict:
+    try:
+        with open(path) as handle:
+            data = yaml.safe_load(handle)
+    except OSError as exc:
+        raise ConfigError([f"cannot read {what} {path}: {exc}"]) from exc
+    except yaml.YAMLError as exc:
+        raise ConfigError([f"unparseable {what} {path}: {exc}"]) from exc
+    return {} if data is None else data
+
+
+def load_config(path: str) -> SystemConfig:
+    """Read and validate a YAML config file."""
+    return validate_config(config_from_dict(_load_yaml(path, "config file")))
 
 
 def load_sweep_spec(path: str) -> SweepSpec:
     """Read a sweep spec: capacitor list, interval list, base config, trace."""
-    data = _load_yaml(path, "sweep spec")
-    data = _require_mapping(data, "sweep")
+    data = _mapping(_load_yaml(path, "sweep spec"), "sweep")
     _check_keys(data, {"capacitors", "fix_intervals_s", "base", "trace", "generate"}, "sweep")
 
-    raw_caps = data.get("capacitors")
-    if not isinstance(raw_caps, list) or not raw_caps:
-        raise ConfigError(["sweep.capacitors must be a non-empty list"])
-    capacitors = []
-    for i, entry in enumerate(raw_caps):
-        if isinstance(entry, (int, float)) and not isinstance(entry, bool):
-            try:
-                capacitors.append(CapacitorSpec.from_capacitance(float(entry)))
-            except ValueError as exc:
-                raise ConfigError([f"sweep.capacitors[{i}]: {exc}"]) from exc
-        elif isinstance(entry, dict):
-            _check_keys(entry, {"capacitance_f", "leakage_ma", "v_max"}, f"capacitors[{i}]")
-            try:
-                capacitors.append(
-                    CapacitorSpec(
-                        float(entry["capacitance_f"]),
-                        float(entry["leakage_ma"]),
-                        float(entry.get("v_max", SystemConfig().capacitor.v_max)),
-                    )
-                )
-            except KeyError as exc:
-                raise ConfigError([f"sweep.capacitors[{i}] missing {exc}"]) from exc
-        else:
-            raise ConfigError([f"sweep.capacitors[{i}] must be a size or a mapping"])
+    def entries(key: str) -> list:
+        value = data.get(key)
+        if not isinstance(value, list) or not value:
+            raise ConfigError([f"sweep.{key} must be a non-empty list"])
+        return value
 
-    raw_intervals = data.get("fix_intervals_s")
-    if not isinstance(raw_intervals, list) or not raw_intervals:
-        raise ConfigError(["sweep.fix_intervals_s must be a non-empty list"])
-    intervals = tuple(int(v) for v in raw_intervals)
-
+    capacitors = tuple(  # a bare number is a stocked size
+        capacitor_from_dict(entry if isinstance(entry, dict) else {"capacitance_f": entry}, f"sweep.capacitors[{i}]")
+        for i, entry in enumerate(entries("capacitors"))
+    )
+    intervals = tuple(_int(value, f"sweep.fix_intervals_s[{i}]") for i, value in enumerate(entries("fix_intervals_s")))
     base = config_from_dict(data.get("base") or {})
 
     trace_path = data.get("trace")
@@ -322,4 +290,4 @@ def load_sweep_spec(path: str) -> SweepSpec:
     if trace_path is not None and generator is not None:
         raise ConfigError(["sweep: give either trace or generate, not both"])
 
-    return SweepSpec(tuple(capacitors), intervals, base, trace_path, generator)
+    return SweepSpec(capacitors, intervals, base, trace_path, generator)

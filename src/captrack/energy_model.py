@@ -18,10 +18,6 @@ GPS_BACKUP_MA = 0.028
 # Leakage pairing for the stocked capacitor sizes (farads -> mA).
 LEAKAGE_BY_CAPACITANCE = {1.0: 0.010, 2.5: 0.016, 5.0: 0.030}
 
-# Leakage of the 5 F part used when the system-level profiles were
-# characterized; composing with it reproduces the published current table.
-REFERENCE_LEAKAGE_MA = 0.030
-
 DEFAULT_V_SUPPLY = 3.3
 DEFAULT_V_MAX = 5.5
 
@@ -39,28 +35,14 @@ class ComponentDraw:
     duration_std_s: float = 0.0
 
 
-def builtin_component_table() -> tuple[ComponentDraw, ...]:
-    """All measured component draws (means; deviations kept as metadata)."""
-    return (
-        ComponentDraw("HotStart", "GPS", "GPS hot start", 7.5, 1.0),
-        ComponentDraw("WarmStart", "GPS", "GPS warm start", 7.5, 4.0),
-        ComponentDraw("EphemerisDownload", "GPS", "GPS ephemeris download", 7.5, 30.0),
-        ComponentDraw("ColdStart", "GPS", "GPS cold start", 8.0, 36.118, 0.0, 1.96),
-        ComponentDraw("GpsI2cWrite", "GPS", "GPS I2C write", 2.0, 0.00038),
-        ComponentDraw("", "GPS", "GPS hardware backup", GPS_BACKUP_MA, None),
-        ComponentDraw("Sleep", "MCU", "MCU Sleep (standby)", 0.00065, None),
-        ComponentDraw("NbIot", "NB-IoT", "NB-IoT", 20.65, 7.89, 2.78, 1.66),
-        ComponentDraw("AdcRead", "MCU", "ADC read", 0.311, 0.00005),
-        ComponentDraw("I2cReadCoulomb", "MCU", "I2C read Coulomb counter", 0.091, 0.00023),
-        ComponentDraw("", "MCU", "MCU active base", MCU_ACTIVE_BASE_MA, None),
-        ComponentDraw("", "Capacitor", "Capacitor leakage", 0.030, None),
-    )
-
-
 @dataclass(frozen=True)
 class TaskSpec:
-    """Composition recipe for one schedulable task."""
+    """Composition recipe for one schedulable task: its measured base draw
+    (component and label name the bench row) and the always-on draws that
+    ride along with it."""
 
+    component: str
+    label: str  # "" = no measured draw of its own
     base_ma: float
     duration_s: float | None  # None = continuous (sleep, off)
     mcu_active: bool
@@ -69,20 +51,36 @@ class TaskSpec:
     duration_std_s: float = 0.0
 
 
-# The full task set the scheduler can issue. Flags say which always-on
-# contributions ride along with the base draw.
+# The full task set the scheduler can issue, and the only place a measured
+# task draw is written down.
 TASKS: dict[str, TaskSpec] = {
-    "HotStart": TaskSpec(7.5, 1.0, True, False),
-    "WarmStart": TaskSpec(7.5, 4.0, True, False),
-    "EphemerisDownload": TaskSpec(7.5, 30.0, True, False),
-    "ColdStart": TaskSpec(8.0, 36.118, True, False, 0.0, 1.96),
-    "GpsI2cWrite": TaskSpec(2.0, 0.00038, True, False),
-    "Sleep": TaskSpec(0.00065, None, False, True),
-    "NbIot": TaskSpec(20.65, 7.89, True, True, 2.78, 1.66),
-    "AdcRead": TaskSpec(0.311, 0.00005, False, True),
-    "I2cReadCoulomb": TaskSpec(0.091, 0.00023, False, True),
-    "TurnedOff": TaskSpec(0.0, None, False, False),
+    "HotStart": TaskSpec("GPS", "GPS hot start", 7.5, 1.0, True, False),
+    "WarmStart": TaskSpec("GPS", "GPS warm start", 7.5, 4.0, True, False),
+    "EphemerisDownload": TaskSpec("GPS", "GPS ephemeris download", 7.5, 30.0, True, False),
+    "ColdStart": TaskSpec("GPS", "GPS cold start", 8.0, 36.118, True, False, 0.0, 1.96),
+    "GpsI2cWrite": TaskSpec("GPS", "GPS I2C write", 2.0, 0.00038, True, False),
+    "Sleep": TaskSpec("MCU", "MCU Sleep (standby)", 0.00065, None, False, True),
+    "NbIot": TaskSpec("NB-IoT", "NB-IoT", 20.65, 7.89, True, True, 2.78, 1.66),
+    "AdcRead": TaskSpec("MCU", "ADC read", 0.311, 0.00005, False, True),
+    "I2cReadCoulomb": TaskSpec("MCU", "I2C read Coulomb counter", 0.091, 0.00023, False, True),
+    "TurnedOff": TaskSpec("", "", 0.0, None, False, False),
 }
+
+
+def builtin_component_table() -> tuple[ComponentDraw, ...]:
+    """All measured component draws (means; deviations kept as metadata):
+    the task rows of TASKS, then the always-on draws. The leakage row is the
+    5 F part used when the system-level profiles were characterized."""
+    tasks = tuple(
+        ComponentDraw(name, t.component, t.label, t.base_ma, t.duration_s, t.base_std_ma, t.duration_std_s)
+        for name, t in TASKS.items()
+        if t.label
+    )
+    return tasks + (
+        ComponentDraw("", "GPS", "GPS hardware backup", GPS_BACKUP_MA, None),
+        ComponentDraw("", "MCU", "MCU active base", MCU_ACTIVE_BASE_MA, None),
+        ComponentDraw("", "Capacitor", "Capacitor leakage", LEAKAGE_BY_CAPACITANCE[5.0], None),
+    )
 
 
 def compose_task_current(task: str, leakage_ma: float, base_ma: float | None = None) -> float:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import device as dev
-from .capacitor import equivalent_resistance, integrate_segment
+from .capacitor import equivalent_resistance, integrate_segment, time_to_voltage
 from .device import DeviceState, GpsMode, Power, select_gps_mode
 from .energy_model import TASKS, SystemConfig, compose_task_current, validate_config
 from .harvest import HarvestTrace, TraceError, csv_field, current_text, format_floats, write_csv
@@ -276,8 +276,6 @@ class _Simulator:
         self.discarded_j = 0.0
         self.consumed: defaultdict[str, float] = defaultdict(float)  # tasks in first-use order
         self.clamp_active = False
-        self.off_since: float | None = None
-        self.total_off_s = 0.0
         power_on = config.initial_voltage >= config.thresholds.v_turn_on
         self.state = DeviceState.initial(config, power_on)
         self.t = 0.0
@@ -366,12 +364,13 @@ class _Simulator:
                     factors[duration] = f
             e, em1, em2 = f
             b = v0 - a
-            # A crossing time takes a logarithm, skipped where the unclamped
-            # end voltage a + b e stays clear of the bound: b e < (v_max - a) M
-            # or b e > (v_min - a) M puts the crossing past the duration.
+            # A crossing time (time_to_voltage) takes a logarithm, skipped
+            # where the unclamped end voltage a + b e stays clear of the bound:
+            # b e < (v_max - a) M or b e > (v_min - a) M puts the crossing past
+            # the duration.
             if (
                 a > v_max and v0 < v_max and not b * e < (v_max - a) * _CROSSING_MARGIN
-                and (t_up := tau * math.log(b / (v_max - a))) <= duration
+                and (t_up := time_to_voltage(v0, i_h, r, self.c, v_max)) <= duration
             ):
                 _, harvested, consumed = integrate_segment(v0, i_h, r, self.c, t_up)
                 self.harvested_j += harvested
@@ -388,7 +387,7 @@ class _Simulator:
             elif (
                 check_floor and a < self.v_min and v0 > self.v_min
                 and not b * e > (self.v_min - a) * _CROSSING_MARGIN
-                and (t_dn := tau * math.log(b / (self.v_min - a))) <= duration
+                and (t_dn := time_to_voltage(v0, i_h, r, self.c, self.v_min)) <= duration
             ):
                 _, harvested, consumed = integrate_segment(v0, i_h, r, self.c, t_dn)
                 self.t = t0 + t_dn
@@ -414,7 +413,6 @@ class _Simulator:
             self.rows.append((t, failure, v, v, self._detail(detail)))
         self.rows.append((t, _DEPLETION, v, v, 0))
         dev.on_depletion(self.state)
-        self.off_since = t
         self._step(self.loads["TurnedOff"], tick_end - t, i_h, False)
         return self.v
 
@@ -492,8 +490,6 @@ class _Simulator:
         v_turn_on = cfg.thresholds.v_turn_on
         on = Power.ON
         state = self.state
-        if state.power is not on:
-            self.off_since = 0.0
 
         times = np.arange(n_ticks + 1, dtype=np.int64) * tick
         schedule = dev.due_schedule(state.clock, n_ticks, cfg)
@@ -509,8 +505,6 @@ class _Simulator:
             t = i * tick
             if state.power is not on and self.v >= v_turn_on:
                 dev.on_recovery(state)
-                self.total_off_s += t - self.off_since
-                self.off_since = None
                 self.rows.append((float(t), _RECOVERY, self.v, self.v, 0))
             if state.power is on:
                 power_on.append(True)
@@ -524,19 +518,15 @@ class _Simulator:
 
         power_on.append(state.power is on)
         duration = n_ticks * tick
-        if self.off_since is not None:
-            self.total_off_s += duration - self.off_since
-
         ledger = EnergyLedger(
             self.harvested_j, dict(self.consumed), self.leakage_j, self.discarded_j,
             0.5 * cfg.capacitor.capacitance_f * (self.v**2 - v_initial**2),
         )
         voltages = np.array(voltages)
         log = self.log()
-        metrics = compute_metrics(log, duration, voltages=voltages, total_off_s=self.total_off_s)
-        return SimResult(
-            cfg, harvest, duration, times, voltages, np.array(power_on, dtype=bool), log, metrics, ledger, state
-        )
+        power_on = np.array(power_on, dtype=bool)
+        metrics = compute_metrics(log, duration, voltages=voltages, power_on_at_start=bool(power_on[0]))
+        return SimResult(cfg, harvest, duration, times, voltages, power_on, log, metrics, ledger, state)
 
 
 def run_simulation(config: SystemConfig, harvest: HarvestTrace, duration_s: int | None = None) -> SimResult:
@@ -594,13 +584,15 @@ def compute_metrics(
     events: EventLog | Iterable[SimEvent],
     run_length_s: float,
     voltages: np.ndarray | None = None,
-    total_off_s: float | None = None,
+    power_on_at_start: bool = True,
 ) -> SimMetrics:
     """Aggregate an event log into schedule metrics.
 
-    events is an EventLog or SimEvent objects in log order. Per-day
-    statistics cover complete days only (population deviation); partial
-    trailing days are excluded. An empty log yields all zeros.
+    events is an EventLog or SimEvent objects in log order. The off time
+    runs from each Depletion (or from t = 0 when the device starts off) to
+    the next Recovery or the end of the run. Per-day statistics cover
+    complete days only (population deviation); partial trailing days are
+    excluded. An empty log yields all zeros.
     """
     log = events if isinstance(events, EventLog) else EventLog.from_events(events)
     m = SimMetrics()
@@ -621,21 +613,16 @@ def compute_metrics(
     m.failed_transmissions = counts[_TRANSMIT_FAILED]
     m.depletion_count = counts[_DEPLETION]
 
-    if total_off_s is not None:
-        m.total_off_s = total_off_s
-    else:
-        # Reconstruct from depletion/recovery alternation; leading Off time
-        # before the first event is not observable from the log alone.
-        flips = np.flatnonzero((kind == _DEPLETION) | (kind == _RECOVERY))
-        off_since = None
-        for k, t in zip(kind[flips].tolist(), log.time_s[flips].tolist()):
-            if k == _DEPLETION:
-                off_since = t
-            elif off_since is not None:
-                m.total_off_s += t - off_since
-                off_since = None
-        if off_since is not None:
-            m.total_off_s += run_length_s - off_since
+    flips = np.flatnonzero((kind == _DEPLETION) | (kind == _RECOVERY))
+    off_since = None if power_on_at_start else 0.0
+    for k, t in zip(kind[flips].tolist(), log.time_s[flips].tolist()):
+        if k == _DEPLETION:
+            off_since = t
+        elif off_since is not None:
+            m.total_off_s += t - off_since
+            off_since = None
+    if off_since is not None:
+        m.total_off_s += run_length_s - off_since
 
     is_fix = (kind >= _FIX_HOT) & (kind <= _FIX_COLD)
     fix_times = log.time_s[is_fix]

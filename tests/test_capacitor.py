@@ -5,19 +5,21 @@ import math
 import numpy as np
 import pytest
 
-from captrack.capacitor import (
-    CapacitorState,
-    Segment,
-    equivalent_resistance,
-    integrate_segment,
-    step_voltage,
-    stored_energy,
-    time_to_voltage,
-)
+from captrack.capacitor import equivalent_resistance, integrate_segment, time_to_voltage
 from captrack.energy_model import CapacitorSpec
 
 CAP = CapacitorSpec(2.5, 0.030)
+C = CAP.capacitance_f
 SLEEP_R = equivalent_resistance(3.3, 0.05865)
+
+
+def step(v0: float, i_h: float, r: float, dt: float) -> float:
+    """End voltage of one segment, capped at v_max as the engine caps it."""
+    return min(integrate_segment(v0, i_h, r, C, dt)[0], CAP.v_max)
+
+
+def clamp_crossing(v0: float, i_h: float, r: float) -> float | None:
+    return time_to_voltage(v0, i_h, r, C, CAP.v_max)
 
 
 def euler_oracle(v: float, i_h: float, r: float, c: float, dt: float, h: float = 1e-3) -> float:
@@ -37,25 +39,20 @@ def test_equivalent_resistance_values():
 
 
 def test_step_zero_duration_is_identity():
-    state = CapacitorState(CAP, 3.0)
-    v, crossing = step_voltage(state, Segment(0.0, SLEEP_R, 0.0))
-    assert v == 3.0
-    assert crossing is None
+    assert integrate_segment(3.0, 0.0, SLEEP_R, C, 0.0) == (3.0, 0.0, 0.0)
+    assert clamp_crossing(3.0, 0.0, SLEEP_R) is None
 
 
 def test_step_fixed_point():
     # V equal to I_H R_eq is stationary for any duration.
-    state = CapacitorState(CAP, 2.5)
     for dt in (0.1, 60.0, 86400.0):
-        v, _ = step_voltage(state, Segment(0.0025, 1000.0, dt))
-        assert v == pytest.approx(2.5, rel=1e-15)
+        assert step(2.5, 0.0025, 1000.0, dt) == pytest.approx(2.5, rel=1e-15)
 
 
 def test_step_sleep_decay_example():
-    state = CapacitorState(CAP, 3.0)
-    v, crossing = step_voltage(state, Segment(0.0, SLEEP_R, 60.0))
+    v = step(3.0, 0.0, SLEEP_R, 60.0)
     assert v == pytest.approx(2.99872, abs=1e-5)
-    assert crossing is None
+    assert clamp_crossing(3.0, 0.0, SLEEP_R) is None
     assert abs(v - euler_oracle(3.0, 0.0, SLEEP_R, 2.5, 60.0)) < 1e-5
 
 
@@ -65,8 +62,7 @@ def test_step_agrees_with_euler_oracle():
         v0 = rng.uniform(1.8, 5.4)
         i_h = rng.uniform(0.0, 0.01)
         r = rng.uniform(150.0, 60000.0)
-        state = CapacitorState(CAP, v0)
-        v, _ = step_voltage(state, Segment(i_h, r, 60.0))
+        v = step(v0, i_h, r, 60.0)
         if v < CAP.v_max:  # oracle has no clamp
             assert v == pytest.approx(euler_oracle(v0, i_h, r, 2.5, 60.0), abs=1e-5)
 
@@ -80,9 +76,9 @@ def test_step_semigroup_property():
         dt = rng.uniform(0.001, 3600.0)
         if i_h * r > CAP.v_max:  # avoid the clamp, this is about the recurrence
             continue
-        whole, _ = step_voltage(CapacitorState(CAP, v0), Segment(i_h, r, dt))
-        half, _ = step_voltage(CapacitorState(CAP, v0), Segment(i_h, r, dt / 2.0))
-        twice, _ = step_voltage(CapacitorState(CAP, half), Segment(i_h, r, dt / 2.0))
+        whole = step(v0, i_h, r, dt)
+        half = step(v0, i_h, r, dt / 2.0)
+        twice = step(half, i_h, r, dt / 2.0)
         assert twice == pytest.approx(whole, rel=1e-12)
 
 
@@ -93,37 +89,34 @@ def test_step_monotone_in_state_harvest_and_resistance():
         i_h = rng.uniform(0.0, 0.001)
         r = rng.uniform(200.0, 50000.0)
         dt = rng.uniform(1.0, 600.0)
-        base, _ = step_voltage(CapacitorState(CAP, v0), Segment(i_h, r, dt))
-        up_v, _ = step_voltage(CapacitorState(CAP, v0 + 0.05), Segment(i_h, r, dt))
-        up_i, _ = step_voltage(CapacitorState(CAP, v0), Segment(i_h + 1e-4, r, dt))
+        base = step(v0, i_h, r, dt)
+        up_v = step(v0 + 0.05, i_h, r, dt)
+        up_i = step(v0, i_h + 1e-4, r, dt)
         assert up_v > base
         assert up_i > base
         if i_h == 0.0 or i_h * r < v0:  # discharging: more resistance, less droop
-            up_r, _ = step_voltage(CapacitorState(CAP, v0), Segment(i_h, r * 1.5, dt))
+            up_r = step(v0, i_h, r * 1.5, dt)
             assert up_r >= base
 
 
 def test_step_reports_clamp_crossing():
     # Strong harvest from below v_max: result clamped, crossing strictly inside.
-    state = CapacitorState(CAP, 5.0)
-    v, crossing = step_voltage(state, Segment(0.05, 1000.0, 60.0))
+    v = step(5.0, 0.05, 1000.0, 60.0)
+    crossing = clamp_crossing(5.0, 0.05, 1000.0)
     assert v == CAP.v_max
     assert crossing is not None and 0.0 < crossing < 60.0
     # Starting pinned: crossing time zero.
-    v, crossing = step_voltage(CapacitorState(CAP, 5.5), Segment(0.05, 1000.0, 60.0))
-    assert (v, crossing) == (5.5, 0.0)
+    assert (step(5.5, 0.05, 1000.0, 60.0), clamp_crossing(5.5, 0.05, 1000.0)) == (5.5, 0.0)
 
 
 def test_time_to_voltage_discharge_example():
-    state = CapacitorState(CAP, 2.2)
-    t = time_to_voltage(state, 0.0, SLEEP_R, 1.8)
+    t = time_to_voltage(2.2, 0.0, SLEEP_R, C, 1.8)
     assert t == pytest.approx(28227.0, abs=1.0)
-    # Bisection cross-check on step_voltage.
+    # Bisection cross-check on the segment solution.
     lo, hi = 0.0, 100000.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        v, _ = step_voltage(state, Segment(0.0, SLEEP_R, mid))
-        if v > 1.8:
+        if step(2.2, 0.0, SLEEP_R, mid) > 1.8:
             lo = mid
         else:
             hi = mid
@@ -131,12 +124,15 @@ def test_time_to_voltage_discharge_example():
 
 
 def test_time_to_voltage_edge_cases():
-    state = CapacitorState(CAP, 3.0)
-    assert time_to_voltage(state, 0.0, SLEEP_R, 3.0) == 0.0
-    assert time_to_voltage(CapacitorState(CAP, 2.0), 0.0, SLEEP_R, 2.5) is None
+    assert time_to_voltage(3.0, 0.0, SLEEP_R, C, 3.0) == 0.0
+    assert time_to_voltage(2.0, 0.0, SLEEP_R, C, 2.5) is None
     # Target beyond the asymptote is unreachable.
-    assert time_to_voltage(CapacitorState(CAP, 2.0), 0.003, 1000.0, 3.5) is None
-    assert time_to_voltage(CapacitorState(CAP, 2.0), 0.003, 1000.0, 3.0) is None  # asymptote itself
+    assert time_to_voltage(2.0, 0.003, 1000.0, C, 3.5) is None
+    assert time_to_voltage(2.0, 0.003, 1000.0, C, 3.0) is None  # asymptote itself
+    with pytest.raises(ValueError):
+        time_to_voltage(2.0, 0.0, SLEEP_R, C, 0.0)
+    with pytest.raises(ValueError):
+        time_to_voltage(2.0, 0.0, 0.0, C, 1.8)
 
 
 def test_time_to_voltage_round_trip():
@@ -151,17 +147,20 @@ def test_time_to_voltage_round_trip():
         target = v0 + rng.uniform(0.05, 0.95) * (asymptote - v0)
         if target <= 0 or target >= CAP.v_max:  # clamp would interfere
             continue
-        state = CapacitorState(CAP, v0)
-        t = time_to_voltage(state, i_h, r, target)
+        t = time_to_voltage(v0, i_h, r, C, target)
         assert t is not None and t >= 0.0
-        landed, _ = step_voltage(state, Segment(i_h, r, t))
+        landed = step(v0, i_h, r, t)
         assert landed == pytest.approx(target, abs=1e-9)
 
 
 def test_stored_energy_values():
-    assert stored_energy(CapacitorState(CAP, 5.5)) == pytest.approx(37.8125)
-    assert stored_energy(CapacitorState(CAP, 0.0)) == 0.0
-    assert stored_energy(CapacitorState(CAP, 1.8)) == pytest.approx(4.05)
+    # Half C V squared is what a load draws from V down to empty.
+    def stored(v: float) -> float:
+        return integrate_segment(v, 0.0, SLEEP_R, C, 1e3 * SLEEP_R * C)[2]
+
+    assert stored(5.5) == pytest.approx(37.8125)
+    assert stored(0.0) == 0.0
+    assert stored(1.8) == pytest.approx(4.05)
 
 
 def test_integrate_segment_energy_identity():
@@ -196,13 +195,3 @@ def test_integrate_segment_matches_riemann_sum():
     assert harvested == pytest.approx(i_h * num_v, rel=1e-4)
     assert consumed == pytest.approx(num_v2 / r, rel=1e-4)
 
-
-def test_segment_validation():
-    with pytest.raises(ValueError):
-        Segment(0.0, SLEEP_R, -1.0)
-    with pytest.raises(ValueError):
-        Segment(0.0, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        Segment(-0.001, SLEEP_R, 1.0)
-    with pytest.raises(ValueError):
-        CapacitorState(CAP, 5.6)

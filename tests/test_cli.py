@@ -173,3 +173,73 @@ def test_sweep_rejects_days_below_one(tmp_path, capsys, days):
     assert main(["sweep", "--spec", str(spec), "--out", str(out), "--days", days]) == EXIT_CONFIG
     assert "--days must be >= 1" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    ("text", "given"),
+    [
+        ("intervals:\n  fix_s: 90.5\n", "90.5"),  # was truncated to 90, and the error named 90
+        ("sim:\n  random_seed: 1.7\n", "1.7"),  # ran with seed 1
+        ("intervals:\n  base_tick_s: 60.9\n", "60.9"),  # ran with 60 s ticks
+    ],
+    ids=["fix_s", "random_seed", "base_tick_s"],
+)
+def test_simulate_rejects_fractional_whole_number_fields(tmp_path, capsys, text, given):
+    config = tmp_path / "config.yaml"
+    config.write_text(text)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(config), "--out", str(out), "--days", "1"]) == EXIT_CONFIG
+    assert f"must be a whole number, got {given}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "sim:\n  initial_voltage: .nan\n",  # ran to the end with a NaN ledger
+        "capacitor:\n  capacitance_f: .nan\n",  # ValueError traceback
+        "capacitor:\n  capacitance_f: 2.5\n  leakage_ma: .inf\n",
+        "thresholds:\n  cold_start: -.inf\n",
+        "ephemeris:\n  hot_limit_s: .inf\n",
+        "harvest:\n  combiner_efficiency: .nan\n",
+        "intervals:\n  transmit_s: .inf\n",
+    ],
+    ids=["initial_voltage", "capacitance_f", "leakage_ma", "cold_start", "hot_limit_s", "combiner_efficiency",
+         "transmit_s"],
+)
+def test_simulate_rejects_non_finite_config_numbers(tmp_path, capsys, text):
+    config = tmp_path / "config.yaml"
+    config.write_text(text)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(config), "--out", str(out), "--days", "1"]) == EXIT_CONFIG
+    assert "must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    ("text", "message"),
+    [
+        # Ran as 120 s and as 1 day.
+        ("fix_intervals_s: [120.7]\n", "sweep.fix_intervals_s[0] must be a whole number, got 120.7"),
+        ("fix_intervals_s: [120]\ngenerate: {days: 1.9}\n", "generate.days must be a whole number, got 1.9"),
+        # Raised int() and float() tracebacks.
+        ("fix_intervals_s: [120, abc]\n", "sweep.fix_intervals_s[1] must be a number, got 'abc'"),
+        ("capacitors: [{capacitance_f: x, leakage_ma: 0.016}]\nfix_intervals_s: [120]\n",
+         "sweep.capacitors[0].capacitance_f must be a number, got 'x'"),
+        # Quoted numbers were accepted, unlike in a config file.
+        ('capacitors: [{capacitance_f: "2.5", leakage_ma: "0.016"}]\nfix_intervals_s: [120]\n',
+         "sweep.capacitors[0].capacitance_f must be a number, got '2.5'"),
+        ("capacitors: [{capacitance_f: 2.5, leakage_ma: .nan}]\nfix_intervals_s: [120]\n",
+         "sweep.capacitors[0].leakage_ma must be finite, got nan"),
+        ("capacitors: [2.5, .inf]\nfix_intervals_s: [120]\n", "sweep.capacitors[1].capacitance_f must be finite"),
+    ],
+    ids=["fractional_interval", "fractional_days", "text_interval", "text_capacitance", "quoted_numbers",
+         "nan_leakage", "inf_size"],
+)
+def test_sweep_rejects_malformed_entries(tmp_path, capsys, text, message):
+    spec = tmp_path / "sweep.yaml"
+    spec.write_text(text if text.startswith("capacitors") else "capacitors: [2.5]\n" + text)
+    out = tmp_path / "grid"
+    assert main(["sweep", "--spec", str(spec), "--out", str(out), "--days", "1"]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not out.exists()

@@ -1,8 +1,16 @@
 """YAML config and sweep-spec parsing."""
 
+from collections import Counter
+from dataclasses import fields, is_dataclass
+
 import pytest
+import yaml
+from hypothesis import given
+from hypothesis import strategies as st
 
 from captrack.configfile import (
+    CONFIG_SECTIONS,
+    SECTIONS,
     GeneratorSpec,
     activity_profile_from_dict,
     config_from_dict,
@@ -11,7 +19,8 @@ from captrack.configfile import (
     load_sweep_spec,
     solar_profile_from_dict,
 )
-from captrack.energy_model import ConfigError, SystemConfig
+from captrack.energy_model import CapacitorSpec, ConfigError, SystemConfig, VoltageThresholds
+from captrack.harvest import ActivityProfile, SolarProfile
 
 
 def test_empty_config_gives_defaults():
@@ -172,3 +181,73 @@ def test_sweep_bad_cell_aborts_everything(tmp_path):
     with pytest.raises(ConfigError) as info:
         spec.combinations()
     assert len(info.value.errors) == 2  # both capacitors report the 90 s cell
+
+
+def test_sweep_capacitor_mapping_pairs_stocked_leakage(tmp_path):
+    path = tmp_path / "sweep.yaml"
+    path.write_text("capacitors: [{capacitance_f: 5.0}, {capacitance_f: 1.0, v_max: 5.0}]\nfix_intervals_s: [120]\n")
+    spec = load_sweep_spec(str(path))
+    assert spec.capacitors == (CapacitorSpec(5.0, 0.030), CapacitorSpec(1.0, 0.010, 5.0))
+
+
+def test_whole_number_fields_take_integral_floats():
+    cfg = config_from_dict({"intervals": {"fix_s": 300.0}, "sim": {"random_seed": 7.0}})
+    assert (cfg.fix_interval_s, cfg.random_seed) == (300, 7)
+    assert type(cfg.fix_interval_s) is int and type(cfg.random_seed) is int
+    with pytest.raises(ConfigError, match="must be a number"):
+        config_from_dict({"intervals": {"fix_s": True}})
+
+
+SCHEMA_CLASSES = (SystemConfig, CapacitorSpec, VoltageThresholds, SolarProfile, ActivityProfile, GeneratorSpec)
+
+
+def test_schema_reaches_every_field_once():
+    # No config field may be silently ignored: each field of each dataclass
+    # a file builds is set by exactly one YAML key.
+    reached = Counter((cls, name) for cls, keys in SECTIONS.values() for name in keys.values())
+    # The capacitor and thresholds sections are SystemConfig's fields of those names.
+    reached.update((SystemConfig, section) for section in CONFIG_SECTIONS if SECTIONS[section][0] is not SystemConfig)
+    assert set(reached) == {(cls, f.name) for cls in SCHEMA_CLASSES for f in fields(cls)}
+    assert max(reached.values()) == 1
+
+
+def written(obj, section: str) -> dict:
+    """obj's fields as the keys of its section, as a YAML file holds them."""
+    out = {}
+    for key, name in SECTIONS[section][1].items():
+        value = getattr(obj, name)
+        out[key] = written(value, key) if is_dataclass(value) else list(value) if isinstance(value, tuple) else value
+    return out
+
+
+def config_sections(config: SystemConfig) -> dict:
+    return {
+        section: written(config if SECTIONS[section][0] is SystemConfig else getattr(config, section), section)
+        for section in CONFIG_SECTIONS
+    }
+
+
+NUMBERS = {
+    "float": st.floats(allow_nan=False, allow_infinity=False),
+    "int": st.integers(-(2**63), 2**63),
+    "bool": st.booleans(),
+}
+NUMBERS["float | None"] = st.none() | NUMBERS["float"]
+NUMBERS["int | None"] = st.none() | NUMBERS["int"]
+
+
+def dataclass_of(cls, **nested):
+    return st.builds(cls, **{f.name: NUMBERS[f.type] for f in fields(cls) if f.name not in nested}, **nested)
+
+
+@given(dataclass_of(
+    SystemConfig, capacitor=dataclass_of(CapacitorSpec), thresholds=dataclass_of(VoltageThresholds)
+))
+def test_config_round_trips_through_its_sections(config):
+    text = yaml.safe_dump(config_sections(config))
+    assert config_from_dict(yaml.safe_load(text)) == config
+
+
+def test_generator_round_trips_through_its_section():
+    spec = GeneratorSpec(3, SolarProfile(seed=5, peak_wm2=450.5), ActivityProfile(weights=(0.25, 0.25, 0.25, 0.25)))
+    assert generator_from_dict(yaml.safe_load(yaml.safe_dump(written(spec, "generate")))) == spec

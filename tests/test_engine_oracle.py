@@ -585,11 +585,10 @@ events_strategy = st.lists(
     events=events_strategy,
     run_length=st.sampled_from([1000, SECONDS_PER_DAY, 3 * SECONDS_PER_DAY + 7200]),
     voltages=st.one_of(st.none(), st.lists(st.floats(0.0, 5.5), max_size=5).map(np.array)),
-    total_off=st.one_of(st.none(), st.floats(0.0, 1e5)),
 )
-def test_metrics_of_hand_built_logs(events, run_length, voltages, total_off):
-    new = compute_metrics(events, run_length, voltages=voltages, total_off_s=total_off)
-    old = oracle_compute_metrics(events, run_length, voltages=voltages, total_off_s=total_off)
+def test_metrics_of_hand_built_logs(events, run_length, voltages):
+    new = compute_metrics(events, run_length, voltages=voltages)
+    old = oracle_compute_metrics(events, run_length, voltages=voltages)
     assert repr(new.to_dict()) == repr(old.to_dict())
-    assert compute_metrics(EventLog.from_events(events), run_length, voltages, total_off) == new
+    assert compute_metrics(EventLog.from_events(events), run_length, voltages) == new
     assert EventLog.from_events(events).to_events() == events
