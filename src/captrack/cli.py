@@ -36,6 +36,7 @@ from .harvest import (
     generate_synthetic_irradiance,
     load_harvest_csv,
     load_irradiance_csv,
+    read_trace_header,
     save_harvest_csv,
     save_irradiance_csv,
     solar_current_from_irradiance,
@@ -68,12 +69,7 @@ def _generate_trace(generator: GeneratorSpec, config: SystemConfig) -> HarvestTr
 
 def _load_trace(path: str, config: SystemConfig) -> HarvestTrace:
     """Read either trace format, telling them apart by header."""
-    try:
-        with open(path, newline="") as handle:
-            first = handle.readline()
-    except OSError as exc:
-        raise TraceError(f"cannot open {path}: {exc}") from exc
-    header = [h.strip().lower() for h in first.strip().split(",")]
+    header = read_trace_header(path)
     if header == HARVEST_HEADER:
         return load_harvest_csv(path)
     if header == IRRADIANCE_HEADER:
@@ -84,7 +80,7 @@ def _load_trace(path: str, config: SystemConfig) -> HarvestTrace:
         return HarvestTrace.build(
             solar, kinetic, config.combiner_efficiency, irradiance.start_epoch_s, irradiance.resolution_s
         )
-    raise TraceError(f"{path}: unrecognized header {first.strip()!r}")
+    raise TraceError(f"{path}: unrecognized header {','.join(header)!r}")
 
 
 def _write_run_outputs(result: SimResult, out_dir: Path) -> None:

@@ -284,6 +284,8 @@ def load_sweep_spec(path: str) -> SweepSpec:
     base = config_from_dict(data.get("base") or {})
 
     trace_path = data.get("trace")
+    if trace_path is not None and (not isinstance(trace_path, str) or not trace_path):
+        raise ConfigError([f"sweep.trace must be a non-empty path, got {trace_path!r}"])
     generator = generator_from_dict(data["generate"]) if "generate" in data else None
     if trace_path is None and generator is None:
         generator = GeneratorSpec()

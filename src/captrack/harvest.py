@@ -11,9 +11,12 @@ from __future__ import annotations
 
 import csv
 import math
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from itertools import islice
+from operator import itemgetter
 
 import numpy as np
 
@@ -22,6 +25,13 @@ from .energy_model import DEFAULT_V_SUPPLY, SystemConfig
 MINUTES_PER_DAY = 1440
 DEFAULT_COMBINER_EFFICIENCY = SystemConfig.combiner_efficiency
 CSV_CHUNK_ROWS = 8192  # rows per write(); a chunk holds ~400 bytes of text per row
+# Rows per parsed block, ~200 bytes of Python objects each. At 8192 rows a
+# 90-day load peaked 1.1 MB above the per-row loader; at 2048 it is below it.
+CSV_READ_ROWS = 2048
+_EXACT_LIMIT = 2**62  # integers below this in size subtract in int64 without overflow
+_ISO_UTC = np.frombuffer(b"0000-00-00T00:00:00Z", dtype=np.uint8)
+_ISO_SPAN = np.where(_ISO_UTC == ord("0"), 9, 0).astype(np.uint8)  # a "0" stands for any digit
+_YEAR_ONE = np.datetime64("0001-01-01T00:00:00", "s")
 
 IRRADIANCE_HEADER = ["timestamp", "irradiance_wm2"]
 HARVEST_HEADER = ["t_s", "solar_a", "kinetic_a", "combined_a"]
@@ -318,14 +328,9 @@ def _parse_timestamp(raw: str, line: int) -> int:
     return int(stamp.timestamp())
 
 
-def load_irradiance_csv(path: str, resolution_s: int = 60, max_gap_steps: int = 5) -> IrradianceTrace:
-    """Read "timestamp,irradiance_wm2" rows into a trace.
-
-    Timestamps may be epoch seconds or ISO-8601, strictly increasing on the
-    declared resolution grid. Gaps of up to max_gap_steps missing rows are
-    filled by holding the previous value (counted in gaps_filled); anything
-    larger is an error.
-    """
+@contextmanager
+def _open_csv(path: str) -> Iterator[tuple[list[str], Iterator[list[str]]]]:
+    """The header row of a trace CSV and a csv.reader over the rows after it."""
     try:
         handle = open(path, newline="")
     except OSError as exc:
@@ -336,46 +341,219 @@ def load_irradiance_csv(path: str, resolution_s: int = 60, max_gap_steps: int = 
             header = next(reader)
         except StopIteration:
             raise TraceError(f"{path}: empty file") from None
-        if [h.strip().lower() for h in header] != IRRADIANCE_HEADER:
-            raise TraceError(f"{path}: expected header {','.join(IRRADIANCE_HEADER)!r}, got {','.join(header)!r}")
+        yield header, reader
 
-        samples: list[float] = []
-        gaps = 0
-        start = None
-        previous = None
-        for line, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != 2:
-                raise TraceError(f"line {line}: expected 2 fields, got {len(row)}")
-            stamp = _parse_timestamp(row[0], line)
+
+def _header_names(header: list[str]) -> list[str]:
+    return [h.strip().lower() for h in header]
+
+
+def _check_header(path: str, header: list[str], expected: list[str]) -> None:
+    if _header_names(header) != expected:
+        raise TraceError(f"{path}: expected header {','.join(expected)!r}, got {','.join(header)!r}")
+
+
+def read_trace_header(path: str) -> list[str]:
+    """A trace CSV's column names as the loaders read them: stripped and lower-cased."""
+    with _open_csv(path) as (header, _):
+        return _header_names(header)
+
+
+class _Chunk:
+    """Up to CSV_READ_ROWS data rows of a trace CSV, as columns of cell text.
+
+    Checks run over whole columns. A failed check cuts the chunk at its first
+    failing row and keeps that row's error, so the checks after it see only
+    the rows before. Run in the order the checks apply to one row, they leave
+    the error of the first failing row in file order.
+    """
+
+    def __init__(self, lines: np.ndarray, columns: list[list[str]], error: Exception | None) -> None:
+        self.lines = lines  # line of each row in the file: the header is line 1, blank rows count
+        self.columns = columns
+        self.size = len(lines)  # rows before the first failure found so far
+        self.error = error
+
+    def cut(self, index: int, error: Exception) -> None:
+        self.size = index
+        self.error = error
+
+    def fail(self, bad: np.ndarray, message: Callable[[int], str], offset: int = 0) -> None:
+        """Cut at the first row flagged in bad, whose first entry is row offset."""
+        hits = np.flatnonzero(bad[: max(self.size - offset, 0)])
+        if hits.size:
+            index = offset + int(hits[0])
+            self.cut(index, TraceError(message(index)))
+
+    def floats(self, column: int, message: Callable[[int], str]) -> np.ndarray:
+        """A column parsed with float(), cut at the first cell float() rejects."""
+        cells = self.columns[column][: self.size]
+        try:
+            return np.fromiter(map(float, cells), float, len(cells))
+        except ValueError:
+            parsed: list[float] = []
             try:
-                value = float(row[1])
+                parsed.extend(map(float, cells))  # keeps the cells before the rejected one
             except ValueError:
-                raise TraceError(f"line {line}: unparseable irradiance {row[1]!r}") from None
-            if not 0.0 <= value < math.inf:  # false for NaN too
-                if math.isfinite(value):
-                    raise TraceError(f"line {line}: negative irradiance {value}")
-                raise TraceError(f"line {line}: non-finite irradiance {row[1]!r}")
-            if start is None:
-                start = stamp
-            elif stamp <= previous:
-                raise TraceError(f"line {line}: timestamp not increasing ({stamp} after {previous})")
-            else:
-                spacing = stamp - previous
-                if spacing % resolution_s != 0:
-                    raise TraceError(f"line {line}: spacing {spacing} s off the {resolution_s} s grid")
-                missing = spacing // resolution_s - 1
-                if missing > max_gap_steps:
-                    raise TraceError(f"line {line}: gap of {missing} steps exceeds limit {max_gap_steps}")
-                if missing:
-                    samples.extend([samples[-1]] * missing)
-                    gaps += 1
-            samples.append(value)
-            previous = stamp
+                self.cut(len(parsed), TraceError(message(len(parsed))))
+            return np.array(parsed, dtype=float)
+
+    def check(self) -> None:
+        if self.error is not None:
+            raise self.error
+
+
+def _chunks(reader: Iterator[list[str]], n_fields: int) -> Iterator[_Chunk]:
+    """The data rows CSV_READ_ROWS at a time, rows of blank cells dropped.
+
+    A row with the wrong number of fields, or an exception from the reader,
+    ends the rows read. It becomes the error of the last chunk, raised only
+    if every row before it passes its checks.
+    """
+    line = 2
+    error: Exception | None = None
+    while error is None:
+        rows: list[list[str]] = []
+        try:
+            rows.extend(islice(reader, CSV_READ_ROWS))  # keeps the rows read before an exception
+        except (csv.Error, OSError, ValueError) as exc:  # raised again once the rows before it pass
+            error = exc
+        if not rows and error is None:
+            return
+        lines = np.arange(line, line + len(rows))
+        line += len(rows)
+        if set(map(len, rows)) != {n_fields} or not all(map(str.strip, map(itemgetter(0), rows))):
+            keep = [i for i, row in enumerate(rows) if "".join(row).strip()]
+            rows, lines = [rows[i] for i in keep], lines[keep]
+            wrong = next((i for i, row in enumerate(rows) if len(row) != n_fields), None)
+            if wrong is not None:
+                error = TraceError(f"line {lines[wrong]}: expected {n_fields} fields, got {len(rows[wrong])}")
+                rows, lines = rows[:wrong], lines[:wrong]
+        columns = [list(map(itemgetter(j), rows)) for j in range(n_fields)]
+        yield _Chunk(lines, columns, error)
+        for column in columns:  # the caller is done with them: free the cells before reading more
+            column.clear()
+
+
+def _iso_utc_seconds(cells: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Indices and epoch seconds of the cells written "YYYY-MM-DDTHH:MM:SSZ".
+
+    numpy parses them with the Z cut off, so it sees no time zone. A cell
+    counts only if numpy's ISO printer gives back its text and its year is 1
+    or later: that is a stamp _parse_timestamp reads as the same second.
+    """
+    nothing = np.empty(0, np.intp), np.empty(0, np.int64)
+    try:
+        text = np.array(cells, dtype="S")
+    except UnicodeEncodeError:
+        return nothing
+    width = text.dtype.itemsize
+    if width < _ISO_UTC.size:
+        return nothing
+    codes = text.view(np.uint8).reshape(len(cells), width)[:, : _ISO_UTC.size]
+    shaped = (codes - _ISO_UTC <= _ISO_SPAN).all(axis=1)  # uint8: a byte below its template wraps high
+    if width > _ISO_UTC.size:  # a longer cell can match in its first characters
+        shaped &= np.fromiter(map(len, cells), np.intp, len(cells)) == _ISO_UTC.size
+    picked = np.flatnonzero(shaped)
+    clock = np.ascontiguousarray(codes[picked, :-1]).view(f"S{_ISO_UTC.size - 1}").ravel()
+    try:
+        seconds = clock.astype("datetime64[s]")
+    except ValueError:  # a field out of range: these cells go to _parse_timestamp
+        return nothing
+    exact = (seconds >= _YEAR_ONE) & (seconds.astype(clock.dtype) == clock)
+    return picked[exact], seconds[exact].astype(np.int64)
+
+
+def _timestamps(chunk: _Chunk, previous: int | None) -> np.ndarray:
+    """Epoch seconds of the first column, cut at the first cell _parse_timestamp rejects.
+
+    Whole columns of epoch integers and cells in numpy's UTC form are parsed
+    in bulk; every other cell goes through _parse_timestamp. Stamps that
+    int64 arithmetic could overflow on stay Python ints.
+    """
+    cells = chunk.columns[0]
+    try:
+        stamps = np.fromiter(map(int, cells), np.int64, len(cells))
+    except (ValueError, OverflowError):
+        stamps = np.zeros(len(cells), np.int64)
+        picked, seconds = _iso_utc_seconds(cells)
+        stamps[picked] = seconds
+        rest = np.ones(len(cells), bool)
+        rest[picked] = False
+        rest = np.flatnonzero(rest)
+        exact: list[int] = []
+        try:
+            exact.extend(map(_parse_timestamp, [cells[i] for i in rest], chunk.lines[rest].tolist()))
+        except TraceError as exc:
+            chunk.cut(int(rest[len(exact)]), exc)
+        rest = rest[: len(exact)]
+        try:
+            stamps[rest] = exact
+        except OverflowError:
+            stamps = stamps.astype(object)
+            stamps[rest] = exact
+    stamps = stamps[: chunk.size]
+    if stamps.size and max(-int(stamps.min()), int(stamps.max()), abs(previous or 0)) >= _EXACT_LIMIT:
+        stamps = stamps.astype(object)
+    return stamps
+
+
+def load_irradiance_csv(path: str, resolution_s: int = 60, max_gap_steps: int = 5) -> IrradianceTrace:
+    """Read "timestamp,irradiance_wm2" rows into a trace.
+
+    Timestamps may be epoch seconds or ISO-8601, strictly increasing on the
+    declared resolution grid. Gaps of up to max_gap_steps missing rows are
+    filled by holding the previous value (counted in gaps_filled); anything
+    larger is an error.
+    """
+    if resolution_s <= 0:
+        raise TraceError(f"resolution must be positive, got {resolution_s}")
+    with _open_csv(path) as (header, reader):
+        _check_header(path, header, IRRADIANCE_HEADER)
+        values = bytearray()  # float64 samples in one growing buffer: no array per chunk kept to the end
+        gaps: list[tuple[int, int]] = []  # (index of the sample a gap holds, missing steps)
+        start = previous = None
+        for chunk in _chunks(reader, 2):
+            lines, cells = chunk.lines, chunk.columns[1]
+            stamps = _timestamps(chunk, previous)
+            samples = chunk.floats(1, lambda k: f"line {lines[k]}: unparseable irradiance {cells[k]!r}")
+            chunk.fail(~((samples >= 0.0) & (samples < math.inf)), lambda k: (
+                f"line {lines[k]}: negative irradiance {float(samples[k])}" if math.isfinite(samples[k])
+                else f"line {lines[k]}: non-finite irradiance {cells[k]!r}"
+            ))
+            stamps = stamps[: chunk.size]
+            first = int(previous is None)  # the file's first row follows no other
+            prior = stamps[:-1] if first else np.concatenate(([previous], stamps[:-1]))
+            spacing = stamps[first:] - prior
+            chunk.fail(spacing <= 0, lambda k: (
+                f"line {lines[k]}: timestamp not increasing ({stamps[k]} after {prior[k - first]})"
+            ), first)
+            chunk.fail(spacing % resolution_s != 0, lambda k: (
+                f"line {lines[k]}: spacing {spacing[k - first]} s off the {resolution_s} s grid"
+            ), first)
+            missing = spacing // resolution_s - 1
+            chunk.fail(missing > max_gap_steps, lambda k: (
+                f"line {lines[k]}: gap of {missing[k - first]} steps exceeds limit {max_gap_steps}"
+            ), first)
+            chunk.check()
+            if not chunk.size:
+                continue
+            if first:
+                start = int(stamps[0])
+            previous = int(stamps[-1])
+            at = np.flatnonzero(missing)
+            held = len(values) // samples.itemsize + first - 1  # a gap on row first + k holds sample held + k
+            gaps += zip((held + at).tolist(), missing[at].tolist())
+            values += samples.tobytes()
         if start is None:
             raise TraceError(f"{path}: no data rows")
-    return IrradianceTrace(start, resolution_s, np.array(samples), gaps)
+    samples = np.frombuffer(values, dtype=float).copy()
+    if gaps:
+        holds, steps = zip(*gaps)
+        counts = np.ones(samples.size, np.intp)
+        counts[list(holds)] += steps  # each filled step holds the sample before the gap
+        samples = np.repeat(samples, counts)
+    return IrradianceTrace(start, resolution_s, samples, len(gaps))
 
 
 def format_floats(values: np.ndarray, spec: str) -> list[str]:
@@ -439,43 +617,33 @@ def save_harvest_csv(trace: HarvestTrace, path: str) -> None:
 
 def load_harvest_csv(path: str) -> HarvestTrace:
     """Read a harvest CSV written by save_harvest_csv (or shaped like it)."""
-    try:
-        handle = open(path, newline="")
-    except OSError as exc:
-        raise TraceError(f"cannot open {path}: {exc}") from exc
-    with handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise TraceError(f"{path}: empty file") from None
-        if [h.strip().lower() for h in header] != HARVEST_HEADER:
-            raise TraceError(f"{path}: expected header {','.join(HARVEST_HEADER)!r}, got {','.join(header)!r}")
-        lines: list[int] = []
-        columns: list[list[float]] = [[], [], [], []]
-        for line, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != 4:
-                raise TraceError(f"line {line}: expected 4 fields, got {len(row)}")
-            try:
-                for k in range(4):
-                    columns[k].append(float(row[k]))
-            except ValueError:
-                raise TraceError(f"line {line}: unparseable row {row!r}") from None
-            lines.append(line)
-    if not lines:
+    with _open_csv(path) as (header, reader):
+        _check_header(path, header, HARVEST_HEADER)
+        parts = [[np.empty(0, np.int64)]] + [[np.empty(0)] for _ in HARVEST_HEADER]  # lines, then each column
+        for chunk in _chunks(reader, len(HARVEST_HEADER)):
+            def unparseable(k: int, chunk: _Chunk = chunk) -> str:
+                return f"line {chunk.lines[k]}: unparseable row {[cells[k] for cells in chunk.columns]!r}"
+
+            parsed = [chunk.floats(j, unparseable) for j in range(len(HARVEST_HEADER))]
+            chunk.check()
+            for part, values in zip(parts, [chunk.lines, *parsed]):
+                part.append(values)
+    lines, times, solar, kinetic, combined = map(np.concatenate, parts)
+    if not lines.size:
         raise TraceError(f"{path}: no data rows")
-    table = np.array(columns)
-    finite = np.isfinite(table).all(axis=0)
+    finite = np.isfinite(times) & np.isfinite(solar) & np.isfinite(kinetic) & np.isfinite(combined)
     if not finite.all():
         raise TraceError(f"line {lines[int(np.argmin(finite))]}: non-finite value")
-    times = [int(t) for t in columns[0]]
-    if len(times) == 1:
+    if times.size == 1:
         resolution = 60
     else:
-        spacings = {b - a for a, b in zip(times, times[1:])}
-        if len(spacings) != 1 or min(spacings) <= 0:
+        # Whole seconds as int() gives them: truncated, and exact however large.
+        if np.abs(times).max() < _EXACT_LIMIT:
+            whole = times.astype(np.int64)
+        else:
+            whole = np.array(list(map(int, times.tolist())), dtype=object)
+        spacing = np.diff(whole)
+        if not (spacing[0] > 0 and (spacing == spacing[0]).all()):
             raise TraceError(f"{path}: time column not uniformly spaced")
-        resolution = spacings.pop()
-    return HarvestTrace(0, resolution, table[1], table[2], table[3])
+        resolution = int(spacing[0])
+    return HarvestTrace(0, resolution, solar, kinetic, combined)

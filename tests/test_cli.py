@@ -243,3 +243,40 @@ def test_sweep_rejects_malformed_entries(tmp_path, capsys, text, message):
     assert main(["sweep", "--spec", str(spec), "--out", str(out), "--days", "1"]) == EXIT_CONFIG
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text",
+    ['"timestamp","irradiance_wm2"\n0,5\n60,6\n', '"t_s","solar_a","kinetic_a","combined_a"\n0,0,0,0\n60,0,0,0\n'],
+    ids=["irradiance", "harvest"],
+)
+def test_simulate_reads_quoted_trace_header(tmp_path, text):
+    # The header was split on commas with its quotes left on: exit 3, "unrecognized header".
+    trace = tmp_path / "trace.csv"
+    trace.write_text(text)
+    out = tmp_path / "out"
+    assert main(["simulate", "--trace", str(trace), "--out", str(out)]) == EXIT_OK
+    assert json.loads((out / "metrics.json").read_text())["total_fixes"] >= 0
+
+
+def test_simulate_rejects_unknown_trace_header(tmp_path, capsys):
+    trace = tmp_path / "trace.csv"
+    trace.write_text("time,value\n0,5\n")
+    assert main(["simulate", "--trace", str(trace), "--out", str(tmp_path / "out")]) == EXIT_TRACE
+    assert "unrecognized header 'time,value'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    ("value", "shown"),
+    [("[a.csv]", "['a.csv']"), ("987654", "987654"), ("true", "True"), ('""', "''")],
+    ids=["list", "int", "bool", "empty"],
+)
+def test_sweep_trace_must_be_a_path(tmp_path, capsys, value, shown):
+    # A list raised a TypeError traceback from open(); an int or a bool was
+    # opened as a file descriptor.
+    spec = tmp_path / "sweep.yaml"
+    spec.write_text(f"capacitors: [2.5]\nfix_intervals_s: [120]\ntrace: {value}\n")
+    out = tmp_path / "grid"
+    assert main(["sweep", "--spec", str(spec), "--out", str(out)]) == EXIT_CONFIG
+    assert f"sweep.trace must be a non-empty path, got {shown}" in capsys.readouterr().err
+    assert not out.exists()
