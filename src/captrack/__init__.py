@@ -13,10 +13,8 @@ from .device import (
     DataSample,
     DeviceState,
     GpsContext,
-    GpsDecision,
     GpsMode,
     Power,
-    due_tasks,
     on_depletion,
     on_fix_success,
     on_recovery,
@@ -45,7 +43,6 @@ from .engine import (
     EVENT_KINDS,
     EnergyLedger,
     EventLog,
-    SimEvent,
     SimMetrics,
     SimResult,
     compute_metrics,
@@ -74,13 +71,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ActivityProfile", "CapacitorSpec", "ComponentDraw", "ConfigError",
-    "DataSample", "DeviceState", "EnergyLedger", "EventLog", "GeneratorSpec", "GpsContext", "GpsDecision",
-    "GpsMode", "HarvestTrace", "IrradianceTrace", "Power", "SimEvent", "SimMetrics",
+    "DataSample", "DeviceState", "EnergyLedger", "EventLog", "GeneratorSpec", "GpsContext",
+    "GpsMode", "HarvestTrace", "IrradianceTrace", "Power", "SimMetrics",
     "SimResult", "SolarChain", "SolarProfile", "SweepSpec", "SystemConfig", "TaskSpec",
     "TraceError", "VoltageThresholds",
     "EVENT_KINDS", "GPS_BACKUP_MA", "LEAKAGE_BY_CAPACITANCE", "MCU_ACTIVE_BASE_MA", "TASKS",
     "builtin_component_table", "combine_sources", "compose_task_current", "compute_metrics",
-    "due_tasks", "equivalent_resistance", "export_timeseries", "generate_kinetic_trace",
+    "equivalent_resistance", "export_timeseries", "generate_kinetic_trace",
     "generate_synthetic_irradiance", "integrate_segment", "integrate_tick", "load_config",
     "load_harvest_csv", "load_irradiance_csv", "load_sweep_spec", "on_depletion",
     "on_fix_success", "on_recovery", "payload_bytes", "read_coulomb", "run_simulation",

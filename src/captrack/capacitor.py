@@ -15,11 +15,11 @@ from __future__ import annotations
 import math
 
 
-def equivalent_resistance(v_supply: float, task_current_ma: float) -> float:
+def equivalent_resistance(v_supply: float, current_ma: float) -> float:
     """Load resistance of a task in ohms, from its supply-referred current."""
-    if task_current_ma <= 0:
-        raise ValueError(f"task current must be positive, got {task_current_ma}")
-    return v_supply / (task_current_ma * 1e-3)
+    if current_ma <= 0:
+        raise ValueError(f"task current must be positive, got {current_ma}")
+    return v_supply / (current_ma * 1e-3)
 
 
 def time_to_voltage(

@@ -68,19 +68,22 @@ def _generate_trace(generator: GeneratorSpec, config: SystemConfig) -> HarvestTr
 
 
 def _load_trace(path: str, config: SystemConfig) -> HarvestTrace:
-    """Read either trace format, telling them apart by header."""
+    """Read either trace format, telling them apart by header.
+
+    Either way the combined current is the config's combiner efficiency
+    times the sum of the sources; a harvest file's combined_a is not used.
+    """
     header = read_trace_header(path)
     if header == HARVEST_HEADER:
-        return load_harvest_csv(path)
-    if header == IRRADIANCE_HEADER:
-        irradiance = load_irradiance_csv(path)
-        chain = SolarChain(v_supply=config.v_supply)
-        solar = solar_current_from_irradiance(irradiance, chain)
+        source = load_harvest_csv(path)
+        solar, kinetic = source.solar_a, source.kinetic_a
+    elif header == IRRADIANCE_HEADER:
+        source = load_irradiance_csv(path)
+        solar = solar_current_from_irradiance(source, SolarChain(v_supply=config.v_supply))
         kinetic = np.zeros_like(solar)
-        return HarvestTrace.build(
-            solar, kinetic, config.combiner_efficiency, irradiance.start_epoch_s, irradiance.resolution_s
-        )
-    raise TraceError(f"{path}: unrecognized header {','.join(header)!r}")
+    else:
+        raise TraceError(f"{path}: unrecognized header {','.join(header)!r}")
+    return HarvestTrace.build(solar, kinetic, config.combiner_efficiency, source.start_epoch_s, source.resolution_s)
 
 
 def _write_run_outputs(result: SimResult, out_dir: Path) -> None:

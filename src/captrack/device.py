@@ -33,18 +33,6 @@ class GpsMode(enum.Enum):
     COLD = "Cold"
 
 
-@dataclass(frozen=True)
-class GpsDecision:
-    """Outcome of mode selection: a mode to run, or a skip with its reason."""
-
-    mode: GpsMode | None
-    skip_reason: str | None = None
-
-    @property
-    def skipped(self) -> bool:
-        return self.mode is None
-
-
 @dataclass
 class GpsContext:
     """Ephemeris freshness state. age_s is None whenever the backup domain
@@ -98,8 +86,8 @@ class DeviceState:
 
 def select_gps_mode(
     gps: GpsContext, voltage: float, thresholds: VoltageThresholds, config: SystemConfig
-) -> GpsDecision:
-    """Pick the start mode for a due fix, or skip it on low voltage.
+) -> GpsMode | None:
+    """Pick the start mode for a due fix, or None to skip it on low voltage.
 
     Stale-to-fresh: cold when the backup domain is gone or the ephemeris is
     older than the warm limit; warm (always with a download) in between; hot
@@ -110,40 +98,27 @@ def select_gps_mode(
     age = gps.ephemeris_age_s
     if not gps.backup_valid or age is None or age > config.ephemeris_warm_limit_s:
         if voltage >= thresholds.cold_start:
-            return _COLD
-        return _SKIP
+            return GpsMode.COLD
+        return None
     if age <= config.ephemeris_hot_limit_s:
         if age >= config.ephemeris_refresh_age_s and voltage >= thresholds.hot_ephemeris:
-            return _HOT_EPHEMERIS
+            return GpsMode.HOT_EPHEMERIS
         if voltage >= thresholds.hot_start:
-            return _HOT
-        return _SKIP
+            return GpsMode.HOT
+        return None
     if voltage >= thresholds.warm_ephemeris:
-        return _WARM_EPHEMERIS
-    return _SKIP
+        return GpsMode.WARM_EPHEMERIS
+    return None
 
 
-# The decisions select_gps_mode returns; they are immutable, so one of each
-# serves every call.
-_HOT = GpsDecision(GpsMode.HOT)
-_HOT_EPHEMERIS = GpsDecision(GpsMode.HOT_EPHEMERIS)
-_WARM_EPHEMERIS = GpsDecision(GpsMode.WARM_EPHEMERIS)
-_COLD = GpsDecision(GpsMode.COLD)
-_SKIP = GpsDecision(None, "low-voltage")
 # Modes whose fix leaves a fresh ephemeris.
 _EPHEMERIS_RESET = (GpsMode.HOT_EPHEMERIS, GpsMode.WARM_EPHEMERIS, GpsMode.COLD)
 
 
-def due_tasks(clock: int, config: SystemConfig) -> list[str]:
-    """Activities due this tick, in execution order. Disabled intervals
-    (None) never fire; everything fires at clock 0."""
-    if clock % config.base_tick_s != 0:
-        raise ValueError(f"clock {clock} not on the {config.base_tick_s} s tick grid")
-    return list(due_schedule(clock, 1, config)[0])
-
-
 def due_schedule(clock0: int, n_ticks: int, config: SystemConfig) -> list[tuple[str, ...]]:
-    """due_tasks of n_ticks consecutive ticks from clock0, one tuple each."""
+    """The activities due in each of n_ticks consecutive ticks from clock0,
+    one tuple per tick in execution order. Disabled intervals (None) never
+    fire; everything fires at clock 0."""
     clock = clock0 + np.arange(n_ticks, dtype=np.int64) * config.base_tick_s
     code = np.zeros(n_ticks, dtype=np.int64)
     names = (SENSE, FIX, TRANSMIT)

@@ -167,9 +167,6 @@ class SystemConfig:
     task_jitter: bool = False  # draw NB-IoT/cold durations and currents per event
     payload_scaling: bool = False  # scale transmit duration with buffered bytes
 
-    def task_current_ma(self, task: str) -> float:
-        return compose_task_current(task, self.capacitor.leakage_ma)
-
 
 class ConfigError(ValueError):
     """Raised when validation finds one or more invariant violations."""

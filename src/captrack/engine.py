@@ -75,25 +75,14 @@ _CROSSING_MARGIN = 1.0 + 1e-9
 TIMESERIES_HEADER = ["t_s", "voltage_v", "i_solar_a", "i_kinetic_a", "i_combined_a", "power_state", "event"]
 
 
-@dataclass(frozen=True)
-class SimEvent:
-    """One logged occurrence. Success events are stamped at the end of their
-    activity (voltage_before at its start); skips and crossings at the
-    instant they happen, which for crossings is a fractional second."""
-
-    time_s: float
-    kind: str
-    voltage_before: float
-    voltage_after: float
-    detail: str = ""
-
-
 @dataclass
 class EventLog:
     """A run's events as parallel columns, in log order.
 
     kind indexes EVENT_KINDS; detail indexes details, whose entry 0 is the
-    empty detail.
+    empty detail. Success events are stamped at the end of their activity,
+    with voltage_before at its start; skips and crossings are stamped at the
+    instant they happen, which for crossings is a fractional second.
     """
 
     time_s: np.ndarray
@@ -114,31 +103,8 @@ class EventLog:
             table["detail"], tuple(details),
         )
 
-    @classmethod
-    def from_events(cls, events: Iterable[SimEvent]) -> "EventLog":
-        details = {"": 0}
-        try:
-            rows = [
-                (e.time_s, _KIND_CODE[e.kind], e.voltage_before, e.voltage_after,
-                 details.setdefault(e.detail, len(details)))
-                for e in events
-            ]
-        except KeyError as exc:
-            raise ValueError(f"unknown event kind {exc.args[0]!r}; expected one of {EVENT_KINDS}") from None
-        return cls.from_rows(rows, details)
-
     def __len__(self) -> int:
         return int(self.time_s.size)
-
-    def to_events(self) -> list[SimEvent]:
-        details = self.details
-        return [
-            SimEvent(t, EVENT_KINDS[k], before, after, details[d])
-            for t, k, before, after, d in zip(
-                self.time_s.tolist(), self.kind.tolist(), self.voltage_before.tolist(),
-                self.voltage_after.tolist(), self.detail.tolist(),
-            )
-        ]
 
 
 @dataclass
@@ -241,23 +207,6 @@ class SimResult:
     metrics: SimMetrics
     ledger: EnergyLedger
     device: DeviceState  # end-of-run device state (buffer, accumulator, gps)
-    _events: list[SimEvent] | None = field(default=None, init=False, repr=False, compare=False)
-
-    @property
-    def events(self) -> list[SimEvent]:
-        """The log as SimEvent objects, built on first access.
-
-        Assigning a list replaces the log; changing the returned list in
-        place does not.
-        """
-        if self._events is None:
-            self._events = self.log.to_events()
-        return self._events
-
-    @events.setter
-    def events(self, events: Iterable[SimEvent]) -> None:
-        self.log = EventLog.from_events(events)
-        self._events = None
 
 
 class _Simulator:
@@ -435,11 +384,11 @@ class _Simulator:
                 rows.append((self.t, _SENSE, v_before, self.v, 0))
 
             elif activity == dev.FIX:
-                decision = select_gps_mode(state.gps, self.v, thr, cfg)
-                if decision.skipped:
-                    rows.append((self.t, _FIX_SKIPPED, self.v, self.v, self._detail(decision.skip_reason)))
+                mode = select_gps_mode(state.gps, self.v, thr, cfg)
+                if mode is None:
+                    rows.append((self.t, _FIX_SKIPPED, self.v, self.v, self._detail("low-voltage")))
                     continue
-                kind, plan = self.fixes[decision.mode]
+                kind, plan = self.fixes[mode]
                 if cfg.task_jitter:  # draw every duration before the first segment runs
                     plan = [(load, self._draw(mean, std), 0.0) for load, mean, std in plan]
                 v_before = self.v
@@ -447,7 +396,7 @@ class _Simulator:
                     if step(load, duration, i_h, True):
                         return self._deplete(i_h, tick_end, _TASK_FAILED, load[0])
                 coulomb = dev.read_coulomb(state)
-                dev.on_fix_success(state, decision.mode, coulomb)
+                dev.on_fix_success(state, mode, coulomb)
                 rows.append((self.t, kind, v_before, self.v, 0))
 
             elif activity == dev.TRANSMIT:
@@ -561,12 +510,12 @@ def integrate_tick(
     config: SystemConfig,
     state: DeviceState | None = None,
     tick_start_s: float = 0.0,
-) -> tuple[float, list[SimEvent]]:
+) -> tuple[float, EventLog]:
     """Run a single tick in isolation: given activities, then sleep.
 
     Convenience wrapper over the same machinery run_simulation uses; builds a
     fresh powered-on device when no state is passed. Returns the end-of-tick
-    voltage and the intra-tick events.
+    voltage and the tick's events as an EventLog.
     """
     config = validate_config(config)
     sim = _Simulator(config)
@@ -577,24 +526,22 @@ def integrate_tick(
         v_end = sim.execute_tick(tick_start_s, tasks, harvest_current_a)
     else:
         v_end = sim.execute_off_tick(tick_start_s, harvest_current_a)
-    return v_end, sim.log().to_events()
+    return v_end, sim.log()
 
 
 def compute_metrics(
-    events: EventLog | Iterable[SimEvent],
+    log: EventLog,
     run_length_s: float,
     voltages: np.ndarray | None = None,
     power_on_at_start: bool = True,
 ) -> SimMetrics:
     """Aggregate an event log into schedule metrics.
 
-    events is an EventLog or SimEvent objects in log order. The off time
-    runs from each Depletion (or from t = 0 when the device starts off) to
-    the next Recovery or the end of the run. Per-day statistics cover
-    complete days only (population deviation); partial trailing days are
-    excluded. An empty log yields all zeros.
+    The off time runs from each Depletion (or from t = 0 when the device
+    starts off) to the next Recovery or the end of the run. Per-day
+    statistics cover complete days only (population deviation); partial
+    trailing days are excluded. An empty log yields all zeros.
     """
-    log = events if isinstance(events, EventLog) else EventLog.from_events(events)
     m = SimMetrics()
     if not len(log) and voltages is None:
         return m

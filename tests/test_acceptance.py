@@ -17,7 +17,7 @@ import pytest
 from captrack.capacitor import equivalent_resistance, integrate_segment
 from captrack.device import payload_bytes
 from captrack.energy_model import CapacitorSpec, SystemConfig, compose_task_current, task_energy
-from captrack.engine import run_simulation
+from captrack.engine import EVENT_KINDS, run_simulation
 from captrack.harvest import (
     ActivityProfile,
     HarvestTrace,
@@ -159,28 +159,30 @@ def test_acceptance_06_depletion_and_recovery():
         ticks = 2700
         zeros = np.zeros(ticks)
         result = run_simulation(quiet, HarvestTrace(0, 60, zeros, zeros, zeros))
-        depletions = [e for e in result.events if e.kind == "Depletion"]
+        log = result.log
+        depletions = log.time_s[log.kind == EVENT_KINDS.index("Depletion")]
         assert len(depletions) == 1
         tau = cap.capacitance_f * equivalent_resistance(3.3, 0.05865)
         analytic = tau * math.log(5.5 / 1.8)
         assert analytic == pytest.approx(157115.0, abs=60.0)
-        assert depletions[0].time_s == pytest.approx(analytic, abs=60.0)
+        assert depletions[0] == pytest.approx(analytic, abs=60.0)
 
         # Full schedule, dark start then strong harvest: Depletion/Recovery
         # alternate and the first fix after power returns is a cold start.
         combined = np.concatenate([np.zeros(1320), np.full(480, 0.01)])
         trace = HarvestTrace(0, 60, combined, np.zeros(1800), combined)
         result = run_simulation(replace(SystemConfig(), capacitor=cap), trace)
-        flips = [e for e in result.events if e.kind in ("Depletion", "Recovery")]
-        assert [e.kind for e in flips[:2]] == ["Depletion", "Recovery"]
-        for a, b in zip(flips, flips[1:]):
-            assert (a.kind, b.kind) in (("Depletion", "Recovery"), ("Recovery", "Depletion"))
-        recovery_t = next(e.time_s for e in flips if e.kind == "Recovery")
+        events = list(zip(result.log.time_s.tolist(), [EVENT_KINDS[k] for k in result.log.kind.tolist()]))
+        flips = [(t, kind) for t, kind in events if kind in ("Depletion", "Recovery")]
+        assert [kind for _, kind in flips[:2]] == ["Depletion", "Recovery"]
+        for (_, a), (_, b) in zip(flips, flips[1:]):
+            assert (a, b) in (("Depletion", "Recovery"), ("Recovery", "Depletion"))
+        recovery_t = next(t for t, kind in flips if kind == "Recovery")
         first_fix = next(
-            e for e in result.events
-            if e.time_s > recovery_t and e.kind in ("FixHot", "FixHotEph", "FixWarmEph", "FixCold")
+            kind for t, kind in events
+            if t > recovery_t and kind in ("FixHot", "FixHotEph", "FixWarmEph", "FixCold")
         )
-        assert first_fix.kind == "FixCold"
+        assert first_fix == "FixCold"
 
 
 def test_acceptance_07_ledger_closure(winter_result):

@@ -259,6 +259,28 @@ def test_simulate_reads_quoted_trace_header(tmp_path, text):
     assert json.loads((out / "metrics.json").read_text())["total_fixes"] >= 0
 
 
+def test_simulate_applies_combiner_efficiency_to_harvest_trace(tmp_path):
+    # A harvest file's combined_a used to be read as written, ignoring the
+    # config's harvest.combiner_efficiency.
+    solar = [0.0, 1.234567e-4, 3.3e-3, 2.0e-5, 7.77e-4, 0.0]
+    kinetic = [2.5e-5, 0.0, 1.1e-6, 3.0e-5, 9.5e-6, 0.0]
+    lines = ["t_s,solar_a,kinetic_a,combined_a"]
+    lines += [f"{60 * i},{s!r},{k!r},{s + k!r}" for i, (s, k) in enumerate(zip(solar, kinetic))]
+    trace = tmp_path / "trace.csv"
+    trace.write_text("\n".join(lines) + "\n")
+    config = tmp_path / "config.yaml"
+    config.write_text("harvest:\n  combiner_efficiency: 0.5\n")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(config), "--trace", str(trace), "--out", str(out)]) == EXIT_OK
+    with open(out / "timeseries.csv", newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    assert len(rows) > len(solar)
+    for row in rows:
+        step = min(int(float(row["t_s"]) // 60), len(solar) - 1)
+        assert row["i_combined_a"] == "%.9e" % (0.5 * (solar[step] + kinetic[step]))
+        assert row["i_solar_a"] == "%.9e" % solar[step]
+
+
 def test_simulate_rejects_unknown_trace_header(tmp_path, capsys):
     trace = tmp_path / "trace.csv"
     trace.write_text("time,value\n0,5\n")

@@ -2,11 +2,13 @@
 
 The three oracle functions below are the earlier bodies of
 engine.export_timeseries, harvest.save_harvest_csv and
-harvest.save_irradiance_csv, kept verbatim. Every case writes the same data
-through both and compares the files byte for byte.
+harvest.save_irradiance_csv, kept verbatim, except that the timeseries
+oracle reads the log's rows through events_of. Every case writes the same
+data through both and compares the files byte for byte.
 """
 
 import csv
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from hypothesis import strategies as st
 
 from captrack import harvest
 from captrack.energy_model import CapacitorSpec, SystemConfig
-from captrack.engine import TIMESERIES_HEADER, SimEvent, export_timeseries, run_simulation
+from captrack.engine import EVENT_KINDS, TIMESERIES_HEADER, EventLog, export_timeseries, run_simulation
 from captrack.harvest import (
     HARVEST_HEADER,
     IRRADIANCE_HEADER,
@@ -29,6 +31,37 @@ from captrack.harvest import (
     save_harvest_csv,
     save_irradiance_csv,
 )
+
+
+class Event(NamedTuple):
+    """One event log row, with its kind and detail as text."""
+
+    time_s: float
+    kind: str
+    voltage_before: float
+    voltage_after: float
+    detail: str = ""
+
+
+def events_of(log: EventLog) -> list[Event]:
+    return [
+        Event(t, EVENT_KINDS[k], before, after, log.details[d])
+        for t, k, before, after, d in zip(
+            log.time_s.tolist(), log.kind.tolist(), log.voltage_before.tolist(),
+            log.voltage_after.tolist(), log.detail.tolist(),
+        )
+    ]
+
+
+def log_of(events: list[Event]) -> EventLog:
+    details = {"": 0}
+    rows = [
+        (e.time_s, EVENT_KINDS.index(e.kind), e.voltage_before, e.voltage_after,
+         details.setdefault(e.detail, len(details)))
+        for e in events
+    ]
+    return EventLog.from_rows(rows, details)
+
 
 # -- oracles: the replaced writers, verbatim ----------------------------------
 
@@ -52,7 +85,7 @@ def oracle_export_timeseries(result, path: str) -> None:
         )
 
     power = "On" if result.power_on[0] else "Off"
-    for seq, e in enumerate(result.events):
+    for seq, e in enumerate(events_of(result.log)):
         if e.kind == "Depletion":
             power = "Off"
         elif e.kind == "Recovery":
@@ -114,8 +147,8 @@ def winter_trace(days: int, peak_wm2: float = 300.0, daily_energy_j: float = 13.
     return HarvestTrace.build(solar, kinetic)
 
 
-def out_of_order(events) -> int:
-    return sum(b.time_s < a.time_s for a, b in zip(events, events[1:]))
+def out_of_order(log: EventLog) -> int:
+    return int(np.count_nonzero(np.diff(log.time_s) < 0.0))
 
 
 # -- cases ------------------------------------------------------------------------
@@ -124,14 +157,14 @@ def out_of_order(events) -> int:
 def test_two_day_default_run(tmp_path):
     result = run_simulation(SystemConfig(), winter_trace(2))
     data = assert_same_bytes(tmp_path, export_timeseries, oracle_export_timeseries, result)
-    assert data.count(b"\r\n") == 1 + len(result.times_s) + len(result.events)
+    assert data.count(b"\r\n") == 1 + len(result.times_s) + len(result.log)
     assert b"ClampStart" in data
 
 
 def test_depleting_run_flips_power_state(tmp_path):
     config = SystemConfig(capacitor=CapacitorSpec.from_capacitance(1.0), initial_voltage=2.5)
     result = run_simulation(config, winter_trace(2, peak_wm2=15.0, daily_energy_j=1.5))
-    kinds = {e.kind for e in result.events}
+    kinds = {EVENT_KINDS[k] for k in result.log.kind.tolist()}
     assert {"Depletion", "Recovery"} <= kinds
     data = assert_same_bytes(tmp_path, export_timeseries, oracle_export_timeseries, result)
     assert b",Off,Depletion\r\n" in data and b",On,Recovery\r\n" in data
@@ -144,7 +177,7 @@ def test_payload_scaled_uploads_out_of_time_order(tmp_path):
     # covering out-of-order logs.
     config = SystemConfig(payload_scaling=True, transmit_interval_s=86400, fix_interval_s=120)
     result = run_simulation(config, winter_trace(3))
-    assert out_of_order(result.events) == 2
+    assert out_of_order(result.log) == 2
     assert_same_bytes(tmp_path, export_timeseries, oracle_export_timeseries, result)
 
 
@@ -182,7 +215,7 @@ def test_writers_span_several_chunks(tmp_path, monkeypatch):
     trace = winter_trace(1)
     config = SystemConfig(capacitor=CapacitorSpec.from_capacitance(1.0), initial_voltage=2.5)
     for result in (run_simulation(SystemConfig(), trace), run_simulation(config, trace)):
-        assert len(result.times_s) + len(result.events) > 10 * 97
+        assert len(result.times_s) + len(result.log) > 10 * 97
         assert_same_bytes(tmp_path, export_timeseries, oracle_export_timeseries, result)
     assert_same_bytes(tmp_path, save_harvest_csv, oracle_save_harvest_csv, trace)
     irradiance = IrradianceTrace(86400, 60, trace.solar_a * 1e4)
@@ -197,16 +230,16 @@ def test_hand_built_log_ties_and_quoting(tmp_path, powered_at_start):
     # first tick row.
     result = run_simulation(SystemConfig(), winter_trace(1), 600)
     result.power_on[0] = powered_at_start
-    result.events = [
-        SimEvent(120.0, "Sense", 5.0, 4.9),
-        SimEvent(120.0, "FixSkipped", 4.9, 4.9, "low-voltage"),
-        SimEvent(60.5, "Transmit", 4.9, -0.0, 'samples=3,"late"'),
-        SimEvent(0.0, "Depletion", 1.8, 1.8),
-        SimEvent(300.25, "TaskFailed", 1.8, 1.8, "line\nbreak"),
-        SimEvent(300.25, "Recovery", 2.2, 2.2),
-        SimEvent(600.0, "ClampEnd", 5.5, 5.5, "cr\rhere"),
-        SimEvent(9000.0, "ClampStart", 5.5, 5.5),
-    ]
+    result.log = log_of([
+        Event(120.0, "Sense", 5.0, 4.9),
+        Event(120.0, "FixSkipped", 4.9, 4.9, "low-voltage"),
+        Event(60.5, "Transmit", 4.9, -0.0, 'samples=3,"late"'),
+        Event(0.0, "Depletion", 1.8, 1.8),
+        Event(300.25, "TaskFailed", 1.8, 1.8, "line\nbreak"),
+        Event(300.25, "Recovery", 2.2, 2.2),
+        Event(600.0, "ClampEnd", 5.5, 5.5, "cr\rhere"),
+        Event(9000.0, "ClampStart", 5.5, 5.5),
+    ])
     data = assert_same_bytes(tmp_path, export_timeseries, oracle_export_timeseries, result)
     assert b'"Transmit:samples=3,""late"""' in data
 
@@ -247,8 +280,8 @@ def test_random_traces_and_configs(
 
     # The same run with a hand-made log: arbitrary times, kinds and details.
     times = st.one_of(st.integers(min_value=0, max_value=ticks * 60 + 120).map(float), st.floats(0.0, ticks * 60.0 + 120))
-    result.events = [
-        SimEvent(t, kind, v, v, detail)
+    result.log = log_of([
+        Event(t, kind, v, v, detail)
         for t, kind, v, detail in data.draw(st.lists(st.tuples(times, event_kinds, finite, details), max_size=12))
-    ]
+    ])
     assert_same_bytes(tmp_path, export_timeseries, oracle_export_timeseries, result)

@@ -12,7 +12,7 @@ from captrack.device import (
     GpsContext,
     GpsMode,
     Power,
-    due_tasks,
+    due_schedule,
     on_depletion,
     on_fix_success,
     on_recovery,
@@ -31,71 +31,67 @@ def fresh_context(age_s):
 
 
 def test_mode_selection_examples():
-    assert select_gps_mode(fresh_context(7200), 2.5, THRESHOLDS, CONFIG).mode is GpsMode.HOT
-    assert select_gps_mode(fresh_context(18000), 2.5, THRESHOLDS, CONFIG).mode is GpsMode.WARM_EPHEMERIS
-    decision = select_gps_mode(fresh_context(7200), 1.85, THRESHOLDS, CONFIG)
-    assert decision.skipped and decision.skip_reason == "low-voltage"
-    assert select_gps_mode(GpsContext(None, False), 2.5, THRESHOLDS, CONFIG).mode is GpsMode.COLD
+    assert select_gps_mode(fresh_context(7200), 2.5, THRESHOLDS, CONFIG) is GpsMode.HOT
+    assert select_gps_mode(fresh_context(18000), 2.5, THRESHOLDS, CONFIG) is GpsMode.WARM_EPHEMERIS
+    assert select_gps_mode(fresh_context(7200), 1.85, THRESHOLDS, CONFIG) is None
+    assert select_gps_mode(GpsContext(None, False), 2.5, THRESHOLDS, CONFIG) is GpsMode.COLD
 
 
 def test_mode_selection_boundaries():
     # Hot limit is inclusive, warm limit is inclusive, beyond warm is cold.
-    assert select_gps_mode(fresh_context(14400), 2.5, THRESHOLDS, CONFIG).mode is GpsMode.HOT_EPHEMERIS
-    assert select_gps_mode(fresh_context(14401), 2.5, THRESHOLDS, CONFIG).mode is GpsMode.WARM_EPHEMERIS
-    assert select_gps_mode(fresh_context(172800), 2.5, THRESHOLDS, CONFIG).mode is GpsMode.WARM_EPHEMERIS
-    assert select_gps_mode(fresh_context(172801), 2.5, THRESHOLDS, CONFIG).mode is GpsMode.COLD
+    assert select_gps_mode(fresh_context(14400), 2.5, THRESHOLDS, CONFIG) is GpsMode.HOT_EPHEMERIS
+    assert select_gps_mode(fresh_context(14401), 2.5, THRESHOLDS, CONFIG) is GpsMode.WARM_EPHEMERIS
+    assert select_gps_mode(fresh_context(172800), 2.5, THRESHOLDS, CONFIG) is GpsMode.WARM_EPHEMERIS
+    assert select_gps_mode(fresh_context(172801), 2.5, THRESHOLDS, CONFIG) is GpsMode.COLD
 
 
 def test_mode_selection_refresh_upgrade():
     # Past the refresh age a hot fix takes the download variant when voltage
     # allows, otherwise falls back to a plain hot start.
-    assert select_gps_mode(fresh_context(10800), 2.5, THRESHOLDS, CONFIG).mode is GpsMode.HOT_EPHEMERIS
-    assert select_gps_mode(fresh_context(10799), 2.5, THRESHOLDS, CONFIG).mode is GpsMode.HOT
-    assert select_gps_mode(fresh_context(10800), 1.95, THRESHOLDS, CONFIG).mode is GpsMode.HOT
-    decision = select_gps_mode(fresh_context(10800), 1.85, THRESHOLDS, CONFIG)
-    assert decision.skipped
+    assert select_gps_mode(fresh_context(10800), 2.5, THRESHOLDS, CONFIG) is GpsMode.HOT_EPHEMERIS
+    assert select_gps_mode(fresh_context(10799), 2.5, THRESHOLDS, CONFIG) is GpsMode.HOT
+    assert select_gps_mode(fresh_context(10800), 1.95, THRESHOLDS, CONFIG) is GpsMode.HOT
+    assert select_gps_mode(fresh_context(10800), 1.85, THRESHOLDS, CONFIG) is None
 
 
 def test_mode_selection_cold_gate():
     # Cold threshold for the default 2.5 F capacitor derives to 2.01 V.
-    assert select_gps_mode(GpsContext(None, False), 2.01, THRESHOLDS, CONFIG).mode is GpsMode.COLD
-    assert select_gps_mode(GpsContext(None, False), 2.009, THRESHOLDS, CONFIG).skipped
+    assert select_gps_mode(GpsContext(None, False), 2.01, THRESHOLDS, CONFIG) is GpsMode.COLD
+    assert select_gps_mode(GpsContext(None, False), 2.009, THRESHOLDS, CONFIG) is None
 
 
 def test_mode_selection_is_total():
-    # Every (age, voltage) pair yields either a mode or a reasoned skip, and
-    # a fresher ephemeris at the same voltage never picks a colder mode.
+    # Every (age, voltage) pair yields either a mode or a skip (None), and a
+    # fresher ephemeris at the same voltage never picks a colder mode.
     rank = {GpsMode.HOT: 0, GpsMode.HOT_EPHEMERIS: 1, GpsMode.WARM_EPHEMERIS: 2, GpsMode.COLD: 3, None: 4}
     rng = np.random.default_rng(41)
     for _ in range(500):
         age = int(rng.integers(0, 300000))
         voltage = float(rng.uniform(1.8, 5.5))
-        decision = select_gps_mode(fresh_context(age), voltage, THRESHOLDS, CONFIG)
-        assert decision.skipped == (decision.mode is None)
-        if decision.skipped:
-            assert decision.skip_reason == "low-voltage"
+        mode = select_gps_mode(fresh_context(age), voltage, THRESHOLDS, CONFIG)
+        assert mode is None or isinstance(mode, GpsMode)
         stale = select_gps_mode(fresh_context(age + 200000), voltage, THRESHOLDS, CONFIG)
-        if decision.mode is not None and stale.mode is not None:
-            assert rank[stale.mode] >= rank[decision.mode] or stale.mode is GpsMode.COLD
+        if mode is not None and stale is not None:
+            assert rank[stale] >= rank[mode] or stale is GpsMode.COLD
 
 
 def test_due_tasks_order_and_phases():
-    assert due_tasks(0, CONFIG) == [SENSE, FIX, TRANSMIT]
-    assert due_tasks(60, CONFIG) == [SENSE]
-    assert due_tasks(120, CONFIG) == [SENSE, FIX]
-    assert due_tasks(3600, CONFIG) == [SENSE, FIX, TRANSMIT]
-    with pytest.raises(ValueError, match="tick grid"):
-        due_tasks(90, CONFIG)
+    schedule = due_schedule(0, 61, CONFIG)
+    assert schedule[0] == (SENSE, FIX, TRANSMIT)
+    assert schedule[1] == (SENSE,)
+    assert schedule[2] == (SENSE, FIX)
+    assert schedule[60] == (SENSE, FIX, TRANSMIT)
+    # A schedule that starts later keeps the phases of the clock.
+    assert due_schedule(3540, 3, CONFIG) == [(SENSE,), (SENSE, FIX, TRANSMIT), (SENSE,)]
 
 
 def test_due_tasks_disabled_interval():
     from dataclasses import replace
 
     cfg = validate_config(replace(SystemConfig(), transmit_interval_s=None))
-    assert due_tasks(0, cfg) == [SENSE, FIX]
+    assert due_schedule(0, 1, cfg) == [(SENSE, FIX)]
     cfg = validate_config(replace(SystemConfig(), sense_interval_s=None, fix_interval_s=None))
-    assert due_tasks(0, cfg) == [TRANSMIT]
-    assert due_tasks(60, cfg) == []
+    assert due_schedule(0, 2, cfg) == [(TRANSMIT,), ()]
 
 
 def test_fix_success_age_bookkeeping():

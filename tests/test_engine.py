@@ -11,8 +11,9 @@ from captrack.capacitor import equivalent_resistance
 from captrack.device import FIX, SENSE, TRANSMIT
 from captrack.energy_model import CapacitorSpec, SystemConfig, VoltageThresholds
 from captrack.engine import (
-    SimEvent,
+    EVENT_KINDS,
     TIMESERIES_HEADER,
+    EventLog,
     compute_metrics,
     export_timeseries,
     integrate_tick,
@@ -45,28 +46,45 @@ def winter_trace(days):
     return HarvestTrace.build(solar, kinetic)
 
 
+def kinds(log):
+    return [EVENT_KINDS[k] for k in log.kind.tolist()]
+
+
+def details(log):
+    return [log.details[d] for d in log.detail.tolist()]
+
+
+def hand_log(rows):
+    """An EventLog from (time, kind name, v_before, v_after) rows."""
+    return EventLog.from_rows([(t, EVENT_KINDS.index(kind), before, after, 0) for t, kind, before, after in rows])
+
+
 def test_sleep_only_tick():
-    v, events = integrate_tick(3.0, [], 0.0, REF)
+    v, log = integrate_tick(3.0, [], 0.0, REF)
     assert v == pytest.approx(2.99872, abs=1e-5)
-    assert events == []
+    assert len(log) == 0
 
 
 def test_transmit_tick():
     # 7.89 s burst at 20.799 mA, then sleep out the minute.
-    v, events = integrate_tick(2.01, [TRANSMIT], 0.0, REF)
+    v, log = integrate_tick(2.01, [TRANSMIT], 0.0, REF)
     assert v == pytest.approx(1.9696835, abs=1e-6)
-    assert [e.kind for e in events] == ["Transmit"]
-    assert events[0].time_s == pytest.approx(7.89)
-    assert events[0].detail == "samples=0"
-    assert events[0].voltage_before == pytest.approx(2.01)
+    assert kinds(log) == ["Transmit"]
+    assert log.time_s[0] == pytest.approx(7.89)
+    assert details(log) == ["samples=0"]
+    assert log.voltage_before[0] == pytest.approx(2.01)
 
 
 def test_transmit_gate_skips_below_threshold():
-    v, events = integrate_tick(1.99, [TRANSMIT], 0.0, REF)
-    assert [e.kind for e in events] == ["TransmitSkipped"]
-    assert events[0].detail == "low-voltage"
+    v, log = integrate_tick(1.99, [TRANSMIT], 0.0, REF)
+    assert kinds(log) == ["TransmitSkipped"]
+    assert details(log) == ["low-voltage"]
     # Only the sleep draw happened.
     assert v == pytest.approx(1.99 * math.exp(-60.0 / SLEEP_TAU), abs=1e-6)
+    # A fix refused at its gate carries the same detail.
+    _, log = integrate_tick(1.85, [FIX], 0.0, REF)
+    assert kinds(log) == ["FixSkipped"]
+    assert details(log) == ["low-voltage"]
 
 
 def test_transmit_failure_mid_burst():
@@ -74,25 +92,25 @@ def test_transmit_failure_mid_burst():
     # and then hit the floor partway through.
     cfg = replace(REF, thresholds=replace(VoltageThresholds(), nbiot=1.81))
     with pytest.warns(UserWarning, match="below its safe bound"):
-        v, events = integrate_tick(1.81, [TRANSMIT], 0.0, cfg)
-    assert [e.kind for e in events] == ["TransmitFailed", "Depletion"]
-    fail, depletion = events
-    assert fail.time_s == pytest.approx(2.1975, abs=1e-3)
-    assert fail.time_s == depletion.time_s
+        v, log = integrate_tick(1.81, [TRANSMIT], 0.0, cfg)
+    assert kinds(log) == ["TransmitFailed", "Depletion"]
+    fail_t, depletion_t = log.time_s.tolist()
+    assert fail_t == pytest.approx(2.1975, abs=1e-3)
+    assert fail_t == depletion_t
     r = equivalent_resistance(3.3, 20.799)
-    assert fail.time_s == pytest.approx(2.5 * r * math.log(1.81 / 1.8), abs=1e-9)
+    assert fail_t == pytest.approx(2.5 * r * math.log(1.81 / 1.8), abs=1e-9)
     assert v < 1.8  # leakage coast continues below the floor while off
 
 
 def test_sense_and_fix_tick_events():
-    v, events = integrate_tick(3.0, [SENSE, FIX], 0.0, REF)
-    assert [e.kind for e in events] == ["Sense", "FixHot"]
-    sense, fix = events
-    assert sense.time_s == pytest.approx(5e-05)
+    v, log = integrate_tick(3.0, [SENSE, FIX], 0.0, REF)
+    assert kinds(log) == ["Sense", "FixHot"]
+    sense_t, fix_t = log.time_s.tolist()
+    assert sense_t == pytest.approx(5e-05)
     # Hot fix: 1.0 s start + 0.38 ms write + 0.23 ms counter read.
-    assert fix.time_s == pytest.approx(5e-05 + 1.0 + 0.00038 + 0.00023, abs=1e-6)
-    assert fix.voltage_before < 3.0  # measured after the sense draw
-    assert v < fix.voltage_after  # sleep keeps discharging
+    assert fix_t == pytest.approx(5e-05 + 1.0 + 0.00038 + 0.00023, abs=1e-6)
+    assert log.voltage_before[1] < 3.0  # measured after the sense draw
+    assert v < log.voltage_after[1]  # sleep keeps discharging
 
 
 def test_depletion_time_is_analytic():
@@ -102,11 +120,12 @@ def test_depletion_time_is_analytic():
         REF, sense_interval_s=None, fix_interval_s=None, transmit_interval_s=None, initial_voltage=2.3
     )
     result = run_simulation(cfg, flat_trace(600, 0.0))
-    depletions = [e for e in result.events if e.kind == "Depletion"]
+    log = result.log
+    depletions = np.flatnonzero(log.kind == EVENT_KINDS.index("Depletion"))
     assert len(depletions) == 1
     expected = SLEEP_TAU * math.log(2.3 / 1.8)
-    assert depletions[0].time_s == pytest.approx(expected, abs=1e-6)
-    assert depletions[0].voltage_before == pytest.approx(1.8, abs=1e-12)
+    assert log.time_s[depletions[0]] == pytest.approx(expected, abs=1e-6)
+    assert log.voltage_before[depletions[0]] == pytest.approx(1.8, abs=1e-12)
     assert result.metrics.depletion_count == 1
     assert result.metrics.total_off_s == pytest.approx(600 * 60 - expected)
     # No harvest: stays off, keeps sagging on leakage.
@@ -119,12 +138,12 @@ def test_recovery_and_cold_fix_after_powered_off_start():
     # hysteresis band and the first fix after recovery is cold.
     cfg = replace(SystemConfig(), initial_voltage=2.0)
     result = run_simulation(cfg, flat_trace(30, 0.01))
-    kinds = [e.kind for e in result.events]
-    assert kinds[0] == "Recovery"
-    assert result.events[0].time_s == 60.0
-    first_fix = next(e for e in result.events if e.kind.startswith("Fix"))
-    assert first_fix.kind == "FixCold"
-    assert first_fix.time_s == pytest.approx(120 + 36.118, abs=0.01)
+    names = kinds(result.log)
+    assert names[0] == "Recovery"
+    assert result.log.time_s[0] == 60.0
+    first_fix = next(i for i, kind in enumerate(names) if kind.startswith("Fix"))
+    assert names[first_fix] == "FixCold"
+    assert result.log.time_s[first_fix] == pytest.approx(120 + 36.118, abs=0.01)
     assert result.metrics.total_off_s == 60.0
     assert result.metrics.cold_starts == 1
     # Later fixes run hot once the ephemeris is fresh.
@@ -135,17 +154,17 @@ def test_starts_depleted_stays_dark():
     cfg = replace(SystemConfig(), initial_voltage=1.8)
     result = run_simulation(cfg, flat_trace(60, 0.0))
     assert result.metrics.total_fixes == 0
-    assert result.events == []
+    assert len(result.log) == 0
     assert result.metrics.total_off_s == 3600.0
     assert not result.power_on.any()
     assert result.voltages[-1] < 1.8
 
 
 def test_clamp_crossing_and_discard():
-    v, events = integrate_tick(5.4, [], 0.01, SystemConfig())
+    v, log = integrate_tick(5.4, [], 0.01, SystemConfig())
     assert v == 5.5
-    assert [e.kind for e in events] == ["ClampStart"]
-    assert 0.0 < events[0].time_s < 60.0
+    assert kinds(log) == ["ClampStart"]
+    assert 0.0 < log.time_s[0] < 60.0
 
     cfg = replace(
         SystemConfig(), initial_voltage=5.4,
@@ -174,8 +193,7 @@ def test_ledger_closure_on_winter_run():
 
 def test_event_log_time_ordered():
     result = run_simulation(SystemConfig(), winter_trace(1))
-    times = [e.time_s for e in result.events]
-    assert all(a <= b for a, b in zip(times, times[1:]))
+    assert np.all(np.diff(result.log.time_s) >= 0.0)
     assert result.metrics.total_fixes == 720
     assert result.metrics.transmissions == 24
 
@@ -198,7 +216,9 @@ def test_determinism_with_jitter():
     a = run_simulation(cfg, trace)
     b = run_simulation(cfg, trace)
     assert np.array_equal(a.voltages, b.voltages)
-    assert a.events == b.events
+    for column in ("time_s", "kind", "voltage_before", "voltage_after", "detail"):
+        assert np.array_equal(getattr(a.log, column), getattr(b.log, column))
+    assert a.log.details == b.log.details
     c = run_simulation(replace(cfg, random_seed=7), trace)
     assert not np.array_equal(a.voltages, c.voltages)
 
@@ -216,12 +236,12 @@ def test_trace_validation_errors():
 
 
 def make_fix(t):
-    return SimEvent(float(t), "FixHot", 3.0, 3.0)
+    return (float(t), "FixHot", 3.0, 3.0)
 
 
 def test_metrics_per_day_statistics():
     events = [make_fix(d * 86400 + i * 120) for d in range(3) for i in range(720)]
-    m = compute_metrics(events, 3 * 86400)
+    m = compute_metrics(hand_log(events), 3 * 86400)
     assert m.total_fixes == 2160
     assert m.fixes_per_day_mean == 720.0
     assert m.fixes_per_day_std == 0.0
@@ -231,13 +251,13 @@ def test_metrics_per_day_statistics():
     # 719/721 alternating: population deviation 1.
     events = [make_fix(i * 120) for i in range(719)]
     events += [make_fix(86400 + i * 110) for i in range(721)]
-    m = compute_metrics(sorted(events, key=lambda e: e.time_s), 2 * 86400)
+    m = compute_metrics(hand_log(sorted(events)), 2 * 86400)
     assert m.fixes_per_day_mean == 720.0
     assert m.fixes_per_day_std == 1.0
 
 
 def test_metrics_empty_log():
-    m = compute_metrics([], 86400)
+    m = compute_metrics(hand_log([]), 86400)
     assert m.total_fixes == 0
     assert m.fixes_per_day_mean == 0.0
     assert m.longest_data_gap_s == 0.0
@@ -246,21 +266,16 @@ def test_metrics_empty_log():
 
 def test_metrics_longest_gap():
     events = [make_fix(100), make_fix(200)]
-    m = compute_metrics(events, 1000)
+    m = compute_metrics(hand_log(events), 1000)
     assert m.longest_data_gap_s == 800.0
     # A log with activity but no fixes gaps the whole run.
-    m = compute_metrics([SimEvent(10.0, "Sense", 3.0, 3.0)], 1000)
+    m = compute_metrics(hand_log([(10.0, "Sense", 3.0, 3.0)]), 1000)
     assert m.longest_data_gap_s == 1000.0
-
-
-def test_metrics_reject_unknown_event_kind():
-    with pytest.raises(ValueError, match="unknown event kind 'Fix'"):
-        compute_metrics([make_fix(0), SimEvent(60.0, "Fix", 3.0, 3.0)], 1000)
 
 
 def test_metrics_partial_day_excluded():
     events = [make_fix(i * 120) for i in range(720)] + [make_fix(86400 + 60)]
-    m = compute_metrics(events, 86400 + 7200)
+    m = compute_metrics(hand_log(events), 86400 + 7200)
     assert m.total_fixes == 721  # totals still count everything
     assert len(m.per_day) == 1  # stats only over the complete day
     assert m.fixes_per_day_mean == 720.0
@@ -277,7 +292,7 @@ def test_export_timeseries(tmp_path):
         rows = list(csv.reader(handle))
     assert rows[0] == TIMESERIES_HEADER
     body = rows[1:]
-    assert len(body) == 601 + len(result.events)
+    assert len(body) == 601 + len(result.log)
     times = [float(r[0]) for r in body]
     assert times == sorted(times)
     assert any(r[6] == "Depletion" for r in body)
