@@ -9,19 +9,7 @@ for runs and parameter sweeps.
 
 from .capacitor import equivalent_resistance, integrate_segment, time_to_voltage
 from .configfile import GeneratorSpec, SweepSpec, load_config, load_sweep_spec
-from .device import (
-    DataSample,
-    DeviceState,
-    GpsContext,
-    GpsMode,
-    Power,
-    on_depletion,
-    on_fix_success,
-    on_recovery,
-    payload_bytes,
-    read_coulomb,
-    select_gps_mode,
-)
+from .device import GpsMode, payload_bytes, select_gps_mode
 from .energy_model import (
     GPS_BACKUP_MA,
     LEAKAGE_BY_CAPACITANCE,
@@ -43,10 +31,12 @@ from .engine import (
     EVENT_KINDS,
     EnergyLedger,
     EventLog,
+    FixRecord,
     SimMetrics,
     SimResult,
     compute_metrics,
     export_timeseries,
+    fix_record,
     integrate_tick,
     run_simulation,
 )
@@ -71,16 +61,16 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ActivityProfile", "CapacitorSpec", "ComponentDraw", "ConfigError",
-    "DataSample", "DeviceState", "EnergyLedger", "EventLog", "GeneratorSpec", "GpsContext",
-    "GpsMode", "HarvestTrace", "IrradianceTrace", "Power", "SimMetrics",
+    "EnergyLedger", "EventLog", "FixRecord", "GeneratorSpec",
+    "GpsMode", "HarvestTrace", "IrradianceTrace", "SimMetrics",
     "SimResult", "SolarChain", "SolarProfile", "SweepSpec", "SystemConfig", "TaskSpec",
     "TraceError", "VoltageThresholds",
     "EVENT_KINDS", "GPS_BACKUP_MA", "LEAKAGE_BY_CAPACITANCE", "MCU_ACTIVE_BASE_MA", "TASKS",
     "builtin_component_table", "combine_sources", "compose_task_current", "compute_metrics",
-    "equivalent_resistance", "export_timeseries", "generate_kinetic_trace",
+    "equivalent_resistance", "export_timeseries", "fix_record", "generate_kinetic_trace",
     "generate_synthetic_irradiance", "integrate_segment", "integrate_tick", "load_config",
-    "load_harvest_csv", "load_irradiance_csv", "load_sweep_spec", "on_depletion",
-    "on_fix_success", "on_recovery", "payload_bytes", "read_coulomb", "run_simulation",
+    "load_harvest_csv", "load_irradiance_csv", "load_sweep_spec",
+    "payload_bytes", "run_simulation",
     "safe_voltage_threshold", "save_harvest_csv", "save_irradiance_csv", "select_gps_mode",
     "solar_current_from_irradiance", "task_energy",
     "time_to_voltage", "validate_config",

@@ -22,7 +22,7 @@ import numpy as np
 
 from .configfile import GeneratorSpec, load_config, load_sweep_spec
 from .energy_model import DEFAULT_V_SUPPLY, ConfigError, SystemConfig, validate_config
-from .engine import SECONDS_PER_DAY, SimResult, export_timeseries, run_simulation
+from .engine import EVENT_KINDS, SECONDS_PER_DAY, SimResult, export_timeseries, fix_record, run_simulation
 from .harvest import (
     DEFAULT_COMBINER_EFFICIENCY,
     HARVEST_HEADER,
@@ -32,6 +32,7 @@ from .harvest import (
     SolarChain,
     SolarProfile,
     TraceError,
+    format_floats,
     generate_kinetic_trace,
     generate_synthetic_irradiance,
     load_harvest_csv,
@@ -40,6 +41,7 @@ from .harvest import (
     save_harvest_csv,
     save_irradiance_csv,
     solar_current_from_irradiance,
+    write_csv,
 )
 
 EXIT_OK = 0
@@ -47,13 +49,16 @@ EXIT_CONFIG = 2
 EXIT_TRACE = 3
 EXIT_IO = 4
 
-COMPARISON_COLUMNS = [
-    "capacitance_f", "leakage_ma", "fix_interval_s",
-    "hot_fixes", "hot_ephemeris", "warm_ephemeris", "cold_starts", "total_fixes",
-    "fixes_per_day_mean", "fixes_per_day_std",
-    "transmissions", "skipped_transmissions", "failed_transmissions",
-    "depletion_count", "total_off_s", "min_voltage",
-]
+# comparison.csv: each column is a field of the cell's capacitor, config or
+# metrics, written with its format spec.
+COMPARISON_COLUMNS = (
+    ("capacitance_f", "g"), ("leakage_ma", "g"), ("fix_interval_s", "d"),
+    ("hot_fixes", "d"), ("hot_ephemeris", "d"), ("warm_ephemeris", "d"), ("cold_starts", "d"),
+    ("total_fixes", "d"), ("fixes_per_day_mean", ".2f"), ("fixes_per_day_std", ".2f"),
+    ("transmissions", "d"), ("skipped_transmissions", "d"), ("failed_transmissions", "d"),
+    ("depletion_count", "d"), ("total_off_s", ".0f"), ("min_voltage", ".6f"),
+)
+SAMPLES_HEADER = ["t_s", "kind", "coulomb_c", "delivered_s"]
 
 
 def _generate_trace(generator: GeneratorSpec, config: SystemConfig) -> HarvestTrace:
@@ -86,11 +91,27 @@ def _load_trace(path: str, config: SystemConfig) -> HarvestTrace:
     return HarvestTrace.build(solar, kinetic, config.combiner_efficiency, source.start_epoch_s, source.resolution_s)
 
 
+def _write_samples(result: SimResult, path: str) -> None:
+    """One row per fix: time, kind, Coulomb reading, upload time (blank if unsent)."""
+    record = fix_record(result)
+    kinds = np.array(EVENT_KINDS, dtype=object)[record.kind]
+
+    def rows(start: int, stop: int):
+        delivered = format_floats(record.delivered_s[start:stop], "%.5f")
+        return zip(
+            format_floats(record.time_s[start:stop], "%.5f"), kinds[start:stop].tolist(),
+            format_floats(record.coulomb_c[start:stop], "%.9e"), ["" if d == "nan" else d for d in delivered],
+        )
+
+    write_csv(path, SAMPLES_HEADER, kinds.size, rows)
+
+
 def _write_run_outputs(result: SimResult, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     export_timeseries(result, str(out_dir / "timeseries.csv"))
     (out_dir / "metrics.json").write_text(json.dumps(result.metrics.to_dict(), indent=2) + "\n")
     (out_dir / "ledger.json").write_text(json.dumps(result.ledger.to_dict(), indent=2) + "\n")
+    _write_samples(result, str(out_dir / "samples.csv"))
 
 
 def _print_run_summary(result: SimResult) -> None:
@@ -109,7 +130,7 @@ def _run_duration(days: int | None, trace: HarvestTrace) -> int | None:
     """Run length for --days: None (the whole trace) when the flag is absent."""
     if days is None:
         return None
-    return min(days * SECONDS_PER_DAY, len(trace) * trace.resolution_s)
+    return min(days * SECONDS_PER_DAY, trace.duration_s)
 
 
 def _check_days(days: int | None) -> None:
@@ -129,7 +150,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     result = run_simulation(config, trace, _run_duration(args.days, trace))
     _write_run_outputs(result, Path(args.out))
     _print_run_summary(result)
-    print(f"outputs in {args.out}/: timeseries.csv metrics.json ledger.json")
+    print(f"outputs in {args.out}/: timeseries.csv metrics.json ledger.json samples.csv")
     return EXIT_OK
 
 
@@ -153,19 +174,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         cell = f"c{config.capacitor.capacitance_f:g}F_i{config.fix_interval_s}s"
         _write_run_outputs(result, out_dir / cell)
         m = result.metrics
-        rows.append([
-            f"{config.capacitor.capacitance_f:g}", f"{config.capacitor.leakage_ma:g}",
-            str(config.fix_interval_s),
-            str(m.hot_fixes), str(m.hot_ephemeris), str(m.warm_ephemeris), str(m.cold_starts),
-            str(m.total_fixes), f"{m.fixes_per_day_mean:.2f}", f"{m.fixes_per_day_std:.2f}",
-            str(m.transmissions), str(m.skipped_transmissions), str(m.failed_transmissions),
-            str(m.depletion_count), f"{m.total_off_s:.0f}", f"{m.min_voltage:.6f}",
-        ])
+        values = {**vars(config.capacitor), **vars(config), **vars(m)}
+        rows.append([format(values[name], spec) for name, spec in COMPARISON_COLUMNS])
         print(f"{cell}: total {m.total_fixes} fixes, {m.depletion_count} depletions")
 
     comparison = out_dir / "comparison.csv"
     with open(comparison, "w", newline="") as handle:
-        handle.write(",".join(COMPARISON_COLUMNS) + "\n")
+        handle.write(",".join(name for name, _ in COMPARISON_COLUMNS) + "\n")
         for row in rows:
             handle.write(",".join(row) + "\n")
     print(f"comparison table: {comparison}")

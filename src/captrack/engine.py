@@ -22,7 +22,7 @@ import numpy as np
 
 from . import device as dev
 from .capacitor import equivalent_resistance, integrate_segment, time_to_voltage
-from .device import DeviceState, GpsMode, Power, select_gps_mode
+from .device import GpsMode, select_gps_mode
 from .energy_model import TASKS, SystemConfig, compose_task_current, validate_config
 from .harvest import HarvestTrace, TraceError, csv_field, current_text, format_floats, write_csv
 
@@ -206,13 +206,34 @@ class SimResult:
     log: EventLog
     metrics: SimMetrics
     ledger: EnergyLedger
-    device: DeviceState  # end-of-run device state (buffer, accumulator, gps)
+
+
+@dataclass(frozen=True)
+class FixRecord:
+    """The samples a run's fixes buffered, as columns in log order.
+
+    time_s and kind are the fix event's; coulomb_c is the kinetic charge
+    the Coulomb counter read at the fix, counted over whole ticks since the
+    previous fix's tick; delivered_s is the time of the upload that sent the
+    sample, NaN if none did. undrained_c is the charge counted after the last
+    fix.
+    """
+
+    time_s: np.ndarray
+    kind: np.ndarray
+    coulomb_c: np.ndarray
+    delivered_s: np.ndarray
+    undrained_c: float
 
 
 class _Simulator:
     """Mutable per-run machinery; one instance per run, strictly sequential.
 
-    t and v are the time and voltage at the end of the last segment.
+    t and v are the time and voltage at the end of the last segment. The
+    device state is what the scheduler decides from: whether it is powered,
+    the tick start of the last ephemeris refresh (the ephemeris age is the
+    tick start minus it; None once the backup domain has lost power), and
+    the number of fixes buffered since the last successful upload.
     """
 
     def __init__(self, config: SystemConfig):
@@ -225,8 +246,11 @@ class _Simulator:
         self.discarded_j = 0.0
         self.consumed: defaultdict[str, float] = defaultdict(float)  # tasks in first-use order
         self.clamp_active = False
-        power_on = config.initial_voltage >= config.thresholds.v_turn_on
-        self.state = DeviceState.initial(config, power_on)
+        self.powered = config.initial_voltage >= config.thresholds.v_turn_on
+        # An unpowered start means the backup domain never held state.
+        backed = self.powered and config.initial_backup_valid
+        self.ephemeris_t = -config.initial_ephemeris_age_s if backed else None
+        self.buffered = 0
         self.t = 0.0
         self.v = config.initial_voltage
         cap = config.capacitor
@@ -361,7 +385,8 @@ class _Simulator:
         if failure is not None:
             self.rows.append((t, failure, v, v, self._detail(detail)))
         self.rows.append((t, _DEPLETION, v, v, 0))
-        dev.on_depletion(self.state)
+        self.powered = False
+        self.ephemeris_t = None  # the backup domain is lost; flash keeps the buffer
         self._step(self.loads["TurnedOff"], tick_end - t, i_h, False)
         return self.v
 
@@ -369,7 +394,6 @@ class _Simulator:
         """Run one On-state tick: due activities then sleep, with gating."""
         cfg = self.config
         thr = cfg.thresholds
-        state = self.state
         step = self._step
         rows = self.rows
         loads = self.loads
@@ -384,7 +408,8 @@ class _Simulator:
                 rows.append((self.t, _SENSE, v_before, self.v, 0))
 
             elif activity == dev.FIX:
-                mode = select_gps_mode(state.gps, self.v, thr, cfg)
+                refreshed = self.ephemeris_t
+                mode = select_gps_mode(None if refreshed is None else t_start - refreshed, self.v, thr, cfg)
                 if mode is None:
                     rows.append((self.t, _FIX_SKIPPED, self.v, self.v, self._detail("low-voltage")))
                     continue
@@ -395,12 +420,13 @@ class _Simulator:
                 for load, duration, _ in plan:
                     if step(load, duration, i_h, True):
                         return self._deplete(i_h, tick_end, _TASK_FAILED, load[0])
-                coulomb = dev.read_coulomb(state)
-                dev.on_fix_success(state, mode, coulomb)
+                if mode is not GpsMode.HOT:  # every other mode leaves a fresh ephemeris
+                    self.ephemeris_t = t_start
+                self.buffered += 1
                 rows.append((self.t, kind, v_before, self.v, 0))
 
             elif activity == dev.TRANSMIT:
-                samples = len(state.buffer)
+                samples = self.buffered
                 if self.v < thr.nbiot:
                     rows.append((self.t, _TRANSMIT_SKIPPED, self.v, self.v, self._detail("low-voltage")))
                     continue
@@ -416,7 +442,7 @@ class _Simulator:
                 v_before = self.v
                 if step(load, duration, i_h, True):
                     return self._deplete(i_h, tick_end, _TRANSMIT_FAILED, detail)
-                state.buffer.clear()
+                self.buffered = 0
                 rows.append((self.t, _TRANSMIT, v_before, self.v, self._detail(detail)))
 
             else:
@@ -437,13 +463,10 @@ class _Simulator:
         cfg = self.config
         tick = cfg.base_tick_s
         v_turn_on = cfg.thresholds.v_turn_on
-        on = Power.ON
-        state = self.state
 
         times = np.arange(n_ticks + 1, dtype=np.int64) * tick
-        schedule = dev.due_schedule(state.clock, n_ticks, cfg)
+        schedule = dev.due_schedule(0, n_ticks, cfg)
         combined = harvest.combined_a[:n_ticks].tolist()
-        kinetic = harvest.kinetic_a[:n_ticks].tolist()
         v_initial = self.v
         voltages = [v_initial]
         power_on = []
@@ -452,20 +475,17 @@ class _Simulator:
 
         for i in range(n_ticks):
             t = i * tick
-            if state.power is not on and self.v >= v_turn_on:
-                dev.on_recovery(state)
+            if not self.powered and self.v >= v_turn_on:
+                self.powered = True
                 self.rows.append((float(t), _RECOVERY, self.v, self.v, 0))
-            if state.power is on:
+            if self.powered:
                 power_on.append(True)
-                voltages.append(execute_tick(float(t), schedule[i], combined[i]))
+                voltages.append(execute_tick(t, schedule[i], combined[i]))
             else:
                 power_on.append(False)
                 voltages.append(execute_off_tick(float(t), combined[i]))
-            state.coulomb_accumulator += kinetic[i] * tick
-            state.clock += tick
-            state.gps.advance(tick)
 
-        power_on.append(state.power is on)
+        power_on.append(self.powered)
         duration = n_ticks * tick
         ledger = EnergyLedger(
             self.harvested_j, dict(self.consumed), self.leakage_j, self.discarded_j,
@@ -475,7 +495,7 @@ class _Simulator:
         log = self.log()
         power_on = np.array(power_on, dtype=bool)
         metrics = compute_metrics(log, duration, voltages=voltages, power_on_at_start=bool(power_on[0]))
-        return SimResult(cfg, harvest, duration, times, voltages, power_on, log, metrics, ledger, state)
+        return SimResult(cfg, harvest, duration, times, voltages, power_on, log, metrics, ledger)
 
 
 def run_simulation(config: SystemConfig, harvest: HarvestTrace, duration_s: int | None = None) -> SimResult:
@@ -490,7 +510,7 @@ def run_simulation(config: SystemConfig, harvest: HarvestTrace, duration_s: int 
         raise TraceError(
             f"trace resolution {harvest.resolution_s} s != base tick {config.base_tick_s} s"
         )
-    available = len(harvest) * harvest.resolution_s
+    available = harvest.duration_s
     if duration_s is None:
         duration_s = available
     if duration_s <= 0:
@@ -508,21 +528,18 @@ def integrate_tick(
     tasks: list[str],
     harvest_current_a: float,
     config: SystemConfig,
-    state: DeviceState | None = None,
     tick_start_s: float = 0.0,
 ) -> tuple[float, EventLog]:
     """Run a single tick in isolation: given activities, then sleep.
 
-    Convenience wrapper over the same machinery run_simulation uses; builds a
-    fresh powered-on device when no state is passed. Returns the end-of-tick
-    voltage and the tick's events as an EventLog.
+    Convenience wrapper over the same machinery run_simulation uses, with the
+    device in the config's initial state. Returns the end-of-tick voltage and
+    the tick's events as an EventLog.
     """
     config = validate_config(config)
     sim = _Simulator(config)
-    if state is not None:
-        sim.state = state
     sim.v = voltage
-    if sim.state.power is Power.ON:
+    if sim.powered:
         v_end = sim.execute_tick(tick_start_s, tasks, harvest_current_a)
     else:
         v_end = sim.execute_off_tick(tick_start_s, harvest_current_a)
@@ -604,6 +621,29 @@ def compute_metrics(
     return m
 
 
+def fix_record(result: SimResult) -> FixRecord:
+    """The run's fix record, derived from its event log and trace.
+
+    A fix ends inside its tick (validate_config caps the task stack at
+    base_tick_s), so its tick is time_s // base_tick_s. The counter adds each
+    tick's kinetic charge at the tick's end and is read at every fix. A
+    successful upload sends every sample buffered before it in log order.
+    """
+    log = result.log
+    tick = result.config.base_tick_s
+    n_ticks = len(result.times_s) - 1
+    fixes = np.flatnonzero((log.kind >= _FIX_HOT) & (log.kind <= _FIX_COLD))
+    time_s = log.time_s[fixes]
+    counted = np.concatenate([[0.0], np.cumsum(result.harvest.kinetic_a[:n_ticks] * tick)])
+    read = counted[np.concatenate([[0], time_s // tick]).astype(np.intp)]
+    uploads = np.flatnonzero(log.kind == _TRANSMIT)
+    upload = np.searchsorted(uploads, fixes)
+    delivered_s = np.full(fixes.size, np.nan)
+    sent = upload < uploads.size
+    delivered_s[sent] = log.time_s[uploads[upload[sent]]]
+    return FixRecord(time_s, log.kind[fixes], np.diff(read), delivered_s, float(counted[-1] - read[-1]))
+
+
 def export_timeseries(result: SimResult, path: str) -> None:
     """Write the run as CSV: one row per tick boundary plus one per event.
 
@@ -633,7 +673,7 @@ def export_timeseries(result: SimResult, path: str) -> None:
         kind, detail = EVENT_KINDS[pair // n_details], log.details[pair % n_details]
         text = csv_field(f"{kind}:{detail}" if detail else kind)
         tails += [f"Off,{text}", f"On,{text}"]
-    # Power state after each event, in log order (not time order): set by the
+    # The power state after each event, in log order (not time order): set by the
     # latest Depletion or Recovery so far, else the first tick row's state.
     sets_power = np.where(log.kind == _DEPLETION, 0, np.where(log.kind == _RECOVERY, 1, -1))
     latest = np.maximum.accumulate(np.where(sets_power >= 0, np.arange(len(log)), -1))

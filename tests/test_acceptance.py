@@ -15,9 +15,9 @@ import numpy as np
 import pytest
 
 from captrack.capacitor import equivalent_resistance, integrate_segment
-from captrack.device import payload_bytes
+from captrack.device import SAMPLE_BYTES, payload_bytes
 from captrack.energy_model import CapacitorSpec, SystemConfig, compose_task_current, task_energy
-from captrack.engine import EVENT_KINDS, run_simulation
+from captrack.engine import EVENT_KINDS, fix_record, run_simulation
 from captrack.harvest import (
     ActivityProfile,
     HarvestTrace,
@@ -224,11 +224,7 @@ def test_acceptance_10_payload_model():
     with criterion(10, "16-byte samples and buffer conservation across skips"):
         assert payload_bytes(30) == 480
         assert payload_bytes(1) == 16
-        from captrack.device import DataSample
-
-        assert DataSample.POSITION_BYTES == 12
-        assert DataSample.COULOMB_BYTES == 4
-        assert DataSample.WIRE_BYTES == 16
+        assert SAMPLE_BYTES == 16
 
         # Uploads gated above the resting voltage: every fix stays buffered.
         from captrack.energy_model import VoltageThresholds
@@ -246,5 +242,7 @@ def test_acceptance_10_payload_model():
         assert m.transmissions == 0
         assert m.skipped_transmissions == 2  # hourly attempts, both refused
         assert m.total_fixes > 0
-        assert len(result.device.buffer) == m.total_fixes
-        assert payload_bytes(len(result.device.buffer)) == 16 * m.total_fixes
+        record = fix_record(result)
+        undelivered = int(np.isnan(record.delivered_s).sum())
+        assert undelivered == record.time_s.size == m.total_fixes
+        assert payload_bytes(undelivered) == 16 * m.total_fixes

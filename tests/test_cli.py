@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 
 import pytest
 
@@ -52,7 +53,7 @@ def test_simulate_missing_trace(tmp_path, capsys):
 def test_simulate_builtin_day(tmp_path, capsys):
     out = tmp_path / "run"
     assert main(["simulate", "--out", str(out), "--days", "1"]) == EXIT_OK
-    for name in ("timeseries.csv", "metrics.json", "ledger.json"):
+    for name in ("timeseries.csv", "metrics.json", "ledger.json", "samples.csv"):
         assert (out / name).exists()
     metrics = json.loads((out / "metrics.json").read_text())
     assert metrics["total_fixes"] == 720
@@ -60,6 +61,25 @@ def test_simulate_builtin_day(tmp_path, capsys):
     ledger = json.loads((out / "ledger.json").read_text())
     assert abs(ledger["closure_error_j"]) < 1e-6
     assert "720 fixes" in capsys.readouterr().out
+
+
+def test_simulate_writes_samples_csv(tmp_path):
+    out = tmp_path / "run"
+    assert main(["simulate", "--out", str(out), "--days", "1"]) == EXIT_OK
+    lines = (out / "samples.csv").read_bytes().split(b"\r\n")
+    assert lines[0] == b"t_s,kind,coulomb_c,delivered_s"
+    assert lines[-1] == b""
+    rows = [line.decode().split(",") for line in lines[1:-1]]
+    assert len(rows) == json.loads((out / "metrics.json").read_text())["total_fixes"] == 720
+    # The first fix ends after the sense and the fix's three segments; the
+    # upload in the same tick sends it 7.89 s later.
+    assert lines[1] == b"1.00066,FixHot,0.000000000e+00,8.89066"
+    for t_s, kind, coulomb_c, delivered_s in rows:
+        assert re.fullmatch(r"\d+\.\d{5}", t_s) and kind.startswith("Fix")
+        assert re.fullmatch(r"\d\.\d{9}e[+-]\d\d", coulomb_c)
+        assert delivered_s == "" or float(delivered_s) >= float(t_s)
+    # The last upload is at 23:00; the 29 fixes after it stay in the buffer.
+    assert [row[3] == "" for row in rows] == [False] * 691 + [True] * 29
 
 
 def test_simulate_with_irradiance_trace(tmp_path):
@@ -121,6 +141,7 @@ def test_sweep_grid(tmp_path, capsys):
         assert parts == int(row["total_fixes"])
         cell = out / f"c{row['capacitance_f']}F_i{row['fix_interval_s']}s"
         assert (cell / "metrics.json").exists()
+        assert (cell / "samples.csv").exists()
     # Denser schedule fixes more.
     by_cell = {(r["capacitance_f"], r["fix_interval_s"]): int(r["total_fixes"]) for r in rows}
     assert by_cell[("2.5", "120")] > by_cell[("2.5", "300")]

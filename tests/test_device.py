@@ -1,4 +1,7 @@
-"""Scheduling and GPS mode selection rules."""
+"""Scheduling, GPS mode selection and the device state the engine carries."""
+
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,57 +10,56 @@ from captrack.device import (
     FIX,
     SENSE,
     TRANSMIT,
-    DataSample,
-    DeviceState,
-    GpsContext,
     GpsMode,
-    Power,
     due_schedule,
-    on_depletion,
-    on_fix_success,
-    on_recovery,
     payload_bytes,
-    read_coulomb,
     select_gps_mode,
 )
-from captrack.energy_model import SystemConfig, validate_config
+from captrack.energy_model import CapacitorSpec, SystemConfig, VoltageThresholds, validate_config
+from captrack.engine import EVENT_KINDS, fix_record, run_simulation
+from captrack.harvest import HarvestTrace
 
 CONFIG = validate_config(SystemConfig())
 THRESHOLDS = CONFIG.thresholds
 
 
-def fresh_context(age_s):
-    return GpsContext(ephemeris_age_s=age_s, backup_valid=True)
+def fix_kinds(**overrides):
+    """Fix kinds of a run with one fix per tick under a strong, steady harvest."""
+    settings = {"sense_interval_s": None, "fix_interval_s": 60, "transmit_interval_s": None, "initial_voltage": 5.0}
+    config = replace(SystemConfig(), **{**settings, **overrides})
+    level = np.full(400, 5e-3)
+    result = run_simulation(config, HarvestTrace(0, 60, level, level, level))
+    return [EVENT_KINDS[k] for k in fix_record(result).kind.tolist()]
 
 
 def test_mode_selection_examples():
-    assert select_gps_mode(fresh_context(7200), 2.5, THRESHOLDS, CONFIG) is GpsMode.HOT
-    assert select_gps_mode(fresh_context(18000), 2.5, THRESHOLDS, CONFIG) is GpsMode.WARM_EPHEMERIS
-    assert select_gps_mode(fresh_context(7200), 1.85, THRESHOLDS, CONFIG) is None
-    assert select_gps_mode(GpsContext(None, False), 2.5, THRESHOLDS, CONFIG) is GpsMode.COLD
+    assert select_gps_mode(7200, 2.5, THRESHOLDS, CONFIG) is GpsMode.HOT
+    assert select_gps_mode(18000, 2.5, THRESHOLDS, CONFIG) is GpsMode.WARM_EPHEMERIS
+    assert select_gps_mode(7200, 1.85, THRESHOLDS, CONFIG) is None
+    assert select_gps_mode(None, 2.5, THRESHOLDS, CONFIG) is GpsMode.COLD
 
 
 def test_mode_selection_boundaries():
     # Hot limit is inclusive, warm limit is inclusive, beyond warm is cold.
-    assert select_gps_mode(fresh_context(14400), 2.5, THRESHOLDS, CONFIG) is GpsMode.HOT_EPHEMERIS
-    assert select_gps_mode(fresh_context(14401), 2.5, THRESHOLDS, CONFIG) is GpsMode.WARM_EPHEMERIS
-    assert select_gps_mode(fresh_context(172800), 2.5, THRESHOLDS, CONFIG) is GpsMode.WARM_EPHEMERIS
-    assert select_gps_mode(fresh_context(172801), 2.5, THRESHOLDS, CONFIG) is GpsMode.COLD
+    assert select_gps_mode(14400, 2.5, THRESHOLDS, CONFIG) is GpsMode.HOT_EPHEMERIS
+    assert select_gps_mode(14401, 2.5, THRESHOLDS, CONFIG) is GpsMode.WARM_EPHEMERIS
+    assert select_gps_mode(172800, 2.5, THRESHOLDS, CONFIG) is GpsMode.WARM_EPHEMERIS
+    assert select_gps_mode(172801, 2.5, THRESHOLDS, CONFIG) is GpsMode.COLD
 
 
 def test_mode_selection_refresh_upgrade():
     # Past the refresh age a hot fix takes the download variant when voltage
     # allows, otherwise falls back to a plain hot start.
-    assert select_gps_mode(fresh_context(10800), 2.5, THRESHOLDS, CONFIG) is GpsMode.HOT_EPHEMERIS
-    assert select_gps_mode(fresh_context(10799), 2.5, THRESHOLDS, CONFIG) is GpsMode.HOT
-    assert select_gps_mode(fresh_context(10800), 1.95, THRESHOLDS, CONFIG) is GpsMode.HOT
-    assert select_gps_mode(fresh_context(10800), 1.85, THRESHOLDS, CONFIG) is None
+    assert select_gps_mode(10800, 2.5, THRESHOLDS, CONFIG) is GpsMode.HOT_EPHEMERIS
+    assert select_gps_mode(10799, 2.5, THRESHOLDS, CONFIG) is GpsMode.HOT
+    assert select_gps_mode(10800, 1.95, THRESHOLDS, CONFIG) is GpsMode.HOT
+    assert select_gps_mode(10800, 1.85, THRESHOLDS, CONFIG) is None
 
 
 def test_mode_selection_cold_gate():
     # Cold threshold for the default 2.5 F capacitor derives to 2.01 V.
-    assert select_gps_mode(GpsContext(None, False), 2.01, THRESHOLDS, CONFIG) is GpsMode.COLD
-    assert select_gps_mode(GpsContext(None, False), 2.009, THRESHOLDS, CONFIG) is None
+    assert select_gps_mode(None, 2.01, THRESHOLDS, CONFIG) is GpsMode.COLD
+    assert select_gps_mode(None, 2.009, THRESHOLDS, CONFIG) is None
 
 
 def test_mode_selection_is_total():
@@ -68,9 +70,9 @@ def test_mode_selection_is_total():
     for _ in range(500):
         age = int(rng.integers(0, 300000))
         voltage = float(rng.uniform(1.8, 5.5))
-        mode = select_gps_mode(fresh_context(age), voltage, THRESHOLDS, CONFIG)
+        mode = select_gps_mode(age, voltage, THRESHOLDS, CONFIG)
         assert mode is None or isinstance(mode, GpsMode)
-        stale = select_gps_mode(fresh_context(age + 200000), voltage, THRESHOLDS, CONFIG)
+        stale = select_gps_mode(age + 200000, voltage, THRESHOLDS, CONFIG)
         if mode is not None and stale is not None:
             assert rank[stale] >= rank[mode] or stale is GpsMode.COLD
 
@@ -95,41 +97,13 @@ def test_due_tasks_disabled_interval():
 
 
 def test_fix_success_age_bookkeeping():
-    state = DeviceState.initial(CONFIG, power_on=True)
-    state.gps.ephemeris_age_s = 5000
-    state.clock = 120
-    on_fix_success(state, GpsMode.HOT, 0.25)
-    # Plain hot start keeps the old ephemeris running.
-    assert state.gps.ephemeris_age_s == 5000
-    assert state.buffer == [DataSample(120, 0.25)]
-
-    for mode in (GpsMode.HOT_EPHEMERIS, GpsMode.WARM_EPHEMERIS, GpsMode.COLD):
-        state.gps.ephemeris_age_s = 99999
-        on_fix_success(state, mode, 0.0)
-        assert state.gps.ephemeris_age_s == 0
-
-    # A cold fix after backup loss restores the domain.
-    state.gps.invalidate()
-    assert state.gps.ephemeris_age_s is None
-    on_fix_success(state, GpsMode.COLD, 0.0)
-    assert state.gps.backup_valid and state.gps.ephemeris_age_s == 0
-
-
-def test_context_advance_and_invalidate():
-    gps = fresh_context(100)
-    gps.advance(60)
-    assert gps.ephemeris_age_s == 160
-    gps.invalidate()
-    gps.advance(60)
-    assert gps.ephemeris_age_s is None
-    assert GpsContext(12345, backup_valid=False).ephemeris_age_s is None
-
-
-def test_read_coulomb_drains():
-    state = DeviceState.initial(CONFIG, power_on=True)
-    state.coulomb_accumulator = 0.125
-    assert read_coulomb(state) == 0.125
-    assert read_coulomb(state) == 0.0
+    # A download or a fresh acquisition restarts the ephemeris age at its
+    # fix's tick; a plain hot fix leaves it running, so the next download
+    # comes 3 h after the last restart.
+    hot = ["FixHot"] * 179
+    assert fix_kinds(initial_backup_valid=False)[:362] == ["FixCold", *hot, "FixHotEph", *hot, "FixHotEph", "FixHot"]
+    assert fix_kinds(initial_ephemeris_age_s=20000)[:181] == ["FixWarmEph", *hot, "FixHotEph"]
+    assert fix_kinds(initial_ephemeris_age_s=10790)[:182] == ["FixHot", "FixHotEph", *hot, "FixHotEph"]
 
 
 def test_payload_sizes():
@@ -141,21 +115,33 @@ def test_payload_sizes():
 
 
 def test_depletion_and_recovery():
-    state = DeviceState.initial(CONFIG, power_on=True)
-    state.buffer.append(DataSample(0, 0.0))
-    on_depletion(state)
-    assert state.power is Power.OFF
-    assert not state.gps.backup_valid
-    assert len(state.buffer) == 1  # flash survives the power loss
-    on_recovery(state)
-    assert state.power is Power.ON
-    assert state.gps.ephemeris_age_s is None  # still needs a cold fix
+    # A fix buffered before a power loss survives it in flash: the first
+    # successful upload after recovery sends it and counts it. The lost
+    # backup domain makes the first fix after recovery cold.
+    gates = VoltageThresholds(v_turn_on=1.85, hot_start=1.82, nbiot=1.81)
+    config = SystemConfig(
+        capacitor=CapacitorSpec.from_capacitance(1.0), thresholds=gates, sense_interval_s=None,
+        fix_interval_s=600, transmit_interval_s=1800, initial_voltage=1.86,
+    )
+    level = np.full(60, 5e-3)
+    level[0] = 0.0  # the first upload drains the capacitor to the floor
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # gates below their safe bounds, on purpose
+        result = run_simulation(config, HarvestTrace(0, 60, level, level, level))
+    log = result.log
+    names = [EVENT_KINDS[k] for k in log.kind.tolist()]
+    assert names[:4] == ["FixHot", "TransmitFailed", "Depletion", "Recovery"]
+    upload = names.index("Transmit")
+    assert log.details[log.detail[upload]] == "samples=4"
+    record = fix_record(result)
+    assert [EVENT_KINDS[k] for k in record.kind[:4].tolist()] == ["FixHot", "FixCold", "FixHot", "FixHot"]
+    assert record.time_s[0] < log.time_s[names.index("Depletion")]
+    assert record.delivered_s[:4].tolist() == [log.time_s[upload]] * 4
 
 
 def test_initial_state():
-    powered = DeviceState.initial(CONFIG, power_on=True)
-    assert powered.power is Power.ON
-    assert powered.gps.ephemeris_age_s == 0 and powered.gps.backup_valid
-    unpowered = DeviceState.initial(CONFIG, power_on=False)
-    assert unpowered.power is Power.OFF
-    assert unpowered.gps.ephemeris_age_s is None and not unpowered.gps.backup_valid
+    # A powered start keeps the configured ephemeris age; a start without a
+    # valid backup domain, or below v_turn_on, needs a cold fix.
+    assert fix_kinds(initial_ephemeris_age_s=0)[0] == "FixHot"
+    assert fix_kinds(initial_backup_valid=False)[0] == "FixCold"
+    assert fix_kinds(initial_voltage=2.1)[0] == "FixCold"

@@ -16,6 +16,7 @@ from captrack.engine import (
     EventLog,
     compute_metrics,
     export_timeseries,
+    fix_record,
     integrate_tick,
     run_simulation,
 )
@@ -199,15 +200,16 @@ def test_event_log_time_ordered():
 
 
 def test_coulomb_closure_without_transmissions():
-    # Transmit disabled so the buffer keeps every sample: buffered charge
-    # plus the unread accumulator must equal the integrated kinetic charge.
+    # Transmit disabled so no sample is delivered: the recorded charge plus
+    # the charge counted after the last fix must equal the kinetic charge.
     trace = winter_trace(1)
     cfg = replace(SystemConfig(), transmit_interval_s=None)
     result = run_simulation(cfg, trace)
+    record = fix_record(result)
     charge_in = float(trace.kinetic_a.sum()) * 60.0
-    buffered = sum(s.coulomb_c for s in result.device.buffer)
-    assert buffered + result.device.coulomb_accumulator == pytest.approx(charge_in, rel=1e-9)
-    assert len(result.device.buffer) == result.metrics.total_fixes
+    assert float(record.coulomb_c.sum()) + record.undrained_c == pytest.approx(charge_in, rel=1e-9)
+    assert record.time_s.size == result.metrics.total_fixes
+    assert np.isnan(record.delivered_s).all()
 
 
 def test_determinism_with_jitter():

@@ -5,26 +5,29 @@ engine._Simulator (with its _segment, _account and _run_activity) and
 engine.compute_metrics, kept verbatim apart from their names. They log
 SimEvent records and call the per-tick due_tasks, both kept here as they
 were, and select_gps_mode through a shim that gives back the earlier
-decision record. Every case runs the same config and trace through both
-engines and compares voltages and power states bit for bit. The oracle's
-events are converted to columns and compared with the engine's log: times
-and voltages bit for bit, kinds and details in order. The ledger, metrics
-and end-of-run device state are compared for equality.
+decision record. Its device state and hooks (DataSample, DeviceState,
+on_fix_success and the rest) are kept here too; on_fix_success also keeps
+every sample it buffers. Every case runs the same config and trace through
+both engines and compares voltages and power states bit for bit. The
+oracle's events are converted to columns and compared with the engine's log:
+times and voltages bit for bit, kinds and details (so the samples=N of each
+upload) in order. The ledger and metrics are compared for equality, and the
+engine's fix_record against the oracle's samples and end-of-run buffer.
 """
 
+import enum
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from types import SimpleNamespace
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from captrack import device as dev
-from captrack import engine
+from captrack import device, engine
 from captrack.capacitor import equivalent_resistance, integrate_segment
-from captrack.device import FIX, SENSE, TRANSMIT, DeviceState, GpsMode, Power
+from captrack.device import FIX, SENSE, TRANSMIT, GpsMode
 from captrack.energy_model import (
     TASKS,
     CapacitorSpec,
@@ -42,9 +45,110 @@ from captrack.engine import (
     EventLog,
     SimMetrics,
     compute_metrics,
+    fix_record,
     run_simulation,
 )
 from captrack.harvest import HarvestTrace
+
+
+class Power(enum.Enum):
+    ON = "On"
+    OFF = "Off"
+
+
+@dataclass
+class GpsContext:
+    """Ephemeris freshness state. age_s is None whenever the backup domain
+    (RTC + backup RAM) has lost power, which forces the next fix cold."""
+
+    ephemeris_age_s: int | None = 0
+    backup_valid: bool = True
+
+    def __post_init__(self) -> None:
+        if not self.backup_valid:
+            self.ephemeris_age_s = None
+
+    def invalidate(self) -> None:
+        self.backup_valid = False
+        self.ephemeris_age_s = None
+
+    def advance(self, seconds: int) -> None:
+        if self.ephemeris_age_s is not None:
+            self.ephemeris_age_s += seconds
+
+
+@dataclass(frozen=True)
+class DataSample:
+    """One buffered record: position plus the Coulomb delta since last fix."""
+
+    time_s: int
+    coulomb_c: float
+
+
+@dataclass
+class DeviceState:
+    power: Power
+    gps: GpsContext
+    buffer: list[DataSample] = field(default_factory=list)
+    coulomb_accumulator: float = 0.0
+    clock: int = 0
+    samples: list[DataSample] = field(default_factory=list)  # every sample buffered
+
+    @classmethod
+    def initial(cls, config: SystemConfig, power_on: bool) -> "DeviceState":
+        # An unpowered start means the backup domain never held state.
+        if power_on and config.initial_backup_valid:
+            gps = GpsContext(config.initial_ephemeris_age_s, True)
+        else:
+            gps = GpsContext(None, False)
+        return cls(Power.ON if power_on else Power.OFF, gps)
+
+
+# Modes whose fix leaves a fresh ephemeris.
+_EPHEMERIS_RESET = (GpsMode.HOT_EPHEMERIS, GpsMode.WARM_EPHEMERIS, GpsMode.COLD)
+
+
+def on_fix_success(state: DeviceState, mode: GpsMode, coulomb_value: float) -> None:
+    """Record the sample and refresh the ephemeris bookkeeping.
+
+    Any successful fix revives the backup domain. Modes that download orbit
+    data (and cold, which acquires it from scratch) reset the age; a plain
+    hot fix leaves it running.
+    """
+    state.buffer.append(DataSample(state.clock, coulomb_value))
+    state.samples.append(state.buffer[-1])
+    state.gps.backup_valid = True
+    if mode in _EPHEMERIS_RESET:
+        state.gps.ephemeris_age_s = 0
+    elif state.gps.ephemeris_age_s is None:
+        state.gps.ephemeris_age_s = 0
+
+
+def read_coulomb(state: DeviceState) -> float:
+    """Drain the charge accumulated since the previous read, in coulombs."""
+    value = state.coulomb_accumulator
+    state.coulomb_accumulator = 0.0
+    return value
+
+
+def on_depletion(state: DeviceState) -> None:
+    """Voltage fell below v_min: power down, backup domain lost, buffer kept."""
+    state.power = Power.OFF
+    state.gps.invalidate()
+
+
+def on_recovery(state: DeviceState) -> None:
+    """Voltage recovered to v_turn_on at a tick boundary: resume scheduling."""
+    state.power = Power.ON
+
+
+# What the oracle loop calls as `dev`: the device module's schedule names and
+# payload model, with the hooks above.
+dev = SimpleNamespace(
+    SENSE=SENSE, FIX=FIX, TRANSMIT=TRANSMIT,
+    payload_bytes=device.payload_bytes, REFERENCE_PAYLOAD_BYTES=device.REFERENCE_PAYLOAD_BYTES,
+    on_fix_success=on_fix_success, read_coulomb=read_coulomb, on_depletion=on_depletion, on_recovery=on_recovery,
+)
 
 
 @dataclass(frozen=True)
@@ -103,8 +207,8 @@ def due_tasks(clock: int, config: SystemConfig) -> list[str]:
     return due
 
 
-def select_gps_mode(*args) -> SimpleNamespace:
-    mode = dev.select_gps_mode(*args)
+def select_gps_mode(gps: GpsContext, *args) -> SimpleNamespace:
+    mode = device.select_gps_mode(gps.ephemeris_age_s if gps.backup_valid else None, *args)
     return SimpleNamespace(mode=mode, skipped=mode is None, skip_reason="low-voltage")
 
 
@@ -491,8 +595,24 @@ def assert_same_run(config: SystemConfig, trace: HarvestTrace, duration_s: int) 
     assert repr(new.ledger.to_dict()) == repr(old.ledger.to_dict())
     assert list(new.ledger.consumed_by_task_j) == list(old.ledger.consumed_by_task_j)
     assert repr(new.metrics.to_dict()) == repr(old.metrics.to_dict())
-    assert new.device == old.device
+    assert_same_samples(new, old)
     return old
+
+
+def assert_same_samples(new: engine.SimResult, old: SimResult) -> None:
+    """The fix record against the oracle's samples, remainder and end buffer."""
+    record = fix_record(new)
+    samples, buffer = old.device.samples, old.device.buffer
+    tick = new.config.base_tick_s
+    assert (record.time_s // tick * tick).tolist() == [s.time_s for s in samples]
+    # Charge differences of a running sum, not the oracle's running drains.
+    tolerance = 1e-12 * float(new.harvest.kinetic_a[: len(new.voltages) - 1].sum()) * tick
+    assert np.all(np.abs(record.coulomb_c - [s.coulomb_c for s in samples]) <= tolerance)
+    assert abs(record.undrained_c - old.device.coulomb_accumulator) <= tolerance
+    tail = np.flatnonzero(np.isnan(record.delivered_s))
+    assert tail.tolist() == list(range(len(samples) - len(buffer), len(samples)))
+    assert (record.time_s[tail] // tick * tick).tolist() == [s.time_s for s in buffer]
+    assert np.all(np.abs(record.coulomb_c[tail] - [s.coulomb_c for s in buffer]) <= tolerance)
 
 
 def harvest_trace(kind: str, n: int, level: float, seed: int) -> HarvestTrace:

@@ -2,8 +2,10 @@
 
 For every drawn (config, trace): the energy ledger closes, every boundary
 and event voltage lies in [0, v_max], the event log is in time order, and a
-repeat run gives the same bits. Payload scaling stays off: an upload that
-outlasts its tick still puts the log out of time order (ROADMAP item 1, 4a).
+repeat run gives the same bits. The fix record accounts for every coulomb
+of kinetic charge and every sample the uploads sent. Payload scaling stays
+off: an upload that outlasts its tick still puts the log out of time order
+(ROADMAP item 1, 4a).
 """
 
 import warnings
@@ -13,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from captrack.energy_model import CapacitorSpec, SystemConfig
-from captrack.engine import SimResult, run_simulation
+from captrack.engine import EVENT_KINDS, SimResult, fix_record, run_simulation
 from captrack.harvest import (
     ActivityProfile,
     HarvestTrace,
@@ -26,6 +28,7 @@ from captrack.harvest import (
 TICK_S = 60
 TICKS_PER_DAY = 1440
 LOG_COLUMNS = ("time_s", "kind", "voltage_before", "voltage_after", "detail")
+FIX_CODES = [EVENT_KINDS.index(kind) for kind in ("FixHot", "FixHotEph", "FixWarmEph", "FixCold")]
 
 
 def interval(most_ticks: int):
@@ -101,3 +104,24 @@ def test_run_invariants(data, config):
     # repr tells -0.0 from 0.0 and shows every bit of a float.
     assert repr(again.metrics.to_dict()) == repr(result.metrics.to_dict())
     assert repr(again.ledger.to_dict()) == repr(result.ledger.to_dict())
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data(), config=configs())
+def test_fix_record_invariants(data, config):
+    trace = data.draw(traces(config.combiner_efficiency))
+    result = run(config, trace)
+    log = result.log
+    record = fix_record(result)
+
+    charge = float(trace.kinetic_a.sum()) * TICK_S
+    assert abs(float(record.coulomb_c.sum()) + record.undrained_c - charge) <= 1e-12 * charge
+
+    delivered = ~np.isnan(record.delivered_s)
+    uploads = np.flatnonzero(log.kind == EVENT_KINDS.index("Transmit"))
+    sent = [int(log.details[d].removeprefix("samples=")) for d in log.detail[uploads].tolist()]
+    assert int(delivered.sum()) == sum(sent)
+    assert np.all(record.delivered_s[delivered] >= record.time_s[delivered])
+    fixes = np.flatnonzero(np.isin(log.kind, FIX_CODES))
+    last_upload = uploads[-1] if uploads.size else -1
+    assert np.array_equal(~delivered, fixes > last_upload)
