@@ -20,17 +20,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .configfile import GeneratorSpec, load_config, load_sweep_spec
+from .configfile import SECTIONS, GeneratorSpec, build_section, load_config, load_sweep_spec
 from .energy_model import DEFAULT_V_SUPPLY, ConfigError, SystemConfig, validate_config
 from .engine import EVENT_KINDS, SECONDS_PER_DAY, SimResult, export_timeseries, fix_record, run_simulation
 from .harvest import (
     DEFAULT_COMBINER_EFFICIENCY,
     HARVEST_HEADER,
     IRRADIANCE_HEADER,
-    ActivityProfile,
     HarvestTrace,
     SolarChain,
-    SolarProfile,
     TraceError,
     format_floats,
     generate_kinetic_trace,
@@ -187,20 +185,30 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _number(text: str):
+    """A flag's text as an int, else a float, else as given (for the schema to reject)."""
+    for cast in (int, float):
+        try:
+            return cast(text)
+        except ValueError:
+            pass
+    return text
+
+
+def _section_from_flags(args: argparse.Namespace, section: str):
+    """The section's dataclass from its flags; a comma-separated flag is a list."""
+    values = {}
+    for key in SECTIONS[section][1]:
+        if getattr(args, key) is not None:
+            parts = [_number(part) for part in getattr(args, key).split(",")]
+            values[key] = parts if len(parts) > 1 else parts[0]
+    return build_section(section, values, args.command)
+
+
 def cmd_gen_solar(args: argparse.Namespace) -> int:
     _check_days(args.days)
-    try:
-        profile = SolarProfile(
-            sunrise_min=args.sunrise_min,
-            sunset_min=args.sunset_min,
-            peak_wm2=args.peak_wm2,
-            cloud_amplitude=args.cloud_amplitude,
-            cloud_correlation_min=args.cloud_correlation_min,
-            seed=args.seed if args.seed is not None else SolarProfile().seed,
-        )
-        trace = generate_synthetic_irradiance(args.days, profile, start_epoch_s=args.start_epoch)
-    except ValueError as exc:
-        raise ConfigError([str(exc)]) from exc
+    profile = _section_from_flags(args, "solar")
+    trace = generate_synthetic_irradiance(args.days, profile, start_epoch_s=args.start_epoch)
     save_irradiance_csv(trace, args.out)
 
     chain = SolarChain()
@@ -212,34 +220,14 @@ def cmd_gen_solar(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _quad(raw: str, cast, flag: str):
-    parts = [p.strip() for p in raw.split(",")]
-    if len(parts) != 4:
-        raise ConfigError([f"{flag} needs four comma-separated values, got {raw!r}"])
-    try:
-        return tuple(cast(p) for p in parts)
-    except ValueError as exc:
-        raise ConfigError([f"{flag}: {exc}"]) from exc
-
-
 def cmd_gen_kinetic(args: argparse.Namespace) -> int:
     _check_days(args.days)
-    defaults = ActivityProfile()
+    profile = _section_from_flags(args, "kinetic")
     try:
-        profile = ActivityProfile(
-            period_starts_min=_quad(args.period_starts, int, "--period-starts") if args.period_starts else defaults.period_starts_min,
-            weights=_quad(args.weights, float, "--weights") if args.weights else defaults.weights,
-            daily_energy_j=args.daily_energy_j,
-            mean_bout_min=args.mean_bout_min,
-            duty=_quad(args.duty, float, "--duty") if args.duty else defaults.duty,
-            seed=args.seed if args.seed is not None else defaults.seed,
-        )
         kinetic = generate_kinetic_trace(args.days, profile, args.v_supply)
+        trace = HarvestTrace.build(np.zeros_like(kinetic), kinetic, args.efficiency)
     except ValueError as exc:
         raise ConfigError([str(exc)]) from exc
-
-    solar = np.zeros_like(kinetic)
-    trace = HarvestTrace.build(solar, kinetic, args.efficiency)
     save_harvest_csv(trace, args.out)
 
     per_day = kinetic.reshape(args.days, -1).sum(axis=1) * 60.0 * args.v_supply
@@ -275,27 +263,18 @@ def build_parser() -> argparse.ArgumentParser:
     sol = sub.add_parser("gen-solar", help="write a synthetic irradiance CSV")
     sol.add_argument("--out", default="irradiance.csv", help="output CSV path")
     sol.add_argument("--days", type=int, default=1)
-    sol.add_argument("--seed", type=int, help="cloud process seed (default 42)")
-    sol.add_argument("--sunrise-min", type=int, default=SolarProfile().sunrise_min, help="sunrise, minutes after midnight")
-    sol.add_argument("--sunset-min", type=int, default=SolarProfile().sunset_min, help="sunset, minutes after midnight")
-    sol.add_argument("--peak-wm2", type=float, default=SolarProfile().peak_wm2, help="clear-sky peak irradiance")
-    sol.add_argument("--cloud-amplitude", type=float, default=SolarProfile().cloud_amplitude, help="0 = clear sky, up to 1")
-    sol.add_argument("--cloud-correlation-min", type=float, default=SolarProfile().cloud_correlation_min)
     sol.add_argument("--start-epoch", type=int, default=0, help="epoch seconds of the first sample")
     sol.set_defaults(func=cmd_gen_solar)
 
     kin = sub.add_parser("gen-kinetic", help="write a synthetic kinetic harvest CSV")
     kin.add_argument("--out", default="kinetic.csv", help="output CSV path")
     kin.add_argument("--days", type=int, default=1)
-    kin.add_argument("--seed", type=int, help="bout process seed (default 42)")
-    kin.add_argument("--daily-energy-j", type=float, default=ActivityProfile().daily_energy_j)
-    kin.add_argument("--weights", help="dawn,day,dusk,night energy weights (sum 1)")
-    kin.add_argument("--period-starts", help="four period start minutes, e.g. 300,540,1020,1260")
-    kin.add_argument("--duty", help="four activity duty fractions")
-    kin.add_argument("--mean-bout-min", type=float, default=ActivityProfile().mean_bout_min)
     kin.add_argument("--v-supply", type=float, default=DEFAULT_V_SUPPLY)
     kin.add_argument("--efficiency", type=float, default=DEFAULT_COMBINER_EFFICIENCY, help="combiner efficiency for the combined column")
     kin.set_defaults(func=cmd_gen_kinetic)
+    for gen, section in ((sol, "solar"), (kin, "kinetic")):
+        for key in SECTIONS[section][1]:
+            gen.add_argument("--" + key.replace("_", "-"), dest=key, help=f"as generate.{section}.{key} in a sweep spec")
     return parser
 
 

@@ -27,8 +27,22 @@ numbers for the rest, booleans only as booleans.
 
 A sweep spec lists capacitors (stocked sizes, or capacitor sections) and
 fix intervals to cross, a shared base config, and one trace source: a file
-(trace) or generator parameters (generate: days, a solar section, and a
-kinetic section or false for solar only).
+(trace) or generator parameters:
+
+    generate:
+      days: <whole number>
+      solar, kinetic: <section>     # kinetic: false for solar only
+    solar:
+      sunrise_min, sunset_min, seed: <whole number>
+      peak_wm2, cloud_amplitude, cloud_correlation_min: <number>
+    kinetic:
+      period_starts_min: <four whole numbers>
+      weights, duty: <four numbers>
+      daily_energy_j, mean_bout_min: <number>
+      seed: <whole number>
+
+gen-solar and gen-kinetic take the solar and kinetic keys as flags, with
+hyphens and four values as a comma list: --weights 0.4,0.1,0.4,0.1.
 """
 
 from __future__ import annotations
@@ -56,6 +70,10 @@ class GeneratorSpec:
     days: int = 14
     solar: SolarProfile = field(default_factory=SolarProfile)
     kinetic: ActivityProfile | None = field(default_factory=ActivityProfile)  # None = solar only
+
+    def __post_init__(self) -> None:
+        if self.days < 1:
+            raise ValueError(f"days must be >= 1, got {self.days}")
 
 
 @dataclass(frozen=True)
@@ -185,8 +203,8 @@ _COERCE = {
     "bool": _bool,
     "tuple[int, int, int, int]": _four(_int),
     "tuple[float, float, float, float]": _four(_float),
-    "SolarProfile": lambda value, where: _build("solar", value, where),
-    "ActivityProfile | None": lambda value, where: None if value is False else _build("kinetic", value, where),
+    "SolarProfile": lambda value, where: build_section("solar", value, where),
+    "ActivityProfile | None": lambda value, where: None if value is False else build_section("kinetic", value, where),
 }
 
 
@@ -199,7 +217,7 @@ def _values(section: str, data, name: str) -> dict:
     return {keys[key]: _COERCE[types[keys[key]]](value, f"{name}.{key}") for key, value in data.items()}
 
 
-def _build(section: str, data, name: str):
+def build_section(section: str, data, name: str):
     """The section's dataclass; fields whose keys are left out keep their defaults."""
     values = _values(section, data, name)
     try:
@@ -232,21 +250,9 @@ def config_from_dict(data: dict) -> SystemConfig:
             values.update(_values(section, data.get(section), section))
     return SystemConfig(
         capacitor=capacitor_from_dict(data.get("capacitor")),
-        thresholds=_build("thresholds", data.get("thresholds"), "thresholds"),
+        thresholds=build_section("thresholds", data.get("thresholds"), "thresholds"),
         **values,
     )
-
-
-def solar_profile_from_dict(data: dict, name: str = "solar") -> SolarProfile:
-    return _build("solar", data, name)
-
-
-def activity_profile_from_dict(data: dict, name: str = "kinetic") -> ActivityProfile:
-    return _build("kinetic", data, name)
-
-
-def generator_from_dict(data: dict) -> GeneratorSpec:
-    return _build("generate", data, "generate")
 
 
 def _load_yaml(path: str, what: str) -> dict:
@@ -286,7 +292,7 @@ def load_sweep_spec(path: str) -> SweepSpec:
     trace_path = data.get("trace")
     if trace_path is not None and (not isinstance(trace_path, str) or not trace_path):
         raise ConfigError([f"sweep.trace must be a non-empty path, got {trace_path!r}"])
-    generator = generator_from_dict(data["generate"]) if "generate" in data else None
+    generator = build_section("generate", data["generate"], "generate") if "generate" in data else None
     if trace_path is None and generator is None:
         generator = GeneratorSpec()
     if trace_path is not None and generator is not None:

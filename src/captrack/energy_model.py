@@ -257,6 +257,8 @@ def validate_config(config: SystemConfig) -> SystemConfig:
         errors.append(f"combiner_efficiency must be in (0, 1], got {config.combiner_efficiency}")
     if config.initial_ephemeris_age_s < 0:
         errors.append(f"initial_ephemeris_age_s must be >= 0, got {config.initial_ephemeris_age_s}")
+    if config.random_seed < 0:
+        errors.append(f"random_seed must be >= 0, got {config.random_seed}")
 
     if config.base_tick_s >= 1:
         stack = _worst_case_stack_s(config)

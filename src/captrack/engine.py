@@ -532,13 +532,16 @@ def integrate_tick(
 ) -> tuple[float, EventLog]:
     """Run a single tick in isolation: given activities, then sleep.
 
-    Convenience wrapper over the same machinery run_simulation uses, with the
-    device in the config's initial state. Returns the end-of-tick voltage and
-    the tick's events as an EventLog.
+    Convenience wrapper over the same machinery run_simulation uses. The
+    tick runs On above v_min and Off otherwise; the ephemeris age and backup
+    domain come from the config. Returns the end-of-tick voltage and the
+    tick's events as an EventLog.
     """
     config = validate_config(config)
     sim = _Simulator(config)
     sim.v = voltage
+    sim.powered = voltage > config.thresholds.v_min
+    sim.ephemeris_t = -config.initial_ephemeris_age_s if config.initial_backup_valid else None
     if sim.powered:
         v_end = sim.execute_tick(tick_start_s, tasks, harvest_current_a)
     else:

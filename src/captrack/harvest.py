@@ -142,6 +142,18 @@ class SolarProfile:
     cloud_correlation_min: float = 120.0
     seed: int = 42
 
+    def __post_init__(self) -> None:
+        if not 0 <= self.sunrise_min < self.sunset_min <= MINUTES_PER_DAY:
+            raise ValueError(f"need 0 <= sunrise < sunset <= {MINUTES_PER_DAY}, got {self.sunrise_min} / {self.sunset_min}")
+        if not 0.0 <= self.cloud_amplitude <= 1.0:
+            raise ValueError(f"cloud amplitude must be in [0, 1], got {self.cloud_amplitude}")
+        if not self.peak_wm2 >= 0:
+            raise ValueError(f"peak must be >= 0, got {self.peak_wm2}")
+        if not self.cloud_correlation_min > 0:
+            raise ValueError(f"cloud correlation must be > 0 minutes, got {self.cloud_correlation_min}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+
 
 @dataclass(frozen=True)
 class ActivityProfile:
@@ -177,6 +189,8 @@ class ActivityProfile:
             raise ValueError(f"mean bout must be >= 1 minute, got {self.mean_bout_min}")
         if any(not 0 < d <= 1 for d in self.duty):
             raise ValueError(f"duty fractions must be in (0, 1], got {self.duty}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     def period_of_minute(self, minute_of_day: int) -> int:
         """0..3 for the period containing this local minute."""
@@ -202,12 +216,6 @@ def generate_synthetic_irradiance(
     """Per-minute synthetic irradiance: zero at night, attenuated half-sine by day."""
     if days < 1:
         raise ValueError(f"days must be >= 1, got {days}")
-    if profile.sunrise_min >= profile.sunset_min:
-        raise ValueError(f"sunrise {profile.sunrise_min} must precede sunset {profile.sunset_min}")
-    if not 0.0 <= profile.cloud_amplitude <= 1.0:
-        raise ValueError(f"cloud amplitude must be in [0, 1], got {profile.cloud_amplitude}")
-    if profile.peak_wm2 < 0:
-        raise ValueError(f"peak must be >= 0, got {profile.peak_wm2}")
 
     n = days * MINUTES_PER_DAY
     minute = np.arange(n) % MINUTES_PER_DAY
@@ -244,8 +252,8 @@ def generate_kinetic_trace(
     """
     if days < 1:
         raise ValueError(f"days must be >= 1, got {days}")
-    if v_supply <= 0:
-        raise ValueError(f"v_supply must be positive, got {v_supply}")
+    if not 0 < v_supply < math.inf:
+        raise ValueError(f"v_supply must be positive and finite, got {v_supply}")
 
     n = days * MINUTES_PER_DAY
     if profile.daily_energy_j == 0.0:

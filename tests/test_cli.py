@@ -4,10 +4,21 @@ import csv
 import json
 import re
 
+import numpy as np
 import pytest
 
 from captrack.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_TRACE, main
-from captrack.harvest import load_harvest_csv, load_irradiance_csv
+from captrack.harvest import (
+    ActivityProfile,
+    HarvestTrace,
+    SolarProfile,
+    generate_kinetic_trace,
+    generate_synthetic_irradiance,
+    load_harvest_csv,
+    load_irradiance_csv,
+    save_harvest_csv,
+    save_irradiance_csv,
+)
 
 
 def test_gen_kinetic_writes_calibrated_trace(tmp_path, capsys):
@@ -42,6 +53,75 @@ def test_gen_solar_and_days_guard(tmp_path, capsys):
     assert "insolation" in capsys.readouterr().out
 
     assert main(["gen-solar", "--out", str(out), "--days", "0"]) == EXIT_CONFIG
+
+
+def test_gen_flags_write_the_bytes_of_the_profile_built_directly(tmp_path):
+    # The benchmark's trace-gen flag set, then every kinetic flag at once.
+    sun, kin, all_kin = tmp_path / "sun.csv", tmp_path / "kin.csv", tmp_path / "all_kin.csv"
+    assert main(["gen-solar", "--out", str(sun), "--days", "2", "--seed", "1234567891", "--sunrise-min", "510",
+                 "--sunset-min", "1005", "--cloud-amplitude", "0.437", "--start-epoch", "1735689600"]) == EXIT_OK
+    assert main(["gen-kinetic", "--out", str(kin), "--days", "2", "--seed", "987654321",
+                 "--daily-energy-j", "13.519", "--v-supply", "3.3", "--efficiency", "0.88"]) == EXIT_OK
+    assert main(["gen-kinetic", "--out", str(all_kin), "--days", "2", "--seed", "7", "--daily-energy-j", "9",
+                 "--period-starts-min", "240,600,960,1320", "--weights", "0.4,0.1,0.4,0.1",
+                 "--duty", "0.6, 0.1, 0.6, 0.2", "--mean-bout-min", "12.5"]) == EXIT_OK
+
+    def kinetic_bytes(profile, v_supply, efficiency):
+        current = generate_kinetic_trace(2, profile, v_supply)
+        save_harvest_csv(HarvestTrace.build(np.zeros_like(current), current, efficiency), str(tmp_path / "k.csv"))
+        return (tmp_path / "k.csv").read_bytes()
+
+    solar = SolarProfile(sunrise_min=510, sunset_min=1005, cloud_amplitude=0.437, seed=1234567891)
+    save_irradiance_csv(generate_synthetic_irradiance(2, solar, 1735689600), str(tmp_path / "s.csv"))
+    assert sun.read_bytes() == (tmp_path / "s.csv").read_bytes()
+    assert kin.read_bytes() == kinetic_bytes(ActivityProfile(daily_energy_j=13.519, seed=987654321), 3.3, 0.88)
+    profile = ActivityProfile((240, 600, 960, 1320), (0.4, 0.1, 0.4, 0.1), 9.0, 12.5, (0.6, 0.1, 0.6, 0.2), 7)
+    assert all_kin.read_bytes() == kinetic_bytes(profile, 3.3, 0.88)
+
+
+BAD_GEN_FLAGS = [
+    # A ValueError traceback.
+    ("gen-kinetic --efficiency 2", "combiner efficiency must be in (0, 1], got 2.0"),
+    ("gen-kinetic --efficiency nan", "combiner efficiency must be in (0, 1], got nan"),
+    # A ZeroDivisionError traceback.
+    ("gen-solar --cloud-correlation-min 0", "gen-solar: cloud correlation must be > 0 minutes, got 0"),
+    # Exit 3, "trace error".
+    ("gen-kinetic --daily-energy-j nan", "gen-kinetic.daily_energy_j must be finite, got nan"),
+    ("gen-kinetic --daily-energy-j inf", "gen-kinetic.daily_energy_j must be finite, got inf"),
+    ("gen-kinetic --v-supply nan", "v_supply must be positive and finite, got nan"),
+    # Exit 0: a trace peaking at 23.1 mA, and days cut at midnight.
+    ("gen-kinetic --mean-bout-min inf", "gen-kinetic.mean_bout_min must be finite, got inf"),
+    ("gen-solar --sunset-min 2000", "gen-solar: need 0 <= sunrise < sunset <= 1440, got 510 / 2000"),
+    ("gen-solar --sunrise-min -5", "gen-solar: need 0 <= sunrise < sunset <= 1440, got -5 / 1005"),
+    # The rest of the profiles' ranges, and the flag text itself.
+    ("gen-solar --sunrise-min 1005 --sunset-min 510", "got 1005 / 510"),
+    ("gen-solar --cloud-amplitude 1.5", "gen-solar: cloud amplitude must be in [0, 1], got 1.5"),
+    ("gen-solar --peak-wm2 -1", "gen-solar: peak must be >= 0, got -1.0"),
+    ("gen-solar --cloud-correlation-min -5", "cloud correlation must be > 0 minutes, got -5.0"),
+    ("gen-solar --seed -1", "gen-solar: seed must be >= 0, got -1"),
+    ("gen-kinetic --seed -1", "gen-kinetic: seed must be >= 0, got -1"),
+    ("gen-solar --sunrise-min nan", "gen-solar.sunrise_min must be finite, got nan"),
+    ("gen-solar --sunset-min inf", "gen-solar.sunset_min must be finite, got inf"),
+    ("gen-solar --sunrise-min 1.5", "gen-solar.sunrise_min must be a whole number, got 1.5"),
+    ("gen-solar --peak-wm2 high", "gen-solar.peak_wm2 must be a number, got 'high'"),
+    ("gen-solar --peak-wm2 1,2", "gen-solar.peak_wm2 must be a number, got [1, 2]"),
+    ("gen-kinetic --period-starts-min 300,540.5,1020,1260",
+     "gen-kinetic.period_starts_min[1] must be a whole number, got 540.5"),
+    ("gen-kinetic --weights 0.5,0.5", "gen-kinetic.weights must be a list of four values"),
+    ("gen-kinetic --duty 0.5,x,0.5,0.15", "gen-kinetic.duty[1] must be a number, got 'x'"),
+    ("gen-kinetic --v-supply inf", "v_supply must be positive and finite, got inf"),
+    ("gen-kinetic --efficiency inf", "combiner efficiency must be in (0, 1], got inf"),
+]
+
+
+@pytest.mark.parametrize(("argv", "message"), BAD_GEN_FLAGS, ids=[argv for argv, _ in BAD_GEN_FLAGS])
+def test_gen_rejects_bad_values(tmp_path, capsys, argv, message):
+    out = tmp_path / "trace.csv"
+    assert main([*argv.split(), "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert message in err
+    assert not out.exists()
 
 
 def test_simulate_missing_trace(tmp_path, capsys):
@@ -253,9 +333,24 @@ def test_simulate_rejects_non_finite_config_numbers(tmp_path, capsys, text):
         ("capacitors: [{capacitance_f: 2.5, leakage_ma: .nan}]\nfix_intervals_s: [120]\n",
          "sweep.capacitors[0].leakage_ma must be finite, got nan"),
         ("capacitors: [2.5, .inf]\nfix_intervals_s: [120]\n", "sweep.capacitors[1].capacitance_f must be finite"),
+        # Raised tracebacks from the generators.
+        ("fix_intervals_s: [120]\ngenerate: {days: 0}\n", "generate: days must be >= 1, got 0"),
+        ("fix_intervals_s: [120]\ngenerate: {kinetic: {seed: -1}}\n", "generate.kinetic: seed must be >= 0, got -1"),
+        ("fix_intervals_s: [120]\ngenerate: {solar: {sunrise_min: 1005, sunset_min: 510}}\n",
+         "generate.solar: need 0 <= sunrise < sunset <= 1440, got 1005 / 510"),
+        ("fix_intervals_s: [120]\ngenerate: {solar: {cloud_amplitude: 1.5}}\n",
+         "generate.solar: cloud amplitude must be in [0, 1], got 1.5"),
+        ("fix_intervals_s: [120]\ngenerate: {solar: {peak_wm2: -1}}\n", "generate.solar: peak must be >= 0, got -1.0"),
+        ("fix_intervals_s: [120]\ngenerate: {solar: {cloud_correlation_min: 0}}\n",
+         "generate.solar: cloud correlation must be > 0 minutes, got 0.0"),
+        ("fix_intervals_s: [120]\ngenerate: {solar: {cloud_correlation_min: -5}}\n",
+         "generate.solar: cloud correlation must be > 0 minutes, got -5.0"),
+        # Raised numpy's "expected non-negative integer".
+        ("fix_intervals_s: [120]\nbase: {sim: {random_seed: -3}}\n", "random_seed must be >= 0, got -3"),
     ],
     ids=["fractional_interval", "fractional_days", "text_interval", "text_capacitance", "quoted_numbers",
-         "nan_leakage", "inf_size"],
+         "nan_leakage", "inf_size", "zero_days", "negative_kinetic_seed", "sunrise_after_sunset",
+         "cloud_amplitude", "negative_peak", "zero_correlation", "negative_correlation", "negative_random_seed"],
 )
 def test_sweep_rejects_malformed_entries(tmp_path, capsys, text, message):
     spec = tmp_path / "sweep.yaml"
@@ -263,6 +358,25 @@ def test_sweep_rejects_malformed_entries(tmp_path, capsys, text, message):
     out = tmp_path / "grid"
     assert main(["sweep", "--spec", str(spec), "--out", str(out), "--days", "1"]) == EXIT_CONFIG
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--seed", "-1", "--days", "1"],
+        ["simulate", "--config", "{tmp}/config.yaml", "--days", "1"],
+        ["sweep", "--spec", "{tmp}/sweep.yaml", "--seed", "-1"],
+    ],
+    ids=["simulate", "config", "sweep"],
+)
+def test_negative_seed_is_a_config_error(tmp_path, capsys, argv):
+    # numpy's default_rng raised "expected non-negative integer": a traceback.
+    (tmp_path / "config.yaml").write_text("sim:\n  random_seed: -3\n")
+    (tmp_path / "sweep.yaml").write_text("capacitors: [2.5]\nfix_intervals_s: [120]\ngenerate: {days: 1}\n")
+    out = tmp_path / "out"
+    assert main([arg.format(tmp=tmp_path) for arg in argv] + ["--out", str(out)]) == EXIT_CONFIG
+    assert "random_seed must be >= 0, got -" in capsys.readouterr().err
     assert not out.exists()
 
 

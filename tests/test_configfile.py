@@ -1,5 +1,6 @@
 """YAML config and sweep-spec parsing."""
 
+import argparse
 from collections import Counter
 from dataclasses import fields, is_dataclass
 
@@ -12,13 +13,12 @@ from captrack.configfile import (
     CONFIG_SECTIONS,
     SECTIONS,
     GeneratorSpec,
-    activity_profile_from_dict,
+    build_section,
     config_from_dict,
-    generator_from_dict,
     load_config,
     load_sweep_spec,
-    solar_profile_from_dict,
 )
+from captrack.cli import build_parser
 from captrack.energy_model import CapacitorSpec, ConfigError, SystemConfig, VoltageThresholds
 from captrack.harvest import ActivityProfile, SolarProfile
 
@@ -95,25 +95,25 @@ def test_missing_file():
 
 
 def test_profile_parsers():
-    solar = solar_profile_from_dict({"peak_wm2": 450, "cloud_amplitude": 0.2})
+    solar = build_section("solar", {"peak_wm2": 450, "cloud_amplitude": 0.2}, "solar")
     assert solar.peak_wm2 == 450.0
     assert solar.sunrise_min == 510
     with pytest.raises(ConfigError, match="unknown key"):
-        solar_profile_from_dict({"peak": 450})
+        build_section("solar", {"peak": 450}, "solar")
 
-    activity = activity_profile_from_dict({"daily_energy_j": 20.0})
+    activity = build_section("kinetic", {"daily_energy_j": 20.0}, "kinetic")
     assert activity.daily_energy_j == 20.0
     with pytest.raises(ConfigError, match="four values"):
-        activity_profile_from_dict({"weights": [0.5, 0.5]})
+        build_section("kinetic", {"weights": [0.5, 0.5]}, "kinetic")
     with pytest.raises(ConfigError, match="sum to 1"):
-        activity_profile_from_dict({"weights": [0.5, 0.5, 0.5, 0.5]})
+        build_section("kinetic", {"weights": [0.5, 0.5, 0.5, 0.5]}, "kinetic")
 
 
 def test_generator_parser():
-    spec = generator_from_dict({"days": 7})
+    spec = build_section("generate", {"days": 7}, "generate")
     assert spec.days == 7
     assert spec.kinetic is not None
-    assert generator_from_dict({"kinetic": False}).kinetic is None
+    assert build_section("generate", {"kinetic": False}, "generate").kinetic is None
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
@@ -210,6 +210,18 @@ def test_schema_reaches_every_field_once():
     assert set(reached) == {(cls, f.name) for cls in SCHEMA_CLASSES for f in fields(cls)}
     assert max(reached.values()) == 1
 
+    # The generator commands take the same keys as flags: each profile field
+    # is set by exactly one flag, spelled as its key with hyphens.
+    commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+    for command, section in (("gen-solar", "solar"), ("gen-kinetic", "kinetic")):
+        cls, keys = SECTIONS[section]
+        flags = Counter()
+        for action in commands[command]._actions:
+            if action.dest in keys:
+                assert action.option_strings == ["--" + action.dest.replace("_", "-")]
+                flags[keys[action.dest]] += 1
+        assert flags == Counter(f.name for f in fields(cls))
+
 
 def written(obj, section: str) -> dict:
     """obj's fields as the keys of its section, as a YAML file holds them."""
@@ -250,4 +262,4 @@ def test_config_round_trips_through_its_sections(config):
 
 def test_generator_round_trips_through_its_section():
     spec = GeneratorSpec(3, SolarProfile(seed=5, peak_wm2=450.5), ActivityProfile(weights=(0.25, 0.25, 0.25, 0.25)))
-    assert generator_from_dict(yaml.safe_load(yaml.safe_dump(written(spec, "generate")))) == spec
+    assert build_section("generate", yaml.safe_load(yaml.safe_dump(written(spec, "generate"))), "generate") == spec

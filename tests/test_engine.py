@@ -103,6 +103,20 @@ def test_transmit_failure_mid_burst():
     assert v < 1.8  # leakage coast continues below the floor while off
 
 
+def test_integrate_tick_power_follows_voltage():
+    # The power state came from config.initial_voltage: a Sense at 1.5 V with
+    # a FixSkipped, and nothing at 3 V under a 2 V initial voltage.
+    v, log = integrate_tick(1.5, [SENSE, FIX], 0.0, SystemConfig())
+    assert len(log) == 0 and v < 1.5
+    _, log = integrate_tick(3.0, [SENSE, FIX], 0.0, replace(SystemConfig(), initial_voltage=2.0))
+    assert kinds(log) == ["Sense", "FixHot"]
+    # The ephemeris and backup domain still come from the config.
+    _, log = integrate_tick(3.0, [FIX], 0.0, replace(SystemConfig(), initial_voltage=2.0, initial_backup_valid=False))
+    assert kinds(log) == ["FixCold"]
+    _, log = integrate_tick(3.0, [FIX], 0.0, replace(SystemConfig(), initial_ephemeris_age_s=14400))
+    assert kinds(log) == ["FixHotEph"]
+
+
 def test_sense_and_fix_tick_events():
     v, log = integrate_tick(3.0, [SENSE, FIX], 0.0, REF)
     assert kinds(log) == ["Sense", "FixHot"]
