@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -152,6 +153,42 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _cell_name(config: SystemConfig) -> str:
+    return f"c{config.capacitor.capacitance_f:g}F_i{config.fix_interval_s}s"
+
+
+def _run_cell(config: SystemConfig, trace: HarvestTrace, duration: int | None, out_dir: Path) -> tuple:
+    """Run one sweep cell and write its files; return its comparison row,
+    total fixes and depletions."""
+    result = run_simulation(config, trace, duration)
+    _write_run_outputs(result, out_dir / _cell_name(config))
+    m = result.metrics
+    values = {**vars(config.capacitor), **vars(config), **vars(m)}
+    return [format(values[name], spec) for name, spec in COMPARISON_COLUMNS], m.total_fixes, m.depletion_count
+
+
+# Set only in a pool worker, by the pool initializer: the (trace, duration,
+# out_dir) that every cell of the sweep shares. The worker is forked, so it
+# inherits them copy-on-write and the trace is never pickled.
+_shared: tuple = ()
+
+
+def _share(*shared) -> None:
+    global _shared
+    _shared = shared
+
+
+def _run_shared_cell(config: SystemConfig) -> tuple:
+    return _run_cell(config, *_shared)
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     _check_days(args.days)
     spec = load_sweep_spec(args.spec)
@@ -166,15 +203,28 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    rows = []
-    for config in configs:
-        result = run_simulation(config, trace, duration)
-        cell = f"c{config.capacitor.capacitance_f:g}F_i{config.fix_interval_s}s"
-        _write_run_outputs(result, out_dir / cell)
-        m = result.metrics
-        values = {**vars(config.capacitor), **vars(config), **vars(m)}
-        rows.append([format(values[name], spec) for name, spec in COMPARISON_COLUMNS])
-        print(f"{cell}: total {m.total_fixes} fixes, {m.depletion_count} depletions")
+
+    def report(results) -> list[list[str]]:
+        rows = []
+        for config, (row, total_fixes, depletions) in zip(configs, results):
+            print(f"{_cell_name(config)}: total {total_fixes} fixes, {depletions} depletions")
+            rows.append(row)
+        return rows
+
+    # Cells are independent, so they run in a fork pool over the usable CPUs;
+    # results come back in cell order, so every output is as a serial run's.
+    import multiprocessing
+
+    workers = min(_usable_cpus(), len(configs))
+    if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(
+            workers, multiprocessing.get_context("fork"), initializer=_share, initargs=(trace, duration, out_dir)
+        ) as pool:
+            rows = report(pool.map(_run_shared_cell, configs))
+    else:
+        rows = report(_run_cell(config, trace, duration, out_dir) for config in configs)
 
     comparison = out_dir / "comparison.csv"
     with open(comparison, "w", newline="") as handle:
@@ -223,11 +273,14 @@ def cmd_gen_solar(args: argparse.Namespace) -> int:
 def cmd_gen_kinetic(args: argparse.Namespace) -> int:
     _check_days(args.days)
     profile = _section_from_flags(args, "kinetic")
-    try:
+    try:  # --days is checked above, so the supply is what can be wrong
         kinetic = generate_kinetic_trace(args.days, profile, args.v_supply)
+    except ValueError as exc:
+        raise ConfigError([f"{args.command}.v_supply: {exc}"]) from exc
+    try:
         trace = HarvestTrace.build(np.zeros_like(kinetic), kinetic, args.efficiency)
     except ValueError as exc:
-        raise ConfigError([str(exc)]) from exc
+        raise ConfigError([f"{args.command}.efficiency: {exc}"]) from exc
     save_harvest_csv(trace, args.out)
 
     per_day = kinetic.reshape(args.days, -1).sum(axis=1) * 60.0 * args.v_supply

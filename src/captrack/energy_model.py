@@ -175,6 +175,9 @@ class ConfigError(ValueError):
         self.errors = list(errors)
         super().__init__("; ".join(errors))
 
+    def __reduce__(self):  # rebuilt from the list, not from the joined message
+        return type(self), (self.errors,)
+
 
 def _cold_start_energy_mj(config: SystemConfig) -> float:
     current = compose_task_current("ColdStart", config.capacitor.leakage_ma)
@@ -294,8 +297,8 @@ def validate_config(config: SystemConfig) -> SystemConfig:
             energy += task_energy(current, TASKS[part].duration_s, validated.v_supply)
         bound = safe_voltage_threshold(energy, cap.capacitance_f, thr.v_min)
         if value < bound - 1e-12:
-            warnings.warn(
-                f"threshold {name}={value:.3f} V is below its safe bound {bound:.4f} V",
-                stacklevel=2,
-            )
+            # Warned from this one line, whoever validates: under the default
+            # filter each distinct text then shows once per process, and a
+            # forked sweep worker inherits the record of what already showed.
+            warnings.warn(f"threshold {name}={value:.3f} V is below its safe bound {bound:.4f} V")
     return validated

@@ -238,7 +238,7 @@ class _Simulator:
 
     def __init__(self, config: SystemConfig):
         self.config = config
-        self.rng = np.random.default_rng(config.random_seed)
+        self.rng: np.random.Generator | None = None  # built at the first jittered draw
         self.rows: list[tuple[float, int, float, float, int]] = []  # EventLog.from_rows input
         self.details: dict[str, int] = {"": 0}
         self.harvested_j = 0.0
@@ -297,6 +297,8 @@ class _Simulator:
         """Per-event jittered value, truncated at three sigma; mean when off."""
         if std == 0.0 or not self.config.task_jitter:
             return mean
+        if self.rng is None:  # here, so that jitter-free runs never import numpy.random
+            self.rng = np.random.default_rng(self.config.random_seed)
         value = float(self.rng.normal(mean, std))
         return min(max(value, mean - 3.0 * std, 1e-9), mean + 3.0 * std)
 

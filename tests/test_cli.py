@@ -81,14 +81,14 @@ def test_gen_flags_write_the_bytes_of_the_profile_built_directly(tmp_path):
 
 BAD_GEN_FLAGS = [
     # A ValueError traceback.
-    ("gen-kinetic --efficiency 2", "combiner efficiency must be in (0, 1], got 2.0"),
-    ("gen-kinetic --efficiency nan", "combiner efficiency must be in (0, 1], got nan"),
+    ("gen-kinetic --efficiency 2", "gen-kinetic.efficiency: combiner efficiency must be in (0, 1], got 2.0"),
+    ("gen-kinetic --efficiency nan", "gen-kinetic.efficiency: combiner efficiency must be in (0, 1], got nan"),
     # A ZeroDivisionError traceback.
     ("gen-solar --cloud-correlation-min 0", "gen-solar: cloud correlation must be > 0 minutes, got 0"),
     # Exit 3, "trace error".
     ("gen-kinetic --daily-energy-j nan", "gen-kinetic.daily_energy_j must be finite, got nan"),
     ("gen-kinetic --daily-energy-j inf", "gen-kinetic.daily_energy_j must be finite, got inf"),
-    ("gen-kinetic --v-supply nan", "v_supply must be positive and finite, got nan"),
+    ("gen-kinetic --v-supply nan", "gen-kinetic.v_supply: v_supply must be positive and finite, got nan"),
     # Exit 0: a trace peaking at 23.1 mA, and days cut at midnight.
     ("gen-kinetic --mean-bout-min inf", "gen-kinetic.mean_bout_min must be finite, got inf"),
     ("gen-solar --sunset-min 2000", "gen-solar: need 0 <= sunrise < sunset <= 1440, got 510 / 2000"),
@@ -109,8 +109,10 @@ BAD_GEN_FLAGS = [
      "gen-kinetic.period_starts_min[1] must be a whole number, got 540.5"),
     ("gen-kinetic --weights 0.5,0.5", "gen-kinetic.weights must be a list of four values"),
     ("gen-kinetic --duty 0.5,x,0.5,0.15", "gen-kinetic.duty[1] must be a number, got 'x'"),
-    ("gen-kinetic --v-supply inf", "v_supply must be positive and finite, got inf"),
-    ("gen-kinetic --efficiency inf", "combiner efficiency must be in (0, 1], got inf"),
+    ("gen-kinetic --v-supply inf", "gen-kinetic.v_supply: v_supply must be positive and finite, got inf"),
+    ("gen-kinetic --efficiency inf", "gen-kinetic.efficiency: combiner efficiency must be in (0, 1], got inf"),
+    ("gen-kinetic --v-supply -3.3", "gen-kinetic.v_supply: v_supply must be positive and finite, got -3.3"),
+    ("gen-kinetic --efficiency 0", "gen-kinetic.efficiency: combiner efficiency must be in (0, 1], got 0.0"),
 ]
 
 

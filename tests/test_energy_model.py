@@ -1,6 +1,7 @@
 """Task current composition, energies, thresholds, config validation."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -170,6 +171,15 @@ def test_validate_collects_multiple_errors():
     with pytest.raises(ConfigError) as info:
         validate_config(bad)
     assert len(info.value.errors) == 2
+
+
+def test_config_error_survives_pickling():
+    # A sweep worker's exception reaches the parent pickled.
+    errors = ["capacitance must be positive", "v_min above v_max"]
+    copy = pickle.loads(pickle.dumps(ConfigError(errors)))
+    assert type(copy) is ConfigError
+    assert copy.errors == errors
+    assert str(copy) == "capacitance must be positive; v_min above v_max"
 
 
 def test_validate_rejects_tick_smaller_than_task_stack():
