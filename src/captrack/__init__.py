@@ -9,12 +9,14 @@ for runs and parameter sweeps.
 
 from .capacitor import equivalent_resistance, integrate_segment, time_to_voltage
 from .configfile import GeneratorSpec, SweepSpec, load_config, load_sweep_spec
-from .device import GpsMode, payload_bytes, select_gps_mode
+from .device import payload_bytes, select_gps_mode
 from .energy_model import (
+    ACTIVITIES,
     GPS_BACKUP_MA,
     LEAKAGE_BY_CAPACITANCE,
     MCU_ACTIVE_BASE_MA,
     TASKS,
+    ActivitySpec,
     CapacitorSpec,
     ComponentDraw,
     ConfigError,
@@ -60,12 +62,12 @@ from .harvest import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ActivityProfile", "CapacitorSpec", "ComponentDraw", "ConfigError",
+    "ActivityProfile", "ActivitySpec", "CapacitorSpec", "ComponentDraw", "ConfigError",
     "EnergyLedger", "EventLog", "FixRecord", "GeneratorSpec",
-    "GpsMode", "HarvestTrace", "IrradianceTrace", "SimMetrics",
+    "HarvestTrace", "IrradianceTrace", "SimMetrics",
     "SimResult", "SolarChain", "SolarProfile", "SweepSpec", "SystemConfig", "TaskSpec",
     "TraceError", "VoltageThresholds",
-    "EVENT_KINDS", "GPS_BACKUP_MA", "LEAKAGE_BY_CAPACITANCE", "MCU_ACTIVE_BASE_MA", "TASKS",
+    "ACTIVITIES", "EVENT_KINDS", "GPS_BACKUP_MA", "LEAKAGE_BY_CAPACITANCE", "MCU_ACTIVE_BASE_MA", "TASKS",
     "builtin_component_table", "combine_sources", "compose_task_current", "compute_metrics",
     "equivalent_resistance", "export_timeseries", "fix_record", "generate_kinetic_trace",
     "generate_synthetic_irradiance", "integrate_segment", "integrate_tick", "load_config",

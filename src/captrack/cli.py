@@ -125,11 +125,10 @@ def _print_run_summary(result: SimResult) -> None:
           f"discarded {led.discarded_at_clamp_j:.2f} J, stored delta {led.delta_stored_j:+.2f} J")
 
 
-def _run_duration(days: int | None, trace: HarvestTrace) -> int | None:
-    """Run length for --days: None (the whole trace) when the flag is absent."""
-    if days is None:
-        return None
-    return min(days * SECONDS_PER_DAY, trace.duration_s)
+def _run_duration(days: int | None) -> int | None:
+    """Run length for --days: None (the whole trace) when the flag is absent.
+    run_simulation rejects a length the trace does not cover."""
+    return None if days is None else days * SECONDS_PER_DAY
 
 
 def _check_days(days: int | None) -> None:
@@ -146,7 +145,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         trace = _load_trace(args.trace, config)
     else:
         trace = _generate_trace(GeneratorSpec() if args.days is None else GeneratorSpec(days=args.days), config)
-    result = run_simulation(config, trace, _run_duration(args.days, trace))
+    result = run_simulation(config, trace, _run_duration(args.days))
     _write_run_outputs(result, Path(args.out))
     _print_run_summary(result)
     print(f"outputs in {args.out}/: timeseries.csv metrics.json ledger.json samples.csv")
@@ -199,10 +198,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         trace = _load_trace(spec.trace_path, configs[0])
     else:
         trace = _generate_trace(spec.generator, configs[0])
-    duration = _run_duration(args.days, trace)
+    duration = _run_duration(args.days)
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = Path(args.out)  # made by the first cell's outputs
 
     def report(results) -> list[list[str]]:
         rows = []

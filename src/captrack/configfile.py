@@ -287,7 +287,15 @@ def load_sweep_spec(path: str) -> SweepSpec:
         for i, entry in enumerate(entries("capacitors"))
     )
     intervals = tuple(_int(value, f"sweep.fix_intervals_s[{i}]") for i, value in enumerate(entries("fix_intervals_s")))
-    base = config_from_dict(data.get("base") or {})
+    base = _mapping(data.get("base"), "sweep.base")
+    overwritten = []  # the grid sets these in every cell, so a base value would be dropped
+    if "capacitor" in base:
+        overwritten.append("sweep.base.capacitor is set in every cell by sweep.capacitors")
+    if "fix_s" in _mapping(base.get("intervals"), "sweep.base.intervals"):
+        overwritten.append("sweep.base.intervals.fix_s is set in every cell by sweep.fix_intervals_s")
+    if overwritten:
+        raise ConfigError(overwritten)
+    base = config_from_dict(base)
 
     trace_path = data.get("trace")
     if trace_path is not None and (not isinstance(trace_path, str) or not trace_path):

@@ -4,37 +4,24 @@ The device sleeps between ticks and wakes for three periodic activities:
 voltage sensing, GPS fixes (with attached Coulomb-counter read and position
 write), and bulk NB-IoT uploads. Which GPS start mode a fix uses depends on
 how stale the ephemeris is and whether the backup domain survived since the
-last fix; every activity is gated on a minimum capacitor voltage.
+last fix; fixes and uploads are gated on a minimum capacitor voltage, the
+gate that energy_model.ACTIVITIES names for each.
 """
 
 from __future__ import annotations
 
-import enum
-
 import numpy as np
 
-from .energy_model import SystemConfig, VoltageThresholds
-
-SENSE = "sense"
-FIX = "fix"
-TRANSMIT = "transmit"
+from .energy_model import FIX, SENSE, TRANSMIT, SystemConfig
 
 # One buffered sample on the wire: 12 bytes of position (8 lon/lat + 4 GPS
 # time) and the 4-byte Coulomb-counter reading.
 SAMPLE_BYTES = 16
 
 
-class GpsMode(enum.Enum):
-    HOT = "Hot"
-    HOT_EPHEMERIS = "HotWithEphemeris"
-    WARM_EPHEMERIS = "WarmWithEphemeris"
-    COLD = "Cold"
-
-
-def select_gps_mode(
-    age_s: int | None, voltage: float, thresholds: VoltageThresholds, config: SystemConfig
-) -> GpsMode | None:
-    """Pick the start mode for a due fix, or None to skip it on low voltage.
+def select_gps_mode(age_s: int | None, voltage: float, config: SystemConfig) -> str | None:
+    """Pick the fix kind (an ACTIVITIES key) for a due fix, or None to skip
+    it on low voltage.
 
     age_s is the ephemeris age, None once the backup domain (RTC + backup
     RAM) has lost power. Stale-to-fresh: cold when the backup domain is gone
@@ -43,18 +30,19 @@ def select_gps_mode(
     hot-with-download once the age passes the refresh age, falling back to
     plain hot if the download threshold is not met but the hot one is.
     """
+    thresholds = config.thresholds
     if age_s is None or age_s > config.ephemeris_warm_limit_s:
         if voltage >= thresholds.cold_start:
-            return GpsMode.COLD
+            return "FixCold"
         return None
     if age_s <= config.ephemeris_hot_limit_s:
         if age_s >= config.ephemeris_refresh_age_s and voltage >= thresholds.hot_ephemeris:
-            return GpsMode.HOT_EPHEMERIS
+            return "FixHotEph"
         if voltage >= thresholds.hot_start:
-            return GpsMode.HOT
+            return "FixHot"
         return None
     if voltage >= thresholds.warm_ephemeris:
-        return GpsMode.WARM_EPHEMERIS
+        return "FixWarmEph"
     return None
 
 

@@ -21,6 +21,11 @@ LEAKAGE_BY_CAPACITANCE = {1.0: 0.010, 2.5: 0.016, 5.0: 0.030}
 DEFAULT_V_SUPPLY = 3.3
 DEFAULT_V_MAX = 5.5
 
+# The scheduled activities, in the order a tick runs them.
+SENSE = "sense"
+FIX = "fix"
+TRANSMIT = "transmit"
+
 
 @dataclass(frozen=True)
 class ComponentDraw:
@@ -65,6 +70,32 @@ TASKS: dict[str, TaskSpec] = {
     "I2cReadCoulomb": TaskSpec("MCU", "I2C read Coulomb counter", 0.091, 0.00023, False, True),
     "TurnedOff": TaskSpec("", "", 0.0, None, False, False),
 }
+
+
+@dataclass(frozen=True)
+class ActivitySpec:
+    """One logged activity: the scheduled activity it serves, the
+    VoltageThresholds field that gates it ("" = ungated), and its task chain
+    in run order."""
+
+    activity: str
+    gate: str
+    chain: tuple[str, ...]
+
+
+# Every activity the log records as a success, keyed by its event kind, and
+# the only place a task chain is written down. A fix ends with the position
+# write and the Coulomb-counter read.
+ACTIVITIES: dict[str, ActivitySpec] = {
+    "Sense": ActivitySpec(SENSE, "", ("AdcRead",)),
+    "FixHot": ActivitySpec(FIX, "hot_start", ("HotStart", "GpsI2cWrite", "I2cReadCoulomb")),
+    "FixHotEph": ActivitySpec(FIX, "hot_ephemeris", ("HotStart", "EphemerisDownload", "GpsI2cWrite", "I2cReadCoulomb")),
+    "FixWarmEph": ActivitySpec(FIX, "warm_ephemeris", ("WarmStart", "EphemerisDownload", "GpsI2cWrite", "I2cReadCoulomb")),
+    "FixCold": ActivitySpec(FIX, "cold_start", ("ColdStart", "GpsI2cWrite", "I2cReadCoulomb")),
+    "Transmit": ActivitySpec(TRANSMIT, "nbiot", ("NbIot",)),
+}
+# Each gate threshold and the chain it must cover.
+_GATED = {spec.gate: spec.chain for spec in ACTIVITIES.values() if spec.gate}
 
 
 def builtin_component_table() -> tuple[ComponentDraw, ...]:
@@ -179,24 +210,23 @@ class ConfigError(ValueError):
         return type(self), (self.errors,)
 
 
-def _cold_start_energy_mj(config: SystemConfig) -> float:
-    current = compose_task_current("ColdStart", config.capacitor.leakage_ma)
-    return task_energy(current, TASKS["ColdStart"].duration_s, config.v_supply)
+def _chain_bound_v(chain: tuple[str, ...], config: SystemConfig) -> float:
+    """Safe start voltage for a task chain at mean durations."""
+    cap = config.capacitor
+    energy = sum(task_energy(compose_task_current(t, cap.leakage_ma), TASKS[t].duration_s, config.v_supply) for t in chain)
+    return safe_voltage_threshold(energy, cap.capacitance_f, config.thresholds.v_min)
 
 
 def _worst_case_stack_s(config: SystemConfig) -> float:
-    """Longest possible task stack in one tick, 3-sigma if jitter is on."""
+    """Longest possible task stack in one tick: the longest chain of each
+    enabled activity, 3-sigma if jitter is on."""
     sigma = 3.0 if config.task_jitter else 0.0
-    total = 0.0
-    if config.sense_interval_s is not None:
-        total += TASKS["AdcRead"].duration_s
-    if config.fix_interval_s is not None:
-        fix = TASKS["ColdStart"].duration_s + sigma * TASKS["ColdStart"].duration_std_s
-        fix = max(fix, TASKS["WarmStart"].duration_s + TASKS["EphemerisDownload"].duration_s)
-        total += fix + TASKS["GpsI2cWrite"].duration_s + TASKS["I2cReadCoulomb"].duration_s
-    if config.transmit_interval_s is not None:
-        total += TASKS["NbIot"].duration_s + sigma * TASKS["NbIot"].duration_std_s
-    return total
+    intervals = {SENSE: config.sense_interval_s, FIX: config.fix_interval_s, TRANSMIT: config.transmit_interval_s}
+    longest = dict.fromkeys(intervals, 0.0)
+    for spec in ACTIVITIES.values():
+        length = sum(TASKS[t].duration_s + sigma * TASKS[t].duration_std_s for t in spec.chain)
+        longest[spec.activity] = max(longest[spec.activity], length)
+    return sum(length for activity, length in longest.items() if intervals[activity] is not None)
 
 
 def validate_config(config: SystemConfig) -> SystemConfig:
@@ -223,16 +253,11 @@ def validate_config(config: SystemConfig) -> SystemConfig:
 
     if not 0 < thr.v_min < thr.v_turn_on:
         errors.append(f"need 0 < v_min < v_turn_on, got {thr.v_min} / {thr.v_turn_on}")
-    named = {
-        "hot_start": thr.hot_start,
-        "hot_ephemeris": thr.hot_ephemeris,
-        "warm_ephemeris": thr.warm_ephemeris,
-        "nbiot": thr.nbiot,
-    }
-    if thr.cold_start is not None:
-        named["cold_start"] = thr.cold_start
-    for name, value in named.items():
-        if not thr.v_min <= value < cap.v_max:
+    if not thr.v_turn_on < cap.v_max:
+        errors.append(f"need v_turn_on < v_max, got {thr.v_turn_on} / {cap.v_max}")
+    for name in _GATED:
+        value = getattr(thr, name)
+        if value is not None and not thr.v_min <= value < cap.v_max:  # None: cold_start, derived below
             errors.append(f"threshold {name}={value} outside [v_min, v_max) = [{thr.v_min}, {cap.v_max})")
     if config.initial_voltage > cap.v_max:
         errors.append(f"initial_voltage {config.initial_voltage} exceeds v_max {cap.v_max}")
@@ -275,27 +300,17 @@ def validate_config(config: SystemConfig) -> SystemConfig:
 
     cold = thr.cold_start
     if cold is None:
-        # Safe bound for the costliest start mode, rounded up to 0.01 V.
-        bound = safe_voltage_threshold(_cold_start_energy_mj(config), cap.capacitance_f, thr.v_min)
+        # Safe bound for the cold fix's chain, rounded up to 0.01 V.
+        bound = _chain_bound_v(_GATED["cold_start"], config)
         cold = math.ceil(bound * 100.0 - 1e-9) / 100.0
         if not thr.v_min <= cold < cap.v_max:
             raise ConfigError([f"derived cold_start threshold {cold} outside [v_min, v_max)"])
 
     validated = replace(config, thresholds=replace(thr, cold_start=cold))
 
-    advisory = {
-        "hot_start": ("HotStart", validated.thresholds.hot_start),
-        "hot_ephemeris": ("HotStart+EphemerisDownload", validated.thresholds.hot_ephemeris),
-        "warm_ephemeris": ("WarmStart+EphemerisDownload", validated.thresholds.warm_ephemeris),
-        "nbiot": ("NbIot", validated.thresholds.nbiot),
-        "cold_start": ("ColdStart", validated.thresholds.cold_start),
-    }
-    for name, (tasks, value) in advisory.items():
-        energy = 0.0
-        for part in tasks.split("+"):
-            current = compose_task_current(part, cap.leakage_ma)
-            energy += task_energy(current, TASKS[part].duration_s, validated.v_supply)
-        bound = safe_voltage_threshold(energy, cap.capacitance_f, thr.v_min)
+    for name, chain in _GATED.items():
+        value = getattr(validated.thresholds, name)
+        bound = _chain_bound_v(chain, validated)
         if value < bound - 1e-12:
             # Warned from this one line, whoever validates: under the default
             # filter each distinct text then shows once per process, and a

@@ -22,8 +22,8 @@ import numpy as np
 
 from . import device as dev
 from .capacitor import equivalent_resistance, integrate_segment, time_to_voltage
-from .device import GpsMode, select_gps_mode
-from .energy_model import TASKS, SystemConfig, compose_task_current, validate_config
+from .device import select_gps_mode
+from .energy_model import ACTIVITIES, TASKS, SystemConfig, compose_task_current, validate_config
 from .harvest import HarvestTrace, TraceError, csv_field, current_text, format_floats, write_csv
 
 SECONDS_PER_DAY = 86400
@@ -35,19 +35,11 @@ EVENT_KINDS = (
     "Transmit", "TransmitSkipped", "TransmitFailed", "TaskFailed",
     "Depletion", "Recovery", "ClampStart", "ClampEnd",
 )
-FIX_EVENT_KIND = {
-    GpsMode.HOT: "FixHot",
-    GpsMode.HOT_EPHEMERIS: "FixHotEph",
-    GpsMode.WARM_EPHEMERIS: "FixWarmEph",
-    GpsMode.COLD: "FixCold",
-}
 (
     _SENSE, _FIX_HOT, _FIX_HOT_EPH, _FIX_WARM_EPH, _FIX_COLD, _FIX_SKIPPED,
     _TRANSMIT, _TRANSMIT_SKIPPED, _TRANSMIT_FAILED, _TASK_FAILED,
     _DEPLETION, _RECOVERY, _CLAMP_START, _CLAMP_END,
 ) = range(len(EVENT_KINDS))
-_KIND_CODE = {kind: code for code, kind in enumerate(EVENT_KINDS)}
-_FIX_CODE = {mode: _KIND_CODE[kind] for mode, kind in FIX_EVENT_KIND.items()}
 # Kinds counted per day, in DayMetrics field order, and each kind code's
 # column in the per-day table (-1: not counted).
 _DAY_KINDS = (_FIX_HOT, _FIX_HOT_EPH, _FIX_WARM_EPH, _FIX_COLD, _TRANSMIT, _DEPLETION)
@@ -259,20 +251,13 @@ class _Simulator:
         self.v_pinned = cap.v_max - 1e-12
         self.v_min = config.thresholds.v_min
         self.loads = {name: self._load(name, compose_task_current(name, cap.leakage_ma)) for name in TASKS}
-        first = {
-            GpsMode.HOT: ("HotStart",),
-            GpsMode.HOT_EPHEMERIS: ("HotStart", "EphemerisDownload"),
-            GpsMode.WARM_EPHEMERIS: ("WarmStart", "EphemerisDownload"),
-            GpsMode.COLD: ("ColdStart",),
-        }
-        # Per mode: the event code, and (load, mean duration, duration
-        # deviation) of each segment.
-        self.fixes = {
-            mode: (_FIX_CODE[mode], tuple(
-                (self.loads[name], TASKS[name].duration_s, TASKS[name].duration_std_s)
-                for name in (*names, "GpsI2cWrite", "I2cReadCoulomb")
+        # Per logged activity: its event code, and (load, mean duration,
+        # duration deviation) of each task in its chain.
+        self.plans = {
+            kind: (EVENT_KINDS.index(kind), tuple(
+                (self.loads[name], TASKS[name].duration_s, TASKS[name].duration_std_s) for name in spec.chain
             ))
-            for mode, names in first.items()
+            for kind, spec in ACTIVITIES.items()
         }
 
     def _load(self, task: str, current_ma: float) -> tuple:
@@ -399,33 +384,35 @@ class _Simulator:
         step = self._step
         rows = self.rows
         loads = self.loads
+        plans = self.plans
         tick_end = t_start + cfg.base_tick_s
         self.t = float(t_start)
 
         for activity in activities:
             if activity == dev.SENSE:
                 v_before = self.v
-                if step(loads["AdcRead"], TASKS["AdcRead"].duration_s, i_h, True):
-                    return self._deplete(i_h, tick_end, _TASK_FAILED, "AdcRead")
+                for load, duration, _ in plans["Sense"][1]:
+                    if step(load, duration, i_h, True):
+                        return self._deplete(i_h, tick_end, _TASK_FAILED, load[0])
                 rows.append((self.t, _SENSE, v_before, self.v, 0))
 
             elif activity == dev.FIX:
                 refreshed = self.ephemeris_t
-                mode = select_gps_mode(None if refreshed is None else t_start - refreshed, self.v, thr, cfg)
-                if mode is None:
+                kind = select_gps_mode(None if refreshed is None else t_start - refreshed, self.v, cfg)
+                if kind is None:
                     rows.append((self.t, _FIX_SKIPPED, self.v, self.v, self._detail("low-voltage")))
                     continue
-                kind, plan = self.fixes[mode]
+                code, plan = plans[kind]
                 if cfg.task_jitter:  # draw every duration before the first segment runs
                     plan = [(load, self._draw(mean, std), 0.0) for load, mean, std in plan]
                 v_before = self.v
                 for load, duration, _ in plan:
                     if step(load, duration, i_h, True):
                         return self._deplete(i_h, tick_end, _TASK_FAILED, load[0])
-                if mode is not GpsMode.HOT:  # every other mode leaves a fresh ephemeris
+                if code != _FIX_HOT:  # every other fix leaves a fresh ephemeris
                     self.ephemeris_t = t_start
                 self.buffered += 1
-                rows.append((self.t, kind, v_before, self.v, 0))
+                rows.append((self.t, code, v_before, self.v, 0))
 
             elif activity == dev.TRANSMIT:
                 samples = self.buffered

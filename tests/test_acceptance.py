@@ -3,11 +3,12 @@
 Each test prints a PASS/FAIL line (run with -s to see them live). The
 scenarios pin the printed bench table, the closed-form recurrence, both
 harvest calibrations, the schedule under abundance, depletion and recovery
-timing, ledger closure, interval monotonicity, the winter voltage shape, and
-the payload model.
+timing, ledger closure, interval monotonicity, the winter voltage shape, the
+payload model, and the paper's claim that two harvesters beat either one.
 """
 
 import math
+import warnings
 from contextlib import contextmanager
 from dataclasses import replace
 
@@ -246,3 +247,31 @@ def test_acceptance_10_payload_model():
         undelivered = int(np.isnan(record.delivered_s).sum())
         assert undelivered == record.time_s.size == m.total_fixes
         assert payload_bytes(undelivered) == 16 * m.total_fixes
+
+
+def test_acceptance_11_two_sources_beat_one(winter14):
+    with criterion(11, "combined harvest beats solar-only and kinetic-only; 2.5 F is energy-neutral"):
+        zeros = np.zeros_like(winter14.solar_a)
+        sources = {
+            "combined": winter14,
+            "solar": HarvestTrace.build(winter14.solar_a, zeros),
+            "kinetic": HarvestTrace.build(zeros, winter14.kinetic_a),
+        }
+        for capacitance in (1.0, 2.5, 5.0):
+            config = replace(SystemConfig(), capacitor=CapacitorSpec.from_capacitance(capacitance))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # the stock thresholds sit below the 1 F safe bounds
+                m = {name: run_simulation(config, trace).metrics for name, trace in sources.items()}
+            for single in ("solar", "kinetic"):
+                assert m["combined"].total_fixes >= m[single].total_fixes
+                assert m["combined"].depletion_count <= m[single].depletion_count
+                assert m["combined"].total_off_s <= m[single].total_off_s
+                assert m["combined"].longest_data_gap_s <= m[single].longest_data_gap_s
+            if capacitance == 2.5:
+                assert m["combined"].depletion_count == 0
+                assert len(m["combined"].per_day) == 14
+                for day in m["combined"].per_day:
+                    assert (day.total, day.transmissions) == (720, 24)
+            print(f"  {capacitance:g} F fixes/depletions: " + ", ".join(
+                f"{name} {r.total_fixes}/{r.depletion_count}" for name, r in m.items()
+            ))

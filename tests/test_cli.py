@@ -279,6 +279,47 @@ def test_sweep_rejects_days_below_one(tmp_path, capsys, days):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--trace", "{tmp}/kin.csv", "--days", "3"],
+        ["simulate", "--days", "3", "--trace", "{tmp}/sun.csv"],
+        ["sweep", "--spec", "{tmp}/trace.yaml", "--days", "3"],
+        ["sweep", "--spec", "{tmp}/generate.yaml", "--days", "3"],
+    ],
+    ids=["simulate_harvest", "simulate_irradiance", "sweep_trace", "sweep_generate"],
+)
+def test_days_past_the_trace_end_are_a_trace_error(tmp_path, capsys, argv):
+    # The run was cut to the trace: exit 0 and "simulated 2 day(s)".
+    assert main(["gen-kinetic", "--out", str(tmp_path / "kin.csv"), "--days", "2"]) == EXIT_OK
+    assert main(["gen-solar", "--out", str(tmp_path / "sun.csv"), "--days", "2"]) == EXIT_OK
+    (tmp_path / "trace.yaml").write_text(f"capacitors: [2.5, 5.0]\nfix_intervals_s: [120]\ntrace: {tmp_path}/kin.csv\n")
+    (tmp_path / "generate.yaml").write_text("capacitors: [2.5]\nfix_intervals_s: [120]\ngenerate: {days: 2}\n")
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main([arg.format(tmp=tmp_path) for arg in argv] + ["--out", str(out)]) == EXIT_TRACE
+    assert "trace covers 172800 s, shorter than requested 259200 s" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_days_up_to_the_trace_end_run(tmp_path, capsys):
+    kin = tmp_path / "kin.csv"
+    assert main(["gen-kinetic", "--out", str(kin), "--days", "2"]) == EXIT_OK
+    for days in ("1", "2"):
+        assert main(["simulate", "--trace", str(kin), "--days", days, "--out", str(tmp_path / days)]) == EXIT_OK
+        assert f"simulated {days} day(s)" in capsys.readouterr().out
+
+
+def test_simulate_rejects_turn_on_at_or_above_v_max(tmp_path, capsys):
+    # Exit 0 before, with 0 fixes: the device could never power on.
+    config = tmp_path / "config.yaml"
+    config.write_text("thresholds:\n  v_turn_on: 6.0\n")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(config), "--out", str(out), "--days", "2"]) == EXIT_CONFIG
+    assert "need v_turn_on < v_max, got 6.0 / 5.5" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     ("text", "given"),
     [
         ("intervals:\n  fix_s: 90.5\n", "90.5"),  # was truncated to 90, and the error named 90
@@ -349,10 +390,16 @@ def test_simulate_rejects_non_finite_config_numbers(tmp_path, capsys, text):
          "generate.solar: cloud correlation must be > 0 minutes, got -5.0"),
         # Raised numpy's "expected non-negative integer".
         ("fix_intervals_s: [120]\nbase: {sim: {random_seed: -3}}\n", "random_seed must be >= 0, got -3"),
+        # Dropped without a word: the grid sets both in every cell.
+        ("fix_intervals_s: [600]\nbase: {capacitor: {capacitance_f: 1.0}, sim: {initial_voltage: 3.0}}\n",
+         "sweep.base.capacitor is set in every cell by sweep.capacitors"),
+        ("fix_intervals_s: [600]\nbase: {intervals: {fix_s: 120, transmit_s: 7200}}\n",
+         "sweep.base.intervals.fix_s is set in every cell by sweep.fix_intervals_s"),
     ],
     ids=["fractional_interval", "fractional_days", "text_interval", "text_capacitance", "quoted_numbers",
          "nan_leakage", "inf_size", "zero_days", "negative_kinetic_seed", "sunrise_after_sunset",
-         "cloud_amplitude", "negative_peak", "zero_correlation", "negative_correlation", "negative_random_seed"],
+         "cloud_amplitude", "negative_peak", "zero_correlation", "negative_correlation", "negative_random_seed",
+         "base_capacitor", "base_fix_interval"],
 )
 def test_sweep_rejects_malformed_entries(tmp_path, capsys, text, message):
     spec = tmp_path / "sweep.yaml"

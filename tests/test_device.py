@@ -10,7 +10,6 @@ from captrack.device import (
     FIX,
     SENSE,
     TRANSMIT,
-    GpsMode,
     due_schedule,
     payload_bytes,
     select_gps_mode,
@@ -20,7 +19,6 @@ from captrack.engine import EVENT_KINDS, fix_record, run_simulation
 from captrack.harvest import HarvestTrace
 
 CONFIG = validate_config(SystemConfig())
-THRESHOLDS = CONFIG.thresholds
 
 
 def fix_kinds(**overrides):
@@ -33,48 +31,48 @@ def fix_kinds(**overrides):
 
 
 def test_mode_selection_examples():
-    assert select_gps_mode(7200, 2.5, THRESHOLDS, CONFIG) is GpsMode.HOT
-    assert select_gps_mode(18000, 2.5, THRESHOLDS, CONFIG) is GpsMode.WARM_EPHEMERIS
-    assert select_gps_mode(7200, 1.85, THRESHOLDS, CONFIG) is None
-    assert select_gps_mode(None, 2.5, THRESHOLDS, CONFIG) is GpsMode.COLD
+    assert select_gps_mode(7200, 2.5, CONFIG) == "FixHot"
+    assert select_gps_mode(18000, 2.5, CONFIG) == "FixWarmEph"
+    assert select_gps_mode(7200, 1.85, CONFIG) is None
+    assert select_gps_mode(None, 2.5, CONFIG) == "FixCold"
 
 
 def test_mode_selection_boundaries():
     # Hot limit is inclusive, warm limit is inclusive, beyond warm is cold.
-    assert select_gps_mode(14400, 2.5, THRESHOLDS, CONFIG) is GpsMode.HOT_EPHEMERIS
-    assert select_gps_mode(14401, 2.5, THRESHOLDS, CONFIG) is GpsMode.WARM_EPHEMERIS
-    assert select_gps_mode(172800, 2.5, THRESHOLDS, CONFIG) is GpsMode.WARM_EPHEMERIS
-    assert select_gps_mode(172801, 2.5, THRESHOLDS, CONFIG) is GpsMode.COLD
+    assert select_gps_mode(14400, 2.5, CONFIG) == "FixHotEph"
+    assert select_gps_mode(14401, 2.5, CONFIG) == "FixWarmEph"
+    assert select_gps_mode(172800, 2.5, CONFIG) == "FixWarmEph"
+    assert select_gps_mode(172801, 2.5, CONFIG) == "FixCold"
 
 
 def test_mode_selection_refresh_upgrade():
     # Past the refresh age a hot fix takes the download variant when voltage
     # allows, otherwise falls back to a plain hot start.
-    assert select_gps_mode(10800, 2.5, THRESHOLDS, CONFIG) is GpsMode.HOT_EPHEMERIS
-    assert select_gps_mode(10799, 2.5, THRESHOLDS, CONFIG) is GpsMode.HOT
-    assert select_gps_mode(10800, 1.95, THRESHOLDS, CONFIG) is GpsMode.HOT
-    assert select_gps_mode(10800, 1.85, THRESHOLDS, CONFIG) is None
+    assert select_gps_mode(10800, 2.5, CONFIG) == "FixHotEph"
+    assert select_gps_mode(10799, 2.5, CONFIG) == "FixHot"
+    assert select_gps_mode(10800, 1.95, CONFIG) == "FixHot"
+    assert select_gps_mode(10800, 1.85, CONFIG) is None
 
 
 def test_mode_selection_cold_gate():
     # Cold threshold for the default 2.5 F capacitor derives to 2.01 V.
-    assert select_gps_mode(None, 2.01, THRESHOLDS, CONFIG) is GpsMode.COLD
-    assert select_gps_mode(None, 2.009, THRESHOLDS, CONFIG) is None
+    assert select_gps_mode(None, 2.01, CONFIG) == "FixCold"
+    assert select_gps_mode(None, 2.009, CONFIG) is None
 
 
 def test_mode_selection_is_total():
     # Every (age, voltage) pair yields either a mode or a skip (None), and a
     # fresher ephemeris at the same voltage never picks a colder mode.
-    rank = {GpsMode.HOT: 0, GpsMode.HOT_EPHEMERIS: 1, GpsMode.WARM_EPHEMERIS: 2, GpsMode.COLD: 3, None: 4}
+    rank = {"FixHot": 0, "FixHotEph": 1, "FixWarmEph": 2, "FixCold": 3, None: 4}
     rng = np.random.default_rng(41)
     for _ in range(500):
         age = int(rng.integers(0, 300000))
         voltage = float(rng.uniform(1.8, 5.5))
-        mode = select_gps_mode(age, voltage, THRESHOLDS, CONFIG)
-        assert mode is None or isinstance(mode, GpsMode)
-        stale = select_gps_mode(age + 200000, voltage, THRESHOLDS, CONFIG)
+        mode = select_gps_mode(age, voltage, CONFIG)
+        assert mode in rank
+        stale = select_gps_mode(age + 200000, voltage, CONFIG)
         if mode is not None and stale is not None:
-            assert rank[stale] >= rank[mode] or stale is GpsMode.COLD
+            assert rank[stale] >= rank[mode] or stale == "FixCold"
 
 
 def test_due_tasks_order_and_phases():

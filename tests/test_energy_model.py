@@ -166,6 +166,14 @@ def test_validate_rejects_inverted_hysteresis():
         validate_config(bad)
 
 
+@pytest.mark.parametrize("v_turn_on", [5.5, 6.0])
+def test_validate_rejects_turn_on_at_or_above_v_max(v_turn_on):
+    # A device that can never reach its turn-on voltage never runs.
+    bad = replace(SystemConfig(), thresholds=VoltageThresholds(v_turn_on=v_turn_on))
+    with pytest.raises(ConfigError, match=f"need v_turn_on < v_max, got {v_turn_on} / 5.5"):
+        validate_config(bad)
+
+
 def test_validate_collects_multiple_errors():
     bad = replace(SystemConfig(), fix_interval_s=90, initial_voltage=6.0)
     with pytest.raises(ConfigError) as info:

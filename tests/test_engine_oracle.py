@@ -4,8 +4,9 @@ OracleSimulator and oracle_compute_metrics below are the earlier bodies of
 engine._Simulator (with its _segment, _account and _run_activity) and
 engine.compute_metrics, kept verbatim apart from their names. They log
 SimEvent records and call the per-tick due_tasks, both kept here as they
-were, and select_gps_mode through a shim that gives back the earlier
-decision record. Its device state and hooks (DataSample, DeviceState,
+were, and select_gps_mode through a shim that maps the fix kind it now
+returns back to the earlier GpsMode decision record. GpsMode,
+FIX_EVENT_KIND, and the device state and hooks (DataSample, DeviceState,
 on_fix_success and the rest) are kept here too; on_fix_success also keeps
 every sample it buffers. Every case runs the same config and trace through
 both engines and compares voltages and power states bit for bit. The
@@ -27,7 +28,7 @@ from hypothesis import strategies as st
 
 from captrack import device, engine
 from captrack.capacitor import equivalent_resistance, integrate_segment
-from captrack.device import FIX, SENSE, TRANSMIT, GpsMode
+from captrack.device import FIX, SENSE, TRANSMIT
 from captrack.energy_model import (
     TASKS,
     CapacitorSpec,
@@ -38,7 +39,6 @@ from captrack.energy_model import (
 )
 from captrack.engine import (
     EVENT_KINDS,
-    FIX_EVENT_KIND,
     SECONDS_PER_DAY,
     DayMetrics,
     EnergyLedger,
@@ -49,6 +49,22 @@ from captrack.engine import (
     run_simulation,
 )
 from captrack.harvest import HarvestTrace
+
+
+class GpsMode(enum.Enum):
+    HOT = "Hot"
+    HOT_EPHEMERIS = "HotWithEphemeris"
+    WARM_EPHEMERIS = "WarmWithEphemeris"
+    COLD = "Cold"
+
+
+FIX_EVENT_KIND = {
+    GpsMode.HOT: "FixHot",
+    GpsMode.HOT_EPHEMERIS: "FixHotEph",
+    GpsMode.WARM_EPHEMERIS: "FixWarmEph",
+    GpsMode.COLD: "FixCold",
+}
+MODE_OF_KIND = {kind: mode for mode, kind in FIX_EVENT_KIND.items()}
 
 
 class Power(enum.Enum):
@@ -207,8 +223,10 @@ def due_tasks(clock: int, config: SystemConfig) -> list[str]:
     return due
 
 
-def select_gps_mode(gps: GpsContext, *args) -> SimpleNamespace:
-    mode = device.select_gps_mode(gps.ephemeris_age_s if gps.backup_valid else None, *args)
+def select_gps_mode(gps: GpsContext, voltage: float, thresholds: VoltageThresholds, config: SystemConfig):
+    assert thresholds is config.thresholds  # the engine's selection reads the config's
+    kind = device.select_gps_mode(gps.ephemeris_age_s if gps.backup_valid else None, voltage, config)
+    mode = None if kind is None else MODE_OF_KIND[kind]
     return SimpleNamespace(mode=mode, skipped=mode is None, skip_reason="low-voltage")
 
 

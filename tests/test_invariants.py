@@ -1,9 +1,11 @@
 """Invariants of whole runs over random configs and traces.
 
 For every drawn (config, trace): the energy ledger closes, every boundary
-and event voltage lies in [0, v_max], the event log is in time order, and a
-repeat run gives the same bits. The fix record accounts for every coulomb
-of kinetic charge and every sample the uploads sent. Payload scaling stays
+and event voltage lies in [0, v_max], the event log is in time order, every
+activity ends within the worst-case task stack that validation checks
+against the tick, and a repeat run gives the same bits. The fix record
+accounts for every coulomb of kinetic charge and every sample the uploads
+sent. Payload scaling stays
 off: an upload that outlasts its tick still puts the log out of time order
 (ROADMAP item 1, 4a).
 """
@@ -14,7 +16,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from captrack.energy_model import CapacitorSpec, SystemConfig
+from captrack.energy_model import CapacitorSpec, SystemConfig, _worst_case_stack_s
 from captrack.engine import EVENT_KINDS, SimResult, fix_record, run_simulation
 from captrack.harvest import (
     ActivityProfile,
@@ -29,6 +31,7 @@ TICK_S = 60
 TICKS_PER_DAY = 1440
 LOG_COLUMNS = ("time_s", "kind", "voltage_before", "voltage_after", "detail")
 FIX_CODES = [EVENT_KINDS.index(kind) for kind in ("FixHot", "FixHotEph", "FixWarmEph", "FixCold")]
+ACTIVITY_CODES = [EVENT_KINDS.index("Sense"), *FIX_CODES, EVENT_KINDS.index("Transmit")]
 
 
 def interval(most_ticks: int):
@@ -94,6 +97,9 @@ def test_run_invariants(data, config):
     for voltages in (result.voltages, log.voltage_before, log.voltage_after):
         assert np.all((voltages >= 0.0) & (voltages <= v_max))
     assert np.all(np.diff(log.time_s) >= 0.0)
+    # Success events are stamped at the end of their activity.
+    ends = log.time_s[np.isin(log.kind, ACTIVITY_CODES)]
+    assert np.all(ends % TICK_S <= _worst_case_stack_s(result.config) + 1e-9)
 
     again = run(config, trace)
     for name in ("times_s", "voltages", "power_on"):
