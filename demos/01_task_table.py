@@ -5,13 +5,21 @@ capacitor leakage, so the same task costs slightly different amounts on
 different capacitor builds.
 """
 
-from captrack import TASKS, builtin_component_table, compose_task_current, task_energy
+from captrack import LEAKAGE_BY_CAPACITANCE, TASKS, compose_task_current, task_energy
+from captrack.energy_model import GPS_BACKUP_MA, MCU_ACTIVE_BASE_MA
 
+# The measured task draws, then the always-on ones. The leakage row is the
+# 5 F part used when the system-level profiles were characterized.
+rows = [(spec.label, spec.base_ma, spec.duration_s) for spec in TASKS.values() if spec.label] + [
+    ("GPS hardware backup", GPS_BACKUP_MA, None),
+    ("MCU active base", MCU_ACTIVE_BASE_MA, None),
+    ("Capacitor leakage", LEAKAGE_BY_CAPACITANCE[5.0], None),
+]
 print("component bench table")
 print(f"{'component':<26} {'mA':>9} {'s':>9}")
-for row in builtin_component_table():
-    duration = f"{row.duration_s:g}" if row.duration_s is not None else "-"
-    print(f"{row.label:<26} {row.current_ma:>9.5f} {duration:>9}")
+for label, current_ma, duration_s in rows:
+    duration = f"{duration_s:g}" if duration_s is not None else "-"
+    print(f"{label:<26} {current_ma:>9.5f} {duration:>9}")
 
 print()
 print("composed task stacks per leakage figure")

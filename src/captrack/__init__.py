@@ -12,18 +12,14 @@ from .configfile import GeneratorSpec, SweepSpec, load_config, load_sweep_spec
 from .device import payload_bytes, select_gps_mode
 from .energy_model import (
     ACTIVITIES,
-    GPS_BACKUP_MA,
     LEAKAGE_BY_CAPACITANCE,
-    MCU_ACTIVE_BASE_MA,
     TASKS,
     ActivitySpec,
     CapacitorSpec,
-    ComponentDraw,
     ConfigError,
     SystemConfig,
     TaskSpec,
     VoltageThresholds,
-    builtin_component_table,
     compose_task_current,
     safe_voltage_threshold,
     task_energy,
@@ -39,7 +35,6 @@ from .engine import (
     compute_metrics,
     export_timeseries,
     fix_record,
-    integrate_tick,
     run_simulation,
 )
 from .harvest import (
@@ -62,15 +57,15 @@ from .harvest import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ActivityProfile", "ActivitySpec", "CapacitorSpec", "ComponentDraw", "ConfigError",
+    "ActivityProfile", "ActivitySpec", "CapacitorSpec", "ConfigError",
     "EnergyLedger", "EventLog", "FixRecord", "GeneratorSpec",
     "HarvestTrace", "IrradianceTrace", "SimMetrics",
     "SimResult", "SolarChain", "SolarProfile", "SweepSpec", "SystemConfig", "TaskSpec",
     "TraceError", "VoltageThresholds",
-    "ACTIVITIES", "EVENT_KINDS", "GPS_BACKUP_MA", "LEAKAGE_BY_CAPACITANCE", "MCU_ACTIVE_BASE_MA", "TASKS",
-    "builtin_component_table", "combine_sources", "compose_task_current", "compute_metrics",
+    "ACTIVITIES", "EVENT_KINDS", "LEAKAGE_BY_CAPACITANCE", "TASKS",
+    "combine_sources", "compose_task_current", "compute_metrics",
     "equivalent_resistance", "export_timeseries", "fix_record", "generate_kinetic_trace",
-    "generate_synthetic_irradiance", "integrate_segment", "integrate_tick", "load_config",
+    "generate_synthetic_irradiance", "integrate_segment", "load_config",
     "load_harvest_csv", "load_irradiance_csv", "load_sweep_spec",
     "payload_bytes", "run_simulation",
     "safe_voltage_threshold", "save_harvest_csv", "save_irradiance_csv", "select_gps_mode",

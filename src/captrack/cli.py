@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .configfile import SECTIONS, GeneratorSpec, build_section, load_config, load_sweep_spec
+from .configfile import SECTIONS, GeneratorSpec, build_section, cell_name, load_config, load_sweep_spec
 from .energy_model import DEFAULT_V_SUPPLY, ConfigError, SystemConfig, validate_config
 from .engine import EVENT_KINDS, SECONDS_PER_DAY, SimResult, export_timeseries, fix_record, run_simulation
 from .harvest import (
@@ -159,15 +159,11 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _cell_name(config: SystemConfig) -> str:
-    return f"c{config.capacitor.capacitance_f:g}F_i{config.fix_interval_s}s"
-
-
 def _run_cell(config: SystemConfig, trace: HarvestTrace, duration: int | None, out_dir: Path) -> tuple:
     """Run one sweep cell and write its files; return its comparison row,
     total fixes and depletions."""
     result = run_simulation(config, trace, duration)
-    _write_run_outputs(result, out_dir / _cell_name(config))
+    _write_run_outputs(result, out_dir / cell_name(config))
     m = result.metrics
     values = {**vars(config.capacitor), **vars(config), **vars(m)}
     return [format(values[name], spec) for name, spec in COMPARISON_COLUMNS], m.total_fixes, m.depletion_count
@@ -205,7 +201,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     def report(results) -> list[list[str]]:
         rows = []
         for config, (row, total_fixes, depletions) in zip(configs, results):
-            print(f"{_cell_name(config)}: total {total_fixes} fixes, {depletions} depletions")
+            print(f"{cell_name(config)}: total {total_fixes} fixes, {depletions} depletions")
             rows.append(row)
         return rows
 

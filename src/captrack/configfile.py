@@ -48,6 +48,7 @@ hyphens and four values as a comma list: --weights 0.4,0.1,0.4,0.1.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field, fields, replace
 
 import yaml
@@ -87,12 +88,20 @@ class SweepSpec:
     generator: GeneratorSpec | None = None
 
     def combinations(self) -> list[SystemConfig]:
-        """Validated config per grid cell; raises before any run on a bad cell."""
+        """Validated config per grid cell; raises before any run on a bad cell
+        or on two cells that would write one output directory."""
         configs = []
         errors = []
-        for cap in self.capacitors:
-            for interval in self.fix_intervals_s:
+        entries: dict[str, str] = {}  # cell name -> the grid entry that took it first
+        for i, cap in enumerate(self.capacitors):
+            for j, interval in enumerate(self.fix_intervals_s):
                 candidate = replace(self.base, capacitor=cap, fix_interval_s=interval)
+                entry = f"sweep.capacitors[{i}] x sweep.fix_intervals_s[{j}]"
+                name = cell_name(candidate)
+                if name in entries:
+                    errors.append(f"{entries[name]} and {entry} both name cell {name}")
+                else:
+                    entries[name] = entry
                 try:
                     configs.append(validate_config(candidate))
                 except ConfigError as exc:
@@ -100,6 +109,11 @@ class SweepSpec:
         if errors:
             raise ConfigError(errors)
         return configs
+
+
+def cell_name(config: SystemConfig) -> str:
+    """A sweep cell's output directory name."""
+    return f"c{config.capacitor.capacitance_f:g}F_i{config.fix_interval_s}s"
 
 
 def _same(*names: str) -> dict[str, str]:
@@ -255,10 +269,22 @@ def config_from_dict(data: dict) -> SystemConfig:
     )
 
 
+class _Loader(yaml.SafeLoader):
+    """YAML 1.1 safe loading, with 1e-6 and 2.5e0 read as floats: YAML 1.1
+    takes an exponent without a dot, or without a sign after the e, as text."""
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?[0-9][0-9_]*(?:\.[0-9_]*)?[eE][-+]?[0-9]+$"),
+    list("-+0123456789"),
+)
+
+
 def _load_yaml(path: str, what: str) -> dict:
     try:
         with open(path) as handle:
-            data = yaml.safe_load(handle)
+            data = yaml.load(handle, _Loader)
     except OSError as exc:
         raise ConfigError([f"cannot read {what} {path}: {exc}"]) from exc
     except yaml.YAMLError as exc:

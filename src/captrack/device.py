@@ -5,14 +5,14 @@ voltage sensing, GPS fixes (with attached Coulomb-counter read and position
 write), and bulk NB-IoT uploads. Which GPS start mode a fix uses depends on
 how stale the ephemeris is and whether the backup domain survived since the
 last fix; fixes and uploads are gated on a minimum capacitor voltage, the
-gate that energy_model.ACTIVITIES names for each.
+threshold that energy_model.ACTIVITIES names for each, read at run time.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .energy_model import FIX, SENSE, TRANSMIT, SystemConfig
+from .energy_model import ACTIVITIES, FIX, SENSE, TRANSMIT, SystemConfig
 
 # One buffered sample on the wire: 12 bytes of position (8 lon/lat + 4 GPS
 # time) and the 4-byte Coulomb-counter reading.
@@ -24,25 +24,24 @@ def select_gps_mode(age_s: int | None, voltage: float, config: SystemConfig) -> 
     it on low voltage.
 
     age_s is the ephemeris age, None once the backup domain (RTC + backup
-    RAM) has lost power. Stale-to-fresh: cold when the backup domain is gone
-    or the ephemeris is older than the warm limit; warm (always with a
-    download) in between; hot within the hot limit, upgraded to
-    hot-with-download once the age passes the refresh age, falling back to
-    plain hot if the download threshold is not met but the hot one is.
+    RAM) has lost power. The age alone picks the candidates, stale to fresh:
+    cold when the backup domain is gone or the ephemeris is older than the
+    warm limit; warm (always with a download) in between; hot within the hot
+    limit, tried with a download first once the age passes the refresh age.
+    The first candidate whose ACTIVITIES gate the voltage meets runs.
     """
-    thresholds = config.thresholds
     if age_s is None or age_s > config.ephemeris_warm_limit_s:
-        if voltage >= thresholds.cold_start:
-            return "FixCold"
-        return None
-    if age_s <= config.ephemeris_hot_limit_s:
-        if age_s >= config.ephemeris_refresh_age_s and voltage >= thresholds.hot_ephemeris:
-            return "FixHotEph"
-        if voltage >= thresholds.hot_start:
-            return "FixHot"
-        return None
-    if voltage >= thresholds.warm_ephemeris:
-        return "FixWarmEph"
+        candidates = ("FixCold",)
+    elif age_s > config.ephemeris_hot_limit_s:
+        candidates = ("FixWarmEph",)
+    elif age_s >= config.ephemeris_refresh_age_s:
+        candidates = ("FixHotEph", "FixHot")
+    else:
+        candidates = ("FixHot",)
+    thresholds = config.thresholds
+    for kind in candidates:
+        if voltage >= getattr(thresholds, ACTIVITIES[kind].gate):
+            return kind
     return None
 
 

@@ -28,19 +28,6 @@ TRANSMIT = "transmit"
 
 
 @dataclass(frozen=True)
-class ComponentDraw:
-    """One measured component draw: who draws, how much, for how long."""
-
-    task: str  # profile key, "" for draws not tied to a schedulable task
-    component: str
-    label: str
-    current_ma: float
-    duration_s: float | None  # None = continuous draw
-    current_std_ma: float = 0.0
-    duration_std_s: float = 0.0
-
-
-@dataclass(frozen=True)
 class TaskSpec:
     """Composition recipe for one schedulable task: its measured base draw
     (component and label name the bench row) and the always-on draws that
@@ -96,22 +83,6 @@ ACTIVITIES: dict[str, ActivitySpec] = {
 }
 # Each gate threshold and the chain it must cover.
 _GATED = {spec.gate: spec.chain for spec in ACTIVITIES.values() if spec.gate}
-
-
-def builtin_component_table() -> tuple[ComponentDraw, ...]:
-    """All measured component draws (means; deviations kept as metadata):
-    the task rows of TASKS, then the always-on draws. The leakage row is the
-    5 F part used when the system-level profiles were characterized."""
-    tasks = tuple(
-        ComponentDraw(name, t.component, t.label, t.base_ma, t.duration_s, t.base_std_ma, t.duration_std_s)
-        for name, t in TASKS.items()
-        if t.label
-    )
-    return tasks + (
-        ComponentDraw("", "GPS", "GPS hardware backup", GPS_BACKUP_MA, None),
-        ComponentDraw("", "MCU", "MCU active base", MCU_ACTIVE_BASE_MA, None),
-        ComponentDraw("", "Capacitor", "Capacitor leakage", LEAKAGE_BY_CAPACITANCE[5.0], None),
-    )
 
 
 def compose_task_current(task: str, leakage_ma: float, base_ma: float | None = None) -> float:

@@ -250,6 +250,7 @@ class _Simulator:
         self.v_max = cap.v_max
         self.v_pinned = cap.v_max - 1e-12
         self.v_min = config.thresholds.v_min
+        self.upload_gate = getattr(config.thresholds, ACTIVITIES["Transmit"].gate)
         self.loads = {name: self._load(name, compose_task_current(name, cap.leakage_ma)) for name in TASKS}
         # Per logged activity: its event code, and (load, mean duration,
         # duration deviation) of each task in its chain.
@@ -380,7 +381,6 @@ class _Simulator:
     def execute_tick(self, t_start: float, activities: Iterable[str], i_h: float) -> float:
         """Run one On-state tick: due activities then sleep, with gating."""
         cfg = self.config
-        thr = cfg.thresholds
         step = self._step
         rows = self.rows
         loads = self.loads
@@ -416,7 +416,7 @@ class _Simulator:
 
             elif activity == dev.TRANSMIT:
                 samples = self.buffered
-                if self.v < thr.nbiot:
+                if self.v < self.upload_gate:
                     rows.append((self.t, _TRANSMIT_SKIPPED, self.v, self.v, self._detail("low-voltage")))
                     continue
                 spec = TASKS["NbIot"]
@@ -510,32 +510,6 @@ def run_simulation(config: SystemConfig, harvest: HarvestTrace, duration_s: int 
         raise TraceError(f"duration {duration_s} not a multiple of base tick {config.base_tick_s}")
     sim = _Simulator(config)
     return sim.run(harvest, duration_s // config.base_tick_s)
-
-
-def integrate_tick(
-    voltage: float,
-    tasks: list[str],
-    harvest_current_a: float,
-    config: SystemConfig,
-    tick_start_s: float = 0.0,
-) -> tuple[float, EventLog]:
-    """Run a single tick in isolation: given activities, then sleep.
-
-    Convenience wrapper over the same machinery run_simulation uses. The
-    tick runs On above v_min and Off otherwise; the ephemeris age and backup
-    domain come from the config. Returns the end-of-tick voltage and the
-    tick's events as an EventLog.
-    """
-    config = validate_config(config)
-    sim = _Simulator(config)
-    sim.v = voltage
-    sim.powered = voltage > config.thresholds.v_min
-    sim.ephemeris_t = -config.initial_ephemeris_age_s if config.initial_backup_valid else None
-    if sim.powered:
-        v_end = sim.execute_tick(tick_start_s, tasks, harvest_current_a)
-    else:
-        v_end = sim.execute_off_tick(tick_start_s, harvest_current_a)
-    return v_end, sim.log()
 
 
 def compute_metrics(

@@ -203,11 +203,7 @@ class ActivityProfile:
 
 def solar_current_from_irradiance(trace: IrradianceTrace, chain: SolarChain) -> np.ndarray:
     """Map each irradiance sample to harvest current through the chain."""
-    samples = trace.samples
-    if samples.size and float(samples.min()) < 0:
-        index = int(np.argmin(samples))
-        raise TraceError(f"negative irradiance {samples[index]} at index {index}")
-    return samples * chain.current_factor
+    return trace.samples * chain.current_factor
 
 
 def generate_synthetic_irradiance(

@@ -395,11 +395,18 @@ def test_simulate_rejects_non_finite_config_numbers(tmp_path, capsys, text):
          "sweep.base.capacitor is set in every cell by sweep.capacitors"),
         ("fix_intervals_s: [600]\nbase: {intervals: {fix_s: 120, transmit_s: 7200}}\n",
          "sweep.base.intervals.fix_s is set in every cell by sweep.fix_intervals_s"),
+        # Two cells wrote one directory and two identical comparison rows.
+        ("fix_intervals_s: [120, 120]\n",
+         "sweep.capacitors[0] x sweep.fix_intervals_s[0] and sweep.capacitors[0] x sweep.fix_intervals_s[1]"
+         " both name cell c2.5F_i120s"),
+        ("capacitors: [2.5, {capacitance_f: 2.5000001, leakage_ma: 0.016}]\nfix_intervals_s: [120]\n",
+         "sweep.capacitors[0] x sweep.fix_intervals_s[0] and sweep.capacitors[1] x sweep.fix_intervals_s[0]"
+         " both name cell c2.5F_i120s"),
     ],
     ids=["fractional_interval", "fractional_days", "text_interval", "text_capacitance", "quoted_numbers",
          "nan_leakage", "inf_size", "zero_days", "negative_kinetic_seed", "sunrise_after_sunset",
          "cloud_amplitude", "negative_peak", "zero_correlation", "negative_correlation", "negative_random_seed",
-         "base_capacitor", "base_fix_interval"],
+         "base_capacitor", "base_fix_interval", "repeated_interval", "same_named_capacitor"],
 )
 def test_sweep_rejects_malformed_entries(tmp_path, capsys, text, message):
     spec = tmp_path / "sweep.yaml"

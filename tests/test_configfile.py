@@ -13,6 +13,7 @@ from captrack.configfile import (
     CONFIG_SECTIONS,
     SECTIONS,
     GeneratorSpec,
+    _load_yaml,
     build_section,
     config_from_dict,
     load_config,
@@ -57,6 +58,27 @@ def test_explicit_cold_threshold_kept(tmp_path):
     path = tmp_path / "config.yaml"
     path.write_text("thresholds:\n  cold_start: 2.5\n")
     assert load_config(str(path)).thresholds.cold_start == 2.5
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [("1e-6", 1e-6), ("1E3", 1000.0), ("2.5e0", 2.5), ("-1.5e-2", -0.015), ("60", 60), ("2.5", 2.5),
+     ("'1e-6'", "1e-6")],
+)
+def test_exponent_numbers_are_floats(tmp_path, text, value):
+    # YAML 1.1 reads an exponent without a dot as text: capacitance_f: 1e-6
+    # exited 2 with "must be a number, got '1e-6'".
+    path = tmp_path / "config.yaml"
+    path.write_text(f"value: {text}\n")
+    loaded = _load_yaml(str(path), "config file")["value"]
+    assert loaded == value and type(loaded) is type(value)
+
+
+def test_exponent_numbers_load(tmp_path):
+    path = tmp_path / "config.yaml"
+    path.write_text("capacitor: {capacitance_f: 25e-1, leakage_ma: 1.6e-2}\nsim: {initial_voltage: 4e0}\n")
+    cfg = load_config(str(path))
+    assert (cfg.capacitor.capacitance_f, cfg.capacitor.leakage_ma, cfg.initial_voltage) == (2.5, 0.016, 4.0)
 
 
 def test_unknown_keys_rejected():

@@ -14,7 +14,7 @@ from captrack.device import (
     payload_bytes,
     select_gps_mode,
 )
-from captrack.energy_model import CapacitorSpec, SystemConfig, VoltageThresholds, validate_config
+from captrack.energy_model import ACTIVITIES, CapacitorSpec, SystemConfig, VoltageThresholds, validate_config
 from captrack.engine import EVENT_KINDS, fix_record, run_simulation
 from captrack.harvest import HarvestTrace
 
@@ -73,6 +73,28 @@ def test_mode_selection_is_total():
         stale = select_gps_mode(age + 200000, voltage, CONFIG)
         if mode is not None and stale is not None:
             assert rank[stale] >= rank[mode] or stale == "FixCold"
+
+
+def test_fix_gates_are_read_from_the_activity_table(monkeypatch):
+    # select_gps_mode read each threshold by name: a gate changed in
+    # ACTIVITIES went unseen.
+    assert select_gps_mode(10800, 2.05, CONFIG) == "FixHotEph"
+    monkeypatch.setitem(ACTIVITIES, "FixHotEph", replace(ACTIVITIES["FixHotEph"], gate="warm_ephemeris"))
+    assert select_gps_mode(10800, 2.05, CONFIG) == "FixHot"
+    assert select_gps_mode(10800, 2.1, CONFIG) == "FixHotEph"
+
+
+def test_upload_gate_is_read_from_the_activity_table(monkeypatch):
+    # The engine gated uploads on thresholds.nbiot by name; here the table
+    # moves the gate to hot_start (1.9 V), below a 3 V start.
+    monkeypatch.setitem(ACTIVITIES, "Transmit", replace(ACTIVITIES["Transmit"], gate="hot_start"))
+    config = replace(
+        SystemConfig(), thresholds=VoltageThresholds(nbiot=4.0), initial_voltage=3.0,
+        sense_interval_s=None, fix_interval_s=None,
+    )
+    level = np.zeros(1)
+    result = run_simulation(config, HarvestTrace(0, 60, level, level, level))
+    assert [EVENT_KINDS[k] for k in result.log.kind.tolist()] == ["Transmit"]
 
 
 def test_due_tasks_order_and_phases():

@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 
 from captrack.energy_model import (
+    GPS_BACKUP_MA,
     LEAKAGE_BY_CAPACITANCE,
+    MCU_ACTIVE_BASE_MA,
     TASKS,
     CapacitorSpec,
     ConfigError,
     SystemConfig,
     VoltageThresholds,
-    builtin_component_table,
     compose_task_current,
     safe_voltage_threshold,
     task_energy,
@@ -114,16 +115,17 @@ def test_safe_threshold_monotonicity():
 
 
 def test_component_table_contents():
-    table = builtin_component_table()
-    assert len(table) == 12
-    by_label = {row.label: row for row in table}
-    assert by_label["GPS hot start"].current_ma == 7.5
+    # Nine measured task draws, and the three always-on draws beside them.
+    by_label = {spec.label: spec for spec in TASKS.values() if spec.label}
+    assert len(by_label) == 9
+    assert (GPS_BACKUP_MA, MCU_ACTIVE_BASE_MA, LEAKAGE_BY_CAPACITANCE[5.0]) == (0.028, 0.091, 0.030)
+    assert by_label["GPS hot start"].base_ma == 7.5
     assert by_label["GPS hot start"].duration_s == 1.0
-    assert by_label["MCU Sleep (standby)"].current_ma == 0.00065
+    assert by_label["MCU Sleep (standby)"].base_ma == 0.00065
     assert by_label["MCU Sleep (standby)"].duration_s is None
     nbiot = by_label["NB-IoT"]
-    assert (nbiot.current_ma, nbiot.duration_s) == (20.65, 7.89)
-    assert (nbiot.current_std_ma, nbiot.duration_std_s) == (2.78, 1.66)
+    assert (nbiot.base_ma, nbiot.duration_s) == (20.65, 7.89)
+    assert (nbiot.base_std_ma, nbiot.duration_std_s) == (2.78, 1.66)
     cold = by_label["GPS cold start"]
     assert cold.duration_s == 36.118
     assert cold.duration_std_s == 1.96

@@ -17,7 +17,6 @@ from captrack.engine import (
     compute_metrics,
     export_timeseries,
     fix_record,
-    integrate_tick,
     run_simulation,
 )
 from captrack.harvest import (
@@ -41,6 +40,20 @@ def flat_trace(ticks, combined_a, kinetic_a=0.0):
     )
 
 
+def one_tick(voltage, activities, combined_a, config):
+    """A one-tick run from voltage with only the given activities due: its end
+    voltage and log. A start below 2.2 V runs powered, its turn-on threshold
+    lowered to just above v_min."""
+    due = {SENSE: "sense_interval_s", FIX: "fix_interval_s", TRANSMIT: "transmit_interval_s"}
+    intervals = {field: config.base_tick_s if activity in activities else None for activity, field in due.items()}
+    thresholds = config.thresholds
+    if voltage < thresholds.v_turn_on:
+        thresholds = replace(thresholds, v_turn_on=1.805)
+    config = replace(config, initial_voltage=voltage, thresholds=thresholds, **intervals)
+    result = run_simulation(config, flat_trace(1, combined_a))
+    return float(result.voltages[-1]), result.log
+
+
 def winter_trace(days):
     solar = generate_synthetic_irradiance(days).samples * SolarChain().current_factor
     kinetic = generate_kinetic_trace(days)
@@ -61,14 +74,14 @@ def hand_log(rows):
 
 
 def test_sleep_only_tick():
-    v, log = integrate_tick(3.0, [], 0.0, REF)
+    v, log = one_tick(3.0, [], 0.0, REF)
     assert v == pytest.approx(2.99872, abs=1e-5)
     assert len(log) == 0
 
 
 def test_transmit_tick():
     # 7.89 s burst at 20.799 mA, then sleep out the minute.
-    v, log = integrate_tick(2.01, [TRANSMIT], 0.0, REF)
+    v, log = one_tick(2.01, [TRANSMIT], 0.0, REF)
     assert v == pytest.approx(1.9696835, abs=1e-6)
     assert kinds(log) == ["Transmit"]
     assert log.time_s[0] == pytest.approx(7.89)
@@ -77,13 +90,13 @@ def test_transmit_tick():
 
 
 def test_transmit_gate_skips_below_threshold():
-    v, log = integrate_tick(1.99, [TRANSMIT], 0.0, REF)
+    v, log = one_tick(1.99, [TRANSMIT], 0.0, REF)
     assert kinds(log) == ["TransmitSkipped"]
     assert details(log) == ["low-voltage"]
     # Only the sleep draw happened.
     assert v == pytest.approx(1.99 * math.exp(-60.0 / SLEEP_TAU), abs=1e-6)
     # A fix refused at its gate carries the same detail.
-    _, log = integrate_tick(1.85, [FIX], 0.0, REF)
+    _, log = one_tick(1.85, [FIX], 0.0, REF)
     assert kinds(log) == ["FixSkipped"]
     assert details(log) == ["low-voltage"]
 
@@ -93,7 +106,7 @@ def test_transmit_failure_mid_burst():
     # and then hit the floor partway through.
     cfg = replace(REF, thresholds=replace(VoltageThresholds(), nbiot=1.81))
     with pytest.warns(UserWarning, match="below its safe bound"):
-        v, log = integrate_tick(1.81, [TRANSMIT], 0.0, cfg)
+        v, log = one_tick(1.81, [TRANSMIT], 0.0, cfg)
     assert kinds(log) == ["TransmitFailed", "Depletion"]
     fail_t, depletion_t = log.time_s.tolist()
     assert fail_t == pytest.approx(2.1975, abs=1e-3)
@@ -103,22 +116,16 @@ def test_transmit_failure_mid_burst():
     assert v < 1.8  # leakage coast continues below the floor while off
 
 
-def test_integrate_tick_power_follows_voltage():
-    # The power state came from config.initial_voltage: a Sense at 1.5 V with
-    # a FixSkipped, and nothing at 3 V under a 2 V initial voltage.
-    v, log = integrate_tick(1.5, [SENSE, FIX], 0.0, SystemConfig())
-    assert len(log) == 0 and v < 1.5
-    _, log = integrate_tick(3.0, [SENSE, FIX], 0.0, replace(SystemConfig(), initial_voltage=2.0))
-    assert kinds(log) == ["Sense", "FixHot"]
-    # The ephemeris and backup domain still come from the config.
-    _, log = integrate_tick(3.0, [FIX], 0.0, replace(SystemConfig(), initial_voltage=2.0, initial_backup_valid=False))
+def test_one_tick_fix_kind_follows_start_state():
+    # The ephemeris and backup domain at the start come from the config.
+    _, log = one_tick(3.0, [FIX], 0.0, replace(SystemConfig(), initial_backup_valid=False))
     assert kinds(log) == ["FixCold"]
-    _, log = integrate_tick(3.0, [FIX], 0.0, replace(SystemConfig(), initial_ephemeris_age_s=14400))
+    _, log = one_tick(3.0, [FIX], 0.0, replace(SystemConfig(), initial_ephemeris_age_s=14400))
     assert kinds(log) == ["FixHotEph"]
 
 
 def test_sense_and_fix_tick_events():
-    v, log = integrate_tick(3.0, [SENSE, FIX], 0.0, REF)
+    v, log = one_tick(3.0, [SENSE, FIX], 0.0, REF)
     assert kinds(log) == ["Sense", "FixHot"]
     sense_t, fix_t = log.time_s.tolist()
     assert sense_t == pytest.approx(5e-05)
@@ -176,7 +183,7 @@ def test_starts_depleted_stays_dark():
 
 
 def test_clamp_crossing_and_discard():
-    v, log = integrate_tick(5.4, [], 0.01, SystemConfig())
+    v, log = one_tick(5.4, [], 0.01, SystemConfig())
     assert v == 5.5
     assert kinds(log) == ["ClampStart"]
     assert 0.0 < log.time_s[0] < 60.0
