@@ -30,16 +30,18 @@ from .harvest import (
     IRRADIANCE_HEADER,
     HarvestTrace,
     SolarChain,
+    TextColumn,
     TraceError,
-    format_floats,
     generate_kinetic_trace,
     generate_synthetic_irradiance,
     load_harvest_csv,
     load_irradiance_csv,
+    number_text,
     read_trace_header,
     save_harvest_csv,
     save_irradiance_csv,
     solar_current_from_irradiance,
+    text_column,
     write_csv,
 )
 
@@ -93,16 +95,17 @@ def _load_trace(path: str, config: SystemConfig) -> HarvestTrace:
 def _write_samples(result: SimResult, path: str) -> None:
     """One row per fix: time, kind, Coulomb reading, upload time (blank if unsent)."""
     record = fix_record(result)
-    kinds = np.array(EVENT_KINDS, dtype=object)[record.kind]
+    kinds = text_column(list(EVENT_KINDS))
 
     def rows(start: int, stop: int):
-        delivered = format_floats(record.delivered_s[start:stop], "%.5f")
-        return zip(
-            format_floats(record.time_s[start:stop], "%.5f"), kinds[start:stop].tolist(),
-            format_floats(record.coulomb_c[start:stop], "%.9e"), ["" if d == "nan" else d for d in delivered],
-        )
+        delivered = record.delivered_s[start:stop]
+        text, size = number_text(delivered, "%.5f")
+        return [
+            number_text(record.time_s[start:stop], "%.5f"), kinds.take(record.kind[start:stop]),
+            number_text(record.coulomb_c[start:stop], "%.9e"), TextColumn(text, np.where(np.isnan(delivered), 0, size)),
+        ]
 
-    write_csv(path, SAMPLES_HEADER, kinds.size, rows)
+    write_csv(path, SAMPLES_HEADER, record.kind.size, rows)
 
 
 def _write_run_outputs(result: SimResult, out_dir: Path) -> None:

@@ -50,8 +50,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field, fields, replace
-
-import yaml
+from functools import cache
 
 from .energy_model import (
     LEAKAGE_BY_CAPACITANCE,
@@ -269,22 +268,29 @@ def config_from_dict(data: dict) -> SystemConfig:
     )
 
 
-class _Loader(yaml.SafeLoader):
+@cache
+def _yaml_loader():
     """YAML 1.1 safe loading, with 1e-6 and 2.5e0 read as floats: YAML 1.1
     takes an exponent without a dot, or without a sign after the e, as text."""
+    import yaml
 
+    class Loader(yaml.SafeLoader):
+        pass
 
-_Loader.add_implicit_resolver(
-    "tag:yaml.org,2002:float",
-    re.compile(r"^[-+]?[0-9][0-9_]*(?:\.[0-9_]*)?[eE][-+]?[0-9]+$"),
-    list("-+0123456789"),
-)
+    Loader.add_implicit_resolver(
+        "tag:yaml.org,2002:float",
+        re.compile(r"^[-+]?[0-9][0-9_]*(?:\.[0-9_]*)?[eE][-+]?[0-9]+$"),
+        list("-+0123456789"),
+    )
+    return Loader
 
 
 def _load_yaml(path: str, what: str) -> dict:
+    import yaml  # here, not at the top: the generator commands read no YAML
+
     try:
         with open(path) as handle:
-            data = yaml.load(handle, _Loader)
+            data = yaml.load(handle, _yaml_loader())
     except OSError as exc:
         raise ConfigError([f"cannot read {what} {path}: {exc}"]) from exc
     except yaml.YAMLError as exc:

@@ -24,7 +24,7 @@ from . import device as dev
 from .capacitor import equivalent_resistance, integrate_segment, time_to_voltage
 from .device import select_gps_mode
 from .energy_model import ACTIVITIES, TASKS, SystemConfig, compose_task_current, validate_config
-from .harvest import HarvestTrace, TraceError, csv_field, current_text, format_floats, write_csv
+from .harvest import HarvestTrace, TextColumn, TraceError, csv_field, number_text, text_column, write_csv
 
 SECONDS_PER_DAY = 86400
 
@@ -610,28 +610,14 @@ def fix_record(result: SimResult) -> FixRecord:
     return FixRecord(time_s, log.kind[fixes], np.diff(read), delivered_s, float(counted[-1] - read[-1]))
 
 
-def export_timeseries(result: SimResult, path: str) -> None:
-    """Write the run as CSV: one row per tick boundary plus one per event.
+def _row_tails(result: SimResult) -> tuple[TextColumn, np.ndarray]:
+    """The "power_state,event" fields of the tick rows, then of the events in log order.
 
-    Rows are in time order; on equal times the tick row comes first and
-    events keep log order. Event rows repeat the harvest currents of their
-    containing tick; the power_state column tracks depletion/recovery flips
-    through the log.
+    They come from a table: "Off," and "On," for tick rows, then an Off/On
+    pair for each distinct (kind, detail) of the log. Returned: the table and
+    each row's entry in it.
     """
-    harvest = result.harvest
     log = result.log
-    n = len(result.times_s) - 1
-    tick_t = result.times_s
-    event_t = log.time_s
-    row_t = np.concatenate([tick_t, event_t])
-    order = np.argsort(row_t, kind="stable")
-    voltage = np.concatenate([result.voltages, log.voltage_after])
-    # Trace step of each row, clamped to the run: the final tick row, and any
-    # event at or past the end, repeat the last step's currents.
-    steps = np.maximum(np.minimum(row_t // harvest.resolution_s, n - 1), 0).astype(np.intp)
-
-    # The "power_state,event" fields come from a table: "Off," and "On," for
-    # tick rows, then an Off/On pair for each distinct (kind, detail) of the log.
     n_details = len(log.details)
     pairs, label = np.unique(log.kind * n_details + log.detail, return_inverse=True)
     tails = ["Off,", "On,"]
@@ -644,21 +630,34 @@ def export_timeseries(result: SimResult, path: str) -> None:
     sets_power = np.where(log.kind == _DEPLETION, 0, np.where(log.kind == _RECOVERY, 1, -1))
     latest = np.maximum.accumulate(np.where(sets_power >= 0, np.arange(len(log)), -1))
     power = np.where(latest >= 0, sets_power[latest], 1 if result.power_on[0] else 0)
-    codes = np.concatenate([np.where(result.power_on, 1, 0), 2 + 2 * label + power])
-    tail_text = np.array(tails, dtype=object)
+    return text_column(tails), np.concatenate([np.where(result.power_on, 1, 0), 2 + 2 * label + power])
 
-    def rows(start: int, stop: int) -> Iterable[tuple[str, str, str, str]]:
+
+def export_timeseries(result: SimResult, path: str) -> None:
+    """Write the run as CSV: one row per tick boundary plus one per event.
+
+    Rows are in time order; on equal times the tick row comes first and
+    events keep log order. Event rows repeat the harvest currents of their
+    containing tick; the power_state column tracks depletion/recovery flips
+    through the log.
+    """
+    harvest = result.harvest
+    n = len(result.times_s) - 1
+    row_t = np.concatenate([result.times_s, result.log.time_s])
+    order = np.argsort(row_t, kind="stable")
+    voltage = np.concatenate([result.voltages, result.log.voltage_after])
+    tails, codes = _row_tails(result)  # its per-event arrays are freed before any row is written
+    series = (harvest.solar_a, harvest.kinetic_a, harvest.combined_a)
+
+    def rows(start: int, stop: int) -> list[TextColumn]:
         idx = order[start:stop]
-        tick = idx <= n
-        time_text = np.empty(idx.size, dtype=object)  # tick times are whole seconds
-        time_text[tick] = np.array(["%d.00000" % t for t in tick_t[idx[tick]].tolist()], dtype=object)
-        time_text[~tick] = np.array(format_floats(event_t[idx[~tick] - (n + 1)], "%.5f"), dtype=object)
-        step = steps[idx]
+        t = row_t[idx]
+        # Trace step of each row, clamped to the run: the final tick row, and
+        # any event at or past the end, repeat the last step's currents. Each
+        # step's currents are formatted once.
+        step = np.maximum(np.minimum(t // harvest.resolution_s, n - 1), 0).astype(np.intp)
         first = int(step.min())
-        step_text = np.array(current_text(harvest, first, int(step.max()) + 1), dtype=object)
-        return zip(
-            time_text.tolist(), format_floats(voltage[idx], "%.6f"),
-            step_text[step - first].tolist(), tail_text[codes[idx]].tolist(),
-        )
+        currents = [number_text(s[first : int(step.max()) + 1], "%.9e").take(step - first) for s in series]
+        return [number_text(t, "%.5f"), number_text(voltage[idx], "%.6f"), *currents, tails.take(codes[idx])]
 
     write_csv(path, TIMESERIES_HEADER, len(order), rows)

@@ -10,6 +10,7 @@ its own efficiency factor.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from collections.abc import Callable, Iterable, Iterator
 from contextlib import contextmanager
@@ -17,6 +18,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from itertools import islice
 from operator import itemgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,6 +34,17 @@ _EXACT_LIMIT = 2**62  # integers below this in size subtract in int64 without ov
 _ISO_UTC = np.frombuffer(b"0000-00-00T00:00:00Z", dtype=np.uint8)
 _ISO_SPAN = np.where(_ISO_UTC == ord("0"), 9, 0).astype(np.uint8)  # a "0" stands for any digit
 _YEAR_ONE = np.datetime64("0001-01-01T00:00:00", "s")
+# Number formatting: the four ASCII digits of 0..9999, the powers of ten
+# that float64 holds exactly, and the band around a half-integer inside
+# which one float64 rounding of y (at most y x 2**-53) may have moved it
+# across: 8 times that rounding.
+_DIGITS4 = np.ascontiguousarray(np.indices((10,) * 4, np.uint8).reshape(4, -1).T + ord("0")).view(np.uint32).ravel()
+_POWERS = 10.0 ** np.arange(23)
+_POWERS_INT = 10 ** np.arange(1, 20, dtype=np.uint64)  # n has 1 + searchsorted(_POWERS_INT, n, "right") digits
+_POWERS_I64 = _POWERS_INT[:18].astype(np.int64)
+_NEAR_TIE = 2.0**-50
+_MINUS, _DOT, _COMMA = ord("-"), ord("."), ord(",")
+_CRLF = np.frombuffer(b"\r\n", np.uint8)
 
 IRRADIANCE_HEADER = ["timestamp", "irradiance_wm2"]
 HARVEST_HEADER = ["t_s", "solar_a", "kinetic_a", "combined_a"]
@@ -224,12 +237,12 @@ def generate_synthetic_irradiance(
     # AR(1) sky state mapped into [1 - amplitude, 1]; amplitude 0 = clear sky.
     rng = np.random.default_rng(profile.seed)
     rho = math.exp(-1.0 / profile.cloud_correlation_min)
-    shocks = rng.standard_normal(n)
-    state = np.empty(n)
+    shocks = (rng.standard_normal(n) * math.sqrt(1.0 - rho * rho)).tolist()
     s = 0.0
-    for i in range(n):
-        s = rho * s + math.sqrt(1.0 - rho * rho) * shocks[i]
-        state[i] = s
+    for i, shock in enumerate(shocks):
+        s = rho * s + shock
+        shocks[i] = s
+    state = np.array(shocks)
     attenuation = 1.0 - profile.cloud_amplitude * 0.5 * (1.0 + np.tanh(state))
 
     return IrradianceTrace(start_epoch_s, 60, clear * attenuation)
@@ -560,18 +573,6 @@ def load_irradiance_csv(path: str, resolution_s: int = 60, max_gap_steps: int = 
     return IrradianceTrace(start, resolution_s, samples, len(gaps))
 
 
-def format_floats(values: np.ndarray, spec: str) -> list[str]:
-    """spec % value for each value, formatting each distinct value once.
-
-    Values are told apart by their bit pattern, not compared as floats, so
-    -0.0 is not merged into 0.0 and keeps its sign.
-    """
-    bits = np.asarray(values, dtype=np.float64).view(np.int64)
-    distinct, inverse = np.unique(bits, return_inverse=True)
-    text = np.array([spec % v for v in distinct.view(np.float64).tolist()], dtype=object)
-    return text[inverse].tolist()
-
-
 def csv_field(text: str) -> str:
     """One CSV field, quoted the way csv.writer's default dialect quotes it."""
     if any(c in text for c in ',"\r\n'):
@@ -579,32 +580,213 @@ def csv_field(text: str) -> str:
     return text
 
 
-def write_csv(path: str, header: list[str], n_rows: int, rows: Callable[[int, int], Iterable[Iterable[str]]]) -> None:
+class TextColumn(NamedTuple):
+    """One CSV field per row: row i's field is the last size[i] bytes of text[i].
+
+    The bytes before them are filler and are never written, so a field may
+    hold any byte, NUL included.
+    """
+
+    text: np.ndarray  # uint8, (rows, width)
+    size: np.ndarray  # bytes in each row's field
+
+    def take(self, index: np.ndarray) -> TextColumn:
+        return TextColumn(np.take(self.text, index, axis=0), self.size[index])
+
+
+def text_column(fields: list[str]) -> TextColumn:
+    """The fields as open() encodes them in a text file."""
+    encoding = io.TextIOWrapper(io.BytesIO()).encoding  # what open() picks when given none
+    encoded = [field.encode(encoding) for field in fields]
+    width = max(map(len, encoded), default=0)
+    text = np.frombuffer(b"".join(e.rjust(width) for e in encoded), np.uint8).reshape(len(encoded), width)
+    return TextColumn(text, np.fromiter(map(len, encoded), np.intp, len(encoded)))
+
+
+def _digits(n: np.ndarray, groups: int) -> np.ndarray:
+    """ASCII digits of each n >= 0, zero-filled to 4 x groups columns."""
+    out = np.empty((n.size, groups), np.uint32)
+    for j in range(groups - 1, 0, -1):
+        q = n // 10000
+        out[:, j] = _DIGITS4[n - q * 10000]
+        n = q
+    out[:, 0] = _DIGITS4[n]
+    return out.view(np.uint8)
+
+
+def _scaled(magnitude: np.ndarray, exponent: np.ndarray) -> np.ndarray:
+    """magnitude x 10^exponent with one float64 rounding, for |exponent| <= 22."""
+    power = _POWERS[np.abs(exponent)]
+    scaled = magnitude / power
+    np.multiply(magnitude, power, out=scaled, where=exponent >= 0)
+    return scaled
+
+
+def _near_tie(y: np.ndarray) -> np.ndarray:
+    """Where y's one rounding may have carried it across a half-integer."""
+    return np.abs(y - np.floor(y) - 0.5) <= y * _NEAR_TIE
+
+
+def _put_sign(text: np.ndarray, size: np.ndarray, negative: np.ndarray) -> None:
+    rows = np.flatnonzero(negative)
+    text[rows, text.shape[1] - size[rows]] = _MINUS
+
+
+def _number_bytes(values: np.ndarray, spec: str) -> tuple[TextColumn, np.ndarray]:
+    """spec % value from integer arithmetic, and where that cannot be trusted.
+
+    The rows flagged in the second array hold filler. Every other row holds
+    the exact text: a float is scaled to y = |v| x 10^k with one rounding,
+    and its digits are those of rint(y) unless y is within that rounding of
+    a half-integer.
+    """
+    rows = values.size
+    if spec == "%d":
+        negative = values < 0
+        magnitude = np.abs(values).view(np.uint64)  # -2**63 too
+        size = 1 + np.searchsorted(_POWERS_INT, magnitude, "right") + negative
+        text = np.empty((rows, 21), np.uint8)
+        text[:, 1:] = _digits(magnitude, 5)
+        _put_sign(text, size, negative)
+        return TextColumn(text, size), np.zeros(rows, bool)
+
+    negative = np.signbit(values)
+    magnitude = np.abs(values)
+    if spec in ("%.5f", "%.6f"):
+        places = int(spec[2])
+        fallback = ~(magnitude < 2.0**52)  # NaN, inf, and values whose y could overflow
+        y = np.where(fallback, 0.0, magnitude) * _POWERS[places]
+        fallback |= y >= 2.0**52
+        y[fallback] = 0.0
+        fallback |= _near_tie(y)
+        n = np.rint(y).astype(np.int64)
+        whole = np.maximum(1 + np.searchsorted(_POWERS_I64, n, "right") - places, 1)  # digits before the dot
+        size = whole + 1 + places + negative
+        digits = _digits(n, 4)
+        text = np.empty((rows, 18), np.uint8)
+        text[:, 1 : 17 - places] = digits[:, : 16 - places]
+        text[:, 17 - places] = _DOT
+        text[:, 18 - places :] = digits[:, 16 - places :]
+        _put_sign(text, size, negative)
+        return TextColumn(text, size), fallback
+
+    if spec != "%.9e":
+        raise ValueError(f"no byte kernel for {spec!r}")
+    # Ten significant digits: k = 9 - exponent, guessed from log10 and put
+    # right once if y falls outside [1e9, 1e10).
+    zero = magnitude == 0.0
+    fallback = ~(magnitude < np.inf)
+    usable = np.where(zero | fallback, 1.0, magnitude)
+    k = 9 - np.floor(np.log10(usable)).astype(np.intp)
+    y = _scaled(usable, np.clip(k, -22, 22))
+    k += (y < 1e9).astype(np.intp) - (y >= 1e10)
+    y = _scaled(usable, np.clip(k, -22, 22))
+    n = np.rint(y)
+    fallback |= ~zero & ((np.abs(k) > 22) | (y < 1e9) | (n >= 1e10) | _near_tie(y))
+    n[zero | fallback] = 0.0
+    k[zero] = 9
+    exponent = 9 - k  # within [-13, 31], so always two digits
+    digits = _digits(n.astype(np.int64), 3)
+    text = np.empty((rows, 16), np.uint8)
+    text[:, 0] = _MINUS  # part of the field only where the size counts it
+    text[:, 1] = digits[:, 2]
+    text[:, 2] = _DOT
+    text[:, 3:12] = digits[:, 3:]
+    text[:, 12] = ord("e")
+    text[:, 13] = np.where(exponent < 0, _MINUS, ord("+"))
+    text[:, 14:] = _digits(np.abs(exponent), 1)[:, 2:]
+    return TextColumn(text, 15 + negative), fallback
+
+
+def number_text(values: np.ndarray, spec: str) -> TextColumn:
+    """The bytes of spec % value for each value.
+
+    spec is "%.5f", "%.6f" or "%.9e" for float64 values, or "%d" for
+    integers. Floats are formatted once per distinct bit pattern (so -0.0
+    keeps its sign), and a value the kernel cannot place exactly (not
+    finite, too large, or a near-tie) goes through spec % value itself.
+    """
+    if spec == "%d":
+        return _number_bytes(np.asarray(values, np.int64), spec)[0]
+    bits = np.asarray(values, dtype=np.float64).view(np.int64)
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    distinct = distinct.view(np.float64)
+    column, fallback = _number_bytes(distinct, spec)
+    if fallback.any():
+        text, size = column
+        exact = text_column([spec % v for v in distinct[fallback].tolist()])
+        width = exact.text.shape[1]
+        text = np.pad(text, ((0, 0), (max(width - text.shape[1], 0), 0)))
+        text[fallback, text.shape[1] - width :] = exact.text
+        size[fallback] = exact.size
+        column = TextColumn(text, size)
+    return column.take(inverse)
+
+
+def _seconds_text(seconds: np.ndarray) -> TextColumn:
+    """str() of each whole-second time: %d for integers."""
+    if seconds.dtype.kind == "i":
+        return number_text(seconds, "%d")
+    return text_column(list(map(str, seconds.tolist())))
+
+
+def _lines(chunks: Iterable[list[TextColumn]]) -> Iterator[np.ndarray]:
+    """Each chunk of rows as CSV lines: fields joined by commas, lines ending in \\r\\n.
+
+    A chunk's columns are cut to their widest field and laid side by side;
+    only where a column's fields differ in size does a mask drop filler.
+    The memory is reused from chunk to chunk, so each result is valid only
+    until the next one is made.
+    """
+    line = keep = np.empty(0, np.uint8)
+    for columns in chunks:
+        rows = columns[0].size.size
+        widths = [int(column.size.max(initial=0)) for column in columns]
+        span = rows * (sum(widths) + len(widths) + 1)
+        if line.size < span:
+            line, keep = np.empty(span, np.uint8), np.empty(span, bool)
+        grid = line[:span].reshape(rows, -1)
+        ragged = []  # (first byte, width, field sizes) of each column whose fields differ in size
+        at = 0
+        for column, width in zip(columns, widths):
+            grid[:, at : at + width] = column.text[:, column.text.shape[1] - width :]
+            grid[:, at + width] = _COMMA
+            if (column.size != width).any():
+                ragged.append((at, width, column.size))
+            at += width + 1
+        grid[:, -2:] = _CRLF
+        del columns  # their bytes are in grid now
+        if not ragged:
+            yield grid
+            continue
+        mask = keep[:span].reshape(rows, -1)
+        mask[...] = True
+        for at, width, size in ragged:
+            np.greater_equal(np.arange(width), (width - size)[:, None], out=mask[:, at : at + width])
+        yield grid[mask]
+
+
+def write_csv(path: str, header: list[str], n_rows: int, rows: Callable[[int, int], list[TextColumn]]) -> None:
     """Write a header line and n_rows rows, each line ending in \\r\\n.
 
-    rows(start, stop) returns the fields of rows start..stop-1 as finished
-    CSV text. It is called once per chunk of CSV_CHUNK_ROWS rows, so only one
+    rows(start, stop) returns rows start..stop-1 as one TextColumn per CSV
+    column, each field finished CSV text. It is called once per chunk of
+    CSV_CHUNK_ROWS rows, and each chunk goes out in one write(), so only one
     chunk of text is held at a time.
     """
-    with open(path, "w", newline="") as handle:
-        handle.write(",".join(map(csv_field, header)) + "\r\n")
-        for start in range(0, n_rows, CSV_CHUNK_ROWS):
-            handle.write("\r\n".join(map(",".join, rows(start, min(start + CSV_CHUNK_ROWS, n_rows)))))
-            handle.write("\r\n")
-
-
-def current_text(trace: HarvestTrace, start: int, stop: int) -> list[str]:
-    """The three currents of trace steps start..stop-1, as "%.9e,%.9e,%.9e" text."""
-    series = (trace.solar_a, trace.kinetic_a, trace.combined_a)
-    return list(map(",".join, zip(*(format_floats(s[start:stop], "%.9e") for s in series))))
+    chunks = (rows(start, min(start + CSV_CHUNK_ROWS, n_rows)) for start in range(0, n_rows, CSV_CHUNK_ROWS))
+    with open(path, "wb") as handle:
+        handle.write(text_column([",".join(map(csv_field, header)) + "\r\n"]).text)
+        for lines in _lines(chunks):
+            handle.write(lines)
 
 
 def save_irradiance_csv(trace: IrradianceTrace, path: str) -> None:
     """Write "timestamp,irradiance_wm2" rows with epoch-second timestamps."""
 
-    def rows(start: int, stop: int) -> Iterable[tuple[str, str]]:
-        stamps = (trace.start_epoch_s + np.arange(start, stop) * trace.resolution_s).tolist()
-        return zip(map(str, stamps), format_floats(trace.samples[start:stop], "%.6f"))
+    def rows(start: int, stop: int) -> list[TextColumn]:
+        stamps = trace.start_epoch_s + np.arange(start, stop) * trace.resolution_s
+        return [_seconds_text(stamps), number_text(trace.samples[start:stop], "%.6f")]
 
     write_csv(path, IRRADIANCE_HEADER, trace.samples.size, rows)
 
@@ -612,9 +794,10 @@ def save_irradiance_csv(trace: IrradianceTrace, path: str) -> None:
 def save_harvest_csv(trace: HarvestTrace, path: str) -> None:
     """Write "t_s,solar_a,kinetic_a,combined_a" rows, one per trace step."""
 
-    def rows(start: int, stop: int) -> Iterable[tuple[str, str]]:
-        times = (np.arange(start, stop) * trace.resolution_s).tolist()
-        return zip(map(str, times), current_text(trace, start, stop))
+    def rows(start: int, stop: int) -> list[TextColumn]:
+        times = np.arange(start, stop) * trace.resolution_s
+        series = (trace.solar_a, trace.kinetic_a, trace.combined_a)
+        return [_seconds_text(times), *(number_text(s[start:stop], "%.9e") for s in series)]
 
     write_csv(path, HARVEST_HEADER, len(trace), rows)
 

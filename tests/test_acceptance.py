@@ -4,7 +4,8 @@ Each test prints a PASS/FAIL line (run with -s to see them live). The
 scenarios pin the printed bench table, the closed-form recurrence, both
 harvest calibrations, the schedule under abundance, depletion and recovery
 timing, ledger closure, interval monotonicity, the winter voltage shape, the
-payload model, and the paper's claim that two harvesters beat either one.
+payload model, the paper's claim that two harvesters beat either one, and
+its claim that the harvested current is a motion proxy.
 """
 
 import math
@@ -249,19 +250,29 @@ def test_acceptance_10_payload_model():
         assert payload_bytes(undelivered) == 16 * m.total_fixes
 
 
-def test_acceptance_11_two_sources_beat_one(winter14):
+@pytest.fixture(scope="module")
+def source_runs(winter14):
+    """The 14-day winter on each capacitor and each harvest source, keyed (capacitance, source)."""
+    zeros = np.zeros_like(winter14.solar_a)
+    sources = {
+        "combined": winter14,
+        "solar": HarvestTrace.build(winter14.solar_a, zeros),
+        "kinetic": HarvestTrace.build(zeros, winter14.kinetic_a),
+    }
+    runs = {}
+    for capacitance in (1.0, 2.5, 5.0):
+        config = replace(SystemConfig(), capacitor=CapacitorSpec.from_capacitance(capacitance))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the stock thresholds sit below the 1 F safe bounds
+            for name, trace in sources.items():
+                runs[capacitance, name] = run_simulation(config, trace)
+    return runs
+
+
+def test_acceptance_11_two_sources_beat_one(source_runs):
     with criterion(11, "combined harvest beats solar-only and kinetic-only; 2.5 F is energy-neutral"):
-        zeros = np.zeros_like(winter14.solar_a)
-        sources = {
-            "combined": winter14,
-            "solar": HarvestTrace.build(winter14.solar_a, zeros),
-            "kinetic": HarvestTrace.build(zeros, winter14.kinetic_a),
-        }
         for capacitance in (1.0, 2.5, 5.0):
-            config = replace(SystemConfig(), capacitor=CapacitorSpec.from_capacitance(capacitance))
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")  # the stock thresholds sit below the 1 F safe bounds
-                m = {name: run_simulation(config, trace).metrics for name, trace in sources.items()}
+            m = {name: source_runs[capacitance, name].metrics for name in ("combined", "solar", "kinetic")}
             for single in ("solar", "kinetic"):
                 assert m["combined"].total_fixes >= m[single].total_fixes
                 assert m["combined"].depletion_count <= m[single].depletion_count
@@ -275,3 +286,27 @@ def test_acceptance_11_two_sources_beat_one(winter14):
             print(f"  {capacitance:g} F fixes/depletions: " + ", ".join(
                 f"{name} {r.total_fixes}/{r.depletion_count}" for name, r in m.items()
             ))
+
+
+def motion_proxy(result):
+    """Correlation and L1 error (relative to the truth) of the hourly charge read at fixes
+    against the trace's true hourly kinetic charge. A fix's reading is credited to its hour."""
+    record = fix_record(result)
+    kinetic = result.harvest.kinetic_a
+    hours = kinetic.size // 60
+    read = np.bincount((record.time_s // 3600).astype(np.intp), weights=record.coulomb_c, minlength=hours)[:hours]
+    true = (kinetic[: hours * 60] * 60.0).reshape(hours, 60).sum(axis=1)
+    return float(np.corrcoef(read, true)[0, 1]), float(np.abs(read - true).sum() / true.sum())
+
+
+def test_acceptance_12_motion_proxy(source_runs):
+    with criterion(12, "charge read at fixes tracks hourly kinetic activity; both sources track it best"):
+        for capacitance in (1.0, 2.5, 5.0):
+            combined = motion_proxy(source_runs[capacitance, "combined"])
+            kinetic = motion_proxy(source_runs[capacitance, "kinetic"])
+            assert combined[0] >= kinetic[0]
+            assert combined[1] <= kinetic[1]
+            if capacitance == 2.5:
+                assert combined[0] >= 0.99
+            print(f"  {capacitance:g} F correlation/L1: combined {combined[0]:.3f}/{combined[1]:.3f}, "
+                  f"kinetic {kinetic[0]:.3f}/{kinetic[1]:.3f}")

@@ -2,7 +2,11 @@
 
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -493,3 +497,18 @@ def test_sweep_trace_must_be_a_path(tmp_path, capsys, value, shown):
     assert main(["sweep", "--spec", str(spec), "--out", str(out)]) == EXIT_CONFIG
     assert f"sweep.trace must be a non-empty path, got {shown}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(("argv", "imported"), [
+    (["gen-solar", "--days", "1", "--out", "sun.csv"], "False"),
+    (["gen-kinetic", "--days", "1", "--out", "kin.csv"], "False"),
+    (["simulate", "--config", "cfg.yaml", "--days", "1", "--out", "run"], "True"),
+])
+def test_only_commands_that_read_yaml_import_it(tmp_path, argv, imported):
+    (tmp_path / "cfg.yaml").write_text("intervals: {fix_s: 600}\n")
+    probe = "import sys; from captrack.cli import main; code = main(sys.argv[1:]); print(code, 'yaml' in sys.modules)"
+    run = subprocess.run(
+        [sys.executable, "-c", probe, *argv], cwd=tmp_path, capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+    )
+    assert run.stdout.splitlines()[-1] == f"0 {imported}"

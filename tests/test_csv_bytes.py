@@ -4,7 +4,9 @@ The three oracle functions below are the earlier bodies of
 engine.export_timeseries, harvest.save_harvest_csv and
 harvest.save_irradiance_csv, kept verbatim, except that the timeseries
 oracle reads the log's rows through events_of. Every case writes the same
-data through both and compares the files byte for byte.
+data through both and compares the files byte for byte. The samples.csv
+oracle is the earlier cli._write_samples, verbatim, with the two helpers it
+called.
 """
 
 import csv
@@ -16,8 +18,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from captrack import harvest
+from captrack.cli import SAMPLES_HEADER, _write_samples
 from captrack.energy_model import CapacitorSpec, SystemConfig
-from captrack.engine import EVENT_KINDS, TIMESERIES_HEADER, EventLog, export_timeseries, run_simulation
+from captrack.engine import EVENT_KINDS, TIMESERIES_HEADER, EventLog, export_timeseries, fix_record, run_simulation
 from captrack.harvest import (
     HARVEST_HEADER,
     IRRADIANCE_HEADER,
@@ -128,6 +131,47 @@ def oracle_save_harvest_csv(trace, path: str) -> None:
             )
 
 
+def format_floats(values: np.ndarray, spec: str) -> list[str]:
+    """spec % value for each value, formatting each distinct value once.
+
+    Values are told apart by their bit pattern, not compared as floats, so
+    -0.0 is not merged into 0.0 and keeps its sign.
+    """
+    bits = np.asarray(values, dtype=np.float64).view(np.int64)
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    text = np.array([spec % v for v in distinct.view(np.float64).tolist()], dtype=object)
+    return text[inverse].tolist()
+
+
+def write_csv(path, header, n_rows, rows) -> None:
+    """Write a header line and n_rows rows, each line ending in \\r\\n.
+
+    rows(start, stop) returns the fields of rows start..stop-1 as finished
+    CSV text. It is called once per chunk of CSV_CHUNK_ROWS rows, so only one
+    chunk of text is held at a time.
+    """
+    with open(path, "w", newline="") as handle:
+        handle.write(",".join(map(harvest.csv_field, header)) + "\r\n")
+        for start in range(0, n_rows, harvest.CSV_CHUNK_ROWS):
+            handle.write("\r\n".join(map(",".join, rows(start, min(start + harvest.CSV_CHUNK_ROWS, n_rows)))))
+            handle.write("\r\n")
+
+
+def oracle_write_samples(result, path: str) -> None:
+    """One row per fix: time, kind, Coulomb reading, upload time (blank if unsent)."""
+    record = fix_record(result)
+    kinds = np.array(EVENT_KINDS, dtype=object)[record.kind]
+
+    def rows(start: int, stop: int):
+        delivered = format_floats(record.delivered_s[start:stop], "%.5f")
+        return zip(
+            format_floats(record.time_s[start:stop], "%.5f"), kinds[start:stop].tolist(),
+            format_floats(record.coulomb_c[start:stop], "%.9e"), ["" if d == "nan" else d for d in delivered],
+        )
+
+    write_csv(path, SAMPLES_HEADER, kinds.size, rows)
+
+
 # -- helpers --------------------------------------------------------------------
 
 
@@ -222,6 +266,17 @@ def test_writers_span_several_chunks(tmp_path, monkeypatch):
     assert_same_bytes(tmp_path, save_irradiance_csv, oracle_save_irradiance_csv, irradiance)
 
 
+def test_trace_writers_with_a_float_resolution(tmp_path):
+    # Times are written as str() of start + i x resolution, so a resolution
+    # given as a float prints as one.
+    trace = winter_trace(1)
+    trace.resolution_s = 60.0
+    data = assert_same_bytes(tmp_path, save_harvest_csv, oracle_save_harvest_csv, trace)
+    assert data.startswith(b"t_s,solar_a,kinetic_a,combined_a\r\n0.0,")
+    irradiance = IrradianceTrace(-120, 30.0, trace.solar_a[:100] * 1e4)
+    assert_same_bytes(tmp_path, save_irradiance_csv, oracle_save_irradiance_csv, irradiance)
+
+
 @pytest.mark.parametrize("powered_at_start", [True, False])
 def test_hand_built_log_ties_and_quoting(tmp_path, powered_at_start):
     # Events tie with tick rows and with each other, run out of time order,
@@ -242,6 +297,63 @@ def test_hand_built_log_ties_and_quoting(tmp_path, powered_at_start):
     ])
     data = assert_same_bytes(tmp_path, export_timeseries, oracle_export_timeseries, result)
     assert b'"Transmit:samples=3,""late"""' in data
+
+
+def test_samples_default_run(tmp_path):
+    result = run_simulation(SystemConfig(), winter_trace(2))
+    data = assert_same_bytes(tmp_path, _write_samples, oracle_write_samples, result)
+    assert data.count(b"\r\n") == 1 + result.metrics.total_fixes
+
+
+def test_samples_depleting_run_keeps_undelivered_fixes_blank(tmp_path):
+    config = SystemConfig(capacitor=CapacitorSpec.from_capacitance(1.0), initial_voltage=2.5)
+    result = run_simulation(config, winter_trace(2, peak_wm2=15.0, daily_energy_j=1.5))
+    assert result.metrics.depletion_count > 0
+    record = fix_record(result)
+    assert np.isnan(record.delivered_s).any() and not np.isnan(record.delivered_s).all()
+    data = assert_same_bytes(tmp_path, _write_samples, oracle_write_samples, result)
+    assert data.endswith(b",\r\n")  # the last fixes were never sent
+
+
+def test_samples_without_fixes_or_uploads(tmp_path):
+    trace = winter_trace(1)
+    data = assert_same_bytes(tmp_path, _write_samples, oracle_write_samples, run_simulation(
+        SystemConfig(fix_interval_s=None), trace
+    ))
+    assert data == ",".join(SAMPLES_HEADER).encode() + b"\r\n"
+    result = run_simulation(SystemConfig(transmit_interval_s=None), trace)
+    assert np.isnan(fix_record(result).delivered_s).all()
+    assert_same_bytes(tmp_path, _write_samples, oracle_write_samples, result)
+
+
+def test_samples_payload_scaled_run(tmp_path):
+    config = SystemConfig(payload_scaling=True, transmit_interval_s=86400, fix_interval_s=120)
+    result = run_simulation(config, winter_trace(3))
+    assert_same_bytes(tmp_path, _write_samples, oracle_write_samples, result)
+
+
+def test_samples_span_several_chunks(tmp_path, monkeypatch):
+    monkeypatch.setattr(harvest, "CSV_CHUNK_ROWS", 97)
+    config = SystemConfig(capacitor=CapacitorSpec.from_capacitance(1.0), initial_voltage=2.5, fix_interval_s=60)
+    result = run_simulation(config, winter_trace(2, peak_wm2=60.0, daily_energy_j=3.0))
+    assert result.metrics.total_fixes > 10 * 97
+    assert_same_bytes(tmp_path, _write_samples, oracle_write_samples, result)
+
+
+def test_event_labels_keep_every_byte(tmp_path):
+    # A detail is any text: NUL bytes (one at the end, too), non-ASCII text,
+    # and labels longer or shorter than every number must come out as
+    # csv.writer writes them.
+    result = run_simulation(SystemConfig(), winter_trace(1), 1200)
+    result.log = log_of([
+        Event(60.0, "Sense", 4.0, 4.0, "nul\x00inside"),
+        Event(60.0, "TaskFailed", 4.0, 4.0, "ends in nul\x00"),
+        Event(120.5, "FixSkipped", 4.0, -0.0, "h\u00e9t\u00e9, \u00fcber-long detail " * 4),
+        Event(300.0, "Transmit", 4.0, 12.5),
+        Event(900.0, "Depletion", 1.8, 1.8, "\x00"),
+    ])
+    data = assert_same_bytes(tmp_path, export_timeseries, oracle_export_timeseries, result)
+    assert b",On,TaskFailed:ends in nul\x00\r\n" in data and b",Off,Depletion:\x00\r\n" in data
 
 
 # -- property ---------------------------------------------------------------------

@@ -355,6 +355,68 @@ def test_kinetic_trace_matches_minute_loop_on_defaults():
         assert new.view(np.int64).tolist() == oracle_generate_kinetic_trace(30, profile).view(np.int64).tolist()
 
 
+# -- solar synthesis against the per-step AR(1) loop it replaced ------------------
+
+
+def oracle_generate_synthetic_irradiance(days, profile=SolarProfile(), start_epoch_s=0):
+    """The earlier body of generate_synthetic_irradiance, verbatim."""
+    if days < 1:
+        raise ValueError(f"days must be >= 1, got {days}")
+
+    n = days * MINUTES_PER_DAY
+    minute = np.arange(n) % MINUTES_PER_DAY
+    span = profile.sunset_min - profile.sunrise_min
+    phase = (minute - profile.sunrise_min) / span
+    clear = np.where(
+        (phase >= 0.0) & (phase < 1.0), profile.peak_wm2 * np.sin(np.pi * np.clip(phase, 0.0, 1.0)), 0.0
+    )
+
+    # AR(1) sky state mapped into [1 - amplitude, 1]; amplitude 0 = clear sky.
+    rng = np.random.default_rng(profile.seed)
+    rho = math.exp(-1.0 / profile.cloud_correlation_min)
+    shocks = rng.standard_normal(n)
+    state = np.empty(n)
+    s = 0.0
+    for i in range(n):
+        s = rho * s + math.sqrt(1.0 - rho * rho) * shocks[i]
+        state[i] = s
+    attenuation = 1.0 - profile.cloud_amplitude * 0.5 * (1.0 + np.tanh(state))
+
+    return IrradianceTrace(start_epoch_s, 60, clear * attenuation)
+
+
+def same_irradiance(new, old):
+    assert (new.start_epoch_s, new.resolution_s) == (old.start_epoch_s, old.resolution_s)
+    assert new.samples.view(np.int64).tolist() == old.samples.view(np.int64).tolist()
+
+
+def test_solar_trace_matches_step_loop_on_defaults():
+    same_irradiance(generate_synthetic_irradiance(30), oracle_generate_synthetic_irradiance(30))
+    for seed in (1, 7, 42):
+        profile = SolarProfile(cloud_amplitude=0.5, seed=seed)
+        same_irradiance(generate_synthetic_irradiance(30, profile), oracle_generate_synthetic_irradiance(30, profile))
+
+
+@st.composite
+def solar_profiles(draw):
+    sunrise = draw(st.integers(0, MINUTES_PER_DAY - 1))
+    return SolarProfile(
+        sunrise_min=sunrise, sunset_min=draw(st.integers(sunrise + 1, MINUTES_PER_DAY)),
+        peak_wm2=draw(st.sampled_from([0.0, 300.0, 1234.5])),
+        cloud_amplitude=draw(st.floats(0.0, 1.0)),
+        cloud_correlation_min=draw(st.one_of(st.sampled_from([1.0, 120.0]), st.floats(1e-3, 1e4))),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(profile=solar_profiles(), days=st.integers(1, 3), start=st.integers(0, 2_000_000_000))
+def test_solar_trace_matches_step_loop(profile, days, start):
+    same_irradiance(
+        generate_synthetic_irradiance(days, profile, start), oracle_generate_synthetic_irradiance(days, profile, start)
+    )
+
+
 # -- non-finite input --------------------------------------------------------------
 
 
