@@ -45,19 +45,22 @@ def select_gps_mode(age_s: int | None, voltage: float, config: SystemConfig) -> 
     return None
 
 
-def due_schedule(clock0: int, n_ticks: int, config: SystemConfig) -> list[tuple[str, ...]]:
-    """The activities due in each of n_ticks consecutive ticks from clock0,
-    one tuple per tick in execution order. Disabled intervals (None) never
-    fire; everything fires at clock 0."""
+# The activities a due code stands for, in execution order: bit 0 sensing,
+# bit 1 a fix, bit 2 an upload. Code 0 is a tick with nothing due.
+DUE_SETS = tuple(tuple(name for bit, name in enumerate((SENSE, FIX, TRANSMIT)) if c >> bit & 1) for c in range(8))
+
+
+def due_codes(clock0: int, n_ticks: int, config: SystemConfig) -> np.ndarray:
+    """What is due in each of n_ticks consecutive ticks from clock0, as an
+    index into DUE_SETS. Disabled intervals (None) never fire; everything
+    fires at clock 0."""
     clock = clock0 + np.arange(n_ticks, dtype=np.int64) * config.base_tick_s
     code = np.zeros(n_ticks, dtype=np.int64)
-    names = (SENSE, FIX, TRANSMIT)
     intervals = (config.sense_interval_s, config.fix_interval_s, config.transmit_interval_s)
     for bit, interval in enumerate(intervals):
         if interval is not None:
             code |= (clock % interval == 0).astype(np.int64) << bit
-    sets = [tuple(name for bit, name in enumerate(names) if c >> bit & 1) for c in range(8)]
-    return [sets[c] for c in code.tolist()]
+    return code
 
 
 # The upload whose bench-measured duration is TASKS["NbIot"].duration_s;

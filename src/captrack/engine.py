@@ -9,11 +9,20 @@ rather than discretized to the tick.
 The loop steps each segment with constants built once per run: per load its
 resistance, time constant and leakage share, and per (load, exact duration)
 the three exponentials of the solution. The event log is kept as columns.
+
+Most ticks of a sparse schedule are only a sleep. Each stretch of
+activity-free ticks, found once from the schedule, is stepped in one loop
+(_idle) with _step's operations in _step's order, so the bits are those of
+stepping tick by tick. A tick whose margin test leaves a bound crossing
+possible, or an off tick that starts at v_turn_on, is handed back to the
+per-tick path, which alone decides depletion, recovery and a ClampStart
+inside a tick.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import defaultdict
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
@@ -63,6 +72,17 @@ _FACTOR_CACHE_LIMIT = 256
 # the ~1e-15 relative rounding of either side, for x below ~1e6. For x past
 # ~700, exp(-x) is 0 and the test never passes.
 _CROSSING_MARGIN = 1.0 + 1e-9
+
+
+def _factors(factors: dict, duration: float, tau: float) -> tuple[float, float, float]:
+    """exp(-x), -expm1(-x) and -expm1(-2x) for x = duration / tau, kept in
+    the load's table while it has room."""
+    x = duration / tau
+    f = (math.exp(-x), -math.expm1(-x), -math.expm1(-2.0 * x))
+    if len(factors) < _FACTOR_CACHE_LIMIT:
+        factors[duration] = f
+    return f
+
 
 TIMESERIES_HEADER = ["t_s", "voltage_v", "i_solar_a", "i_kinetic_a", "i_combined_a", "power_state", "event"]
 
@@ -252,6 +272,18 @@ class _Simulator:
         self.v_min = config.thresholds.v_min
         self.upload_gate = getattr(config.thresholds, ACTIVITIES["Transmit"].gate)
         self.loads = {name: self._load(name, compose_task_current(name, cap.leakage_ma)) for name in TASKS}
+        # Per power state, what _idle steps a whole tick with: the load, its
+        # factors for the tick length, the floor the asymptote must be below
+        # for a v_min check (none when unpowered), and the start voltage that
+        # ends the stretch (v_turn_on when unpowered).
+        tick = float(config.base_tick_s)
+        self.stretches = {
+            powered: (load, load[-1].get(tick) or _factors(load[-1], tick, load[2]), floor, v_on)
+            for powered, load, floor, v_on in (
+                (True, self.loads["Sleep"], self.v_min, math.inf),
+                (False, self.loads["TurnedOff"], -math.inf, config.thresholds.v_turn_on),
+            )
+        }
         # Per logged activity: its event code, and (load, mean duration,
         # duration deviation) of each task in its chain.
         self.plans = {
@@ -317,13 +349,7 @@ class _Simulator:
             self.t = t0 + duration
             self.v = v_max
         else:
-            f = factors.get(duration)
-            if f is None:
-                x = duration / tau
-                f = (math.exp(-x), -math.expm1(-x), -math.expm1(-2.0 * x))
-                if len(factors) < _FACTOR_CACHE_LIMIT:
-                    factors[duration] = f
-            e, em1, em2 = f
+            e, em1, em2 = factors.get(duration) or _factors(factors, duration, tau)
             b = v0 - a
             # A crossing time (time_to_voltage) takes a logarithm, skipped
             # where the unclamped end voltage a + b e stays clear of the bound:
@@ -441,10 +467,70 @@ class _Simulator:
             return self._deplete(i_h, tick_end, None, "")
         return self.v
 
-    def execute_off_tick(self, t_start: float, i_h: float) -> float:
-        self.t = t_start
-        self._step(self.loads["TurnedOff"], self.config.base_tick_s, i_h, False)
-        return self.v
+    def _idle(self, start: int, stop: int, combined: list[float], voltages: list[float], power_on: list[bool]) -> int:
+        """Step ticks start..stop-1 as whole-tick Sleep (powered) or TurnedOff
+        (unpowered) segments; return the first tick not stepped.
+
+        Each tick is _step's plain case, pinned or without a crossing, with
+        _step's operations in _step's order. The stretch stops at a tick whose
+        margin test leaves a v_max crossing possible, or a v_min crossing when
+        powered, and, when unpowered, at a tick that starts at or above
+        v_turn_on. Appends each tick's end voltage and power state.
+        """
+        powered = self.powered
+        (task, r, tau, half_tau, leak, keep, pinned_w, _), (e, em1, em2), floor, v_on = self.stretches[powered]
+        tick = self.config.base_tick_s
+        duration = float(tick)
+        v_max, v_min, v_pinned = self.v_max, self.v_min, self.v_pinned
+        rows = self.rows
+        append = voltages.append
+        clamp = self.clamp_active
+        harvested_j, leakage_j, discarded_j = self.harvested_j, self.leakage_j, self.discarded_j
+        spent = self.consumed.get(task, 0.0)
+        v = self.v
+        margin = _CROSSING_MARGIN
+        for i in range(start, stop):
+            if v >= v_on:
+                break
+            i_h = combined[i]
+            a = i_h * r
+            if v >= v_pinned and a >= v_max:
+                if not clamp:
+                    rows.append((float(i * tick), _CLAMP_START, v_max, v_max, 0))
+                    clamp = True
+                harvested = i_h * v_max * duration
+                consumed = pinned_w * duration
+                discarded_j += harvested - consumed
+                v = v_max
+            else:
+                b = v - a
+                be = b * e
+                if (
+                    a > v_max and v < v_max and not be < (v_max - a) * margin
+                    or a < floor and v > v_min and not be > (v_min - a) * margin
+                ):
+                    break
+                if clamp:
+                    rows.append((float(i * tick), _CLAMP_END, v, v, 0))
+                    clamp = False
+                harvested = i_h * (a * duration + b * tau * em1)
+                consumed = (a * a * duration + 2.0 * a * b * tau * em1 + b * b * half_tau * em2) / r
+                v_end = a + be
+                v = v_max if v_end > v_max else v_end
+            harvested_j += harvested
+            leakage_j += consumed * leak
+            spent += consumed * keep
+            append(v)
+        else:
+            i = stop
+        if i > start:
+            self.t = float(i * tick)
+            self.v = v
+            self.clamp_active = clamp
+            self.harvested_j, self.leakage_j, self.discarded_j = harvested_j, leakage_j, discarded_j
+            self.consumed[task] = spent
+            power_on += [powered] * (i - start)
+        return i
 
     # -- whole run ----------------------------------------------------------
 
@@ -454,25 +540,40 @@ class _Simulator:
         v_turn_on = cfg.thresholds.v_turn_on
 
         times = np.arange(n_ticks + 1, dtype=np.int64) * tick
-        schedule = dev.due_schedule(0, n_ticks, cfg)
+        codes = dev.due_codes(0, n_ticks, cfg)
+        busy = [*np.flatnonzero(codes).tolist(), n_ticks]  # ticks with an activity due, then the end
+        due = codes.tolist()
+        due_sets = dev.DUE_SETS
         combined = harvest.combined_a[:n_ticks].tolist()
         v_initial = self.v
         voltages = [v_initial]
         power_on = []
         execute_tick = self.execute_tick
-        execute_off_tick = self.execute_off_tick
+        idle = self._idle
+        turned_off = self.loads["TurnedOff"]
 
-        for i in range(n_ticks):
-            t = i * tick
-            if not self.powered and self.v >= v_turn_on:
+        i = 0
+        while i < n_ticks:
+            if not self.powered:
+                i = idle(i, n_ticks, combined, voltages, power_on)
+                if i == n_ticks:
+                    break
+                if self.v < v_turn_on:  # a v_max crossing may fall inside this off tick
+                    power_on.append(False)
+                    self.t = float(i * tick)
+                    self._step(turned_off, tick, combined[i], False)
+                    voltages.append(self.v)
+                    i += 1
+                    continue
                 self.powered = True
-                self.rows.append((float(t), _RECOVERY, self.v, self.v, 0))
-            if self.powered:
-                power_on.append(True)
-                voltages.append(execute_tick(t, schedule[i], combined[i]))
-            else:
-                power_on.append(False)
-                voltages.append(execute_off_tick(float(t), combined[i]))
+                self.rows.append((float(i * tick), _RECOVERY, self.v, self.v, 0))
+            elif not due[i]:
+                i = idle(i, busy[bisect_left(busy, i)], combined, voltages, power_on)
+                if i == n_ticks:
+                    break
+            power_on.append(True)
+            voltages.append(execute_tick(i * tick, due_sets[due[i]], combined[i]))
+            i += 1
 
         power_on.append(self.powered)
         duration = n_ticks * tick

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from captrack.device import (
+    DUE_SETS,
     FIX,
     SENSE,
     TRANSMIT,
-    due_schedule,
+    due_codes,
     payload_bytes,
     select_gps_mode,
 )
@@ -95,6 +96,11 @@ def test_upload_gate_is_read_from_the_activity_table(monkeypatch):
     level = np.zeros(1)
     result = run_simulation(config, HarvestTrace(0, 60, level, level, level))
     assert [EVENT_KINDS[k] for k in result.log.kind.tolist()] == ["Transmit"]
+
+
+def due_schedule(clock0, n_ticks, config):
+    """The activity tuple due in each tick."""
+    return [DUE_SETS[c] for c in due_codes(clock0, n_ticks, config).tolist()]
 
 
 def test_due_tasks_order_and_phases():

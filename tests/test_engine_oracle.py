@@ -23,6 +23,7 @@ from dataclasses import dataclass, field, replace
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -721,6 +722,94 @@ def test_crossings_at_the_end_of_a_segment():
         assert dict(new.consumed) == led.consumed_by_task_j
         crossed += bool(old.events)
     assert 0 < crossed < len(cases)
+
+
+# -- sparse schedules: the engine steps each run of activity-free ticks in one loop
+
+# Sensing off, a fix every 30 minutes, one daily upload: most ticks only sleep.
+SPARSE = dict(sense_interval_s=None, fix_interval_s=1800, transmit_interval_s=86400)
+
+
+def scheduled_idle(time_s: float, config: SystemConfig) -> bool:
+    """Whether the tick holding time_s has no activity due."""
+    start = int(time_s // config.base_tick_s) * config.base_tick_s
+    return not device.due_codes(start, 1, config)[0]
+
+
+def test_idle_stretches_enter_and_leave_the_clamp():
+    # A harvest whose asymptote jumps around v_max every tick: the clamp is
+    # entered at fractional seconds inside idle ticks and left at their starts.
+    config = validate_config(SystemConfig(initial_voltage=5.5, **SPARSE))
+    old = assert_same_run(config, harvest_trace("uniform", 1440, 3e-4, 1), 86400)
+    starts = [e.time_s for e in old.events if e.kind == "ClampStart" and scheduled_idle(e.time_s, config)]
+    ends = [e.time_s for e in old.events if e.kind == "ClampEnd" and scheduled_idle(e.time_s, config)]
+    assert len(starts) > 10 and all(t % 60 for t in starts)
+    assert len(ends) > 10
+
+
+@pytest.mark.parametrize("level", [2e-3, 0.1])
+def test_idle_stretch_depletes_coasts_and_recovers(level):
+    # Eight dark hours drain a 1 F capacitor to v_min in a sleep-only tick;
+    # the device coasts off until the sun brings it back at a tick boundary.
+    # At 0.1 A an off tick crosses v_max on the way.
+    config = SystemConfig(capacitor=CapacitorSpec.from_capacitance(1.0), initial_voltage=2.25, **SPARSE)
+    n, dark = 1440, 490
+    combined = np.concatenate([np.zeros(dark), np.full(n - dark, level)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # gates below the 1 F safe bounds
+        config = validate_config(config)
+        old = assert_same_run(config, HarvestTrace(0, 60, combined, np.zeros(n), combined), n * 60)
+    times = {kind: [e.time_s for e in old.events if e.kind == kind] for kind in ("Depletion", "Recovery", "ClampStart")}
+    (depleted,), (recovered,) = times["Depletion"], times["Recovery"]
+    assert scheduled_idle(depleted, config) and depleted % 60
+    assert recovered > dark * 60 and recovered % 60 == 0
+    assert times["ClampStart"][0] < recovered if level == 0.1 else times["ClampStart"][0] > recovered
+
+
+def test_crossings_at_the_end_of_an_idle_stretch():
+    # test_crossings_at_the_end_of_a_segment's start voltages, moved back
+    # over the earlier ticks of a run with nothing scheduled, so that the
+    # crossing lands around the end of the last tick of one long stretch.
+    base = validate_config(SystemConfig(sense_interval_s=None, fix_interval_s=None, transmit_interval_s=None))
+    r = equivalent_resistance(base.v_supply, compose_task_current("Sleep", base.capacitor.leakage_ma))
+    x = 60.0 / (r * base.capacitor.capacitance_f)
+    grow = math.exp(x)
+    offsets = [0.0] + [sign * 10.0**k for k in range(-17, -5) for sign in (1.0, -1.0)]
+    crossed = stretches = 0
+    for bound, levels in ((5.5, (1.2e-4, 2e-4, 1e-3)), (1.8, (0.0, 1e-5))):
+        for i_h in levels:
+            a = i_h * r
+            # Enough ticks to start powered (at v_turn_on or above), and at least five.
+            n = max(5, math.ceil(math.log((2.2 - a) / (bound - a)) / x) + 2)
+            stretches = max(stretches, n)
+            for d in offsets:
+                last = a + (bound - a) * grow * (1.0 + d)  # start voltage of the last tick
+                config = replace(base, initial_voltage=min(a + (last - a) * grow ** (n - 1), 5.5))
+                old = assert_same_run(config, harvest_trace("flat", n, i_h, 0), n * 60)
+                crossed += any(e.kind in ("ClampStart", "Depletion") for e in old.events)
+    assert 0 < crossed < 5 * len(offsets)
+    assert stretches > 100  # the floor cases cross after a long stretch
+
+
+def test_idle_ticks_are_not_stepped_one_by_one(monkeypatch):
+    # Two days shaped like the year-sparse benchmark. Only busy ticks and
+    # the ticks an idle stretch hands back (a possible crossing, a recovery)
+    # may go through execute_tick; stepping every tick would make 2880 calls.
+    calls = []
+    execute_tick = engine._Simulator.execute_tick
+
+    def counted(self, t_start, activities, i_h):
+        calls.append(t_start)
+        return execute_tick(self, t_start, activities, i_h)
+
+    monkeypatch.setattr(engine._Simulator, "execute_tick", counted)
+    config = validate_config(SystemConfig(**SPARSE))
+    result = run_simulation(config, harvest_trace("blocks", 2 * 1440, 2e-3, 1), 2 * 86400)
+    busy = 2 * 86400 // 1800
+    kinds = result.log.kind.tolist()
+    handed_back = sum(kinds.count(EVENT_KINDS.index(k)) for k in ("ClampStart", "Depletion", "Recovery"))
+    assert kinds.count(EVENT_KINDS.index("ClampStart")) > 0
+    assert busy <= len(calls) <= busy + handed_back < 2 * 1440 // 4
 
 
 @settings(max_examples=30, deadline=None)
