@@ -13,6 +13,7 @@ missing trace, 4 I/O failure while writing outputs.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
@@ -78,17 +79,21 @@ def _load_trace(path: str, config: SystemConfig) -> HarvestTrace:
 
     Either way the combined current is the config's combiner efficiency
     times the sum of the sources; a harvest file's combined_a is not used.
+    Text the decoder or csv.reader rejects is a trace error naming the file.
     """
-    header = read_trace_header(path)
-    if header == HARVEST_HEADER:
-        source = load_harvest_csv(path)
-        solar, kinetic = source.solar_a, source.kinetic_a
-    elif header == IRRADIANCE_HEADER:
-        source = load_irradiance_csv(path)
-        solar = solar_current_from_irradiance(source, SolarChain(v_supply=config.v_supply))
-        kinetic = np.zeros_like(solar)
-    else:
-        raise TraceError(f"{path}: unrecognized header {','.join(header)!r}")
+    try:
+        header = read_trace_header(path)
+        if header == HARVEST_HEADER:
+            source = load_harvest_csv(path)
+            solar, kinetic = source.solar_a, source.kinetic_a
+        elif header == IRRADIANCE_HEADER:
+            source = load_irradiance_csv(path)
+            solar = solar_current_from_irradiance(source, SolarChain(v_supply=config.v_supply))
+            kinetic = np.zeros_like(solar)
+        else:
+            raise TraceError(f"{path}: unrecognized header {','.join(header)!r}")
+    except (UnicodeError, csv.Error) as exc:
+        raise TraceError(f"{path}: {exc}") from exc
     return HarvestTrace.build(solar, kinetic, config.combiner_efficiency, source.start_epoch_s, source.resolution_s)
 
 

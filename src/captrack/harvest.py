@@ -12,6 +12,8 @@ from __future__ import annotations
 import csv
 import io
 import math
+import os
+import re
 from collections.abc import Callable, Iterable, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -33,7 +35,10 @@ CSV_READ_ROWS = 2048
 _EXACT_LIMIT = 2**62  # integers below this in size subtract in int64 without overflow
 _ISO_UTC = np.frombuffer(b"0000-00-00T00:00:00Z", dtype=np.uint8)
 _ISO_SPAN = np.where(_ISO_UTC == ord("0"), 9, 0).astype(np.uint8)  # a "0" stands for any digit
-_YEAR_ONE = np.datetime64("0001-01-01T00:00:00", "s")
+_ISO_FIELDS = ((0, 4), (5, 2), (8, 2), (11, 2), (14, 2), (17, 2))  # (first digit, digits) of Y, M, D, h, m, s
+_MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])  # by month number, not in a leap year
+_DAYS_BEFORE_MONTH = np.cumsum(_MONTH_DAYS) - _MONTH_DAYS
+_EPOCH_ORDINAL = 719163  # datetime.date(1970, 1, 1).toordinal()
 # Number formatting: the four ASCII digits of 0..9999, the powers of ten
 # that float64 holds exactly, and the band around a half-integer inside
 # which one float64 rounding of y (at most y x 2**-53) may have moved it
@@ -48,6 +53,10 @@ _CRLF = np.frombuffer(b"\r\n", np.uint8)
 
 IRRADIANCE_HEADER = ["timestamp", "irradiance_wm2"]
 HARVEST_HEADER = ["t_s", "solar_a", "kinetic_a", "combined_a"]
+# Rows as the one-pass reader parses them. A stamp is one byte wider than
+# the longest one it reads, so a longer cell shows instead of being cut.
+_IRRADIANCE_ROWS = np.dtype([("timestamp", f"S{_ISO_UTC.size + 1}"), ("irradiance_wm2", float)])
+_HARVEST_ROWS = np.dtype([(name, float) for name in HARVEST_HEADER])
 
 
 class TraceError(ValueError):
@@ -346,8 +355,8 @@ def _parse_timestamp(raw: str, line: int) -> int:
 
 
 @contextmanager
-def _open_csv(path: str) -> Iterator[tuple[list[str], Iterator[list[str]]]]:
-    """The header row of a trace CSV and a csv.reader over the rows after it."""
+def _open_csv(path: str) -> Iterator[tuple[list[str], Iterator[list[str]], str]]:
+    """The header row of a trace CSV, a csv.reader over the rows after it, and the file's text encoding."""
     try:
         handle = open(path, newline="")
     except OSError as exc:
@@ -358,7 +367,7 @@ def _open_csv(path: str) -> Iterator[tuple[list[str], Iterator[list[str]]]]:
             header = next(reader)
         except StopIteration:
             raise TraceError(f"{path}: empty file") from None
-        yield header, reader
+        yield header, reader, handle.encoding
 
 
 def _header_names(header: list[str]) -> list[str]:
@@ -372,7 +381,7 @@ def _check_header(path: str, header: list[str], expected: list[str]) -> None:
 
 def read_trace_header(path: str) -> list[str]:
     """A trace CSV's column names as the loaders read them: stripped and lower-cased."""
-    with _open_csv(path) as (header, _):
+    with _open_csv(path) as (header, _, _):
         return _header_names(header)
 
 
@@ -452,39 +461,46 @@ def _chunks(reader: Iterator[list[str]], n_fields: int) -> Iterator[_Chunk]:
             column.clear()
 
 
-def _iso_utc_seconds(cells: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    """Indices and epoch seconds of the cells written "YYYY-MM-DDTHH:MM:SSZ".
+def _decimal(digits: np.ndarray) -> np.ndarray:
+    """The numbers whose decimal digits (as values 0-9) are the rows of digits, most significant first."""
+    value = digits[0].astype(np.int32)
+    for row in digits[1:]:
+        value = value * 10 + row
+    return value
 
-    numpy parses them with the Z cut off, so it sees no time zone. A cell
-    counts only if numpy's ISO printer gives back its text and its year is 1
-    or later: that is a stamp _parse_timestamp reads as the same second.
+
+def _iso_utc_seconds(text: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where each byte string is a second written "YYYY-MM-DDTHH:MM:SSZ", and its epoch seconds.
+
+    A string counts only if _parse_timestamp reads it as that second: every
+    field is in range, the day is in its month and the year is 1 or later.
+    The seconds of the others are filler.
     """
-    nothing = np.empty(0, np.intp), np.empty(0, np.int64)
-    try:
-        text = np.array(cells, dtype="S")
-    except UnicodeEncodeError:
-        return nothing
-    width = text.dtype.itemsize
-    if width < _ISO_UTC.size:
-        return nothing
-    codes = text.view(np.uint8).reshape(len(cells), width)[:, : _ISO_UTC.size]
-    shaped = (codes - _ISO_UTC <= _ISO_SPAN).all(axis=1)  # uint8: a byte below its template wraps high
-    if width > _ISO_UTC.size:  # a longer cell can match in its first characters
-        shaped &= np.fromiter(map(len, cells), np.intp, len(cells)) == _ISO_UTC.size
-    picked = np.flatnonzero(shaped)
-    clock = np.ascontiguousarray(codes[picked, :-1]).view(f"S{_ISO_UTC.size - 1}").ravel()
-    try:
-        seconds = clock.astype("datetime64[s]")
-    except ValueError:  # a field out of range: these cells go to _parse_timestamp
-        return nothing
-    exact = (seconds >= _YEAR_ONE) & (seconds.astype(clock.dtype) == clock)
-    return picked[exact], seconds[exact].astype(np.int64)
+    rows, size = text.size, _ISO_UTC.size
+    if text.dtype.itemsize < size:
+        return np.zeros(rows, bool), np.zeros(rows, np.int64)
+    # One row per character (the byte after the Z too, if any), each the
+    # character's offset from the template: a byte below it wraps high.
+    codes = np.ascontiguousarray(text[:, None].view(np.uint8)[:, : size + 1].T)
+    codes[:size] -= _ISO_UTC[:, None]
+    iso = codes[size] == 0 if len(codes) > size else np.ones(rows, bool)  # nothing after the Z
+    for row, span in zip(codes, _ISO_SPAN):
+        iso &= row <= span
+    year, month, day, hour, minute, second = (_decimal(codes[first : first + count]) for first, count in _ISO_FIELDS)
+    del codes
+    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
+    iso &= (year >= 1) & (month >= 1) & (month <= 12) & (hour < 24) & (minute < 60) & (second < 60)
+    iso &= (day >= 1) & (day <= _MONTH_DAYS.take(month, mode="clip") + (leap & (month == 2)))
+    before = year - 1  # whole years since 0001-01-01
+    ordinal = before * 365 + before // 4 - before // 100 + before // 400 + day
+    ordinal += _DAYS_BEFORE_MONTH.take(month, mode="clip") + (leap & (month > 2))
+    return iso, (ordinal - _EPOCH_ORDINAL).astype(np.int64) * 86400 + (hour * 60 + minute) * 60 + second
 
 
 def _timestamps(chunk: _Chunk, previous: int | None) -> np.ndarray:
     """Epoch seconds of the first column, cut at the first cell _parse_timestamp rejects.
 
-    Whole columns of epoch integers and cells in numpy's UTC form are parsed
+    Whole columns of epoch integers and cells in UTC "Z" form are parsed
     in bulk; every other cell goes through _parse_timestamp. Stamps that
     int64 arithmetic could overflow on stay Python ints.
     """
@@ -492,12 +508,14 @@ def _timestamps(chunk: _Chunk, previous: int | None) -> np.ndarray:
     try:
         stamps = np.fromiter(map(int, cells), np.int64, len(cells))
     except (ValueError, OverflowError):
-        stamps = np.zeros(len(cells), np.int64)
-        picked, seconds = _iso_utc_seconds(cells)
-        stamps[picked] = seconds
-        rest = np.ones(len(cells), bool)
-        rest[picked] = False
-        rest = np.flatnonzero(rest)
+        try:
+            text = np.array(cells, dtype="S")
+        except UnicodeEncodeError:  # a cell beyond ASCII: every cell goes to _parse_timestamp
+            text = np.zeros(len(cells), "S1")
+        iso, stamps = _iso_utc_seconds(text)
+        # A NUL that ends a cell is not in its bytes, so the cell's length is checked too.
+        iso &= np.fromiter(map(len, cells), np.intp, len(cells)) == _ISO_UTC.size
+        rest = np.flatnonzero(~iso)
         exact: list[int] = []
         try:
             exact.extend(map(_parse_timestamp, [cells[i] for i in rest], chunk.lines[rest].tolist()))
@@ -515,6 +533,77 @@ def _timestamps(chunk: _Chunk, previous: int | None) -> np.ndarray:
     return stamps
 
 
+def _read_plain(path: str, encoding: str, dtype: np.dtype) -> np.ndarray | None:
+    """The rows after the header line, parsed by np.loadtxt in one pass; None where it might read them otherwise.
+
+    For a cell without quotes np.loadtxt splits lines and cells as csv.reader
+    does, and a quote is kept in the cell, where no dtype here parses it (a
+    header with a quoted line break leaves one in the rows). np.loadtxt has
+    no field size limit and a byte string drops a final NUL, so a file with a
+    line longer than csv.field_size_limit() or with a NUL byte is declined,
+    as is one np.loadtxt rejects or finds no data rows in. A pipe is not
+    opened again: the row checker reads it once.
+    """
+    if not os.path.isfile(path):
+        return None
+    try:
+        with open(path, "rb") as handle:
+            data = handle.read()
+    except OSError:
+        return None
+    ends = np.flatnonzero(np.frombuffer(data, np.uint8) == ord("\n"))
+    if b"\0" in data or np.diff(ends, prepend=-1, append=len(data)).max() > csv.field_size_limit() + 1:
+        return None
+    if not re.search(b"[\r\n][^\r\n]", data):  # no line after the header: np.loadtxt would warn
+        return None
+    del data, ends
+    try:  # an absolute path, which np.loadtxt cannot take for a URL
+        return np.loadtxt(os.path.abspath(path), dtype, comments=None, delimiter=",", skiprows=1, encoding=encoding,
+                          ndmin=1)
+    except Exception:  # also the error of a decompressor np.loadtxt picks by a name ending .gz, .xz, ...
+        return None
+
+
+def _epoch_seconds(text: np.ndarray) -> np.ndarray | None:
+    """The byte strings as int() reads them, if each is the plain decimal text of its value."""
+    try:
+        seconds = text.astype(np.int64)
+    except (ValueError, OverflowError):
+        return None
+    return seconds if (seconds.astype(text.dtype) == text).all() else None
+
+
+def _irradiance_trace(start: int, resolution_s: int, samples: np.ndarray, holds: np.ndarray,
+                      steps: np.ndarray) -> IrradianceTrace:
+    """The trace of samples from start, with gap k's steps[k] missing rows holding sample holds[k]."""
+    counts = np.ones(samples.size, np.intp)
+    counts[holds] += steps
+    return IrradianceTrace(start, resolution_s, np.repeat(samples, counts), len(holds))
+
+
+def _plain_irradiance(path: str, encoding: str, resolution_s: int, max_gap_steps: int) -> IrradianceTrace | None:
+    """The trace of a plain file whose stamps are all epoch integers or all UTC "Z" text, if every row checks."""
+    rows = _read_plain(path, encoding, _IRRADIANCE_ROWS)
+    if rows is None:
+        return None
+    text = rows["timestamp"]
+    stamps = _epoch_seconds(text)
+    if stamps is None:
+        iso, stamps = _iso_utc_seconds(text)
+        if not iso.all():
+            return None
+    if not -_EXACT_LIMIT < stamps.min() <= stamps.max() < _EXACT_LIMIT:
+        return None
+    samples = np.ascontiguousarray(rows["irradiance_wm2"])
+    spacing = np.diff(stamps)
+    missing = spacing // resolution_s - 1
+    if not (((samples >= 0.0) & (samples < math.inf)).all() and (spacing > 0).all()
+            and not (spacing % resolution_s).any() and (missing <= max_gap_steps).all()):
+        return None
+    holds = np.flatnonzero(missing)
+    return _irradiance_trace(int(stamps[0]), resolution_s, samples, holds, missing[holds])
+
+
 def load_irradiance_csv(path: str, resolution_s: int = 60, max_gap_steps: int = 5) -> IrradianceTrace:
     """Read "timestamp,irradiance_wm2" rows into a trace.
 
@@ -525,10 +614,14 @@ def load_irradiance_csv(path: str, resolution_s: int = 60, max_gap_steps: int = 
     """
     if resolution_s <= 0:
         raise TraceError(f"resolution must be positive, got {resolution_s}")
-    with _open_csv(path) as (header, reader):
+    with _open_csv(path) as (header, reader, encoding):
         _check_header(path, header, IRRADIANCE_HEADER)
+        trace = _plain_irradiance(path, encoding, resolution_s, max_gap_steps)
+        if trace is not None:
+            return trace
         values = bytearray()  # float64 samples in one growing buffer: no array per chunk kept to the end
-        gaps: list[tuple[int, int]] = []  # (index of the sample a gap holds, missing steps)
+        holds: list[int] = []  # index of the sample each gap holds
+        steps: list[int] = []  # missing steps of each gap
         start = previous = None
         for chunk in _chunks(reader, 2):
             lines, cells = chunk.lines, chunk.columns[1]
@@ -560,17 +653,13 @@ def load_irradiance_csv(path: str, resolution_s: int = 60, max_gap_steps: int = 
             previous = int(stamps[-1])
             at = np.flatnonzero(missing)
             held = len(values) // samples.itemsize + first - 1  # a gap on row first + k holds sample held + k
-            gaps += zip((held + at).tolist(), missing[at].tolist())
+            holds += (held + at).tolist()
+            steps += missing[at].tolist()
             values += samples.tobytes()
         if start is None:
             raise TraceError(f"{path}: no data rows")
-    samples = np.frombuffer(values, dtype=float).copy()
-    if gaps:
-        holds, steps = zip(*gaps)
-        counts = np.ones(samples.size, np.intp)
-        counts[list(holds)] += steps  # each filled step holds the sample before the gap
-        samples = np.repeat(samples, counts)
-    return IrradianceTrace(start, resolution_s, samples, len(gaps))
+    return _irradiance_trace(start, resolution_s, np.frombuffer(values, dtype=float), np.array(holds, np.intp),
+                             np.array(steps, np.intp))
 
 
 def csv_field(text: str) -> str:
@@ -802,10 +891,38 @@ def save_harvest_csv(trace: HarvestTrace, path: str) -> None:
     write_csv(path, HARVEST_HEADER, len(trace), rows)
 
 
+def _time_step(times: np.ndarray) -> int | None:
+    """The step of a finite time column, in whole seconds as int() gives them
+    (truncated, and exact however large); 60 for one row, None unless uniform and positive."""
+    if times.size == 1:
+        return 60
+    if np.abs(times).max() < _EXACT_LIMIT:
+        whole = times.astype(np.int64)
+    else:
+        whole = np.array(list(map(int, times.tolist())), dtype=object)
+    spacing = np.diff(whole)
+    return int(spacing[0]) if spacing[0] > 0 and (spacing == spacing[0]).all() else None
+
+
+def _plain_harvest(path: str, encoding: str) -> HarvestTrace | None:
+    """The trace of a plain harvest file whose values are finite, currents non-negative and times uniform."""
+    rows = _read_plain(path, encoding, _HARVEST_ROWS)
+    if rows is None:
+        return None
+    times, *currents = (np.ascontiguousarray(rows[name]) for name in HARVEST_HEADER)
+    if not (np.isfinite(times).all() and all(((c >= 0.0) & (c < math.inf)).all() for c in currents)):
+        return None
+    step = _time_step(times)
+    return None if step is None else HarvestTrace(0, step, *currents)
+
+
 def load_harvest_csv(path: str) -> HarvestTrace:
     """Read a harvest CSV written by save_harvest_csv (or shaped like it)."""
-    with _open_csv(path) as (header, reader):
+    with _open_csv(path) as (header, reader, encoding):
         _check_header(path, header, HARVEST_HEADER)
+        trace = _plain_harvest(path, encoding)
+        if trace is not None:
+            return trace
         parts = [[np.empty(0, np.int64)]] + [[np.empty(0)] for _ in HARVEST_HEADER]  # lines, then each column
         for chunk in _chunks(reader, len(HARVEST_HEADER)):
             def unparseable(k: int, chunk: _Chunk = chunk) -> str:
@@ -821,16 +938,7 @@ def load_harvest_csv(path: str) -> HarvestTrace:
     finite = np.isfinite(times) & np.isfinite(solar) & np.isfinite(kinetic) & np.isfinite(combined)
     if not finite.all():
         raise TraceError(f"line {lines[int(np.argmin(finite))]}: non-finite value")
-    if times.size == 1:
-        resolution = 60
-    else:
-        # Whole seconds as int() gives them: truncated, and exact however large.
-        if np.abs(times).max() < _EXACT_LIMIT:
-            whole = times.astype(np.int64)
-        else:
-            whole = np.array(list(map(int, times.tolist())), dtype=object)
-        spacing = np.diff(whole)
-        if not (spacing[0] > 0 and (spacing == spacing[0]).all()):
-            raise TraceError(f"{path}: time column not uniformly spaced")
-        resolution = int(spacing[0])
-    return HarvestTrace(0, resolution, solar, kinetic, combined)
+    step = _time_step(times)
+    if step is None:
+        raise TraceError(f"{path}: time column not uniformly spaced")
+    return HarvestTrace(0, step, solar, kinetic, combined)

@@ -512,3 +512,28 @@ def test_only_commands_that_read_yaml_import_it(tmp_path, argv, imported):
         env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
     )
     assert run.stdout.splitlines()[-1] == f"0 {imported}"
+
+
+UNREADABLE_TRACES = {  # text the decoder or csv.reader rejects: a traceback before
+    "byte in a row": b"timestamp,irradiance_wm2\n0,1.0\n60,\xff1.0\n",
+    "byte in the header": b"timestamp,irradiance_wm2\xff\n0,1.0\n",
+    "cell over the field limit": b"t_s,solar_a,kinetic_a,combined_a\n0,0,0,0\n60,0,0,"
+    + b"0" * (csv.field_size_limit() + 1) + b"\n",
+}
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+@pytest.mark.parametrize("text", UNREADABLE_TRACES.values(), ids=UNREADABLE_TRACES)
+def test_unreadable_trace_text_is_a_trace_error(tmp_path, capsys, command, text):
+    trace = tmp_path / "trace.csv"
+    trace.write_bytes(text)
+    out = tmp_path / "out"
+    if command == "simulate":
+        argv = ["simulate", "--trace", str(trace), "--out", str(out)]
+    else:
+        spec = tmp_path / "sweep.yaml"
+        spec.write_text(f"capacitors: [2.5]\nfix_intervals_s: [120]\ntrace: {trace}\n")
+        argv = ["sweep", "--spec", str(spec), "--out", str(out)]
+    assert main(argv) == EXIT_TRACE
+    assert capsys.readouterr().err.startswith(f"trace error: {trace}: ")
+    assert not out.exists()

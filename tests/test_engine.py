@@ -116,6 +116,25 @@ def test_transmit_failure_mid_burst():
     assert v < 1.8  # leakage coast continues below the floor while off
 
 
+@pytest.mark.parametrize(("capacitance", "voltage", "current", "kinds_logged"), [
+    (1.0, 5.412731162237595, 0.04541987935252668, ["ClampStart", "Transmit"]),
+    (1.0, 1.850468712897585, 0.005095035179555174, ["TransmitFailed", "Depletion"]),
+    (2.5, 5.444104975980202, 0.052176940229824956, ["ClampStart", "Transmit"]),
+    (2.5, 1.8080406369005353, 0.008814780427726166, ["TransmitFailed", "Depletion"]),
+], ids=["1F-v_max", "1F-v_min", "2.5F-v_max", "2.5F-v_min"])
+def test_crossing_margin_keeps_crossings_inside_the_segment(capacitance, voltage, current, kinds_logged):
+    # The upload's unclamped end voltage lands within rounding of v_max or
+    # v_min, and time_to_voltage puts the crossing a few ulps before the
+    # 7.89 s burst ends. _CROSSING_MARGIN keeps the cheap test from ruling
+    # it out; without it (M = 1) each logs a plain Transmit at 7.89 s first.
+    cfg = replace(SystemConfig(), capacitor=CapacitorSpec.from_capacitance(capacitance),
+                  thresholds=replace(VoltageThresholds(), nbiot=1.801))
+    with pytest.warns(UserWarning, match="below its safe bound"):
+        _, log = one_tick(voltage, [TRANSMIT], current, cfg)
+    assert kinds(log) == kinds_logged
+    assert log.time_s[0] < 7.89
+
+
 def test_one_tick_fix_kind_follows_start_state():
     # The ephemeris and backup domain at the start come from the config.
     _, log = one_tick(3.0, [FIX], 0.0, replace(SystemConfig(), initial_backup_valid=False))

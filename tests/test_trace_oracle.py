@@ -1,15 +1,21 @@
-"""Bit identity of the chunked trace loaders against the per-row loaders they replaced.
+"""Bit identity of the trace loaders against the per-row loaders they replaced.
 
 oracle_parse_timestamp, oracle_load_irradiance_csv and oracle_load_harvest_csv
 below are the earlier bodies of harvest._parse_timestamp,
 harvest.load_irradiance_csv and harvest.load_harvest_csv, kept verbatim apart
-from their names. Every case loads one file through both and compares the
+from their names. Every case loads one file through the oracle and through
+the loader twice: as it is, and with the one-pass reader (harvest._read_plain)
+declining, so that the chunked row checker reads every file. It compares the
 arrays by their bytes, the scalars by value and type, and a failure by its
-exception type and message.
+exception type and message. Plain files, which the one-pass reader takes,
+are drawn on their own and must never reach the row checker.
 """
 
 import csv
 import math
+import os
+import re
+import threading
 import warnings
 from datetime import datetime, timedelta, timezone
 from unittest import mock
@@ -168,12 +174,19 @@ def outcome(load, path, *args):
     }
 
 
+LOADERS = {"irradiance": (load_irradiance_csv, oracle_load_irradiance_csv),
+           "harvest": (load_harvest_csv, oracle_load_harvest_csv)}
+
+
 def same_as_oracle(path, kind, *args):
-    """Load path with the loader and its oracle; return the loader's outcome after checking they agree."""
-    load, oracle = {"irradiance": (load_irradiance_csv, oracle_load_irradiance_csv),
-                    "harvest": (load_harvest_csv, oracle_load_harvest_csv)}[kind]
+    """Load path with its oracle, the loader, and the loader's row checker alone;
+    return the loader's outcome after checking all three agree."""
+    load, oracle = LOADERS[kind]
+    expected = outcome(oracle, path, *args)
     got = outcome(load, path, *args)
-    assert got == outcome(oracle, path, *args)
+    assert got == expected
+    with mock.patch.object(harvest, "_read_plain", return_value=None):
+        assert outcome(load, path, *args) == expected
     return got
 
 
@@ -495,3 +508,220 @@ def test_undecodable_bytes_are_raised_after_the_rows_before_them(tmp_path, monke
     rows[3][1] = "dark"
     path.write_bytes(render([IRRADIANCE_HEADER, *rows]).encode() + b"\xff,1\n")
     assert same_as_oracle(path, "irradiance") == (TraceError, "line 5: unparseable irradiance 'dark'")
+
+
+# -- the one-pass reader ----------------------------------------------------------
+
+PLAIN_FLOAT_FORMS = ["%f".__mod__, "%e".__mod__, repr]
+
+
+@st.composite
+def plain_irradiance_files(draw):
+    """(text, resolution_s, max_gap_steps): a valid file of unquoted rows, stamps of one form."""
+    resolution = draw(st.sampled_from([1, 60, 90]))
+    max_gap = draw(st.sampled_from([0, 1, 5]))
+    form = draw(st.sampled_from(["epoch", "z"]))
+    if form == "epoch":
+        start = draw(st.one_of(st.integers(-(2**62) + 1, 2**62 - 10**6), st.integers(-(10**10), 10**10)))
+    else:
+        start = draw(st.one_of(st.sampled_from([0, 1735689600, FIRST_DAY, LAST_DAY - 10**5]),
+                               st.integers(FIRST_DAY, LAST_DAY - 10**5)))
+    steps = draw(st.lists(st.integers(1, max_gap + 1), min_size=1, max_size=40))
+    stamps = [start + resolution * (sum(steps[:i]) - steps[0] + 1) for i in range(len(steps))]
+    number = draw(st.sampled_from(PLAIN_FLOAT_FORMS))
+    rows = [[STAMP_FORMS[form](s), number(draw(st.floats(0.0, 1500.0)))] for s in stamps]
+    text = render([IRRADIANCE_HEADER, *rows], newline=draw(st.sampled_from(["\n", "\r\n"])),
+                  final_newline=draw(st.booleans()))
+    return text, resolution, max_gap
+
+
+@st.composite
+def plain_harvest_files(draw):
+    """A valid harvest file of unquoted rows."""
+    resolution = draw(st.sampled_from([1, 60, 120]))
+    t0 = draw(st.sampled_from([0, 60, -180, 10**15]))
+    time_form = draw(st.sampled_from([str, "%.1f".__mod__, lambda t: repr(float(t))]))
+    number = draw(st.sampled_from(PLAIN_FLOAT_FORMS))
+    current = st.floats(0.0, 1e-2).map(number)
+    rows = [[time_form(t0 + i * resolution), draw(current), draw(current), draw(current)]
+            for i in range(draw(st.integers(1, 40)))]
+    return render([HARVEST_HEADER, *rows], newline=draw(st.sampled_from(["\n", "\r\n"])),
+                  final_newline=draw(st.booleans()))
+
+
+def same_as_oracle_in_one_pass(path, kind, *args):
+    """Load a plain file without the row checker; check it matches the oracle and gives a trace."""
+    load, oracle = LOADERS[kind]
+    with mock.patch.object(harvest, "_chunks", wraps=harvest._chunks) as chunks:
+        got = outcome(load, path, *args)
+    assert got == outcome(oracle, path, *args)
+    assert isinstance(got, dict)
+    assert not chunks.called
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(plain_irradiance_files())
+def test_plain_irradiance_files_load_in_one_pass(tmp_path, case):
+    text, resolution, max_gap = case
+    path = tmp_path / "sun.csv"
+    path.write_bytes(text.encode())
+    same_as_oracle_in_one_pass(path, "irradiance", resolution, max_gap)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(plain_harvest_files())
+def test_plain_harvest_files_load_in_one_pass(tmp_path, text):
+    path = tmp_path / "harvest.csv"
+    path.write_bytes(text.encode())
+    same_as_oracle_in_one_pass(path, "harvest")
+
+
+def test_one_pass_columns_are_contiguous(tmp_path):
+    path = tmp_path / "harvest.csv"
+    path.write_text(render([HARVEST_HEADER, *harvest_rows()]))
+    trace = load_harvest_csv(str(path))
+    assert all(column.flags.c_contiguous for column in (trace.solar_a, trace.kinetic_a, trace.combined_a))
+    path = tmp_path / "sun.csv"
+    path.write_text(render([IRRADIANCE_HEADER, *[[str(60 * i), "1.5"] for i in range(9)]]))
+    assert load_irradiance_csv(str(path)).samples.flags.c_contiguous
+
+
+def test_header_only_file_has_no_data_rows_and_no_warning(tmp_path):
+    for kind, header in (("irradiance", IRRADIANCE_HEADER), ("harvest", HARVEST_HEADER)):
+        path = tmp_path / f"{kind}.csv"
+        for text in (",".join(header), ",".join(header) + "\n", ",".join(header) + "\n\n\n"):
+            path.write_text(text)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert same_as_oracle(path, kind) == (TraceError, f"{path}: no data rows")
+            with warnings.catch_warnings(record=True) as seen:
+                warnings.simplefilter("always")
+                assert outcome(LOADERS[kind][0], path) == (TraceError, f"{path}: no data rows")
+            assert not seen
+
+
+def test_loading_leaves_the_warning_filters_alone(tmp_path):
+    # A "default" warning shows once per place. Changing the filters while
+    # loading, even to put them back, would show it again.
+    path = tmp_path / "sun.csv"
+    path.write_text(render([IRRADIANCE_HEADER, *[[str(60 * i), "1.5"] for i in range(9)]]))
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("default")
+        for _ in range(2):
+            warnings.warn("shown once", UserWarning)
+            load_irradiance_csv(str(path))
+    assert len(seen) == 1
+
+
+@pytest.mark.parametrize("stamp", [
+    *BAD_STAMPS, "1900-02-29T00:00:00Z", "2000-02-29T00:00:00Z", "2024-02-29T12:34:56Z", "2024-04-31T00:00:00Z",
+    "2025-00-10T00:00:00Z", "2025-01-00T00:00:00Z", "2025-01-01T24:00:00Z", "2025-01-01T00:60:00Z",
+    "9999-12-31T23:59:59Z", "0001-01-01T00:00:00Z", "2025-01-01T00:00:00", "2025-1-01T00:00:00Z",
+])
+def test_z_stamps_read_in_bulk_as_the_oracle_reads_them(tmp_path, stamp):
+    # Each stamp alone in a file of Z stamps: valid ones load in one pass.
+    path = tmp_path / "sun.csv"
+    path.write_text(render([IRRADIANCE_HEADER, [stamp, "1.0"]]))
+    same_as_oracle(path, "irradiance")
+    # The bulk parser takes exactly the stamps of strict Z form that the oracle reads, as the same second.
+    try:
+        expected = oracle_parse_timestamp(stamp, 2)
+    except TraceError:
+        expected = None
+    strict = re.fullmatch(r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}Z", stamp) is not None
+    iso, seconds = harvest._iso_utc_seconds(np.array([stamp.encode()], "S21"))
+    assert bool(iso[0]) == (strict and expected is not None)
+    if iso[0]:
+        assert int(seconds[0]) == expected
+
+
+DECLINED_ROWS = {  # (stamp form of the other rows, the row)
+    "comment": ("epoch", "# measured at the den"),
+    "hash stamp": ("epoch", "#120,1.0"),
+    "whitespace": ("epoch", "   "),
+    "stamp of 21 bytes": ("epoch", "000000000000000000120,1.0"),
+    "stamp of 22 bytes": ("epoch", "0000000000000000000120,1.0"),
+    "z stamp and a space": ("z", "1970-01-01T00:02:00Z ,1.0"),
+    "z stamp and a letter": ("z", "1970-01-01T00:02:00Zx,1.0"),
+    "z stamp among epoch": ("epoch", "1970-01-01T00:02:00Z,1.0"),
+    "underscore": ("epoch", "120,1_0"),
+    "nul in the stamp": ("epoch", "120\0,1.0"),
+    "nul in the z stamp": ("z", "1970-01-01T00:02:00Z\0,1.0"),
+    "nul in the value": ("epoch", "120,1.0\0"),
+    "quoted value": ("epoch", '120,"1.0"'),
+}
+
+
+@pytest.mark.parametrize(("form", "row"), DECLINED_ROWS.values(), ids=DECLINED_ROWS)
+def test_one_row_the_one_pass_reader_declines(tmp_path, form, row):
+    stamp = STAMP_FORMS[form]
+    path = tmp_path / "sun.csv"
+    path.write_text(render([IRRADIANCE_HEADER, [stamp(0), "1.0"], [stamp(60), "2.0"], row, [stamp(180), "3.0"]]))
+    same_as_oracle(path, "irradiance")
+    with mock.patch.object(harvest, "_chunks", wraps=harvest._chunks) as chunks:
+        outcome(load_irradiance_csv, path)
+    assert chunks.called
+@pytest.mark.parametrize(("kind", "header"), [
+    ("irradiance", '"timestamp\n",irradiance_wm2'), ("irradiance", 'timestamp,"\nirradiance_wm2"'),
+    ("harvest", '"t_s\r\n",solar_a,kinetic_a,combined_a'),
+])
+def test_header_over_two_lines(tmp_path, kind, header):
+    # csv.reader reads a quoted line break into the header row; the rows after it still load.
+    rows = [["0", "1.0"], ["60", "2.0"]] if kind == "irradiance" else harvest_rows(3)
+    path = tmp_path / f"{kind}.csv"
+    path.write_text(header + "\n" + render(rows))
+    assert isinstance(same_as_oracle(path, kind), dict)
+
+
+@pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+def test_plain_file_named_like_a_compressed_one(tmp_path, suffix):
+    path = tmp_path / f"sun.csv{suffix}"
+    path.write_text(render([IRRADIANCE_HEADER, *[[str(60 * i), "1.5"] for i in range(9)]]))
+    assert isinstance(same_as_oracle(path, "irradiance"), dict)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_named_pipe_is_read_once(tmp_path):
+    text = render([IRRADIANCE_HEADER, *[[str(60 * i), "1.5"] for i in range(9)]])
+    plain, pipe = tmp_path / "sun.csv", tmp_path / "pipe.csv"
+    plain.write_text(text)
+    os.mkfifo(pipe)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(outcome(load_irradiance_csv, pipe)), daemon=True)
+    reader.start()
+    with open(pipe, "w") as handle:  # opens once the reader has
+        handle.write(text)
+    reader.join(timeout=10)
+    stuck = reader.is_alive()
+    if stuck:  # opening the pipe again waits for a writer: give it one that closes at once
+        os.close(os.open(pipe, os.O_WRONLY | os.O_NONBLOCK))
+        reader.join(timeout=10)
+    assert not stuck
+    assert got == [outcome(load_irradiance_csv, plain)]
+
+
+def test_latin1_byte_is_the_decoder_error(tmp_path):
+    path = tmp_path / "sun.csv"
+    path.write_bytes(b"timestamp,irradiance_wm2\n0,1.0\n60,\xa01.0\n")
+    kind, _ = same_as_oracle(path, "irradiance")
+    assert kind is UnicodeDecodeError
+
+
+def test_cell_over_the_field_limit_is_the_reader_error(tmp_path):
+    rows = [["0", "1.0"], ["60", "0" * csv.field_size_limit() + "1"]]
+    path = tmp_path / "sun.csv"
+    path.write_text(render([IRRADIANCE_HEADER, *rows]))
+    kind, message = same_as_oracle(path, "irradiance")
+    assert kind is csv.Error
+    assert "field larger than field limit" in message
+    rows[1][1] = "0" * (csv.field_size_limit() - 1) + "1"  # at the limit: read
+    path.write_text(render([IRRADIANCE_HEADER, *rows]))
+    assert same_as_oracle(path, "irradiance")["samples"][2] == np.array([1.0, 1.0]).tobytes()
+
+
+@pytest.mark.parametrize("first", [2**62 - 120, 2**62 - 60, -(2**62), -(2**62) - 60])
+def test_stamps_at_the_exact_limit(tmp_path, first):
+    path = tmp_path / "sun.csv"
+    path.write_text(render([IRRADIANCE_HEADER, *[[str(first + 60 * i), "1.0"] for i in range(3)]]))
+    got = same_as_oracle(path, "irradiance")
+    assert got["start_epoch_s"] == (int, first)
