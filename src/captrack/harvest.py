@@ -14,12 +14,11 @@ import io
 import math
 import os
 import re
+from array import array
 from collections.abc import Callable, Iterable, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from itertools import islice
-from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -29,9 +28,6 @@ from .energy_model import DEFAULT_V_SUPPLY, SystemConfig
 MINUTES_PER_DAY = 1440
 DEFAULT_COMBINER_EFFICIENCY = SystemConfig.combiner_efficiency
 CSV_CHUNK_ROWS = 8192  # rows per write(); a chunk holds ~400 bytes of text per row
-# Rows per parsed block, ~200 bytes of Python objects each. At 8192 rows a
-# 90-day load peaked 1.1 MB above the per-row loader; at 2048 it is below it.
-CSV_READ_ROWS = 2048
 _EXACT_LIMIT = 2**62  # integers below this in size subtract in int64 without overflow
 _ISO_UTC = np.frombuffer(b"0000-00-00T00:00:00Z", dtype=np.uint8)
 _ISO_SPAN = np.where(_ISO_UTC == ord("0"), 9, 0).astype(np.uint8)  # a "0" stands for any digit
@@ -385,80 +381,14 @@ def read_trace_header(path: str) -> list[str]:
         return _header_names(header)
 
 
-class _Chunk:
-    """Up to CSV_READ_ROWS data rows of a trace CSV, as columns of cell text.
-
-    Checks run over whole columns. A failed check cuts the chunk at its first
-    failing row and keeps that row's error, so the checks after it see only
-    the rows before. Run in the order the checks apply to one row, they leave
-    the error of the first failing row in file order.
-    """
-
-    def __init__(self, lines: np.ndarray, columns: list[list[str]], error: Exception | None) -> None:
-        self.lines = lines  # line of each row in the file: the header is line 1, blank rows count
-        self.columns = columns
-        self.size = len(lines)  # rows before the first failure found so far
-        self.error = error
-
-    def cut(self, index: int, error: Exception) -> None:
-        self.size = index
-        self.error = error
-
-    def fail(self, bad: np.ndarray, message: Callable[[int], str], offset: int = 0) -> None:
-        """Cut at the first row flagged in bad, whose first entry is row offset."""
-        hits = np.flatnonzero(bad[: max(self.size - offset, 0)])
-        if hits.size:
-            index = offset + int(hits[0])
-            self.cut(index, TraceError(message(index)))
-
-    def floats(self, column: int, message: Callable[[int], str]) -> np.ndarray:
-        """A column parsed with float(), cut at the first cell float() rejects."""
-        cells = self.columns[column][: self.size]
-        try:
-            return np.fromiter(map(float, cells), float, len(cells))
-        except ValueError:
-            parsed: list[float] = []
-            try:
-                parsed.extend(map(float, cells))  # keeps the cells before the rejected one
-            except ValueError:
-                self.cut(len(parsed), TraceError(message(len(parsed))))
-            return np.array(parsed, dtype=float)
-
-    def check(self) -> None:
-        if self.error is not None:
-            raise self.error
-
-
-def _chunks(reader: Iterator[list[str]], n_fields: int) -> Iterator[_Chunk]:
-    """The data rows CSV_READ_ROWS at a time, rows of blank cells dropped.
-
-    A row with the wrong number of fields, or an exception from the reader,
-    ends the rows read. It becomes the error of the last chunk, raised only
-    if every row before it passes its checks.
-    """
-    line = 2
-    error: Exception | None = None
-    while error is None:
-        rows: list[list[str]] = []
-        try:
-            rows.extend(islice(reader, CSV_READ_ROWS))  # keeps the rows read before an exception
-        except (csv.Error, OSError, ValueError) as exc:  # raised again once the rows before it pass
-            error = exc
-        if not rows and error is None:
-            return
-        lines = np.arange(line, line + len(rows))
-        line += len(rows)
-        if set(map(len, rows)) != {n_fields} or not all(map(str.strip, map(itemgetter(0), rows))):
-            keep = [i for i, row in enumerate(rows) if "".join(row).strip()]
-            rows, lines = [rows[i] for i in keep], lines[keep]
-            wrong = next((i for i, row in enumerate(rows) if len(row) != n_fields), None)
-            if wrong is not None:
-                error = TraceError(f"line {lines[wrong]}: expected {n_fields} fields, got {len(rows[wrong])}")
-                rows, lines = rows[:wrong], lines[:wrong]
-        columns = [list(map(itemgetter(j), rows)) for j in range(n_fields)]
-        yield _Chunk(lines, columns, error)
-        for column in columns:  # the caller is done with them: free the cells before reading more
-            column.clear()
+def _data_rows(reader: Iterator[list[str]], n_fields: int) -> Iterator[tuple[int, list[str]]]:
+    """(line, row) of each data row, rows of blank cells dropped: the header is line 1 and blank rows count."""
+    for line, row in enumerate(reader, start=2):
+        if not "".join(row).strip():
+            continue
+        if len(row) != n_fields:
+            raise TraceError(f"line {line}: expected {n_fields} fields, got {len(row)}")
+        yield line, row
 
 
 def _decimal(digits: np.ndarray) -> np.ndarray:
@@ -472,18 +402,17 @@ def _decimal(digits: np.ndarray) -> np.ndarray:
 def _iso_utc_seconds(text: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Where each byte string is a second written "YYYY-MM-DDTHH:MM:SSZ", and its epoch seconds.
 
+    The strings are wider than that form, as _IRRADIANCE_ROWS' stamps are.
     A string counts only if _parse_timestamp reads it as that second: every
     field is in range, the day is in its month and the year is 1 or later.
     The seconds of the others are filler.
     """
-    rows, size = text.size, _ISO_UTC.size
-    if text.dtype.itemsize < size:
-        return np.zeros(rows, bool), np.zeros(rows, np.int64)
-    # One row per character (the byte after the Z too, if any), each the
+    size = _ISO_UTC.size
+    # One row per character and one for the byte after the Z, each the
     # character's offset from the template: a byte below it wraps high.
     codes = np.ascontiguousarray(text[:, None].view(np.uint8)[:, : size + 1].T)
     codes[:size] -= _ISO_UTC[:, None]
-    iso = codes[size] == 0 if len(codes) > size else np.ones(rows, bool)  # nothing after the Z
+    iso = codes[size] == 0  # nothing after the Z
     for row, span in zip(codes, _ISO_SPAN):
         iso &= row <= span
     year, month, day, hour, minute, second = (_decimal(codes[first : first + count]) for first, count in _ISO_FIELDS)
@@ -495,42 +424,6 @@ def _iso_utc_seconds(text: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ordinal = before * 365 + before // 4 - before // 100 + before // 400 + day
     ordinal += _DAYS_BEFORE_MONTH.take(month, mode="clip") + (leap & (month > 2))
     return iso, (ordinal - _EPOCH_ORDINAL).astype(np.int64) * 86400 + (hour * 60 + minute) * 60 + second
-
-
-def _timestamps(chunk: _Chunk, previous: int | None) -> np.ndarray:
-    """Epoch seconds of the first column, cut at the first cell _parse_timestamp rejects.
-
-    Whole columns of epoch integers and cells in UTC "Z" form are parsed
-    in bulk; every other cell goes through _parse_timestamp. Stamps that
-    int64 arithmetic could overflow on stay Python ints.
-    """
-    cells = chunk.columns[0]
-    try:
-        stamps = np.fromiter(map(int, cells), np.int64, len(cells))
-    except (ValueError, OverflowError):
-        try:
-            text = np.array(cells, dtype="S")
-        except UnicodeEncodeError:  # a cell beyond ASCII: every cell goes to _parse_timestamp
-            text = np.zeros(len(cells), "S1")
-        iso, stamps = _iso_utc_seconds(text)
-        # A NUL that ends a cell is not in its bytes, so the cell's length is checked too.
-        iso &= np.fromiter(map(len, cells), np.intp, len(cells)) == _ISO_UTC.size
-        rest = np.flatnonzero(~iso)
-        exact: list[int] = []
-        try:
-            exact.extend(map(_parse_timestamp, [cells[i] for i in rest], chunk.lines[rest].tolist()))
-        except TraceError as exc:
-            chunk.cut(int(rest[len(exact)]), exc)
-        rest = rest[: len(exact)]
-        try:
-            stamps[rest] = exact
-        except OverflowError:
-            stamps = stamps.astype(object)
-            stamps[rest] = exact
-    stamps = stamps[: chunk.size]
-    if stamps.size and max(-int(stamps.min()), int(stamps.max()), abs(previous or 0)) >= _EXACT_LIMIT:
-        stamps = stamps.astype(object)
-    return stamps
 
 
 def _read_plain(path: str, encoding: str, dtype: np.dtype) -> np.ndarray | None:
@@ -573,14 +466,6 @@ def _epoch_seconds(text: np.ndarray) -> np.ndarray | None:
     return seconds if (seconds.astype(text.dtype) == text).all() else None
 
 
-def _irradiance_trace(start: int, resolution_s: int, samples: np.ndarray, holds: np.ndarray,
-                      steps: np.ndarray) -> IrradianceTrace:
-    """The trace of samples from start, with gap k's steps[k] missing rows holding sample holds[k]."""
-    counts = np.ones(samples.size, np.intp)
-    counts[holds] += steps
-    return IrradianceTrace(start, resolution_s, np.repeat(samples, counts), len(holds))
-
-
 def _plain_irradiance(path: str, encoding: str, resolution_s: int, max_gap_steps: int) -> IrradianceTrace | None:
     """The trace of a plain file whose stamps are all epoch integers or all UTC "Z" text, if every row checks."""
     rows = _read_plain(path, encoding, _IRRADIANCE_ROWS)
@@ -600,8 +485,8 @@ def _plain_irradiance(path: str, encoding: str, resolution_s: int, max_gap_steps
     if not (((samples >= 0.0) & (samples < math.inf)).all() and (spacing > 0).all()
             and not (spacing % resolution_s).any() and (missing <= max_gap_steps).all()):
         return None
-    holds = np.flatnonzero(missing)
-    return _irradiance_trace(int(stamps[0]), resolution_s, samples, holds, missing[holds])
+    counts = np.append(missing, 0) + 1  # each sample, then the missing rows after it, which hold it
+    return IrradianceTrace(int(stamps[0]), resolution_s, np.repeat(samples, counts), int(np.count_nonzero(missing)))
 
 
 def load_irradiance_csv(path: str, resolution_s: int = 60, max_gap_steps: int = 5) -> IrradianceTrace:
@@ -619,47 +504,38 @@ def load_irradiance_csv(path: str, resolution_s: int = 60, max_gap_steps: int = 
         trace = _plain_irradiance(path, encoding, resolution_s, max_gap_steps)
         if trace is not None:
             return trace
-        values = bytearray()  # float64 samples in one growing buffer: no array per chunk kept to the end
-        holds: list[int] = []  # index of the sample each gap holds
-        steps: list[int] = []  # missing steps of each gap
+        samples = array("d")
+        gaps = 0
         start = previous = None
-        for chunk in _chunks(reader, 2):
-            lines, cells = chunk.lines, chunk.columns[1]
-            stamps = _timestamps(chunk, previous)
-            samples = chunk.floats(1, lambda k: f"line {lines[k]}: unparseable irradiance {cells[k]!r}")
-            chunk.fail(~((samples >= 0.0) & (samples < math.inf)), lambda k: (
-                f"line {lines[k]}: negative irradiance {float(samples[k])}" if math.isfinite(samples[k])
-                else f"line {lines[k]}: non-finite irradiance {cells[k]!r}"
-            ))
-            stamps = stamps[: chunk.size]
-            first = int(previous is None)  # the file's first row follows no other
-            prior = stamps[:-1] if first else np.concatenate(([previous], stamps[:-1]))
-            spacing = stamps[first:] - prior
-            chunk.fail(spacing <= 0, lambda k: (
-                f"line {lines[k]}: timestamp not increasing ({stamps[k]} after {prior[k - first]})"
-            ), first)
-            chunk.fail(spacing % resolution_s != 0, lambda k: (
-                f"line {lines[k]}: spacing {spacing[k - first]} s off the {resolution_s} s grid"
-            ), first)
-            missing = spacing // resolution_s - 1
-            chunk.fail(missing > max_gap_steps, lambda k: (
-                f"line {lines[k]}: gap of {missing[k - first]} steps exceeds limit {max_gap_steps}"
-            ), first)
-            chunk.check()
-            if not chunk.size:
-                continue
-            if first:
-                start = int(stamps[0])
-            previous = int(stamps[-1])
-            at = np.flatnonzero(missing)
-            held = len(values) // samples.itemsize + first - 1  # a gap on row first + k holds sample held + k
-            holds += (held + at).tolist()
-            steps += missing[at].tolist()
-            values += samples.tobytes()
+        for line, row in _data_rows(reader, 2):
+            stamp = _parse_timestamp(row[0], line)
+            try:
+                value = float(row[1])
+            except ValueError:
+                raise TraceError(f"line {line}: unparseable irradiance {row[1]!r}") from None
+            if not 0.0 <= value < math.inf:  # false for NaN too
+                if math.isfinite(value):
+                    raise TraceError(f"line {line}: negative irradiance {value}")
+                raise TraceError(f"line {line}: non-finite irradiance {row[1]!r}")
+            if start is None:
+                start = stamp
+            elif stamp <= previous:
+                raise TraceError(f"line {line}: timestamp not increasing ({stamp} after {previous})")
+            else:
+                spacing = stamp - previous
+                if spacing % resolution_s != 0:
+                    raise TraceError(f"line {line}: spacing {spacing} s off the {resolution_s} s grid")
+                missing = spacing // resolution_s - 1
+                if missing > max_gap_steps:
+                    raise TraceError(f"line {line}: gap of {missing} steps exceeds limit {max_gap_steps}")
+                if missing:
+                    samples.extend([samples[-1]] * missing)
+                    gaps += 1
+            samples.append(value)
+            previous = stamp
         if start is None:
             raise TraceError(f"{path}: no data rows")
-    return _irradiance_trace(start, resolution_s, np.frombuffer(values, dtype=float), np.array(holds, np.intp),
-                             np.array(steps, np.intp))
+    return IrradianceTrace(start, resolution_s, np.frombuffer(samples), gaps)
 
 
 def csv_field(text: str) -> str:
@@ -923,21 +799,22 @@ def load_harvest_csv(path: str) -> HarvestTrace:
         trace = _plain_harvest(path, encoding)
         if trace is not None:
             return trace
-        parts = [[np.empty(0, np.int64)]] + [[np.empty(0)] for _ in HARVEST_HEADER]  # lines, then each column
-        for chunk in _chunks(reader, len(HARVEST_HEADER)):
-            def unparseable(k: int, chunk: _Chunk = chunk) -> str:
-                return f"line {chunk.lines[k]}: unparseable row {[cells[k] for cells in chunk.columns]!r}"
-
-            parsed = [chunk.floats(j, unparseable) for j in range(len(HARVEST_HEADER))]
-            chunk.check()
-            for part, values in zip(parts, [chunk.lines, *parsed]):
-                part.append(values)
-    lines, times, solar, kinetic, combined = map(np.concatenate, parts)
-    if not lines.size:
+        columns = [array("d") for _ in HARVEST_HEADER]
+        non_finite = None  # line of the first row with a non-finite value, reported once every row parses
+        for line, row in _data_rows(reader, len(HARVEST_HEADER)):
+            try:
+                values = list(map(float, row))
+            except ValueError:
+                raise TraceError(f"line {line}: unparseable row {row!r}") from None
+            if non_finite is None and not all(map(math.isfinite, values)):
+                non_finite = line
+            for column, value in zip(columns, values):
+                column.append(value)
+    times, solar, kinetic, combined = map(np.frombuffer, columns)
+    if not times.size:
         raise TraceError(f"{path}: no data rows")
-    finite = np.isfinite(times) & np.isfinite(solar) & np.isfinite(kinetic) & np.isfinite(combined)
-    if not finite.all():
-        raise TraceError(f"line {lines[int(np.argmin(finite))]}: non-finite value")
+    if non_finite is not None:
+        raise TraceError(f"line {non_finite}: non-finite value")
     step = _time_step(times)
     if step is None:
         raise TraceError(f"{path}: time column not uniformly spaced")

@@ -5,10 +5,11 @@ below are the earlier bodies of harvest._parse_timestamp,
 harvest.load_irradiance_csv and harvest.load_harvest_csv, kept verbatim apart
 from their names. Every case loads one file through the oracle and through
 the loader twice: as it is, and with the one-pass reader (harvest._read_plain)
-declining, so that the chunked row checker reads every file. It compares the
-arrays by their bytes, the scalars by value and type, and a failure by its
-exception type and message. Plain files, which the one-pass reader takes,
-are drawn on their own and must never reach the row checker.
+declining, so that the loader's per-row checker (over harvest._data_rows)
+reads every file. It compares the arrays by their bytes, the scalars by value
+and type, and a failure by its exception type and message. Plain files, which
+the one-pass reader takes, are drawn on their own and must never reach the
+row checker.
 """
 
 import csv
@@ -211,7 +212,6 @@ def render(rows, *, quote="none", newline="\n", final_newline=True):
 EPOCH = datetime(1970, 1, 1)
 FIRST_DAY = -62135596800 + 86400  # 0001-01-02T00:00:00Z
 LAST_DAY = 253402300799 - 86400  # 9999-12-30T23:59:59Z
-CHUNK_ROWS = [1, 2, 3, 5, 8192]
 
 
 def iso(stamp, hours=0):
@@ -313,25 +313,23 @@ def harvest_files(draw):
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(irradiance_files(), st.sampled_from(CHUNK_ROWS))
-def test_irradiance_loader_matches_per_row_oracle(tmp_path, case, chunk_rows):
+@given(irradiance_files())
+def test_irradiance_loader_matches_per_row_oracle(tmp_path, case):
     text, resolution, max_gap = case
     path = tmp_path / "sun.csv"
     path.write_bytes(text.encode())
-    with mock.patch.object(harvest, "CSV_READ_ROWS", chunk_rows):
-        same_as_oracle(path, "irradiance", resolution, max_gap)
+    same_as_oracle(path, "irradiance", resolution, max_gap)
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(harvest_files(), st.sampled_from(CHUNK_ROWS))
-def test_harvest_loader_matches_per_row_oracle(tmp_path, text, chunk_rows):
+@given(harvest_files())
+def test_harvest_loader_matches_per_row_oracle(tmp_path, text):
     path = tmp_path / "harvest.csv"
     path.write_bytes(text.encode())
-    with mock.patch.object(harvest, "CSV_READ_ROWS", chunk_rows):
-        same_as_oracle(path, "harvest")
+    same_as_oracle(path, "harvest")
 
 
-# -- every error kind at the edges of a chunk -------------------------------------
+# -- every error kind at the first row, the last row and two rows between ----------
 
 IRRADIANCE_FAULTS = {
     "fields": lambda rows, i: rows[i].append("1"),
@@ -351,7 +349,7 @@ HARVEST_FAULTS = {
     "spacing": lambda rows, i: rows[i].__setitem__(0, str(60 * i + 1)),
 }
 CHUNK = 4
-EDGES = [0, CHUNK - 1, CHUNK, 2 * CHUNK + 1]  # first row, both sides of a chunk boundary, last row
+EDGES = [0, CHUNK - 1, CHUNK, 2 * CHUNK + 1]  # the first row, two neighbours in the middle, the last row
 
 
 def irradiance_rows(n=2 * CHUNK + 2):
@@ -365,8 +363,7 @@ def harvest_rows(n=2 * CHUNK + 2):
 
 @pytest.mark.parametrize("at", EDGES)
 @pytest.mark.parametrize("fault", sorted(IRRADIANCE_FAULTS))
-def test_irradiance_error_kinds_at_chunk_edges(tmp_path, monkeypatch, fault, at):
-    monkeypatch.setattr(harvest, "CSV_READ_ROWS", CHUNK)
+def test_irradiance_error_kinds_at_chunk_edges(tmp_path, fault, at):
     rows = [[str(60 * i), f"{i}.5"] for i in range(2 * CHUNK + 2)]
     IRRADIANCE_FAULTS[fault](rows, at)
     path = tmp_path / "sun.csv"
@@ -380,8 +377,7 @@ def test_irradiance_error_kinds_at_chunk_edges(tmp_path, monkeypatch, fault, at)
 
 @pytest.mark.parametrize("at", EDGES)
 @pytest.mark.parametrize("fault", sorted(HARVEST_FAULTS))
-def test_harvest_error_kinds_at_chunk_edges(tmp_path, monkeypatch, fault, at):
-    monkeypatch.setattr(harvest, "CSV_READ_ROWS", CHUNK)
+def test_harvest_error_kinds_at_chunk_edges(tmp_path, fault, at):
     rows = harvest_rows()
     HARVEST_FAULTS[fault](rows, at)
     path = tmp_path / "harvest.csv"
@@ -390,9 +386,7 @@ def test_harvest_error_kinds_at_chunk_edges(tmp_path, monkeypatch, fault, at):
     assert kind is TraceError
 
 
-@pytest.mark.parametrize("chunk_rows", [3, CHUNK, 8192])
-def test_first_error_in_file_order_wins(tmp_path, monkeypatch, chunk_rows):
-    monkeypatch.setattr(harvest, "CSV_READ_ROWS", chunk_rows)
+def test_first_error_in_file_order_wins(tmp_path):
     rows = irradiance_rows()
     rows[7][1] = "-1"  # negative irradiance on line 9
     rows[5][0] = "soon"  # unparseable timestamp on line 7: first in the file
@@ -415,13 +409,18 @@ def test_first_error_in_file_order_wins(tmp_path, monkeypatch, chunk_rows):
     assert same_as_oracle(path, "harvest") == (
         TraceError, "line 10: unparseable row ['480', '1e-3', '?', '8e-5']")
 
+    # Of several non-finite rows, the first is reported.
+    rows = harvest_rows()
+    rows[2][3] = "inf"
+    rows[6][1] = "nan"
+    path.write_text(render([HARVEST_HEADER, *rows]))
+    assert same_as_oracle(path, "harvest") == (TraceError, "line 4: non-finite value")
+
 
 # -- valid files ----------------------------------------------------------------
 
 
-@pytest.mark.parametrize("chunk_rows", [1, 3, 8192])
-def test_mixed_stamp_forms_load_like_the_oracle(tmp_path, monkeypatch, chunk_rows):
-    monkeypatch.setattr(harvest, "CSV_READ_ROWS", chunk_rows)
+def test_mixed_stamp_forms_load_like_the_oracle(tmp_path):
     forms = sorted(STAMP_FORMS)
     stamps = [1735689600 + 60 * i + 60 * (i >= 5) * 2 for i in range(3 * len(forms))]  # a two-step gap
     rows = [[STAMP_FORMS[forms[i % len(forms)]](s), f"{i * 7.25}"] for i, s in enumerate(stamps)]
@@ -456,8 +455,7 @@ def test_harvest_time_column_read_as_int_reads_it(tmp_path, times, resolution):
         assert got["resolution_s"] == (int, resolution)
 
 
-def test_iso_trace_loads_without_warnings(tmp_path, monkeypatch):
-    monkeypatch.setattr(harvest, "CSV_READ_ROWS", 64)
+def test_iso_trace_loads_without_warnings(tmp_path):
     stamps = range(1735689600, 1735689600 + 60 * 200, 60)
     forms = ["z", "z", "z", "utc", "east", "naive", "fraction"]
     rows = [[STAMP_FORMS[forms[i % len(forms)]](s), "1.0"] for i, s in enumerate(stamps)]
@@ -481,7 +479,6 @@ def test_non_positive_resolution_is_rejected_before_reading(tmp_path):
 
 
 def test_reader_exception_is_raised_after_the_rows_before_it(tmp_path, monkeypatch):
-    monkeypatch.setattr(harvest, "CSV_READ_ROWS", 8)
     monkeypatch.setattr(csv, "field_size_limit", csv.field_size_limit)
     limit = csv.field_size_limit(64)
     try:
@@ -498,8 +495,7 @@ def test_reader_exception_is_raised_after_the_rows_before_it(tmp_path, monkeypat
         csv.field_size_limit(limit)
 
 
-def test_undecodable_bytes_are_raised_after_the_rows_before_them(tmp_path, monkeypatch):
-    monkeypatch.setattr(harvest, "CSV_READ_ROWS", 8)
+def test_undecodable_bytes_are_raised_after_the_rows_before_them(tmp_path):
     rows = [[str(60 * i), "1.0"] for i in range(2000)]  # well past the text decoder's first block
     path = tmp_path / "sun.csv"
     path.write_bytes(render([IRRADIANCE_HEADER, *rows]).encode() + b"\xff,1\n")
@@ -521,12 +517,13 @@ def plain_irradiance_files(draw):
     resolution = draw(st.sampled_from([1, 60, 90]))
     max_gap = draw(st.sampled_from([0, 1, 5]))
     form = draw(st.sampled_from(["epoch", "z"]))
-    if form == "epoch":
-        start = draw(st.one_of(st.integers(-(2**62) + 1, 2**62 - 10**6), st.integers(-(10**10), 10**10)))
+    steps = draw(st.lists(st.integers(1, max_gap + 1), min_size=1, max_size=40))
+    if form == "epoch":  # the first stamp, start - resolution * (steps[0] - 1), above -2**62
+        lowest = -(2**62) + 1 + resolution * (steps[0] - 1)
+        start = draw(st.one_of(st.integers(lowest, 2**62 - 10**6), st.integers(-(10**10), 10**10)))
     else:
         start = draw(st.one_of(st.sampled_from([0, 1735689600, FIRST_DAY, LAST_DAY - 10**5]),
                                st.integers(FIRST_DAY, LAST_DAY - 10**5)))
-    steps = draw(st.lists(st.integers(1, max_gap + 1), min_size=1, max_size=40))
     stamps = [start + resolution * (sum(steps[:i]) - steps[0] + 1) for i in range(len(steps))]
     number = draw(st.sampled_from(PLAIN_FLOAT_FORMS))
     rows = [[STAMP_FORMS[form](s), number(draw(st.floats(0.0, 1500.0)))] for s in stamps]
@@ -552,11 +549,11 @@ def plain_harvest_files(draw):
 def same_as_oracle_in_one_pass(path, kind, *args):
     """Load a plain file without the row checker; check it matches the oracle and gives a trace."""
     load, oracle = LOADERS[kind]
-    with mock.patch.object(harvest, "_chunks", wraps=harvest._chunks) as chunks:
+    with mock.patch.object(harvest, "_data_rows", wraps=harvest._data_rows) as rows:
         got = outcome(load, path, *args)
     assert got == outcome(oracle, path, *args)
     assert isinstance(got, dict)
-    assert not chunks.called
+    assert not rows.called
 
 
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -658,9 +655,11 @@ def test_one_row_the_one_pass_reader_declines(tmp_path, form, row):
     path = tmp_path / "sun.csv"
     path.write_text(render([IRRADIANCE_HEADER, [stamp(0), "1.0"], [stamp(60), "2.0"], row, [stamp(180), "3.0"]]))
     same_as_oracle(path, "irradiance")
-    with mock.patch.object(harvest, "_chunks", wraps=harvest._chunks) as chunks:
+    with mock.patch.object(harvest, "_data_rows", wraps=harvest._data_rows) as rows:
         outcome(load_irradiance_csv, path)
-    assert chunks.called
+    assert rows.called
+
+
 @pytest.mark.parametrize(("kind", "header"), [
     ("irradiance", '"timestamp\n",irradiance_wm2'), ("irradiance", 'timestamp,"\nirradiance_wm2"'),
     ("harvest", '"t_s\r\n",solar_a,kinetic_a,combined_a'),
