@@ -87,7 +87,7 @@ def _load_trace(path: str, config: SystemConfig) -> HarvestTrace:
             source = load_harvest_csv(path)
             solar, kinetic = source.solar_a, source.kinetic_a
         elif header == IRRADIANCE_HEADER:
-            source = load_irradiance_csv(path)
+            source = load_irradiance_csv(path, config.base_tick_s)
             solar = solar_current_from_irradiance(source, SolarChain(v_supply=config.v_supply))
             kinetic = np.zeros_like(solar)
         else:

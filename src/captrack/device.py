@@ -45,21 +45,17 @@ def select_gps_mode(age_s: int | None, voltage: float, config: SystemConfig) -> 
     return None
 
 
-# The activities a due code stands for, in execution order: bit 0 sensing,
-# bit 1 a fix, bit 2 an upload. Code 0 is a tick with nothing due.
-DUE_SETS = tuple(tuple(name for bit, name in enumerate((SENSE, FIX, TRANSMIT)) if c >> bit & 1) for c in range(8))
-
-
 def due_codes(clock0: int, n_ticks: int, config: SystemConfig) -> np.ndarray:
-    """What is due in each of n_ticks consecutive ticks from clock0, as an
-    index into DUE_SETS. Disabled intervals (None) never fire; everything
-    fires at clock 0."""
+    """What is due in each of n_ticks consecutive ticks from clock0, as the
+    OR of the SENSE, FIX and TRANSMIT bits (0: nothing due). Disabled
+    intervals (None) never fire; everything fires at clock 0."""
     clock = clock0 + np.arange(n_ticks, dtype=np.int64) * config.base_tick_s
     code = np.zeros(n_ticks, dtype=np.int64)
-    intervals = (config.sense_interval_s, config.fix_interval_s, config.transmit_interval_s)
-    for bit, interval in enumerate(intervals):
+    for bit, interval in (
+        (SENSE, config.sense_interval_s), (FIX, config.fix_interval_s), (TRANSMIT, config.transmit_interval_s),
+    ):
         if interval is not None:
-            code |= (clock % interval == 0).astype(np.int64) << bit
+            code[clock % interval == 0] |= bit
     return code
 
 

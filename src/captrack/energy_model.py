@@ -21,19 +21,17 @@ LEAKAGE_BY_CAPACITANCE = {1.0: 0.010, 2.5: 0.016, 5.0: 0.030}
 DEFAULT_V_SUPPLY = 3.3
 DEFAULT_V_MAX = 5.5
 
-# The scheduled activities, in the order a tick runs them.
-SENSE = "sense"
-FIX = "fix"
-TRANSMIT = "transmit"
+# The scheduled activities as the bits of a due code, in the order a tick
+# runs them.
+SENSE, FIX, TRANSMIT = 1, 2, 4
 
 
 @dataclass(frozen=True)
 class TaskSpec:
     """Composition recipe for one schedulable task: its measured base draw
-    (component and label name the bench row) and the always-on draws that
-    ride along with it."""
+    (label names the bench row) and the always-on draws that ride along
+    with it."""
 
-    component: str
     label: str  # "" = no measured draw of its own
     base_ma: float
     duration_s: float | None  # None = continuous (sleep, off)
@@ -46,26 +44,26 @@ class TaskSpec:
 # The full task set the scheduler can issue, and the only place a measured
 # task draw is written down.
 TASKS: dict[str, TaskSpec] = {
-    "HotStart": TaskSpec("GPS", "GPS hot start", 7.5, 1.0, True, False),
-    "WarmStart": TaskSpec("GPS", "GPS warm start", 7.5, 4.0, True, False),
-    "EphemerisDownload": TaskSpec("GPS", "GPS ephemeris download", 7.5, 30.0, True, False),
-    "ColdStart": TaskSpec("GPS", "GPS cold start", 8.0, 36.118, True, False, 0.0, 1.96),
-    "GpsI2cWrite": TaskSpec("GPS", "GPS I2C write", 2.0, 0.00038, True, False),
-    "Sleep": TaskSpec("MCU", "MCU Sleep (standby)", 0.00065, None, False, True),
-    "NbIot": TaskSpec("NB-IoT", "NB-IoT", 20.65, 7.89, True, True, 2.78, 1.66),
-    "AdcRead": TaskSpec("MCU", "ADC read", 0.311, 0.00005, False, True),
-    "I2cReadCoulomb": TaskSpec("MCU", "I2C read Coulomb counter", 0.091, 0.00023, False, True),
-    "TurnedOff": TaskSpec("", "", 0.0, None, False, False),
+    "HotStart": TaskSpec("GPS hot start", 7.5, 1.0, True, False),
+    "WarmStart": TaskSpec("GPS warm start", 7.5, 4.0, True, False),
+    "EphemerisDownload": TaskSpec("GPS ephemeris download", 7.5, 30.0, True, False),
+    "ColdStart": TaskSpec("GPS cold start", 8.0, 36.118, True, False, 0.0, 1.96),
+    "GpsI2cWrite": TaskSpec("GPS I2C write", 2.0, 0.00038, True, False),
+    "Sleep": TaskSpec("MCU Sleep (standby)", 0.00065, None, False, True),
+    "NbIot": TaskSpec("NB-IoT", 20.65, 7.89, True, True, 2.78, 1.66),
+    "AdcRead": TaskSpec("ADC read", 0.311, 0.00005, False, True),
+    "I2cReadCoulomb": TaskSpec("I2C read Coulomb counter", 0.091, 0.00023, False, True),
+    "TurnedOff": TaskSpec("", 0.0, None, False, False),
 }
 
 
 @dataclass(frozen=True)
 class ActivitySpec:
-    """One logged activity: the scheduled activity it serves, the
-    VoltageThresholds field that gates it ("" = ungated), and its task chain
-    in run order."""
+    """One logged activity: the due-code bit of the scheduled activity it
+    serves, the VoltageThresholds field that gates it ("" = ungated), and its
+    task chain in run order."""
 
-    activity: str
+    activity: int
     gate: str
     chain: tuple[str, ...]
 
@@ -241,7 +239,7 @@ def validate_config(config: SystemConfig) -> SystemConfig:
             continue
         if value <= 0:
             errors.append(f"{name}={value} must be positive (or None to disable)")
-        elif value % config.base_tick_s != 0:
+        elif config.base_tick_s >= 1 and value % config.base_tick_s != 0:  # a bad tick is reported above
             errors.append(f"{name}={value} not a multiple of base tick {config.base_tick_s}")
 
     if not 0 < config.ephemeris_refresh_age_s < config.ephemeris_hot_limit_s:

@@ -25,14 +25,14 @@ import math
 from bisect import bisect_left
 from collections import defaultdict
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import device as dev
 from .capacitor import equivalent_resistance, integrate_segment, time_to_voltage
 from .device import select_gps_mode
-from .energy_model import ACTIVITIES, TASKS, SystemConfig, compose_task_current, validate_config
+from .energy_model import ACTIVITIES, FIX, SENSE, TASKS, TRANSMIT, SystemConfig, compose_task_current, validate_config
 from .harvest import HarvestTrace, TextColumn, TraceError, csv_field, number_text, text_column, write_csv
 
 SECONDS_PER_DAY = 86400
@@ -190,12 +190,7 @@ class SimMetrics:
     per_day: list[DayMetrics] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        out = {k: getattr(self, k) for k in (
-            "hot_fixes", "hot_ephemeris", "warm_ephemeris", "cold_starts", "total_fixes",
-            "skipped_fixes", "failed_tasks", "fixes_per_day_mean", "fixes_per_day_std",
-            "transmissions", "skipped_transmissions", "failed_transmissions",
-            "depletion_count", "total_off_s", "longest_data_gap_s", "min_voltage",
-        )}
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "per_day"}
         out["per_day"] = [
             {
                 "day": d.day, "hot": d.hot, "hot_ephemeris": d.hot_ephemeris,
@@ -270,7 +265,9 @@ class _Simulator:
         self.v_max = cap.v_max
         self.v_pinned = cap.v_max - 1e-12
         self.v_min = config.thresholds.v_min
-        self.upload_gate = getattr(config.thresholds, ACTIVITIES["Transmit"].gate)
+        upload = ACTIVITIES["Transmit"]
+        self.upload_gate = getattr(config.thresholds, upload.gate)
+        (self.upload,) = upload.chain  # one task, whose current and duration each upload may draw
         self.loads = {name: self._load(name, compose_task_current(name, cap.leakage_ma)) for name in TASKS}
         # Per power state, what _idle steps a whole tick with: the load, its
         # factors for the tick length, the floor the asymptote must be below
@@ -404,8 +401,8 @@ class _Simulator:
         self._step(self.loads["TurnedOff"], tick_end - t, i_h, False)
         return self.v
 
-    def execute_tick(self, t_start: float, activities: Iterable[str], i_h: float) -> float:
-        """Run one On-state tick: due activities then sleep, with gating."""
+    def execute_tick(self, t_start: float, due: int, i_h: float) -> float:
+        """Run one On-state tick: the due code's activities then sleep, with gating."""
         cfg = self.config
         step = self._step
         rows = self.rows
@@ -414,20 +411,19 @@ class _Simulator:
         tick_end = t_start + cfg.base_tick_s
         self.t = float(t_start)
 
-        for activity in activities:
-            if activity == dev.SENSE:
-                v_before = self.v
-                for load, duration, _ in plans["Sense"][1]:
-                    if step(load, duration, i_h, True):
-                        return self._deplete(i_h, tick_end, _TASK_FAILED, load[0])
-                rows.append((self.t, _SENSE, v_before, self.v, 0))
+        if due & SENSE:
+            v_before = self.v
+            for load, duration, _ in plans["Sense"][1]:
+                if step(load, duration, i_h, True):
+                    return self._deplete(i_h, tick_end, _TASK_FAILED, load[0])
+            rows.append((self.t, _SENSE, v_before, self.v, 0))
 
-            elif activity == dev.FIX:
-                refreshed = self.ephemeris_t
-                kind = select_gps_mode(None if refreshed is None else t_start - refreshed, self.v, cfg)
-                if kind is None:
-                    rows.append((self.t, _FIX_SKIPPED, self.v, self.v, self._detail("low-voltage")))
-                    continue
+        if due & FIX:
+            refreshed = self.ephemeris_t
+            kind = select_gps_mode(None if refreshed is None else t_start - refreshed, self.v, cfg)
+            if kind is None:
+                rows.append((self.t, _FIX_SKIPPED, self.v, self.v, self._detail("low-voltage")))
+            else:
                 code, plan = plans[kind]
                 if cfg.task_jitter:  # draw every duration before the first segment runs
                     plan = [(load, self._draw(mean, std), 0.0) for load, mean, std in plan]
@@ -440,16 +436,17 @@ class _Simulator:
                 self.buffered += 1
                 rows.append((self.t, code, v_before, self.v, 0))
 
-            elif activity == dev.TRANSMIT:
-                samples = self.buffered
-                if self.v < self.upload_gate:
-                    rows.append((self.t, _TRANSMIT_SKIPPED, self.v, self.v, self._detail("low-voltage")))
-                    continue
-                spec = TASKS["NbIot"]
-                load = loads["NbIot"]
+        if due & TRANSMIT:
+            samples = self.buffered
+            if self.v < self.upload_gate:
+                rows.append((self.t, _TRANSMIT_SKIPPED, self.v, self.v, self._detail("low-voltage")))
+            else:
+                task = self.upload
+                spec = TASKS[task]
+                load = loads[task]
                 if cfg.task_jitter:
                     base_ma = self._draw(spec.base_ma, spec.base_std_ma)
-                    load = self._load("NbIot", compose_task_current("NbIot", cfg.capacitor.leakage_ma, base_ma))
+                    load = self._load(task, compose_task_current(task, cfg.capacitor.leakage_ma, base_ma))
                 duration = self._draw(spec.duration_s, spec.duration_std_s)
                 if cfg.payload_scaling:
                     duration *= dev.payload_bytes(samples) / dev.REFERENCE_PAYLOAD_BYTES
@@ -459,9 +456,6 @@ class _Simulator:
                     return self._deplete(i_h, tick_end, _TRANSMIT_FAILED, detail)
                 self.buffered = 0
                 rows.append((self.t, _TRANSMIT, v_before, self.v, self._detail(detail)))
-
-            else:
-                raise ValueError(f"unknown activity {activity!r}")
 
         if step(loads["Sleep"], tick_end - self.t, i_h, True):
             return self._deplete(i_h, tick_end, None, "")
@@ -543,7 +537,6 @@ class _Simulator:
         codes = dev.due_codes(0, n_ticks, cfg)
         busy = [*np.flatnonzero(codes).tolist(), n_ticks]  # ticks with an activity due, then the end
         due = codes.tolist()
-        due_sets = dev.DUE_SETS
         combined = harvest.combined_a[:n_ticks].tolist()
         v_initial = self.v
         voltages = [v_initial]
@@ -572,7 +565,7 @@ class _Simulator:
                 if i == n_ticks:
                     break
             power_on.append(True)
-            voltages.append(execute_tick(i * tick, due_sets[due[i]], combined[i]))
+            voltages.append(execute_tick(i * tick, due[i], combined[i]))
             i += 1
 
         power_on.append(self.powered)

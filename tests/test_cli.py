@@ -11,10 +11,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import captrack.cli as cli
 from captrack.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_TRACE, main
+from captrack.energy_model import SystemConfig, validate_config
+from captrack.engine import run_simulation
 from captrack.harvest import (
     ActivityProfile,
     HarvestTrace,
+    SolarChain,
     SolarProfile,
     generate_kinetic_trace,
     generate_synthetic_irradiance,
@@ -536,4 +540,103 @@ def test_unreadable_trace_text_is_a_trace_error(tmp_path, capsys, command, text)
         argv = ["sweep", "--spec", str(spec), "--out", str(out)]
     assert main(argv) == EXIT_TRACE
     assert capsys.readouterr().err.startswith(f"trace error: {trace}: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_zero_tick_is_a_config_error(tmp_path, capsys, command):
+    # The multiple-of-tick check divided by the tick: a ZeroDivisionError traceback, exit 1.
+    (tmp_path / "config.yaml").write_text("intervals: {base_tick_s: 0}\n")
+    (tmp_path / "sweep.yaml").write_text(
+        "capacitors: [2.5]\nfix_intervals_s: [120]\nbase: {intervals: {base_tick_s: 0}}\ngenerate: {days: 1}\n"
+    )
+    out = tmp_path / "out"
+    flag, name = ("--config", "config.yaml") if command == "simulate" else ("--spec", "sweep.yaml")
+    assert main([command, flag, str(tmp_path / name), "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    if command == "simulate":
+        assert err.startswith("config error: base_tick_s must be >= 1, got 0")
+    else:
+        assert "base_tick_s must be >= 1, got 0" in err
+    assert not out.exists()
+
+
+def test_irradiance_trace_follows_the_config_tick(tmp_path, monkeypatch):
+    # The irradiance loader was called with its 60 s default: a 120 s file
+    # under a 120 s tick was a trace error, exit 3.
+    samples = generate_synthetic_irradiance(1, start_epoch_s=1735689600).samples[::2]
+    trace = tmp_path / "sun120.csv"
+    lines = ["timestamp,irradiance_wm2", *(f"{1735689600 + 120 * i},{x!r}" for i, x in enumerate(samples.tolist()))]
+    trace.write_text("\n".join(lines) + "\n")
+    config_file = tmp_path / "config.yaml"
+    config_file.write_text("intervals: {base_tick_s: 120, sense_s: 120}\n")
+    runs = []
+
+    def kept(*args):
+        runs.append(run_simulation(*args))
+        return runs[-1]
+
+    monkeypatch.setattr(cli, "run_simulation", kept)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(config_file), "--trace", str(trace), "--out", str(out)]) == EXIT_OK
+    (result,) = runs
+
+    config = validate_config(SystemConfig(base_tick_s=120, sense_interval_s=120))
+    solar = samples * SolarChain().current_factor
+    harvest = HarvestTrace.build(solar, np.zeros_like(solar), config.combiner_efficiency, 1735689600, 120)
+    expected = run_simulation(config, harvest)
+    assert result.harvest.resolution_s == 120 and len(result.times_s) == 721
+    assert result.harvest.combined_a.tobytes() == harvest.combined_a.tobytes()
+    assert result.voltages.tobytes() == expected.voltages.tobytes()
+    for name in ("time_s", "kind", "voltage_before", "voltage_after", "detail"):
+        assert getattr(result.log, name).tobytes() == getattr(expected.log, name).tobytes()
+    assert result.ledger == expected.ledger
+    assert result.metrics == expected.metrics
+
+
+BAD_CONFIGS = {  # config text -> what its error message must contain
+    "capacitance": ("capacitor: {capacitance_f: 0, leakage_ma: 0.016}\n", "capacitance must be positive, got 0.0"),
+    "leakage": ("capacitor: {capacitance_f: 2.5, leakage_ma: 0}\n", "leakage_ma must be positive, got 0.0"),
+    "v_max": ("capacitor: {v_max: 0}\n", "v_max must be positive, got 0.0"),
+    "v_supply": ("sim: {v_supply: 0}\n", "v_supply must be positive, got 0.0"),
+    "negative_tick": ("intervals: {base_tick_s: -60}\n", "base_tick_s must be >= 1, got -60"),
+    "initial_voltage": ("sim: {initial_voltage: -1}\n", "initial_voltage must be >= 0, got -1.0"),
+    "interval": ("intervals: {fix_s: 0}\n", "fix_interval_s=0 must be positive (or None to disable)"),
+    "refresh_after_hot": ("ephemeris: {refresh_age_s: 20000}\n", "need 0 < refresh_age < hot_limit, got 20000 / 14400"),
+    "hot_after_warm": ("ephemeris: {hot_limit_s: 200000}\n", "need hot_limit < warm_limit, got 200000 / 172800"),
+    "combiner_efficiency": ("harvest: {combiner_efficiency: 1.5}\n", "combiner_efficiency must be in (0, 1], got 1.5"),
+    "ephemeris_age": ("sim: {initial_ephemeris_age_s: -1}\n", "initial_ephemeris_age_s must be >= 0, got -1"),
+    "derived_cold_start": (
+        "capacitor: {capacitance_f: 0.01, leakage_ma: 0.01}\n", "derived cold_start threshold 14.02 outside [v_min, v_max)"
+    ),
+    "unparseable_yaml": ("intervals: [\n", "unparseable config file {path}: "),
+    "int_past_float_range": ("sim: {initial_voltage: 1" + "0" * 400 + "}\n", "sim.initial_voltage must be finite, got 1000"),
+}
+
+
+@pytest.mark.parametrize(("text", "message"), BAD_CONFIGS.values(), ids=BAD_CONFIGS)
+def test_simulate_reports_each_config_error(tmp_path, capsys, text, message):
+    config = tmp_path / "config.yaml"
+    config.write_text(text)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(config), "--out", str(out), "--days", "1"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message.format(path=config) in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_empty_trace_file_is_a_trace_error(tmp_path, capsys, command):
+    trace = tmp_path / "trace.csv"
+    trace.write_text("")
+    out = tmp_path / "out"
+    if command == "simulate":
+        argv = ["simulate", "--trace", str(trace), "--out", str(out)]
+    else:
+        spec = tmp_path / "sweep.yaml"
+        spec.write_text(f"capacitors: [2.5]\nfix_intervals_s: [120]\ntrace: {trace}\n")
+        argv = ["sweep", "--spec", str(spec), "--out", str(out)]
+    assert main(argv) == EXIT_TRACE
+    assert capsys.readouterr().err == f"trace error: {trace}: empty file\n"
     assert not out.exists()

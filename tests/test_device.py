@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from captrack.device import (
-    DUE_SETS,
     FIX,
     SENSE,
     TRANSMIT,
@@ -15,7 +14,7 @@ from captrack.device import (
     payload_bytes,
     select_gps_mode,
 )
-from captrack.energy_model import ACTIVITIES, CapacitorSpec, SystemConfig, VoltageThresholds, validate_config
+from captrack.energy_model import ACTIVITIES, TASKS, CapacitorSpec, SystemConfig, VoltageThresholds, validate_config
 from captrack.engine import EVENT_KINDS, fix_record, run_simulation
 from captrack.harvest import HarvestTrace
 
@@ -98,9 +97,24 @@ def test_upload_gate_is_read_from_the_activity_table(monkeypatch):
     assert [EVENT_KINDS[k] for k in result.log.kind.tolist()] == ["Transmit"]
 
 
+def test_upload_task_is_read_from_the_activity_table(monkeypatch):
+    # The engine ran TASKS["NbIot"] for every upload, whatever the chain said.
+    monkeypatch.setitem(ACTIVITIES, "Transmit", replace(ACTIVITIES["Transmit"], chain=("AdcRead",)))
+    config = replace(SystemConfig(), initial_voltage=3.0, sense_interval_s=None, fix_interval_s=None)
+    level = np.zeros(1)
+    result = run_simulation(config, HarvestTrace(0, 60, level, level, level))
+    assert [EVENT_KINDS[k] for k in result.log.kind.tolist()] == ["Transmit"]
+    assert result.log.time_s[0] == TASKS["AdcRead"].duration_s
+    assert sorted(result.ledger.consumed_by_task_j) == ["AdcRead", "Sleep"]
+    # The upload is one task: a longer chain is refused, not cut short.
+    monkeypatch.setitem(ACTIVITIES, "Transmit", replace(ACTIVITIES["Transmit"], chain=("NbIot", "AdcRead")))
+    with pytest.raises(ValueError, match="too many values to unpack"):
+        run_simulation(config, HarvestTrace(0, 60, level, level, level))
+
+
 def due_schedule(clock0, n_ticks, config):
     """The activity tuple due in each tick."""
-    return [DUE_SETS[c] for c in due_codes(clock0, n_ticks, config).tolist()]
+    return [tuple(b for b in (SENSE, FIX, TRANSMIT) if c & b) for c in due_codes(clock0, n_ticks, config).tolist()]
 
 
 def test_due_tasks_order_and_phases():

@@ -73,6 +73,22 @@ def hand_log(rows):
     return EventLog.from_rows([(t, EVENT_KINDS.index(kind), before, after, 0) for t, kind, before, after in rows])
 
 
+def test_sense_that_depletes_logs_the_failed_task():
+    # A start 1e-9 V above v_min: the ADC read crosses v_min after ~12.9 us
+    # (2.5 F x 1e-9 V over the read's 0.355 mA scaled to 1.8 V of 3.3 V).
+    v0 = 1.8 + 1e-9
+    config = replace(
+        SystemConfig(), initial_voltage=v0, thresholds=VoltageThresholds(v_turn_on=v0),
+        sense_interval_s=60, fix_interval_s=None, transmit_interval_s=None,
+    )
+    result = run_simulation(config, flat_trace(1, 0.0))
+    assert kinds(result.log) == ["TaskFailed", "Depletion"]
+    assert details(result.log) == ["AdcRead", ""]
+    assert result.log.time_s[0] == result.log.time_s[1] == pytest.approx(12.9e-6, rel=1e-2)
+    assert result.log.voltage_after[0] == 1.8
+    assert result.power_on.tolist() == [True, False]
+
+
 def test_sleep_only_tick():
     v, log = one_tick(3.0, [], 0.0, REF)
     assert v == pytest.approx(2.99872, abs=1e-5)

@@ -713,7 +713,7 @@ def test_crossings_at_the_end_of_a_segment():
     for v0, i_h in cases:
         new, old = engine._Simulator(config), OracleSimulator(config)
         new.v = old.v = v0
-        assert bits([new.execute_tick(0.0, [], i_h)]) == bits([old.execute_tick(0.0, [], i_h)])
+        assert bits([new.execute_tick(0.0, 0, i_h)]) == bits([old.execute_tick(0.0, [], i_h)])
         assert_same_log(new.log(), old.events)
         led = old.ledger
         assert bits([new.harvested_j, new.leakage_j, new.discarded_j]) == bits(
