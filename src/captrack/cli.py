@@ -29,6 +29,7 @@ from .harvest import (
     DEFAULT_COMBINER_EFFICIENCY,
     HARVEST_HEADER,
     IRRADIANCE_HEADER,
+    SYNTHETIC_RESOLUTION_S,
     HarvestTrace,
     SolarChain,
     TextColumn,
@@ -61,6 +62,15 @@ COMPARISON_COLUMNS = (
     ("depletion_count", "d"), ("total_off_s", ".0f"), ("min_voltage", ".6f"),
 )
 SAMPLES_HEADER = ["t_s", "kind", "coulomb_c", "delivered_s"]
+
+
+def _check_generator_tick(config: SystemConfig) -> None:
+    """The built-in generator makes a sample a minute, which only a 60 s tick reads."""
+    if config.base_tick_s != SYNTHETIC_RESOLUTION_S:
+        raise ConfigError([
+            f"base_tick_s is {config.base_tick_s} s, but the built-in generator makes "
+            f"{SYNTHETIC_RESOLUTION_S} s samples; give a trace file on the {config.base_tick_s} s tick"
+        ])
 
 
 def _generate_trace(generator: GeneratorSpec, config: SystemConfig) -> HarvestTrace:
@@ -152,6 +162,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.trace:
         trace = _load_trace(args.trace, config)
     else:
+        _check_generator_tick(config)
         trace = _generate_trace(GeneratorSpec() if args.days is None else GeneratorSpec(days=args.days), config)
     result = run_simulation(config, trace, _run_duration(args.days))
     _write_run_outputs(result, Path(args.out))
@@ -201,6 +212,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if spec.trace_path is not None:
         trace = _load_trace(spec.trace_path, configs[0])
     else:
+        _check_generator_tick(configs[0])  # the cells share the base's tick
         trace = _generate_trace(spec.generator, configs[0])
     duration = _run_duration(args.days)
 

@@ -6,24 +6,24 @@ of the closed-form capacitor solution, then sleeps for the remainder. Floor
 segments, so depletion times, clamp windows, and the energy ledger are exact
 rather than discretized to the tick.
 
-The loop steps each segment with constants built once per run: per load its
-resistance, time constant and leakage share, and per (load, exact duration)
-the three exponentials of the solution. The event log is kept as columns.
-
-Most ticks of a sparse schedule are only a sleep. Each stretch of
-activity-free ticks, found once from the schedule, is stepped in one loop
-(_idle) with _step's operations in _step's order, so the bits are those of
-stepping tick by tick. A tick whose margin test leaves a bound crossing
+A run is a decide loop and a booking pass. The loop carries the voltage and
+the device state and takes every gate and crossing decision. For each
+segment it steps, it records the start voltage and a slot in a per-run
+table of (load, fixed duration, exponentials); the rare segments (crossing
+partials, depletion coasts, drawn durations and loads) go through _step,
+which records the ledger terms it computes. Each stretch of activity-free
+ticks, found once from the schedule, is stepped by _idle, which records
+only the tick boundary voltages; a tick whose margin test leaves a crossing
 possible, or an off tick that starts at v_turn_on, is handed back to the
-per-tick path, which alone decides depletion, recovery and a ClampStart
-inside a tick.
+loop. The booking pass (_book) rebuilds the segments with numpy, books each
+with _step's arithmetic in _step's order, and builds the event log, so the
+bits are those of stepping segment by segment.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from collections import defaultdict
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field, fields
 
@@ -72,6 +72,28 @@ _FACTOR_CACHE_LIMIT = 256
 # the ~1e-15 relative rounding of either side, for x below ~1e6. For x past
 # ~700, exp(-x) is 0 and the test never passes.
 _CROSSING_MARGIN = 1.0 + 1e-9
+
+# Segments per chunk of the booking pass, which works a run of whole ticks
+# at a time: a chunk's segment arrays are its working set, so the pass's
+# memory does not grow with the run.
+_BOOKING_CHUNK = 8192
+
+# Ticks the decide loop keeps its record of in lists before it moves them
+# into arrays.
+_FLUSH_TICKS = 16384
+
+# What a busy tick runs for each due code: its bits in run order, then 0 for
+# the closing sleep.
+_RUNS = tuple(tuple(bit for bit in (SENSE, FIX, TRANSMIT) if code & bit) + (0,) for code in range(8))
+# The fields of _step's record of a segment: the terms it adds to the
+# harvested, leakage, task and discarded sums, then those of the pinned rest
+# after a v_max crossing (NaN when there is none).
+_RECORD = (
+    "segment", "advance", "pinned", "clamp_start_s", "depleted",
+    "harvested", "leakage", "task", "discarded", "rest_harvested", "rest_leakage", "rest_task", "rest_discarded",
+)
+_NO_TERMS = (math.nan,) * 4
+_TASK_NAMES = tuple(TASKS)  # a task's index in the booking pass is its place here
 
 
 def _factors(factors: dict, duration: float, tau: float) -> tuple[float, float, float]:
@@ -236,29 +258,26 @@ class FixRecord:
 class _Simulator:
     """Mutable per-run machinery; one instance per run, strictly sequential.
 
-    t and v are the time and voltage at the end of the last segment. The
-    device state is what the scheduler decides from: whether it is powered,
-    the tick start of the last ephemeris refresh (the ephemeris age is the
-    tick start minus it; None once the backup domain has lost power), and
-    the number of fixes buffered since the last successful upload.
+    The device state is what the scheduler decides from: whether it is
+    powered, the tick start of the last ephemeris refresh (the ephemeris age
+    is the tick start minus it; None once the backup domain has lost power),
+    and the number of fixes buffered since the last successful upload. v is
+    the voltage at the start of a run.
+
+    run() is the decide loop (_decide) and then the booking pass (_book),
+    which reads the record the loop leaves: the segments it stepped, _step's
+    records and the rows placed whole.
     """
 
     def __init__(self, config: SystemConfig):
         self.config = config
         self.rng: np.random.Generator | None = None  # built at the first jittered draw
-        self.rows: list[tuple[float, int, float, float, int]] = []  # EventLog.from_rows input
         self.details: dict[str, int] = {"": 0}
-        self.harvested_j = 0.0
-        self.leakage_j = 0.0
-        self.discarded_j = 0.0
-        self.consumed: defaultdict[str, float] = defaultdict(float)  # tasks in first-use order
-        self.clamp_active = False
         self.powered = config.initial_voltage >= config.thresholds.v_turn_on
         # An unpowered start means the backup domain never held state.
         backed = self.powered and config.initial_backup_valid
         self.ephemeris_t = -config.initial_ephemeris_age_s if backed else None
         self.buffered = 0
-        self.t = 0.0
         self.v = config.initial_voltage
         cap = config.capacitor
         self.c = cap.capacitance_f
@@ -269,26 +288,52 @@ class _Simulator:
         self.upload_gate = getattr(config.thresholds, upload.gate)
         (self.upload,) = upload.chain  # one task, whose current and duration each upload may draw
         self.loads = {name: self._load(name, compose_task_current(name, cap.leakage_ma)) for name in TASKS}
-        # Per power state, what _idle steps a whole tick with: the load, its
-        # factors for the tick length, the floor the asymptote must be below
-        # for a v_min check (none when unpowered), and the start voltage that
-        # ends the stretch (v_turn_on when unpowered).
+        # The decide loop's record of a run.
+        self.vs: list[float] = []  # start voltage of each segment the loop steps
+        # Its row in table; before the first segment of each tick the loop
+        # steps segment by segment, ~tick (that is, -1 - tick).
+        self.slots: list[int] = []
+        self.flushed: list[tuple[np.ndarray, np.ndarray]] = []  # (vs, slots) moved into arrays
+        self.n_flushed = 0  # segments moved
+        self.stepped: np.ndarray | None = None  # the ticks stepped segment by segment, once booked
+        self.records: list[float] = []  # _step's record of each segment it steps, _RECORD's fields in turn
+        # (key, time, kind, v_before, v_after, detail) of each row placed
+        # whole; key is 4 x (tick + segments recorded before the row), the
+        # position _book sorts the log on.
+        self.marks: list[tuple] = []
+        # Slot rows: task index, R, tau, tau / 2, leak and keep shares, v_max^2 / R,
+        # duration, its three factors, the event kind the segment ends (-1:
+        # none), and the segments before it in that activity's chain.
+        self.table: list[tuple] = []
         tick = float(config.base_tick_s)
+        sleep, off = self.loads["Sleep"], self.loads["TurnedOff"]
+        whole = {True: self._slot(sleep, tick), False: self._slot(off, tick)}
+        self.whole = {powered: slot for powered, (slot, _) in whole.items()}
+        self.closing = {tick: whole[True]}  # closing sleep duration -> (slot, exp(-x))
+        # Per power state, what _idle steps a whole tick with: R, exp(-x), the
+        # floor the asymptote must be below for a v_min check (none when
+        # unpowered), and the start voltage that ends the stretch (v_turn_on
+        # when unpowered).
         self.stretches = {
-            powered: (load, load[-1].get(tick) or _factors(load[-1], tick, load[2]), floor, v_on)
-            for powered, load, floor, v_on in (
-                (True, self.loads["Sleep"], self.v_min, math.inf),
-                (False, self.loads["TurnedOff"], -math.inf, config.thresholds.v_turn_on),
-            )
+            True: (sleep[1], whole[True][1], self.v_min, math.inf),
+            False: (off[1], whole[False][1], -math.inf, config.thresholds.v_turn_on),
         }
-        # Per logged activity: its event code, and (load, mean duration,
-        # duration deviation) of each task in its chain.
-        self.plans = {
-            kind: (EVENT_KINDS.index(kind), tuple(
-                (self.loads[name], TASKS[name].duration_s, TASKS[name].duration_std_s) for name in spec.chain
-            ))
-            for kind, spec in ACTIVITIES.items()
-        }
+        # Per logged activity: its event code, the (slot, R, duration, exp(-x),
+        # load) of each segment of its chain, and the duration deviations if
+        # any is drawn.
+        self.plans = {}
+        for kind, spec in ACTIVITIES.items():
+            code = EVENT_KINDS.index(kind)
+            emit = -1 if code == _TRANSMIT else code  # an upload's row carries its sample count
+            plan = []
+            for position, name in enumerate(spec.chain):
+                load, task = self.loads[name], TASKS[name]
+                last = position == len(spec.chain) - 1
+                slot, e = self._slot(load, task.duration_s, emit if last else -1, position)
+                plan.append((slot, load[1], task.duration_s, e, load))
+            stds = tuple(TASKS[name].duration_std_s for name in spec.chain)
+            self.plans[kind] = (code, tuple(plan), stds if any(stds) else None)
+        self.upload_slot = self.plans["Transmit"][1][0][0]
 
     def _load(self, task: str, current_ma: float) -> tuple:
         """Per-run constants of a constant-current load, in _step's order:
@@ -302,8 +347,22 @@ class _Simulator:
         leak = min(1.0, cfg.capacitor.leakage_ma / current_ma)
         return task, r, tau, tau / 2.0, leak, 1.0 - leak, self.v_max * self.v_max / r, {}
 
-    def log(self) -> EventLog:
-        return EventLog.from_rows(self.rows, self.details)
+    def _slot(self, load: tuple, duration: float, emit: int = -1, span: int = 0) -> tuple[int, float]:
+        """A new table row for a load over a fixed duration; its index and exp(-x)."""
+        task, r, tau, half_tau, leak, keep, pinned_w, factors = load
+        e, em1, em2 = factors.get(duration) or _factors(factors, duration, tau)
+        row = (_TASK_NAMES.index(task), r, tau, half_tau, leak, keep, pinned_w, duration, e, em1, em2, emit, span)
+        self.table.append(row)
+        return len(self.table) - 1, e
+
+    def _closing(self, duration: float) -> tuple[int, float | None]:
+        """The slot of a closing sleep duration not seen yet, while the table
+        has room; else the whole-tick Sleep slot and no factor, so that
+        _step steps it."""
+        if len(self.closing) >= _FACTOR_CACHE_LIMIT:
+            return self.whole[True], None
+        self.closing[duration] = hit = self._slot(self.loads["Sleep"], duration)
+        return hit
 
     def _detail(self, text: str) -> int:
         return self.details.setdefault(text, len(self.details))
@@ -317,34 +376,46 @@ class _Simulator:
         value = float(self.rng.normal(mean, std))
         return min(max(value, mean - 3.0 * std, 1e-9), mean + 3.0 * std)
 
-    def _step(self, load: tuple, duration: float, i_h: float, check_floor: bool) -> bool:
-        """Advance t and v over one constant-load segment and book its energy.
+    def _upload(self, samples: int) -> tuple:
+        """An upload's plan when its current or duration is drawn, or its
+        duration scaled by its payload: no factor, so that _step steps it."""
+        cfg = self.config
+        task = self.upload
+        spec = TASKS[task]
+        load = self.loads[task]
+        if cfg.task_jitter:
+            base_ma = self._draw(spec.base_ma, spec.base_std_ma)
+            load = self._load(task, compose_task_current(task, cfg.capacitor.leakage_ma, base_ma))
+        duration = self._draw(spec.duration_s, spec.duration_std_s)
+        if cfg.payload_scaling:
+            duration *= dev.payload_bytes(samples) / dev.REFERENCE_PAYLOAD_BYTES
+        return ((self.upload_slot, load[1], duration, None, load),)
 
-        Returns whether the device depleted: then the segment stops at the
-        v_min crossing, and the caller decides what happens next. The
-        arithmetic is capacitor.integrate_segment's, term for term.
+    def _step(
+        self, slot: int, load: tuple, duration: float, i_h: float, check_floor: bool, t0: float, v0: float
+    ) -> tuple[float, float, bool]:
+        """Step one segment from (t0, v0) and record it with its ledger terms.
+
+        Returns the end time and voltage and whether the device depleted:
+        then the segment stops at the v_min crossing, and the caller decides
+        what happens next. The terms are those the segment adds to the
+        harvested, leakage, task and discarded sums, in the order it adds
+        them; the arithmetic is capacitor.integrate_segment's, term for term.
         """
         if duration <= 0.0:
-            return False
+            return t0, v0, False
         task, r, tau, half_tau, leak, keep, pinned_w, factors = load
-        t0 = self.t
-        v0 = self.v
         v_max = self.v_max
         a = i_h * r  # asymptote
         pinned = v0 >= self.v_pinned and a >= v_max
-        if self.clamp_active and not pinned:
-            self.rows.append((t0, _CLAMP_END, v0, v0, 0))
-            self.clamp_active = False
+        up = math.nan
+        advance = duration
         depleted = False
+        v = v_max
         if pinned:
-            if not self.clamp_active:
-                self.rows.append((t0, _CLAMP_START, v_max, v_max, 0))
-                self.clamp_active = True
             harvested = i_h * v_max * duration
             consumed = pinned_w * duration
-            self.discarded_j += harvested - consumed
-            self.t = t0 + duration
-            self.v = v_max
+            terms = (harvested, consumed * leak, consumed * keep, harvested - consumed, *_NO_TERMS)
         else:
             e, em1, em2 = factors.get(duration) or _factors(factors, duration, tau)
             b = v0 - a
@@ -357,228 +428,425 @@ class _Simulator:
                 and (t_up := time_to_voltage(v0, i_h, r, self.c, v_max)) <= duration
             ):
                 _, harvested, consumed = integrate_segment(v0, i_h, r, self.c, t_up)
-                self.harvested_j += harvested
-                self.leakage_j += consumed * leak
-                self.consumed[task] += consumed * keep
-                self.rows.append((t0 + t_up, _CLAMP_START, v_max, v_max, 0))
-                self.clamp_active = True
                 rest = duration - t_up
-                harvested = i_h * v_max * rest
-                consumed = pinned_w * rest
-                self.discarded_j += harvested - consumed
-                self.t = t0 + duration
-                self.v = v_max
+                pinned_in = i_h * v_max * rest
+                pinned_out = pinned_w * rest
+                terms = (
+                    harvested, consumed * leak, consumed * keep, 0.0,
+                    pinned_in, pinned_out * leak, pinned_out * keep, pinned_in - pinned_out,
+                )
+                up = t0 + t_up
             elif (
                 check_floor and a < self.v_min and v0 > self.v_min
                 and not b * e > (self.v_min - a) * _CROSSING_MARGIN
                 and (t_dn := time_to_voltage(v0, i_h, r, self.c, self.v_min)) <= duration
             ):
                 _, harvested, consumed = integrate_segment(v0, i_h, r, self.c, t_dn)
-                self.t = t0 + t_dn
-                self.v = self.v_min
+                terms = (harvested, consumed * leak, consumed * keep, 0.0, *_NO_TERMS)
+                advance = t_dn
                 depleted = True
+                v = self.v_min
             else:
                 harvested = i_h * (a * duration + b * tau * em1)
                 consumed = (a * a * duration + 2.0 * a * b * tau * em1 + b * b * half_tau * em2) / r
+                terms = (harvested, consumed * leak, consumed * keep, 0.0, *_NO_TERMS)
                 v_end = a + b * e
-                self.t = t0 + duration
-                self.v = v_max if v_end > v_max else v_end
-        self.harvested_j += harvested
-        self.leakage_j += consumed * leak
-        self.consumed[task] += consumed * keep
-        return depleted
+                v = v_max if v_end > v_max else v_end
+        self.records.extend((self.n_flushed + len(self.vs), advance, pinned, up, depleted, *terms))
+        self.vs.append(v0)
+        self.slots.append(slot)
+        return t0 + advance, v, depleted
 
-    # -- tick execution -----------------------------------------------------
-
-    def _deplete(self, i_h: float, tick_end: float, failure: int | None, detail: str) -> float:
-        """Shut down at a v_min crossing and coast on leakage to tick end."""
-        t, v = self.t, self.v
+    def _deplete(
+        self, i: int, i_h: float, tick_end: float, failure: int | None, detail: str, t: float, v: float
+    ) -> float:
+        """Shut down at a v_min crossing in tick i and coast on leakage to tick end."""
+        key = (i + self.n_flushed + len(self.vs)) * 4
         if failure is not None:
-            self.rows.append((t, failure, v, v, self._detail(detail)))
-        self.rows.append((t, _DEPLETION, v, v, 0))
-        self.powered = False
-        self.ephemeris_t = None  # the backup domain is lost; flash keeps the buffer
-        self._step(self.loads["TurnedOff"], tick_end - t, i_h, False)
-        return self.v
+            self.marks.append((key, t, failure, v, v, self._detail(detail)))
+        self.marks.append((key, t, _DEPLETION, v, v, 0))
+        return self._step(self.whole[False], self.loads["TurnedOff"], tick_end - t, i_h, False, t, v)[1]
 
-    def execute_tick(self, t_start: float, due: int, i_h: float) -> float:
-        """Run one On-state tick: the due code's activities then sleep, with gating."""
-        cfg = self.config
-        step = self._step
-        rows = self.rows
-        loads = self.loads
-        plans = self.plans
-        tick_end = t_start + cfg.base_tick_s
-        self.t = float(t_start)
-
-        if due & SENSE:
-            v_before = self.v
-            for load, duration, _ in plans["Sense"][1]:
-                if step(load, duration, i_h, True):
-                    return self._deplete(i_h, tick_end, _TASK_FAILED, load[0])
-            rows.append((self.t, _SENSE, v_before, self.v, 0))
-
-        if due & FIX:
-            refreshed = self.ephemeris_t
-            kind = select_gps_mode(None if refreshed is None else t_start - refreshed, self.v, cfg)
-            if kind is None:
-                rows.append((self.t, _FIX_SKIPPED, self.v, self.v, self._detail("low-voltage")))
-            else:
-                code, plan = plans[kind]
-                if cfg.task_jitter:  # draw every duration before the first segment runs
-                    plan = [(load, self._draw(mean, std), 0.0) for load, mean, std in plan]
-                v_before = self.v
-                for load, duration, _ in plan:
-                    if step(load, duration, i_h, True):
-                        return self._deplete(i_h, tick_end, _TASK_FAILED, load[0])
-                if code != _FIX_HOT:  # every other fix leaves a fresh ephemeris
-                    self.ephemeris_t = t_start
-                self.buffered += 1
-                rows.append((self.t, code, v_before, self.v, 0))
-
-        if due & TRANSMIT:
-            samples = self.buffered
-            if self.v < self.upload_gate:
-                rows.append((self.t, _TRANSMIT_SKIPPED, self.v, self.v, self._detail("low-voltage")))
-            else:
-                task = self.upload
-                spec = TASKS[task]
-                load = loads[task]
-                if cfg.task_jitter:
-                    base_ma = self._draw(spec.base_ma, spec.base_std_ma)
-                    load = self._load(task, compose_task_current(task, cfg.capacitor.leakage_ma, base_ma))
-                duration = self._draw(spec.duration_s, spec.duration_std_s)
-                if cfg.payload_scaling:
-                    duration *= dev.payload_bytes(samples) / dev.REFERENCE_PAYLOAD_BYTES
-                detail = f"samples={samples}"
-                v_before = self.v
-                if step(load, duration, i_h, True):
-                    return self._deplete(i_h, tick_end, _TRANSMIT_FAILED, detail)
-                self.buffered = 0
-                rows.append((self.t, _TRANSMIT, v_before, self.v, self._detail(detail)))
-
-        if step(loads["Sleep"], tick_end - self.t, i_h, True):
-            return self._deplete(i_h, tick_end, None, "")
-        return self.v
-
-    def _idle(self, start: int, stop: int, combined: list[float], voltages: list[float], power_on: list[bool]) -> int:
-        """Step ticks start..stop-1 as whole-tick Sleep (powered) or TurnedOff
-        (unpowered) segments; return the first tick not stepped.
+    def _idle(
+        self, start: int, stop: int, v: float, powered: bool, combined: list[float], voltages: list[float],
+        power_on: list[bool],
+    ) -> tuple[int, float]:
+        """Step ticks start..stop-1 from voltage v as whole-tick Sleep
+        (powered) or TurnedOff (unpowered) segments; return the first tick
+        not stepped and the voltage then.
 
         Each tick is _step's plain case, pinned or without a crossing, with
         _step's operations in _step's order. The stretch stops at a tick whose
         margin test leaves a v_max crossing possible, or a v_min crossing when
         powered, and, when unpowered, at a tick that starts at or above
-        v_turn_on. Appends each tick's end voltage and power state.
+        v_turn_on. Appends each tick's end voltage and power state, from
+        which alone the booking pass books the stretch.
         """
-        powered = self.powered
-        (task, r, tau, half_tau, leak, keep, pinned_w, _), (e, em1, em2), floor, v_on = self.stretches[powered]
-        tick = self.config.base_tick_s
-        duration = float(tick)
+        r, e, floor, v_on = self.stretches[powered]
         v_max, v_min, v_pinned = self.v_max, self.v_min, self.v_pinned
-        rows = self.rows
         append = voltages.append
-        clamp = self.clamp_active
-        harvested_j, leakage_j, discarded_j = self.harvested_j, self.leakage_j, self.discarded_j
-        spent = self.consumed.get(task, 0.0)
-        v = self.v
         margin = _CROSSING_MARGIN
         for i in range(start, stop):
             if v >= v_on:
                 break
-            i_h = combined[i]
-            a = i_h * r
+            a = combined[i] * r
             if v >= v_pinned and a >= v_max:
-                if not clamp:
-                    rows.append((float(i * tick), _CLAMP_START, v_max, v_max, 0))
-                    clamp = True
-                harvested = i_h * v_max * duration
-                consumed = pinned_w * duration
-                discarded_j += harvested - consumed
                 v = v_max
             else:
-                b = v - a
-                be = b * e
+                be = (v - a) * e
                 if (
                     a > v_max and v < v_max and not be < (v_max - a) * margin
                     or a < floor and v > v_min and not be > (v_min - a) * margin
                 ):
                     break
-                if clamp:
-                    rows.append((float(i * tick), _CLAMP_END, v, v, 0))
-                    clamp = False
-                harvested = i_h * (a * duration + b * tau * em1)
-                consumed = (a * a * duration + 2.0 * a * b * tau * em1 + b * b * half_tau * em2) / r
-                v_end = a + be
-                v = v_max if v_end > v_max else v_end
-            harvested_j += harvested
-            leakage_j += consumed * leak
-            spent += consumed * keep
+                v = a + be
+                if v > v_max:
+                    v = v_max
             append(v)
         else:
             i = stop
-        if i > start:
-            self.t = float(i * tick)
-            self.v = v
-            self.clamp_active = clamp
-            self.harvested_j, self.leakage_j, self.discarded_j = harvested_j, leakage_j, discarded_j
-            self.consumed[task] = spent
-            power_on += [powered] * (i - start)
-        return i
+        power_on += [powered] * (i - start)
+        return i, v
+
+    def _flush(self) -> int:
+        """Move the segments recorded so far into arrays, so that the record's
+        lists stay short; return the number of segments moved in all."""
+        vs, slots = np.fromiter(self.vs, float, len(self.vs)), np.fromiter(self.slots, np.int32, len(self.slots))
+        self.flushed.append((vs, slots))
+        self.n_flushed += len(self.vs)
+        self.vs.clear()
+        self.slots.clear()
+        return self.n_flushed
 
     # -- whole run ----------------------------------------------------------
 
     def run(self, harvest: HarvestTrace, n_ticks: int) -> SimResult:
+        v_initial = self.v
+        voltages, power_on = self._decide(harvest, n_ticks)
+        log, ledger = self._book(harvest.combined_a[:n_ticks], voltages, power_on, v_initial)
+        tick = self.config.base_tick_s
+        duration = n_ticks * tick
+        metrics = compute_metrics(log, duration, voltages=voltages, power_on_at_start=bool(power_on[0]))
+        times = np.arange(n_ticks + 1, dtype=np.int64) * tick
+        return SimResult(self.config, harvest, duration, times, voltages, power_on, log, metrics, ledger)
+
+    def _decide(self, harvest: HarvestTrace, n_ticks: int) -> tuple[np.ndarray, np.ndarray]:
+        """The decide loop over n_ticks ticks: the voltage and power state at
+        each tick boundary, and the record of the run for _book."""
         cfg = self.config
         tick = cfg.base_tick_s
         v_turn_on = cfg.thresholds.v_turn_on
+        v_max, v_min, v_pinned = self.v_max, self.v_min, self.v_pinned
+        margin = _CROSSING_MARGIN
+        jitter = cfg.task_jitter
+        drawn_upload = jitter or cfg.payload_scaling
+        upload_gate = self.upload_gate
 
-        times = np.arange(n_ticks + 1, dtype=np.int64) * tick
         codes = dev.due_codes(0, n_ticks, cfg)
         busy = [*np.flatnonzero(codes).tolist(), n_ticks]  # ticks with an activity due, then the end
         due = codes.tolist()
         combined = harvest.combined_a[:n_ticks].tolist()
-        v_initial = self.v
-        voltages = [v_initial]
-        power_on = []
-        execute_tick = self.execute_tick
-        idle = self._idle
-        turned_off = self.loads["TurnedOff"]
+        v = self.v
+        powered, ephemeris_t, buffered = self.powered, self.ephemeris_t, self.buffered
+        voltages = [v]
+        power_on: list[bool] = []
+        voltages_append, power_on_append = voltages.append, power_on.append
+        vs, slots, marks = self.vs, self.slots, self.marks
+        vs_append, slots_append, marks_append = vs.append, slots.append, marks.append
+        step, idle, detail = self._step, self._idle, self._detail
+        select = select_gps_mode  # looked up per run, so that a wrapper on the module's name sees each call
+        plans, closing, runs = self.plans, self.closing, _RUNS
+        sense = plans["Sense"][1]
+        upload = plans["Transmit"][1]
+        sleep = self.loads["Sleep"]
+        sleep_r = sleep[1]
+        turned_off, off_slot = self.loads["TurnedOff"], self.whole[False]
+        flush, flush_at, done = self._flush, _FLUSH_TICKS, self.n_flushed
 
         i = 0
         while i < n_ticks:
-            if not self.powered:
-                i = idle(i, n_ticks, combined, voltages, power_on)
+            if not powered:
+                i, v = idle(i, n_ticks, v, False, combined, voltages, power_on)
                 if i == n_ticks:
                     break
-                if self.v < v_turn_on:  # a v_max crossing may fall inside this off tick
-                    power_on.append(False)
-                    self.t = float(i * tick)
-                    self._step(turned_off, tick, combined[i], False)
-                    voltages.append(self.v)
-                    i += 1
-                    continue
-                self.powered = True
-                self.rows.append((float(i * tick), _RECOVERY, self.v, self.v, 0))
+                if v >= v_turn_on:
+                    powered = True
+                    marks_append(((i + done + len(vs)) * 4, float(i * tick), _RECOVERY, v, v, 0))
             elif not due[i]:
-                i = idle(i, busy[bisect_left(busy, i)], combined, voltages, power_on)
+                i, v = idle(i, busy[bisect_left(busy, i)], v, True, combined, voltages, power_on)
                 if i == n_ticks:
                     break
-            power_on.append(True)
-            voltages.append(execute_tick(i * tick, due[i], combined[i]))
+            power_on_append(powered)
+            if i >= flush_at:
+                done = flush()
+                flush_at = i + _FLUSH_TICKS
+            slots_append(~i)
+            i_h = combined[i]
+            if not powered:  # a v_max crossing may fall inside this off tick
+                _, v, _ = step(off_slot, turned_off, tick, i_h, False, float(i * tick), v)
+                voltages_append(v)
+                i += 1
+                continue
+            t_start = i * tick
+            tick_end = t_start + tick
+            t = float(t_start)
+            for bit in runs[due[i]]:
+                if bit == SENSE:
+                    plan = sense
+                elif not bit:  # the closing sleep
+                    duration = tick_end - t
+                    if not duration > 0.0:
+                        break
+                    slot, e = closing.get(duration) or self._closing(duration)
+                    plan = ((slot, sleep_r, duration, e, sleep),)
+                elif bit == FIX:
+                    kind = select(None if ephemeris_t is None else t_start - ephemeris_t, v, cfg)
+                    if kind is None:
+                        marks_append(((i + done + len(vs)) * 4, t, _FIX_SKIPPED, v, v, detail("low-voltage")))
+                        continue
+                    code, plan, stds = plans[kind]
+                    if jitter and stds:  # draw every duration before the first segment runs
+                        plan = tuple(
+                            (slot, r, self._draw(duration, std), None if std else e, load)
+                            for (slot, r, duration, e, load), std in zip(plan, stds)
+                        )
+                else:
+                    samples = buffered
+                    if v < upload_gate:
+                        marks_append(((i + done + len(vs)) * 4, t, _TRANSMIT_SKIPPED, v, v, detail("low-voltage")))
+                        continue
+                    plan = self._upload(samples) if drawn_upload else upload
+                v_before = v
+                for slot, r, duration, e, load in plan:
+                    a = i_h * r
+                    if e is not None:  # _step's plain cases, as _idle steps them
+                        if v >= v_pinned and a >= v_max:
+                            vs_append(v)
+                            slots_append(slot)
+                            v = v_max
+                            t += duration
+                            continue
+                        be = (v - a) * e
+                        if not (
+                            a > v_max and v < v_max and not be < (v_max - a) * margin
+                            or a < v_min and v > v_min and not be > (v_min - a) * margin
+                        ):
+                            vs_append(v)
+                            slots_append(slot)
+                            v = a + be
+                            if v > v_max:
+                                v = v_max
+                            t += duration
+                            continue
+                    t, v, depleted = step(slot, load, duration, i_h, True, t, v)
+                    if depleted:
+                        break
+                else:
+                    if bit == FIX:
+                        if code != _FIX_HOT:  # every other fix leaves a fresh ephemeris
+                            ephemeris_t = t_start
+                        buffered += 1
+                    elif bit == TRANSMIT:
+                        buffered = 0
+                        key = (i + done + len(vs)) * 4
+                        marks_append((key, t, _TRANSMIT, v_before, v, detail(f"samples={samples}")))
+                    continue
+                if bit == TRANSMIT:
+                    failure, text = _TRANSMIT_FAILED, f"samples={samples}"
+                else:
+                    failure, text = (_TASK_FAILED, load[0]) if bit else (None, "")
+                v = self._deplete(i, i_h, tick_end, failure, text, t, v)
+                powered = False
+                ephemeris_t = None  # the backup domain is lost; flash keeps the buffer
+                break
+            voltages_append(v)
             i += 1
 
-        power_on.append(self.powered)
-        duration = n_ticks * tick
+        power_on.append(powered)
+        self.v, self.powered, self.ephemeris_t, self.buffered = v, powered, ephemeris_t, buffered
+        self._flush()
+        return np.array(voltages), np.array(power_on, dtype=bool)
+
+    def _book(
+        self, combined: np.ndarray, voltages: np.ndarray, power_on: np.ndarray, v_initial: float
+    ) -> tuple[EventLog, EnergyLedger]:
+        """The event log and the ledger of a run, from the decide loop's record.
+
+        Works through the run in chunks of whole ticks that hold about
+        _BOOKING_CHUNK segments on average, an idle tick counting one. Each
+        chunk's segments, those the loop stepped and one per idle tick, are
+        put in run order; their start times are summed along each tick as
+        the loop summed them. Each segment is booked with _step's arithmetic, except
+        that a segment _step recorded brings its own terms, and every ledger
+        sum adds its terms in run order from 0.0, as the loop would have.
+        The rows come from the segments (a clamp row where the pinned test
+        changes or a recorded crossing falls, an activity row where its
+        chain's last segment ends) and from the loop's whole rows, and are
+        put in log order by a stable sort on (position, sub-position).
+        """
+        tick = self.config.base_tick_s
+        n_ticks = combined.size
+        v_max, v_pinned = self.v_max, self.v_pinned
+        table = np.array(self.table, dtype=float)
+        task_of, emit_of, span_of = (table[:, column].astype(np.intp) for column in (0, 11, 12))
+        r_of, tau_of, half_tau_of, leak_of, keep_of, pinned_w_of, duration_of, _, em1_of, em2_of = table[:, 1:11].T
+        vs, slots = (np.concatenate(parts) for parts in zip(*self.flushed))
+        self.flushed.clear()
+        announced = np.flatnonzero(slots < 0)
+        self.stepped = stepped = ~slots[announced].astype(np.int64)  # each tick the loop stepped
+        firsts = np.append(announced - np.arange(announced.size), vs.size)  # and its first segment
+        slots = np.delete(slots, announced)
+        records = np.fromiter(self.records, float, len(self.records)).reshape(-1, len(_RECORD))
+        recorded_at = records[:, 0].astype(np.int64)
+        marks = self.marks
+        mark_columns = [
+            np.array(column, dtype=dtype)
+            for column, dtype in zip(zip(*marks) if marks else ((),) * 6, (int, float, int, float, float, int))
+        ]
+        harvested = leakage = discarded = 0.0
+        consumed: dict[int, float] = {}  # task index -> sum, in first-use order
+        clamp = False
+        chunks = []
+        segments = n_ticks - stepped.size + vs.size  # an idle tick counting one
+        chunk = max(1, _BOOKING_CHUNK * n_ticks // segments)  # ticks
+        with np.errstate(all="ignore"):  # as Python's float arithmetic, which overflows to inf silently
+            for c0 in range(0, n_ticks, chunk):
+                c1 = min(c0 + chunk, n_ticks)
+                j0, j1 = np.searchsorted(stepped, (c0, c1)).tolist()
+                k0, k1 = int(firsts[j0]), int(firsts[j1])
+                # The chunk's segments in run order: a stepped tick's, or one per idle tick.
+                count = np.ones(c1 - c0, np.int64)
+                count[stepped[j0:j1] - c0] = np.diff(firsts[j0 : j1 + 1])
+                is_stepped = np.zeros(c1 - c0, bool)
+                is_stepped[stepped[j0:j1] - c0] = True
+                tick_of = np.repeat(np.arange(c0, c1), count)
+                from_loop = np.repeat(is_stepped, count)
+                at_loop = np.flatnonzero(from_loop)
+                at_idle = np.flatnonzero(~from_loop)
+                idle_ticks = tick_of[at_idle]
+                slot = np.empty(tick_of.size, np.intp)
+                slot[at_loop] = slots[k0:k1]
+                slot[at_idle] = np.where(power_on[idle_ticks], self.whole[True], self.whole[False])
+                v0 = np.empty(tick_of.size)
+                v0[at_loop] = vs[k0:k1]
+                v0[at_idle] = voltages[idle_ticks]
+                v_end = np.append(v0[1:], voltages[c1])
+                i_h = combined[tick_of]
+                # Position in the run: the tick plus the segments the loop stepped before.
+                key = (tick_of + k0 + np.cumsum(from_loop) - from_loop) * 4
+
+                duration, r, tau, em1 = (column[slot] for column in (duration_of, r_of, tau_of, em1_of))
+                a = i_h * r
+                b = v0 - a
+                pinned = (v0 >= v_pinned) & (a >= v_max)
+                harvested_t = np.where(pinned, i_h * v_max * duration, i_h * (a * duration + b * tau * em1))
+                consumed_t = np.where(
+                    pinned, pinned_w_of[slot] * duration,
+                    (a * a * duration + 2.0 * a * b * tau * em1 + b * b * half_tau_of[slot] * em2_of[slot]) / r,
+                )
+                leakage_t = consumed_t * leak_of[slot]
+                task_t = consumed_t * keep_of[slot]
+                discarded_t = np.where(pinned, harvested_t - consumed_t, 0.0)
+                task = task_of[slot]
+                emit = emit_of[slot]
+                advance = duration.copy()
+                r0, r1 = np.searchsorted(recorded_at, (k0, k1)).tolist()
+                record = records[r0:r1].T
+                g = at_loop[recorded_at[r0:r1] - k0]
+                advance[g] = record[1]
+                pinned[g] = record[2] > 0.0
+                harvested_t[g], leakage_t[g], task_t[g], discarded_t[g] = record[5:9]
+                emit[g[record[4] > 0.0]] = -1
+                crossed = ~np.isnan(record[3])
+                up_at, up_time = g[crossed], record[3][crossed]
+                second = ~np.isnan(record[9])  # a v_max crossing's pinned rest
+                if second.any():  # each goes in after its crossing's first part
+                    crossing = g[second]
+                    harvested_t, leakage_t, task_t, discarded_t, task = _spliced(
+                        (harvested_t, leakage_t, task_t, discarded_t, task), crossing,
+                        (*record[9:13][:, second], task[crossing]),
+                    )
+                harvested = _running_sum(harvested, harvested_t)
+                leakage = _running_sum(leakage, leakage_t)
+                discarded = _running_sum(discarded, discarded_t)
+                # Each task's terms in run order, by a stable sort on the task.
+                by_task = np.argsort(task.astype(np.int8), kind="stable")
+                task_t = task_t[by_task]
+                task_ends = np.cumsum(np.bincount(task, minlength=len(_TASK_NAMES))).tolist()
+                sums, first_use = {}, []
+                for index, (begin, end) in enumerate(zip([0, *task_ends], task_ends)):
+                    if begin < end:
+                        sums[index] = _running_sum(consumed.get(index, 0.0), task_t[begin:end])
+                        if index not in consumed:
+                            first_use.append((by_task[begin], index))
+                consumed.update((index, 0.0) for _, index in sorted(first_use))
+                consumed.update(sums)
+
+                # Start times, summed along each tick from its start.
+                position = np.arange(tick_of.size) - np.repeat(np.cumsum(count) - count, count)
+                by_position = np.argsort(position.astype(np.int8), kind="stable")
+                position_ends = np.cumsum(np.bincount(position)).tolist()
+                t0 = np.empty(tick_of.size)
+                first = by_position[: position_ends[0]]
+                t0[first] = (tick_of[first] * tick).astype(float)
+                for begin, end in zip(position_ends, position_ends[1:]):
+                    at = by_position[begin:end]
+                    t0[at] = t0[at - 1] + advance[at - 1]
+
+                state = pinned.copy()
+                state[up_at] = True
+                before = np.append(clamp, state[:-1])
+                clamp = bool(state[-1]) if state.size else clamp
+                clamp_ends = np.flatnonzero(before & ~pinned)
+                clamp_starts = np.flatnonzero(pinned & ~before)
+                emits = np.flatnonzero(emit >= 0)
+                m0, m1 = np.searchsorted(mark_columns[0], ((c0 + k0) * 4, (c1 + k1) * 4)).tolist()
+                # (key, time, kind, v_before, v_after, detail) by source; a key's
+                # sub-position is 0 for a whole row, 1 for a clamp row at a
+                # segment's start, 2 for a crossing's ClampStart and 3 for an
+                # activity row at its last segment's end.
+                sources = (
+                    (key[clamp_ends] + 1, t0[clamp_ends], _CLAMP_END, v0[clamp_ends], v0[clamp_ends], 0),
+                    (key[clamp_starts] + 1, t0[clamp_starts], _CLAMP_START, v_max, v_max, 0),
+                    (key[up_at] + 2, up_time, _CLAMP_START, v_max, v_max, 0),
+                    (key[emits] + 3, t0[emits] + advance[emits], emit[emits], v0[emits - span_of[slot[emits]]],
+                     v_end[emits], 0),
+                    [column[m0:m1] for column in mark_columns],
+                )
+                rows = [np.concatenate([np.broadcast_to(s[j], s[0].shape) for s in sources]) for j in range(6)]
+                order = np.argsort(rows[0], kind="stable")
+                chunks.append([column[order] for column in rows[1:]])
+
+        columns = []
+        for j in range(5):  # a column at a time, each chunk's part freed as it is copied
+            columns.append(np.concatenate([chunk[j] for chunk in chunks]))
+            for chunk in chunks:
+                chunk[j] = None
+        log = EventLog(*columns, tuple(self.details))
         ledger = EnergyLedger(
-            self.harvested_j, dict(self.consumed), self.leakage_j, self.discarded_j,
-            0.5 * cfg.capacitor.capacitance_f * (self.v**2 - v_initial**2),
+            harvested, {_TASK_NAMES[index]: value for index, value in consumed.items()}, leakage, discarded,
+            0.5 * self.c * (self.v**2 - v_initial**2),
         )
-        voltages = np.array(voltages)
-        log = self.log()
-        power_on = np.array(power_on, dtype=bool)
-        metrics = compute_metrics(log, duration, voltages=voltages, power_on_at_start=bool(power_on[0]))
-        return SimResult(cfg, harvest, duration, times, voltages, power_on, log, metrics, ledger)
+        return log, ledger
+
+
+def _spliced(columns: tuple, after: np.ndarray, values: tuple) -> list[np.ndarray]:
+    """Each column with its values put in after the positions in after (ascending)."""
+    n = columns[0].size
+    moved = np.arange(n) + np.cumsum(np.bincount(after + 1, minlength=n)[:n])
+    added = after + np.arange(1, after.size + 1)
+    spliced = []
+    for column, value in zip(columns, values):
+        out = np.empty(n + after.size, column.dtype)
+        out[moved] = column
+        out[added] = value
+        spliced.append(out)
+    return spliced
+
+
+def _running_sum(total: float, terms: np.ndarray) -> float:
+    """total + terms[0] + terms[1] + ..., added one at a time in order."""
+    return float(np.add.accumulate(np.concatenate(([total], terms)))[-1])
 
 
 def run_simulation(config: SystemConfig, harvest: HarvestTrace, duration_s: int | None = None) -> SimResult:

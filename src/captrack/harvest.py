@@ -19,6 +19,7 @@ from collections.abc import Callable, Iterable, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -26,6 +27,7 @@ import numpy as np
 from .energy_model import DEFAULT_V_SUPPLY, SystemConfig
 
 MINUTES_PER_DAY = 1440
+SYNTHETIC_RESOLUTION_S = 60  # the built-in generators make one sample a minute
 DEFAULT_COMBINER_EFFICIENCY = SystemConfig.combiner_efficiency
 CSV_CHUNK_ROWS = 8192  # rows per write(); a chunk holds ~400 bytes of text per row
 _EXACT_LIMIT = 2**62  # integers below this in size subtract in int64 without overflow
@@ -49,6 +51,9 @@ _CRLF = np.frombuffer(b"\r\n", np.uint8)
 
 IRRADIANCE_HEADER = ["timestamp", "irradiance_wm2"]
 HARVEST_HEADER = ["t_s", "solar_a", "kinetic_a", "combined_a"]
+# A stamp the one-pass reader may take: epoch digits or "YYYY-MM-DDTHH:MM:SSZ",
+# with any blanks around.
+_PLAIN_STAMP = re.compile(r"\s*(?:-?[0-9]+|[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}Z)\s*")
 # Rows as the one-pass reader parses them. A stamp is one byte wider than
 # the longest one it reads, so a longer cell shows instead of being cut.
 _IRRADIANCE_ROWS = np.dtype([("timestamp", f"S{_ISO_UTC.size + 1}"), ("irradiance_wm2", float)])
@@ -250,7 +255,7 @@ def generate_synthetic_irradiance(
     state = np.array(shocks)
     attenuation = 1.0 - profile.cloud_amplitude * 0.5 * (1.0 + np.tanh(state))
 
-    return IrradianceTrace(start_epoch_s, 60, clear * attenuation)
+    return IrradianceTrace(start_epoch_s, SYNTHETIC_RESOLUTION_S, clear * attenuation)
 
 
 def generate_kinetic_trace(
@@ -501,13 +506,17 @@ def load_irradiance_csv(path: str, resolution_s: int = 60, max_gap_steps: int = 
         raise TraceError(f"resolution must be positive, got {resolution_s}")
     with _open_csv(path) as (header, reader, encoding):
         _check_header(path, header, IRRADIANCE_HEADER)
-        trace = _plain_irradiance(path, encoding, resolution_s, max_gap_steps)
-        if trace is not None:
-            return trace
+        # A file whose first stamp has neither form the one-pass reader takes
+        # (ISO stamps with an offset, say) goes straight to the row checker.
+        first = next(reader, None)
+        if first and _PLAIN_STAMP.fullmatch(first[0]):
+            trace = _plain_irradiance(path, encoding, resolution_s, max_gap_steps)
+            if trace is not None:
+                return trace
         samples = array("d")
         gaps = 0
         start = previous = None
-        for line, row in _data_rows(reader, 2):
+        for line, row in _data_rows(reader if first is None else chain([first], reader), 2):
             stamp = _parse_timestamp(row[0], line)
             try:
                 value = float(row[1])

@@ -562,6 +562,26 @@ def test_zero_tick_is_a_config_error(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_builtin_generator_needs_a_60_s_tick(tmp_path, capsys, monkeypatch, command):
+    # The generator makes a sample a minute: under a 120 s tick the run was a
+    # trace error (exit 3) after the whole trace had been generated.
+    (tmp_path / "config.yaml").write_text("intervals: {base_tick_s: 120, sense_s: 120}\n")
+    (tmp_path / "sweep.yaml").write_text(
+        "capacitors: [2.5]\nfix_intervals_s: [240]\nbase: {intervals: {base_tick_s: 120, sense_s: 120}}\n"
+        "generate: {days: 1}\n"
+    )
+    monkeypatch.setattr(cli, "generate_synthetic_irradiance", None)  # a call would be a TypeError
+    out = tmp_path / "out"
+    flag, name = ("--config", "config.yaml") if command == "simulate" else ("--spec", "sweep.yaml")
+    assert main([command, flag, str(tmp_path / name), "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "config error: base_tick_s is 120 s, but the built-in generator makes 60 s samples; "
+        "give a trace file on the 120 s tick\n"
+    )
+    assert not out.exists()
+
+
 def test_irradiance_trace_follows_the_config_tick(tmp_path, monkeypatch):
     # The irradiance loader was called with its 60 s default: a 120 s file
     # under a 120 s tick was a trace error, exit 3.

@@ -709,17 +709,21 @@ def test_crossings_at_the_end_of_a_segment():
     for i_h in (0.0, 1e-5):  # asymptote below v_min: the floor
         a = i_h * r
         cases += [(a + (1.8 - a) * grow * (1.0 + d), i_h) for d in offsets]
+    # One tick with nothing due: the engine runs it as the oracle's
+    # execute_tick with no tasks, a closing sleep over the whole tick.
+    quiet = replace(config, sense_interval_s=None, fix_interval_s=None, transmit_interval_s=None)
     crossed = 0
     for v0, i_h in cases:
-        new, old = engine._Simulator(config), OracleSimulator(config)
+        new, old = engine._Simulator(quiet), OracleSimulator(config)
         new.v = old.v = v0
-        assert bits([new.execute_tick(0.0, 0, i_h)]) == bits([old.execute_tick(0.0, [], i_h)])
-        assert_same_log(new.log(), old.events)
-        led = old.ledger
-        assert bits([new.harvested_j, new.leakage_j, new.discarded_j]) == bits(
+        result = new.run(HarvestTrace(0, 60, np.array([i_h]), np.zeros(1), np.array([i_h])), 1)
+        assert bits(result.voltages[1:]) == bits([old.execute_tick(0.0, [], i_h)])
+        assert_same_log(result.log, old.events)
+        led, booked = old.ledger, result.ledger
+        assert bits([booked.harvested_in_j, booked.leakage_j, booked.discarded_at_clamp_j]) == bits(
             [led.harvested_in_j, led.leakage_j, led.discarded_at_clamp_j]
         )
-        assert dict(new.consumed) == led.consumed_by_task_j
+        assert booked.consumed_by_task_j == led.consumed_by_task_j
         crossed += bool(old.events)
     assert 0 < crossed < len(cases)
 
@@ -745,6 +749,26 @@ def test_idle_stretches_enter_and_leave_the_clamp():
     ends = [e.time_s for e in old.events if e.kind == "ClampEnd" and scheduled_idle(e.time_s, config)]
     assert len(starts) > 10 and all(t % 60 for t in starts)
     assert len(ends) > 10
+
+
+def test_busy_ticks_leave_the_clamp_in_a_fix_and_reenter_it_in_their_sleep(monkeypatch):
+    # The winter-dense pattern: every tick busy, a harvest whose asymptote is
+    # above v_max in sleep and below it in a fix. Each fix leaves the clamp as
+    # it starts, after the Sense, and the closing sleep re-enters it at a
+    # fractional second. The booking pass gives the frozen loop's bits, and
+    # the same bits working a few segments at a time from a record moved
+    # into arrays every two ticks.
+    config = validate_config(SystemConfig(initial_voltage=5.5))
+    trace = harvest_trace("uniform", 720, 2e-3, 3)
+    old = assert_same_run(config, trace, 720 * 60)
+    sense_s = TASKS["AdcRead"].duration_s
+    ends = [e.time_s for e in old.events if e.kind == "ClampEnd" and e.time_s == e.time_s // 60 * 60 + sense_s]
+    starts = [e.time_s for e in old.events if e.kind == "ClampStart" and e.time_s % 60]
+    assert not any(scheduled_idle(t, config) for t in ends + starts)
+    assert len(ends) > 10 and len(starts) > 10
+    monkeypatch.setattr(engine, "_BOOKING_CHUNK", 3)
+    monkeypatch.setattr(engine, "_FLUSH_TICKS", 2)
+    assert_same_run(config, trace, 720 * 60)
 
 
 @pytest.mark.parametrize("level", [2e-3, 0.1])
@@ -791,25 +815,18 @@ def test_crossings_at_the_end_of_an_idle_stretch():
     assert stretches > 100  # the floor cases cross after a long stretch
 
 
-def test_idle_ticks_are_not_stepped_one_by_one(monkeypatch):
+def test_idle_ticks_are_not_stepped_one_by_one():
     # Two days shaped like the year-sparse benchmark. Only busy ticks and
     # the ticks an idle stretch hands back (a possible crossing, a recovery)
-    # may go through execute_tick; stepping every tick would make 2880 calls.
-    calls = []
-    execute_tick = engine._Simulator.execute_tick
-
-    def counted(self, t_start, activities, i_h):
-        calls.append(t_start)
-        return execute_tick(self, t_start, activities, i_h)
-
-    monkeypatch.setattr(engine._Simulator, "execute_tick", counted)
+    # may be stepped segment by segment; stepping every tick would make 2880.
     config = validate_config(SystemConfig(**SPARSE))
-    result = run_simulation(config, harvest_trace("blocks", 2 * 1440, 2e-3, 1), 2 * 86400)
+    sim = engine._Simulator(config)
+    result = sim.run(harvest_trace("blocks", 2 * 1440, 2e-3, 1), 2 * 1440)
     busy = 2 * 86400 // 1800
     kinds = result.log.kind.tolist()
     handed_back = sum(kinds.count(EVENT_KINDS.index(k)) for k in ("ClampStart", "Depletion", "Recovery"))
     assert kinds.count(EVENT_KINDS.index("ClampStart")) > 0
-    assert busy <= len(calls) <= busy + handed_back < 2 * 1440 // 4
+    assert busy <= sim.stepped.size <= busy + handed_back < 2 * 1440 // 4
 
 
 @settings(max_examples=30, deadline=None)

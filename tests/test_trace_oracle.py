@@ -724,3 +724,20 @@ def test_stamps_at_the_exact_limit(tmp_path, first):
     path.write_text(render([IRRADIANCE_HEADER, *[[str(first + 60 * i), "1.0"] for i in range(3)]]))
     got = same_as_oracle(path, "irradiance")
     assert got["start_epoch_s"] == (int, first)
+
+
+@pytest.mark.parametrize("form", ["utc", "east", "naive", "fraction"])
+def test_first_stamp_of_another_form_skips_the_one_pass_reader(tmp_path, form):
+    # np.loadtxt parsed a whole file of +00:00 stamps before the row checker
+    # read it again. The first stamp's form now sends such a file to the row
+    # checker alone, which reads the trace of its Z twin.
+    rows = [(1735689600 + 60 * i, f"{i}.25") for i in range(50)]
+    z_path, path = tmp_path / "z.csv", tmp_path / f"{form}.csv"
+    z_path.write_text(render([IRRADIANCE_HEADER, *([STAMP_FORMS["z"](t), x] for t, x in rows)]))
+    path.write_text(render([IRRADIANCE_HEADER, *([STAMP_FORMS[form](t), x] for t, x in rows)]))
+    with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt:
+        got = same_as_oracle(path, "irradiance")
+        assert not loadtxt.called
+        expected = same_as_oracle(z_path, "irradiance")
+        assert loadtxt.call_count == 1
+    assert got == expected  # every form writes the same instants
