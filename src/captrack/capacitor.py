@@ -7,7 +7,8 @@ solution over a segment of length dt is
     V' = I_H R_eq + (V - I_H R_eq) exp(-dt / (R_eq C))
 
 Everything here is built on that solution: analytic crossing times and
-closed-form energy integrals for the ledger.
+closed-form energy integrals for the ledger, each written once: decay_factors
+and segment_energy, which integrate_segment combines and the engine calls.
 """
 
 from __future__ import annotations
@@ -44,6 +45,22 @@ def time_to_voltage(
     return tau * math.log((v0 - asymptote) / (target - asymptote))
 
 
+def decay_factors(duration: float, tau: float) -> tuple[float, float, float]:
+    """exp(-x), 1 - exp(-x) and 1 - exp(-2x) for x = duration / tau, the
+    last two as -expm1, stable for tiny x."""
+    x = duration / tau
+    return math.exp(-x), -math.expm1(-x), -math.expm1(-2.0 * x)
+
+
+def segment_energy(i_h, r, tau, a, b, duration, em1, em2):
+    """I_H * integral(V dt) and integral(V^2 / R dt) over an unclamped segment
+    from a + b toward the asymptote a = I_H R; em1, em2 from decay_factors.
+    Only + - * /, so numpy arrays give the bits of per-element float calls."""
+    harvested = i_h * (a * duration + b * tau * em1)
+    consumed = (a * a * duration + 2.0 * a * b * tau * em1 + b * b * (tau / 2.0) * em2) / r
+    return harvested, consumed
+
+
 def integrate_segment(
     v0: float, harvest_current: float, resistance: float, capacitance: float, duration: float
 ) -> tuple[float, float, float]:
@@ -60,10 +77,5 @@ def integrate_segment(
     tau = resistance * capacitance
     a = harvest_current * resistance  # asymptote
     b = v0 - a
-    x = duration / tau
-    em1 = -math.expm1(-x)  # 1 - exp(-x), stable for tiny x
-    em2 = -math.expm1(-2.0 * x)
-    v_end = a + b * math.exp(-x)
-    integral_v = a * duration + b * tau * em1
-    integral_v2 = a * a * duration + 2.0 * a * b * tau * em1 + b * b * (tau / 2.0) * em2
-    return v_end, harvest_current * integral_v, integral_v2 / resistance
+    e, em1, em2 = decay_factors(duration, tau)
+    return a + b * e, *segment_energy(harvest_current, resistance, tau, a, b, duration, em1, em2)

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import device as dev
-from .capacitor import equivalent_resistance, integrate_segment, time_to_voltage
+from .capacitor import decay_factors, equivalent_resistance, integrate_segment, segment_energy, time_to_voltage
 from .device import select_gps_mode
 from .energy_model import ACTIVITIES, FIX, SENSE, TASKS, TRANSMIT, SystemConfig, compose_task_current, validate_config
 from .harvest import HarvestTrace, TextColumn, TraceError, csv_field, number_text, text_column, write_csv
@@ -59,12 +59,11 @@ _EVENT_ROW = np.dtype([
     ("time_s", "f8"), ("kind", "i8"), ("voltage_before", "f8"), ("voltage_after", "f8"), ("detail", "i8"),
 ])
 
-# Distinct durations whose exponentials one load keeps. A fixed task
-# duration is one value; the closing sleeps of a run without jitter took 37
-# values over 20 days and 49 over a year (how the activities' end times round
-# depends on the tick's start time). Durations past the limit, as with
-# jitter, are computed per segment and not kept.
-_FACTOR_CACHE_LIMIT = 256
+# Distinct closing sleep durations that get a table slot of their own. The
+# closing sleeps of a run without jitter took 37 values over 20 days and 49
+# over a year (how the activities' end times round depends on the tick's
+# start time). Durations past the limit, as with jitter, are stepped by _step.
+_CLOSING_LIMIT = 256
 
 # Relative margin M of the cheap test that rules a crossing out before its
 # logarithm is taken. It passes only where the logarithm's ratio exceeds
@@ -75,12 +74,9 @@ _CROSSING_MARGIN = 1.0 + 1e-9
 
 # Segments per chunk of the booking pass, which works a run of whole ticks
 # at a time: a chunk's segment arrays are its working set, so the pass's
-# memory does not grow with the run.
+# memory does not grow with the run. Also the ticks the decide loop keeps
+# its record of in lists before it moves them into arrays.
 _BOOKING_CHUNK = 8192
-
-# Ticks the decide loop keeps its record of in lists before it moves them
-# into arrays.
-_FLUSH_TICKS = 16384
 
 # What a busy tick runs for each due code: its bits in run order, then 0 for
 # the closing sleep.
@@ -94,16 +90,6 @@ _RECORD = (
 )
 _NO_TERMS = (math.nan,) * 4
 _TASK_NAMES = tuple(TASKS)  # a task's index in the booking pass is its place here
-
-
-def _factors(factors: dict, duration: float, tau: float) -> tuple[float, float, float]:
-    """exp(-x), -expm1(-x) and -expm1(-2x) for x = duration / tau, kept in
-    the load's table while it has room."""
-    x = duration / tau
-    f = (math.exp(-x), -math.expm1(-x), -math.expm1(-2.0 * x))
-    if len(factors) < _FACTOR_CACHE_LIMIT:
-        factors[duration] = f
-    return f
 
 
 TIMESERIES_HEADER = ["t_s", "voltage_v", "i_solar_a", "i_kinetic_a", "i_combined_a", "power_state", "event"]
@@ -301,7 +287,7 @@ class _Simulator:
         # whole; key is 4 x (tick + segments recorded before the row), the
         # position _book sorts the log on.
         self.marks: list[tuple] = []
-        # Slot rows: task index, R, tau, tau / 2, leak and keep shares, v_max^2 / R,
+        # Slot rows: task index, R, tau, leak and keep shares, v_max^2 / R,
         # duration, its three factors, the event kind the segment ends (-1:
         # none), and the segments before it in that activity's chain.
         self.table: list[tuple] = []
@@ -337,21 +323,20 @@ class _Simulator:
 
     def _load(self, task: str, current_ma: float) -> tuple:
         """Per-run constants of a constant-current load, in _step's order:
-        task, R, tau = R C, tau / 2, the leakage share of its consumption
-        and the rest, v_max^2 / R (its draw while pinned), and a table of
-        exact duration -> (exp(-x), -expm1(-x), -expm1(-2x)), x = duration / tau.
+        task, R, tau = R C, the leakage share of its consumption and the
+        rest, and v_max^2 / R (its draw while pinned).
         """
         cfg = self.config
         r = equivalent_resistance(cfg.v_supply, current_ma)
         tau = r * self.c
         leak = min(1.0, cfg.capacitor.leakage_ma / current_ma)
-        return task, r, tau, tau / 2.0, leak, 1.0 - leak, self.v_max * self.v_max / r, {}
+        return task, r, tau, leak, 1.0 - leak, self.v_max * self.v_max / r
 
     def _slot(self, load: tuple, duration: float, emit: int = -1, span: int = 0) -> tuple[int, float]:
         """A new table row for a load over a fixed duration; its index and exp(-x)."""
-        task, r, tau, half_tau, leak, keep, pinned_w, factors = load
-        e, em1, em2 = factors.get(duration) or _factors(factors, duration, tau)
-        row = (_TASK_NAMES.index(task), r, tau, half_tau, leak, keep, pinned_w, duration, e, em1, em2, emit, span)
+        task, r, tau, leak, keep, pinned_w = load
+        e, em1, em2 = decay_factors(duration, tau)
+        row = (_TASK_NAMES.index(task), r, tau, leak, keep, pinned_w, duration, e, em1, em2, emit, span)
         self.table.append(row)
         return len(self.table) - 1, e
 
@@ -359,13 +344,18 @@ class _Simulator:
         """The slot of a closing sleep duration not seen yet, while the table
         has room; else the whole-tick Sleep slot and no factor, so that
         _step steps it."""
-        if len(self.closing) >= _FACTOR_CACHE_LIMIT:
+        if len(self.closing) >= _CLOSING_LIMIT:
             return self.whole[True], None
         self.closing[duration] = hit = self._slot(self.loads["Sleep"], duration)
         return hit
 
     def _detail(self, text: str) -> int:
         return self.details.setdefault(text, len(self.details))
+
+    def _mark(self, i: int, t: float, kind: int, v_before: float, v_after: float, detail: str = "") -> None:
+        """Place a whole row in tick i, after the segments recorded so far."""
+        key = (i + self.n_flushed + len(self.vs)) * 4
+        self.marks.append((key, t, kind, v_before, v_after, self._detail(detail)))
 
     def _draw(self, mean: float, std: float) -> float:
         """Per-event jittered value, truncated at three sigma; mean when off."""
@@ -400,11 +390,11 @@ class _Simulator:
         then the segment stops at the v_min crossing, and the caller decides
         what happens next. The terms are those the segment adds to the
         harvested, leakage, task and discarded sums, in the order it adds
-        them; the arithmetic is capacitor.integrate_segment's, term for term.
+        them, from capacitor.segment_energy.
         """
         if duration <= 0.0:
             return t0, v0, False
-        task, r, tau, half_tau, leak, keep, pinned_w, factors = load
+        task, r, tau, leak, keep, pinned_w = load
         v_max = self.v_max
         a = i_h * r  # asymptote
         pinned = v0 >= self.v_pinned and a >= v_max
@@ -417,7 +407,7 @@ class _Simulator:
             consumed = pinned_w * duration
             terms = (harvested, consumed * leak, consumed * keep, harvested - consumed, *_NO_TERMS)
         else:
-            e, em1, em2 = factors.get(duration) or _factors(factors, duration, tau)
+            e, em1, em2 = decay_factors(duration, tau)
             b = v0 - a
             # A crossing time (time_to_voltage) takes a logarithm, skipped
             # where the unclamped end voltage a + b e stays clear of the bound:
@@ -447,8 +437,7 @@ class _Simulator:
                 depleted = True
                 v = self.v_min
             else:
-                harvested = i_h * (a * duration + b * tau * em1)
-                consumed = (a * a * duration + 2.0 * a * b * tau * em1 + b * b * half_tau * em2) / r
+                harvested, consumed = segment_energy(i_h, r, tau, a, b, duration, em1, em2)
                 terms = (harvested, consumed * leak, consumed * keep, 0.0, *_NO_TERMS)
                 v_end = a + b * e
                 v = v_max if v_end > v_max else v_end
@@ -461,10 +450,9 @@ class _Simulator:
         self, i: int, i_h: float, tick_end: float, failure: int | None, detail: str, t: float, v: float
     ) -> float:
         """Shut down at a v_min crossing in tick i and coast on leakage to tick end."""
-        key = (i + self.n_flushed + len(self.vs)) * 4
         if failure is not None:
-            self.marks.append((key, t, failure, v, v, self._detail(detail)))
-        self.marks.append((key, t, _DEPLETION, v, v, 0))
+            self._mark(i, t, failure, v, v, detail)
+        self._mark(i, t, _DEPLETION, v, v)
         return self._step(self.whole[False], self.loads["TurnedOff"], tick_end - t, i_h, False, t, v)[1]
 
     def _idle(
@@ -508,15 +496,14 @@ class _Simulator:
         power_on += [powered] * (i - start)
         return i, v
 
-    def _flush(self) -> int:
+    def _flush(self) -> None:
         """Move the segments recorded so far into arrays, so that the record's
-        lists stay short; return the number of segments moved in all."""
+        lists stay short."""
         vs, slots = np.fromiter(self.vs, float, len(self.vs)), np.fromiter(self.slots, np.int32, len(self.slots))
         self.flushed.append((vs, slots))
         self.n_flushed += len(self.vs)
         self.vs.clear()
         self.slots.clear()
-        return self.n_flushed
 
     # -- whole run ----------------------------------------------------------
 
@@ -551,9 +538,8 @@ class _Simulator:
         voltages = [v]
         power_on: list[bool] = []
         voltages_append, power_on_append = voltages.append, power_on.append
-        vs, slots, marks = self.vs, self.slots, self.marks
-        vs_append, slots_append, marks_append = vs.append, slots.append, marks.append
-        step, idle, detail = self._step, self._idle, self._detail
+        vs_append, slots_append = self.vs.append, self.slots.append
+        step, idle, mark = self._step, self._idle, self._mark
         select = select_gps_mode  # looked up per run, so that a wrapper on the module's name sees each call
         plans, closing, runs = self.plans, self.closing, _RUNS
         sense = plans["Sense"][1]
@@ -561,7 +547,7 @@ class _Simulator:
         sleep = self.loads["Sleep"]
         sleep_r = sleep[1]
         turned_off, off_slot = self.loads["TurnedOff"], self.whole[False]
-        flush, flush_at, done = self._flush, _FLUSH_TICKS, self.n_flushed
+        flush, flush_at = self._flush, _BOOKING_CHUNK
 
         i = 0
         while i < n_ticks:
@@ -571,15 +557,15 @@ class _Simulator:
                     break
                 if v >= v_turn_on:
                     powered = True
-                    marks_append(((i + done + len(vs)) * 4, float(i * tick), _RECOVERY, v, v, 0))
+                    mark(i, float(i * tick), _RECOVERY, v, v)
             elif not due[i]:
                 i, v = idle(i, busy[bisect_left(busy, i)], v, True, combined, voltages, power_on)
                 if i == n_ticks:
                     break
             power_on_append(powered)
             if i >= flush_at:
-                done = flush()
-                flush_at = i + _FLUSH_TICKS
+                flush()
+                flush_at = i + _BOOKING_CHUNK
             slots_append(~i)
             i_h = combined[i]
             if not powered:  # a v_max crossing may fall inside this off tick
@@ -602,7 +588,7 @@ class _Simulator:
                 elif bit == FIX:
                     kind = select(None if ephemeris_t is None else t_start - ephemeris_t, v, cfg)
                     if kind is None:
-                        marks_append(((i + done + len(vs)) * 4, t, _FIX_SKIPPED, v, v, detail("low-voltage")))
+                        mark(i, t, _FIX_SKIPPED, v, v, "low-voltage")
                         continue
                     code, plan, stds = plans[kind]
                     if jitter and stds:  # draw every duration before the first segment runs
@@ -613,7 +599,7 @@ class _Simulator:
                 else:
                     samples = buffered
                     if v < upload_gate:
-                        marks_append(((i + done + len(vs)) * 4, t, _TRANSMIT_SKIPPED, v, v, detail("low-voltage")))
+                        mark(i, t, _TRANSMIT_SKIPPED, v, v, "low-voltage")
                         continue
                     plan = self._upload(samples) if drawn_upload else upload
                 v_before = v
@@ -648,8 +634,7 @@ class _Simulator:
                         buffered += 1
                     elif bit == TRANSMIT:
                         buffered = 0
-                        key = (i + done + len(vs)) * 4
-                        marks_append((key, t, _TRANSMIT, v_before, v, detail(f"samples={samples}")))
+                        mark(i, t, _TRANSMIT, v_before, v, f"samples={samples}")
                     continue
                 if bit == TRANSMIT:
                     failure, text = _TRANSMIT_FAILED, f"samples={samples}"
@@ -676,9 +661,10 @@ class _Simulator:
         _BOOKING_CHUNK segments on average, an idle tick counting one. Each
         chunk's segments, those the loop stepped and one per idle tick, are
         put in run order; their start times are summed along each tick as
-        the loop summed them. Each segment is booked with _step's arithmetic, except
-        that a segment _step recorded brings its own terms, and every ledger
-        sum adds its terms in run order from 0.0, as the loop would have.
+        the loop summed them. Each segment is booked as _step books it, by
+        segment_energy on arrays, except that a segment _step recorded brings
+        its own terms; every ledger sum adds its terms in run order from 0.0,
+        as the loop would have.
         The rows come from the segments (a clamp row where the pinned test
         changes or a recorded crossing falls, an activity row where its
         chain's last segment ends) and from the loop's whole rows, and are
@@ -688,8 +674,8 @@ class _Simulator:
         n_ticks = combined.size
         v_max, v_pinned = self.v_max, self.v_pinned
         table = np.array(self.table, dtype=float)
-        task_of, emit_of, span_of = (table[:, column].astype(np.intp) for column in (0, 11, 12))
-        r_of, tau_of, half_tau_of, leak_of, keep_of, pinned_w_of, duration_of, _, em1_of, em2_of = table[:, 1:11].T
+        task_of, emit_of, span_of = (table[:, column].astype(np.intp) for column in (0, 10, 11))
+        r_of, tau_of, leak_of, keep_of, pinned_w_of, duration_of, _, em1_of, em2_of = table[:, 1:10].T
         vs, slots = (np.concatenate(parts) for parts in zip(*self.flushed))
         self.flushed.clear()
         announced = np.flatnonzero(slots < 0)
@@ -735,15 +721,12 @@ class _Simulator:
                 # Position in the run: the tick plus the segments the loop stepped before.
                 key = (tick_of + k0 + np.cumsum(from_loop) - from_loop) * 4
 
-                duration, r, tau, em1 = (column[slot] for column in (duration_of, r_of, tau_of, em1_of))
+                duration, r, tau = duration_of[slot], r_of[slot], tau_of[slot]
                 a = i_h * r
-                b = v0 - a
                 pinned = (v0 >= v_pinned) & (a >= v_max)
-                harvested_t = np.where(pinned, i_h * v_max * duration, i_h * (a * duration + b * tau * em1))
-                consumed_t = np.where(
-                    pinned, pinned_w_of[slot] * duration,
-                    (a * a * duration + 2.0 * a * b * tau * em1 + b * b * half_tau_of[slot] * em2_of[slot]) / r,
-                )
+                harvested_t, consumed_t = segment_energy(i_h, r, tau, a, v0 - a, duration, em1_of[slot], em2_of[slot])
+                harvested_t = np.where(pinned, i_h * v_max * duration, harvested_t)
+                consumed_t = np.where(pinned, pinned_w_of[slot] * duration, consumed_t)
                 leakage_t = consumed_t * leak_of[slot]
                 task_t = consumed_t * keep_of[slot]
                 discarded_t = np.where(pinned, harvested_t - consumed_t, 0.0)

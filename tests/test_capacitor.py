@@ -4,9 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from captrack.capacitor import equivalent_resistance, integrate_segment, time_to_voltage
-from captrack.energy_model import CapacitorSpec
+from captrack.capacitor import (
+    decay_factors, equivalent_resistance, integrate_segment, segment_energy, time_to_voltage,
+)
+from captrack.energy_model import TASKS, CapacitorSpec, compose_task_current
 
 CAP = CapacitorSpec(2.5, 0.030)
 C = CAP.capacitance_f
@@ -195,3 +199,26 @@ def test_integrate_segment_matches_riemann_sum():
     assert harvested == pytest.approx(i_h * num_v, rel=1e-4)
     assert consumed == pytest.approx(num_v2 / r, rel=1e-4)
 
+
+
+@st.composite
+def segment_rows(draw):
+    """segment_energy's arguments for one segment: a task load, 0.2-10 F, and a
+    duration from 1 ns to past x = 700."""
+    r = equivalent_resistance(3.3, compose_task_current(draw(st.sampled_from(sorted(TASKS))), CAP.leakage_ma))
+    tau = r * draw(st.floats(0.2, 10.0))
+    duration = 10.0 ** draw(st.floats(-9.0, math.log10(800.0 * tau)))
+    i_h = draw(st.floats(0.0, 0.05))
+    a = i_h * r
+    _, em1, em2 = decay_factors(duration, tau)
+    return i_h, r, tau, a, draw(st.floats(0.0, 5.5)) - a, duration, em1, em2
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(segment_rows(), min_size=1, max_size=16))
+def test_segment_energy_on_arrays_matches_float_calls(rows):
+    # The booking pass calls segment_energy on whole arrays of segments; each
+    # element must have the bits of the float call the per-segment step makes.
+    floats = np.array([segment_energy(*row) for row in rows])
+    arrays = np.array(segment_energy(*(np.array(column) for column in zip(*rows)))).T
+    assert arrays.tobytes() == floats.tobytes()

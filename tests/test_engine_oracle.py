@@ -677,15 +677,15 @@ def test_depleting_dark_run_with_jitter():
 
 
 def test_full_factor_tables(monkeypatch):
-    # Durations past a load's table limit are computed per segment, with the
-    # same bits, and the tables stay bounded however long the run.
-    monkeypatch.setattr(engine, "_FACTOR_CACHE_LIMIT", 2)
+    # Closing sleep durations past the table's limit are stepped per segment,
+    # with the same bits, and the table stays bounded however long the run.
+    monkeypatch.setattr(engine, "_CLOSING_LIMIT", 2)
     config = validate_config(SystemConfig(task_jitter=True, initial_voltage=3.0))
     trace = harvest_trace("blocks", 1440, 1e-3, 4)
     assert_same_run(config, trace, 86400)
     sim = engine._Simulator(config)
     sim.run(trace, 1440)
-    assert max(len(load[-1]) for load in sim.loads.values()) == 2
+    assert len(sim.closing) == 2
 
 
 def test_clamp_heavy_strong_harvest():
@@ -757,7 +757,7 @@ def test_busy_ticks_leave_the_clamp_in_a_fix_and_reenter_it_in_their_sleep(monke
     # it starts, after the Sense, and the closing sleep re-enters it at a
     # fractional second. The booking pass gives the frozen loop's bits, and
     # the same bits working a few segments at a time from a record moved
-    # into arrays every two ticks.
+    # into arrays every three ticks.
     config = validate_config(SystemConfig(initial_voltage=5.5))
     trace = harvest_trace("uniform", 720, 2e-3, 3)
     old = assert_same_run(config, trace, 720 * 60)
@@ -767,7 +767,6 @@ def test_busy_ticks_leave_the_clamp_in_a_fix_and_reenter_it_in_their_sleep(monke
     assert not any(scheduled_idle(t, config) for t in ends + starts)
     assert len(ends) > 10 and len(starts) > 10
     monkeypatch.setattr(engine, "_BOOKING_CHUNK", 3)
-    monkeypatch.setattr(engine, "_FLUSH_TICKS", 2)
     assert_same_run(config, trace, 720 * 60)
 
 
