@@ -7,21 +7,29 @@ segments, so depletion times, clamp windows, and the energy ledger are exact
 rather than discretized to the tick.
 
 A run is a decide loop and a booking pass. The loop carries the voltage and
-the device state and takes every gate and crossing decision. For each
-segment it steps, it records the start voltage and a slot in a per-run
-table of (load, fixed duration, exponentials); the rare segments (crossing
-partials, depletion coasts, drawn durations and loads) go through _step,
-which records the ledger terms it computes. Each stretch of activity-free
-ticks, found once from the schedule, is stepped by _idle, which records
-only the tick boundary voltages; a tick whose margin test leaves a crossing
-possible, or an off tick that starts at v_turn_on, is handed back to the
-loop. The booking pass (_book) rebuilds the segments with numpy, books each
-with _step's arithmetic in _step's order, and builds the event log, so the
+the device state and takes every gate and crossing decision. A powered busy
+tick whose activities draw nothing is stepped with arithmetic only and
+recorded as one entry: which activities ran, the fix kind and the closing
+sleep's slot in a per-run table of (load, fixed duration, exponentials),
+plus the time of each v_max crossing in it. A tick where a v_min crossing may
+fall, or whose closing sleep gets no slot, is handed back: undone and stepped
+again on the recording path, which records each segment's start voltage and
+slot, and sends the rare segments (crossing partials, depletion coasts, drawn
+durations and loads) through _step, which records the ledger terms it
+computes. Jittered and payload-scaled ticks take the recording path from the
+start. Each stretch of activity-free ticks, found once from the schedule, is
+stepped by _idle, which records only the tick boundary voltages; a tick whose
+margin test leaves a crossing possible, or an off tick that starts at
+v_turn_on, is handed back to the loop. The booking pass (_book) rebuilds the
+segments with numpy, replaying an entry's start voltages from its tick's
+with the loop's operations in the loop's order, books each with _step's
+arithmetic in _step's order, and builds the event log, so the
 bits are those of stepping segment by segment.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from bisect import bisect_left
 from collections.abc import Iterable, Sequence
@@ -62,7 +70,8 @@ _EVENT_ROW = np.dtype([
 # Distinct closing sleep durations that get a table slot of their own. The
 # closing sleeps of a run without jitter took 37 values over 20 days and 49
 # over a year (how the activities' end times round depends on the tick's
-# start time). Durations past the limit, as with jitter, are stepped by _step.
+# start time). A duration past the limit hands its tick back to the recording
+# path, where it is stepped by _step, as with jitter.
 _CLOSING_LIMIT = 256
 
 # Relative margin M of the cheap test that rules a crossing out before its
@@ -81,6 +90,10 @@ _BOOKING_CHUNK = 8192
 # What a busy tick runs for each due code: its bits in run order, then 0 for
 # the closing sleep.
 _RUNS = tuple(tuple(bit for bit in (SENSE, FIX, TRANSMIT) if code & bit) + (0,) for code in range(8))
+# A busy tick's type says what ran in it, in the bits of each activity's
+# field: Sense 1, a fix (its place among the fix kinds plus one) in bits 1-3,
+# an upload 16.
+_TYPE_FIELD = {SENSE: 0b00001, FIX: 0b01110, TRANSMIT: 0b10000}
 # The fields of _step's record of a segment: the terms it adds to the
 # harvested, leakage, task and discarded sums, then those of the pinned rest
 # after a v_max crossing (NaN when there is none).
@@ -89,6 +102,7 @@ _RECORD = (
     "harvested", "leakage", "task", "discarded", "rest_harvested", "rest_leakage", "rest_task", "rest_discarded",
 )
 _NO_TERMS = (math.nan,) * 4
+_UNDECIDED = object()  # a tick's fix kind before it is selected
 _TASK_NAMES = tuple(TASKS)  # a task's index in the booking pass is its place here
 
 
@@ -274,18 +288,27 @@ class _Simulator:
         self.upload_gate = getattr(config.thresholds, upload.gate)
         (self.upload,) = upload.chain  # one task, whose current and duration each upload may draw
         self.loads = {name: self._load(name, compose_task_current(name, cap.leakage_ma)) for name in TASKS}
-        # The decide loop's record of a run.
-        self.vs: list[float] = []  # start voltage of each segment the loop steps
-        # Its row in table; before the first segment of each tick the loop
-        # steps segment by segment, ~tick (that is, -1 - tick).
+        # The decide loop's record of a run. A busy tick is one entry: the
+        # tick, shifted left 16 bits, OR its type (what ran, in the bits of
+        # _TYPE_FIELD) and, in bits 5-15, its closing sleep's slot plus one
+        # (0: none).
+        self.entries: list[int] = []
+        # The tick, the slot and the time from the segment's start of each
+        # v_max crossing inside an entry's tick, one after the other.
+        self.crossings: list[float] = []
+        # A tick handed back to the recording path puts ~tick (that is,
+        # -1 - tick) in slots, then each segment's start voltage in vs and
+        # its row of table in slots.
+        self.vs: list[float] = []
         self.slots: list[int] = []
-        self.flushed: list[tuple[np.ndarray, np.ndarray]] = []  # (vs, slots) moved into arrays
-        self.n_flushed = 0  # segments moved
-        self.stepped: np.ndarray | None = None  # the ticks stepped segment by segment, once booked
+        self.flushed: list[tuple[np.ndarray, ...]] = []  # (vs, slots, entries) moved into arrays
+        self.n_flushed = 0  # segments of vs moved
+        # Once booked: the ticks of the entries, and the ticks handed back.
+        self.entered: np.ndarray | None = None
+        self.stepped: np.ndarray | None = None
         self.records: list[float] = []  # _step's record of each segment it steps, _RECORD's fields in turn
-        # (key, time, kind, v_before, v_after, detail) of each row placed
-        # whole; key is 4 x (tick + segments recorded before the row), the
-        # position _book sorts the log on.
+        # (tick, position, time, kind, v_before, v_after, detail) of each row
+        # placed whole, after position segments of its tick.
         self.marks: list[tuple] = []
         # Slot rows: task index, R, tau, leak and keep shares, v_max^2 / R,
         # duration, its three factors, the event kind the segment ends (-1:
@@ -295,7 +318,9 @@ class _Simulator:
         sleep, off = self.loads["Sleep"], self.loads["TurnedOff"]
         whole = {True: self._slot(sleep, tick), False: self._slot(off, tick)}
         self.whole = {powered: slot for powered, (slot, _) in whole.items()}
-        self.closing = {tick: whole[True]}  # closing sleep duration -> (slot, exp(-x))
+        # Closing sleep duration -> its plan, as a plan of an activity, and its
+        # bits in a tick's type.
+        self.closing = {tick: self._closing_plan(whole[True], tick)}
         # Per power state, what _idle steps a whole tick with: R, exp(-x), the
         # floor the asymptote must be below for a v_min check (none when
         # unpowered), and the start voltage that ends the stretch (v_turn_on
@@ -305,10 +330,12 @@ class _Simulator:
             False: (off[1], whole[False][1], -math.inf, config.thresholds.v_turn_on),
         }
         # Per logged activity: its event code, the (slot, R, duration, exp(-x),
-        # load) of each segment of its chain, and the duration deviations if
-        # any is drawn.
+        # load) of each segment of its chain, the duration deviations if any
+        # is drawn, and its bits in a tick's type.
         self.plans = {}
+        fixes = 0
         for kind, spec in ACTIVITIES.items():
+            fixes += spec.activity == FIX
             code = EVENT_KINDS.index(kind)
             emit = -1 if code == _TRANSMIT else code  # an upload's row carries its sample count
             plan = []
@@ -318,8 +345,45 @@ class _Simulator:
                 slot, e = self._slot(load, task.duration_s, emit if last else -1, position)
                 plan.append((slot, load[1], task.duration_s, e, load))
             stds = tuple(TASKS[name].duration_std_s for name in spec.chain)
-            self.plans[kind] = (code, tuple(plan), stds if any(stds) else None)
+            bits = fixes << 1 if spec.activity == FIX else _TYPE_FIELD[spec.activity]
+            self.plans[kind] = (code, tuple(plan), stds if any(stds) else None, bits)
         self.upload_slot = self.plans["Transmit"][1][0][0]
+        # Per tick type: the slots of its segments in run order, padded with
+        # room for the closing sleep, and how many there are.
+        chains = [
+            [
+                slot for kind, (_, plan, _, bits) in self.plans.items()
+                if typ & _TYPE_FIELD[ACTIVITIES[kind].activity] == bits for slot, *_ in plan
+            ]
+            for typ in range(32)
+        ]
+        self.lengths = [len(chain) for chain in chains]
+        width = max(self.lengths) + 1
+        self.chains = np.array([chain + [0] * (width - len(chain)) for chain in chains], np.intp)
+        # Per due code, whether its ticks may be entries: none of their
+        # activities draws a duration or a load.
+        fix_drawn = config.task_jitter and any(
+            self.plans[kind][2] for kind, spec in ACTIVITIES.items() if spec.activity == FIX
+        )
+        upload_drawn = config.task_jitter or config.payload_scaling
+        self.plain = [not (code & FIX and fix_drawn or code & TRANSMIT and upload_drawn) for code in range(8)]
+        # Per due code, the start voltage above which no segment of an entry's
+        # tick comes near v_min, so that the tick skips the v_min test. With
+        # the harvest >= 0 a segment keeps at least exp(-x) of its start
+        # voltage, so the tick keeps exp(-X) of it, X the largest sum of x
+        # (duration / tau) its activities and closing sleep can take. The
+        # 1e-6 of v_min is far above the rounding and the margin test's 1e-9.
+        most = {
+            bit: max(
+                sum(duration / load[2] for _, _, duration, _, load in plan)
+                for kind, (_, plan, _, _) in self.plans.items() if ACTIVITIES[kind].activity == bit
+            )
+            for bit in (SENSE, FIX, TRANSMIT)
+        }
+        self.clear = [
+            self.v_min * (1.0 + 1e-6) * math.exp(tick / sleep[2] + sum(most[bit] for bit in _RUNS[code][:-1]))
+            for code in range(8)
+        ]
 
     def _load(self, task: str, current_ma: float) -> tuple:
         """Per-run constants of a constant-current load, in _step's order:
@@ -340,22 +404,30 @@ class _Simulator:
         self.table.append(row)
         return len(self.table) - 1, e
 
-    def _closing(self, duration: float) -> tuple[int, float | None]:
-        """The slot of a closing sleep duration not seen yet, while the table
-        has room; else the whole-tick Sleep slot and no factor, so that
-        _step steps it."""
+    def _closing_plan(self, hit: tuple[int, float | None], duration: float) -> tuple[tuple, int | None]:
+        """A closing sleep's plan and type bits, from its slot and exp(-x)."""
+        slot, e = hit
+        sleep = self.loads["Sleep"]
+        return ((slot, sleep[1], duration, e, sleep),), None if e is None else (slot + 1) << 5
+
+    def _closing(self, duration: float) -> tuple[tuple, int | None]:
+        """The plan of a closing sleep duration not seen yet, with a slot of
+        its own while the table has room; else on the whole-tick Sleep slot
+        with no factor and no type bits, so that _step steps it and the tick
+        is handed back."""
         if len(self.closing) >= _CLOSING_LIMIT:
-            return self.whole[True], None
-        self.closing[duration] = hit = self._slot(self.loads["Sleep"], duration)
+            return self._closing_plan((self.whole[True], None), duration)
+        self.closing[duration] = hit = self._closing_plan(self._slot(self.loads["Sleep"], duration), duration)
         return hit
 
     def _detail(self, text: str) -> int:
         return self.details.setdefault(text, len(self.details))
 
-    def _mark(self, i: int, t: float, kind: int, v_before: float, v_after: float, detail: str = "") -> None:
-        """Place a whole row in tick i, after the segments recorded so far."""
-        key = (i + self.n_flushed + len(self.vs)) * 4
-        self.marks.append((key, t, kind, v_before, v_after, self._detail(detail)))
+    def _mark(
+        self, i: int, position: int, t: float, kind: int, v_before: float, v_after: float, detail: str = ""
+    ) -> None:
+        """Place a whole row in tick i, after its first position segments."""
+        self.marks.append((i, position, t, kind, v_before, v_after, self._detail(detail)))
 
     def _draw(self, mean: float, std: float) -> float:
         """Per-event jittered value, truncated at three sigma; mean when off."""
@@ -447,17 +519,18 @@ class _Simulator:
         return t0 + advance, v, depleted
 
     def _deplete(
-        self, i: int, i_h: float, tick_end: float, failure: int | None, detail: str, t: float, v: float
+        self, i: int, position: int, i_h: float, tick_end: float, failure: int | None, detail: str, t: float,
+        v: float,
     ) -> float:
-        """Shut down at a v_min crossing in tick i and coast on leakage to tick end."""
+        """Shut down at a v_min crossing in tick i, after its first position
+        segments, and coast on leakage to tick end."""
         if failure is not None:
-            self._mark(i, t, failure, v, v, detail)
-        self._mark(i, t, _DEPLETION, v, v)
+            self._mark(i, position, t, failure, v, v, detail)
+        self._mark(i, position, t, _DEPLETION, v, v)
         return self._step(self.whole[False], self.loads["TurnedOff"], tick_end - t, i_h, False, t, v)[1]
 
     def _idle(
-        self, start: int, stop: int, v: float, powered: bool, combined: list[float], voltages: list[float],
-        power_on: list[bool],
+        self, start: int, stop: int, v: float, powered: bool, combined: list[float], voltages: list[float]
     ) -> tuple[int, float]:
         """Step ticks start..stop-1 from voltage v as whole-tick Sleep
         (powered) or TurnedOff (unpowered) segments; return the first tick
@@ -467,8 +540,8 @@ class _Simulator:
         _step's operations in _step's order. The stretch stops at a tick whose
         margin test leaves a v_max crossing possible, or a v_min crossing when
         powered, and, when unpowered, at a tick that starts at or above
-        v_turn_on. Appends each tick's end voltage and power state, from
-        which alone the booking pass books the stretch.
+        v_turn_on. Appends each tick's end voltage, from which alone (and the
+        power state) the booking pass books the stretch.
         """
         r, e, floor, v_on = self.stretches[powered]
         v_max, v_min, v_pinned = self.v_max, self.v_min, self.v_pinned
@@ -493,17 +566,19 @@ class _Simulator:
             append(v)
         else:
             i = stop
-        power_on += [powered] * (i - start)
         return i, v
 
     def _flush(self) -> None:
-        """Move the segments recorded so far into arrays, so that the record's
-        lists stay short."""
-        vs, slots = np.fromiter(self.vs, float, len(self.vs)), np.fromiter(self.slots, np.int32, len(self.slots))
-        self.flushed.append((vs, slots))
-        self.n_flushed += len(self.vs)
-        self.vs.clear()
-        self.slots.clear()
+        """Move the record so far into arrays, so that its lists stay short."""
+        vs, slots, entries = self.vs, self.slots, self.entries
+        self.flushed.append((
+            np.fromiter(vs, float, len(vs)), np.fromiter(slots, np.int32, len(slots)),
+            np.fromiter(entries, np.int64, len(entries)),
+        ))
+        self.n_flushed += len(vs)
+        vs.clear()
+        slots.clear()
+        entries.clear()
 
     # -- whole run ----------------------------------------------------------
 
@@ -519,15 +594,24 @@ class _Simulator:
 
     def _decide(self, harvest: HarvestTrace, n_ticks: int) -> tuple[np.ndarray, np.ndarray]:
         """The decide loop over n_ticks ticks: the voltage and power state at
-        each tick boundary, and the record of the run for _book."""
+        each tick boundary, and the record of the run for _book.
+
+        A powered busy tick that draws nothing is stepped with arithmetic
+        only, _step's pinned and plain cases and its v_max crossing test, and
+        recorded as one entry. It is handed back where a segment's margin
+        test leaves a v_min crossing possible or the closing sleep gets no
+        slot: the tick is undone and stepped again on the recording path,
+        which keeps the fix kind already selected.
+        """
         cfg = self.config
         tick = cfg.base_tick_s
         v_turn_on = cfg.thresholds.v_turn_on
-        v_max, v_min, v_pinned = self.v_max, self.v_min, self.v_pinned
+        v_max, v_min, v_pinned, c = self.v_max, self.v_min, self.v_pinned, self.c
         margin = _CROSSING_MARGIN
         jitter = cfg.task_jitter
         drawn_upload = jitter or cfg.payload_scaling
         upload_gate = self.upload_gate
+        plain, clear = self.plain, self.clear
 
         codes = dev.due_codes(0, n_ticks, cfg)
         busy = [*np.flatnonzero(codes).tolist(), n_ticks]  # ticks with an activity due, then the end
@@ -536,61 +620,139 @@ class _Simulator:
         v = self.v
         powered, ephemeris_t, buffered = self.powered, self.ephemeris_t, self.buffered
         voltages = [v]
-        power_on: list[bool] = []
-        voltages_append, power_on_append = voltages.append, power_on.append
-        vs_append, slots_append = self.vs.append, self.slots.append
+        voltages_append = voltages.append
+        vs, vs_append, slots_append = self.vs, self.vs.append, self.slots.append
+        entries_append = self.entries.append
+        crossings, marks = self.crossings, self.marks
+        crossings_extend = crossings.extend
         step, idle, mark = self._step, self._idle, self._mark
         select = select_gps_mode  # looked up per run, so that a wrapper on the module's name sees each call
-        plans, closing, runs = self.plans, self.closing, _RUNS
-        sense = plans["Sense"][1]
-        upload = plans["Transmit"][1]
-        sleep = self.loads["Sleep"]
-        sleep_r = sleep[1]
+        plans, closing, runs, lengths = self.plans, self.closing, _RUNS, self.lengths
+        _, sense, _, sense_bits = plans["Sense"]
+        _, upload, _, upload_bits = plans["Transmit"]
         turned_off, off_slot = self.loads["TurnedOff"], self.whole[False]
         flush, flush_at = self._flush, _BOOKING_CHUNK
+        inf, undecided = math.inf, _UNDECIDED
 
         i = 0
         while i < n_ticks:
             if not powered:
-                i, v = idle(i, n_ticks, v, False, combined, voltages, power_on)
+                i, v = idle(i, n_ticks, v, False, combined, voltages)
                 if i == n_ticks:
                     break
                 if v >= v_turn_on:
                     powered = True
-                    mark(i, float(i * tick), _RECOVERY, v, v)
+                    mark(i, 0, float(i * tick), _RECOVERY, v, v)
             elif not due[i]:
-                i, v = idle(i, busy[bisect_left(busy, i)], v, True, combined, voltages, power_on)
+                i, v = idle(i, busy[bisect_left(busy, i)], v, True, combined, voltages)
                 if i == n_ticks:
                     break
-            power_on_append(powered)
             if i >= flush_at:
                 flush()
                 flush_at = i + _BOOKING_CHUNK
-            slots_append(~i)
             i_h = combined[i]
+            code = due[i]
+            t_start = i * tick
+            tick_end = t_start + tick
+            kind = undecided
+            if powered and plain[code]:
+                floor = v_min if v <= clear[code] else -inf
+                t = float(t_start)
+                typ = 0
+                ephemeris_at, buffered_at = ephemeris_t, buffered
+                for bit in runs[code]:
+                    if not bit:  # the closing sleep, after an upload's row
+                        if typ & upload_bits:
+                            mark(i, lengths[typ], t, _TRANSMIT, v_before, v, f"samples={buffered}")
+                            buffered = 0
+                        duration = tick_end - t
+                        if not duration > 0.0:
+                            continue
+                        plan, bits = closing.get(duration) or self._closing(duration)
+                        if bits is None:
+                            break
+                    elif bit == SENSE:
+                        plan, bits = sense, sense_bits
+                    elif bit == FIX:
+                        kind = select(None if ephemeris_t is None else t_start - ephemeris_t, v, cfg)
+                        if kind is None:
+                            mark(i, lengths[typ], t, _FIX_SKIPPED, v, v, "low-voltage")
+                            continue
+                        event, plan, _, bits = plans[kind]
+                        if event != _FIX_HOT:  # every other fix leaves a fresh ephemeris
+                            ephemeris_t = t_start
+                        buffered += 1
+                    elif v < upload_gate:
+                        mark(i, lengths[typ], t, _TRANSMIT_SKIPPED, v, v, "low-voltage")
+                        continue
+                    else:
+                        plan, bits = upload, upload_bits
+                        v_before = v
+                    typ |= bits
+                    # _step's cases in _step's order, its tests split on the asymptote.
+                    for slot, r, duration, e, _ in plan:
+                        a = i_h * r
+                        if a >= v_max:
+                            if v >= v_pinned:
+                                v = v_max
+                            else:
+                                be = (v - a) * e
+                                if (
+                                    a > v_max and v < v_max and not be < (v_max - a) * margin
+                                    and (t_up := time_to_voltage(v, i_h, r, c, v_max)) <= duration
+                                ):
+                                    crossings_extend((i, slot, t_up))
+                                    v = v_max
+                                else:
+                                    v = a + be
+                                    if v > v_max:
+                                        v = v_max
+                        else:
+                            be = (v - a) * e
+                            if a < floor and v > v_min and not be > (v_min - a) * margin:
+                                break  # a v_min crossing may fall here
+                            v = a + be
+                            if v > v_max:
+                                v = v_max
+                        t += duration
+                    else:
+                        continue
+                    break
+                else:
+                    entries_append(i << 16 | typ)
+                    voltages_append(v)
+                    i += 1
+                    continue
+                # Handed back: the tick is undone, apart from its fix kind and
+                # a Recovery at its start.
+                v, ephemeris_t, buffered = voltages[-1], ephemeris_at, buffered_at
+                while marks and marks[-1][0] == i and marks[-1][3] != _RECOVERY:
+                    marks.pop()
+                while crossings and crossings[-3] == i:
+                    del crossings[-3:]
+            slots_append(~i)
+            first = len(vs)
             if not powered:  # a v_max crossing may fall inside this off tick
-                _, v, _ = step(off_slot, turned_off, tick, i_h, False, float(i * tick), v)
+                _, v, _ = step(off_slot, turned_off, tick, i_h, False, float(t_start), v)
                 voltages_append(v)
                 i += 1
                 continue
-            t_start = i * tick
-            tick_end = t_start + tick
             t = float(t_start)
-            for bit in runs[due[i]]:
+            for bit in runs[code]:
                 if bit == SENSE:
                     plan = sense
                 elif not bit:  # the closing sleep
                     duration = tick_end - t
                     if not duration > 0.0:
                         break
-                    slot, e = closing.get(duration) or self._closing(duration)
-                    plan = ((slot, sleep_r, duration, e, sleep),)
+                    plan, _ = closing.get(duration) or self._closing(duration)
                 elif bit == FIX:
-                    kind = select(None if ephemeris_t is None else t_start - ephemeris_t, v, cfg)
+                    if kind is undecided:
+                        kind = select(None if ephemeris_t is None else t_start - ephemeris_t, v, cfg)
                     if kind is None:
-                        mark(i, t, _FIX_SKIPPED, v, v, "low-voltage")
+                        mark(i, len(vs) - first, t, _FIX_SKIPPED, v, v, "low-voltage")
                         continue
-                    code, plan, stds = plans[kind]
+                    event, plan, stds, _ = plans[kind]
                     if jitter and stds:  # draw every duration before the first segment runs
                         plan = tuple(
                             (slot, r, self._draw(duration, std), None if std else e, load)
@@ -599,7 +761,7 @@ class _Simulator:
                 else:
                     samples = buffered
                     if v < upload_gate:
-                        mark(i, t, _TRANSMIT_SKIPPED, v, v, "low-voltage")
+                        mark(i, len(vs) - first, t, _TRANSMIT_SKIPPED, v, v, "low-voltage")
                         continue
                     plan = self._upload(samples) if drawn_upload else upload
                 v_before = v
@@ -629,28 +791,35 @@ class _Simulator:
                         break
                 else:
                     if bit == FIX:
-                        if code != _FIX_HOT:  # every other fix leaves a fresh ephemeris
+                        if event != _FIX_HOT:  # every other fix leaves a fresh ephemeris
                             ephemeris_t = t_start
                         buffered += 1
                     elif bit == TRANSMIT:
                         buffered = 0
-                        mark(i, t, _TRANSMIT, v_before, v, f"samples={samples}")
+                        mark(i, len(vs) - first, t, _TRANSMIT, v_before, v, f"samples={samples}")
                     continue
                 if bit == TRANSMIT:
                     failure, text = _TRANSMIT_FAILED, f"samples={samples}"
                 else:
                     failure, text = (_TASK_FAILED, load[0]) if bit else (None, "")
-                v = self._deplete(i, i_h, tick_end, failure, text, t, v)
+                v = self._deplete(i, len(vs) - first, i_h, tick_end, failure, text, t, v)
                 powered = False
                 ephemeris_t = None  # the backup domain is lost; flash keeps the buffer
                 break
             voltages_append(v)
             i += 1
 
-        power_on.append(powered)
+        # The power state at each tick boundary: off from the one after a
+        # Depletion's tick, on from a Recovery's.
+        at, state = [0], [self.powered]
+        for tick_of_row, _, _, kind, *_ in marks:
+            if kind == _DEPLETION or kind == _RECOVERY:
+                at.append(tick_of_row + (kind == _DEPLETION))
+                state.append(kind == _RECOVERY)
+        power_on = np.repeat(np.array(state), np.diff([*at, n_ticks + 1]))
         self.v, self.powered, self.ephemeris_t, self.buffered = v, powered, ephemeris_t, buffered
         self._flush()
-        return np.array(voltages), np.array(power_on, dtype=bool)
+        return np.array(voltages), power_on
 
     def _book(
         self, combined: np.ndarray, voltages: np.ndarray, power_on: np.ndarray, v_initial: float
@@ -659,56 +828,76 @@ class _Simulator:
 
         Works through the run in chunks of whole ticks that hold about
         _BOOKING_CHUNK segments on average, an idle tick counting one. Each
-        chunk's segments, those the loop stepped and one per idle tick, are
-        put in run order; their start times are summed along each tick as
-        the loop summed them. Each segment is booked as _step books it, by
-        segment_energy on arrays, except that a segment _step recorded brings
-        its own terms; every ledger sum adds its terms in run order from 0.0,
-        as the loop would have.
+        chunk's segments are put in run order: an idle tick's one, a handed
+        back tick's as the loop recorded them, and an entry's from its type's
+        chain and its closing sleep. An entry's start voltages are replayed
+        from the tick's start voltage, one chain position at a time across
+        the chunk's entries, with the loop's operations in the loop's order.
+        Start times are summed along each tick as the loop summed them. Each
+        segment is booked as _step books it, by segment_energy on arrays,
+        except that a segment _step recorded brings its own terms, and a v_max
+        crossing in an entry's tick books its partial and its pinned rest from
+        the crossing time, as _step does; every ledger sum adds its terms in
+        run order from 0.0, as the loop would have.
         The rows come from the segments (a clamp row where the pinned test
-        changes or a recorded crossing falls, an activity row where its
-        chain's last segment ends) and from the loop's whole rows, and are
-        put in log order by a stable sort on (position, sub-position).
+        changes or a crossing falls, an activity row where its chain's last
+        segment ends) and from the loop's whole rows, and are put in log
+        order by a stable sort on (position, sub-position).
         """
         tick = self.config.base_tick_s
         n_ticks = combined.size
         v_max, v_pinned = self.v_max, self.v_pinned
-        table = np.array(self.table, dtype=float)
-        task_of, emit_of, span_of = (table[:, column].astype(np.intp) for column in (0, 10, 11))
-        r_of, tau_of, leak_of, keep_of, pinned_w_of, duration_of, _, em1_of, em2_of = table[:, 1:10].T
-        vs, slots = (np.concatenate(parts) for parts in zip(*self.flushed))
+        table = np.array(self.table, dtype=float).T.copy()  # a column a row
+        task_of, emit_of, span_of = table[(0, 10, 11), :].astype(np.intp)
+        r_of, tau_of, leak_of, keep_of, pinned_w_of, duration_of, e_of, em1_of, em2_of = table[1:10]
+        vs, slots, entries = (np.concatenate(parts) for parts in zip(*self.flushed))
         self.flushed.clear()
         announced = np.flatnonzero(slots < 0)
-        self.stepped = stepped = ~slots[announced].astype(np.int64)  # each tick the loop stepped
+        self.stepped = stepped = ~slots[announced].astype(np.int64)  # each tick handed back
         firsts = np.append(announced - np.arange(announced.size), vs.size)  # and its first segment
         slots = np.delete(slots, announced)
+        self.entered = entered = entries >> 16  # each entry's tick
+        types = entries & 31
+        closings = (entries >> 5 & 2047) - 1  # the closing sleep's slot, -1 for none
+        lengths = np.array(self.lengths)[types]
+        entry_counts = lengths + (closings >= 0)
+        entry_firsts = np.append(0, np.cumsum(entry_counts))  # each entry's first segment
+        crossings = np.fromiter(self.crossings, float, len(self.crossings))
+        crossing_tick, crossing_slot, crossing_t = crossings.reshape(-1, 3).T
+        crossing_tick, crossing_slot = crossing_tick.astype(np.int64), crossing_slot.astype(np.intp)
         records = np.fromiter(self.records, float, len(self.records)).reshape(-1, len(_RECORD))
         recorded_at = records[:, 0].astype(np.int64)
         marks = self.marks
         mark_columns = [
             np.array(column, dtype=dtype)
-            for column, dtype in zip(zip(*marks) if marks else ((),) * 6, (int, float, int, float, float, int))
+            for column, dtype in zip(zip(*marks) if marks else ((),) * 7, (int, int, float, int, float, float, int))
         ]
+        mark_tick, mark_position = mark_columns[:2]
         harvested = leakage = discarded = 0.0
         consumed: dict[int, float] = {}  # task index -> sum, in first-use order
         clamp = False
         chunks = []
-        segments = n_ticks - stepped.size + vs.size  # an idle tick counting one
+        segments = n_ticks - stepped.size - entered.size + vs.size + int(entry_firsts[-1])  # an idle tick counting one
         chunk = max(1, _BOOKING_CHUNK * n_ticks // segments)  # ticks
         with np.errstate(all="ignore"):  # as Python's float arithmetic, which overflows to inf silently
             for c0 in range(0, n_ticks, chunk):
                 c1 = min(c0 + chunk, n_ticks)
                 j0, j1 = np.searchsorted(stepped, (c0, c1)).tolist()
+                f0, f1 = np.searchsorted(entered, (c0, c1)).tolist()
                 k0, k1 = int(firsts[j0]), int(firsts[j1])
-                # The chunk's segments in run order: a stepped tick's, or one per idle tick.
+                # The chunk's segments in run order, by the source of each tick's:
+                # 0 an idle tick's one, 1 a handed back tick's, 2 an entry's.
                 count = np.ones(c1 - c0, np.int64)
-                count[stepped[j0:j1] - c0] = np.diff(firsts[j0 : j1 + 1])
-                is_stepped = np.zeros(c1 - c0, bool)
-                is_stepped[stepped[j0:j1] - c0] = True
+                source = np.zeros(c1 - c0, np.int8)
+                handed_back = stepped[j0:j1] - c0
+                count[handed_back] = np.diff(firsts[j0 : j1 + 1])
+                source[handed_back] = 1
+                ticks = entered[f0:f1]
+                count[ticks - c0] = entry_counts[f0:f1]
+                source[ticks - c0] = 2
                 tick_of = np.repeat(np.arange(c0, c1), count)
-                from_loop = np.repeat(is_stepped, count)
-                at_loop = np.flatnonzero(from_loop)
-                at_idle = np.flatnonzero(~from_loop)
+                source_of = np.repeat(source, count)
+                at_idle, at_loop, at_entry = (np.flatnonzero(source_of == s) for s in range(3))
                 idle_ticks = tick_of[at_idle]
                 slot = np.empty(tick_of.size, np.intp)
                 slot[at_loop] = slots[k0:k1]
@@ -716,19 +905,60 @@ class _Simulator:
                 v0 = np.empty(tick_of.size)
                 v0[at_loop] = vs[k0:k1]
                 v0[at_idle] = voltages[idle_ticks]
+                # An entry's segments, a row each: its type's chain, then its
+                # closing sleep; a v_max crossing is found by its slot.
+                chain = self.chains[types[f0:f1]]
+                closed = np.flatnonzero(closings[f0:f1] >= 0)
+                chain[closed, lengths[f0:f1][closed]] = closings[f0:f1][closed]
+                x0, x1 = np.searchsorted(crossing_tick, (c0, c1)).tolist()
+                entry = np.searchsorted(ticks, crossing_tick[x0:x1])
+                position = (chain[entry] == crossing_slot[x0:x1, None]).argmax(axis=1)
+                # Their start voltages, a chain position at a time (a row of
+                # these arrays) as the loop steps them: a + (v - a) e, clamped
+                # (NaN stays, as in the loop), or v_max where pinned. A crossing's
+                # segment ends at v_max, as a + (v - a) e does with a = v_max, e = 0.
+                entry_a = combined[ticks] * r_of[chain.T]
+                entry_e = e_of[chain.T]
+                held = entry_a >= v_max
+                entry_a[position, entry] = v_max
+                entry_e[position, entry] = 0.0
+                start = np.empty(entry_a.shape)
+                start[0] = voltages[ticks]
+                for p in range(1, int(entry_counts[f0:f1].max(initial=1))):
+                    v, v_next = start[p - 1], start[p]
+                    np.subtract(v, entry_a[p - 1], out=v_next)
+                    v_next *= entry_e[p - 1]
+                    v_next += entry_a[p - 1]
+                    np.minimum(v_next, v_max, out=v_next)
+                    np.putmask(v_next, (v >= v_pinned) & held[p - 1], v_max)
+                filled = np.arange(chain.shape[1]) < entry_counts[f0:f1, None]
+                slot[at_entry] = chain[filled]
+                v0[at_entry] = start.T.copy()[filled]
+                crossing_at = at_entry[entry_firsts[f0 + entry] - entry_firsts[f0] + position]
                 v_end = np.append(v0[1:], voltages[c1])
                 i_h = combined[tick_of]
-                # Position in the run: the tick plus the segments the loop stepped before.
-                key = (tick_of + k0 + np.cumsum(from_loop) - from_loop) * 4
+                # Position in the run: the tick plus the segments of earlier busy ticks.
+                from_loop = source_of != 0
+                before = k0 + int(entry_firsts[f0])  # segments of busy ticks before the chunk
+                key = (tick_of + before + np.cumsum(from_loop) - from_loop) * 4
 
-                duration, r, tau = duration_of[slot], r_of[slot], tau_of[slot]
+                duration, r, tau, pinned_w = duration_of[slot], r_of[slot], tau_of[slot], pinned_w_of[slot]
                 a = i_h * r
                 pinned = (v0 >= v_pinned) & (a >= v_max)
                 harvested_t, consumed_t = segment_energy(i_h, r, tau, a, v0 - a, duration, em1_of[slot], em2_of[slot])
                 harvested_t = np.where(pinned, i_h * v_max * duration, harvested_t)
-                consumed_t = np.where(pinned, pinned_w_of[slot] * duration, consumed_t)
-                leakage_t = consumed_t * leak_of[slot]
-                task_t = consumed_t * keep_of[slot]
+                consumed_t = np.where(pinned, pinned_w * duration, consumed_t)
+                # An entry's v_max crossing: the partial as integrate_segment books
+                # it, a zero-length one as 0.0.
+                t_up = crossing_t[x0:x1]
+                at = crossing_at
+                factors = itertools.chain.from_iterable(map(decay_factors, t_up.tolist(), tau[at].tolist()))
+                _, em1, em2 = np.fromiter(factors, float, 3 * at.size).reshape(-1, 3).T
+                part = segment_energy(i_h[at], r[at], tau[at], a[at], v0[at] - a[at], t_up, em1, em2)
+                harvested_t[at], consumed_t[at] = (np.where(t_up == 0.0, 0.0, terms) for terms in part)
+                leak, keep = leak_of[slot], keep_of[slot]
+                leakage_t = consumed_t * leak
+                task_t = consumed_t * keep
                 discarded_t = np.where(pinned, harvested_t - consumed_t, 0.0)
                 task = task_of[slot]
                 emit = emit_of[slot]
@@ -741,13 +971,20 @@ class _Simulator:
                 harvested_t[g], leakage_t[g], task_t[g], discarded_t[g] = record[5:9]
                 emit[g[record[4] > 0.0]] = -1
                 crossed = ~np.isnan(record[3])
-                up_at, up_time = g[crossed], record[3][crossed]
-                second = ~np.isnan(record[9])  # a v_max crossing's pinned rest
-                if second.any():  # each goes in after its crossing's first part
-                    crossing = g[second]
+                # Each v_max crossing's pinned rest goes in after its partial.
+                rest = duration[at] - t_up
+                pinned_in, pinned_out = i_h[at] * v_max * rest, pinned_w[at] * rest
+                second = ~np.isnan(record[9])
+                after = np.concatenate([g[second], at])
+                if after.size:
+                    rests = np.concatenate([
+                        record[9:13][:, second],
+                        (pinned_in, pinned_out * leak[at], pinned_out * keep[at], pinned_in - pinned_out),
+                    ], axis=1)
+                    order = np.argsort(after)
                     harvested_t, leakage_t, task_t, discarded_t, task = _spliced(
-                        (harvested_t, leakage_t, task_t, discarded_t, task), crossing,
-                        (*record[9:13][:, second], task[crossing]),
+                        (harvested_t, leakage_t, task_t, discarded_t, task), after[order],
+                        (*rests[:, order], task[after[order]]),
                     )
                 harvested = _running_sum(harvested, harvested_t)
                 leakage = _running_sum(leakage, leakage_t)
@@ -773,17 +1010,22 @@ class _Simulator:
                 first = by_position[: position_ends[0]]
                 t0[first] = (tick_of[first] * tick).astype(float)
                 for begin, end in zip(position_ends, position_ends[1:]):
-                    at = by_position[begin:end]
-                    t0[at] = t0[at - 1] + advance[at - 1]
+                    at_position = by_position[begin:end]
+                    t0[at_position] = t0[at_position - 1] + advance[at_position - 1]
 
+                up_at = np.concatenate([g[crossed], at])
+                up_time = np.concatenate([record[3][crossed], t0[at] + t_up])
                 state = pinned.copy()
                 state[up_at] = True
-                before = np.append(clamp, state[:-1])
+                before_state = np.append(clamp, state[:-1])
                 clamp = bool(state[-1]) if state.size else clamp
-                clamp_ends = np.flatnonzero(before & ~pinned)
-                clamp_starts = np.flatnonzero(pinned & ~before)
+                clamp_ends = np.flatnonzero(before_state & ~pinned)
+                clamp_starts = np.flatnonzero(pinned & ~before_state)
                 emits = np.flatnonzero(emit >= 0)
-                m0, m1 = np.searchsorted(mark_columns[0], ((c0 + k0) * 4, (c1 + k1) * 4)).tolist()
+                m0, m1 = np.searchsorted(mark_tick, (c0, c1)).tolist()
+                marked = mark_tick[m0:m1]
+                in_loop = np.where(source != 0, count, 0)
+                mark_key = (marked + before + (np.cumsum(in_loop) - in_loop)[marked - c0] + mark_position[m0:m1]) * 4
                 # (key, time, kind, v_before, v_after, detail) by source; a key's
                 # sub-position is 0 for a whole row, 1 for a clamp row at a
                 # segment's start, 2 for a crossing's ClampStart and 3 for an
@@ -794,7 +1036,7 @@ class _Simulator:
                     (key[up_at] + 2, up_time, _CLAMP_START, v_max, v_max, 0),
                     (key[emits] + 3, t0[emits] + advance[emits], emit[emits], v0[emits - span_of[slot[emits]]],
                      v_end[emits], 0),
-                    [column[m0:m1] for column in mark_columns],
+                    (mark_key, *[column[m0:m1] for column in mark_columns[2:]]),
                 )
                 rows = [np.concatenate([np.broadcast_to(s[j], s[0].shape) for s in sources]) for j in range(6)]
                 order = np.argsort(rows[0], kind="stable")

@@ -31,6 +31,7 @@ from captrack import device, engine
 from captrack.capacitor import equivalent_resistance, integrate_segment
 from captrack.device import FIX, SENSE, TRANSMIT
 from captrack.energy_model import (
+    ACTIVITIES,
     TASKS,
     CapacitorSpec,
     SystemConfig,
@@ -770,6 +771,164 @@ def test_busy_ticks_leave_the_clamp_in_a_fix_and_reenter_it_in_their_sleep(monke
     assert_same_run(config, trace, 720 * 60)
 
 
+# -- busy ticks: one entry each in the decide loop's record, or handed back to
+# the recording path
+
+
+def recorded_run(config: SystemConfig, trace: HarvestTrace) -> tuple[engine._Simulator, engine.SimResult]:
+    """Check a run against the frozen loop; return a simulator that ran it, and its result."""
+    n = len(trace)
+    assert_same_run(config, trace, n * config.base_tick_s)
+    sim = engine._Simulator(validate_config(config))
+    return sim, sim.run(trace, n)
+
+
+def crossing_start(sim: engine._Simulator, chain: tuple[str, ...], i_h: float, fraction: float) -> float:
+    """A start voltage for chain, under the harvest i_h, whose v_max crossing
+    falls at fraction of the chain's last segment: that segment's crossing,
+    and each earlier segment undone from there."""
+    *earlier, last = (sim.loads[name] for name in chain)
+    durations = [TASKS[name].duration_s for name in chain]
+    a = i_h * last[1]
+    v = a + (sim.v_max - a) * math.exp(fraction * durations[-1] / last[2])
+    for load, duration in zip(reversed(earlier), reversed(durations[:-1])):
+        a = i_h * load[1]
+        v = a + (v - a) * math.exp(duration / load[2])
+    return v
+
+
+@pytest.mark.parametrize("fraction", [0.25, 0.5, 0.75])
+@pytest.mark.parametrize(
+    "activity, schedule",
+    [
+        ("Sense", dict(sense_interval_s=60, fix_interval_s=None, transmit_interval_s=None)),
+        ("FixHot", dict(sense_interval_s=None, fix_interval_s=120, transmit_interval_s=None)),
+    ],
+)
+def test_busy_tick_crosses_v_max_inside_an_activity(activity, schedule, fraction):
+    # One tick whose v_max crossing falls inside the Sense, or inside the
+    # last segment of a hot fix's chain, not in the closing sleep. The tick
+    # is one entry, whose crossing record names the segment's slot and the
+    # crossing time; the booking pass books the partial and the pinned rest.
+    config = validate_config(SystemConfig(**schedule))
+    i_h = 0.02
+    chain = ACTIVITIES[activity].chain
+    v0 = crossing_start(engine._Simulator(config), chain, i_h, fraction)
+    one = HarvestTrace(0, 60, np.array([i_h]), np.zeros(1), np.array([i_h]))
+    sim, _ = recorded_run(replace(config, initial_voltage=v0), one)
+    _, slot, t_up = sim.crossings
+    assert slot == sim.plans[activity][1][-1][0] and 0.0 < t_up < TASKS[chain[-1]].duration_s
+    assert sim.entered.tolist() == [0] and sim.stepped.size == 0
+
+
+@pytest.mark.parametrize("below", [0.0, 1e-12, 2e-12])
+def test_busy_tick_at_the_pinned_edge(below):
+    # A tick that starts at or just below v_max, under a harvest that puts
+    # the Sense's asymptote at v_max: the pinned test (a start at or above
+    # v_max - 1e-12) decides whether the Sense holds v_max or decays toward
+    # it, and the booking pass's replay must decide it the same way.
+    config = validate_config(SystemConfig(fix_interval_s=None, transmit_interval_s=None))
+    sim = engine._Simulator(config)
+    r = sim.loads["AdcRead"][1]
+    i_h = math.nextafter(sim.v_max / r, math.inf)
+    assert i_h * r >= sim.v_max
+    one = HarvestTrace(0, 60, np.array([i_h]), np.zeros(1), np.array([i_h]))
+    recorded_run(replace(config, initial_voltage=sim.v_max - below), one)
+
+
+@pytest.mark.parametrize("chunk", [3, engine._BOOKING_CHUNK])
+def test_busy_ticks_that_fail_at_the_floor_are_handed_back(monkeypatch, chunk):
+    # test_depleting_dark_run_with_jitter without the jitter (and on a trace
+    # with every kind of failure), so that every busy tick may be an entry.
+    # A tick whose fix or upload crosses v_min is handed back: undone and
+    # stepped again on the recording path, with the fix kind it selected, so
+    # that select_gps_mode still runs once per due fix. Also booked three
+    # ticks at a time.
+    monkeypatch.setattr(engine, "_BOOKING_CHUNK", chunk)
+    gates = VoltageThresholds(hot_start=1.81, hot_ephemeris=1.82, warm_ephemeris=1.83, nbiot=1.81, cold_start=1.84)
+    config = SystemConfig(capacitor=CapacitorSpec.from_capacitance(1.0), thresholds=gates, initial_voltage=2.3)
+    trace = harvest_trace("blocks", 2 * 1440, 2e-4, 2)
+    calls = []
+    monkeypatch.setattr(engine, "select_gps_mode", lambda *args: calls.append(args) or device.select_gps_mode(*args))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # gates below their safe bounds, on purpose
+        sim, _ = recorded_run(config, trace)
+        old = oracle_run(config, trace, 2 * 86400)
+    kinds = [e.kind for e in old.events]
+    assert {"Depletion", "Recovery", "TaskFailed", "TransmitFailed", "TransmitSkipped", "FixSkipped"} <= set(kinds)
+    failed = {int(e.time_s // 60) for e in old.events if e.kind in ("TaskFailed", "TransmitFailed")}
+    assert failed <= set(sim.stepped.tolist()) and sim.entered.size > 10 * sim.stepped.size
+    fix_tasks = {task for spec in ACTIVITIES.values() if spec.activity == FIX for task in spec.chain}
+    due_fixes = sum(e.kind.startswith("Fix") or e.kind == "TaskFailed" and e.detail in fix_tasks for e in old.events)
+    assert len(calls) == 2 * due_fixes  # recorded_run runs the engine twice
+
+
+def test_busy_tick_that_recovers_and_fails_is_handed_back_with_its_recovery():
+    # A small capacitor on a weak flat harvest: the tick that recovers at
+    # v_turn_on skips its fix, fails in its upload and is handed back. Its
+    # Recovery row, placed before the tick is stepped, stays.
+    config = SystemConfig(
+        capacitor=CapacitorSpec(0.21875, 0.001953125), sense_interval_s=60, fix_interval_s=60,
+        transmit_interval_s=600, initial_voltage=0.0,
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # thresholds below the small capacitor's safe bounds
+        sim, result = recorded_run(config, harvest_trace("flat", 861, 1e-5, 0))
+    kinds = result.log.kind.tolist()
+    recovered = result.log.time_s[kinds.index(EVENT_KINDS.index("Recovery"))] // 60
+    assert recovered in sim.stepped and EVENT_KINDS.index("TransmitFailed") in kinds
+
+
+def test_busy_tick_skips_its_fix_and_its_upload():
+    # Gates above the voltage: a tick due for a fix and an upload skips both,
+    # between its Sense and its closing sleep, and is still one entry.
+    gates = VoltageThresholds(hot_start=2.5, hot_ephemeris=2.5, warm_ephemeris=2.5, nbiot=2.5, cold_start=2.5)
+    config = SystemConfig(thresholds=gates, initial_voltage=2.3)
+    sim, result = recorded_run(config, harvest_trace("flat", 180, 1e-5, 0))
+    log = result.log
+    skips = {
+        kind: set((log.time_s // 60)[log.kind == EVENT_KINDS.index(kind)].tolist())
+        for kind in ("FixSkipped", "TransmitSkipped")
+    }
+    assert skips["TransmitSkipped"] == {0.0, 60.0, 120.0} <= skips["FixSkipped"]
+    assert sim.entered.size == 180 and sim.stepped.size == 0
+
+
+def test_busy_ticks_refresh_the_ephemeris():
+    # An ephemeris ten minutes short of its refresh age: a fix every three
+    # hours is FixHotEph, whose refresh the hot fixes after it read.
+    config = SystemConfig(initial_ephemeris_age_s=10800 - 600)
+    old = assert_same_run(config, harvest_trace("uniform", 1440, 1e-3, 6), 86400)
+    kinds = [e.kind for e in old.events]
+    assert kinds.count("FixHotEph") == 8 and kinds.count("FixHot") == 720 - 8
+
+
+def test_busy_ticks_on_a_120_s_tick():
+    config = SystemConfig(base_tick_s=120, sense_interval_s=120, fix_interval_s=240, initial_voltage=5.0)
+    trace = replace(harvest_trace("uniform", 720, 2e-3, 7), resolution_s=120)
+    old = assert_same_run(config, trace, 720 * 120)
+    kinds = [e.kind for e in old.events]
+    assert kinds.count("FixHot") > 300 and kinds.count("ClampStart") > 10 and kinds.count("Transmit") == 24
+
+
+def test_closing_sleep_past_the_table_limit_hands_the_tick_back(monkeypatch):
+    # test_full_factor_tables without the jitter: a tick whose closing sleep
+    # gets no slot is handed back, and its closing sleep stepped by _step.
+    monkeypatch.setattr(engine, "_CLOSING_LIMIT", 2)
+    sim, _ = recorded_run(SystemConfig(initial_voltage=3.0), harvest_trace("blocks", 1440, 1e-3, 4))
+    assert len(sim.closing) == 2 and sim.stepped.size and sim.entered.size
+
+
+def test_crossing_free_busy_ticks_record_one_entry_and_no_segment():
+    # Every tick busy and none near v_min or v_max: the decide loop records
+    # one entry per tick and nothing per segment, and the booking pass
+    # rebuilds every segment from the entries.
+    config = SystemConfig(initial_voltage=4.0)
+    sim, _ = recorded_run(config, harvest_trace("flat", 720, 2e-5, 0))
+    assert sim.entered.tolist() == list(range(720)) and sim.stepped.size == 0
+    assert sim.n_flushed == 0 and not sim.records and not sim.crossings
+
+
 @pytest.mark.parametrize("level", [2e-3, 0.1])
 def test_idle_stretch_depletes_coasts_and_recovers(level):
     # Eight dark hours drain a 1 F capacitor to v_min in a sleep-only tick;
@@ -817,7 +976,8 @@ def test_crossings_at_the_end_of_an_idle_stretch():
 def test_idle_ticks_are_not_stepped_one_by_one():
     # Two days shaped like the year-sparse benchmark. Only busy ticks and
     # the ticks an idle stretch hands back (a possible crossing, a recovery)
-    # may be stepped segment by segment; stepping every tick would make 2880.
+    # are recorded, each as one entry or stepped segment by segment on the
+    # recording path; recording every tick would make 2880.
     config = validate_config(SystemConfig(**SPARSE))
     sim = engine._Simulator(config)
     result = sim.run(harvest_trace("blocks", 2 * 1440, 2e-3, 1), 2 * 1440)
@@ -825,7 +985,8 @@ def test_idle_ticks_are_not_stepped_one_by_one():
     kinds = result.log.kind.tolist()
     handed_back = sum(kinds.count(EVENT_KINDS.index(k)) for k in ("ClampStart", "Depletion", "Recovery"))
     assert kinds.count(EVENT_KINDS.index("ClampStart")) > 0
-    assert busy <= sim.stepped.size <= busy + handed_back < 2 * 1440 // 4
+    assert not set(sim.entered.tolist()) & set(sim.stepped.tolist())
+    assert busy <= sim.entered.size + sim.stepped.size <= busy + handed_back < 2 * 1440 // 4
 
 
 @settings(max_examples=30, deadline=None)
@@ -840,7 +1001,7 @@ def test_idle_ticks_are_not_stepped_one_by_one():
     transmit=st.sampled_from([10, 60, 1440, None]),
     jitter=st.booleans(),
     payload=st.booleans(),
-    initial_voltage=st.one_of(st.floats(0.0, 5.5), st.sampled_from([0.0, 1.8, 2.19, 5.5])),
+    initial_voltage=st.one_of(st.floats(0.0, 5.5), st.sampled_from([0.0, 1.8, 2.19, 5.5 - 2e-12, 5.5 - 1e-12, 5.5])),
     initial_age=st.sampled_from([0, 12000, 100000, 200000]),
     trace_kind=st.sampled_from(["flat", "blocks", "uniform"]),
     level=st.sampled_from([0.0, 1e-5, 2e-4, 1e-3, 5e-3, 0.05]),
