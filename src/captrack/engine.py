@@ -8,15 +8,15 @@ rather than discretized to the tick.
 
 A run is a decide loop and a booking pass. The loop carries the voltage and
 the device state and takes every gate and crossing decision. A powered busy
-tick whose activities draw nothing is stepped with arithmetic only and
-recorded as one entry: which activities ran, the fix kind and the closing
-sleep's slot in a per-run table of (load, fixed duration, exponentials),
-plus the time of each v_max crossing in it. A tick where a v_min crossing may
-fall, or whose closing sleep gets no slot, is handed back: undone and stepped
-again on the recording path, which records each segment's start voltage and
-slot, and sends the rare segments (crossing partials, depletion coasts, drawn
-durations and loads) through _step, which records the ledger terms it
-computes. Jittered and payload-scaled ticks take the recording path from the
+tick whose activities draw nothing, and whose start voltage keeps every
+segment clear of v_min, is stepped with arithmetic only and recorded as one
+entry: which activities ran, the fix kind and the closing sleep's slot in a
+per-run table of (load, fixed duration, exponentials), plus the time of each
+v_max crossing in it. Every other busy tick is recorded segment by segment:
+each segment's start voltage and slot, with the rare segments (crossing
+partials, depletion coasts, drawn durations and loads) sent through _step,
+which records the ledger terms it computes. So is an entry whose closing
+sleep gets no slot, its earlier segments stepped again from the tick's
 start. Each stretch of activity-free ticks, found once from the schedule, is
 stepped by _idle, which records only the tick boundary voltages; a tick whose
 margin test leaves a crossing possible, or an off tick that starts at
@@ -70,8 +70,8 @@ _EVENT_ROW = np.dtype([
 # Distinct closing sleep durations that get a table slot of their own. The
 # closing sleeps of a run without jitter took 37 values over 20 days and 49
 # over a year (how the activities' end times round depends on the tick's
-# start time). A duration past the limit hands its tick back to the recording
-# path, where it is stepped by _step, as with jitter.
+# start time). A duration past the limit is stepped by _step, as with
+# jitter, and its tick recorded segment by segment.
 _CLOSING_LIMIT = 256
 
 # Relative margin M of the cheap test that rules a crossing out before its
@@ -102,7 +102,6 @@ _RECORD = (
     "harvested", "leakage", "task", "discarded", "rest_harvested", "rest_leakage", "rest_task", "rest_discarded",
 )
 _NO_TERMS = (math.nan,) * 4
-_UNDECIDED = object()  # a tick's fix kind before it is selected
 _TASK_NAMES = tuple(TASKS)  # a task's index in the booking pass is its place here
 
 
@@ -296,14 +295,15 @@ class _Simulator:
         # The tick, the slot and the time from the segment's start of each
         # v_max crossing inside an entry's tick, one after the other.
         self.crossings: list[float] = []
-        # A tick handed back to the recording path puts ~tick (that is,
-        # -1 - tick) in slots, then each segment's start voltage in vs and
-        # its row of table in slots.
+        # A tick recorded segment by segment puts ~tick (that is, -1 - tick)
+        # in slots, then each segment's start voltage in vs and its row of
+        # table in slots.
         self.vs: list[float] = []
         self.slots: list[int] = []
         self.flushed: list[tuple[np.ndarray, ...]] = []  # (vs, slots, entries) moved into arrays
         self.n_flushed = 0  # segments of vs moved
-        # Once booked: the ticks of the entries, and the ticks handed back.
+        # Once booked: the ticks of the entries, and the ticks recorded
+        # segment by segment.
         self.entered: np.ndarray | None = None
         self.stepped: np.ndarray | None = None
         self.records: list[float] = []  # _step's record of each segment it steps, _RECORD's fields in turn
@@ -348,18 +348,20 @@ class _Simulator:
             bits = fixes << 1 if spec.activity == FIX else _TYPE_FIELD[spec.activity]
             self.plans[kind] = (code, tuple(plan), stds if any(stds) else None, bits)
         self.upload_slot = self.plans["Transmit"][1][0][0]
-        # Per tick type: the slots of its segments in run order, padded with
-        # room for the closing sleep, and how many there are.
-        chains = [
-            [
-                slot for kind, (_, plan, _, bits) in self.plans.items()
-                if typ & _TYPE_FIELD[ACTIVITIES[kind].activity] == bits for slot, *_ in plan
-            ]
+        # Per tick type: the plans of its segments in run order, how many
+        # there are, and their slots padded with room for the closing sleep.
+        self.steps = [
+            tuple(
+                step for kind, (_, plan, _, bits) in self.plans.items()
+                if typ & _TYPE_FIELD[ACTIVITIES[kind].activity] == bits for step in plan
+            )
             for typ in range(32)
         ]
-        self.lengths = [len(chain) for chain in chains]
+        self.lengths = [len(steps) for steps in self.steps]
         width = max(self.lengths) + 1
-        self.chains = np.array([chain + [0] * (width - len(chain)) for chain in chains], np.intp)
+        self.chains = np.array(
+            [[slot for slot, *_ in steps] + [0] * (width - len(steps)) for steps in self.steps], np.intp
+        )
         # Per due code, whether its ticks may be entries: none of their
         # activities draws a duration or a load.
         fix_drawn = config.task_jitter and any(
@@ -367,8 +369,9 @@ class _Simulator:
         )
         upload_drawn = config.task_jitter or config.payload_scaling
         self.plain = [not (code & FIX and fix_drawn or code & TRANSMIT and upload_drawn) for code in range(8)]
-        # Per due code, the start voltage above which no segment of an entry's
-        # tick comes near v_min, so that the tick skips the v_min test. With
+        # Per due code, the start voltage above which no segment of the tick
+        # comes near v_min, so that it may be an entry, which has no v_min
+        # test; a tick that starts at or below it is recorded. With
         # the harvest >= 0 a segment keeps at least exp(-x) of its start
         # voltage, so the tick keeps exp(-X) of it, X the largest sum of x
         # (duration / tau) its activities and closing sleep can take. The
@@ -404,17 +407,20 @@ class _Simulator:
         self.table.append(row)
         return len(self.table) - 1, e
 
-    def _closing_plan(self, hit: tuple[int, float | None], duration: float) -> tuple[tuple, int | None]:
+    def _closing_plan(self, hit: tuple[int, float | None], duration: float) -> tuple[tuple, int]:
         """A closing sleep's plan and type bits, from its slot and exp(-x)."""
         slot, e = hit
         sleep = self.loads["Sleep"]
-        return ((slot, sleep[1], duration, e, sleep),), None if e is None else (slot + 1) << 5
+        if e is None:
+            return ((slot, sleep[1], duration, e, sleep),), 0
+        assert slot + 1 < 1 << 11, "a closing sleep's slot must fit bits 5-15 of an entry"
+        return ((slot, sleep[1], duration, e, sleep),), (slot + 1) << 5
 
-    def _closing(self, duration: float) -> tuple[tuple, int | None]:
+    def _closing(self, duration: float) -> tuple[tuple, int]:
         """The plan of a closing sleep duration not seen yet, with a slot of
         its own while the table has room; else on the whole-tick Sleep slot
         with no factor and no type bits, so that _step steps it and the tick
-        is handed back."""
+        is recorded segment by segment."""
         if len(self.closing) >= _CLOSING_LIMIT:
             return self._closing_plan((self.whole[True], None), duration)
         self.closing[duration] = hit = self._closing_plan(self._slot(self.loads["Sleep"], duration), duration)
@@ -596,12 +602,15 @@ class _Simulator:
         """The decide loop over n_ticks ticks: the voltage and power state at
         each tick boundary, and the record of the run for _book.
 
-        A powered busy tick that draws nothing is stepped with arithmetic
-        only, _step's pinned and plain cases and its v_max crossing test, and
-        recorded as one entry. It is handed back where a segment's margin
-        test leaves a v_min crossing possible or the closing sleep gets no
-        slot: the tick is undone and stepped again on the recording path,
-        which keeps the fix kind already selected.
+        One activity loop steps every busy tick; only the loop over an
+        activity's segments differs between the tick's two records. A powered
+        tick that draws nothing and starts above clear[code] is an entry: its
+        segments are stepped with arithmetic only (_step's pinned and plain
+        cases and its v_max crossing test) and nothing is recorded per
+        segment. Any other busy tick is recorded segment by segment. So is an
+        entry whose closing sleep gets no slot: its earlier segments are
+        stepped again from the tick's start, from its type's plans, which no
+        v_min crossing can reach.
         """
         cfg = self.config
         tick = cfg.base_tick_s
@@ -623,16 +632,15 @@ class _Simulator:
         voltages_append = voltages.append
         vs, vs_append, slots_append = self.vs, self.vs.append, self.slots.append
         entries_append = self.entries.append
-        crossings, marks = self.crossings, self.marks
+        crossings = self.crossings
         crossings_extend = crossings.extend
         step, idle, mark = self._step, self._idle, self._mark
         select = select_gps_mode  # looked up per run, so that a wrapper on the module's name sees each call
-        plans, closing, runs, lengths = self.plans, self.closing, _RUNS, self.lengths
+        plans, closing, runs, lengths, steps = self.plans, self.closing, _RUNS, self.lengths, self.steps
         _, sense, _, sense_bits = plans["Sense"]
         _, upload, _, upload_bits = plans["Transmit"]
         turned_off, off_slot = self.loads["TurnedOff"], self.whole[False]
         flush, flush_at = self._flush, _BOOKING_CHUNK
-        inf, undecided = math.inf, _UNDECIDED
 
         i = 0
         while i < n_ticks:
@@ -651,44 +659,59 @@ class _Simulator:
                 flush()
                 flush_at = i + _BOOKING_CHUNK
             i_h = combined[i]
-            code = due[i]
             t_start = i * tick
+            if not powered:  # a v_max crossing may fall inside this off tick
+                slots_append(~i)
+                _, v, _ = step(off_slot, turned_off, tick, i_h, False, float(t_start), v)
+                voltages_append(v)
+                i += 1
+                continue
+            code = due[i]
+            record = not plain[code] or v <= clear[code]
+            if record:
+                slots_append(~i)
+                first = len(vs)
             tick_end = t_start + tick
-            kind = undecided
-            if powered and plain[code]:
-                floor = v_min if v <= clear[code] else -inf
-                t = float(t_start)
-                typ = 0
-                ephemeris_at, buffered_at = ephemeris_t, buffered
-                for bit in runs[code]:
-                    if not bit:  # the closing sleep, after an upload's row
-                        if typ & upload_bits:
-                            mark(i, lengths[typ], t, _TRANSMIT, v_before, v, f"samples={buffered}")
-                            buffered = 0
-                        duration = tick_end - t
-                        if not duration > 0.0:
-                            continue
-                        plan, bits = closing.get(duration) or self._closing(duration)
-                        if bits is None:
-                            break
-                    elif bit == SENSE:
-                        plan, bits = sense, sense_bits
-                    elif bit == FIX:
-                        kind = select(None if ephemeris_t is None else t_start - ephemeris_t, v, cfg)
-                        if kind is None:
-                            mark(i, lengths[typ], t, _FIX_SKIPPED, v, v, "low-voltage")
-                            continue
-                        event, plan, _, bits = plans[kind]
-                        if event != _FIX_HOT:  # every other fix leaves a fresh ephemeris
-                            ephemeris_t = t_start
-                        buffered += 1
-                    elif v < upload_gate:
-                        mark(i, lengths[typ], t, _TRANSMIT_SKIPPED, v, v, "low-voltage")
+            t = float(t_start)
+            typ = 0
+            for bit in runs[code]:
+                if not bit:  # the closing sleep
+                    duration = tick_end - t
+                    if not duration > 0.0:
+                        break
+                    plan, bits = closing.get(duration) or self._closing(duration)
+                    if not (bits or record):  # no slot: recorded after all, from the tick's start
+                        record = True
+                        slots_append(~i)
+                        first = len(vs)
+                        while crossings and crossings[-3] == i:
+                            del crossings[-3:]
+                        plan = steps[typ] + plan
+                        v, t = voltages[-1], float(t_start)
+                elif bit == SENSE:
+                    plan, bits = sense, sense_bits
+                elif bit == FIX:
+                    kind = select(None if ephemeris_t is None else t_start - ephemeris_t, v, cfg)
+                    if kind is None:
+                        at = len(vs) - first if record else lengths[typ]
+                        mark(i, at, t, _FIX_SKIPPED, v, v, "low-voltage")
                         continue
-                    else:
-                        plan, bits = upload, upload_bits
-                        v_before = v
-                    typ |= bits
+                    event, plan, stds, bits = plans[kind]
+                    if jitter and stds:  # draw every duration before the first segment runs
+                        plan = tuple(
+                            (slot, r, self._draw(duration, std), None if std else e, load)
+                            for (slot, r, duration, e, load), std in zip(plan, stds)
+                        )
+                else:
+                    samples = buffered
+                    if v < upload_gate:
+                        at = len(vs) - first if record else lengths[typ]
+                        mark(i, at, t, _TRANSMIT_SKIPPED, v, v, "low-voltage")
+                        continue
+                    plan, bits = self._upload(samples) if drawn_upload else upload, upload_bits
+                typ |= bits
+                v_before = v
+                if not record:
                     # _step's cases in _step's order, its tests split on the asymptote.
                     for slot, r, duration, e, _ in plan:
                         a = i_h * r
@@ -708,111 +731,61 @@ class _Simulator:
                                     if v > v_max:
                                         v = v_max
                         else:
-                            be = (v - a) * e
-                            if a < floor and v > v_min and not be > (v_min - a) * margin:
-                                break  # a v_min crossing may fall here
-                            v = a + be
+                            v = a + (v - a) * e
                             if v > v_max:
                                 v = v_max
                         t += duration
-                    else:
-                        continue
-                    break
                 else:
-                    entries_append(i << 16 | typ)
-                    voltages_append(v)
-                    i += 1
-                    continue
-                # Handed back: the tick is undone, apart from its fix kind and
-                # a Recovery at its start.
-                v, ephemeris_t, buffered = voltages[-1], ephemeris_at, buffered_at
-                while marks and marks[-1][0] == i and marks[-1][3] != _RECOVERY:
-                    marks.pop()
-                while crossings and crossings[-3] == i:
-                    del crossings[-3:]
-            slots_append(~i)
-            first = len(vs)
-            if not powered:  # a v_max crossing may fall inside this off tick
-                _, v, _ = step(off_slot, turned_off, tick, i_h, False, float(t_start), v)
-                voltages_append(v)
-                i += 1
-                continue
-            t = float(t_start)
-            for bit in runs[code]:
-                if bit == SENSE:
-                    plan = sense
-                elif not bit:  # the closing sleep
-                    duration = tick_end - t
-                    if not duration > 0.0:
-                        break
-                    plan, _ = closing.get(duration) or self._closing(duration)
-                elif bit == FIX:
-                    if kind is undecided:
-                        kind = select(None if ephemeris_t is None else t_start - ephemeris_t, v, cfg)
-                    if kind is None:
-                        mark(i, len(vs) - first, t, _FIX_SKIPPED, v, v, "low-voltage")
-                        continue
-                    event, plan, stds, _ = plans[kind]
-                    if jitter and stds:  # draw every duration before the first segment runs
-                        plan = tuple(
-                            (slot, r, self._draw(duration, std), None if std else e, load)
-                            for (slot, r, duration, e, load), std in zip(plan, stds)
-                        )
-                else:
-                    samples = buffered
-                    if v < upload_gate:
-                        mark(i, len(vs) - first, t, _TRANSMIT_SKIPPED, v, v, "low-voltage")
-                        continue
-                    plan = self._upload(samples) if drawn_upload else upload
-                v_before = v
-                for slot, r, duration, e, load in plan:
-                    a = i_h * r
-                    if e is not None:  # _step's plain cases, as _idle steps them
-                        if v >= v_pinned and a >= v_max:
-                            vs_append(v)
-                            slots_append(slot)
-                            v = v_max
-                            t += duration
-                            continue
-                        be = (v - a) * e
-                        if not (
-                            a > v_max and v < v_max and not be < (v_max - a) * margin
-                            or a < v_min and v > v_min and not be > (v_min - a) * margin
-                        ):
-                            vs_append(v)
-                            slots_append(slot)
-                            v = a + be
-                            if v > v_max:
+                    for slot, r, duration, e, load in plan:
+                        a = i_h * r
+                        if e is not None:  # _step's plain cases, as _idle steps them
+                            if v >= v_pinned and a >= v_max:
+                                vs_append(v)
+                                slots_append(slot)
                                 v = v_max
-                            t += duration
-                            continue
-                    t, v, depleted = step(slot, load, duration, i_h, True, t, v)
-                    if depleted:
+                                t += duration
+                                continue
+                            be = (v - a) * e
+                            if not (
+                                a > v_max and v < v_max and not be < (v_max - a) * margin
+                                or a < v_min and v > v_min and not be > (v_min - a) * margin
+                            ):
+                                vs_append(v)
+                                slots_append(slot)
+                                v = a + be
+                                if v > v_max:
+                                    v = v_max
+                                t += duration
+                                continue
+                        t, v, depleted = step(slot, load, duration, i_h, True, t, v)
+                        if depleted:
+                            if bit == TRANSMIT:
+                                failure, text = _TRANSMIT_FAILED, f"samples={samples}"
+                            else:
+                                failure, text = (_TASK_FAILED, load[0]) if bit else (None, "")
+                            v = self._deplete(i, len(vs) - first, i_h, tick_end, failure, text, t, v)
+                            powered = False
+                            ephemeris_t = None  # the backup domain is lost; flash keeps the buffer
+                            break
+                    if not powered:
                         break
-                else:
-                    if bit == FIX:
-                        if event != _FIX_HOT:  # every other fix leaves a fresh ephemeris
-                            ephemeris_t = t_start
-                        buffered += 1
-                    elif bit == TRANSMIT:
-                        buffered = 0
-                        mark(i, len(vs) - first, t, _TRANSMIT, v_before, v, f"samples={samples}")
-                    continue
-                if bit == TRANSMIT:
-                    failure, text = _TRANSMIT_FAILED, f"samples={samples}"
-                else:
-                    failure, text = (_TASK_FAILED, load[0]) if bit else (None, "")
-                v = self._deplete(i, len(vs) - first, i_h, tick_end, failure, text, t, v)
-                powered = False
-                ephemeris_t = None  # the backup domain is lost; flash keeps the buffer
-                break
+                if bit == FIX:
+                    if event != _FIX_HOT:  # every other fix leaves a fresh ephemeris
+                        ephemeris_t = t_start
+                    buffered += 1
+                elif bit == TRANSMIT:
+                    buffered = 0
+                    at = len(vs) - first if record else lengths[typ]
+                    mark(i, at, t, _TRANSMIT, v_before, v, f"samples={samples}")
+            if not record:
+                entries_append(i << 16 | typ)
             voltages_append(v)
             i += 1
 
         # The power state at each tick boundary: off from the one after a
         # Depletion's tick, on from a Recovery's.
         at, state = [0], [self.powered]
-        for tick_of_row, _, _, kind, *_ in marks:
+        for tick_of_row, _, _, kind, *_ in self.marks:
             if kind == _DEPLETION or kind == _RECOVERY:
                 at.append(tick_of_row + (kind == _DEPLETION))
                 state.append(kind == _RECOVERY)
@@ -828,8 +801,8 @@ class _Simulator:
 
         Works through the run in chunks of whole ticks that hold about
         _BOOKING_CHUNK segments on average, an idle tick counting one. Each
-        chunk's segments are put in run order: an idle tick's one, a handed
-        back tick's as the loop recorded them, and an entry's from its type's
+        chunk's segments are put in run order: an idle tick's one, a recorded
+        tick's as the loop recorded them, and an entry's from its type's
         chain and its closing sleep. An entry's start voltages are replayed
         from the tick's start voltage, one chain position at a time across
         the chunk's entries, with the loop's operations in the loop's order.
@@ -853,7 +826,7 @@ class _Simulator:
         vs, slots, entries = (np.concatenate(parts) for parts in zip(*self.flushed))
         self.flushed.clear()
         announced = np.flatnonzero(slots < 0)
-        self.stepped = stepped = ~slots[announced].astype(np.int64)  # each tick handed back
+        self.stepped = stepped = ~slots[announced].astype(np.int64)  # each tick recorded
         firsts = np.append(announced - np.arange(announced.size), vs.size)  # and its first segment
         slots = np.delete(slots, announced)
         self.entered = entered = entries >> 16  # each entry's tick
@@ -886,12 +859,12 @@ class _Simulator:
                 f0, f1 = np.searchsorted(entered, (c0, c1)).tolist()
                 k0, k1 = int(firsts[j0]), int(firsts[j1])
                 # The chunk's segments in run order, by the source of each tick's:
-                # 0 an idle tick's one, 1 a handed back tick's, 2 an entry's.
+                # 0 an idle tick's one, 1 a recorded tick's, 2 an entry's.
                 count = np.ones(c1 - c0, np.int64)
                 source = np.zeros(c1 - c0, np.int8)
-                handed_back = stepped[j0:j1] - c0
-                count[handed_back] = np.diff(firsts[j0 : j1 + 1])
-                source[handed_back] = 1
+                recorded = stepped[j0:j1] - c0
+                count[recorded] = np.diff(firsts[j0 : j1 + 1])
+                source[recorded] = 1
                 ticks = entered[f0:f1]
                 count[ticks - c0] = entry_counts[f0:f1]
                 source[ticks - c0] = 2

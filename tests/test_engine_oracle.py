@@ -771,8 +771,8 @@ def test_busy_ticks_leave_the_clamp_in_a_fix_and_reenter_it_in_their_sleep(monke
     assert_same_run(config, trace, 720 * 60)
 
 
-# -- busy ticks: one entry each in the decide loop's record, or handed back to
-# the recording path
+# -- busy ticks: one entry each in the decide loop's record, or recorded
+# segment by segment
 
 
 def recorded_run(config: SystemConfig, trace: HarvestTrace) -> tuple[engine._Simulator, engine.SimResult]:
@@ -797,6 +797,7 @@ def crossing_start(sim: engine._Simulator, chain: tuple[str, ...], i_h: float, f
     return v
 
 
+@pytest.mark.parametrize("limit", [1, engine._CLOSING_LIMIT])
 @pytest.mark.parametrize("fraction", [0.25, 0.5, 0.75])
 @pytest.mark.parametrize(
     "activity, schedule",
@@ -805,17 +806,27 @@ def crossing_start(sim: engine._Simulator, chain: tuple[str, ...], i_h: float, f
         ("FixHot", dict(sense_interval_s=None, fix_interval_s=120, transmit_interval_s=None)),
     ],
 )
-def test_busy_tick_crosses_v_max_inside_an_activity(activity, schedule, fraction):
+def test_busy_tick_crosses_v_max_inside_an_activity(monkeypatch, activity, schedule, fraction, limit):
     # One tick whose v_max crossing falls inside the Sense, or inside the
     # last segment of a hot fix's chain, not in the closing sleep. The tick
     # is one entry, whose crossing record names the segment's slot and the
     # crossing time; the booking pass books the partial and the pinned rest.
+    # With no slot for its closing sleep (a limit of 1 leaves only the
+    # whole-tick one), the tick is recorded after all, and its crossing with
+    # it: stepped again from its start, the crossing goes through _step.
+    monkeypatch.setattr(engine, "_CLOSING_LIMIT", limit)
     config = validate_config(SystemConfig(**schedule))
     i_h = 0.02
     chain = ACTIVITIES[activity].chain
     v0 = crossing_start(engine._Simulator(config), chain, i_h, fraction)
     one = HarvestTrace(0, 60, np.array([i_h]), np.zeros(1), np.array([i_h]))
     sim, _ = recorded_run(replace(config, initial_voltage=v0), one)
+    if limit == 1:
+        assert sim.stepped.tolist() == [0] and sim.entered.size == 0 and not sim.crossings
+        ups = np.fromiter(sim.records, float).reshape(-1, len(engine._RECORD))[:, 3]
+        (up,) = ups[~np.isnan(ups)]  # the crossing's time in the run, the tick starting at 0
+        assert 0.0 < up < sum(TASKS[name].duration_s for name in chain)
+        return
     _, slot, t_up = sim.crossings
     assert slot == sim.plans[activity][1][-1][0] and 0.0 < t_up < TASKS[chain[-1]].duration_s
     assert sim.entered.tolist() == [0] and sim.stepped.size == 0
@@ -837,13 +848,14 @@ def test_busy_tick_at_the_pinned_edge(below):
 
 
 @pytest.mark.parametrize("chunk", [3, engine._BOOKING_CHUNK])
-def test_busy_ticks_that_fail_at_the_floor_are_handed_back(monkeypatch, chunk):
+def test_busy_ticks_near_the_floor_are_recorded(monkeypatch, chunk):
     # test_depleting_dark_run_with_jitter without the jitter (and on a trace
     # with every kind of failure), so that every busy tick may be an entry.
-    # A tick whose fix or upload crosses v_min is handed back: undone and
-    # stepped again on the recording path, with the fix kind it selected, so
-    # that select_gps_mode still runs once per due fix. Also booked three
-    # ticks at a time.
+    # A busy tick that starts at or below clear[code], where a segment may
+    # reach v_min, is recorded segment by segment from its start, so every
+    # TaskFailed and TransmitFailed falls in such a tick; every other powered
+    # busy tick is an entry. select_gps_mode runs once per due fix. Also
+    # booked three ticks at a time.
     monkeypatch.setattr(engine, "_BOOKING_CHUNK", chunk)
     gates = VoltageThresholds(hot_start=1.81, hot_ephemeris=1.82, warm_ephemeris=1.83, nbiot=1.81, cold_start=1.84)
     config = SystemConfig(capacitor=CapacitorSpec.from_capacitance(1.0), thresholds=gates, initial_voltage=2.3)
@@ -852,21 +864,29 @@ def test_busy_ticks_that_fail_at_the_floor_are_handed_back(monkeypatch, chunk):
     monkeypatch.setattr(engine, "select_gps_mode", lambda *args: calls.append(args) or device.select_gps_mode(*args))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # gates below their safe bounds, on purpose
-        sim, _ = recorded_run(config, trace)
+        sim, result = recorded_run(config, trace)
         old = oracle_run(config, trace, 2 * 86400)
     kinds = [e.kind for e in old.events]
     assert {"Depletion", "Recovery", "TaskFailed", "TransmitFailed", "TransmitSkipped", "FixSkipped"} <= set(kinds)
     failed = {int(e.time_s // 60) for e in old.events if e.kind in ("TaskFailed", "TransmitFailed")}
-    assert failed <= set(sim.stepped.tolist()) and sim.entered.size > 10 * sim.stepped.size
+    assert failed <= set(sim.stepped.tolist())
+    due = device.due_codes(0, len(trace), sim.config)
+    start, powered = result.voltages[:-1], result.power_on[:-1]
+    near = start <= np.array(sim.clear)[due]
+    assert set(sim.entered.tolist()) == set(np.flatnonzero(powered & (due > 0) & ~near).tolist())
+    assert set(sim.stepped.tolist()) - set(np.flatnonzero(~powered).tolist()) == set(
+        np.flatnonzero(powered & (due > 0) & near).tolist()
+    )
+    assert sim.entered.size > 5 * sim.stepped.size
     fix_tasks = {task for spec in ACTIVITIES.values() if spec.activity == FIX for task in spec.chain}
     due_fixes = sum(e.kind.startswith("Fix") or e.kind == "TaskFailed" and e.detail in fix_tasks for e in old.events)
     assert len(calls) == 2 * due_fixes  # recorded_run runs the engine twice
 
 
-def test_busy_tick_that_recovers_and_fails_is_handed_back_with_its_recovery():
+def test_busy_tick_that_recovers_and_fails_is_recorded_with_its_recovery():
     # A small capacitor on a weak flat harvest: the tick that recovers at
-    # v_turn_on skips its fix, fails in its upload and is handed back. Its
-    # Recovery row, placed before the tick is stepped, stays.
+    # v_turn_on skips its fix, fails in its upload and is recorded segment by
+    # segment. Its Recovery row, placed before the tick is stepped, stays.
     config = SystemConfig(
         capacitor=CapacitorSpec(0.21875, 0.001953125), sense_interval_s=60, fix_interval_s=60,
         transmit_interval_s=600, initial_voltage=0.0,
@@ -911,9 +931,10 @@ def test_busy_ticks_on_a_120_s_tick():
     assert kinds.count("FixHot") > 300 and kinds.count("ClampStart") > 10 and kinds.count("Transmit") == 24
 
 
-def test_closing_sleep_past_the_table_limit_hands_the_tick_back(monkeypatch):
+def test_closing_sleep_past_the_table_limit_records_the_tick(monkeypatch):
     # test_full_factor_tables without the jitter: a tick whose closing sleep
-    # gets no slot is handed back, and its closing sleep stepped by _step.
+    # gets no slot is recorded after all, its earlier segments stepped again
+    # from its start, and its closing sleep stepped by _step.
     monkeypatch.setattr(engine, "_CLOSING_LIMIT", 2)
     sim, _ = recorded_run(SystemConfig(initial_voltage=3.0), harvest_trace("blocks", 1440, 1e-3, 4))
     assert len(sim.closing) == 2 and sim.stepped.size and sim.entered.size
