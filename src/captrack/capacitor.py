@@ -7,8 +7,9 @@ solution over a segment of length dt is
     V' = I_H R_eq + (V - I_H R_eq) exp(-dt / (R_eq C))
 
 Everything here is built on that solution: analytic crossing times and
-closed-form energy integrals for the ledger, each written once: decay_factors
-and segment_energy, which integrate_segment combines and the engine calls.
+closed-form energy integrals for the ledger, each written once: crossing_time,
+decay_factors and segment_energy, which time_to_voltage and integrate_segment
+combine and the engine calls.
 """
 
 from __future__ import annotations
@@ -41,7 +42,12 @@ def time_to_voltage(
     # Reachable only strictly between V and the asymptote.
     if not (min(v0, asymptote) < target < max(v0, asymptote)):
         return None
-    tau = resistance * capacitance
+    return crossing_time(v0, asymptote, resistance * capacitance, target)
+
+
+def crossing_time(v0: float, asymptote: float, tau: float, target: float) -> float:
+    """Seconds from v0 to a target strictly between v0 and the asymptote,
+    on the trajectory toward the asymptote with time constant tau = R C."""
     return tau * math.log((v0 - asymptote) / (target - asymptote))
 
 

@@ -7,38 +7,36 @@ segments, so depletion times, clamp windows, and the energy ledger are exact
 rather than discretized to the tick.
 
 A run is a decide loop and a booking pass. The loop carries the voltage and
-the device state and takes every gate and crossing decision. A powered busy
-tick whose activities draw nothing, and whose start voltage keeps every
-segment clear of v_min, is stepped with arithmetic only and recorded as one
-entry: which activities ran, the fix kind and the closing sleep's slot in a
-per-run table of (load, fixed duration, exponentials), plus the time of each
-v_max crossing in it. Every other busy tick is recorded segment by segment:
-each segment's start voltage and slot, with the rare segments (crossing
-partials, depletion coasts, drawn durations and loads) sent through _step,
-which records the ledger terms it computes. So is an entry whose closing
-sleep gets no slot, its earlier segments stepped again from the tick's
-start. Each stretch of activity-free ticks, found once from the schedule, is
-stepped by _idle, which records only the tick boundary voltages; a tick whose
-margin test leaves a crossing possible, or an off tick that starts at
-v_turn_on, is handed back to the loop. The booking pass (_book) rebuilds the
-segments with numpy, replaying an entry's start voltages from its tick's
-with the loop's operations in the loop's order, books each with _step's
-arithmetic in _step's order, and builds the event log, so the
-bits are those of stepping segment by segment.
+the device state and takes every gate and crossing decision. It hands each
+stretch of powered ticks with plain schedules, and each stretch of unpowered
+ticks, to a speculative pass: a window of ticks whose types follow from the
+schedule and the ephemeris age alone (every fix and upload runs), built with
+numpy as flat per-segment arrays and stepped in one tight loop that stops at
+the first segment whose start voltage fails its threshold (a gate, a start
+too near v_min, v_turn_on while unpowered). The tick it stops at, and every
+tick the pass cannot decide, go to the exact loop, which steps them segment
+by segment, sending the rare segments (crossing partials, depletion coasts,
+drawn durations and loads) through _step, which records the ledger terms it
+computes. Both paths write one record: each segment's slot in a per-run table
+of (load, fixed duration, exponentials) and its start voltage, each tick's
+segment count, _step's records and the time of each v_max crossing the pass
+steps. The booking pass (_book) books every segment from it with numpy, with
+_step's arithmetic in _step's order, and builds the event log, so the bits
+are those of stepping segment by segment.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import device as dev
-from .capacitor import decay_factors, equivalent_resistance, integrate_segment, segment_energy, time_to_voltage
+from .capacitor import crossing_time, decay_factors, equivalent_resistance, integrate_segment, segment_energy
 from .device import select_gps_mode
 from .energy_model import ACTIVITIES, FIX, SENSE, TASKS, TRANSMIT, SystemConfig, compose_task_current, validate_config
 from .harvest import HarvestTrace, TextColumn, TraceError, csv_field, number_text, text_column, write_csv
@@ -71,8 +69,11 @@ _EVENT_ROW = np.dtype([
 # closing sleeps of a run without jitter took 37 values over 20 days and 49
 # over a year (how the activities' end times round depends on the tick's
 # start time). A duration past the limit is stepped by _step, as with
-# jitter, and its tick recorded segment by segment.
+# jitter, and its tick by the exact loop.
 _CLOSING_LIMIT = 256
+# A powered tick's layout as the speculative pass looks it up: not worked
+# out yet, or none, as its closing sleep gets no slot (the exact loop steps it).
+_UNKNOWN, _NO_SLOT = -2, -1
 
 # Relative margin M of the cheap test that rules a crossing out before its
 # logarithm is taken. It passes only where the logarithm's ratio exceeds
@@ -83,17 +84,19 @@ _CROSSING_MARGIN = 1.0 + 1e-9
 
 # Segments per chunk of the booking pass, which works a run of whole ticks
 # at a time: a chunk's segment arrays are its working set, so the pass's
-# memory does not grow with the run. Also the ticks the decide loop keeps
+# memory does not grow with the run. Also the segments the exact loop keeps
 # its record of in lists before it moves them into arrays.
 _BOOKING_CHUNK = 8192
+
+# Ticks in a window of the speculative pass: _WINDOW_FIRST at first and after
+# a cut, then doubling up to _WINDOW_MAX; not under _WINDOW_MIN short of the
+# run's end. A window's set-up costs about what the exact loop takes for ten
+# ticks, or what building ~150 more ticks of a window costs.
+_WINDOW_MIN, _WINDOW_FIRST, _WINDOW_MAX = 16, 256, 4096
 
 # What a busy tick runs for each due code: its bits in run order, then 0 for
 # the closing sleep.
 _RUNS = tuple(tuple(bit for bit in (SENSE, FIX, TRANSMIT) if code & bit) + (0,) for code in range(8))
-# A busy tick's type says what ran in it, in the bits of each activity's
-# field: Sense 1, a fix (its place among the fix kinds plus one) in bits 1-3,
-# an upload 16.
-_TYPE_FIELD = {SENSE: 0b00001, FIX: 0b01110, TRANSMIT: 0b10000}
 # The fields of _step's record of a segment: the terms it adds to the
 # harvested, leakage, task and discarded sums, then those of the pinned rest
 # after a v_max crossing (NaN when there is none).
@@ -264,8 +267,8 @@ class _Simulator:
     the voltage at the start of a run.
 
     run() is the decide loop (_decide) and then the booking pass (_book),
-    which reads the record the loop leaves: the segments it stepped, _step's
-    records and the rows placed whole.
+    which reads the record the loop leaves: each segment's slot and start
+    voltage, _step's records, the v_max crossings and the rows placed whole.
     """
 
     def __init__(self, config: SystemConfig):
@@ -287,55 +290,37 @@ class _Simulator:
         self.upload_gate = getattr(config.thresholds, upload.gate)
         (self.upload,) = upload.chain  # one task, whose current and duration each upload may draw
         self.loads = {name: self._load(name, compose_task_current(name, cap.leakage_ma)) for name in TASKS}
-        # The decide loop's record of a run. A busy tick is one entry: the
-        # tick, shifted left 16 bits, OR its type (what ran, in the bits of
-        # _TYPE_FIELD) and, in bits 5-15, its closing sleep's slot plus one
-        # (0: none).
-        self.entries: list[int] = []
-        # The tick, the slot and the time from the segment's start of each
-        # v_max crossing inside an entry's tick, one after the other.
-        self.crossings: list[float] = []
-        # A tick recorded segment by segment puts ~tick (that is, -1 - tick)
-        # in slots, then each segment's start voltage in vs and its row of
-        # table in slots.
+        # The decide loop's record of a run, written alike by its two paths:
+        # each segment's start voltage and slot (its row of table) in run
+        # order, in lists and then in arrays, and each tick's segment count.
         self.vs: list[float] = []
         self.slots: list[int] = []
-        self.flushed: list[tuple[np.ndarray, ...]] = []  # (vs, slots, entries) moved into arrays
-        self.n_flushed = 0  # segments of vs moved
-        # Once booked: the ticks of the entries, and the ticks recorded
-        # segment by segment.
-        self.entered: np.ndarray | None = None
-        self.stepped: np.ndarray | None = None
+        self.flushed: list[tuple[np.ndarray, np.ndarray]] = []  # (slots, vs) moved into arrays
+        self.n_flushed = 0  # segments moved
+        self.counts = np.zeros(0, np.int32)
         self.records: list[float] = []  # _step's record of each segment it steps, _RECORD's fields in turn
+        # The segment and the time from its start of each v_max crossing the
+        # speculative pass steps, one after the other.
+        self.crossings: list[float] = []
         # (tick, position, time, kind, v_before, v_after, detail) of each row
         # placed whole, after position segments of its tick.
         self.marks: list[tuple] = []
+        # (first tick, end tick, cut) of each window of the speculative pass.
+        self.windows: list[tuple[int, int, bool]] = []
         # Slot rows: task index, R, tau, leak and keep shares, v_max^2 / R,
         # duration, its three factors, the event kind the segment ends (-1:
         # none), and the segments before it in that activity's chain.
         self.table: list[tuple] = []
         tick = float(config.base_tick_s)
-        sleep, off = self.loads["Sleep"], self.loads["TurnedOff"]
-        whole = {True: self._slot(sleep, tick), False: self._slot(off, tick)}
-        self.whole = {powered: slot for powered, (slot, _) in whole.items()}
-        # Closing sleep duration -> its plan, as a plan of an activity, and its
-        # bits in a tick's type.
-        self.closing = {tick: self._closing_plan(whole[True], tick)}
-        # Per power state, what _idle steps a whole tick with: R, exp(-x), the
-        # floor the asymptote must be below for a v_min check (none when
-        # unpowered), and the start voltage that ends the stretch (v_turn_on
-        # when unpowered).
-        self.stretches = {
-            True: (sleep[1], whole[True][1], self.v_min, math.inf),
-            False: (off[1], whole[False][1], -math.inf, config.thresholds.v_turn_on),
-        }
+        sleep = self.loads["Sleep"]
+        whole, e = self._slot(sleep, tick)
+        self.whole = {True: whole, False: self._slot(self.loads["TurnedOff"], tick)[0]}
+        self.closing = {tick: ((whole, sleep[1], tick, e, sleep),)}  # closing sleep duration -> its plan
         # Per logged activity: its event code, the (slot, R, duration, exp(-x),
-        # load) of each segment of its chain, the duration deviations if any
-        # is drawn, and its bits in a tick's type.
+        # load) of each segment of its chain, and the duration deviations if
+        # any is drawn.
         self.plans = {}
-        fixes = 0
         for kind, spec in ACTIVITIES.items():
-            fixes += spec.activity == FIX
             code = EVENT_KINDS.index(kind)
             emit = -1 if code == _TRANSMIT else code  # an upload's row carries its sample count
             plan = []
@@ -345,41 +330,26 @@ class _Simulator:
                 slot, e = self._slot(load, task.duration_s, emit if last else -1, position)
                 plan.append((slot, load[1], task.duration_s, e, load))
             stds = tuple(TASKS[name].duration_std_s for name in spec.chain)
-            bits = fixes << 1 if spec.activity == FIX else _TYPE_FIELD[spec.activity]
-            self.plans[kind] = (code, tuple(plan), stds if any(stds) else None, bits)
+            self.plans[kind] = (code, tuple(plan), stds if any(stds) else None)
         self.upload_slot = self.plans["Transmit"][1][0][0]
-        # Per tick type: the plans of its segments in run order, how many
-        # there are, and their slots padded with room for the closing sleep.
-        self.steps = [
-            tuple(
-                step for kind, (_, plan, _, bits) in self.plans.items()
-                if typ & _TYPE_FIELD[ACTIVITIES[kind].activity] == bits for step in plan
-            )
-            for typ in range(32)
-        ]
-        self.lengths = [len(steps) for steps in self.steps]
-        width = max(self.lengths) + 1
-        self.chains = np.array(
-            [[slot for slot, *_ in steps] + [0] * (width - len(steps)) for steps in self.steps], np.intp
-        )
-        # Per due code, whether its ticks may be entries: none of their
-        # activities draws a duration or a load.
+        # Per due code, whether the speculative pass may step its ticks: none
+        # of their activities draws a duration or a load.
         fix_drawn = config.task_jitter and any(
             self.plans[kind][2] for kind, spec in ACTIVITIES.items() if spec.activity == FIX
         )
         upload_drawn = config.task_jitter or config.payload_scaling
         self.plain = [not (code & FIX and fix_drawn or code & TRANSMIT and upload_drawn) for code in range(8)]
         # Per due code, the start voltage above which no segment of the tick
-        # comes near v_min, so that it may be an entry, which has no v_min
-        # test; a tick that starts at or below it is recorded. With
-        # the harvest >= 0 a segment keeps at least exp(-x) of its start
-        # voltage, so the tick keeps exp(-X) of it, X the largest sum of x
-        # (duration / tau) its activities and closing sleep can take. The
-        # 1e-6 of v_min is far above the rounding and the margin test's 1e-9.
+        # comes near v_min, so that the speculative pass, which has no v_min
+        # test, may step it. With the harvest >= 0 a segment keeps at least
+        # exp(-x) of its start voltage, so the tick keeps exp(-X) of it, X the
+        # largest sum of x (duration / tau) its activities and closing sleep
+        # can take. The 1e-6 of v_min is far above the rounding and the margin
+        # test's 1e-9.
         most = {
             bit: max(
                 sum(duration / load[2] for _, _, duration, _, load in plan)
-                for kind, (_, plan, _, _) in self.plans.items() if ACTIVITIES[kind].activity == bit
+                for kind, (_, plan, _) in self.plans.items() if ACTIVITIES[kind].activity == bit
             )
             for bit in (SENSE, FIX, TRANSMIT)
         }
@@ -387,6 +357,32 @@ class _Simulator:
             self.v_min * (1.0 + 1e-6) * math.exp(tick / sleep[2] + sum(most[bit] for bit in _RUNS[code][:-1]))
             for code in range(8)
         ]
+        # The speculative pass's tick types: a powered tick's due code OR the
+        # place of its fix's kind among the fix kinds, shifted left 3 bits. Per
+        # type: its activities' slots, durations, and the lowest start voltage
+        # of each (above clear[code] at the tick's start, a gate at a fix's or
+        # an upload's), then that of its closing sleep.
+        self.fix_kinds = [kind for kind, spec in ACTIVITIES.items() if spec.activity == FIX]
+        self.kind_of_age: dict[int | None, int] = {}
+        thresholds = config.thresholds
+        gates = {kind: getattr(thresholds, spec.gate) if spec.gate else -math.inf for kind, spec in ACTIVITIES.items()}
+        self.types = []
+        for typ in range(8 * len(self.fix_kinds)):
+            code, fix = typ & 7, self.fix_kinds[typ >> 3]
+            kinds = [{SENSE: "Sense", FIX: fix, TRANSMIT: "Transmit"}[bit] for bit in _RUNS[code][:-1]]
+            steps = [
+                (slot, duration, gates[kind] if position == 0 else -math.inf)
+                for kind in kinds for position, (slot, _, duration, _, _) in enumerate(self.plans[kind][1])
+            ]
+            lows = [low for _, _, low in steps] + [-math.inf]
+            lows[0] = max(lows[0], math.nextafter(self.clear[code], math.inf))
+            self.types.append((tuple(slot for slot, _, _ in steps), tuple(duration for _, duration, _ in steps), lows))
+        # A powered tick's layout: its type and its closing sleep's slot (-1:
+        # none). layout_of holds a tick's layout per type and binade of its start.
+        self.layout_of = np.full(len(self.types) << 7, _UNKNOWN)
+        self.layouts: dict[tuple[int, int], int] = {}
+        self.layout_rows: tuple[list, ...] = ([], [], [], [], [])  # per layout: segments; per row: slot, R, e, low
+        self.layout_arrays = (np.zeros(0, np.int64),) * 3 + (np.zeros(0),) * 3  # those, and each first row, as arrays
 
     def _load(self, task: str, current_ma: float) -> tuple:
         """Per-run constants of a constant-current load, in _step's order:
@@ -407,24 +403,44 @@ class _Simulator:
         self.table.append(row)
         return len(self.table) - 1, e
 
-    def _closing_plan(self, hit: tuple[int, float | None], duration: float) -> tuple[tuple, int]:
-        """A closing sleep's plan and type bits, from its slot and exp(-x)."""
-        slot, e = hit
-        sleep = self.loads["Sleep"]
-        if e is None:
-            return ((slot, sleep[1], duration, e, sleep),), 0
-        assert slot + 1 < 1 << 11, "a closing sleep's slot must fit bits 5-15 of an entry"
-        return ((slot, sleep[1], duration, e, sleep),), (slot + 1) << 5
+    def _closing(self, duration: float) -> tuple:
+        """The plan of a closing sleep duration: on a slot of its own while
+        the table has room for _CLOSING_LIMIT durations; else on the
+        whole-tick Sleep slot with no factor, so that _step steps it."""
+        plan = self.closing.get(duration)
+        if plan is None:
+            sleep = self.loads["Sleep"]
+            if len(self.closing) >= _CLOSING_LIMIT:
+                return ((self.whole[True], sleep[1], duration, None, sleep),)
+            slot, e = self._slot(sleep, duration)
+            plan = self.closing[duration] = ((slot, sleep[1], duration, e, sleep),)
+        return plan
 
-    def _closing(self, duration: float) -> tuple[tuple, int]:
-        """The plan of a closing sleep duration not seen yet, with a slot of
-        its own while the table has room; else on the whole-tick Sleep slot
-        with no factor and no type bits, so that _step steps it and the tick
-        is recorded segment by segment."""
-        if len(self.closing) >= _CLOSING_LIMIT:
-            return self._closing_plan((self.whole[True], None), duration)
-        self.closing[duration] = hit = self._closing_plan(self._slot(self.loads["Sleep"], duration), duration)
-        return hit
+    def _layout(self, typ: int, t_start: int) -> int:
+        """The layout of a powered tick of type typ that starts at t_start:
+        its closing sleep lasts from the end of its activities, their durations
+        summed from its start in the loop's order, to the tick's end. _NO_SLOT
+        when the closing sleep gets no slot."""
+        slots, durations, lows = self.types[typ]
+        t = float(t_start)
+        for duration in durations:
+            t += duration
+        duration = t_start + self.config.base_tick_s - t
+        closing = -1
+        if duration > 0.0:
+            ((closing, _, _, e, _),) = self._closing(duration)
+            if e is None:
+                return _NO_SLOT
+        layout = self.layouts.setdefault((typ, closing), len(self.layouts))
+        if layout == len(self.layout_rows[0]):
+            slots = (*slots, closing) if closing >= 0 else slots
+            counts, slot_of, r_of, e_of, low_of = self.layout_rows
+            counts.append(len(slots))
+            slot_of += slots
+            r_of += [self.table[slot][1] for slot in slots]
+            e_of += [self.table[slot][7] for slot in slots]
+            low_of += lows[: len(slots)]
+        return layout
 
     def _detail(self, text: str) -> int:
         return self.details.setdefault(text, len(self.details))
@@ -487,13 +503,13 @@ class _Simulator:
         else:
             e, em1, em2 = decay_factors(duration, tau)
             b = v0 - a
-            # A crossing time (time_to_voltage) takes a logarithm, skipped
+            # A crossing time (crossing_time) takes a logarithm, skipped
             # where the unclamped end voltage a + b e stays clear of the bound:
             # b e < (v_max - a) M or b e > (v_min - a) M puts the crossing past
             # the duration.
             if (
                 a > v_max and v0 < v_max and not b * e < (v_max - a) * _CROSSING_MARGIN
-                and (t_up := time_to_voltage(v0, i_h, r, self.c, v_max)) <= duration
+                and (t_up := crossing_time(v0, a, tau, v_max)) <= duration
             ):
                 _, harvested, consumed = integrate_segment(v0, i_h, r, self.c, t_up)
                 rest = duration - t_up
@@ -507,7 +523,7 @@ class _Simulator:
             elif (
                 check_floor and a < self.v_min and v0 > self.v_min
                 and not b * e > (self.v_min - a) * _CROSSING_MARGIN
-                and (t_dn := time_to_voltage(v0, i_h, r, self.c, self.v_min)) <= duration
+                and (t_dn := crossing_time(v0, a, tau, self.v_min)) <= duration
             ):
                 _, harvested, consumed = integrate_segment(v0, i_h, r, self.c, t_dn)
                 terms = (harvested, consumed * leak, consumed * keep, 0.0, *_NO_TERMS)
@@ -535,63 +551,21 @@ class _Simulator:
         self._mark(i, position, t, _DEPLETION, v, v)
         return self._step(self.whole[False], self.loads["TurnedOff"], tick_end - t, i_h, False, t, v)[1]
 
-    def _idle(
-        self, start: int, stop: int, v: float, powered: bool, combined: list[float], voltages: list[float]
-    ) -> tuple[int, float]:
-        """Step ticks start..stop-1 from voltage v as whole-tick Sleep
-        (powered) or TurnedOff (unpowered) segments; return the first tick
-        not stepped and the voltage then.
-
-        Each tick is _step's plain case, pinned or without a crossing, with
-        _step's operations in _step's order. The stretch stops at a tick whose
-        margin test leaves a v_max crossing possible, or a v_min crossing when
-        powered, and, when unpowered, at a tick that starts at or above
-        v_turn_on. Appends each tick's end voltage, from which alone (and the
-        power state) the booking pass books the stretch.
-        """
-        r, e, floor, v_on = self.stretches[powered]
-        v_max, v_min, v_pinned = self.v_max, self.v_min, self.v_pinned
-        append = voltages.append
-        margin = _CROSSING_MARGIN
-        for i in range(start, stop):
-            if v >= v_on:
-                break
-            a = combined[i] * r
-            if v >= v_pinned and a >= v_max:
-                v = v_max
-            else:
-                be = (v - a) * e
-                if (
-                    a > v_max and v < v_max and not be < (v_max - a) * margin
-                    or a < floor and v > v_min and not be > (v_min - a) * margin
-                ):
-                    break
-                v = a + be
-                if v > v_max:
-                    v = v_max
-            append(v)
-        else:
-            i = stop
-        return i, v
-
     def _flush(self) -> None:
-        """Move the record so far into arrays, so that its lists stay short."""
-        vs, slots, entries = self.vs, self.slots, self.entries
-        self.flushed.append((
-            np.fromiter(vs, float, len(vs)), np.fromiter(slots, np.int32, len(slots)),
-            np.fromiter(entries, np.int64, len(entries)),
-        ))
-        self.n_flushed += len(vs)
-        vs.clear()
-        slots.clear()
-        entries.clear()
+        """Move the exact loop's record so far into arrays, so that its lists stay short."""
+        vs, slots = self.vs, self.slots
+        if vs:
+            self.flushed.append((np.fromiter(slots, np.int16, len(slots)), np.fromiter(vs, float, len(vs))))
+            self.n_flushed += len(vs)
+            vs.clear()
+            slots.clear()
 
     # -- whole run ----------------------------------------------------------
 
     def run(self, harvest: HarvestTrace, n_ticks: int) -> SimResult:
         v_initial = self.v
         voltages, power_on = self._decide(harvest, n_ticks)
-        log, ledger = self._book(harvest.combined_a[:n_ticks], voltages, power_on, v_initial)
+        log, ledger = self._book(harvest.combined_a[:n_ticks], voltages, v_initial)
         tick = self.config.base_tick_s
         duration = n_ticks * tick
         metrics = compute_metrics(log, duration, voltages=voltages, power_on_at_start=bool(power_on[0]))
@@ -602,101 +576,76 @@ class _Simulator:
         """The decide loop over n_ticks ticks: the voltage and power state at
         each tick boundary, and the record of the run for _book.
 
-        One activity loop steps every busy tick; only the loop over an
-        activity's segments differs between the tick's two records. A powered
-        tick that draws nothing and starts above clear[code] is an entry: its
-        segments are stepped with arithmetic only (_step's pinned and plain
-        cases and its v_max crossing test) and nothing is recorded per
-        segment. Any other busy tick is recorded segment by segment. So is an
-        entry whose closing sleep gets no slot: its earlier segments are
-        stepped again from the tick's start, from its type's plans, which no
-        v_min crossing can reach.
+        Each stretch of ticks it can, it hands to the speculative pass
+        (_speculate) a window at a time. The rest it steps itself, the exact
+        loop, segment by segment with every gate and crossing decision: the
+        tick a window was cut at, each tick whose fix or upload draws a
+        duration or a load, and the ticks after a cut until one starts above
+        the threshold that cut it, so that a run near its gates does not pay
+        a window's set-up per tick.
         """
         cfg = self.config
         tick = cfg.base_tick_s
         v_turn_on = cfg.thresholds.v_turn_on
-        v_max, v_min, v_pinned, c = self.v_max, self.v_min, self.v_pinned, self.c
-        margin = _CROSSING_MARGIN
+        v_max, v_min, v_pinned, margin = self.v_max, self.v_min, self.v_pinned, _CROSSING_MARGIN
         jitter = cfg.task_jitter
         drawn_upload = jitter or cfg.payload_scaling
-        upload_gate = self.upload_gate
-        plain, clear = self.plain, self.clear
+        upload_gate, clear = self.upload_gate, self.clear
 
+        assert n_ticks * tick < 1 << 52, "the layout cache needs tick starts below 2^52 s"
         codes = dev.due_codes(0, n_ticks, cfg)
-        busy = [*np.flatnonzero(codes).tolist(), n_ticks]  # ticks with an activity due, then the end
-        due = codes.tolist()
-        combined = harvest.combined_a[:n_ticks].tolist()
-        v = self.v
+        mixed = [*np.flatnonzero(~np.array(self.plain)[codes]).tolist(), n_ticks]  # ticks the pass never steps
+        combined = harvest.combined_a[:n_ticks]
+        voltages = np.empty(n_ticks + 1)
+        v = voltages[0] = self.v
+        self.counts = counts = np.zeros(n_ticks, np.int32)
         powered, ephemeris_t, buffered = self.powered, self.ephemeris_t, self.buffered
-        voltages = [v]
-        voltages_append = voltages.append
         vs, vs_append, slots_append = self.vs, self.vs.append, self.slots.append
-        entries_append = self.entries.append
-        crossings = self.crossings
-        crossings_extend = crossings.extend
-        step, idle, mark = self._step, self._idle, self._mark
+        step, mark, flush, closing, speculate = self._step, self._mark, self._flush, self._closing, self._speculate
         select = select_gps_mode  # looked up per run, so that a wrapper on the module's name sees each call
-        plans, closing, runs, lengths, steps = self.plans, self.closing, _RUNS, self.lengths, self.steps
-        _, sense, _, sense_bits = plans["Sense"]
-        _, upload, _, upload_bits = plans["Transmit"]
-        turned_off, off_slot = self.loads["TurnedOff"], self.whole[False]
-        flush, flush_at = self._flush, _BOOKING_CHUNK
+        plans, runs, closings = self.plans, _RUNS, self.closing
+        sense, upload = plans["Sense"][1], plans["Transmit"][1]
+        hold, span, resume = 0, _WINDOW_FIRST, -math.inf
 
         i = 0
         while i < n_ticks:
-            if not powered:
-                i, v = idle(i, n_ticks, v, False, combined, voltages)
-                if i == n_ticks:
-                    break
-                if v >= v_turn_on:
-                    powered = True
-                    mark(i, 0, float(i * tick), _RECOVERY, v, v)
-            elif not due[i]:
-                i, v = idle(i, busy[bisect_left(busy, i)], v, True, combined, voltages)
-                if i == n_ticks:
-                    break
-            if i >= flush_at:
+            if i >= hold and (v >= resume or not powered):
+                stop = mixed[bisect_left(mixed, i)] if powered else n_ticks
+                room = stop - i >= min(_WINDOW_MIN, n_ticks - i)
+                if v > clear[codes.item(i)] and room if powered else v < v_turn_on:
+                    flush()
+                    end = min(stop, i + span)
+                    i, v, ephemeris_t, buffered, resume = speculate(
+                        combined, codes, voltages, i, end, v, powered, ephemeris_t, buffered
+                    )
+                    hold = i + (i < end)  # the tick a window is cut at goes to the exact loop
+                    span = _WINDOW_FIRST if i < end else min(2 * span, _WINDOW_MAX)
+                    continue
+            if len(vs) >= _BOOKING_CHUNK:
                 flush()
-                flush_at = i + _BOOKING_CHUNK
-            i_h = combined[i]
+            i_h = combined.item(i)
             t_start = i * tick
-            if not powered:  # a v_max crossing may fall inside this off tick
-                slots_append(~i)
-                _, v, _ = step(off_slot, turned_off, tick, i_h, False, float(t_start), v)
-                voltages_append(v)
-                i += 1
-                continue
-            code = due[i]
-            record = not plain[code] or v <= clear[code]
-            if record:
-                slots_append(~i)
-                first = len(vs)
+            first = len(vs)
+            if not powered:  # an unpowered tick the pass stopped at, as it starts at v_turn_on or above
+                powered = True
+                mark(i, 0, float(t_start), _RECOVERY, v, v)
+            code = codes.item(i)
             tick_end = t_start + tick
             t = float(t_start)
-            typ = 0
             for bit in runs[code]:
                 if not bit:  # the closing sleep
                     duration = tick_end - t
                     if not duration > 0.0:
                         break
-                    plan, bits = closing.get(duration) or self._closing(duration)
-                    if not (bits or record):  # no slot: recorded after all, from the tick's start
-                        record = True
-                        slots_append(~i)
-                        first = len(vs)
-                        while crossings and crossings[-3] == i:
-                            del crossings[-3:]
-                        plan = steps[typ] + plan
-                        v, t = voltages[-1], float(t_start)
+                    plan = closings.get(duration) or closing(duration)
                 elif bit == SENSE:
-                    plan, bits = sense, sense_bits
+                    plan = sense
                 elif bit == FIX:
                     kind = select(None if ephemeris_t is None else t_start - ephemeris_t, v, cfg)
                     if kind is None:
-                        at = len(vs) - first if record else lengths[typ]
-                        mark(i, at, t, _FIX_SKIPPED, v, v, "low-voltage")
+                        mark(i, len(vs) - first, t, _FIX_SKIPPED, v, v, "low-voltage")
                         continue
-                    event, plan, stds, bits = plans[kind]
+                    event, plan, stds = plans[kind]
                     if jitter and stds:  # draw every duration before the first segment runs
                         plan = tuple(
                             (slot, r, self._draw(duration, std), None if std else e, load)
@@ -705,81 +654,52 @@ class _Simulator:
                 else:
                     samples = buffered
                     if v < upload_gate:
-                        at = len(vs) - first if record else lengths[typ]
-                        mark(i, at, t, _TRANSMIT_SKIPPED, v, v, "low-voltage")
+                        mark(i, len(vs) - first, t, _TRANSMIT_SKIPPED, v, v, "low-voltage")
                         continue
-                    plan, bits = self._upload(samples) if drawn_upload else upload, upload_bits
-                typ |= bits
+                    plan = self._upload(samples) if drawn_upload else upload
                 v_before = v
-                if not record:
-                    # _step's cases in _step's order, its tests split on the asymptote.
-                    for slot, r, duration, e, _ in plan:
-                        a = i_h * r
-                        if a >= v_max:
-                            if v >= v_pinned:
-                                v = v_max
-                            else:
-                                be = (v - a) * e
-                                if (
-                                    a > v_max and v < v_max and not be < (v_max - a) * margin
-                                    and (t_up := time_to_voltage(v, i_h, r, c, v_max)) <= duration
-                                ):
-                                    crossings_extend((i, slot, t_up))
-                                    v = v_max
-                                else:
-                                    v = a + be
-                                    if v > v_max:
-                                        v = v_max
-                        else:
-                            v = a + (v - a) * e
+                for slot, r, duration, e, load in plan:
+                    a = i_h * r
+                    if e is not None:  # _step's plain cases, as the speculative pass steps them
+                        if v >= v_pinned and a >= v_max:
+                            vs_append(v)
+                            slots_append(slot)
+                            v = v_max
+                            t += duration
+                            continue
+                        be = (v - a) * e
+                        if not (
+                            a > v_max and v < v_max and not be < (v_max - a) * margin
+                            or a < v_min and v > v_min and not be > (v_min - a) * margin
+                        ):
+                            vs_append(v)
+                            slots_append(slot)
+                            v = a + be
                             if v > v_max:
                                 v = v_max
-                        t += duration
-                else:
-                    for slot, r, duration, e, load in plan:
-                        a = i_h * r
-                        if e is not None:  # _step's plain cases, as _idle steps them
-                            if v >= v_pinned and a >= v_max:
-                                vs_append(v)
-                                slots_append(slot)
-                                v = v_max
-                                t += duration
-                                continue
-                            be = (v - a) * e
-                            if not (
-                                a > v_max and v < v_max and not be < (v_max - a) * margin
-                                or a < v_min and v > v_min and not be > (v_min - a) * margin
-                            ):
-                                vs_append(v)
-                                slots_append(slot)
-                                v = a + be
-                                if v > v_max:
-                                    v = v_max
-                                t += duration
-                                continue
-                        t, v, depleted = step(slot, load, duration, i_h, True, t, v)
-                        if depleted:
-                            if bit == TRANSMIT:
-                                failure, text = _TRANSMIT_FAILED, f"samples={samples}"
-                            else:
-                                failure, text = (_TASK_FAILED, load[0]) if bit else (None, "")
-                            v = self._deplete(i, len(vs) - first, i_h, tick_end, failure, text, t, v)
-                            powered = False
-                            ephemeris_t = None  # the backup domain is lost; flash keeps the buffer
-                            break
-                    if not powered:
+                            t += duration
+                            continue
+                    t, v, depleted = step(slot, load, duration, i_h, True, t, v)
+                    if depleted:
+                        if bit == TRANSMIT:
+                            failure, text = _TRANSMIT_FAILED, f"samples={samples}"
+                        else:
+                            failure, text = (_TASK_FAILED, load[0]) if bit else (None, "")
+                        v = self._deplete(i, len(vs) - first, i_h, tick_end, failure, text, t, v)
+                        powered = False
+                        ephemeris_t = None  # the backup domain is lost; flash keeps the buffer
                         break
+                if not powered:
+                    break
                 if bit == FIX:
                     if event != _FIX_HOT:  # every other fix leaves a fresh ephemeris
                         ephemeris_t = t_start
                     buffered += 1
                 elif bit == TRANSMIT:
                     buffered = 0
-                    at = len(vs) - first if record else lengths[typ]
-                    mark(i, at, t, _TRANSMIT, v_before, v, f"samples={samples}")
-            if not record:
-                entries_append(i << 16 | typ)
-            voltages_append(v)
+                    mark(i, len(vs) - first, t, _TRANSMIT, v_before, v, f"samples={samples}")
+            counts[i] = len(vs) - first
+            voltages[i + 1] = v
             i += 1
 
         # The power state at each tick boundary: off from the one after a
@@ -791,53 +711,181 @@ class _Simulator:
                 state.append(kind == _RECOVERY)
         power_on = np.repeat(np.array(state), np.diff([*at, n_ticks + 1]))
         self.v, self.powered, self.ephemeris_t, self.buffered = v, powered, ephemeris_t, buffered
-        self._flush()
-        return np.array(voltages), power_on
+        flush()
+        return voltages, power_on
+
+    def _speculate(
+        self, combined: np.ndarray, codes: np.ndarray, voltages: np.ndarray, i0: int, i1: int, v: float,
+        powered: bool, ephemeris_t: int | None, buffered: int,
+    ) -> tuple[int, float, int | None, int, float]:
+        """The speculative pass over ticks i0..i1-1, all powered with plain
+        due codes or all unpowered, from voltage v.
+
+        Every fix and upload is taken to run, each fix of the kind its
+        ephemeris age picks (select_gps_mode at an infinite voltage, once per
+        age). The window's segments (a = i_h R, exp(-x), the lowest start
+        voltage) are built with numpy and stepped in one flat loop with
+        _step's pinned, plain and v_max crossing cases in _step's order, up to
+        the first start voltage that fails its threshold: clear[code] at a
+        powered tick's start, the kind's gate at a fix's, the upload gate at
+        an upload's, v_turn_on at an unpowered tick's start. The window is cut
+        at that tick, or before the first tick whose closing sleep gets no
+        slot, and the ticks before it are recorded as the exact loop records
+        them. Returns the first tick not stepped, the voltage then, the
+        ephemeris and buffer state and the threshold that cut the window
+        (-inf if none).
+        """
+        tick = self.config.base_tick_s
+        m = i1 - i0
+        if powered:
+            code = codes[i0:i1]
+            at_fix = np.flatnonzero(code & FIX)
+            fix_starts = ((i0 + at_fix) * tick).tolist()
+            kinds, state = [], ephemeris_t
+            memo, hot = self.kind_of_age, self.fix_kinds.index("FixHot")
+            for t in fix_starts:
+                age = None if state is None else t - state
+                kind = memo.get(age)
+                if kind is None:
+                    kind = memo[age] = self.fix_kinds.index(select_gps_mode(age, math.inf, self.config))
+                if kind != hot:  # every other fix leaves a fresh ephemeris
+                    state = t
+                kinds.append(kind)
+            kinds = np.array(kinds, np.int64)
+            types = code.copy()
+            types[at_fix] |= kinds << 3
+            # A tick's layout depends only on its type and the binade of its
+            # start, unless the tick straddles a power of two: the start is an
+            # integer below 2^52, so every partial sum of the activities'
+            # durations is the start plus a value that depends on the binade.
+            start = np.arange(i0, i1, dtype=np.int64) * tick
+            binade = np.frexp(start)[1]
+            straddle = np.flatnonzero(binade != np.frexp(start + tick)[1])
+            key = types << 7 | binade
+            layouts = self.layout_of[key]
+            fresh = layouts == _UNKNOWN
+            fresh[straddle] = False
+            if fresh.any():
+                keys, first = np.unique(key[fresh], return_index=True)
+                for k, j in zip(keys.tolist(), np.flatnonzero(fresh)[first].tolist()):
+                    self.layout_of[k] = self._layout(k >> 7, (i0 + j) * tick)
+                layouts = self.layout_of[key]
+            for j in straddle.tolist():
+                layouts[j] = self._layout(types.item(j), (i0 + j) * tick)
+            if len(self.layout_arrays[0]) < len(self.layouts):
+                counts, *rows = self.layout_rows
+                self.layout_arrays = (np.array(counts), np.cumsum([0, *counts[:-1]]), *map(np.array, rows))
+            slotless = np.flatnonzero(layouts == _NO_SLOT)
+            m = slotless.item(0) if slotless.size else m
+            layouts = layouts[:m]
+            layout_counts, layout_firsts, layout_slots, layout_r, layout_e, layout_low = self.layout_arrays
+            counts = layout_counts[layouts]
+            firsts = np.cumsum(counts) - counts
+            row = np.repeat(layout_firsts[layouts] - firsts, counts) + np.arange(counts.sum())
+            slot = layout_slots[row]
+            lows = layout_low[row]
+            i_h = np.repeat(combined[i0 : i0 + m], counts)
+            top = itertools.repeat(math.inf)
+            steps = zip((i_h * layout_r[row]).tolist(), layout_e[row].tolist(), lows.tolist(), top)
+        else:  # every tick one TurnedOff segment
+            counts, firsts, slot = np.ones(m, np.int64), np.arange(m), np.full(m, self.whole[False])
+            row = self.table[self.whole[False]]
+            lows, top = itertools.repeat(-math.inf), itertools.repeat(self.config.thresholds.v_turn_on)
+            steps = zip((combined[i0:i1] * row[1]).tolist(), itertools.repeat(row[7]), lows, top)
+
+        v_max, v_pinned, margin = self.v_max, self.v_pinned, _CROSSING_MARGIN
+        vs: list[float] = []
+        append = vs.append
+        crossings, base = self.crossings, self.n_flushed
+        for a, e, low, high in steps:
+            if v < low or v >= high:
+                break
+            append(v)
+            if a >= v_max:
+                if v >= v_pinned:
+                    v = v_max
+                    continue
+                be = (v - a) * e
+                if a > v_max and v < v_max and not be < (v_max - a) * margin:
+                    k = len(vs) - 1
+                    row = self.table[slot.item(k)]
+                    t_up = crossing_time(v, a, row[2], v_max)
+                    if t_up <= row[6]:
+                        crossings += (base + k, t_up)
+                        v = v_max
+                        continue
+                v = a + be
+                if v > v_max:
+                    v = v_max
+            else:
+                v = a + (v - a) * e
+                if v > v_max:
+                    v = v_max
+
+        stepped = len(vs)
+        end = int(np.searchsorted(firsts, stepped, "right")) - 1 if stepped < slot.size else m
+        kept = firsts.item(end) if end < m else stepped
+        threshold = lows.item(stepped) if powered and stepped < slot.size else -math.inf
+        if kept < stepped:
+            v = vs[kept]
+        self.windows.append((i0, i0 + end, i0 + end < i1))
+        while crossings and crossings[-2] >= base + kept:  # those of the tick the window was cut at
+            del crossings[-2:]
+        starts = np.fromiter(vs, float, kept)
+        self.flushed.append((slot[:kept].astype(np.int16), starts))
+        self.n_flushed += kept
+        self.counts[i0 : i0 + end] = counts[:end]
+        voltages[i0 + 1 : i0 + end] = starts[firsts[1:end]]
+        voltages[i0 + end] = v
+        if powered:
+            fixes = at_fix.tolist()
+            done = bisect_left(fixes, end)  # the fixes before the window's end
+            if done < len(fixes):
+                refreshes = np.flatnonzero(kinds[:done] != hot)
+                state = fix_starts[refreshes[-1]] if refreshes.size else ephemeris_t
+            sent = 0
+            for j in np.flatnonzero(code[:end] & TRANSMIT).tolist():
+                slots, durations, _ = self.types[types.item(j)]
+                n, first = len(slots), firsts.item(j)  # the upload is the tick's last activity
+                t = float((i0 + j) * tick)
+                for duration in durations:
+                    t += duration
+                through = bisect_right(fixes, j)  # the fixes buffered by this upload
+                after = vs[first + n] if first + n < kept else v
+                self._mark(i0 + j, n, t, _TRANSMIT, vs[first + n - 1], after, f"samples={buffered + through - sent}")
+                buffered, sent = 0, through
+            buffered += done - sent
+            ephemeris_t = state
+        return i0 + end, v, ephemeris_t, buffered, threshold
 
     def _book(
-        self, combined: np.ndarray, voltages: np.ndarray, power_on: np.ndarray, v_initial: float
+        self, combined: np.ndarray, voltages: np.ndarray, v_initial: float
     ) -> tuple[EventLog, EnergyLedger]:
         """The event log and the ledger of a run, from the decide loop's record.
 
         Works through the run in chunks of whole ticks that hold about
-        _BOOKING_CHUNK segments on average, an idle tick counting one. Each
-        chunk's segments are put in run order: an idle tick's one, a recorded
-        tick's as the loop recorded them, and an entry's from its type's
-        chain and its closing sleep. An entry's start voltages are replayed
-        from the tick's start voltage, one chain position at a time across
-        the chunk's entries, with the loop's operations in the loop's order.
-        Start times are summed along each tick as the loop summed them. Each
-        segment is booked as _step books it, by segment_energy on arrays,
-        except that a segment _step recorded brings its own terms, and a v_max
-        crossing in an entry's tick books its partial and its pinned rest from
-        the crossing time, as _step does; every ledger sum adds its terms in
-        run order from 0.0, as the loop would have.
-        The rows come from the segments (a clamp row where the pinned test
-        changes or a crossing falls, an activity row where its chain's last
-        segment ends) and from the loop's whole rows, and are put in log
-        order by a stable sort on (position, sub-position).
+        _BOOKING_CHUNK segments. Each segment is booked as _step books it, by
+        segment_energy on arrays; a segment _step recorded brings its own
+        terms, and a v_max crossing of the speculative pass books its partial
+        and its pinned rest from the crossing time, as _step does. Every sum
+        adds its terms in run order from 0.0, and start times are summed along
+        each tick from its start, as the loop did. The rows come from the
+        segments (a clamp row where the pinned test changes or a crossing
+        falls, an activity row where its chain's last segment ends) and the
+        loop's whole rows, put in log order by a stable sort on (segment,
+        sub-position).
         """
         tick = self.config.base_tick_s
         n_ticks = combined.size
         v_max, v_pinned = self.v_max, self.v_pinned
         table = np.array(self.table, dtype=float).T.copy()  # a column a row
         task_of, emit_of, span_of = table[(0, 10, 11), :].astype(np.intp)
-        r_of, tau_of, leak_of, keep_of, pinned_w_of, duration_of, e_of, em1_of, em2_of = table[1:10]
-        vs, slots, entries = (np.concatenate(parts) for parts in zip(*self.flushed))
+        r_of, tau_of, leak_of, keep_of, pinned_w_of, duration_of, _, em1_of, em2_of = table[1:10]
+        slots, vs = (np.concatenate(parts) for parts in zip(*self.flushed))
         self.flushed.clear()
-        announced = np.flatnonzero(slots < 0)
-        self.stepped = stepped = ~slots[announced].astype(np.int64)  # each tick recorded
-        firsts = np.append(announced - np.arange(announced.size), vs.size)  # and its first segment
-        slots = np.delete(slots, announced)
-        self.entered = entered = entries >> 16  # each entry's tick
-        types = entries & 31
-        closings = (entries >> 5 & 2047) - 1  # the closing sleep's slot, -1 for none
-        lengths = np.array(self.lengths)[types]
-        entry_counts = lengths + (closings >= 0)
-        entry_firsts = np.append(0, np.cumsum(entry_counts))  # each entry's first segment
-        crossings = np.fromiter(self.crossings, float, len(self.crossings))
-        crossing_tick, crossing_slot, crossing_t = crossings.reshape(-1, 3).T
-        crossing_tick, crossing_slot = crossing_tick.astype(np.int64), crossing_slot.astype(np.intp)
+        firsts = np.zeros(n_ticks + 1, np.int64)  # each tick's first segment, then the end
+        np.cumsum(self.counts, out=firsts[1:])
+        crossing_at, crossing_t = np.fromiter(self.crossings, float, len(self.crossings)).reshape(-1, 2).T
         records = np.fromiter(self.records, float, len(self.records)).reshape(-1, len(_RECORD))
         recorded_at = records[:, 0].astype(np.int64)
         marks = self.marks
@@ -846,74 +894,23 @@ class _Simulator:
             for column, dtype in zip(zip(*marks) if marks else ((),) * 7, (int, int, float, int, float, float, int))
         ]
         mark_tick, mark_position = mark_columns[:2]
+        # A whole row goes before the rows of the segment it is placed ahead of.
+        mark_key = (firsts[mark_tick] + mark_position) * 4
         harvested = leakage = discarded = 0.0
         consumed: dict[int, float] = {}  # task index -> sum, in first-use order
         clamp = False
         chunks = []
-        segments = n_ticks - stepped.size - entered.size + vs.size + int(entry_firsts[-1])  # an idle tick counting one
-        chunk = max(1, _BOOKING_CHUNK * n_ticks // segments)  # ticks
+        chunk = max(1, _BOOKING_CHUNK * n_ticks // max(1, vs.size))  # ticks
         with np.errstate(all="ignore"):  # as Python's float arithmetic, which overflows to inf silently
             for c0 in range(0, n_ticks, chunk):
                 c1 = min(c0 + chunk, n_ticks)
-                j0, j1 = np.searchsorted(stepped, (c0, c1)).tolist()
-                f0, f1 = np.searchsorted(entered, (c0, c1)).tolist()
-                k0, k1 = int(firsts[j0]), int(firsts[j1])
-                # The chunk's segments in run order, by the source of each tick's:
-                # 0 an idle tick's one, 1 a recorded tick's, 2 an entry's.
-                count = np.ones(c1 - c0, np.int64)
-                source = np.zeros(c1 - c0, np.int8)
-                recorded = stepped[j0:j1] - c0
-                count[recorded] = np.diff(firsts[j0 : j1 + 1])
-                source[recorded] = 1
-                ticks = entered[f0:f1]
-                count[ticks - c0] = entry_counts[f0:f1]
-                source[ticks - c0] = 2
+                k0, k1 = int(firsts[c0]), int(firsts[c1])
+                count = self.counts[c0:c1]
                 tick_of = np.repeat(np.arange(c0, c1), count)
-                source_of = np.repeat(source, count)
-                at_idle, at_loop, at_entry = (np.flatnonzero(source_of == s) for s in range(3))
-                idle_ticks = tick_of[at_idle]
-                slot = np.empty(tick_of.size, np.intp)
-                slot[at_loop] = slots[k0:k1]
-                slot[at_idle] = np.where(power_on[idle_ticks], self.whole[True], self.whole[False])
-                v0 = np.empty(tick_of.size)
-                v0[at_loop] = vs[k0:k1]
-                v0[at_idle] = voltages[idle_ticks]
-                # An entry's segments, a row each: its type's chain, then its
-                # closing sleep; a v_max crossing is found by its slot.
-                chain = self.chains[types[f0:f1]]
-                closed = np.flatnonzero(closings[f0:f1] >= 0)
-                chain[closed, lengths[f0:f1][closed]] = closings[f0:f1][closed]
-                x0, x1 = np.searchsorted(crossing_tick, (c0, c1)).tolist()
-                entry = np.searchsorted(ticks, crossing_tick[x0:x1])
-                position = (chain[entry] == crossing_slot[x0:x1, None]).argmax(axis=1)
-                # Their start voltages, a chain position at a time (a row of
-                # these arrays) as the loop steps them: a + (v - a) e, clamped
-                # (NaN stays, as in the loop), or v_max where pinned. A crossing's
-                # segment ends at v_max, as a + (v - a) e does with a = v_max, e = 0.
-                entry_a = combined[ticks] * r_of[chain.T]
-                entry_e = e_of[chain.T]
-                held = entry_a >= v_max
-                entry_a[position, entry] = v_max
-                entry_e[position, entry] = 0.0
-                start = np.empty(entry_a.shape)
-                start[0] = voltages[ticks]
-                for p in range(1, int(entry_counts[f0:f1].max(initial=1))):
-                    v, v_next = start[p - 1], start[p]
-                    np.subtract(v, entry_a[p - 1], out=v_next)
-                    v_next *= entry_e[p - 1]
-                    v_next += entry_a[p - 1]
-                    np.minimum(v_next, v_max, out=v_next)
-                    np.putmask(v_next, (v >= v_pinned) & held[p - 1], v_max)
-                filled = np.arange(chain.shape[1]) < entry_counts[f0:f1, None]
-                slot[at_entry] = chain[filled]
-                v0[at_entry] = start.T.copy()[filled]
-                crossing_at = at_entry[entry_firsts[f0 + entry] - entry_firsts[f0] + position]
+                slot = slots[k0:k1].astype(np.intp)
+                v0 = vs[k0:k1]
                 v_end = np.append(v0[1:], voltages[c1])
                 i_h = combined[tick_of]
-                # Position in the run: the tick plus the segments of earlier busy ticks.
-                from_loop = source_of != 0
-                before = k0 + int(entry_firsts[f0])  # segments of busy ticks before the chunk
-                key = (tick_of + before + np.cumsum(from_loop) - from_loop) * 4
 
                 duration, r, tau, pinned_w = duration_of[slot], r_of[slot], tau_of[slot], pinned_w_of[slot]
                 a = i_h * r
@@ -921,10 +918,11 @@ class _Simulator:
                 harvested_t, consumed_t = segment_energy(i_h, r, tau, a, v0 - a, duration, em1_of[slot], em2_of[slot])
                 harvested_t = np.where(pinned, i_h * v_max * duration, harvested_t)
                 consumed_t = np.where(pinned, pinned_w * duration, consumed_t)
-                # An entry's v_max crossing: the partial as integrate_segment books
-                # it, a zero-length one as 0.0.
+                # A v_max crossing of the speculative pass: the partial as
+                # integrate_segment books it, a zero-length one as 0.0.
+                x0, x1 = np.searchsorted(crossing_at, (k0, k1)).tolist()
+                at = crossing_at[x0:x1].astype(np.intp) - k0
                 t_up = crossing_t[x0:x1]
-                at = crossing_at
                 factors = itertools.chain.from_iterable(map(decay_factors, t_up.tolist(), tau[at].tolist()))
                 _, em1, em2 = np.fromiter(factors, float, 3 * at.size).reshape(-1, 3).T
                 part = segment_energy(i_h[at], r[at], tau[at], a[at], v0[at] - a[at], t_up, em1, em2)
@@ -938,7 +936,7 @@ class _Simulator:
                 advance = duration.copy()
                 r0, r1 = np.searchsorted(recorded_at, (k0, k1)).tolist()
                 record = records[r0:r1].T
-                g = at_loop[recorded_at[r0:r1] - k0]
+                g = recorded_at[r0:r1] - k0
                 advance[g] = record[1]
                 pinned[g] = record[2] > 0.0
                 harvested_t[g], leakage_t[g], task_t[g], discarded_t[g] = record[5:9]
@@ -976,10 +974,10 @@ class _Simulator:
                 consumed.update(sums)
 
                 # Start times, summed along each tick from its start.
-                position = np.arange(tick_of.size) - np.repeat(np.cumsum(count) - count, count)
+                position = np.arange(k1 - k0) - np.repeat(firsts[c0:c1] - k0, count)
                 by_position = np.argsort(position.astype(np.int8), kind="stable")
                 position_ends = np.cumsum(np.bincount(position)).tolist()
-                t0 = np.empty(tick_of.size)
+                t0 = np.empty(k1 - k0)
                 first = by_position[: position_ends[0]]
                 t0[first] = (tick_of[first] * tick).astype(float)
                 for begin, end in zip(position_ends, position_ends[1:]):
@@ -996,22 +994,24 @@ class _Simulator:
                 clamp_starts = np.flatnonzero(pinned & ~before_state)
                 emits = np.flatnonzero(emit >= 0)
                 m0, m1 = np.searchsorted(mark_tick, (c0, c1)).tolist()
-                marked = mark_tick[m0:m1]
-                in_loop = np.where(source != 0, count, 0)
-                mark_key = (marked + before + (np.cumsum(in_loop) - in_loop)[marked - c0] + mark_position[m0:m1]) * 4
-                # (key, time, kind, v_before, v_after, detail) by source; a key's
-                # sub-position is 0 for a whole row, 1 for a clamp row at a
-                # segment's start, 2 for a crossing's ClampStart and 3 for an
-                # activity row at its last segment's end.
+                # (key, time, kind, v_before, v_after, detail) by source; a key is
+                # the segment's place in the run times 4 plus a sub-position: 0
+                # for a whole row, 1 for a clamp row at a segment's start, 2 for a
+                # crossing's ClampStart and 3 for an activity row at its last
+                # segment's end.
                 sources = (
-                    (key[clamp_ends] + 1, t0[clamp_ends], _CLAMP_END, v0[clamp_ends], v0[clamp_ends], 0),
-                    (key[clamp_starts] + 1, t0[clamp_starts], _CLAMP_START, v_max, v_max, 0),
-                    (key[up_at] + 2, up_time, _CLAMP_START, v_max, v_max, 0),
-                    (key[emits] + 3, t0[emits] + advance[emits], emit[emits], v0[emits - span_of[slot[emits]]],
+                    ((k0 + clamp_ends) * 4 + 1, t0[clamp_ends], _CLAMP_END, v0[clamp_ends], v0[clamp_ends], 0),
+                    ((k0 + clamp_starts) * 4 + 1, t0[clamp_starts], _CLAMP_START, v_max, v_max, 0),
+                    ((k0 + up_at) * 4 + 2, up_time, _CLAMP_START, v_max, v_max, 0),
+                    ((k0 + emits) * 4 + 3, t0[emits] + advance[emits], emit[emits], v0[emits - span_of[slot[emits]]],
                      v_end[emits], 0),
-                    (mark_key, *[column[m0:m1] for column in mark_columns[2:]]),
+                    (mark_key[m0:m1], *[column[m0:m1] for column in mark_columns[2:]]),
                 )
-                rows = [np.concatenate([np.broadcast_to(s[j], s[0].shape) for s in sources]) for j in range(6)]
+                sizes = [len(s[0]) for s in sources]
+                rows = [
+                    np.concatenate([x if isinstance(x, np.ndarray) else np.full(n, x) for x, n in zip(xs, sizes)])
+                    for xs in zip(*sources)
+                ]
                 order = np.argsort(rows[0], kind="stable")
                 chunks.append([column[order] for column in rows[1:]])
 

@@ -31,7 +31,8 @@ SYNTHETIC_RESOLUTION_S = 60  # the built-in generators make one sample a minute
 DEFAULT_COMBINER_EFFICIENCY = SystemConfig.combiner_efficiency
 CSV_CHUNK_ROWS = 8192  # rows per write(); a chunk holds ~400 bytes of text per row
 _EXACT_LIMIT = 2**62  # integers below this in size subtract in int64 without overflow
-_ISO_UTC = np.frombuffer(b"0000-00-00T00:00:00Z", dtype=np.uint8)
+_ISO_UTC = np.frombuffer(b"0000-00-00T00:00:00", dtype=np.uint8)  # then "Z" or "+00:00"
+_UTC_OFFSET = np.frombuffer(b"+00:00\0", dtype=np.uint8)
 _ISO_SPAN = np.where(_ISO_UTC == ord("0"), 9, 0).astype(np.uint8)  # a "0" stands for any digit
 _ISO_FIELDS = ((0, 4), (5, 2), (8, 2), (11, 2), (14, 2), (17, 2))  # (first digit, digits) of Y, M, D, h, m, s
 _MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])  # by month number, not in a leap year
@@ -51,12 +52,17 @@ _CRLF = np.frombuffer(b"\r\n", np.uint8)
 
 IRRADIANCE_HEADER = ["timestamp", "irradiance_wm2"]
 HARVEST_HEADER = ["t_s", "solar_a", "kinetic_a", "combined_a"]
-# A stamp the one-pass reader may take: epoch digits or "YYYY-MM-DDTHH:MM:SSZ",
-# with any blanks around.
-_PLAIN_STAMP = re.compile(r"\s*(?:-?[0-9]+|[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}Z)\s*")
-# Rows as the one-pass reader parses them. A stamp is one byte wider than
-# the longest one it reads, so a longer cell shows instead of being cut.
-_IRRADIANCE_ROWS = np.dtype([("timestamp", f"S{_ISO_UTC.size + 1}"), ("irradiance_wm2", float)])
+# A stamp the one-pass reader may take: epoch digits or "YYYY-MM-DDTHH:MM:SS"
+# and a UTC suffix, "Z" or "+00:00", with any blanks around.
+_PLAIN_STAMP = re.compile(r"\s*(?:-?[0-9]+|[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}(?:Z|\+00:00))\s*")
+# Rows as the one-pass reader parses them, by the suffix of the first stamp
+# ("Z" also for epoch seconds, which take at most 20 bytes). A stamp is one
+# byte wider than the longest one it reads, so a longer cell shows instead of
+# being cut; "Z" files keep the narrower rows, which parse faster.
+_IRRADIANCE_ROWS = {
+    suffix: np.dtype([("timestamp", f"S{_ISO_UTC.size + len(suffix) + 1}"), ("irradiance_wm2", float)])
+    for suffix in ("Z", "+00:00")
+}
 _HARVEST_ROWS = np.dtype([(name, float) for name in HARVEST_HEADER])
 
 
@@ -405,19 +411,23 @@ def _decimal(digits: np.ndarray) -> np.ndarray:
 
 
 def _iso_utc_seconds(text: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Where each byte string is a second written "YYYY-MM-DDTHH:MM:SSZ", and its epoch seconds.
+    """Where each byte string is a second written "YYYY-MM-DDTHH:MM:SS" and
+    "Z" or "+00:00", and its epoch seconds.
 
-    The strings are wider than that form, as _IRRADIANCE_ROWS' stamps are.
-    A string counts only if _parse_timestamp reads it as that second: every
-    field is in range, the day is in its month and the year is 1 or later.
-    The seconds of the others are filler.
+    The strings are as wide as one of _IRRADIANCE_ROWS' stamps. A string
+    counts only if _parse_timestamp reads it as that second: every field is
+    in range, the day is in its month and the year is 1 or later. The
+    seconds of the others are filler.
     """
     size = _ISO_UTC.size
-    # One row per character and one for the byte after the Z, each the
-    # character's offset from the template: a byte below it wraps high.
-    codes = np.ascontiguousarray(text[:, None].view(np.uint8)[:, : size + 1].T)
-    codes[:size] -= _ISO_UTC[:, None]
-    iso = codes[size] == 0  # nothing after the Z
+    raw = text[:, None].view(np.uint8)
+    iso = (raw[:, size] == ord("Z")) & (raw[:, size + 1] == 0)  # nothing after the suffix
+    if not iso.all() and raw.shape[1] >= size + _UTC_OFFSET.size:
+        iso |= (raw[:, size : size + _UTC_OFFSET.size] == _UTC_OFFSET).all(axis=1)
+    # One row per character, each the character's offset from the template:
+    # a byte below it wraps high.
+    codes = np.ascontiguousarray(raw[:, :size].T)
+    codes -= _ISO_UTC[:, None]
     for row, span in zip(codes, _ISO_SPAN):
         iso &= row <= span
     year, month, day, hour, minute, second = (_decimal(codes[first : first + count]) for first, count in _ISO_FIELDS)
@@ -471,9 +481,11 @@ def _epoch_seconds(text: np.ndarray) -> np.ndarray | None:
     return seconds if (seconds.astype(text.dtype) == text).all() else None
 
 
-def _plain_irradiance(path: str, encoding: str, resolution_s: int, max_gap_steps: int) -> IrradianceTrace | None:
-    """The trace of a plain file whose stamps are all epoch integers or all UTC "Z" text, if every row checks."""
-    rows = _read_plain(path, encoding, _IRRADIANCE_ROWS)
+def _plain_irradiance(
+    path: str, encoding: str, dtype: np.dtype, resolution_s: int, max_gap_steps: int
+) -> IrradianceTrace | None:
+    """The trace of a plain file whose stamps are all epoch integers or all UTC text, if every row checks."""
+    rows = _read_plain(path, encoding, dtype)
     if rows is None:
         return None
     text = rows["timestamp"]
@@ -507,10 +519,11 @@ def load_irradiance_csv(path: str, resolution_s: int = 60, max_gap_steps: int = 
     with _open_csv(path) as (header, reader, encoding):
         _check_header(path, header, IRRADIANCE_HEADER)
         # A file whose first stamp has neither form the one-pass reader takes
-        # (ISO stamps with an offset, say) goes straight to the row checker.
+        # (ISO stamps with a non-zero offset, say) goes straight to the row checker.
         first = next(reader, None)
         if first and _PLAIN_STAMP.fullmatch(first[0]):
-            trace = _plain_irradiance(path, encoding, resolution_s, max_gap_steps)
+            suffix = "+00:00" if first[0].rstrip().endswith("+00:00") else "Z"
+            trace = _plain_irradiance(path, encoding, _IRRADIANCE_ROWS[suffix], resolution_s, max_gap_steps)
             if trace is not None:
                 return trace
         samples = array("d")

@@ -24,7 +24,9 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from unittest import mock
+
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from captrack import device, engine
@@ -771,7 +773,7 @@ def test_busy_ticks_leave_the_clamp_in_a_fix_and_reenter_it_in_their_sleep(monke
     assert_same_run(config, trace, 720 * 60)
 
 
-# -- busy ticks: one entry each in the decide loop's record, or recorded
+# -- busy ticks: stepped by the speculative pass, or by the exact loop
 # segment by segment
 
 
@@ -781,6 +783,19 @@ def recorded_run(config: SystemConfig, trace: HarvestTrace) -> tuple[engine._Sim
     assert_same_run(config, trace, n * config.base_tick_s)
     sim = engine._Simulator(validate_config(config))
     return sim, sim.run(trace, n)
+
+
+def speculated(sim: engine._Simulator) -> np.ndarray:
+    """Per tick of a run, whether the speculative pass stepped it (else the exact loop did)."""
+    stepped = np.zeros(sim.counts.size, bool)
+    for first, end, _ in sim.windows:
+        stepped[first:end] = True
+    return stepped
+
+
+def step_records(sim: engine._Simulator) -> np.ndarray:
+    """_step's records of a run, a row each."""
+    return np.fromiter(sim.records, float).reshape(-1, len(engine._RECORD))
 
 
 def crossing_start(sim: engine._Simulator, chain: tuple[str, ...], i_h: float, fraction: float) -> float:
@@ -808,12 +823,13 @@ def crossing_start(sim: engine._Simulator, chain: tuple[str, ...], i_h: float, f
 )
 def test_busy_tick_crosses_v_max_inside_an_activity(monkeypatch, activity, schedule, fraction, limit):
     # One tick whose v_max crossing falls inside the Sense, or inside the
-    # last segment of a hot fix's chain, not in the closing sleep. The tick
-    # is one entry, whose crossing record names the segment's slot and the
-    # crossing time; the booking pass books the partial and the pinned rest.
-    # With no slot for its closing sleep (a limit of 1 leaves only the
-    # whole-tick one), the tick is recorded after all, and its crossing with
-    # it: stepped again from its start, the crossing goes through _step.
+    # last segment of a hot fix's chain, not in the closing sleep. The
+    # speculative pass steps the tick and records the crossing: the segment
+    # (the chain's last, by its slot) and the crossing time; the booking pass
+    # books the partial and the pinned rest. With no slot for its closing
+    # sleep (a limit of 1 leaves only the whole-tick one), the window is cut
+    # before the tick, and the exact loop steps it from its start: the
+    # crossing goes through _step, whose record carries it.
     monkeypatch.setattr(engine, "_CLOSING_LIMIT", limit)
     config = validate_config(SystemConfig(**schedule))
     i_h = 0.02
@@ -821,15 +837,16 @@ def test_busy_tick_crosses_v_max_inside_an_activity(monkeypatch, activity, sched
     v0 = crossing_start(engine._Simulator(config), chain, i_h, fraction)
     one = HarvestTrace(0, 60, np.array([i_h]), np.zeros(1), np.array([i_h]))
     sim, _ = recorded_run(replace(config, initial_voltage=v0), one)
+    assert sim.counts.tolist() == [len(chain) + 1]  # every segment recorded, either way
     if limit == 1:
-        assert sim.stepped.tolist() == [0] and sim.entered.size == 0 and not sim.crossings
-        ups = np.fromiter(sim.records, float).reshape(-1, len(engine._RECORD))[:, 3]
+        assert sim.windows == [(0, 0, True)] and not sim.crossings
+        ups = step_records(sim)[:, 3]
         (up,) = ups[~np.isnan(ups)]  # the crossing's time in the run, the tick starting at 0
         assert 0.0 < up < sum(TASKS[name].duration_s for name in chain)
         return
-    _, slot, t_up = sim.crossings
-    assert slot == sim.plans[activity][1][-1][0] and 0.0 < t_up < TASKS[chain[-1]].duration_s
-    assert sim.entered.tolist() == [0] and sim.stepped.size == 0
+    segment, t_up = sim.crossings
+    assert segment == len(chain) - 1 and 0.0 < t_up < TASKS[chain[-1]].duration_s
+    assert sim.windows == [(0, 1, False)] and not sim.records
 
 
 @pytest.mark.parametrize("below", [0.0, 1e-12, 2e-12])
@@ -850,12 +867,14 @@ def test_busy_tick_at_the_pinned_edge(below):
 @pytest.mark.parametrize("chunk", [3, engine._BOOKING_CHUNK])
 def test_busy_ticks_near_the_floor_are_recorded(monkeypatch, chunk):
     # test_depleting_dark_run_with_jitter without the jitter (and on a trace
-    # with every kind of failure), so that every busy tick may be an entry.
-    # A busy tick that starts at or below clear[code], where a segment may
-    # reach v_min, is recorded segment by segment from its start, so every
-    # TaskFailed and TransmitFailed falls in such a tick; every other powered
-    # busy tick is an entry. select_gps_mode runs once per due fix. Also
-    # booked three ticks at a time.
+    # with every kind of failure), so that every tick may be speculated. The
+    # speculative pass steps no powered tick that starts at or below
+    # clear[code], where a segment may reach v_min: the exact loop steps it
+    # from its start, so every TaskFailed and TransmitFailed falls in such a
+    # tick. The pass takes most ticks all the same, in few windows. It calls
+    # select_gps_mode at an infinite voltage once per ephemeris age; the exact
+    # loop calls it at the tick's voltage once per fix it reaches. Also booked
+    # three ticks at a time.
     monkeypatch.setattr(engine, "_BOOKING_CHUNK", chunk)
     gates = VoltageThresholds(hot_start=1.81, hot_ephemeris=1.82, warm_ephemeris=1.83, nbiot=1.81, cold_start=1.84)
     config = SystemConfig(capacitor=CapacitorSpec.from_capacitance(1.0), thresholds=gates, initial_voltage=2.3)
@@ -869,24 +888,27 @@ def test_busy_ticks_near_the_floor_are_recorded(monkeypatch, chunk):
     kinds = [e.kind for e in old.events]
     assert {"Depletion", "Recovery", "TaskFailed", "TransmitFailed", "TransmitSkipped", "FixSkipped"} <= set(kinds)
     failed = {int(e.time_s // 60) for e in old.events if e.kind in ("TaskFailed", "TransmitFailed")}
-    assert failed <= set(sim.stepped.tolist())
+    pass_ticks = speculated(sim)
+    assert not pass_ticks[list(failed)].any()
     due = device.due_codes(0, len(trace), sim.config)
     start, powered = result.voltages[:-1], result.power_on[:-1]
     near = start <= np.array(sim.clear)[due]
-    assert set(sim.entered.tolist()) == set(np.flatnonzero(powered & (due > 0) & ~near).tolist())
-    assert set(sim.stepped.tolist()) - set(np.flatnonzero(~powered).tolist()) == set(
-        np.flatnonzero(powered & (due > 0) & near).tolist()
-    )
-    assert sim.entered.size > 5 * sim.stepped.size
+    assert not (pass_ticks & powered & near).any()
+    assert pass_ticks.sum() > 5 * (~pass_ticks).sum() and len(sim.windows) < len(trace) / 20
     fix_tasks = {task for spec in ACTIVITIES.values() if spec.activity == FIX for task in spec.chain}
-    due_fixes = sum(e.kind.startswith("Fix") or e.kind == "TaskFailed" and e.detail in fix_tasks for e in old.events)
-    assert len(calls) == 2 * due_fixes  # recorded_run runs the engine twice
+    reached = [  # the tick of each fix that ran, was skipped or failed in its chain
+        int(e.time_s // 60) for e in old.events
+        if e.kind.startswith("Fix") or e.kind == "TaskFailed" and e.detail in fix_tasks
+    ]
+    speculations = [age for age, voltage, _ in calls if voltage == math.inf]
+    assert len(calls) - len(speculations) == 2 * sum(not pass_ticks[i] for i in reached)  # two runs of the engine
+    assert 0 < len(speculations) == 2 * len(set(speculations))
 
 
 def test_busy_tick_that_recovers_and_fails_is_recorded_with_its_recovery():
     # A small capacitor on a weak flat harvest: the tick that recovers at
-    # v_turn_on skips its fix, fails in its upload and is recorded segment by
-    # segment. Its Recovery row, placed before the tick is stepped, stays.
+    # v_turn_on skips its fix, fails in its upload and is stepped by the
+    # exact loop, which places its Recovery row before it steps the tick.
     config = SystemConfig(
         capacitor=CapacitorSpec(0.21875, 0.001953125), sense_interval_s=60, fix_interval_s=60,
         transmit_interval_s=600, initial_voltage=0.0,
@@ -896,12 +918,14 @@ def test_busy_tick_that_recovers_and_fails_is_recorded_with_its_recovery():
         sim, result = recorded_run(config, harvest_trace("flat", 861, 1e-5, 0))
     kinds = result.log.kind.tolist()
     recovered = result.log.time_s[kinds.index(EVENT_KINDS.index("Recovery"))] // 60
-    assert recovered in sim.stepped and EVENT_KINDS.index("TransmitFailed") in kinds
+    assert not speculated(sim)[int(recovered)] and EVENT_KINDS.index("TransmitFailed") in kinds
 
 
 def test_busy_tick_skips_its_fix_and_its_upload():
     # Gates above the voltage: a tick due for a fix and an upload skips both,
-    # between its Sense and its closing sleep, and is still one entry.
+    # between its Sense and its closing sleep. The first window is cut at the
+    # first tick, at the fix's gate, and the pass is not tried again while no
+    # tick starts at or above that gate: the exact loop steps every tick.
     gates = VoltageThresholds(hot_start=2.5, hot_ephemeris=2.5, warm_ephemeris=2.5, nbiot=2.5, cold_start=2.5)
     config = SystemConfig(thresholds=gates, initial_voltage=2.3)
     sim, result = recorded_run(config, harvest_trace("flat", 180, 1e-5, 0))
@@ -911,7 +935,7 @@ def test_busy_tick_skips_its_fix_and_its_upload():
         for kind in ("FixSkipped", "TransmitSkipped")
     }
     assert skips["TransmitSkipped"] == {0.0, 60.0, 120.0} <= skips["FixSkipped"]
-    assert sim.entered.size == 180 and sim.stepped.size == 0
+    assert sim.windows == [(0, 0, True)] and sim.counts.size == 180
 
 
 def test_busy_ticks_refresh_the_ephemeris():
@@ -932,22 +956,32 @@ def test_busy_ticks_on_a_120_s_tick():
 
 
 def test_closing_sleep_past_the_table_limit_records_the_tick(monkeypatch):
-    # test_full_factor_tables without the jitter: a tick whose closing sleep
-    # gets no slot is recorded after all, its earlier segments stepped again
-    # from its start, and its closing sleep stepped by _step.
+    # test_full_factor_tables without the jitter: a window is cut before each
+    # tick whose closing sleep gets no slot, and the exact loop steps that
+    # tick, its closing sleep through _step, whose record brings its terms.
     monkeypatch.setattr(engine, "_CLOSING_LIMIT", 2)
     sim, _ = recorded_run(SystemConfig(initial_voltage=3.0), harvest_trace("blocks", 1440, 1e-3, 4))
-    assert len(sim.closing) == 2 and sim.stepped.size and sim.entered.size
+    pass_ticks = speculated(sim)
+    assert len(sim.closing) == 2 and pass_ticks.any() and not pass_ticks.all()
+    cut_at = [end for _, end, cut in sim.windows if cut]
+    assert cut_at and not pass_ticks[cut_at].any() and len(step_records(sim)) >= len(cut_at)
 
 
-def test_crossing_free_busy_ticks_record_one_entry_and_no_segment():
-    # Every tick busy and none near v_min or v_max: the decide loop records
-    # one entry per tick and nothing per segment, and the booking pass
-    # rebuilds every segment from the entries.
+def test_crossing_free_busy_ticks_are_one_record_of_every_segment():
+    # Every tick busy and none near v_min, v_max or a gate: the speculative
+    # pass steps them all, in windows of doubling length that are never cut,
+    # and records every segment's start voltage and slot, with no _step
+    # record and no crossing. A tick has its Sense and closing sleep, the
+    # segments of its fix's chain every other tick, an upload every hour.
     config = SystemConfig(initial_voltage=4.0)
-    sim, _ = recorded_run(config, harvest_trace("flat", 720, 2e-5, 0))
-    assert sim.entered.tolist() == list(range(720)) and sim.stepped.size == 0
-    assert sim.n_flushed == 0 and not sim.records and not sim.crossings
+    sim, result = recorded_run(config, harvest_trace("flat", 720, 4e-5, 0))
+    assert sim.windows == [(0, 256, False), (256, 720, False)]
+    segments = np.full(720, 2)  # the Sense and the closing sleep
+    for t, kind in zip(result.log.time_s.tolist(), result.log.kind.tolist()):
+        if kind:  # a fix or an upload: the segments of its chain
+            segments[int(t // 60)] += len(ACTIVITIES[EVENT_KINDS[kind]].chain)
+    assert sim.counts.tolist() == segments.tolist()
+    assert sim.n_flushed == sim.counts.sum() and not sim.records and not sim.crossings
 
 
 @pytest.mark.parametrize("level", [2e-3, 0.1])
@@ -995,19 +1029,143 @@ def test_crossings_at_the_end_of_an_idle_stretch():
 
 
 def test_idle_ticks_are_not_stepped_one_by_one():
-    # Two days shaped like the year-sparse benchmark. Only busy ticks and
-    # the ticks an idle stretch hands back (a possible crossing, a recovery)
-    # are recorded, each as one entry or stepped segment by segment on the
-    # recording path; recording every tick would make 2880.
+    # Two days shaped like the year-sparse benchmark, with v_max crossings in
+    # idle ticks: the speculative pass steps every tick, idle or busy, in a
+    # handful of windows, each idle tick one whole-tick Sleep segment; the
+    # exact loop steps none of them one by one.
     config = validate_config(SystemConfig(**SPARSE))
-    sim = engine._Simulator(config)
-    result = sim.run(harvest_trace("blocks", 2 * 1440, 2e-3, 1), 2 * 1440)
-    busy = 2 * 86400 // 1800
+    sim, result = recorded_run(config, harvest_trace("blocks", 2 * 1440, 2e-3, 1))
     kinds = result.log.kind.tolist()
-    handed_back = sum(kinds.count(EVENT_KINDS.index(k)) for k in ("ClampStart", "Depletion", "Recovery"))
-    assert kinds.count(EVENT_KINDS.index("ClampStart")) > 0
-    assert not set(sim.entered.tolist()) & set(sim.stepped.tolist())
-    assert busy <= sim.entered.size + sim.stepped.size <= busy + handed_back < 2 * 1440 // 4
+    assert kinds.count(EVENT_KINDS.index("ClampStart")) > 0 and sim.crossings
+    assert speculated(sim).all() and len(sim.windows) <= 5 and not sim.records
+    due = device.due_codes(0, 2 * 1440, config)
+    assert (sim.counts[due == 0] == 1).all()
+
+
+# -- the speculative pass's cuts
+
+
+def test_window_cut_after_a_crossing_in_its_tick():
+    # A 1 F capacitor under a harvest that lifts the Sense's asymptote above
+    # v_max: the first tick's Sense crosses v_max, its cold fix drains the
+    # capacitor below an upload gate set near v_max, and the window is cut
+    # there. The crossing the pass recorded in that tick is dropped, and the
+    # exact loop steps the tick again from its start, the crossing with it.
+    gates = VoltageThresholds(cold_start=5.0, nbiot=5.2)
+    config = SystemConfig(
+        capacitor=CapacitorSpec.from_capacitance(1.0), thresholds=gates, transmit_interval_s=60,
+        initial_backup_valid=False,
+    )
+    i_h = 1e-3
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the default gates are below their 1 F safe bounds
+        v0 = crossing_start(engine._Simulator(validate_config(config)), ACTIVITIES["Sense"].chain, i_h, 0.5)
+        sim, result = recorded_run(replace(config, initial_voltage=v0), harvest_trace("flat", 3, i_h, 0))
+    assert sim.windows[0] == (0, 0, True) and not sim.crossings
+    kinds = [EVENT_KINDS[k] for k in result.log.kind.tolist()]
+    assert kinds[:4] == ["ClampStart", "Sense", "ClampEnd", "FixCold"] and "TransmitSkipped" in kinds
+
+
+def test_tick_starting_at_clear_goes_to_the_exact_loop():
+    # clear[code] is the highest start voltage from which a segment might
+    # reach v_min: a tick that starts there exactly is the exact loop's.
+    gates = VoltageThresholds(v_turn_on=1.8001)  # so that a start near v_min is powered
+    config = validate_config(SystemConfig(thresholds=gates, fix_interval_s=None, transmit_interval_s=None))
+    clear = engine._Simulator(config).clear[SENSE]
+    trace = harvest_trace("flat", 2, 0.0, 0)
+    for v0, stepped in ((clear, False), (math.nextafter(clear, math.inf), True)):
+        sim, _ = recorded_run(replace(config, initial_voltage=v0), trace)
+        assert speculated(sim)[0] == stepped
+
+
+def test_busy_ticks_straddle_2_20_and_2_21_s():
+    # A tick's closing sleep is looked up by its type and the binade of its
+    # start, except in a tick whose activities run across a power of two,
+    # where their durations sum in two binades. Every fix is cold here (36 s,
+    # the ephemeris limits set to seconds), so those of the ticks that start
+    # 16 s before 2^20 s and 32 s before 2^21 s run across it, after ticks of
+    # the same type in the same binade. The speculative pass steps both.
+    tick = 240
+    config = SystemConfig(
+        base_tick_s=tick, sense_interval_s=tick, fix_interval_s=tick, transmit_interval_s=None, initial_voltage=4.0,
+        ephemeris_refresh_age_s=1, ephemeris_hot_limit_s=2, ephemeris_warm_limit_s=3,
+    )
+    sim, result = recorded_run(config, replace(harvest_trace("uniform", 8739, 3e-3, 0), resolution_s=tick))
+    straddling = [2**20 // tick, 2**21 // tick]
+    assert [2**k - i * tick for k, i in zip((20, 21), straddling)] == [16, 32]
+    assert speculated(sim)[straddling].all()
+    cold = result.log.time_s[result.log.kind == EVENT_KINDS.index("FixCold")].tolist()
+    ends = {int(t // tick): t for t in cold}  # each cold fix's end, by its tick
+    assert len(cold) == 8738 and ends[straddling[0]] > 2**20 and ends[straddling[1]] > 2**21
+
+
+@st.composite
+def cut_cases(draw):
+    """(config, trace, closing sleep slots): a run with its gates drawn near its own voltages, so that
+    the speculative pass is cut by each of its reasons, or steps a v_max crossing at the margin of the
+    cheap test, or uploads that straddle a power of two (2^10 s at tick 17, 2^14 s at tick 273)."""
+    case = draw(st.sampled_from(["gates", "fallback", "uploads", "floor", "margin", "slots", "straddle"]))
+    tick, n = 60, draw(st.integers(274, 480) if case == "straddle" else st.integers(30, 480))
+    v0 = 4.5 if case == "straddle" else draw(st.floats(1.81, 1.9) if case == "floor" else st.floats(1.85, 2.6))
+    near = st.floats(-0.2, 0.2).map(lambda d: round(min(max(v0 + d, 1.8), 5.0), 4))
+    low = st.floats(1.8, 1.82)  # out of the way
+    gates = {name: draw(low if case == "straddle" else near) for name in ("hot_start", "warm_ephemeris", "cold_start")}
+    gates["hot_ephemeris"] = draw(st.floats(0.0, 0.2).map(lambda d: v0 + d) if case == "fallback" else near)
+    gates["nbiot"] = draw(low if case == "straddle" else near)
+    if case in ("fallback", "uploads"):  # FixHotEph speculated and FixHot run below its gate; uploads skipped
+        gates.update(hot_start=draw(low), warm_ephemeris=draw(low), cold_start=draw(low))
+    config = SystemConfig(
+        capacitor=CapacitorSpec.from_capacitance(draw(st.sampled_from([1.0, 2.5]))),
+        thresholds=VoltageThresholds(v_min=1.8, v_turn_on=1.95 if case == "floor" else 2.2, **gates),
+        base_tick_s=tick, sense_interval_s=tick, fix_interval_s=tick * draw(st.sampled_from([1, 2, 10])),
+        transmit_interval_s=tick * (1 if case == "straddle" else draw(st.sampled_from([10, 60]))), initial_voltage=v0,
+        initial_ephemeris_age_s=10800 - 60 * draw(st.integers(0, 10)) if case == "fallback" else draw(
+            st.sampled_from([0, 12000, 100000])),
+    )
+    level = draw(st.sampled_from([3e-3, 5e-3] if case == "straddle" else [0.0, 1e-5, 5e-5, 2e-4, 1e-3]))
+    trace = replace(harvest_trace(draw(st.sampled_from(["flat", "blocks", "uniform"])), n, level, draw(
+        st.integers(0, 2**16))), resolution_s=tick)
+    if case == "margin":  # the first tick's v_max crossing at the end of its Sense, give or take
+        i_h = 0.02
+        trace = HarvestTrace(0, tick, np.full(n, i_h), np.zeros(n), np.full(n, i_h))
+        fraction = draw(st.sampled_from([1.0 - 1e-6, 1.0 - 1e-12, 1.0, 1.0 + 1e-12, 1.0 + 1e-6]))
+        sense = ACTIVITIES["Sense"].chain
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # gates below their safe bounds, on purpose
+            v_up = crossing_start(engine._Simulator(validate_config(config)), sense, i_h, fraction)
+        config = replace(config, initial_voltage=min(v_up, config.capacitor.v_max))
+    return config, trace, draw(st.sampled_from([1, 2, 3])) if case == "slots" else engine._CLOSING_LIMIT
+
+
+def cut_reason(sim: engine._Simulator, result: engine.SimResult, tick: int) -> str:
+    """Why the speculative pass was cut at tick, from what the exact loop found there."""
+    base = sim.config.base_tick_s
+    kinds = {EVENT_KINDS[k] for k, t in zip(result.log.kind.tolist(), result.log.time_s.tolist()) if t // base == tick}
+    if "Recovery" in kinds:
+        return "Recovery"
+    if result.voltages[tick] <= sim.clear[device.due_codes(tick * base, 1, sim.config)[0]]:
+        return "at or below clear"
+    for kind in ("FixSkipped", "TransmitSkipped", "TaskFailed", "TransmitFailed", "FixHot"):
+        if kind in kinds:
+            return kind if kind != "FixHot" else "FixHotEph fell back to FixHot"
+    return "closing sleep with no slot" if len(sim.closing) >= engine._CLOSING_LIMIT else "gate"
+
+
+@settings(max_examples=100, deadline=None)
+@given(cut_cases())
+def test_cut_paths_match_the_frozen_loop(case):
+    config, trace, limit = case
+    n = len(trace)
+    with mock.patch.object(engine, "_CLOSING_LIMIT", limit), warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # gates below their safe bounds, on purpose
+        sim, result = recorded_run(config, trace)
+        for _, end, cut in sim.windows:
+            if cut:
+                event(cut_reason(sim, result, end))
+    if sim.crossings:
+        event("v_max crossing in the pass")
+    if config.transmit_interval_s == config.base_tick_s and speculated(sim)[[17, 273]].all():
+        event("the pass steps uploads that straddle 2^10 s and 2^14 s")
 
 
 @settings(max_examples=30, deadline=None)

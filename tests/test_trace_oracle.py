@@ -513,10 +513,11 @@ PLAIN_FLOAT_FORMS = ["%f".__mod__, "%e".__mod__, repr]
 
 @st.composite
 def plain_irradiance_files(draw):
-    """(text, resolution_s, max_gap_steps): a valid file of unquoted rows, stamps of one form."""
+    """(text, resolution_s, max_gap_steps): a valid file of unquoted rows, stamps
+    all epoch seconds or all UTC text, each with a "Z" or "+00:00" suffix."""
     resolution = draw(st.sampled_from([1, 60, 90]))
     max_gap = draw(st.sampled_from([0, 1, 5]))
-    form = draw(st.sampled_from(["epoch", "z"]))
+    form = draw(st.sampled_from(["epoch", "z", "utc", "z or utc"]))
     steps = draw(st.lists(st.integers(1, max_gap + 1), min_size=1, max_size=40))
     if form == "epoch":  # the first stamp, start - resolution * (steps[0] - 1), above -2**62
         lowest = -(2**62) + 1 + resolution * (steps[0] - 1)
@@ -526,7 +527,9 @@ def plain_irradiance_files(draw):
                                st.integers(FIRST_DAY, LAST_DAY - 10**5)))
     stamps = [start + resolution * (sum(steps[:i]) - steps[0] + 1) for i in range(len(steps))]
     number = draw(st.sampled_from(PLAIN_FLOAT_FORMS))
-    rows = [[STAMP_FORMS[form](s), number(draw(st.floats(0.0, 1500.0)))] for s in stamps]
+    forms = ["z", "utc"] if form == "z or utc" else [form]  # the first stamp's suffix sets the stamp width
+    rows = [[STAMP_FORMS[draw(st.sampled_from(forms)) if i else forms[-1]](s), number(draw(st.floats(0.0, 1500.0)))]
+            for i, s in enumerate(stamps)]
     text = render([IRRADIANCE_HEADER, *rows], newline=draw(st.sampled_from(["\n", "\r\n"])),
                   final_newline=draw(st.booleans()))
     return text, resolution, max_gap
@@ -614,22 +617,28 @@ def test_loading_leaves_the_warning_filters_alone(tmp_path):
     *BAD_STAMPS, "1900-02-29T00:00:00Z", "2000-02-29T00:00:00Z", "2024-02-29T12:34:56Z", "2024-04-31T00:00:00Z",
     "2025-00-10T00:00:00Z", "2025-01-00T00:00:00Z", "2025-01-01T24:00:00Z", "2025-01-01T00:60:00Z",
     "9999-12-31T23:59:59Z", "0001-01-01T00:00:00Z", "2025-01-01T00:00:00", "2025-1-01T00:00:00Z",
+    "2025-01-01T00:00:00+00:00", "2024-02-29T12:34:56+00:00", "2025-02-29T00:00:00+00:00", "0001-01-01T00:00:00+00:00",
+    "2025-01-01T00:00:00-00:00", "2025-01-01T00:00:00+0000", "2025-01-01T00:00:00+01:00", "2025-01-01T00:00:00+00:00Z",
 ])
 def test_z_stamps_read_in_bulk_as_the_oracle_reads_them(tmp_path, stamp):
-    # Each stamp alone in a file of Z stamps: valid ones load in one pass.
+    # Each stamp alone in a file: valid ones of either UTC suffix load in one pass.
     path = tmp_path / "sun.csv"
     path.write_text(render([IRRADIANCE_HEADER, [stamp, "1.0"]]))
     same_as_oracle(path, "irradiance")
-    # The bulk parser takes exactly the stamps of strict Z form that the oracle reads, as the same second.
+    # The bulk parser takes exactly the stamps of strict Z or +00:00 form that
+    # the oracle reads, as the same second.
     try:
         expected = oracle_parse_timestamp(stamp, 2)
     except TraceError:
         expected = None
-    strict = re.fullmatch(r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}Z", stamp) is not None
-    iso, seconds = harvest._iso_utc_seconds(np.array([stamp.encode()], "S21"))
-    assert bool(iso[0]) == (strict and expected is not None)
-    if iso[0]:
-        assert int(seconds[0]) == expected
+    strict = re.fullmatch(r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}(Z|\+00:00)", stamp) is not None
+    for rows in harvest._IRRADIANCE_ROWS.values():  # at each stamp width the stamp fits in
+        width = rows["timestamp"]
+        if len(stamp.encode()) < width.itemsize:
+            iso, seconds = harvest._iso_utc_seconds(np.array([stamp.encode()], width))
+            assert bool(iso[0]) == (strict and expected is not None)
+            if iso[0]:
+                assert int(seconds[0]) == expected
 
 
 DECLINED_ROWS = {  # (stamp form of the other rows, the row)
@@ -641,6 +650,10 @@ DECLINED_ROWS = {  # (stamp form of the other rows, the row)
     "z stamp and a space": ("z", "1970-01-01T00:02:00Z ,1.0"),
     "z stamp and a letter": ("z", "1970-01-01T00:02:00Zx,1.0"),
     "z stamp among epoch": ("epoch", "1970-01-01T00:02:00Z,1.0"),
+    "utc stamp and a letter": ("utc", "1970-01-01T00:02:00+00:00x,1.0"),
+    "utc stamp and two letters": ("utc", "1970-01-01T00:02:00+00:00xy,1.0"),
+    "utc stamp among epoch": ("epoch", "1970-01-01T00:02:00+00:00,1.0"),
+    "offset stamp among utc": ("utc", "1970-01-01T01:02:00+01:00,1.0"),
     "underscore": ("epoch", "120,1_0"),
     "nul in the stamp": ("epoch", "120\0,1.0"),
     "nul in the z stamp": ("z", "1970-01-01T00:02:00Z\0,1.0"),
@@ -726,9 +739,21 @@ def test_stamps_at_the_exact_limit(tmp_path, first):
     assert got["start_epoch_s"] == (int, first)
 
 
-@pytest.mark.parametrize("form", ["utc", "east", "naive", "fraction"])
+def test_utc_stamps_load_in_one_pass(tmp_path):
+    # A file of +00:00 stamps, as datetime.isoformat() writes an aware UTC
+    # time, is parsed in one np.loadtxt pass, never by the row checker, and
+    # gives the trace of its Z twin.
+    rows = [(1735689600 + 60 * i, f"{i}.25") for i in range(50)]
+    z_path, path = tmp_path / "z.csv", tmp_path / "utc.csv"
+    z_path.write_text(render([IRRADIANCE_HEADER, *([STAMP_FORMS["z"](t), x] for t, x in rows)]))
+    path.write_text(render([IRRADIANCE_HEADER, *([STAMP_FORMS["utc"](t), x] for t, x in rows)]))
+    same_as_oracle_in_one_pass(path, "irradiance")
+    assert same_as_oracle(path, "irradiance") == same_as_oracle(z_path, "irradiance")
+
+
+@pytest.mark.parametrize("form", ["east", "naive", "fraction"])
 def test_first_stamp_of_another_form_skips_the_one_pass_reader(tmp_path, form):
-    # np.loadtxt parsed a whole file of +00:00 stamps before the row checker
+    # np.loadtxt parsed a whole file of offset stamps before the row checker
     # read it again. The first stamp's form now sends such a file to the row
     # checker alone, which reads the trace of its Z twin.
     rows = [(1735689600 + 60 * i, f"{i}.25") for i in range(50)]
