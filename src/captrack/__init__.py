@@ -7,9 +7,9 @@ hysteresis, harvest-trace generators, an exact energy ledger, and a CLI
 for runs and parameter sweeps.
 """
 
-from .capacitor import equivalent_resistance, integrate_segment, time_to_voltage
+import importlib
+
 from .configfile import GeneratorSpec, SweepSpec, load_config, load_sweep_spec
-from .device import payload_bytes, select_gps_mode
 from .energy_model import (
     ACTIVITIES,
     LEAKAGE_BY_CAPACITANCE,
@@ -24,18 +24,6 @@ from .energy_model import (
     safe_voltage_threshold,
     task_energy,
     validate_config,
-)
-from .engine import (
-    EVENT_KINDS,
-    EnergyLedger,
-    EventLog,
-    FixRecord,
-    SimMetrics,
-    SimResult,
-    compute_metrics,
-    export_timeseries,
-    fix_record,
-    run_simulation,
 )
 from .harvest import (
     ActivityProfile,
@@ -72,3 +60,27 @@ __all__ = [
     "solar_current_from_irradiance", "task_energy",
     "time_to_voltage", "validate_config",
 ]
+
+# Names of the simulation modules, imported on first access (PEP 562), so that
+# commands that only write traces never load the engine.
+_LAZY = {
+    "capacitor": ("equivalent_resistance", "integrate_segment", "time_to_voltage"),
+    "device": ("payload_bytes", "select_gps_mode"),
+    "engine": (
+        "EVENT_KINDS", "EnergyLedger", "EventLog", "FixRecord", "SimMetrics", "SimResult",
+        "compute_metrics", "export_timeseries", "fix_record", "run_simulation",
+    ),
+}
+_LAZY_MODULE = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def __getattr__(name: str):
+    module = _LAZY_MODULE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(f".{module}", __name__), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY_MODULE})

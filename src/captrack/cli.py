@@ -19,12 +19,12 @@ import os
 import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .configfile import SECTIONS, GeneratorSpec, build_section, cell_name, load_config, load_sweep_spec
 from .energy_model import DEFAULT_V_SUPPLY, ConfigError, SystemConfig, validate_config
-from .engine import EVENT_KINDS, SECONDS_PER_DAY, SimResult, export_timeseries, fix_record, run_simulation
 from .harvest import (
     DEFAULT_COMBINER_EFFICIENCY,
     HARVEST_HEADER,
@@ -47,6 +47,9 @@ from .harvest import (
     write_csv,
 )
 
+if TYPE_CHECKING:
+    from .engine import EVENT_KINDS, SECONDS_PER_DAY, SimResult, export_timeseries, fix_record, run_simulation
+
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_TRACE = 3
@@ -62,6 +65,24 @@ COMPARISON_COLUMNS = (
     ("depletion_count", "d"), ("total_off_s", ".0f"), ("min_voltage", ".6f"),
 )
 SAMPLES_HEADER = ["t_s", "kind", "coulomb_c", "delivered_s"]
+# The engine's names that simulate and sweep use. They are bound here when
+# first needed, so that the trace generators never load the engine; a name
+# already set on this module (a stand-in a test or a tracer put there) is kept.
+_ENGINE_NAMES = ("EVENT_KINDS", "SECONDS_PER_DAY", "export_timeseries", "fix_record", "run_simulation")
+
+
+def _bind_engine() -> None:
+    from . import engine
+
+    for name in _ENGINE_NAMES:
+        globals().setdefault(name, getattr(engine, name))
+
+
+def __getattr__(name: str):
+    if name not in _ENGINE_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind_engine()
+    return globals()[name]
 
 
 def _check_generator_tick(config: SystemConfig) -> None:
@@ -109,6 +130,7 @@ def _load_trace(path: str, config: SystemConfig) -> HarvestTrace:
 
 def _write_samples(result: SimResult, path: str) -> None:
     """One row per fix: time, kind, Coulomb reading, upload time (blank if unsent)."""
+    _bind_engine()
     record = fix_record(result)
     kinds = text_column(list(EVENT_KINDS))
 
@@ -155,6 +177,7 @@ def _check_days(days: int | None) -> None:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    _bind_engine()
     _check_days(args.days)
     config = load_config(args.config) if args.config else validate_config(SystemConfig())
     if args.seed is not None:
@@ -204,6 +227,7 @@ def _run_shared_cell(config: SystemConfig) -> tuple:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    _bind_engine()  # before the pool forks, so that its workers inherit the engine
     _check_days(args.days)
     spec = load_sweep_spec(args.spec)
     if args.seed is not None:

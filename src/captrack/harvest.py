@@ -38,16 +38,15 @@ _ISO_FIELDS = ((0, 4), (5, 2), (8, 2), (11, 2), (14, 2), (17, 2))  # (first digi
 _MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])  # by month number, not in a leap year
 _DAYS_BEFORE_MONTH = np.cumsum(_MONTH_DAYS) - _MONTH_DAYS
 _EPOCH_ORDINAL = 719163  # datetime.date(1970, 1, 1).toordinal()
-# Number formatting: the four ASCII digits of 0..9999, the powers of ten
-# that float64 holds exactly, and the band around a half-integer inside
-# which one float64 rounding of y (at most y x 2**-53) may have moved it
-# across: 8 times that rounding.
+# Number formatting: the four ASCII digits of 0..9999 as one 4-byte word,
+# the powers of ten that float64 holds exactly, and the band around a
+# half-integer inside which one float64 rounding of y (at most y x 2**-53)
+# may have moved it across: 8 times that rounding.
 _DIGITS4 = np.ascontiguousarray(np.indices((10,) * 4, np.uint8).reshape(4, -1).T + ord("0")).view(np.uint32).ravel()
 _POWERS = 10.0 ** np.arange(23)
 _POWERS_INT = 10 ** np.arange(1, 20, dtype=np.uint64)  # n has 1 + searchsorted(_POWERS_INT, n, "right") digits
-_POWERS_I64 = _POWERS_INT[:18].astype(np.int64)
 _NEAR_TIE = 2.0**-50
-_MINUS, _DOT, _COMMA = ord("-"), ord("."), ord(",")
+_MINUS, _COMMA = ord("-"), ord(",")
 _CRLF = np.frombuffer(b"\r\n", np.uint8)
 
 IRRADIANCE_HEADER = ["timestamp", "irradiance_wm2"]
@@ -590,15 +589,43 @@ def text_column(fields: list[str]) -> TextColumn:
     return TextColumn(text, np.fromiter(map(len, encoded), np.intp, len(encoded)))
 
 
-def _digits(n: np.ndarray, groups: int) -> np.ndarray:
-    """ASCII digits of each n >= 0, zero-filled to 4 x groups columns."""
-    out = np.empty((n.size, groups), np.uint32)
-    for j in range(groups - 1, 0, -1):
+def _word_table(n: np.ndarray, pattern: bytes) -> np.ndarray:
+    """One 4-byte word of text per n >= 0: pattern, its "#"s filled with n's last digits in order."""
+    slots = np.flatnonzero(np.frombuffer(pattern, np.uint8) == ord("#"))
+    text = np.tile(np.frombuffer(pattern, np.uint8), (n.size, 1))
+    text[:, slots] = _DIGITS4[n].view(np.uint8).reshape(-1, 4)[:, 4 - slots.size :]
+    return text.view(np.uint32).ravel()
+
+
+# Word tables of the fields: "-d.d" by the two leading digits of a "%.9e"
+# mantissa (the sign is part of the field only where the size counts it),
+# "e±XX" by exponent + 13 (the exponents of |k| <= 22, within [-13, 31]),
+# and the word at the decimal point of "%.5f" ("dd.d") and "%.6f" ("d.dd"),
+# by three digits.
+_LEAD_WORDS = _word_table(np.arange(100), b"-#.#")
+_EXPONENT_WORDS = np.concatenate([_word_table(np.arange(13, 0, -1), b"e-##"), _word_table(np.arange(32), b"e+##")])
+_POINT_WORDS = {5: _word_table(np.arange(1000), b"##.#"), 6: _word_table(np.arange(1000), b"#.##")}
+
+
+def _put_digits(words: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """Write n's low decimal digits into the word columns of words, four a word and
+    zero-filled; return what is left above them, n // 10^(4 x columns)."""
+    for j in range(words.shape[1] - 1, -1, -1):
         q = n // 10000
-        out[:, j] = _DIGITS4[n - q * 10000]
+        words[:, j] = _DIGITS4[n - q * 10000]
         n = q
-    out[:, 0] = _DIGITS4[n]
-    return out.view(np.uint8)
+    return n
+
+
+def _digit_count(n: np.ndarray) -> np.ndarray:
+    """Decimal digits of each n >= 0, searched among the powers of ten up to the largest n."""
+    powers = _POWERS_INT[: len(str(n.max(initial=0))) - 1].astype(n.dtype)
+    return 1 + np.searchsorted(powers, n, "right")
+
+
+def _words(size: np.ndarray, least: int) -> int:
+    """Words of 4 bytes a row needs for the largest field: at least least."""
+    return max(-(-int(size.max(initial=0)) // 4), least)
 
 
 def _scaled(magnitude: np.ndarray, exponent: np.ndarray) -> np.ndarray:
@@ -625,15 +652,16 @@ def _number_bytes(values: np.ndarray, spec: str) -> tuple[TextColumn, np.ndarray
     The rows flagged in the second array hold filler. Every other row holds
     the exact text: a float is scaled to y = |v| x 10^k with one rounding,
     and its digits are those of rint(y) unless y is within that rounding of
-    a half-integer.
+    a half-integer. Each field is assembled from 4-byte words of text.
     """
     rows = values.size
     if spec == "%d":
         negative = values < 0
         magnitude = np.abs(values).view(np.uint64)  # -2**63 too
-        size = 1 + np.searchsorted(_POWERS_INT, magnitude, "right") + negative
-        text = np.empty((rows, 21), np.uint8)
-        text[:, 1:] = _digits(magnitude, 5)
+        size = _digit_count(magnitude) + negative
+        words = np.empty((rows, _words(size, 1)), np.uint32)
+        _put_digits(words, magnitude)
+        text = words.view(np.uint8)
         _put_sign(text, size, negative)
         return TextColumn(text, size), np.zeros(rows, bool)
 
@@ -647,13 +675,16 @@ def _number_bytes(values: np.ndarray, spec: str) -> tuple[TextColumn, np.ndarray
         y[fallback] = 0.0
         fallback |= _near_tie(y)
         n = np.rint(y).astype(np.int64)
-        whole = np.maximum(1 + np.searchsorted(_POWERS_I64, n, "right") - places, 1)  # digits before the dot
+        whole = np.maximum(_digit_count(n) - places, 1)  # digits before the dot
         size = whole + 1 + places + negative
-        digits = _digits(n, 4)
-        text = np.empty((rows, 18), np.uint8)
-        text[:, 1 : 17 - places] = digits[:, : 16 - places]
-        text[:, 17 - places] = _DOT
-        text[:, 18 - places :] = digits[:, 16 - places :]
+        # The last two words are the word at the point and the last four
+        # digits; the words before them hold the digits above the last seven.
+        words = np.empty((rows, _words(size, 2)), np.uint32)
+        rest = _put_digits(words[:, -1:], n)
+        above = rest // 1000
+        words[:, -2] = _POINT_WORDS[places][rest - above * 1000]
+        _put_digits(words[:, :-2], above)
+        text = words.view(np.uint8)
         _put_sign(text, size, negative)
         return TextColumn(text, size), fallback
 
@@ -666,48 +697,48 @@ def _number_bytes(values: np.ndarray, spec: str) -> tuple[TextColumn, np.ndarray
     usable = np.where(zero | fallback, 1.0, magnitude)
     k = 9 - np.floor(np.log10(usable)).astype(np.intp)
     y = _scaled(usable, np.clip(k, -22, 22))
-    k += (y < 1e9).astype(np.intp) - (y >= 1e10)
-    y = _scaled(usable, np.clip(k, -22, 22))
+    off = np.flatnonzero((y < 1e9) | (y >= 1e10))
+    if off.size:
+        k[off] += (y[off] < 1e9).astype(np.intp) - (y[off] >= 1e10)
+        y[off] = _scaled(usable[off], np.clip(k[off], -22, 22))
     n = np.rint(y)
     fallback |= ~zero & ((np.abs(k) > 22) | (y < 1e9) | (n >= 1e10) | _near_tie(y))
-    n[zero | fallback] = 0.0
-    k[zero] = 9
-    exponent = 9 - k  # within [-13, 31], so always two digits
-    digits = _digits(n.astype(np.int64), 3)
-    text = np.empty((rows, 16), np.uint8)
-    text[:, 0] = _MINUS  # part of the field only where the size counts it
-    text[:, 1] = digits[:, 2]
-    text[:, 2] = _DOT
-    text[:, 3:12] = digits[:, 3:]
-    text[:, 12] = ord("e")
-    text[:, 13] = np.where(exponent < 0, _MINUS, ord("+"))
-    text[:, 14:] = _digits(np.abs(exponent), 1)[:, 2:]
-    return TextColumn(text, 15 + negative), fallback
+    blank = zero | fallback
+    n[blank] = 0.0
+    k[blank] = 9
+    words = np.empty((rows, 4), np.uint32)  # "-d.d", eight more digits, "e±XX"
+    words[:, 0] = _LEAD_WORDS[_put_digits(words[:, 1:3], n.astype(np.int64))]
+    words[:, 3] = _EXPONENT_WORDS[22 - k]
+    return TextColumn(words.view(np.uint8), 15 + negative), fallback
 
 
 def number_text(values: np.ndarray, spec: str) -> TextColumn:
     """The bytes of spec % value for each value.
 
     spec is "%.5f", "%.6f" or "%.9e" for float64 values, or "%d" for
-    integers. Floats are formatted once per distinct bit pattern (so -0.0
-    keeps its sign), and a value the kernel cannot place exactly (not
-    finite, too large, or a near-tie) goes through spec % value itself.
+    integers. Floats are formatted once per run of equal bit patterns (so
+    -0.0 keeps its sign and NaN repeats), the runs found by comparing each
+    value with the one before it. A value the kernel cannot place exactly
+    (not finite, too large, or a near-tie) goes through spec % value itself.
     """
     if spec == "%d":
         return _number_bytes(np.asarray(values, np.int64), spec)[0]
-    bits = np.asarray(values, dtype=np.float64).view(np.int64)
-    distinct, inverse = np.unique(bits, return_inverse=True)
-    distinct = distinct.view(np.float64)
-    column, fallback = _number_bytes(distinct, spec)
+    values = np.asarray(values, dtype=np.float64)
+    bits = values.view(np.int64)
+    starts = np.empty(bits.size, bool)  # where a run of equal bit patterns starts
+    starts[:1] = True
+    np.not_equal(bits[1:], bits[:-1], out=starts[1:])
+    firsts = values[starts]
+    column, fallback = _number_bytes(firsts, spec)
     if fallback.any():
         text, size = column
-        exact = text_column([spec % v for v in distinct[fallback].tolist()])
+        exact = text_column([spec % v for v in firsts[fallback].tolist()])
         width = exact.text.shape[1]
         text = np.pad(text, ((0, 0), (max(width - text.shape[1], 0), 0)))
         text[fallback, text.shape[1] - width :] = exact.text
         size[fallback] = exact.size
         column = TextColumn(text, size)
-    return column.take(inverse)
+    return column if firsts.size == values.size else column.take(np.cumsum(starts) - 1)
 
 
 def _seconds_text(seconds: np.ndarray) -> TextColumn:

@@ -509,13 +509,17 @@ def test_sweep_trace_must_be_a_path(tmp_path, capsys, value, shown):
     (["simulate", "--config", "cfg.yaml", "--days", "1", "--out", "run"], "True"),
 ])
 def test_only_commands_that_read_yaml_import_it(tmp_path, argv, imported):
+    # The engine, too, is loaded only by the command that simulates.
     (tmp_path / "cfg.yaml").write_text("intervals: {fix_s: 600}\n")
-    probe = "import sys; from captrack.cli import main; code = main(sys.argv[1:]); print(code, 'yaml' in sys.modules)"
+    probe = (
+        "import sys; from captrack.cli import main; code = main(sys.argv[1:]); "
+        "print(code, 'yaml' in sys.modules, 'captrack.engine' in sys.modules)"
+    )
     run = subprocess.run(
         [sys.executable, "-c", probe, *argv], cwd=tmp_path, capture_output=True, text=True, timeout=120,
         env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
     )
-    assert run.stdout.splitlines()[-1] == f"0 {imported}"
+    assert run.stdout.splitlines()[-1] == f"0 {imported} {imported}"
 
 
 UNREADABLE_TRACES = {  # text the decoder or csv.reader rejects: a traceback before

@@ -257,6 +257,7 @@ def test_irradiance_with_start_epoch(tmp_path):
 def test_writers_span_several_chunks(tmp_path, monkeypatch):
     monkeypatch.setattr(harvest, "CSV_CHUNK_ROWS", 97)
     trace = winter_trace(1)
+    assert not trace.solar_a[:2 * 97 + 1].any()  # a run of night zeros crosses two chunk boundaries
     config = SystemConfig(capacitor=CapacitorSpec.from_capacitance(1.0), initial_voltage=2.5)
     for result in (run_simulation(SystemConfig(), trace), run_simulation(config, trace)):
         assert len(result.times_s) + len(result.log) > 10 * 97

@@ -44,20 +44,62 @@ def powers_of_ten(draw):
     return [power, float(np.nextafter(power, 0.0)), float(np.nextafter(power, np.inf))]
 
 
-values = st.lists(
+value = (
     st.floats(allow_subnormal=True)
     | st.sampled_from([0.0, -0.0, 0.0078125, 9.9999999995, 1e22, 1e23, 5e-324, 2.0**52, 2.0**53 + 2.0]).map(float)
     | near_ties().flatmap(st.sampled_from)
-    | powers_of_ten().flatmap(st.sampled_from),
-    max_size=40,
+    | powers_of_ten().flatmap(st.sampled_from)
 )
 
 
+@st.composite
+def broken_run(draw):
+    """A run of one value broken by a single float next to it."""
+    x = draw(value)
+    return [(x, draw(st.integers(1, 9))), (float(np.nextafter(x, draw(st.sampled_from([0.0, np.inf])))), 1),
+            (x, draw(st.integers(1, 9)))]
+
+
+# A column is drawn as runs, (value, repeat count) pairs laid end to end, as
+# night zeros, bout-constant currents and pinned voltages arrive: the kernel
+# formats each run once.
+runs = st.lists(
+    st.tuples(value, st.integers(1, 6)).map(lambda run: [run])
+    | st.sampled_from([[(0.0, 2), (-0.0, 1)], [(-0.0, 3), (0.0, 1)], [(np.nan, 4)]])
+    | broken_run(),
+    max_size=15,
+).map(lambda groups: [run for group in groups for run in group])
+
+
+def column_of(runs) -> np.ndarray:
+    return np.repeat(np.array([v for v, _ in runs], dtype=np.float64), [n for _, n in runs])
+
+
 @settings(max_examples=400, deadline=None)
-@given(values=values, spec=st.sampled_from(FLOAT_SPECS), negate=st.booleans())
-def test_floats_match_percent(values, spec, negate):
-    values = np.array(values, dtype=np.float64)
+@given(runs=runs, spec=st.sampled_from(FLOAT_SPECS), negate=st.booleans())
+def test_floats_match_percent(runs, spec, negate):
+    values = column_of(runs)
     assert_like_percent(-values if negate else values, spec)
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), spec=st.sampled_from(FLOAT_SPECS))
+def test_long_columns_of_runs(seed, spec):
+    # Over 5,000 values in runs of 1 to 40, so that run boundaries fall
+    # anywhere: zeros of both signs, NaN, typical voltages and currents, and
+    # single neighbours that break a run; then the same column negated.
+    rng = np.random.default_rng(seed)
+    pool = np.concatenate([
+        [0.0, -0.0, np.nan, 5.5, 2.0, 1e-4],
+        rng.uniform(0.0, 5.5, 40), rng.uniform(1e-7, 1e-2, 40), np.round(rng.uniform(0.0, 9e4, 20), 2),
+    ])
+    picks = pool[rng.integers(0, pool.size, 600)]
+    values = np.repeat(picks, rng.integers(1, 41, picks.size))
+    breaks = rng.integers(0, values.size, 60)
+    values[breaks] = np.nextafter(values[breaks], rng.choice([0.0, np.inf], breaks.size))
+    assert values.size >= 5000
+    assert_like_percent(values, spec)
+    assert_like_percent(-values, spec)
 
 
 @settings(max_examples=200, deadline=None)
@@ -80,7 +122,7 @@ def test_ties_extremes_and_non_finite_values(spec):
 
 
 def test_repeated_values_keep_their_own_text():
-    values = np.array([0.0, -0.0, 1e-4, 0.0, -0.0, 1e-4, float("nan"), 0.0])
+    values = np.array([0.0, -0.0, 1e-4, 0.0, -0.0, 1e-4, float("nan"), 0.0, 0.0, -0.0, -0.0, float("nan"), float("nan")])
     for spec in FLOAT_SPECS:
         assert_like_percent(values, spec)
 
