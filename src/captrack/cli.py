@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
+import importlib
 import os
 import sys
 from dataclasses import replace
@@ -23,10 +23,11 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .configfile import SECTIONS, GeneratorSpec, build_section, cell_name, load_config, load_sweep_spec
-from .energy_model import DEFAULT_V_SUPPLY, ConfigError, SystemConfig, validate_config
+from .configfile import GENERATOR_SECTIONS, GeneratorSpec, build_section, cell_name, load_config, load_sweep_spec
+from .errors import ConfigError
 from .harvest import (
     DEFAULT_COMBINER_EFFICIENCY,
+    DEFAULT_V_SUPPLY,
     HARVEST_HEADER,
     IRRADIANCE_HEADER,
     SYNTHETIC_RESOLUTION_S,
@@ -48,6 +49,7 @@ from .harvest import (
 )
 
 if TYPE_CHECKING:
+    from .energy_model import SystemConfig, validate_config
     from .engine import EVENT_KINDS, SECONDS_PER_DAY, SimResult, export_timeseries, fix_record, run_simulation
 
 EXIT_OK = 0
@@ -65,21 +67,24 @@ COMPARISON_COLUMNS = (
     ("depletion_count", "d"), ("total_off_s", ".0f"), ("min_voltage", ".6f"),
 )
 SAMPLES_HEADER = ["t_s", "kind", "coulomb_c", "delivered_s"]
-# The engine's names that simulate and sweep use. They are bound here when
-# first needed, so that the trace generators never load the engine; a name
-# already set on this module (a stand-in a test or a tracer put there) is kept.
-_ENGINE_NAMES = ("EVENT_KINDS", "SECONDS_PER_DAY", "export_timeseries", "fix_record", "run_simulation")
+# The engine's and the config model's names that simulate and sweep use.
+# They are bound here when first needed, so that the trace generators never
+# load either; a name already set on this module (a stand-in a test or a
+# tracer put there) is kept.
+_ENGINE_NAMES = {
+    "engine": ("EVENT_KINDS", "SECONDS_PER_DAY", "export_timeseries", "fix_record", "run_simulation"),
+    "energy_model": ("SystemConfig", "validate_config"),
+}
+_ENGINE_MODULE = {name: module for module, names in _ENGINE_NAMES.items() for name in names}
 
 
 def _bind_engine() -> None:
-    from . import engine
-
-    for name in _ENGINE_NAMES:
-        globals().setdefault(name, getattr(engine, name))
+    for name, module in _ENGINE_MODULE.items():
+        globals().setdefault(name, getattr(importlib.import_module(f".{module}", __package__), name))
 
 
 def __getattr__(name: str):
-    if name not in _ENGINE_NAMES:
+    if name not in _ENGINE_MODULE:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     _bind_engine()
     return globals()[name]
@@ -146,6 +151,8 @@ def _write_samples(result: SimResult, path: str) -> None:
 
 
 def _write_run_outputs(result: SimResult, out_dir: Path) -> None:
+    import json  # here, not at the top: the generator commands write no JSON
+
     out_dir.mkdir(parents=True, exist_ok=True)
     export_timeseries(result, str(out_dir / "timeseries.csv"))
     (out_dir / "metrics.json").write_text(json.dumps(result.metrics.to_dict(), indent=2) + "\n")
@@ -286,7 +293,7 @@ def _number(text: str):
 def _section_from_flags(args: argparse.Namespace, section: str):
     """The section's dataclass from its flags; a comma-separated flag is a list."""
     values = {}
-    for key in SECTIONS[section][1]:
+    for key in GENERATOR_SECTIONS[section][1]:
         if getattr(args, key) is not None:
             parts = [_number(part) for part in getattr(args, key).split(",")]
             values[key] = parts if len(parts) > 1 else parts[0]
@@ -364,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     kin.add_argument("--efficiency", type=float, default=DEFAULT_COMBINER_EFFICIENCY, help="combiner efficiency for the combined column")
     kin.set_defaults(func=cmd_gen_kinetic)
     for gen, section in ((sol, "solar"), (kin, "kinetic")):
-        for key in SECTIONS[section][1]:
+        for key in GENERATOR_SECTIONS[section][1]:
             gen.add_argument("--" + key.replace("_", "-"), dest=key, help=f"as generate.{section}.{key} in a sweep spec")
     return parser
 

@@ -51,16 +51,19 @@ import math
 import re
 from dataclasses import dataclass, field, fields, replace
 from functools import cache
+from typing import TYPE_CHECKING
 
-from .energy_model import (
-    LEAKAGE_BY_CAPACITANCE,
-    CapacitorSpec,
-    ConfigError,
-    SystemConfig,
-    VoltageThresholds,
-    validate_config,
-)
+from .errors import ConfigError
 from .harvest import ActivityProfile, SolarProfile
+
+if TYPE_CHECKING:
+    from .energy_model import (
+        LEAKAGE_BY_CAPACITANCE,
+        CapacitorSpec,
+        SystemConfig,
+        VoltageThresholds,
+        validate_config,
+    )
 
 
 @dataclass(frozen=True)
@@ -89,6 +92,7 @@ class SweepSpec:
     def combinations(self) -> list[SystemConfig]:
         """Validated config per grid cell; raises before any run on a bad cell
         or on two cells that would write one output directory."""
+        _bind_config()
         configs = []
         errors = []
         entries: dict[str, str] = {}  # cell name -> the grid entry that took it first
@@ -120,27 +124,9 @@ def _same(*names: str) -> dict[str, str]:
 
 
 # Each YAML section: the dataclass whose fields its keys set, and per key the
-# field. The capacitor and thresholds sections fill the SystemConfig fields
-# of those names; a sweep's generate section holds solar and kinetic
-# sections for the GeneratorSpec fields of those names.
-SECTIONS: dict[str, tuple[type, dict[str, str]]] = {
-    "capacitor": (CapacitorSpec, _same("capacitance_f", "leakage_ma", "v_max")),
-    "thresholds": (VoltageThresholds, _same(
-        "v_min", "v_turn_on", "hot_start", "hot_ephemeris", "warm_ephemeris", "nbiot", "cold_start",
-    )),
-    "intervals": (SystemConfig, {
-        "sense_s": "sense_interval_s", "fix_s": "fix_interval_s", "transmit_s": "transmit_interval_s",
-        "base_tick_s": "base_tick_s",
-    }),
-    "ephemeris": (SystemConfig, {
-        "hot_limit_s": "ephemeris_hot_limit_s", "warm_limit_s": "ephemeris_warm_limit_s",
-        "refresh_age_s": "ephemeris_refresh_age_s",
-    }),
-    "harvest": (SystemConfig, _same("combiner_efficiency")),
-    "sim": (SystemConfig, _same(
-        "v_supply", "initial_voltage", "initial_ephemeris_age_s", "initial_backup_valid",
-        "random_seed", "task_jitter", "payload_scaling",
-    )),
+# field. A sweep's generate section holds solar and kinetic sections for the
+# GeneratorSpec fields of those names; the generator commands read only these.
+GENERATOR_SECTIONS: dict[str, tuple[type, dict[str, str]]] = {
     "generate": (GeneratorSpec, _same("days", "solar", "kinetic")),
     "solar": (SolarProfile, _same(
         "sunrise_min", "sunset_min", "peak_wm2", "cloud_amplitude", "cloud_correlation_min", "seed",
@@ -150,6 +136,56 @@ SECTIONS: dict[str, tuple[type, dict[str, str]]] = {
     )),
 }
 CONFIG_SECTIONS = ("capacitor", "thresholds", "intervals", "ephemeris", "harvest", "sim")
+# The config model's names. They are bound here on first config use, so that
+# the generator commands never load energy_model; a name already set on this
+# module (a stand-in a test or a tracer put there) is kept.
+_CONFIG_NAMES = ("LEAKAGE_BY_CAPACITANCE", "CapacitorSpec", "SystemConfig", "VoltageThresholds", "validate_config")
+
+
+def _bind_config() -> dict[str, tuple[type, dict[str, str]]]:
+    """SECTIONS, every section's table, built with the config model on the first call.
+
+    The config sections come first. The capacitor and thresholds sections
+    fill the SystemConfig fields of those names.
+    """
+    if "SECTIONS" in globals():
+        return SECTIONS
+    from . import energy_model
+
+    for name in _CONFIG_NAMES:
+        globals().setdefault(name, getattr(energy_model, name))
+    sections = globals()["SECTIONS"] = {
+        "capacitor": (CapacitorSpec, _same("capacitance_f", "leakage_ma", "v_max")),
+        "thresholds": (VoltageThresholds, _same(
+            "v_min", "v_turn_on", "hot_start", "hot_ephemeris", "warm_ephemeris", "nbiot", "cold_start",
+        )),
+        "intervals": (SystemConfig, {
+            "sense_s": "sense_interval_s", "fix_s": "fix_interval_s", "transmit_s": "transmit_interval_s",
+            "base_tick_s": "base_tick_s",
+        }),
+        "ephemeris": (SystemConfig, {
+            "hot_limit_s": "ephemeris_hot_limit_s", "warm_limit_s": "ephemeris_warm_limit_s",
+            "refresh_age_s": "ephemeris_refresh_age_s",
+        }),
+        "harvest": (SystemConfig, _same("combiner_efficiency")),
+        "sim": (SystemConfig, _same(
+            "v_supply", "initial_voltage", "initial_ephemeris_age_s", "initial_backup_valid",
+            "random_seed", "task_jitter", "payload_scaling",
+        )),
+        **GENERATOR_SECTIONS,
+    }
+    return sections
+
+
+def __getattr__(name: str):
+    if name != "SECTIONS" and name not in _CONFIG_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind_config()
+    return globals()[name]
+
+
+def _section(name: str) -> tuple[type, dict[str, str]]:
+    return GENERATOR_SECTIONS[name] if name in GENERATOR_SECTIONS else _bind_config()[name]
 
 
 def _mapping(node, name: str) -> dict:
@@ -224,7 +260,7 @@ _COERCE = {
 def _values(section: str, data, name: str) -> dict:
     """The fields that a section's keys set, each value coerced by its field's type."""
     data = _mapping(data, name)
-    cls, keys = SECTIONS[section]
+    cls, keys = _section(section)
     _check_keys(data, keys, name)
     types = {f.name: f.type for f in fields(cls)}
     return {keys[key]: _COERCE[types[keys[key]]](value, f"{name}.{key}") for key, value in data.items()}
@@ -234,14 +270,14 @@ def build_section(section: str, data, name: str):
     """The section's dataclass; fields whose keys are left out keep their defaults."""
     values = _values(section, data, name)
     try:
-        return SECTIONS[section][0](**values)
+        return _section(section)[0](**values)
     except ValueError as exc:  # a profile's own range checks
         raise ConfigError([f"{name}: {exc}"]) from exc
 
 
 def capacitor_from_dict(data, name: str = "capacitor") -> CapacitorSpec:
     """A capacitor section; a stocked size may leave out its leakage."""
-    values = _values("capacitor", data, name)
+    values = _values("capacitor", data, name)  # binds the config model
     capacitance = values.setdefault("capacitance_f", SystemConfig().capacitor.capacitance_f)
     if "leakage_ma" not in values:
         if capacitance not in LEAKAGE_BY_CAPACITANCE:
@@ -255,11 +291,12 @@ def capacitor_from_dict(data, name: str = "capacitor") -> CapacitorSpec:
 
 def config_from_dict(data: dict) -> SystemConfig:
     """Build an unvalidated SystemConfig from a parsed config mapping."""
+    sections = _bind_config()
     data = _mapping(data, "config")
     _check_keys(data, CONFIG_SECTIONS, "config")
     values = {}
     for section in CONFIG_SECTIONS:
-        if SECTIONS[section][0] is SystemConfig:
+        if sections[section][0] is SystemConfig:
             values.update(_values(section, data.get(section), section))
     return SystemConfig(
         capacitor=capacitor_from_dict(data.get("capacitor")),
@@ -300,7 +337,8 @@ def _load_yaml(path: str, what: str) -> dict:
 
 def load_config(path: str) -> SystemConfig:
     """Read and validate a YAML config file."""
-    return validate_config(config_from_dict(_load_yaml(path, "config file")))
+    config = config_from_dict(_load_yaml(path, "config file"))  # binds validate_config
+    return validate_config(config)
 
 
 def load_sweep_spec(path: str) -> SweepSpec:

@@ -12,13 +12,15 @@ import math
 import warnings
 from dataclasses import dataclass, field, replace
 
+from .errors import ConfigError
+from .harvest import DEFAULT_COMBINER_EFFICIENCY, DEFAULT_V_SUPPLY
+
 MCU_ACTIVE_BASE_MA = 0.091
 GPS_BACKUP_MA = 0.028
 
 # Leakage pairing for the stocked capacitor sizes (farads -> mA).
 LEAKAGE_BY_CAPACITANCE = {1.0: 0.010, 2.5: 0.016, 5.0: 0.030}
 
-DEFAULT_V_SUPPLY = 3.3
 DEFAULT_V_MAX = 5.5
 
 # The scheduled activities as the bits of a due code, in the order a tick
@@ -162,21 +164,10 @@ class SystemConfig:
     initial_voltage: float = 5.5
     initial_ephemeris_age_s: int = 0
     initial_backup_valid: bool = True
-    combiner_efficiency: float = 0.88
+    combiner_efficiency: float = DEFAULT_COMBINER_EFFICIENCY
     random_seed: int = 42
     task_jitter: bool = False  # draw NB-IoT/cold durations and currents per event
     payload_scaling: bool = False  # scale transmit duration with buffered bytes
-
-
-class ConfigError(ValueError):
-    """Raised when validation finds one or more invariant violations."""
-
-    def __init__(self, errors: list[str]):
-        self.errors = list(errors)
-        super().__init__("; ".join(errors))
-
-    def __reduce__(self):  # rebuilt from the list, not from the joined message
-        return type(self), (self.errors,)
 
 
 def _chain_bound_v(chain: tuple[str, ...], config: SystemConfig) -> float:

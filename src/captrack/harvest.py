@@ -24,11 +24,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .energy_model import DEFAULT_V_SUPPLY, SystemConfig
-
 MINUTES_PER_DAY = 1440
 SYNTHETIC_RESOLUTION_S = 60  # the built-in generators make one sample a minute
-DEFAULT_COMBINER_EFFICIENCY = SystemConfig.combiner_efficiency
+# The supply rail and the combiner's efficiency; SystemConfig's defaults are these.
+DEFAULT_V_SUPPLY = 3.3
+DEFAULT_COMBINER_EFFICIENCY = 0.88
 CSV_CHUNK_ROWS = 8192  # rows per write(); a chunk holds ~400 bytes of text per row
 _EXACT_LIMIT = 2**62  # integers below this in size subtract in int64 without overflow
 _ISO_UTC = np.frombuffer(b"0000-00-00T00:00:00", dtype=np.uint8)  # then "Z" or "+00:00"
@@ -780,7 +780,9 @@ def _lines(chunks: Iterable[list[TextColumn]]) -> Iterator[np.ndarray]:
         mask = keep[:span].reshape(rows, -1)
         mask[...] = True
         for at, width, size in ragged:
-            np.greater_equal(np.arange(width), (width - size)[:, None], out=mask[:, at : at + width])
+            # Row k of the table keeps the last k bytes: a field of size k.
+            table = np.arange(width) >= np.arange(width, -1, -1)[:, None]
+            np.take(table, size, axis=0, mode="clip", out=mask[:, at : at + width])
         yield grid[mask]
 
 

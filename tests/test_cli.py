@@ -28,6 +28,8 @@ from captrack.harvest import (
     save_irradiance_csv,
 )
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
 
 def test_gen_kinetic_writes_calibrated_trace(tmp_path, capsys):
     out = tmp_path / "kinetic.csv"
@@ -509,17 +511,87 @@ def test_sweep_trace_must_be_a_path(tmp_path, capsys, value, shown):
     (["simulate", "--config", "cfg.yaml", "--days", "1", "--out", "run"], "True"),
 ])
 def test_only_commands_that_read_yaml_import_it(tmp_path, argv, imported):
-    # The engine, too, is loaded only by the command that simulates.
+    # The engine, the device model and json, too, are loaded only by the
+    # command that simulates.
     (tmp_path / "cfg.yaml").write_text("intervals: {fix_s: 600}\n")
     probe = (
         "import sys; from captrack.cli import main; code = main(sys.argv[1:]); "
-        "print(code, 'yaml' in sys.modules, 'captrack.engine' in sys.modules)"
+        "print(code, *(m in sys.modules for m in ('yaml', 'captrack.engine', 'captrack.energy_model', 'json')))"
     )
     run = subprocess.run(
         [sys.executable, "-c", probe, *argv], cwd=tmp_path, capture_output=True, text=True, timeout=120,
-        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+        env={**os.environ, "PYTHONPATH": SRC},
     )
-    assert run.stdout.splitlines()[-1] == f"0 {imported} {imported}"
+    assert run.stdout.splitlines()[-1] == " ".join(["0", *[imported] * 4])
+
+
+def test_bare_import_loads_nothing_until_a_name_is_used():
+    probe = (
+        "import sys, captrack\n"
+        "def loaded(): return sorted(m for m in sys.modules if m.startswith('captrack.')), 'numpy' in sys.modules\n"
+        "print(loaded())\n"
+        "captrack.ConfigError\n"
+        "print(loaded())\n"
+        "captrack.SolarProfile\n"
+        "print(loaded())\n"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": SRC},
+        check=True,
+    )
+    assert run.stdout.splitlines() == [
+        "([], False)",
+        "(['captrack.errors'], False)",
+        "(['captrack.errors', 'captrack.harvest'], True)",
+    ]
+
+
+# A stand-in set on either module before the command binds its names is the
+# one called: a lazy binding must not overwrite it, or a tracer that wraps
+# these names would record nothing.
+STAND_INS = """\
+import sys
+import captrack.cli as cli
+import captrack.configfile as configfile
+from captrack.energy_model import validate_config
+
+calls = []
+
+def stand_in(where):
+    def validate(config):
+        calls.append(where)
+        return validate_config(config)
+    return validate
+
+cli.validate_config = stand_in("cli")
+configfile.validate_config = stand_in("configfile")
+code = cli.main(sys.argv[1:])
+print(code, sorted(set(calls)), cli.validate_config.__qualname__, configfile.validate_config.__qualname__)
+"""
+
+
+@pytest.mark.parametrize(("argv", "called"), [
+    (["simulate", "--config", "cfg.yaml", "--days", "1", "--out", "run"], "['configfile']"),
+    (["simulate", "--days", "1", "--out", "run"], "['cli']"),
+    (["sweep", "--spec", "sweep.yaml", "--out", "grid"], "['configfile']"),
+])
+def test_stand_ins_set_before_the_first_use_are_called(tmp_path, argv, called):
+    (tmp_path / "cfg.yaml").write_text("intervals: {fix_s: 600}\n")
+    (tmp_path / "sweep.yaml").write_text("capacitors: [2.5]\nfix_intervals_s: [120, 600]\ngenerate: {days: 1}\n")
+    run = subprocess.run(
+        [sys.executable, "-c", STAND_INS, *argv], cwd=tmp_path, capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": SRC}, check=True,
+    )
+    assert run.stdout.splitlines()[-1] == f"0 {called} stand_in.<locals>.validate stand_in.<locals>.validate"
+
+
+def test_config_error_is_one_class_wherever_it_is_imported():
+    import captrack
+    import captrack.configfile
+    import captrack.energy_model
+
+    assert captrack.ConfigError is captrack.energy_model.ConfigError is captrack.configfile.ConfigError
+    assert cli.ConfigError is captrack.ConfigError
 
 
 UNREADABLE_TRACES = {  # text the decoder or csv.reader rejects: a traceback before

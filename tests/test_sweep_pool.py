@@ -12,7 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from captrack.cli import EXIT_IO, EXIT_OK, EXIT_TRACE, main
+from captrack.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_TRACE, main
+from captrack.errors import ConfigError
 from captrack.harvest import HarvestTrace, save_harvest_csv
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -80,6 +81,19 @@ def test_worker_trace_error_keeps_exit_code_and_text(tmp_path, capsys):
     assert main(["sweep", "--spec", str(spec), "--out", str(tmp_path / "grid")]) == EXIT_TRACE
     err = capsys.readouterr().err
     assert err == "trace error: trace resolution 60 s != base tick 120 s\n"
+    assert no_children_left()
+
+
+def test_worker_config_error_keeps_its_list(tmp_path, capsys, monkeypatch):
+    # The error crosses the pool pickled; rebuilt from its joined text, it
+    # would read as one error per character.
+    def refuse(config, trace, duration):
+        raise ConfigError(["first cell refused", "for two reasons"])
+
+    monkeypatch.setattr("captrack.cli.run_simulation", refuse)  # forked workers inherit it
+    (tmp_path / "sweep.yaml").write_text(SPEC)
+    assert main(["sweep", "--spec", str(tmp_path / "sweep.yaml"), "--out", str(tmp_path / "grid")]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: first cell refused; for two reasons\n"
     assert no_children_left()
 
 
