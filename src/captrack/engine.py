@@ -15,14 +15,16 @@ numpy as flat per-segment arrays and stepped in one tight loop that stops at
 the first segment whose start voltage fails its threshold (a gate, a start
 too near v_min, v_turn_on while unpowered). The tick it stops at, and every
 tick the pass cannot decide, go to the exact loop, which steps them segment
-by segment, sending the rare segments (crossing partials, depletion coasts,
-drawn durations and loads) through _step, which records the ledger terms it
-computes. Both paths write one record: each segment's slot in a per-run table
-of (load, fixed duration, exponentials) and its start voltage, each tick's
-segment count, _step's records and the time of each v_max crossing the pass
-steps. The booking pass (_book) books every segment from it with numpy, with
-_step's arithmetic in _step's order, and builds the event log, so the bits
-are those of stepping segment by segment.
+by segment, sending the segments that may cross v_max or v_min, and the
+depletion coasts, through _step, which decides their crossings. Every
+segment has a slot in a per-run table of (load, fixed duration,
+exponentials): a drawn duration or load, a v_min crossing's partial and a
+depletion coast each get a new row. Both paths write one record: each
+segment's slot and start voltage, each tick's segment count, and the segment
+and time of each v_max crossing. The booking pass (_book) is the one place
+that computes a ledger term: it books every segment from that record with
+numpy, in the order of stepping segment by segment, and builds the event
+log, so the bits are those of stepping segment by segment.
 """
 
 from __future__ import annotations
@@ -36,7 +38,8 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import device as dev
-from .capacitor import crossing_time, decay_factors, equivalent_resistance, integrate_segment, segment_energy
+from .capacitor import crossing_time, decay_factors, equivalent_resistance, segment_energy
+from .capacitor import integrate_segment  # noqa: F401 -- perfbench/tracer.py counts calls through this name
 from .device import select_gps_mode
 from .energy_model import ACTIVITIES, FIX, SENSE, TASKS, TRANSMIT, SystemConfig, compose_task_current, validate_config
 from .harvest import HarvestTrace, TextColumn, TraceError, csv_field, number_text, text_column, write_csv
@@ -65,15 +68,8 @@ _EVENT_ROW = np.dtype([
     ("time_s", "f8"), ("kind", "i8"), ("voltage_before", "f8"), ("voltage_after", "f8"), ("detail", "i8"),
 ])
 
-# Distinct closing sleep durations that get a table slot of their own. The
-# closing sleeps of a run without jitter took 37 values over 20 days and 49
-# over a year (how the activities' end times round depends on the tick's
-# start time). A duration past the limit is stepped by _step, as with
-# jitter, and its tick by the exact loop.
-_CLOSING_LIMIT = 256
-# A powered tick's layout as the speculative pass looks it up: not worked
-# out yet, or none, as its closing sleep gets no slot (the exact loop steps it).
-_UNKNOWN, _NO_SLOT = -2, -1
+# A powered tick's layout as the speculative pass looks it up: not worked out yet.
+_UNKNOWN = -1
 
 # Relative margin M of the cheap test that rules a crossing out before its
 # logarithm is taken. It passes only where the logarithm's ratio exceeds
@@ -97,14 +93,6 @@ _WINDOW_MIN, _WINDOW_FIRST, _WINDOW_MAX = 16, 256, 4096
 # What a busy tick runs for each due code: its bits in run order, then 0 for
 # the closing sleep.
 _RUNS = tuple(tuple(bit for bit in (SENSE, FIX, TRANSMIT) if code & bit) + (0,) for code in range(8))
-# The fields of _step's record of a segment: the terms it adds to the
-# harvested, leakage, task and discarded sums, then those of the pinned rest
-# after a v_max crossing (NaN when there is none).
-_RECORD = (
-    "segment", "advance", "pinned", "clamp_start_s", "depleted",
-    "harvested", "leakage", "task", "discarded", "rest_harvested", "rest_leakage", "rest_task", "rest_discarded",
-)
-_NO_TERMS = (math.nan,) * 4
 _TASK_NAMES = tuple(TASKS)  # a task's index in the booking pass is its place here
 
 
@@ -268,7 +256,7 @@ class _Simulator:
 
     run() is the decide loop (_decide) and then the booking pass (_book),
     which reads the record the loop leaves: each segment's slot and start
-    voltage, _step's records, the v_max crossings and the rows placed whole.
+    voltage, the v_max crossings and the rows placed whole.
     """
 
     def __init__(self, config: SystemConfig):
@@ -298,9 +286,8 @@ class _Simulator:
         self.flushed: list[tuple[np.ndarray, np.ndarray]] = []  # (slots, vs) moved into arrays
         self.n_flushed = 0  # segments moved
         self.counts = np.zeros(0, np.int32)
-        self.records: list[float] = []  # _step's record of each segment it steps, _RECORD's fields in turn
-        # The segment and the time from its start of each v_max crossing the
-        # speculative pass steps, one after the other.
+        # The segment and the time from its start of each v_max crossing, one
+        # after the other.
         self.crossings: list[float] = []
         # (tick, position, time, kind, v_before, v_after, detail) of each row
         # placed whole, after position segments of its tick.
@@ -313,12 +300,11 @@ class _Simulator:
         self.table: list[tuple] = []
         tick = float(config.base_tick_s)
         sleep = self.loads["Sleep"]
-        whole, e = self._slot(sleep, tick)
-        self.whole = {True: whole, False: self._slot(self.loads["TurnedOff"], tick)[0]}
-        self.closing = {tick: ((whole, sleep[1], tick, e, sleep),)}  # closing sleep duration -> its plan
-        # Per logged activity: its event code, the (slot, R, duration, exp(-x),
-        # load) of each segment of its chain, and the duration deviations if
-        # any is drawn.
+        self.closing = {tick: (self._slot(sleep, tick),)}  # closing sleep duration -> its plan
+        self.off = self._slot(self.loads["TurnedOff"], tick)[0]  # an unpowered tick's slot
+        # Per logged activity: its event code, the plan of its chain (each
+        # segment's (slot, R, duration, exp(-x), load)), and the duration
+        # deviations if any is drawn.
         self.plans = {}
         for kind, spec in ACTIVITIES.items():
             code = EVENT_KINDS.index(kind)
@@ -327,11 +313,9 @@ class _Simulator:
             for position, name in enumerate(spec.chain):
                 load, task = self.loads[name], TASKS[name]
                 last = position == len(spec.chain) - 1
-                slot, e = self._slot(load, task.duration_s, emit if last else -1, position)
-                plan.append((slot, load[1], task.duration_s, e, load))
+                plan.append(self._slot(load, task.duration_s, emit if last else -1, position))
             stds = tuple(TASKS[name].duration_std_s for name in spec.chain)
             self.plans[kind] = (code, tuple(plan), stds if any(stds) else None)
-        self.upload_slot = self.plans["Transmit"][1][0][0]
         # Per due code, whether the speculative pass may step its ticks: none
         # of their activities draws a duration or a load.
         fix_drawn = config.task_jitter and any(
@@ -395,42 +379,31 @@ class _Simulator:
         leak = min(1.0, cfg.capacitor.leakage_ma / current_ma)
         return task, r, tau, leak, 1.0 - leak, self.v_max * self.v_max / r
 
-    def _slot(self, load: tuple, duration: float, emit: int = -1, span: int = 0) -> tuple[int, float]:
-        """A new table row for a load over a fixed duration; its index and exp(-x)."""
+    def _slot(self, load: tuple, duration: float, emit: int = -1, span: int = 0) -> tuple:
+        """A new table row for a load over a fixed duration, as a segment of
+        a plan: (slot, R, duration, exp(-x), load)."""
         task, r, tau, leak, keep, pinned_w = load
         e, em1, em2 = decay_factors(duration, tau)
-        row = (_TASK_NAMES.index(task), r, tau, leak, keep, pinned_w, duration, e, em1, em2, emit, span)
-        self.table.append(row)
-        return len(self.table) - 1, e
+        self.table.append((_TASK_NAMES.index(task), r, tau, leak, keep, pinned_w, duration, e, em1, em2, emit, span))
+        return len(self.table) - 1, r, duration, e, load
 
     def _closing(self, duration: float) -> tuple:
-        """The plan of a closing sleep duration: on a slot of its own while
-        the table has room for _CLOSING_LIMIT durations; else on the
-        whole-tick Sleep slot with no factor, so that _step steps it."""
+        """The plan of a closing sleep duration, on a slot of its own."""
         plan = self.closing.get(duration)
         if plan is None:
-            sleep = self.loads["Sleep"]
-            if len(self.closing) >= _CLOSING_LIMIT:
-                return ((self.whole[True], sleep[1], duration, None, sleep),)
-            slot, e = self._slot(sleep, duration)
-            plan = self.closing[duration] = ((slot, sleep[1], duration, e, sleep),)
+            plan = self.closing[duration] = (self._slot(self.loads["Sleep"], duration),)
         return plan
 
     def _layout(self, typ: int, t_start: int) -> int:
         """The layout of a powered tick of type typ that starts at t_start:
         its closing sleep lasts from the end of its activities, their durations
-        summed from its start in the loop's order, to the tick's end. _NO_SLOT
-        when the closing sleep gets no slot."""
+        summed from its start in the loop's order, to the tick's end."""
         slots, durations, lows = self.types[typ]
         t = float(t_start)
         for duration in durations:
             t += duration
         duration = t_start + self.config.base_tick_s - t
-        closing = -1
-        if duration > 0.0:
-            ((closing, _, _, e, _),) = self._closing(duration)
-            if e is None:
-                return _NO_SLOT
+        closing = self._closing(duration)[0][0] if duration > 0.0 else -1
         layout = self.layouts.setdefault((typ, closing), len(self.layouts))
         if layout == len(self.layout_rows[0]):
             slots = (*slots, closing) if closing >= 0 else slots
@@ -462,7 +435,8 @@ class _Simulator:
 
     def _upload(self, samples: int) -> tuple:
         """An upload's plan when its current or duration is drawn, or its
-        duration scaled by its payload: no factor, so that _step steps it."""
+        duration scaled by its payload: a slot of its own, none when it takes
+        no time."""
         cfg = self.config
         task = self.upload
         spec = TASKS[task]
@@ -473,72 +447,47 @@ class _Simulator:
         duration = self._draw(spec.duration_s, spec.duration_std_s)
         if cfg.payload_scaling:
             duration *= dev.payload_bytes(samples) / dev.REFERENCE_PAYLOAD_BYTES
-        return ((self.upload_slot, load[1], duration, None, load),)
+        return (self._slot(load, duration),) if duration > 0.0 else ()
 
-    def _step(
-        self, slot: int, load: tuple, duration: float, i_h: float, check_floor: bool, t0: float, v0: float
-    ) -> tuple[float, float, bool]:
-        """Step one segment from (t0, v0) and record it with its ledger terms.
+    def _step(self, slot: int, load: tuple, i_h: float, check_floor: bool, v0: float) -> tuple[float, float, bool]:
+        """Step one segment of a slot from v0 and record it, deciding its
+        crossings; _book books its terms.
 
-        Returns the end time and voltage and whether the device depleted:
-        then the segment stops at the v_min crossing, and the caller decides
-        what happens next. The terms are those the segment adds to the
-        harvested, leakage, task and discarded sums, in the order it adds
-        them, from capacitor.segment_energy.
+        Returns how far it advances, the end voltage and whether the device
+        depleted: then the segment stops at the v_min crossing, on a slot of
+        that length, and the caller decides what happens next. A v_max
+        crossing is recorded as the speculative pass records it.
         """
-        if duration <= 0.0:
-            return t0, v0, False
-        task, r, tau, leak, keep, pinned_w = load
-        v_max = self.v_max
+        duration, e = self.table[slot][6:8]
+        _, r, tau, *_ = load
+        v_max, v_min, margin = self.v_max, self.v_min, _CROSSING_MARGIN
         a = i_h * r  # asymptote
-        pinned = v0 >= self.v_pinned and a >= v_max
-        up = math.nan
-        advance = duration
-        depleted = False
+        at = self.n_flushed + len(self.vs)
+        self.vs.append(v0)
         v = v_max
-        if pinned:
-            harvested = i_h * v_max * duration
-            consumed = pinned_w * duration
-            terms = (harvested, consumed * leak, consumed * keep, harvested - consumed, *_NO_TERMS)
-        else:
-            e, em1, em2 = decay_factors(duration, tau)
-            b = v0 - a
+        if not (v0 >= self.v_pinned and a >= v_max):
+            be = (v0 - a) * e
             # A crossing time (crossing_time) takes a logarithm, skipped
             # where the unclamped end voltage a + b e stays clear of the bound:
             # b e < (v_max - a) M or b e > (v_min - a) M puts the crossing past
             # the duration.
             if (
-                a > v_max and v0 < v_max and not b * e < (v_max - a) * _CROSSING_MARGIN
+                a > v_max and v0 < v_max and not be < (v_max - a) * margin
                 and (t_up := crossing_time(v0, a, tau, v_max)) <= duration
             ):
-                _, harvested, consumed = integrate_segment(v0, i_h, r, self.c, t_up)
-                rest = duration - t_up
-                pinned_in = i_h * v_max * rest
-                pinned_out = pinned_w * rest
-                terms = (
-                    harvested, consumed * leak, consumed * keep, 0.0,
-                    pinned_in, pinned_out * leak, pinned_out * keep, pinned_in - pinned_out,
-                )
-                up = t0 + t_up
+                self.crossings += (at, t_up)
             elif (
-                check_floor and a < self.v_min and v0 > self.v_min
-                and not b * e > (self.v_min - a) * _CROSSING_MARGIN
-                and (t_dn := crossing_time(v0, a, tau, self.v_min)) <= duration
+                check_floor and a < v_min and v0 > v_min and not be > (v_min - a) * margin
+                and (t_dn := crossing_time(v0, a, tau, v_min)) <= duration
             ):
-                _, harvested, consumed = integrate_segment(v0, i_h, r, self.c, t_dn)
-                terms = (harvested, consumed * leak, consumed * keep, 0.0, *_NO_TERMS)
-                advance = t_dn
-                depleted = True
-                v = self.v_min
+                self.slots.append(self._slot(load, t_dn)[0])
+                return t_dn, v_min, True
             else:
-                harvested, consumed = segment_energy(i_h, r, tau, a, b, duration, em1, em2)
-                terms = (harvested, consumed * leak, consumed * keep, 0.0, *_NO_TERMS)
-                v_end = a + b * e
-                v = v_max if v_end > v_max else v_end
-        self.records.extend((self.n_flushed + len(self.vs), advance, pinned, up, depleted, *terms))
-        self.vs.append(v0)
+                v = a + be
+                if v > v_max:
+                    v = v_max
         self.slots.append(slot)
-        return t0 + advance, v, depleted
+        return duration, v, False
 
     def _deplete(
         self, i: int, position: int, i_h: float, tick_end: float, failure: int | None, detail: str, t: float,
@@ -549,13 +498,16 @@ class _Simulator:
         if failure is not None:
             self._mark(i, position, t, failure, v, v, detail)
         self._mark(i, position, t, _DEPLETION, v, v)
-        return self._step(self.whole[False], self.loads["TurnedOff"], tick_end - t, i_h, False, t, v)[1]
+        if not tick_end - t > 0.0:
+            return v
+        off = self.loads["TurnedOff"]
+        return self._step(self._slot(off, tick_end - t)[0], off, i_h, False, v)[1]
 
     def _flush(self) -> None:
         """Move the exact loop's record so far into arrays, so that its lists stay short."""
         vs, slots = self.vs, self.slots
         if vs:
-            self.flushed.append((np.fromiter(slots, np.int16, len(slots)), np.fromiter(vs, float, len(vs))))
+            self.flushed.append((np.fromiter(slots, np.int32, len(slots)), np.fromiter(vs, float, len(vs))))
             self.n_flushed += len(vs)
             vs.clear()
             slots.clear()
@@ -648,7 +600,8 @@ class _Simulator:
                     event, plan, stds = plans[kind]
                     if jitter and stds:  # draw every duration before the first segment runs
                         plan = tuple(
-                            (slot, r, self._draw(duration, std), None if std else e, load)
+                            self._slot(load, self._draw(duration, std), *self.table[slot][10:]) if std
+                            else (slot, r, duration, e, load)
                             for (slot, r, duration, e, load), std in zip(plan, stds)
                         )
                 else:
@@ -660,26 +613,27 @@ class _Simulator:
                 v_before = v
                 for slot, r, duration, e, load in plan:
                     a = i_h * r
-                    if e is not None:  # _step's plain cases, as the speculative pass steps them
-                        if v >= v_pinned and a >= v_max:
-                            vs_append(v)
-                            slots_append(slot)
+                    # _step's pinned and plain cases, as the speculative pass steps them
+                    if v >= v_pinned and a >= v_max:
+                        vs_append(v)
+                        slots_append(slot)
+                        v = v_max
+                        t += duration
+                        continue
+                    be = (v - a) * e
+                    if not (
+                        a > v_max and v < v_max and not be < (v_max - a) * margin
+                        or a < v_min and v > v_min and not be > (v_min - a) * margin
+                    ):
+                        vs_append(v)
+                        slots_append(slot)
+                        v = a + be
+                        if v > v_max:
                             v = v_max
-                            t += duration
-                            continue
-                        be = (v - a) * e
-                        if not (
-                            a > v_max and v < v_max and not be < (v_max - a) * margin
-                            or a < v_min and v > v_min and not be > (v_min - a) * margin
-                        ):
-                            vs_append(v)
-                            slots_append(slot)
-                            v = a + be
-                            if v > v_max:
-                                v = v_max
-                            t += duration
-                            continue
-                    t, v, depleted = step(slot, load, duration, i_h, True, t, v)
+                        t += duration
+                        continue
+                    advance, v, depleted = step(slot, load, i_h, True, v)
+                    t += advance
                     if depleted:
                         if bit == TRANSMIT:
                             failure, text = _TRANSMIT_FAILED, f"samples={samples}"
@@ -729,9 +683,8 @@ class _Simulator:
         the first start voltage that fails its threshold: clear[code] at a
         powered tick's start, the kind's gate at a fix's, the upload gate at
         an upload's, v_turn_on at an unpowered tick's start. The window is cut
-        at that tick, or before the first tick whose closing sleep gets no
-        slot, and the ticks before it are recorded as the exact loop records
-        them. Returns the first tick not stepped, the voltage then, the
+        at that tick, and the ticks before it are recorded as the exact loop
+        records them. Returns the first tick not stepped, the voltage then, the
         ephemeris and buffer state and the threshold that cut the window
         (-inf if none).
         """
@@ -775,21 +728,18 @@ class _Simulator:
             if len(self.layout_arrays[0]) < len(self.layouts):
                 counts, *rows = self.layout_rows
                 self.layout_arrays = (np.array(counts), np.cumsum([0, *counts[:-1]]), *map(np.array, rows))
-            slotless = np.flatnonzero(layouts == _NO_SLOT)
-            m = slotless.item(0) if slotless.size else m
-            layouts = layouts[:m]
             layout_counts, layout_firsts, layout_slots, layout_r, layout_e, layout_low = self.layout_arrays
             counts = layout_counts[layouts]
             firsts = np.cumsum(counts) - counts
             row = np.repeat(layout_firsts[layouts] - firsts, counts) + np.arange(counts.sum())
             slot = layout_slots[row]
             lows = layout_low[row]
-            i_h = np.repeat(combined[i0 : i0 + m], counts)
+            i_h = np.repeat(combined[i0:i1], counts)
             top = itertools.repeat(math.inf)
             steps = zip((i_h * layout_r[row]).tolist(), layout_e[row].tolist(), lows.tolist(), top)
         else:  # every tick one TurnedOff segment
-            counts, firsts, slot = np.ones(m, np.int64), np.arange(m), np.full(m, self.whole[False])
-            row = self.table[self.whole[False]]
+            counts, firsts, slot = np.ones(m, np.int64), np.arange(m), np.full(m, self.off)
+            row = self.table[self.off]
             lows, top = itertools.repeat(-math.inf), itertools.repeat(self.config.thresholds.v_turn_on)
             steps = zip((combined[i0:i1] * row[1]).tolist(), itertools.repeat(row[7]), lows, top)
 
@@ -832,7 +782,7 @@ class _Simulator:
         while crossings and crossings[-2] >= base + kept:  # those of the tick the window was cut at
             del crossings[-2:]
         starts = np.fromiter(vs, float, kept)
-        self.flushed.append((slot[:kept].astype(np.int16), starts))
+        self.flushed.append((slot[:kept].astype(np.int32), starts))
         self.n_flushed += kept
         self.counts[i0 : i0 + end] = counts[:end]
         voltages[i0 + 1 : i0 + end] = starts[firsts[1:end]]
@@ -863,12 +813,12 @@ class _Simulator:
     ) -> tuple[EventLog, EnergyLedger]:
         """The event log and the ledger of a run, from the decide loop's record.
 
-        Works through the run in chunks of whole ticks that hold about
-        _BOOKING_CHUNK segments. Each segment is booked as _step books it, by
-        segment_energy on arrays; a segment _step recorded brings its own
-        terms, and a v_max crossing of the speculative pass books its partial
-        and its pinned rest from the crossing time, as _step does. Every sum
-        adds its terms in run order from 0.0, and start times are summed along
+        The one place that computes a ledger term. Works through the run in
+        chunks of whole ticks that hold about _BOOKING_CHUNK segments. Each
+        segment is booked over its slot's duration, by segment_energy on
+        arrays, or at v_max while pinned; a v_max crossing books its partial
+        as integrate_segment does and then its pinned rest. Every sum adds
+        its terms in run order from 0.0, and start times are summed along
         each tick from its start, as the loop did. The rows come from the
         segments (a clamp row where the pinned test changes or a crossing
         falls, an activity row where its chain's last segment ends) and the
@@ -886,8 +836,6 @@ class _Simulator:
         firsts = np.zeros(n_ticks + 1, np.int64)  # each tick's first segment, then the end
         np.cumsum(self.counts, out=firsts[1:])
         crossing_at, crossing_t = np.fromiter(self.crossings, float, len(self.crossings)).reshape(-1, 2).T
-        records = np.fromiter(self.records, float, len(self.records)).reshape(-1, len(_RECORD))
-        recorded_at = records[:, 0].astype(np.int64)
         marks = self.marks
         mark_columns = [
             np.array(column, dtype=dtype)
@@ -918,8 +866,8 @@ class _Simulator:
                 harvested_t, consumed_t = segment_energy(i_h, r, tau, a, v0 - a, duration, em1_of[slot], em2_of[slot])
                 harvested_t = np.where(pinned, i_h * v_max * duration, harvested_t)
                 consumed_t = np.where(pinned, pinned_w * duration, consumed_t)
-                # A v_max crossing of the speculative pass: the partial as
-                # integrate_segment books it, a zero-length one as 0.0.
+                # A v_max crossing: the partial as integrate_segment books it,
+                # a zero-length one as 0.0.
                 x0, x1 = np.searchsorted(crossing_at, (k0, k1)).tolist()
                 at = crossing_at[x0:x1].astype(np.intp) - k0
                 t_up = crossing_t[x0:x1]
@@ -932,30 +880,12 @@ class _Simulator:
                 task_t = consumed_t * keep
                 discarded_t = np.where(pinned, harvested_t - consumed_t, 0.0)
                 task = task_of[slot]
-                emit = emit_of[slot]
-                advance = duration.copy()
-                r0, r1 = np.searchsorted(recorded_at, (k0, k1)).tolist()
-                record = records[r0:r1].T
-                g = recorded_at[r0:r1] - k0
-                advance[g] = record[1]
-                pinned[g] = record[2] > 0.0
-                harvested_t[g], leakage_t[g], task_t[g], discarded_t[g] = record[5:9]
-                emit[g[record[4] > 0.0]] = -1
-                crossed = ~np.isnan(record[3])
-                # Each v_max crossing's pinned rest goes in after its partial.
-                rest = duration[at] - t_up
-                pinned_in, pinned_out = i_h[at] * v_max * rest, pinned_w[at] * rest
-                second = ~np.isnan(record[9])
-                after = np.concatenate([g[second], at])
-                if after.size:
-                    rests = np.concatenate([
-                        record[9:13][:, second],
-                        (pinned_in, pinned_out * leak[at], pinned_out * keep[at], pinned_in - pinned_out),
-                    ], axis=1)
-                    order = np.argsort(after)
+                if at.size:  # each v_max crossing's pinned rest goes in after its partial
+                    rest = duration[at] - t_up
+                    pinned_in, pinned_out = i_h[at] * v_max * rest, pinned_w[at] * rest
                     harvested_t, leakage_t, task_t, discarded_t, task = _spliced(
-                        (harvested_t, leakage_t, task_t, discarded_t, task), after[order],
-                        (*rests[:, order], task[after[order]]),
+                        (harvested_t, leakage_t, task_t, discarded_t, task), at,
+                        (pinned_in, pinned_out * leak[at], pinned_out * keep[at], pinned_in - pinned_out, task[at]),
                     )
                 harvested = _running_sum(harvested, harvested_t)
                 leakage = _running_sum(leakage, leakage_t)
@@ -982,16 +912,15 @@ class _Simulator:
                 t0[first] = (tick_of[first] * tick).astype(float)
                 for begin, end in zip(position_ends, position_ends[1:]):
                     at_position = by_position[begin:end]
-                    t0[at_position] = t0[at_position - 1] + advance[at_position - 1]
+                    t0[at_position] = t0[at_position - 1] + duration[at_position - 1]
 
-                up_at = np.concatenate([g[crossed], at])
-                up_time = np.concatenate([record[3][crossed], t0[at] + t_up])
                 state = pinned.copy()
-                state[up_at] = True
+                state[at] = True
                 before_state = np.append(clamp, state[:-1])
                 clamp = bool(state[-1]) if state.size else clamp
                 clamp_ends = np.flatnonzero(before_state & ~pinned)
                 clamp_starts = np.flatnonzero(pinned & ~before_state)
+                emit = emit_of[slot]
                 emits = np.flatnonzero(emit >= 0)
                 m0, m1 = np.searchsorted(mark_tick, (c0, c1)).tolist()
                 # (key, time, kind, v_before, v_after, detail) by source; a key is
@@ -1002,8 +931,8 @@ class _Simulator:
                 sources = (
                     ((k0 + clamp_ends) * 4 + 1, t0[clamp_ends], _CLAMP_END, v0[clamp_ends], v0[clamp_ends], 0),
                     ((k0 + clamp_starts) * 4 + 1, t0[clamp_starts], _CLAMP_START, v_max, v_max, 0),
-                    ((k0 + up_at) * 4 + 2, up_time, _CLAMP_START, v_max, v_max, 0),
-                    ((k0 + emits) * 4 + 3, t0[emits] + advance[emits], emit[emits], v0[emits - span_of[slot[emits]]],
+                    ((k0 + at) * 4 + 2, t0[at] + t_up, _CLAMP_START, v_max, v_max, 0),
+                    ((k0 + emits) * 4 + 3, t0[emits] + duration[emits], emit[emits], v0[emits - span_of[slot[emits]]],
                      v_end[emits], 0),
                     (mark_key[m0:m1], *[column[m0:m1] for column in mark_columns[2:]]),
                 )

@@ -24,7 +24,6 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from unittest import mock
 
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
@@ -679,16 +678,44 @@ def test_depleting_dark_run_with_jitter():
     assert {"Depletion", "Recovery", "TaskFailed", "TransmitFailed", "TransmitSkipped", "FixSkipped"} <= kinds
 
 
-def test_full_factor_tables(monkeypatch):
-    # Closing sleep durations past the table's limit are stepped per segment,
-    # with the same bits, and the table stays bounded however long the run.
-    monkeypatch.setattr(engine, "_CLOSING_LIMIT", 2)
-    config = validate_config(SystemConfig(task_jitter=True, initial_voltage=3.0))
+def test_full_factor_tables():
+    # A jittered run, with the same bits: each drawn fix segment and each
+    # upload gets a table row of its own, with its drawn duration, used by
+    # that one segment (the other rows the run adds are closing sleeps'). The
+    # first fix is cold, with the backup domain lost.
+    config = validate_config(SystemConfig(task_jitter=True, initial_voltage=3.0, initial_backup_valid=False))
     trace = harvest_trace("blocks", 1440, 1e-3, 4)
-    assert_same_run(config, trace, 86400)
+    old = assert_same_run(config, trace, 86400)
     sim = engine._Simulator(config)
-    sim.run(trace, 1440)
-    assert len(sim.closing) == 2
+    fixed = len(sim.table)
+    sim._decide(trace, 1440)
+    uses = np.bincount(np.concatenate([slots for slots, _ in sim.flushed]), minlength=len(sim.table)).tolist()
+    drawn = [
+        (engine._TASK_NAMES[row[0]], row[6], uses[slot])
+        for slot, row in enumerate(sim.table[fixed:], fixed) if row[0] != engine._TASK_NAMES.index("Sleep")
+    ]
+    assert all(used == 1 for _, _, used in drawn)
+    kinds = [e.kind for e in old.events]
+    assert sorted({name for name, _, _ in drawn}) == ["ColdStart", "NbIot"]  # the tasks with a duration deviation
+    assert len(drawn) == kinds.count("Transmit") + kinds.count("FixCold") > 24
+    assert all(duration != TASKS[name].duration_s for name, duration, _ in drawn)
+
+
+def test_drawn_run_past_32767_table_rows():
+    # A jittered upload every 30 s tick on a strong constant harvest: each
+    # tick adds a row for its upload and one for its closing sleep, so the
+    # table passes 2^15 rows, and its later slots are booked with the frozen
+    # loop's bits. Most uploads leave the clamp (those drawn light hold it),
+    # and their closing sleeps cross v_max back into it.
+    n, i_h = 16_500, 0.03
+    config = validate_config(SystemConfig(
+        base_tick_s=30, sense_interval_s=None, fix_interval_s=None, transmit_interval_s=30, task_jitter=True,
+        initial_voltage=5.5,
+    ))
+    sim, result = recorded_run(config, HarvestTrace(0, 30, np.full(n, i_h), np.zeros(n), np.full(n, i_h)))
+    assert len(sim.table) > 32767 and not speculated(sim).any()
+    kinds = result.log.kind.tolist()
+    assert kinds.count(EVENT_KINDS.index("Transmit")) == n and kinds.count(EVENT_KINDS.index("ClampStart")) > n / 2
 
 
 def test_clamp_heavy_strong_harvest():
@@ -793,11 +820,6 @@ def speculated(sim: engine._Simulator) -> np.ndarray:
     return stepped
 
 
-def step_records(sim: engine._Simulator) -> np.ndarray:
-    """_step's records of a run, a row each."""
-    return np.fromiter(sim.records, float).reshape(-1, len(engine._RECORD))
-
-
 def crossing_start(sim: engine._Simulator, chain: tuple[str, ...], i_h: float, fraction: float) -> float:
     """A start voltage for chain, under the harvest i_h, whose v_max crossing
     falls at fraction of the chain's last segment: that segment's crossing,
@@ -812,7 +834,7 @@ def crossing_start(sim: engine._Simulator, chain: tuple[str, ...], i_h: float, f
     return v
 
 
-@pytest.mark.parametrize("limit", [1, engine._CLOSING_LIMIT])
+@pytest.mark.parametrize("exact", [True, False])
 @pytest.mark.parametrize("fraction", [0.25, 0.5, 0.75])
 @pytest.mark.parametrize(
     "activity, schedule",
@@ -821,16 +843,22 @@ def crossing_start(sim: engine._Simulator, chain: tuple[str, ...], i_h: float, f
         ("FixHot", dict(sense_interval_s=None, fix_interval_s=120, transmit_interval_s=None)),
     ],
 )
-def test_busy_tick_crosses_v_max_inside_an_activity(monkeypatch, activity, schedule, fraction, limit):
+def test_busy_tick_crosses_v_max_inside_an_activity(monkeypatch, activity, schedule, fraction, exact):
     # One tick whose v_max crossing falls inside the Sense, or inside the
     # last segment of a hot fix's chain, not in the closing sleep. The
     # speculative pass steps the tick and records the crossing: the segment
     # (the chain's last, by its slot) and the crossing time; the booking pass
-    # books the partial and the pinned rest. With no slot for its closing
-    # sleep (a limit of 1 leaves only the whole-tick one), the window is cut
-    # before the tick, and the exact loop steps it from its start: the
-    # crossing goes through _step, whose record carries it.
-    monkeypatch.setattr(engine, "_CLOSING_LIMIT", limit)
+    # books the partial and the pinned rest. With every due code taken as
+    # drawn, the exact loop steps the tick instead: _step decides the
+    # crossing and records it the same way.
+    if exact:
+        init = engine._Simulator.__init__
+
+        def exact_only(sim, config):
+            init(sim, config)
+            sim.plain = [False] * 8
+
+        monkeypatch.setattr(engine._Simulator, "__init__", exact_only)
     config = validate_config(SystemConfig(**schedule))
     i_h = 0.02
     chain = ACTIVITIES[activity].chain
@@ -838,15 +866,9 @@ def test_busy_tick_crosses_v_max_inside_an_activity(monkeypatch, activity, sched
     one = HarvestTrace(0, 60, np.array([i_h]), np.zeros(1), np.array([i_h]))
     sim, _ = recorded_run(replace(config, initial_voltage=v0), one)
     assert sim.counts.tolist() == [len(chain) + 1]  # every segment recorded, either way
-    if limit == 1:
-        assert sim.windows == [(0, 0, True)] and not sim.crossings
-        ups = step_records(sim)[:, 3]
-        (up,) = ups[~np.isnan(ups)]  # the crossing's time in the run, the tick starting at 0
-        assert 0.0 < up < sum(TASKS[name].duration_s for name in chain)
-        return
     segment, t_up = sim.crossings
     assert segment == len(chain) - 1 and 0.0 < t_up < TASKS[chain[-1]].duration_s
-    assert sim.windows == [(0, 1, False)] and not sim.records
+    assert sim.windows == ([] if exact else [(0, 1, False)])
 
 
 @pytest.mark.parametrize("below", [0.0, 1e-12, 2e-12])
@@ -955,33 +977,24 @@ def test_busy_ticks_on_a_120_s_tick():
     assert kinds.count("FixHot") > 300 and kinds.count("ClampStart") > 10 and kinds.count("Transmit") == 24
 
 
-def test_closing_sleep_past_the_table_limit_records_the_tick(monkeypatch):
-    # test_full_factor_tables without the jitter: a window is cut before each
-    # tick whose closing sleep gets no slot, and the exact loop steps that
-    # tick, its closing sleep through _step, whose record brings its terms.
-    monkeypatch.setattr(engine, "_CLOSING_LIMIT", 2)
-    sim, _ = recorded_run(SystemConfig(initial_voltage=3.0), harvest_trace("blocks", 1440, 1e-3, 4))
-    pass_ticks = speculated(sim)
-    assert len(sim.closing) == 2 and pass_ticks.any() and not pass_ticks.all()
-    cut_at = [end for _, end, cut in sim.windows if cut]
-    assert cut_at and not pass_ticks[cut_at].any() and len(step_records(sim)) >= len(cut_at)
-
-
 def test_crossing_free_busy_ticks_are_one_record_of_every_segment():
     # Every tick busy and none near v_min, v_max or a gate: the speculative
     # pass steps them all, in windows of doubling length that are never cut,
-    # and records every segment's start voltage and slot, with no _step
-    # record and no crossing. A tick has its Sense and closing sleep, the
-    # segments of its fix's chain every other tick, an upload every hour.
+    # and records every segment's start voltage and slot, with no crossing;
+    # the only table rows the run adds are its closing sleeps'. A tick has
+    # its Sense and closing sleep, the segments of its fix's chain every
+    # other tick, an upload every hour.
     config = SystemConfig(initial_voltage=4.0)
     sim, result = recorded_run(config, harvest_trace("flat", 720, 4e-5, 0))
+    fixed = len(engine._Simulator(sim.config).table)
     assert sim.windows == [(0, 256, False), (256, 720, False)]
     segments = np.full(720, 2)  # the Sense and the closing sleep
     for t, kind in zip(result.log.time_s.tolist(), result.log.kind.tolist()):
         if kind:  # a fix or an upload: the segments of its chain
             segments[int(t // 60)] += len(ACTIVITIES[EVENT_KINDS[kind]].chain)
     assert sim.counts.tolist() == segments.tolist()
-    assert sim.n_flushed == sim.counts.sum() and not sim.records and not sim.crossings
+    assert sim.n_flushed == sim.counts.sum() and not sim.crossings
+    assert len(sim.table) == fixed + len(sim.closing) - 1  # the whole-tick closing sleep's row is fixed
 
 
 @pytest.mark.parametrize("level", [2e-3, 0.1])
@@ -1037,7 +1050,7 @@ def test_idle_ticks_are_not_stepped_one_by_one():
     sim, result = recorded_run(config, harvest_trace("blocks", 2 * 1440, 2e-3, 1))
     kinds = result.log.kind.tolist()
     assert kinds.count(EVENT_KINDS.index("ClampStart")) > 0 and sim.crossings
-    assert speculated(sim).all() and len(sim.windows) <= 5 and not sim.records
+    assert speculated(sim).all() and len(sim.windows) <= 5
     due = device.due_codes(0, 2 * 1440, config)
     assert (sim.counts[due == 0] == 1).all()
 
@@ -1050,7 +1063,8 @@ def test_window_cut_after_a_crossing_in_its_tick():
     # v_max: the first tick's Sense crosses v_max, its cold fix drains the
     # capacitor below an upload gate set near v_max, and the window is cut
     # there. The crossing the pass recorded in that tick is dropped, and the
-    # exact loop steps the tick again from its start, the crossing with it.
+    # exact loop steps the tick again from its start: _step records the
+    # crossing again, at the run's first segment.
     gates = VoltageThresholds(cold_start=5.0, nbiot=5.2)
     config = SystemConfig(
         capacitor=CapacitorSpec.from_capacitance(1.0), thresholds=gates, transmit_interval_s=60,
@@ -1061,7 +1075,9 @@ def test_window_cut_after_a_crossing_in_its_tick():
         warnings.simplefilter("ignore")  # the default gates are below their 1 F safe bounds
         v0 = crossing_start(engine._Simulator(validate_config(config)), ACTIVITIES["Sense"].chain, i_h, 0.5)
         sim, result = recorded_run(replace(config, initial_voltage=v0), harvest_trace("flat", 3, i_h, 0))
-    assert sim.windows[0] == (0, 0, True) and not sim.crossings
+    assert sim.windows[0] == (0, 0, True)
+    segment, t_up = sim.crossings[:2]
+    assert segment == 0 and 0.0 < t_up < TASKS["AdcRead"].duration_s
     kinds = [EVENT_KINDS[k] for k in result.log.kind.tolist()]
     assert kinds[:4] == ["ClampStart", "Sense", "ClampEnd", "FixCold"] and "TransmitSkipped" in kinds
 
@@ -1101,10 +1117,10 @@ def test_busy_ticks_straddle_2_20_and_2_21_s():
 
 @st.composite
 def cut_cases(draw):
-    """(config, trace, closing sleep slots): a run with its gates drawn near its own voltages, so that
+    """(config, trace): a run with its gates drawn near its own voltages, so that
     the speculative pass is cut by each of its reasons, or steps a v_max crossing at the margin of the
     cheap test, or uploads that straddle a power of two (2^10 s at tick 17, 2^14 s at tick 273)."""
-    case = draw(st.sampled_from(["gates", "fallback", "uploads", "floor", "margin", "slots", "straddle"]))
+    case = draw(st.sampled_from(["gates", "fallback", "uploads", "floor", "margin", "straddle"]))
     tick, n = 60, draw(st.integers(274, 480) if case == "straddle" else st.integers(30, 480))
     v0 = 4.5 if case == "straddle" else draw(st.floats(1.81, 1.9) if case == "floor" else st.floats(1.85, 2.6))
     near = st.floats(-0.2, 0.2).map(lambda d: round(min(max(v0 + d, 1.8), 5.0), 4))
@@ -1134,7 +1150,7 @@ def cut_cases(draw):
             warnings.simplefilter("ignore")  # gates below their safe bounds, on purpose
             v_up = crossing_start(engine._Simulator(validate_config(config)), sense, i_h, fraction)
         config = replace(config, initial_voltage=min(v_up, config.capacitor.v_max))
-    return config, trace, draw(st.sampled_from([1, 2, 3])) if case == "slots" else engine._CLOSING_LIMIT
+    return config, trace
 
 
 def cut_reason(sim: engine._Simulator, result: engine.SimResult, tick: int) -> str:
@@ -1148,15 +1164,14 @@ def cut_reason(sim: engine._Simulator, result: engine.SimResult, tick: int) -> s
     for kind in ("FixSkipped", "TransmitSkipped", "TaskFailed", "TransmitFailed", "FixHot"):
         if kind in kinds:
             return kind if kind != "FixHot" else "FixHotEph fell back to FixHot"
-    return "closing sleep with no slot" if len(sim.closing) >= engine._CLOSING_LIMIT else "gate"
+    return "gate"
 
 
 @settings(max_examples=100, deadline=None)
 @given(cut_cases())
 def test_cut_paths_match_the_frozen_loop(case):
-    config, trace, limit = case
-    n = len(trace)
-    with mock.patch.object(engine, "_CLOSING_LIMIT", limit), warnings.catch_warnings():
+    config, trace = case
+    with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # gates below their safe bounds, on purpose
         sim, result = recorded_run(config, trace)
         for _, end, cut in sim.windows:
