@@ -30,6 +30,7 @@ from .harvest import (
     DEFAULT_V_SUPPLY,
     HARVEST_HEADER,
     IRRADIANCE_HEADER,
+    MINUTES_PER_DAY,
     SYNTHETIC_RESOLUTION_S,
     HarvestTrace,
     SolarChain,
@@ -302,6 +303,10 @@ def _section_from_flags(args: argparse.Namespace, section: str):
 
 def cmd_gen_solar(args: argparse.Namespace) -> int:
     _check_days(args.days)
+    last = args.start_epoch + (args.days * MINUTES_PER_DAY - 1) * SYNTHETIC_RESOLUTION_S
+    stamps = np.iinfo(np.int64)
+    if args.start_epoch < stamps.min or last > stamps.max:
+        raise ConfigError([f"--start-epoch {args.start_epoch}: stamps from it to {last} do not all fit in int64"])
     profile = _section_from_flags(args, "solar")
     trace = generate_synthetic_irradiance(args.days, profile, start_epoch_s=args.start_epoch)
     save_irradiance_csv(trace, args.out)

@@ -11,12 +11,13 @@ the device state and takes every gate and crossing decision. It hands each
 stretch of powered ticks with plain schedules, and each stretch of unpowered
 ticks, to a speculative pass: a window of ticks whose types follow from the
 schedule and the ephemeris age alone (every fix and upload runs), built with
-numpy as flat per-segment arrays and stepped in one tight loop that stops at
-the first segment whose start voltage fails its threshold (a gate, a start
-too near v_min, v_turn_on while unpowered). The tick it stops at, and every
-tick the pass cannot decide, go to the exact loop, which steps them segment
-by segment, sending the segments that may cross v_max or v_min, and the
-depletion coasts, through _step, which decides their crossings. Every
+numpy as flat per-segment arrays from fixed rows per type, each busy tick's
+closing sleep summed as the exact loop sums it, and stepped in one tight loop
+that stops at the first segment whose start voltage fails its threshold (a
+gate, a start too near v_min, v_turn_on while unpowered). The tick it stops
+at, and every tick the pass cannot decide, go to the exact loop, which steps
+them segment by segment, sending the segments that may cross v_max or v_min,
+and the depletion coasts, through _step, which decides their crossings. Every
 segment has a slot in a per-run table of (load, fixed duration,
 exponentials): a drawn duration or load, a v_min crossing's partial and a
 depletion coast each get a new row. Both paths write one record: each
@@ -67,9 +68,6 @@ _DAY_COLUMN[list(_DAY_KINDS)] = np.arange(len(_DAY_KINDS))
 _EVENT_ROW = np.dtype([
     ("time_s", "f8"), ("kind", "i8"), ("voltage_before", "f8"), ("voltage_after", "f8"), ("detail", "i8"),
 ])
-
-# A powered tick's layout as the speculative pass looks it up: not worked out yet.
-_UNKNOWN = -1
 
 # Relative margin M of the cheap test that rules a crossing out before its
 # logarithm is taken. It passes only where the logarithm's ratio exceeds
@@ -343,30 +341,33 @@ class _Simulator:
         ]
         # The speculative pass's tick types: a powered tick's due code OR the
         # place of its fix's kind among the fix kinds, shifted left 3 bits. Per
-        # type: its activities' slots, durations, and the lowest start voltage
-        # of each (above clear[code] at the tick's start, a gate at a fix's or
-        # an upload's), then that of its closing sleep.
+        # type, fixed rows of slot, R, exp(-x) and the lowest start voltage
+        # (above clear[code] at the tick's start, a gate at a fix's or an
+        # upload's): its activities' segments, then a whole-tick sleep, which an
+        # idle tick sleeps and a busy tick replaces by its own closing sleep.
+        # Its activity durations go in a column, padded with 0.0.
         self.fix_kinds = [kind for kind, spec in ACTIVITIES.items() if spec.activity == FIX]
         self.kind_of_age: dict[int | None, int] = {}
         thresholds = config.thresholds
         gates = {kind: getattr(thresholds, spec.gate) if spec.gate else -math.inf for kind, spec in ACTIVITIES.items()}
-        self.types = []
+        counts, rows, durations = [], [], []
         for typ in range(8 * len(self.fix_kinds)):
             code, fix = typ & 7, self.fix_kinds[typ >> 3]
             kinds = [{SENSE: "Sense", FIX: fix, TRANSMIT: "Transmit"}[bit] for bit in _RUNS[code][:-1]]
-            steps = [
-                (slot, duration, gates[kind] if position == 0 else -math.inf)
-                for kind in kinds for position, (slot, _, duration, _, _) in enumerate(self.plans[kind][1])
-            ]
-            lows = [low for _, _, low in steps] + [-math.inf]
+            plan = [
+                (segment, gates[kind] if position == 0 else -math.inf)
+                for kind in kinds for position, segment in enumerate(self.plans[kind][1])
+            ] + [(self.closing[tick][0], -math.inf)]
+            lows = [low for _, low in plan]
             lows[0] = max(lows[0], math.nextafter(self.clear[code], math.inf))
-            self.types.append((tuple(slot for slot, _, _ in steps), tuple(duration for _, duration, _ in steps), lows))
-        # A powered tick's layout: its type and its closing sleep's slot (-1:
-        # none). layout_of holds a tick's layout per type and binade of its start.
-        self.layout_of = np.full(len(self.types) << 7, _UNKNOWN)
-        self.layouts: dict[tuple[int, int], int] = {}
-        self.layout_rows: tuple[list, ...] = ([], [], [], [], [])  # per layout: segments; per row: slot, R, e, low
-        self.layout_arrays = (np.zeros(0, np.int64),) * 3 + (np.zeros(0),) * 3  # those, and each first row, as arrays
+            counts.append(len(plan))
+            rows += [(slot, r, e, low) for ((slot, r, _, e, _), _), low in zip(plan, lows)]
+            durations.append([duration for (_, _, duration, _, _), _ in plan[:-1]])
+        width = max(map(len, durations))
+        self.type_durations = np.array([row + [0.0] * (width - len(row)) for row in durations]).T.copy()
+        self.type_counts = np.array(counts)
+        slot, r, e, low = zip(*rows)
+        self.type_rows = (np.cumsum(counts) - counts, np.array(slot), np.array(r), np.array(e), np.array(low))
 
     def _load(self, task: str, current_ma: float) -> tuple:
         """Per-run constants of a constant-current load, in _step's order:
@@ -393,27 +394,6 @@ class _Simulator:
         if plan is None:
             plan = self.closing[duration] = (self._slot(self.loads["Sleep"], duration),)
         return plan
-
-    def _layout(self, typ: int, t_start: int) -> int:
-        """The layout of a powered tick of type typ that starts at t_start:
-        its closing sleep lasts from the end of its activities, their durations
-        summed from its start in the loop's order, to the tick's end."""
-        slots, durations, lows = self.types[typ]
-        t = float(t_start)
-        for duration in durations:
-            t += duration
-        duration = t_start + self.config.base_tick_s - t
-        closing = self._closing(duration)[0][0] if duration > 0.0 else -1
-        layout = self.layouts.setdefault((typ, closing), len(self.layouts))
-        if layout == len(self.layout_rows[0]):
-            slots = (*slots, closing) if closing >= 0 else slots
-            counts, slot_of, r_of, e_of, low_of = self.layout_rows
-            counts.append(len(slots))
-            slot_of += slots
-            r_of += [self.table[slot][1] for slot in slots]
-            e_of += [self.table[slot][7] for slot in slots]
-            low_of += lows[: len(slots)]
-        return layout
 
     def _detail(self, text: str) -> int:
         return self.details.setdefault(text, len(self.details))
@@ -544,7 +524,6 @@ class _Simulator:
         drawn_upload = jitter or cfg.payload_scaling
         upload_gate, clear = self.upload_gate, self.clear
 
-        assert n_ticks * tick < 1 << 52, "the layout cache needs tick starts below 2^52 s"
         codes = dev.due_codes(0, n_ticks, cfg)
         mixed = [*np.flatnonzero(~np.array(self.plain)[codes]).tolist(), n_ticks]  # ticks the pass never steps
         combined = harvest.combined_a[:n_ticks]
@@ -678,15 +657,16 @@ class _Simulator:
         Every fix and upload is taken to run, each fix of the kind its
         ephemeris age picks (select_gps_mode at an infinite voltage, once per
         age). The window's segments (a = i_h R, exp(-x), the lowest start
-        voltage) are built with numpy and stepped in one flat loop with
-        _step's pinned, plain and v_max crossing cases in _step's order, up to
-        the first start voltage that fails its threshold: clear[code] at a
-        powered tick's start, the kind's gate at a fix's, the upload gate at
-        an upload's, v_turn_on at an unpowered tick's start. The window is cut
-        at that tick, and the ticks before it are recorded as the exact loop
-        records them. Returns the first tick not stepped, the voltage then, the
-        ephemeris and buffer state and the threshold that cut the window
-        (-inf if none).
+        voltage) are built with numpy from each tick's type's fixed rows, a
+        busy tick's closing sleep worked out from its own start, and stepped
+        in one flat loop with _step's pinned, plain and v_max crossing cases
+        in _step's order, up to the first start voltage that fails its
+        threshold: clear[code] at a powered tick's start, the kind's gate at a
+        fix's, the upload gate at an upload's, v_turn_on at an unpowered
+        tick's start. The window is cut at that tick, and the ticks before it
+        are recorded as the exact loop records them. Returns the first tick
+        not stepped, the voltage then, the ephemeris and buffer state and the
+        threshold that cut the window (-inf if none).
         """
         tick = self.config.base_tick_s
         m = i1 - i0
@@ -707,36 +687,33 @@ class _Simulator:
             kinds = np.array(kinds, np.int64)
             types = code.copy()
             types[at_fix] |= kinds << 3
-            # A tick's layout depends only on its type and the binade of its
-            # start, unless the tick straddles a power of two: the start is an
-            # integer below 2^52, so every partial sum of the activities'
-            # durations is the start plus a value that depends on the binade.
-            start = np.arange(i0, i1, dtype=np.int64) * tick
-            binade = np.frexp(start)[1]
-            straddle = np.flatnonzero(binade != np.frexp(start + tick)[1])
-            key = types << 7 | binade
-            layouts = self.layout_of[key]
-            fresh = layouts == _UNKNOWN
-            fresh[straddle] = False
-            if fresh.any():
-                keys, first = np.unique(key[fresh], return_index=True)
-                for k, j in zip(keys.tolist(), np.flatnonzero(fresh)[first].tolist()):
-                    self.layout_of[k] = self._layout(k >> 7, (i0 + j) * tick)
-                layouts = self.layout_of[key]
-            for j in straddle.tolist():
-                layouts[j] = self._layout(types.item(j), (i0 + j) * tick)
-            if len(self.layout_arrays[0]) < len(self.layouts):
-                counts, *rows = self.layout_rows
-                self.layout_arrays = (np.array(counts), np.cumsum([0, *counts[:-1]]), *map(np.array, rows))
-            layout_counts, layout_firsts, layout_slots, layout_r, layout_e, layout_low = self.layout_arrays
-            counts = layout_counts[layouts]
-            firsts = np.cumsum(counts) - counts
-            row = np.repeat(layout_firsts[layouts] - firsts, counts) + np.arange(counts.sum())
-            slot = layout_slots[row]
-            lows = layout_low[row]
+            # A busy tick's closing sleep lasts from its activities' end, their
+            # durations summed from its start a column at a time as the exact
+            # loop sums them, to the tick's end; none if that is not positive.
+            busy = np.flatnonzero(code)
+            start = (i0 + busy) * tick
+            ends = start.astype(float)
+            busy_types = types[busy]
+            for column in self.type_durations:
+                ends += column[busy_types]
+            closing = (start + tick) - ends
+            left = np.unique(closing)
+            plans = [self._closing(d)[0] if d > 0.0 else (-1, 0.0, 0.0, 0.0) for d in left.tolist()]
+            which = np.searchsorted(left, closing)
+            closing_slot, closing_e = (np.array([plan[k] for plan in plans])[which] for k in (0, 3))
+            closed = closing_slot >= 0
+            counts = self.type_counts[types]
+            counts[busy[~closed]] -= 1
+            stops = np.cumsum(counts)
+            firsts = stops - counts
+            type_firsts, *columns = self.type_rows
+            row = np.repeat(type_firsts[types] - firsts, counts) + np.arange(stops[-1])
+            slot, r, e, lows = (column[row] for column in columns)
+            last = stops[busy[closed]] - 1  # the closing sleep's row
+            slot[last], e[last] = closing_slot[closed], closing_e[closed]
             i_h = np.repeat(combined[i0:i1], counts)
             top = itertools.repeat(math.inf)
-            steps = zip((i_h * layout_r[row]).tolist(), layout_e[row].tolist(), lows.tolist(), top)
+            steps = zip((i_h * r).tolist(), e.tolist(), lows.tolist(), top)
         else:  # every tick one TurnedOff segment
             counts, firsts, slot = np.ones(m, np.int64), np.arange(m), np.full(m, self.off)
             row = self.table[self.off]
@@ -794,12 +771,9 @@ class _Simulator:
                 refreshes = np.flatnonzero(kinds[:done] != hot)
                 state = fix_starts[refreshes[-1]] if refreshes.size else ephemeris_t
             sent = 0
-            for j in np.flatnonzero(code[:end] & TRANSMIT).tolist():
-                slots, durations, _ = self.types[types.item(j)]
-                n, first = len(slots), firsts.item(j)  # the upload is the tick's last activity
-                t = float((i0 + j) * tick)
-                for duration in durations:
-                    t += duration
+            uploads = np.flatnonzero(code[:end] & TRANSMIT)
+            for j, t in zip(uploads.tolist(), ends[np.searchsorted(busy, uploads)].tolist()):
+                n, first = self.type_counts.item(types.item(j)) - 1, firsts.item(j)  # the upload ends the activities
                 through = bisect_right(fixes, j)  # the fixes buffered by this upload
                 after = vs[first + n] if first + n < kept else v
                 self._mark(i0 + j, n, t, _TRANSMIT, vs[first + n - 1], after, f"samples={buffered + through - sent}")

@@ -95,6 +95,11 @@ BAD_GEN_FLAGS = [
     ("gen-kinetic --efficiency nan", "gen-kinetic.efficiency: combiner efficiency must be in (0, 1], got nan"),
     # A ZeroDivisionError traceback.
     ("gen-solar --cloud-correlation-min 0", "gen-solar: cloud correlation must be > 0 minutes, got 0"),
+    # Exit 0 with stamps that wrap negative from line 16, which simulate rejects (exit 3).
+    ("gen-solar --start-epoch 9223372036854775000",
+     "--start-epoch 9223372036854775000: stamps from it to 9223372036854861340 do not all fit in int64"),
+    # An OverflowError traceback, after the file was opened.
+    ("gen-solar --start-epoch 99999999999999999999", "--start-epoch 99999999999999999999: stamps from it to"),
     # Exit 3, "trace error".
     ("gen-kinetic --daily-energy-j nan", "gen-kinetic.daily_energy_j must be finite, got nan"),
     ("gen-kinetic --daily-energy-j inf", "gen-kinetic.daily_energy_j must be finite, got inf"),

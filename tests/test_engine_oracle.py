@@ -1095,12 +1095,13 @@ def test_tick_starting_at_clear_goes_to_the_exact_loop():
 
 
 def test_busy_ticks_straddle_2_20_and_2_21_s():
-    # A tick's closing sleep is looked up by its type and the binade of its
-    # start, except in a tick whose activities run across a power of two,
-    # where their durations sum in two binades. Every fix is cold here (36 s,
-    # the ephemeris limits set to seconds), so those of the ticks that start
-    # 16 s before 2^20 s and 32 s before 2^21 s run across it, after ticks of
-    # the same type in the same binade. The speculative pass steps both.
+    # A busy tick's closing sleep runs from its activities' end, their
+    # durations summed from the tick's start, to the tick's end. Where the
+    # partial sums run across a power of two they round in two binades, so the
+    # closing sleep differs from that of a tick of the same type just before.
+    # Every fix is cold here (36 s, the ephemeris limits set to seconds), so
+    # those of the ticks that start 16 s before 2^20 s and 32 s before 2^21 s
+    # run across it. The speculative pass steps both, bit for bit.
     tick = 240
     config = SystemConfig(
         base_tick_s=tick, sense_interval_s=tick, fix_interval_s=tick, transmit_interval_s=None, initial_voltage=4.0,
@@ -1119,7 +1120,8 @@ def test_busy_ticks_straddle_2_20_and_2_21_s():
 def cut_cases(draw):
     """(config, trace): a run with its gates drawn near its own voltages, so that
     the speculative pass is cut by each of its reasons, or steps a v_max crossing at the margin of the
-    cheap test, or uploads that straddle a power of two (2^10 s at tick 17, 2^14 s at tick 273)."""
+    cheap test, or uploads whose durations sum across a power of two (2^10 s at tick 17, 2^14 s at
+    tick 273), where the closing sleep's partial sums change binade."""
     case = draw(st.sampled_from(["gates", "fallback", "uploads", "floor", "margin", "straddle"]))
     tick, n = 60, draw(st.integers(274, 480) if case == "straddle" else st.integers(30, 480))
     v0 = 4.5 if case == "straddle" else draw(st.floats(1.81, 1.9) if case == "floor" else st.floats(1.85, 2.6))
