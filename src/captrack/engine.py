@@ -23,9 +23,11 @@ exponentials): a drawn duration or load, a v_min crossing's partial and a
 depletion coast each get a new row. Both paths write one record: each
 segment's slot and start voltage, each tick's segment count, and the segment
 and time of each v_max crossing. The booking pass (_book) is the one place
-that computes a ledger term: it books every segment from that record with
-numpy, in the order of stepping segment by segment, and builds the event
-log, so the bits are those of stepping segment by segment.
+that computes a ledger term: it expands that record into pieces (a segment
+is one, a v_max crossing two: its partial, then its pinned rest from v_max),
+books every piece by one rule with numpy, in the order of stepping segment by
+segment, and builds the event log and the tick-boundary voltages, so the
+bits are those of stepping segment by segment.
 """
 
 from __future__ import annotations
@@ -254,7 +256,8 @@ class _Simulator:
 
     run() is the decide loop (_decide) and then the booking pass (_book),
     which reads the record the loop leaves: each segment's slot and start
-    voltage, the v_max crossings and the rows placed whole.
+    voltage, each tick's segment count, the v_max crossings and the rows
+    placed whole.
     """
 
     def __init__(self, config: SystemConfig):
@@ -327,7 +330,7 @@ class _Simulator:
         # exp(-x) of its start voltage, so the tick keeps exp(-X) of it, X the
         # largest sum of x (duration / tau) its activities and closing sleep
         # can take. The 1e-6 of v_min is far above the rounding and the margin
-        # test's 1e-9.
+        # test's 1e-9. A bound whose exp(X) overflows is inf: no tick is clear.
         most = {
             bit: max(
                 sum(duration / load[2] for _, _, duration, _, load in plan)
@@ -335,10 +338,13 @@ class _Simulator:
             )
             for bit in (SENSE, FIX, TRANSMIT)
         }
-        self.clear = [
-            self.v_min * (1.0 + 1e-6) * math.exp(tick / sleep[2] + sum(most[bit] for bit in _RUNS[code][:-1]))
-            for code in range(8)
-        ]
+        self.clear = []
+        for code in range(8):
+            try:
+                grow = math.exp(tick / sleep[2] + sum(most[bit] for bit in _RUNS[code][:-1]))
+            except OverflowError:
+                grow = math.inf
+            self.clear.append(self.v_min * (1.0 + 1e-6) * grow)
         # The speculative pass's tick types: a powered tick's due code OR the
         # place of its fix's kind among the fix kinds, shifted left 3 bits. Per
         # type, fixed rows of slot, R, exp(-x) and the lowest start voltage
@@ -496,17 +502,17 @@ class _Simulator:
 
     def run(self, harvest: HarvestTrace, n_ticks: int) -> SimResult:
         v_initial = self.v
-        voltages, power_on = self._decide(harvest, n_ticks)
-        log, ledger = self._book(harvest.combined_a[:n_ticks], voltages, v_initial)
+        power_on = self._decide(harvest, n_ticks)
+        log, ledger, voltages = self._book(harvest.combined_a[:n_ticks], v_initial)
         tick = self.config.base_tick_s
         duration = n_ticks * tick
         metrics = compute_metrics(log, duration, voltages=voltages, power_on_at_start=bool(power_on[0]))
         times = np.arange(n_ticks + 1, dtype=np.int64) * tick
         return SimResult(self.config, harvest, duration, times, voltages, power_on, log, metrics, ledger)
 
-    def _decide(self, harvest: HarvestTrace, n_ticks: int) -> tuple[np.ndarray, np.ndarray]:
-        """The decide loop over n_ticks ticks: the voltage and power state at
-        each tick boundary, and the record of the run for _book.
+    def _decide(self, harvest: HarvestTrace, n_ticks: int) -> np.ndarray:
+        """The decide loop over n_ticks ticks: the power state at each tick
+        boundary, and the record of the run for _book.
 
         Each stretch of ticks it can, it hands to the speculative pass
         (_speculate) a window at a time. The rest it steps itself, the exact
@@ -527,8 +533,7 @@ class _Simulator:
         codes = dev.due_codes(0, n_ticks, cfg)
         mixed = [*np.flatnonzero(~np.array(self.plain)[codes]).tolist(), n_ticks]  # ticks the pass never steps
         combined = harvest.combined_a[:n_ticks]
-        voltages = np.empty(n_ticks + 1)
-        v = voltages[0] = self.v
+        v = self.v
         self.counts = counts = np.zeros(n_ticks, np.int32)
         powered, ephemeris_t, buffered = self.powered, self.ephemeris_t, self.buffered
         vs, vs_append, slots_append = self.vs, self.vs.append, self.slots.append
@@ -547,7 +552,7 @@ class _Simulator:
                     flush()
                     end = min(stop, i + span)
                     i, v, ephemeris_t, buffered, resume = speculate(
-                        combined, codes, voltages, i, end, v, powered, ephemeris_t, buffered
+                        combined, codes, i, end, v, powered, ephemeris_t, buffered
                     )
                     hold = i + (i < end)  # the tick a window is cut at goes to the exact loop
                     span = _WINDOW_FIRST if i < end else min(2 * span, _WINDOW_MAX)
@@ -632,7 +637,6 @@ class _Simulator:
                     buffered = 0
                     mark(i, len(vs) - first, t, _TRANSMIT, v_before, v, f"samples={samples}")
             counts[i] = len(vs) - first
-            voltages[i + 1] = v
             i += 1
 
         # The power state at each tick boundary: off from the one after a
@@ -645,11 +649,11 @@ class _Simulator:
         power_on = np.repeat(np.array(state), np.diff([*at, n_ticks + 1]))
         self.v, self.powered, self.ephemeris_t, self.buffered = v, powered, ephemeris_t, buffered
         flush()
-        return voltages, power_on
+        return power_on
 
     def _speculate(
-        self, combined: np.ndarray, codes: np.ndarray, voltages: np.ndarray, i0: int, i1: int, v: float,
-        powered: bool, ephemeris_t: int | None, buffered: int,
+        self, combined: np.ndarray, codes: np.ndarray, i0: int, i1: int, v: float, powered: bool,
+        ephemeris_t: int | None, buffered: int,
     ) -> tuple[int, float, int | None, int, float]:
         """The speculative pass over ticks i0..i1-1, all powered with plain
         due codes or all unpowered, from voltage v.
@@ -762,8 +766,6 @@ class _Simulator:
         self.flushed.append((slot[:kept].astype(np.int32), starts))
         self.n_flushed += kept
         self.counts[i0 : i0 + end] = counts[:end]
-        voltages[i0 + 1 : i0 + end] = starts[firsts[1:end]]
-        voltages[i0 + end] = v
         if powered:
             fixes = at_fix.tolist()
             done = bisect_left(fixes, end)  # the fixes before the window's end
@@ -782,22 +784,21 @@ class _Simulator:
             ephemeris_t = state
         return i0 + end, v, ephemeris_t, buffered, threshold
 
-    def _book(
-        self, combined: np.ndarray, voltages: np.ndarray, v_initial: float
-    ) -> tuple[EventLog, EnergyLedger]:
-        """The event log and the ledger of a run, from the decide loop's record.
+    def _book(self, combined: np.ndarray, v_initial: float) -> tuple[EventLog, EnergyLedger, np.ndarray]:
+        """The event log, the ledger and the voltage at each tick boundary of
+        a run, from the decide loop's record.
 
         The one place that computes a ledger term. Works through the run in
-        chunks of whole ticks that hold about _BOOKING_CHUNK segments. Each
-        segment is booked over its slot's duration, by segment_energy on
-        arrays, or at v_max while pinned; a v_max crossing books its partial
-        as integrate_segment does and then its pinned rest. Every sum adds
-        its terms in run order from 0.0, and start times are summed along
-        each tick from its start, as the loop did. The rows come from the
-        segments (a clamp row where the pinned test changes or a crossing
-        falls, an activity row where its chain's last segment ends) and the
-        loop's whole rows, put in log order by a stable sort on (segment,
-        sub-position).
+        chunks of whole ticks that hold about _BOOKING_CHUNK segments, each
+        expanded into pieces: a segment is one piece, a v_max crossing two,
+        its partial (t_up long, exponentials from decay_factors) and then its
+        pinned rest from v_max. Each piece is booked by one rule: by
+        segment_energy on arrays, or at v_max where the pinned test holds.
+        Every sum adds its terms in run order from 0.0, and start times are
+        summed along each tick from its start, as the loop did. The rows come
+        from the pieces (a clamp row where the pinned test changes, an
+        activity row where its chain's last segment ends) and the loop's whole
+        rows, put in log order by a stable sort on (piece, sub-position).
         """
         tick = self.config.base_tick_s
         n_ticks = combined.size
@@ -805,7 +806,8 @@ class _Simulator:
         table = np.array(self.table, dtype=float).T.copy()  # a column a row
         task_of, emit_of, span_of = table[(0, 10, 11), :].astype(np.intp)
         r_of, tau_of, leak_of, keep_of, pinned_w_of, duration_of, _, em1_of, em2_of = table[1:10]
-        slots, vs = (np.concatenate(parts) for parts in zip(*self.flushed))
+        slots = np.concatenate([part for part, _ in self.flushed])
+        vs = np.concatenate([*(part for _, part in self.flushed), [self.v]])  # then the run's end voltage
         self.flushed.clear()
         firsts = np.zeros(n_ticks + 1, np.int64)  # each tick's first segment, then the end
         np.cumsum(self.counts, out=firsts[1:])
@@ -816,13 +818,14 @@ class _Simulator:
             for column, dtype in zip(zip(*marks) if marks else ((),) * 7, (int, int, float, int, float, float, int))
         ]
         mark_tick, mark_position = mark_columns[:2]
-        # A whole row goes before the rows of the segment it is placed ahead of.
-        mark_key = (firsts[mark_tick] + mark_position) * 4
+        # A whole row goes before the first piece of the segment it is placed ahead of.
+        mark_segment = firsts[mark_tick] + mark_position
+        mark_key = (mark_segment + np.searchsorted(crossing_at, mark_segment)) * 3
         harvested = leakage = discarded = 0.0
         consumed: dict[int, float] = {}  # task index -> sum, in first-use order
         clamp = False
         chunks = []
-        chunk = max(1, _BOOKING_CHUNK * n_ticks // max(1, vs.size))  # ticks
+        chunk = max(1, _BOOKING_CHUNK * n_ticks // max(1, slots.size))  # ticks
         with np.errstate(all="ignore"):  # as Python's float arithmetic, which overflows to inf silently
             for c0 in range(0, n_ticks, chunk):
                 c1 = min(c0 + chunk, n_ticks)
@@ -830,41 +833,48 @@ class _Simulator:
                 count = self.counts[c0:c1]
                 tick_of = np.repeat(np.arange(c0, c1), count)
                 slot = slots[k0:k1].astype(np.intp)
-                v0 = vs[k0:k1]
-                v_end = np.append(v0[1:], voltages[c1])
-                i_h = combined[tick_of]
+                length = duration_of[slot]
 
-                duration, r, tau, pinned_w = duration_of[slot], r_of[slot], tau_of[slot], pinned_w_of[slot]
-                a = i_h * r
-                pinned = (v0 >= v_pinned) & (a >= v_max)
-                harvested_t, consumed_t = segment_energy(i_h, r, tau, a, v0 - a, duration, em1_of[slot], em2_of[slot])
-                harvested_t = np.where(pinned, i_h * v_max * duration, harvested_t)
-                consumed_t = np.where(pinned, pinned_w * duration, consumed_t)
-                # A v_max crossing: the partial as integrate_segment books it,
-                # a zero-length one as 0.0.
+                # Start times, summed along each tick from its start.
+                position = np.arange(k1 - k0) - np.repeat(firsts[c0:c1] - k0, count)
+                by_position = np.argsort(position.astype(np.int8), kind="stable")
+                position_ends = np.cumsum(np.bincount(position)).tolist()
+                start = np.empty(k1 - k0)
+                first = by_position[: position_ends[0]]
+                start[first] = (tick_of[first] * tick).astype(float)
+                for begin, end in zip(position_ends, position_ends[1:]):
+                    at_position = by_position[begin:end]
+                    start[at_position] = start[at_position - 1] + length[at_position - 1]
+
+                # The pieces, on their segments' slots: a v_max crossing's partial
+                # is t_up long, and its pinned rest starts then, from v_max.
                 x0, x1 = np.searchsorted(crossing_at, (k0, k1)).tolist()
                 at = crossing_at[x0:x1].astype(np.intp) - k0
                 t_up = crossing_t[x0:x1]
-                factors = itertools.chain.from_iterable(map(decay_factors, t_up.tolist(), tau[at].tolist()))
-                _, em1, em2 = np.fromiter(factors, float, 3 * at.size).reshape(-1, 3).T
-                part = segment_energy(i_h[at], r[at], tau[at], a[at], v0[at] - a[at], t_up, em1, em2)
-                harvested_t[at], consumed_t[at] = (np.where(t_up == 0.0, 0.0, terms) for terms in part)
-                leak, keep = leak_of[slot], keep_of[slot]
-                leakage_t = consumed_t * leak
-                task_t = consumed_t * keep
+                of = np.repeat(np.arange(k1 - k0), np.bincount(at, minlength=k1 - k0) + 1)  # each piece's segment
+                rest = at + np.arange(1, at.size + 1)  # each crossing's rest, after its partial
+                piece_slot = slot[of]
+                i_h, v0, t0, duration = combined[tick_of[of]], vs[k0:k1][of], start[of], length[of]
+                v0[rest], t0[rest] = v_max, start[at] + t_up
+                duration[rest], duration[rest - 1] = length[at] - t_up, t_up
+                r, tau, pinned_w = r_of[piece_slot], tau_of[piece_slot], pinned_w_of[piece_slot]
+                em1, em2 = em1_of[piece_slot], em2_of[piece_slot]
+                factors = itertools.chain.from_iterable(map(decay_factors, t_up.tolist(), tau[rest].tolist()))
+                _, em1[rest - 1], em2[rest - 1] = np.fromiter(factors, float, 3 * at.size).reshape(-1, 3).T
+
+                a = i_h * r
+                pinned = (v0 >= v_pinned) & (a >= v_max)
+                harvested_t, consumed_t = segment_energy(i_h, r, tau, a, v0 - a, duration, em1, em2)
+                harvested_t = np.where(pinned, i_h * v_max * duration, harvested_t)
+                consumed_t = np.where(pinned, pinned_w * duration, consumed_t)
+                leakage_t = consumed_t * leak_of[piece_slot]
+                task_t = consumed_t * keep_of[piece_slot]
                 discarded_t = np.where(pinned, harvested_t - consumed_t, 0.0)
-                task = task_of[slot]
-                if at.size:  # each v_max crossing's pinned rest goes in after its partial
-                    rest = duration[at] - t_up
-                    pinned_in, pinned_out = i_h[at] * v_max * rest, pinned_w[at] * rest
-                    harvested_t, leakage_t, task_t, discarded_t, task = _spliced(
-                        (harvested_t, leakage_t, task_t, discarded_t, task), at,
-                        (pinned_in, pinned_out * leak[at], pinned_out * keep[at], pinned_in - pinned_out, task[at]),
-                    )
                 harvested = _running_sum(harvested, harvested_t)
                 leakage = _running_sum(leakage, leakage_t)
                 discarded = _running_sum(discarded, discarded_t)
                 # Each task's terms in run order, by a stable sort on the task.
+                task = task_of[piece_slot]
                 by_task = np.argsort(task.astype(np.int8), kind="stable")
                 task_t = task_t[by_task]
                 task_ends = np.cumsum(np.bincount(task, minlength=len(_TASK_NAMES))).tolist()
@@ -877,37 +887,24 @@ class _Simulator:
                 consumed.update((index, 0.0) for _, index in sorted(first_use))
                 consumed.update(sums)
 
-                # Start times, summed along each tick from its start.
-                position = np.arange(k1 - k0) - np.repeat(firsts[c0:c1] - k0, count)
-                by_position = np.argsort(position.astype(np.int8), kind="stable")
-                position_ends = np.cumsum(np.bincount(position)).tolist()
-                t0 = np.empty(k1 - k0)
-                first = by_position[: position_ends[0]]
-                t0[first] = (tick_of[first] * tick).astype(float)
-                for begin, end in zip(position_ends, position_ends[1:]):
-                    at_position = by_position[begin:end]
-                    t0[at_position] = t0[at_position - 1] + duration[at_position - 1]
-
-                state = pinned.copy()
-                state[at] = True
-                before_state = np.append(clamp, state[:-1])
-                clamp = bool(state[-1]) if state.size else clamp
+                before_state = np.append(clamp, pinned[:-1])
+                clamp = bool(pinned[-1]) if pinned.size else clamp
                 clamp_ends = np.flatnonzero(before_state & ~pinned)
                 clamp_starts = np.flatnonzero(pinned & ~before_state)
                 emit = emit_of[slot]
                 emits = np.flatnonzero(emit >= 0)
+                lasts = emits + np.searchsorted(at, emits, "right")  # their segments' last pieces
                 m0, m1 = np.searchsorted(mark_tick, (c0, c1)).tolist()
                 # (key, time, kind, v_before, v_after, detail) by source; a key is
-                # the segment's place in the run times 4 plus a sub-position: 0
-                # for a whole row, 1 for a clamp row at a segment's start, 2 for a
-                # crossing's ClampStart and 3 for an activity row at its last
-                # segment's end.
+                # the piece's place in the run times 3 plus a sub-position: 0 for
+                # a whole row, 1 for a clamp row at a piece's start and 2 for an
+                # activity row at the end of its last segment's last piece.
+                base = k0 + x0
                 sources = (
-                    ((k0 + clamp_ends) * 4 + 1, t0[clamp_ends], _CLAMP_END, v0[clamp_ends], v0[clamp_ends], 0),
-                    ((k0 + clamp_starts) * 4 + 1, t0[clamp_starts], _CLAMP_START, v_max, v_max, 0),
-                    ((k0 + at) * 4 + 2, t0[at] + t_up, _CLAMP_START, v_max, v_max, 0),
-                    ((k0 + emits) * 4 + 3, t0[emits] + duration[emits], emit[emits], v0[emits - span_of[slot[emits]]],
-                     v_end[emits], 0),
+                    ((base + clamp_ends) * 3 + 1, t0[clamp_ends], _CLAMP_END, v0[clamp_ends], v0[clamp_ends], 0),
+                    ((base + clamp_starts) * 3 + 1, t0[clamp_starts], _CLAMP_START, v_max, v_max, 0),
+                    ((base + lasts) * 3 + 2, start[emits] + length[emits], emit[emits],
+                     vs[k0 + emits - span_of[slot[emits]]], vs[k0 + emits + 1], 0),
                     (mark_key[m0:m1], *[column[m0:m1] for column in mark_columns[2:]]),
                 )
                 sizes = [len(s[0]) for s in sources]
@@ -928,21 +925,7 @@ class _Simulator:
             harvested, {_TASK_NAMES[index]: value for index, value in consumed.items()}, leakage, discarded,
             0.5 * self.c * (self.v**2 - v_initial**2),
         )
-        return log, ledger
-
-
-def _spliced(columns: tuple, after: np.ndarray, values: tuple) -> list[np.ndarray]:
-    """Each column with its values put in after the positions in after (ascending)."""
-    n = columns[0].size
-    moved = np.arange(n) + np.cumsum(np.bincount(after + 1, minlength=n)[:n])
-    added = after + np.arange(1, after.size + 1)
-    spliced = []
-    for column, value in zip(columns, values):
-        out = np.empty(n + after.size, column.dtype)
-        out[moved] = column
-        out[added] = value
-        spliced.append(out)
-    return spliced
+        return log, ledger, vs[firsts]
 
 
 def _running_sum(total: float, terms: np.ndarray) -> float:

@@ -727,6 +727,33 @@ def test_simulate_reports_each_config_error(tmp_path, capsys, text, message):
     assert not out.exists()
 
 
+OVERFLOWING_CLEAR_BOUNDS = {  # config text, trace file text (None: a 1-day gen-solar trace)
+    "tiny_v_supply": ("sim: {v_supply: 1.0e-10}\n", None),
+    "giga_second_tick": (
+        "intervals: {base_tick_s: 1000000000, sense_s: null, fix_s: null, transmit_s: null}\n",
+        "t_s,solar_a,kinetic_a,combined_a\n0,0,0,0\n1000000000,0,0,0\n",
+    ),
+}
+
+
+@pytest.mark.parametrize(("config_text", "trace_text"), OVERFLOWING_CLEAR_BOUNDS.values(), ids=OVERFLOWING_CLEAR_BOUNDS)
+def test_overflowing_clear_bound_runs_every_tick_exactly(tmp_path, capsys, config_text, trace_text):
+    # The clear bound's exp(tick / tau + ...) overflowed: an OverflowError
+    # traceback, exit 1. Now no tick is clear, and the exact loop steps them all.
+    trace = tmp_path / "trace.csv"
+    if trace_text is None:
+        assert main(["gen-solar", "--out", str(trace), "--days", "1"]) == EXIT_OK
+    else:
+        trace.write_text(trace_text)
+    config = tmp_path / "config.yaml"
+    config.write_text(config_text)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(config), "--trace", str(trace), "--out", str(out)]) == EXIT_OK
+    assert "Traceback" not in capsys.readouterr().err
+    ledger = json.loads((out / "ledger.json").read_text())
+    assert abs(ledger["closure_error_j"]) <= 1e-9 * ledger["harvested_in_j"]
+
+
 @pytest.mark.parametrize("command", ["simulate", "sweep"])
 def test_empty_trace_file_is_a_trace_error(tmp_path, capsys, command):
     trace = tmp_path / "trace.csv"

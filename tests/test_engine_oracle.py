@@ -871,19 +871,26 @@ def test_busy_tick_crosses_v_max_inside_an_activity(monkeypatch, activity, sched
     assert sim.windows == ([] if exact else [(0, 1, False)])
 
 
-@pytest.mark.parametrize("below", [0.0, 1e-12, 2e-12])
-def test_busy_tick_at_the_pinned_edge(below):
+@pytest.mark.parametrize(
+    "below, current", [(0.0, None), (1e-12, None), (2e-12, None), (2e-12, 5.0)],
+    ids=["0.0", "1e-12", "2e-12", "zero-length-crossing"],
+)
+def test_busy_tick_at_the_pinned_edge(below, current):
     # A tick that starts at or just below v_max, under a harvest that puts
     # the Sense's asymptote at v_max: the pinned test (a start at or above
     # v_max - 1e-12) decides whether the Sense holds v_max or decays toward
-    # it, and the booking pass's replay must decide it the same way.
+    # it, and the booking pass's replay must decide it the same way. Under a
+    # 5 A harvest, the Sense from just below the pinned test crosses v_max at
+    # once: a zero-length partial, booked as 0.0, then its pinned rest.
     config = validate_config(SystemConfig(fix_interval_s=None, transmit_interval_s=None))
     sim = engine._Simulator(config)
     r = sim.loads["AdcRead"][1]
-    i_h = math.nextafter(sim.v_max / r, math.inf)
+    i_h = math.nextafter(sim.v_max / r, math.inf) if current is None else current
     assert i_h * r >= sim.v_max
     one = HarvestTrace(0, 60, np.array([i_h]), np.zeros(1), np.array([i_h]))
-    recorded_run(replace(config, initial_voltage=sim.v_max - below), one)
+    sim, _ = recorded_run(replace(config, initial_voltage=sim.v_max - below), one)
+    if current is not None:
+        assert sim.crossings == [0, 0.0]
 
 
 @pytest.mark.parametrize("chunk", [3, engine._BOOKING_CHUNK])
