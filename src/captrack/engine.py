@@ -16,18 +16,18 @@ closing sleep summed as the exact loop sums it, and stepped in one tight loop
 that stops at the first segment whose start voltage fails its threshold (a
 gate, a start too near v_min, v_turn_on while unpowered). The tick it stops
 at, and every tick the pass cannot decide, go to the exact loop, which steps
-them segment by segment, sending the segments that may cross v_max or v_min,
-and the depletion coasts, through _step, which decides their crossings. Every
-segment has a slot in a per-run table of (load, fixed duration,
-exponentials): a drawn duration or load, a v_min crossing's partial and a
-depletion coast each get a new row. Both paths write one record: each
-segment's slot and start voltage, each tick's segment count, and the segment
-and time of each v_max crossing. The booking pass (_book) is the one place
-that computes a ledger term: it expands that record into pieces (a segment
-is one, a v_max crossing two: its partial, then its pinned rest from v_max),
-books every piece by one rule with numpy, in the order of stepping segment by
-segment, and builds the event log and the tick-boundary voltages, so the
-bits are those of stepping segment by segment.
+them segment by segment and decides every crossing itself, the one place a
+v_min crossing is decided; after a depletion, the rest of the tick is its
+closing sleep on the off load. Every segment has a slot in a per-run table
+of (load, fixed duration, exponentials): a drawn duration or load, a v_min
+crossing's partial and a depletion coast each get a new row. Both paths
+write one record: each segment's slot and start voltage, each tick's segment
+count, and the segment and time of each v_max crossing. The booking pass
+(_book) is the one place that computes a ledger term: it expands that record
+into pieces (a segment is one, a v_max crossing two: its partial, then its
+pinned rest from v_max), books every piece by one rule with numpy, in the
+order of stepping segment by segment, and builds the event log and the
+tick-boundary voltages, so the bits are those of stepping segment by segment.
 """
 
 from __future__ import annotations
@@ -376,9 +376,9 @@ class _Simulator:
         self.type_rows = (np.cumsum(counts) - counts, np.array(slot), np.array(r), np.array(e), np.array(low))
 
     def _load(self, task: str, current_ma: float) -> tuple:
-        """Per-run constants of a constant-current load, in _step's order:
-        task, R, tau = R C, the leakage share of its consumption and the
-        rest, and v_max^2 / R (its draw while pinned).
+        """Per-run constants of a constant-current load: task, R,
+        tau = R C, the leakage share of its consumption and the rest, and
+        v_max^2 / R (its draw while pinned).
         """
         cfg = self.config
         r = equivalent_resistance(cfg.v_supply, current_ma)
@@ -435,60 +435,6 @@ class _Simulator:
             duration *= dev.payload_bytes(samples) / dev.REFERENCE_PAYLOAD_BYTES
         return (self._slot(load, duration),) if duration > 0.0 else ()
 
-    def _step(self, slot: int, load: tuple, i_h: float, check_floor: bool, v0: float) -> tuple[float, float, bool]:
-        """Step one segment of a slot from v0 and record it, deciding its
-        crossings; _book books its terms.
-
-        Returns how far it advances, the end voltage and whether the device
-        depleted: then the segment stops at the v_min crossing, on a slot of
-        that length, and the caller decides what happens next. A v_max
-        crossing is recorded as the speculative pass records it.
-        """
-        duration, e = self.table[slot][6:8]
-        _, r, tau, *_ = load
-        v_max, v_min, margin = self.v_max, self.v_min, _CROSSING_MARGIN
-        a = i_h * r  # asymptote
-        at = self.n_flushed + len(self.vs)
-        self.vs.append(v0)
-        v = v_max
-        if not (v0 >= self.v_pinned and a >= v_max):
-            be = (v0 - a) * e
-            # A crossing time (crossing_time) takes a logarithm, skipped
-            # where the unclamped end voltage a + b e stays clear of the bound:
-            # b e < (v_max - a) M or b e > (v_min - a) M puts the crossing past
-            # the duration.
-            if (
-                a > v_max and v0 < v_max and not be < (v_max - a) * margin
-                and (t_up := crossing_time(v0, a, tau, v_max)) <= duration
-            ):
-                self.crossings += (at, t_up)
-            elif (
-                check_floor and a < v_min and v0 > v_min and not be > (v_min - a) * margin
-                and (t_dn := crossing_time(v0, a, tau, v_min)) <= duration
-            ):
-                self.slots.append(self._slot(load, t_dn)[0])
-                return t_dn, v_min, True
-            else:
-                v = a + be
-                if v > v_max:
-                    v = v_max
-        self.slots.append(slot)
-        return duration, v, False
-
-    def _deplete(
-        self, i: int, position: int, i_h: float, tick_end: float, failure: int | None, detail: str, t: float,
-        v: float,
-    ) -> float:
-        """Shut down at a v_min crossing in tick i, after its first position
-        segments, and coast on leakage to tick end."""
-        if failure is not None:
-            self._mark(i, position, t, failure, v, v, detail)
-        self._mark(i, position, t, _DEPLETION, v, v)
-        if not tick_end - t > 0.0:
-            return v
-        off = self.loads["TurnedOff"]
-        return self._step(self._slot(off, tick_end - t)[0], off, i_h, False, v)[1]
-
     def _flush(self) -> None:
         """Move the exact loop's record so far into arrays, so that its lists stay short."""
         vs, slots = self.vs, self.slots
@@ -520,7 +466,8 @@ class _Simulator:
         tick a window was cut at, each tick whose fix or upload draws a
         duration or a load, and the ticks after a cut until one starts above
         the threshold that cut it, so that a run near its gates does not pay
-        a window's set-up per tick.
+        a window's set-up per tick. A v_min crossing ends its segment and
+        leaves the tick only its closing entry: a sleep on the off load.
         """
         cfg = self.config
         tick = cfg.base_tick_s
@@ -528,7 +475,7 @@ class _Simulator:
         v_max, v_min, v_pinned, margin = self.v_max, self.v_min, self.v_pinned, _CROSSING_MARGIN
         jitter = cfg.task_jitter
         drawn_upload = jitter or cfg.payload_scaling
-        upload_gate, clear = self.upload_gate, self.clear
+        upload_gate, clear, off = self.upload_gate, self.clear, self.loads["TurnedOff"]
 
         codes = dev.due_codes(0, n_ticks, cfg)
         mixed = [*np.flatnonzero(~np.array(self.plain)[codes]).tolist(), n_ticks]  # ticks the pass never steps
@@ -536,8 +483,8 @@ class _Simulator:
         v = self.v
         self.counts = counts = np.zeros(n_ticks, np.int32)
         powered, ephemeris_t, buffered = self.powered, self.ephemeris_t, self.buffered
-        vs, vs_append, slots_append = self.vs, self.vs.append, self.slots.append
-        step, mark, flush, closing, speculate = self._step, self._mark, self._flush, self._closing, self._speculate
+        vs, vs_append, slots_append, crossings = self.vs, self.vs.append, self.slots.append, self.crossings
+        mark, flush, closing, speculate = self._mark, self._flush, self._closing, self._speculate
         select = select_gps_mode  # looked up per run, so that a wrapper on the module's name sees each call
         plans, runs, closings = self.plans, _RUNS, self.closing
         sense, upload = plans["Sense"][1], plans["Transmit"][1]
@@ -565,15 +512,17 @@ class _Simulator:
             if not powered:  # an unpowered tick the pass stopped at, as it starts at v_turn_on or above
                 powered = True
                 mark(i, 0, float(t_start), _RECOVERY, v, v)
-            code = codes.item(i)
+            bits, j = runs[codes.item(i)], 0
             tick_end = t_start + tick
             t = float(t_start)
-            for bit in runs[code]:
-                if not bit:  # the closing sleep
+            while True:
+                bit = bits[j]
+                j += 1
+                if not bit:  # the closing sleep; after a depletion, the coast on the off load
                     duration = tick_end - t
                     if not duration > 0.0:
                         break
-                    plan = closings.get(duration) or closing(duration)
+                    plan = (closings.get(duration) or closing(duration)) if powered else (self._slot(off, duration),)
                 elif bit == SENSE:
                     plan = sense
                 elif bit == FIX:
@@ -596,46 +545,57 @@ class _Simulator:
                     plan = self._upload(samples) if drawn_upload else upload
                 v_before = v
                 for slot, r, duration, e, load in plan:
-                    a = i_h * r
-                    # _step's pinned and plain cases, as the speculative pass steps them
+                    a = i_h * r  # asymptote
+                    vs_append(v)
                     if v >= v_pinned and a >= v_max:
-                        vs_append(v)
-                        slots_append(slot)
                         v = v_max
-                        t += duration
-                        continue
-                    be = (v - a) * e
-                    if not (
-                        a > v_max and v < v_max and not be < (v_max - a) * margin
-                        or a < v_min and v > v_min and not be > (v_min - a) * margin
-                    ):
-                        vs_append(v)
-                        slots_append(slot)
-                        v = a + be
-                        if v > v_max:
+                    else:
+                        be = (v - a) * e
+                        # A crossing time (crossing_time) takes a logarithm, skipped
+                        # where the unclamped end voltage a + b e stays clear of the
+                        # bound: b e < (v_max - a) M or b e > (v_min - a) M puts the
+                        # crossing past the duration.
+                        if (
+                            a > v_max and v < v_max and not be < (v_max - a) * margin
+                            and (t_up := crossing_time(v, a, load[2], v_max)) <= duration
+                        ):
+                            crossings += (self.n_flushed + len(vs) - 1, t_up)
                             v = v_max
-                        t += duration
-                        continue
-                    advance, v, depleted = step(slot, load, i_h, True, v)
-                    t += advance
-                    if depleted:
-                        if bit == TRANSMIT:
-                            failure, text = _TRANSMIT_FAILED, f"samples={samples}"
+                        elif (
+                            a < v_min and v > v_min and not be > (v_min - a) * margin
+                            and (t_dn := crossing_time(v, a, load[2], v_min)) <= duration
+                        ):
+                            # Depleted: the segment ends at the crossing, on a slot of
+                            # that length, and only the closing entry is left to run.
+                            slots_append(self._slot(load, t_dn)[0])
+                            t += t_dn
+                            v = v_min
+                            position = len(vs) - first
+                            if bit == TRANSMIT:
+                                mark(i, position, t, _TRANSMIT_FAILED, v, v, f"samples={samples}")
+                            elif bit:
+                                mark(i, position, t, _TASK_FAILED, v, v, load[0])
+                            mark(i, position, t, _DEPLETION, v, v)
+                            powered = False
+                            ephemeris_t = None  # the backup domain is lost; flash keeps the buffer
+                            j = -1  # every run ends with its closing entry
+                            break
                         else:
-                            failure, text = (_TASK_FAILED, load[0]) if bit else (None, "")
-                        v = self._deplete(i, len(vs) - first, i_h, tick_end, failure, text, t, v)
-                        powered = False
-                        ephemeris_t = None  # the backup domain is lost; flash keeps the buffer
+                            v = a + be
+                            if v > v_max:
+                                v = v_max
+                    slots_append(slot)
+                    t += duration
+                else:  # the plan ran to its end
+                    if not bit:  # the closing entry ends the tick
                         break
-                if not powered:
-                    break
-                if bit == FIX:
-                    if event != _FIX_HOT:  # every other fix leaves a fresh ephemeris
-                        ephemeris_t = t_start
-                    buffered += 1
-                elif bit == TRANSMIT:
-                    buffered = 0
-                    mark(i, len(vs) - first, t, _TRANSMIT, v_before, v, f"samples={samples}")
+                    if bit == FIX:
+                        if event != _FIX_HOT:  # every other fix leaves a fresh ephemeris
+                            ephemeris_t = t_start
+                        buffered += 1
+                    elif bit == TRANSMIT:
+                        buffered = 0
+                        mark(i, len(vs) - first, t, _TRANSMIT, v_before, v, f"samples={samples}")
             counts[i] = len(vs) - first
             i += 1
 
@@ -663,11 +623,11 @@ class _Simulator:
         age). The window's segments (a = i_h R, exp(-x), the lowest start
         voltage) are built with numpy from each tick's type's fixed rows, a
         busy tick's closing sleep worked out from its own start, and stepped
-        in one flat loop with _step's pinned, plain and v_max crossing cases
-        in _step's order, up to the first start voltage that fails its
-        threshold: clear[code] at a powered tick's start, the kind's gate at a
-        fix's, the upload gate at an upload's, v_turn_on at an unpowered
-        tick's start. The window is cut at that tick, and the ticks before it
+        in one flat loop with the exact loop's pinned, plain and v_max
+        crossing cases in its order (it has no v_min test), up to the first
+        start voltage that fails its threshold: clear[code] at a powered
+        tick's start, the kind's gate at a fix's, the upload gate at an
+        upload's, v_turn_on at an unpowered tick's start. The window is cut at that tick, and the ticks before it
         are recorded as the exact loop records them. Returns the first tick
         not stepped, the voltage then, the ephemeris and buffer state and the
         threshold that cut the window (-inf if none).

@@ -1,17 +1,25 @@
 """Command-line interface: exit codes, outputs, determinism."""
 
+import contextlib
 import csv
+import io
 import json
+import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import captrack.cli as cli
+import captrack.configfile as configfile
 from captrack.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_TRACE, main
 from captrack.energy_model import SystemConfig, validate_config
 from captrack.engine import run_simulation
@@ -711,6 +719,27 @@ BAD_CONFIGS = {  # config text -> what its error message must contain
     "derived_cold_start": (
         "capacitor: {capacitance_f: 0.01, leakage_ma: 0.01}\n", "derived cold_start threshold 14.02 outside [v_min, v_max)"
     ),
+    "subnormal_leakage": (
+        "capacitor: {leakage_ma: 5.0e-324}\n", "R = v_supply / current or R C is zero, subnormal or infinite for TurnedOff"
+    ),
+    "subnormal_resistance": (
+        "sim: {v_supply: 2.2e-308}\ncapacitor: {leakage_ma: 9223372036854775808}\n", "infinite for HotStart, WarmStart"
+    ),
+    "subnormal_time_constant": (
+        "capacitor: {capacitance_f: 1.0e-20, leakage_ma: 0.016}\nsim: {v_supply: 1.0e-300}\n", "infinite for HotStart"
+    ),
+    "infinite_cold_bound": (
+        "capacitor: {capacitance_f: 5.0e-324, leakage_ma: 0.016}\nsim: {v_supply: 1.0e+300}\n",
+        "derived cold_start bound inf V is not finite",
+    ),
+    "squared_v_min_past_float_range": (
+        "capacitor: {v_max: 1.0e+300}\nthresholds: {v_min: 1.0e+200, v_turn_on: 2.0e+200, hot_start: 1.0e+200, "
+        "hot_ephemeris: 1.0e+200, warm_ephemeris: 1.0e+200, nbiot: 1.0e+200}\n",
+        "derived cold_start bound inf V is not finite",
+    ),
+    "interval_past_int64": (  # a multiple of the tick, so only its size is wrong
+        "intervals: {transmit_s: 9223372036854775860}\n", "transmit_interval_s=9223372036854775860 must be below 2^63 s"
+    ),
     "unparseable_yaml": ("intervals: [\n", "unparseable config file {path}: "),
     "int_past_float_range": ("sim: {initial_voltage: 1" + "0" * 400 + "}\n", "sim.initial_voltage must be finite, got 1000"),
 }
@@ -752,6 +781,38 @@ def test_overflowing_clear_bound_runs_every_tick_exactly(tmp_path, capsys, confi
     assert "Traceback" not in capsys.readouterr().err
     ledger = json.loads((out / "ledger.json").read_text())
     assert abs(ledger["closure_error_j"]) <= 1e-9 * ledger["harvested_in_j"]
+
+
+# Extremes of each field's schema type, drawn 1-4 fields at a time.
+EXTREMES = (0, 5e-324, 1e-300, 1e300, -1e300, 2**63 - 1, 2**63, 10**30, -1, None)
+CONFIG_KEYS = tuple(
+    (section, key) for section in configfile.CONFIG_SECTIONS for key in configfile.SECTIONS[section][1]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.sampled_from(CONFIG_KEYS), st.sampled_from(EXTREMES), min_size=1, max_size=4))
+def test_extreme_configs_exit_with_a_code_and_a_finite_ledger(fields):
+    # Each config runs or is rejected with its exit code, never a traceback.
+    # The ledger's closure is left out: a 9.2e18 F capacitor changes by less
+    # than one ulp a tick, so its delta_stored_j reads 0.
+    data = {}
+    for (section, key), value in fields.items():
+        data.setdefault(section, {})[key] = value
+    with tempfile.TemporaryDirectory() as work:
+        work = Path(work)
+        (work / "config.yaml").write_text(json.dumps(data))  # JSON is YAML
+        (work / "trace.csv").write_text("t_s,solar_a,kinetic_a,combined_a\n0,0.001,0.0005,0\n60,0.002,0,0\n")
+        argv = ["simulate", "--config", str(work / "config.yaml"), "--trace", str(work / "trace.csv")]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # safe-bound warnings
+                code = main([*argv, "--out", str(work / "out")])
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_TRACE)
+        if code == EXIT_OK:
+            ledger = json.loads((work / "out" / "ledger.json").read_text())
+            values = [*ledger.pop("consumed_by_task_j").values(), *ledger.values()]
+            assert all(math.isfinite(value) for value in values), ledger
 
 
 @pytest.mark.parametrize("command", ["simulate", "sweep"])

@@ -2,6 +2,7 @@
 
 import math
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -208,3 +209,15 @@ def test_validate_warns_on_aggressive_threshold():
     cfg = replace(SystemConfig(), thresholds=VoltageThresholds(cold_start=1.85))
     with pytest.warns(UserWarning, match="below its safe bound"):
         validate_config(cfg)
+
+
+def test_derived_cold_threshold_is_not_warned_about():
+    # With a tiny supply the cold chain's safe bound is 1.800000000006507 V,
+    # which rounds up (less 1e-9) to 1.80 V, just below it. The config left the
+    # threshold to be derived, so neither its validation nor a second one of
+    # the validated config (as run_simulation does) warns.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        validated = validate_config(SystemConfig(v_supply=1e-10))
+        assert validated.thresholds.cold_start == 1.8
+        assert validate_config(validated) == validated

@@ -849,8 +849,8 @@ def test_busy_tick_crosses_v_max_inside_an_activity(monkeypatch, activity, sched
     # speculative pass steps the tick and records the crossing: the segment
     # (the chain's last, by its slot) and the crossing time; the booking pass
     # books the partial and the pinned rest. With every due code taken as
-    # drawn, the exact loop steps the tick instead: _step decides the
-    # crossing and records it the same way.
+    # drawn, the exact loop steps the tick instead: it decides the crossing
+    # itself and records it the same way.
     if exact:
         init = engine._Simulator.__init__
 
@@ -1070,7 +1070,7 @@ def test_window_cut_after_a_crossing_in_its_tick():
     # v_max: the first tick's Sense crosses v_max, its cold fix drains the
     # capacitor below an upload gate set near v_max, and the window is cut
     # there. The crossing the pass recorded in that tick is dropped, and the
-    # exact loop steps the tick again from its start: _step records the
+    # exact loop steps the tick again from its start and records the
     # crossing again, at the run's first segment.
     gates = VoltageThresholds(cold_start=5.0, nbiot=5.2)
     config = SystemConfig(
