@@ -51,17 +51,10 @@ _CRLF = np.frombuffer(b"\r\n", np.uint8)
 
 IRRADIANCE_HEADER = ["timestamp", "irradiance_wm2"]
 HARVEST_HEADER = ["t_s", "solar_a", "kinetic_a", "combined_a"]
-# A stamp the one-pass reader may take: epoch digits or "YYYY-MM-DDTHH:MM:SS"
-# and a UTC suffix, "Z" or "+00:00", with any blanks around.
-_PLAIN_STAMP = re.compile(r"\s*(?:-?[0-9]+|[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}(?:Z|\+00:00))\s*")
-# Rows as the one-pass reader parses them, by the suffix of the first stamp
-# ("Z" also for epoch seconds, which take at most 20 bytes). A stamp is one
-# byte wider than the longest one it reads, so a longer cell shows instead of
-# being cut; "Z" files keep the narrower rows, which parse faster.
-_IRRADIANCE_ROWS = {
-    suffix: np.dtype([("timestamp", f"S{_ISO_UTC.size + len(suffix) + 1}"), ("irradiance_wm2", float)])
-    for suffix in ("Z", "+00:00")
-}
+# Rows as the one-pass reader parses them. A stamp is one byte wider than the
+# longest one it reads, "YYYY-MM-DDTHH:MM:SS+00:00" (epoch seconds take at most
+# 20 bytes), so a longer cell shows instead of being cut.
+_IRRADIANCE_ROWS = np.dtype([("timestamp", f"S{_ISO_UTC.size + _UTC_OFFSET.size}"), ("irradiance_wm2", float)])
 _HARVEST_ROWS = np.dtype([(name, float) for name in HARVEST_HEADER])
 
 
@@ -331,6 +324,7 @@ def generate_kinetic_trace(
                 chosen[rng.choice(indices)] = True
             energy_per_minute = profile.daily_energy_j * weight / int(chosen.sum())
             current[sl][chosen] = energy_per_minute / (60.0 * v_supply)
+    _check_finite("kinetic current", current)  # E / (60 V) overflows for a tiny supply or a huge energy
     return current
 
 
@@ -413,15 +407,15 @@ def _iso_utc_seconds(text: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Where each byte string is a second written "YYYY-MM-DDTHH:MM:SS" and
     "Z" or "+00:00", and its epoch seconds.
 
-    The strings are as wide as one of _IRRADIANCE_ROWS' stamps. A string
-    counts only if _parse_timestamp reads it as that second: every field is
-    in range, the day is in its month and the year is 1 or later. The
-    seconds of the others are filler.
+    The strings are as wide as _IRRADIANCE_ROWS' stamps. A string counts
+    only if _parse_timestamp reads it as that second: every field is in
+    range, the day is in its month and the year is 1 or later. The seconds
+    of the others are filler.
     """
     size = _ISO_UTC.size
     raw = text[:, None].view(np.uint8)
     iso = (raw[:, size] == ord("Z")) & (raw[:, size + 1] == 0)  # nothing after the suffix
-    if not iso.all() and raw.shape[1] >= size + _UTC_OFFSET.size:
+    if not iso.all():
         iso |= (raw[:, size : size + _UTC_OFFSET.size] == _UTC_OFFSET).all(axis=1)
     # One row per character, each the character's offset from the template:
     # a byte below it wraps high.
@@ -444,8 +438,9 @@ def _read_plain(path: str, encoding: str, dtype: np.dtype) -> np.ndarray | None:
     """The rows after the header line, parsed by np.loadtxt in one pass; None where it might read them otherwise.
 
     For a cell without quotes np.loadtxt splits lines and cells as csv.reader
-    does, and a quote is kept in the cell, where no dtype here parses it (a
-    header with a quoted line break leaves one in the rows). np.loadtxt has
+    does. It keeps a quote in the cell, where no parser here takes it (a
+    header with a quoted line break leaves one in the rows), and blanks
+    around a stamp, which _plain_stamps rejects. np.loadtxt has
     no field size limit and a byte string drops a final NUL, so a file with a
     line longer than csv.field_size_limit() or with a NUL byte is declined,
     as is one np.loadtxt rejects or finds no data rows in. A pipe is not
@@ -471,29 +466,25 @@ def _read_plain(path: str, encoding: str, dtype: np.dtype) -> np.ndarray | None:
         return None
 
 
-def _epoch_seconds(text: np.ndarray) -> np.ndarray | None:
-    """The byte strings as int() reads them, if each is the plain decimal text of its value."""
+def _plain_stamps(text: np.ndarray) -> np.ndarray | None:
+    """The epoch seconds of _IRRADIANCE_ROWS' stamps if they are all epoch
+    integers, each the plain decimal text of its value, or all UTC text that
+    _iso_utc_seconds takes; else None."""
     try:
         seconds = text.astype(np.int64)
     except (ValueError, OverflowError):
-        return None
+        iso, seconds = _iso_utc_seconds(text)
+        return seconds if iso.all() else None
     return seconds if (seconds.astype(text.dtype) == text).all() else None
 
 
-def _plain_irradiance(
-    path: str, encoding: str, dtype: np.dtype, resolution_s: int, max_gap_steps: int
-) -> IrradianceTrace | None:
+def _plain_irradiance(path: str, encoding: str, resolution_s: int, max_gap_steps: int) -> IrradianceTrace | None:
     """The trace of a plain file whose stamps are all epoch integers or all UTC text, if every row checks."""
-    rows = _read_plain(path, encoding, dtype)
+    rows = _read_plain(path, encoding, _IRRADIANCE_ROWS)
     if rows is None:
         return None
-    text = rows["timestamp"]
-    stamps = _epoch_seconds(text)
-    if stamps is None:
-        iso, stamps = _iso_utc_seconds(text)
-        if not iso.all():
-            return None
-    if not -_EXACT_LIMIT < stamps.min() <= stamps.max() < _EXACT_LIMIT:
+    stamps = _plain_stamps(rows["timestamp"])
+    if stamps is None or not -_EXACT_LIMIT < stamps.min() <= stamps.max() < _EXACT_LIMIT:
         return None
     samples = np.ascontiguousarray(rows["irradiance_wm2"])
     spacing = np.diff(stamps)
@@ -511,18 +502,16 @@ def load_irradiance_csv(path: str, resolution_s: int = 60, max_gap_steps: int = 
     Timestamps may be epoch seconds or ISO-8601, strictly increasing on the
     declared resolution grid. Gaps of up to max_gap_steps missing rows are
     filled by holding the previous value (counted in gaps_filled); anything
-    larger is an error.
+    larger is an error. A file whose first stamp _plain_stamps takes is
+    parsed in one pass; the row checker reads any file that pass declines.
     """
     if resolution_s <= 0:
         raise TraceError(f"resolution must be positive, got {resolution_s}")
     with _open_csv(path) as (header, reader, encoding):
         _check_header(path, header, IRRADIANCE_HEADER)
-        # A file whose first stamp has neither form the one-pass reader takes
-        # (ISO stamps with a non-zero offset, say) goes straight to the row checker.
         first = next(reader, None)
-        if first and _PLAIN_STAMP.fullmatch(first[0]):
-            suffix = "+00:00" if first[0].rstrip().endswith("+00:00") else "Z"
-            trace = _plain_irradiance(path, encoding, _IRRADIANCE_ROWS[suffix], resolution_s, max_gap_steps)
+        if first and _plain_stamps(np.array([first[0].encode()], _IRRADIANCE_ROWS["timestamp"])) is not None:
+            trace = _plain_irradiance(path, encoding, resolution_s, max_gap_steps)
             if trace is not None:
                 return trace
         samples = array("d")

@@ -136,6 +136,14 @@ BAD_GEN_FLAGS = [
     ("gen-kinetic --efficiency inf", "gen-kinetic.efficiency: combiner efficiency must be in (0, 1], got inf"),
     ("gen-kinetic --v-supply -3.3", "gen-kinetic.v_supply: v_supply must be positive and finite, got -3.3"),
     ("gen-kinetic --efficiency 0", "gen-kinetic.efficiency: combiner efficiency must be in (0, 1], got 0.0"),
+    # Blamed --efficiency: the current E / (60 V) overflowed inside the combiner's check.
+    ("gen-kinetic --v-supply 1e-320", "gen-kinetic.v_supply: non-finite kinetic current inf at index 50"),
+    # Checks of the kinetic profile that no case above reaches.
+    ("gen-kinetic --weights=-0.1,0.5,0.3,0.3", "gen-kinetic: weights must be >= 0, got (-0.1, 0.5, 0.3, 0.3)"),
+    ("gen-kinetic --period-starts-min 0,1,2,1440",
+     "gen-kinetic: period starts must be within a day, got (0, 1, 2, 1440)"),
+    ("gen-kinetic --daily-energy-j -1", "gen-kinetic: daily energy must be >= 0, got -1.0"),
+    ("gen-kinetic --mean-bout-min 0.5", "gen-kinetic: mean bout must be >= 1 minute, got 0.5"),
 ]
 
 
@@ -794,8 +802,10 @@ CONFIG_KEYS = tuple(
 @given(st.dictionaries(st.sampled_from(CONFIG_KEYS), st.sampled_from(EXTREMES), min_size=1, max_size=4))
 def test_extreme_configs_exit_with_a_code_and_a_finite_ledger(fields):
     # Each config runs or is rejected with its exit code, never a traceback.
-    # The ledger's closure is left out: a 9.2e18 F capacitor changes by less
-    # than one ulp a tick, so its delta_stored_j reads 0.
+    # A run's ledger closes relative to its own energy scale: what flowed
+    # through it, and the most the capacitor stored. A 9.2e18 F capacitor
+    # changes by less than one ulp a tick, so its delta_stored_j reads 0 and
+    # its closure error is that resolution at a ~1e20 J scale.
     data = {}
     for (section, key), value in fields.items():
         data.setdefault(section, {})[key] = value
@@ -813,6 +823,14 @@ def test_extreme_configs_exit_with_a_code_and_a_finite_ledger(fields):
             ledger = json.loads((work / "out" / "ledger.json").read_text())
             values = [*ledger.pop("consumed_by_task_j").values(), *ledger.values()]
             assert all(math.isfinite(value) for value in values), ledger
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                config = configfile.load_config(str(work / "config.yaml"))
+            capacitor = config.capacitor
+            peak = max(capacitor.v_max, config.initial_voltage)
+            stored = 0.5 * capacitor.capacitance_f * peak * peak  # inf where it overflows, not an OverflowError
+            scale = ledger["harvested_in_j"] + ledger["consumed_total_j"] + ledger["discarded_at_clamp_j"] + stored
+            assert abs(ledger["closure_error_j"]) <= 1e-9 * scale, ledger
 
 
 @pytest.mark.parametrize("command", ["simulate", "sweep"])

@@ -820,6 +820,17 @@ def speculated(sim: engine._Simulator) -> np.ndarray:
     return stepped
 
 
+def exact_loop_only(monkeypatch) -> None:
+    """Make every simulator take each tick's due codes as drawn, so that its exact loop steps every tick."""
+    init = engine._Simulator.__init__
+
+    def exact_only(sim, config):
+        init(sim, config)
+        sim.plain = [False] * 8
+
+    monkeypatch.setattr(engine._Simulator, "__init__", exact_only)
+
+
 def crossing_start(sim: engine._Simulator, chain: tuple[str, ...], i_h: float, fraction: float) -> float:
     """A start voltage for chain, under the harvest i_h, whose v_max crossing
     falls at fraction of the chain's last segment: that segment's crossing,
@@ -852,13 +863,7 @@ def test_busy_tick_crosses_v_max_inside_an_activity(monkeypatch, activity, sched
     # drawn, the exact loop steps the tick instead: it decides the crossing
     # itself and records it the same way.
     if exact:
-        init = engine._Simulator.__init__
-
-        def exact_only(sim, config):
-            init(sim, config)
-            sim.plain = [False] * 8
-
-        monkeypatch.setattr(engine._Simulator, "__init__", exact_only)
+        exact_loop_only(monkeypatch)
     config = validate_config(SystemConfig(**schedule))
     i_h = 0.02
     chain = ACTIVITIES[activity].chain
@@ -891,6 +896,25 @@ def test_busy_tick_at_the_pinned_edge(below, current):
     sim, _ = recorded_run(replace(config, initial_voltage=sim.v_max - below), one)
     if current is not None:
         assert sim.crossings == [0, 0.0]
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["pass", "exact"])
+def test_plain_step_rounding_past_v_max_is_clamped(monkeypatch, exact):
+    # An idle tick whose v_max crossing falls just past its 60 s sleep: the
+    # margin test leaves it to the plain step, where a + (v - a) e rounds to
+    # one ulp above v_max. Either stepper clamps it to v_max and records no
+    # crossing; the next tick starts pinned, with its ClampStart at 60 s.
+    if exact:
+        exact_loop_only(monkeypatch)
+    config = validate_config(SystemConfig(sense_interval_s=None, fix_interval_s=None, transmit_interval_s=None,
+                                          initial_voltage=5.498309311794071))
+    i_h = 0.00014485057143751563
+    two = HarvestTrace(0, 60, np.full(2, i_h), np.zeros(2), np.full(2, i_h))
+    sim, result = recorded_run(config, two)
+    assert result.voltages.tolist() == [5.498309311794071, 5.5, 5.5]
+    assert sim.crossings == []
+    assert sim.windows == ([] if exact else [(0, 2, False)])
+    assert result.log.kind.tolist() == [EVENT_KINDS.index("ClampStart")] and result.log.time_s.tolist() == [60.0]
 
 
 @pytest.mark.parametrize("chunk", [3, engine._BOOKING_CHUNK])

@@ -527,9 +527,8 @@ def plain_irradiance_files(draw):
                                st.integers(FIRST_DAY, LAST_DAY - 10**5)))
     stamps = [start + resolution * (sum(steps[:i]) - steps[0] + 1) for i in range(len(steps))]
     number = draw(st.sampled_from(PLAIN_FLOAT_FORMS))
-    forms = ["z", "utc"] if form == "z or utc" else [form]  # the first stamp's suffix sets the stamp width
-    rows = [[STAMP_FORMS[draw(st.sampled_from(forms)) if i else forms[-1]](s), number(draw(st.floats(0.0, 1500.0)))]
-            for i, s in enumerate(stamps)]
+    forms = ["z", "utc"] if form == "z or utc" else [form]
+    rows = [[STAMP_FORMS[draw(st.sampled_from(forms))](s), number(draw(st.floats(0.0, 1500.0)))] for s in stamps]
     text = render([IRRADIANCE_HEADER, *rows], newline=draw(st.sampled_from(["\n", "\r\n"])),
                   final_newline=draw(st.booleans()))
     return text, resolution, max_gap
@@ -632,13 +631,10 @@ def test_z_stamps_read_in_bulk_as_the_oracle_reads_them(tmp_path, stamp):
     except TraceError:
         expected = None
     strict = re.fullmatch(r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}(Z|\+00:00)", stamp) is not None
-    for rows in harvest._IRRADIANCE_ROWS.values():  # at each stamp width the stamp fits in
-        width = rows["timestamp"]
-        if len(stamp.encode()) < width.itemsize:
-            iso, seconds = harvest._iso_utc_seconds(np.array([stamp.encode()], width))
-            assert bool(iso[0]) == (strict and expected is not None)
-            if iso[0]:
-                assert int(seconds[0]) == expected
+    iso, seconds = harvest._iso_utc_seconds(np.array([stamp.encode()], harvest._IRRADIANCE_ROWS["timestamp"]))
+    assert bool(iso[0]) == (strict and expected is not None)
+    if iso[0]:
+        assert int(seconds[0]) == expected
 
 
 DECLINED_ROWS = {  # (stamp form of the other rows, the row)
@@ -751,15 +747,34 @@ def test_utc_stamps_load_in_one_pass(tmp_path):
     assert same_as_oracle(path, "irradiance") == same_as_oracle(z_path, "irradiance")
 
 
-@pytest.mark.parametrize("form", ["east", "naive", "fraction"])
+def test_mixed_utc_stamps_load_in_one_pass(tmp_path):
+    # Stamps alternating Z and +00:00, the first one Z, are parsed in one
+    # np.loadtxt pass and give the trace of the Z twin.
+    rows = [(1735689600 + 60 * i, f"{i}.25") for i in range(50)]
+    z_path, path = tmp_path / "z.csv", tmp_path / "mixed.csv"
+    z_path.write_text(render([IRRADIANCE_HEADER, *([STAMP_FORMS["z"](t), x] for t, x in rows)]))
+    path.write_text(render([IRRADIANCE_HEADER, *([STAMP_FORMS["utc" if i % 2 else "z"](t), x]
+                                                 for i, (t, x) in enumerate(rows))]))
+    same_as_oracle_in_one_pass(path, "irradiance")
+    assert same_as_oracle(path, "irradiance") == same_as_oracle(z_path, "irradiance")
+
+
+SKIPPED_FORMS = {  # stamp forms the one-pass reader never takes
+    **{form: STAMP_FORMS[form] for form in ("east", "naive", "fraction", "padded")},
+    "padded epoch": lambda s: f" {s} ",
+}
+
+
+@pytest.mark.parametrize("form", SKIPPED_FORMS)
 def test_first_stamp_of_another_form_skips_the_one_pass_reader(tmp_path, form):
-    # np.loadtxt parsed a whole file of offset stamps before the row checker
-    # read it again. The first stamp's form now sends such a file to the row
-    # checker alone, which reads the trace of its Z twin.
+    # np.loadtxt parsed a whole file of offset stamps, or of stamps with
+    # blanks around, before the row checker read it again. The first stamp's
+    # form now sends such a file to the row checker alone, which reads the
+    # trace of its Z twin.
     rows = [(1735689600 + 60 * i, f"{i}.25") for i in range(50)]
     z_path, path = tmp_path / "z.csv", tmp_path / f"{form}.csv"
     z_path.write_text(render([IRRADIANCE_HEADER, *([STAMP_FORMS["z"](t), x] for t, x in rows)]))
-    path.write_text(render([IRRADIANCE_HEADER, *([STAMP_FORMS[form](t), x] for t, x in rows)]))
+    path.write_text(render([IRRADIANCE_HEADER, *([SKIPPED_FORMS[form](t), x] for t, x in rows)]))
     with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt:
         got = same_as_oracle(path, "irradiance")
         assert not loadtxt.called
