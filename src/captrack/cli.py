@@ -13,6 +13,7 @@ missing trace, 4 I/O failure while writing outputs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import importlib
 import os
@@ -100,14 +101,29 @@ def _check_generator_tick(config: SystemConfig) -> None:
         ])
 
 
-def _generate_trace(generator: GeneratorSpec, config: SystemConfig) -> HarvestTrace:
-    irradiance = generate_synthetic_irradiance(generator.days, generator.solar)
-    chain = SolarChain(v_supply=config.v_supply)
-    solar = solar_current_from_irradiance(irradiance, chain)
-    if generator.kinetic is not None:
-        kinetic = generate_kinetic_trace(generator.days, generator.kinetic, config.v_supply)
-    else:
-        kinetic = np.zeros_like(solar)
+@contextlib.contextmanager
+def _generating(days: int, name: str):
+    """Around making a trace of days generated days: a day count whose
+    seconds do not fit in int64, or whose samples do not fit in memory, is a
+    config error that names its field, raised before any file is written."""
+    seconds = days * MINUTES_PER_DAY * SYNTHETIC_RESOLUTION_S
+    if seconds > np.iinfo(np.int64).max:
+        raise ConfigError([f"{name} {days}: a clock of {seconds} s does not fit in int64"])
+    try:
+        yield
+    except MemoryError as exc:
+        raise ConfigError([f"{name} {days}: the generated samples do not fit in memory ({exc})"]) from exc
+
+
+def _generate_trace(generator: GeneratorSpec, config: SystemConfig, name: str = "generate.days") -> HarvestTrace:
+    with _generating(generator.days, name):
+        irradiance = generate_synthetic_irradiance(generator.days, generator.solar)
+        chain = SolarChain(v_supply=config.v_supply)
+        solar = solar_current_from_irradiance(irradiance, chain)
+        if generator.kinetic is not None:
+            kinetic = generate_kinetic_trace(generator.days, generator.kinetic, config.v_supply)
+        else:
+            kinetic = np.zeros_like(solar)
     return HarvestTrace.build(solar, kinetic, config.combiner_efficiency, irradiance.start_epoch_s)
 
 
@@ -194,7 +210,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         trace = _load_trace(args.trace, config)
     else:
         _check_generator_tick(config)
-        trace = _generate_trace(GeneratorSpec() if args.days is None else GeneratorSpec(days=args.days), config)
+        generator = GeneratorSpec() if args.days is None else GeneratorSpec(days=args.days)
+        trace = _generate_trace(generator, config, "--days")
     result = run_simulation(config, trace, _run_duration(args.days))
     _write_run_outputs(result, Path(args.out))
     _print_run_summary(result)
@@ -303,12 +320,13 @@ def _section_from_flags(args: argparse.Namespace, section: str):
 
 def cmd_gen_solar(args: argparse.Namespace) -> int:
     _check_days(args.days)
-    last = args.start_epoch + (args.days * MINUTES_PER_DAY - 1) * SYNTHETIC_RESOLUTION_S
-    stamps = np.iinfo(np.int64)
-    if args.start_epoch < stamps.min or last > stamps.max:
-        raise ConfigError([f"--start-epoch {args.start_epoch}: stamps from it to {last} do not all fit in int64"])
-    profile = _section_from_flags(args, "solar")
-    trace = generate_synthetic_irradiance(args.days, profile, start_epoch_s=args.start_epoch)
+    with _generating(args.days, "--days"):
+        last = args.start_epoch + (args.days * MINUTES_PER_DAY - 1) * SYNTHETIC_RESOLUTION_S
+        stamps = np.iinfo(np.int64)
+        if args.start_epoch < stamps.min or last > stamps.max:
+            raise ConfigError([f"--start-epoch {args.start_epoch}: stamps from it to {last} do not all fit in int64"])
+        profile = _section_from_flags(args, "solar")
+        trace = generate_synthetic_irradiance(args.days, profile, start_epoch_s=args.start_epoch)
     save_irradiance_csv(trace, args.out)
 
     chain = SolarChain()
@@ -323,10 +341,11 @@ def cmd_gen_solar(args: argparse.Namespace) -> int:
 def cmd_gen_kinetic(args: argparse.Namespace) -> int:
     _check_days(args.days)
     profile = _section_from_flags(args, "kinetic")
-    try:  # --days is checked above, so the supply is what can be wrong
-        kinetic = generate_kinetic_trace(args.days, profile, args.v_supply)
-    except ValueError as exc:
-        raise ConfigError([f"{args.command}.v_supply: {exc}"]) from exc
+    with _generating(args.days, "--days"):
+        try:  # --days is checked above and by _generating, so the supply is what can be wrong
+            kinetic = generate_kinetic_trace(args.days, profile, args.v_supply)
+        except ValueError as exc:
+            raise ConfigError([f"{args.command}.v_supply: {exc}"]) from exc
     try:
         trace = HarvestTrace.build(np.zeros_like(kinetic), kinetic, args.efficiency)
     except ValueError as exc:

@@ -13,9 +13,9 @@ ticks, to a speculative pass: a window of ticks whose types follow from the
 schedule and the ephemeris age alone (every fix and upload runs), built with
 numpy as flat per-segment arrays from fixed rows per type, each busy tick's
 closing sleep summed as the exact loop sums it, and stepped in one tight loop
-that stops at the first segment whose start voltage fails its threshold (a
-gate, a start too near v_min, v_turn_on while unpowered). The tick it stops
-at, and every tick the pass cannot decide, go to the exact loop, which steps
+that stops at the first segment that fails its threshold (a gate, a start
+or an end too near v_min, v_turn_on while unpowered). The tick it stops at,
+and every tick the pass cannot decide, go to the exact loop, which steps
 them segment by segment and decides every crossing itself, the one place a
 v_min crossing is decided; after a depletion, the rest of the tick is its
 closing sleep on the off load. Every segment has a slot in a per-run table
@@ -324,33 +324,18 @@ class _Simulator:
         )
         upload_drawn = config.task_jitter or config.payload_scaling
         self.plain = [not (code & FIX and fix_drawn or code & TRANSMIT and upload_drawn) for code in range(8)]
-        # Per due code, the start voltage above which no segment of the tick
-        # comes near v_min, so that the speculative pass, which has no v_min
-        # test, may step it. With the harvest >= 0 a segment keeps at least
-        # exp(-x) of its start voltage, so the tick keeps exp(-X) of it, X the
-        # largest sum of x (duration / tau) its activities and closing sleep
-        # can take. The 1e-6 of v_min is far above the rounding and the margin
-        # test's 1e-9. A bound whose exp(X) overflows is inf: no tick is clear.
-        most = {
-            bit: max(
-                sum(duration / load[2] for _, _, duration, _, load in plan)
-                for kind, (_, plan, _) in self.plans.items() if ACTIVITIES[kind].activity == bit
-            )
-            for bit in (SENSE, FIX, TRANSMIT)
-        }
-        self.clear = []
-        for code in range(8):
-            try:
-                grow = math.exp(tick / sleep[2] + sum(most[bit] for bit in _RUNS[code][:-1]))
-            except OverflowError:
-                grow = math.inf
-            self.clear.append(self.v_min * (1.0 + 1e-6) * grow)
+        # The lowest start voltage of a segment the speculative pass steps.
+        # The exact loop decides a v_min crossing only where a + b e <=
+        # a + (v_min - a) M <= v_min M (a >= 0), and the pass steps a + b e
+        # alike, so a segment that may cross ends below the floor, whose 1e-6
+        # of v_min is far above the rounding and M's 1e-9.
+        self.floor = floor = self.v_min * (1.0 + 1e-6)
         # The speculative pass's tick types: a powered tick's due code OR the
         # place of its fix's kind among the fix kinds, shifted left 3 bits. Per
         # type, fixed rows of slot, R, exp(-x) and the lowest start voltage
-        # (above clear[code] at the tick's start, a gate at a fix's or an
-        # upload's): its activities' segments, then a whole-tick sleep, which an
-        # idle tick sleeps and a busy tick replaces by its own closing sleep.
+        # (the floor, or a fix's or an upload's gate where it is higher): its
+        # activities' segments, then a whole-tick sleep, which an idle tick
+        # sleeps and a busy tick replaces by its own closing sleep.
         # Its activity durations go in a column, padded with 0.0.
         self.fix_kinds = [kind for kind, spec in ACTIVITIES.items() if spec.activity == FIX]
         self.kind_of_age: dict[int | None, int] = {}
@@ -361,13 +346,11 @@ class _Simulator:
             code, fix = typ & 7, self.fix_kinds[typ >> 3]
             kinds = [{SENSE: "Sense", FIX: fix, TRANSMIT: "Transmit"}[bit] for bit in _RUNS[code][:-1]]
             plan = [
-                (segment, gates[kind] if position == 0 else -math.inf)
+                (segment, max(gates[kind] if position == 0 else -math.inf, floor))
                 for kind in kinds for position, segment in enumerate(self.plans[kind][1])
-            ] + [(self.closing[tick][0], -math.inf)]
-            lows = [low for _, low in plan]
-            lows[0] = max(lows[0], math.nextafter(self.clear[code], math.inf))
+            ] + [(self.closing[tick][0], floor)]
             counts.append(len(plan))
-            rows += [(slot, r, e, low) for ((slot, r, _, e, _), _), low in zip(plan, lows)]
+            rows += [(slot, r, e, low) for (slot, r, _, e, _), low in plan]
             durations.append([duration for (_, _, duration, _, _), _ in plan[:-1]])
         width = max(map(len, durations))
         self.type_durations = np.array([row + [0.0] * (width - len(row)) for row in durations]).T.copy()
@@ -475,7 +458,7 @@ class _Simulator:
         v_max, v_min, v_pinned, margin = self.v_max, self.v_min, self.v_pinned, _CROSSING_MARGIN
         jitter = cfg.task_jitter
         drawn_upload = jitter or cfg.payload_scaling
-        upload_gate, clear, off = self.upload_gate, self.clear, self.loads["TurnedOff"]
+        upload_gate, floor, off = self.upload_gate, self.floor, self.loads["TurnedOff"]
 
         codes = dev.due_codes(0, n_ticks, cfg)
         mixed = [*np.flatnonzero(~np.array(self.plain)[codes]).tolist(), n_ticks]  # ticks the pass never steps
@@ -495,7 +478,7 @@ class _Simulator:
             if i >= hold and (v >= resume or not powered):
                 stop = mixed[bisect_left(mixed, i)] if powered else n_ticks
                 room = stop - i >= min(_WINDOW_MIN, n_ticks - i)
-                if v > clear[codes.item(i)] and room if powered else v < v_turn_on:
+                if v >= floor and room if powered else v < v_turn_on:
                     flush()
                     end = min(stop, i + span)
                     i, v, ephemeris_t, buffered, resume = speculate(
@@ -625,12 +608,14 @@ class _Simulator:
         busy tick's closing sleep worked out from its own start, and stepped
         in one flat loop with the exact loop's pinned, plain and v_max
         crossing cases in its order (it has no v_min test), up to the first
-        start voltage that fails its threshold: clear[code] at a powered
-        tick's start, the kind's gate at a fix's, the upload gate at an
-        upload's, v_turn_on at an unpowered tick's start. The window is cut at that tick, and the ticks before it
-        are recorded as the exact loop records them. Returns the first tick
-        not stepped, the voltage then, the ephemeris and buffer state and the
-        threshold that cut the window (-inf if none).
+        start voltage that fails its threshold: the floor at a powered
+        segment's, the kind's gate at a fix's, the upload gate at an upload's,
+        v_turn_on at an unpowered tick's start. Where a powered window stops
+        or ends below the floor, the pass backs off its last segment, which
+        may have crossed v_min. The window is cut at the tick it stopped at,
+        and the ticks before it are recorded as the exact loop records them.
+        Returns the first tick not stepped, the voltage then, the ephemeris
+        and buffer state and the threshold that cut the window (-inf if none).
         """
         tick = self.config.base_tick_s
         m = i1 - i0
@@ -713,11 +698,11 @@ class _Simulator:
                 if v > v_max:
                     v = v_max
 
-        stepped = len(vs)
+        stepped = len(vs) - (powered and v < self.floor)  # back off a segment that may cross v_min
         end = int(np.searchsorted(firsts, stepped, "right")) - 1 if stepped < slot.size else m
         kept = firsts.item(end) if end < m else stepped
         threshold = lows.item(stepped) if powered and stepped < slot.size else -math.inf
-        if kept < stepped:
+        if kept < len(vs):
             v = vs[kept]
         self.windows.append((i0, i0 + end, i0 + end < i1))
         while crossings and crossings[-2] >= base + kept:  # those of the tick the window was cut at

@@ -764,7 +764,7 @@ def test_simulate_reports_each_config_error(tmp_path, capsys, text, message):
     assert not out.exists()
 
 
-OVERFLOWING_CLEAR_BOUNDS = {  # config text, trace file text (None: a 1-day gen-solar trace)
+ZERO_DECAY_RUNS = {  # config text, trace file text (None: a 1-day gen-solar trace)
     "tiny_v_supply": ("sim: {v_supply: 1.0e-10}\n", None),
     "giga_second_tick": (
         "intervals: {base_tick_s: 1000000000, sense_s: null, fix_s: null, transmit_s: null}\n",
@@ -773,10 +773,11 @@ OVERFLOWING_CLEAR_BOUNDS = {  # config text, trace file text (None: a 1-day gen-
 }
 
 
-@pytest.mark.parametrize(("config_text", "trace_text"), OVERFLOWING_CLEAR_BOUNDS.values(), ids=OVERFLOWING_CLEAR_BOUNDS)
-def test_overflowing_clear_bound_runs_every_tick_exactly(tmp_path, capsys, config_text, trace_text):
-    # The clear bound's exp(tick / tau + ...) overflowed: an OverflowError
-    # traceback, exit 1. Now no tick is clear, and the exact loop steps them all.
+@pytest.mark.parametrize(("config_text", "trace_text"), ZERO_DECAY_RUNS.values(), ids=ZERO_DECAY_RUNS)
+def test_segments_that_decay_to_zero_run_and_close(tmp_path, capsys, config_text, trace_text):
+    # Segments whose exp(-x) is 0: a 1e-10 V supply makes every load's tau
+    # tiny, and a 1e9 s tick is long. Both ran into an OverflowError traceback
+    # (exit 1) once, in a start-voltage bound the engine no longer has.
     trace = tmp_path / "trace.csv"
     if trace_text is None:
         assert main(["gen-solar", "--out", str(trace), "--days", "1"]) == EXIT_OK
@@ -831,6 +832,62 @@ def test_extreme_configs_exit_with_a_code_and_a_finite_ledger(fields):
             stored = 0.5 * capacitor.capacitance_f * peak * peak  # inf where it overflows, not an OverflowError
             scale = ledger["harvested_in_j"] + ledger["consumed_total_j"] + ledger["discarded_at_clamp_j"] + stored
             assert abs(ledger["closure_error_j"]) <= 1e-9 * scale, ledger
+
+
+GEN_FLAGS = {
+    command: (*extra, *(key.replace("_", "-") for key in configfile.GENERATOR_SECTIONS[section][1]))
+    for command, section, extra in (
+        ("gen-solar", "solar", ("start-epoch",)), ("gen-kinetic", "kinetic", ("v-supply", "efficiency")),
+    )
+}
+GEN_DAYS = (0, -1, 1, 2, 10**12, 2**63 - 1, 2**63, 10**30)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(GEN_FLAGS)).flatmap(lambda command: st.tuples(
+    st.just(command),
+    st.dictionaries(
+        st.sampled_from(GEN_FLAGS[command]), st.sampled_from([*EXTREMES[:-1], math.nan, math.inf]),
+        min_size=1, max_size=3,
+    ),
+    st.sampled_from(GEN_DAYS),
+)))
+def test_extreme_generator_flags_exit_with_a_code_and_a_finite_trace(case):
+    # Each flag set writes a trace of finite values or is rejected with exit 2
+    # (argparse's own exit for a flag it types), never a traceback.
+    command, flags, days = case
+    with tempfile.TemporaryDirectory() as work:
+        out = Path(work) / "trace.csv"
+        argv = [command, f"--days={days}", *(f"--{flag}={value}" for flag, value in flags.items()), f"--out={out}"]
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (EXIT_OK, EXIT_CONFIG) and "Traceback" not in stderr.getvalue(), stderr.getvalue()
+        if code == EXIT_OK:
+            assert np.isfinite(np.loadtxt(out, delimiter=",", skiprows=1)).all()
+        else:
+            assert not out.exists()
+
+
+@pytest.mark.parametrize("days", [10**12, 2**63 - 1, 2**63, 10**30])
+@pytest.mark.parametrize("command", ["gen-solar", "gen-kinetic", "simulate", "sweep"])
+def test_days_the_generators_cannot_hold_are_a_config_error(tmp_path, capsys, command, days):
+    # 10^12 days of minutes do not fit in memory, and the rest's seconds not in
+    # int64. Each was a traceback (exit 1), or blamed --v-supply or --start-epoch.
+    out = tmp_path / "out"
+    if command == "sweep":
+        spec = tmp_path / "sweep.yaml"
+        spec.write_text(f"capacitors: [2.5]\nfix_intervals_s: [120]\ngenerate: {{days: {days}}}\n")
+        argv, name = ["sweep", "--spec", str(spec)], "generate.days"
+    else:
+        argv, name = [command, "--days", str(days)], "--days"
+    assert main([*argv, "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {name} {days}: ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["simulate", "sweep"])

@@ -921,10 +921,12 @@ def test_plain_step_rounding_past_v_max_is_clamped(monkeypatch, exact):
 def test_busy_ticks_near_the_floor_are_recorded(monkeypatch, chunk):
     # test_depleting_dark_run_with_jitter without the jitter (and on a trace
     # with every kind of failure), so that every tick may be speculated. The
-    # speculative pass steps no powered tick that starts at or below
-    # clear[code], where a segment may reach v_min: the exact loop steps it
-    # from its start, so every TaskFailed and TransmitFailed falls in such a
-    # tick. The pass takes most ticks all the same, in few windows. It calls
+    # speculative pass steps no powered segment that starts below the floor
+    # just above v_min, and gives the tick of one that ends below it, which
+    # may have reached v_min, to the exact loop: so no powered tick of the
+    # pass starts or ends below the floor, and every TaskFailed and
+    # TransmitFailed falls in a tick of the exact loop. The pass takes most
+    # ticks all the same, in few windows. It calls
     # select_gps_mode at an infinite voltage once per ephemeris age; the exact
     # loop calls it at the tick's voltage once per fix it reaches. Also booked
     # three ticks at a time.
@@ -943,10 +945,9 @@ def test_busy_ticks_near_the_floor_are_recorded(monkeypatch, chunk):
     failed = {int(e.time_s // 60) for e in old.events if e.kind in ("TaskFailed", "TransmitFailed")}
     pass_ticks = speculated(sim)
     assert not pass_ticks[list(failed)].any()
-    due = device.due_codes(0, len(trace), sim.config)
-    start, powered = result.voltages[:-1], result.power_on[:-1]
-    near = start <= np.array(sim.clear)[due]
-    assert not (pass_ticks & powered & near).any()
+    powered = result.power_on[:-1]
+    near = np.minimum(result.voltages[:-1], result.voltages[1:]) < sim.floor
+    assert near.any() and not (pass_ticks & powered & near).any()
     assert pass_ticks.sum() > 5 * (~pass_ticks).sum() and len(sim.windows) < len(trace) / 20
     fix_tasks = {task for spec in ACTIVITIES.values() if spec.activity == FIX for task in spec.chain}
     reached = [  # the tick of each fix that ran, was skipped or failed in its chain
@@ -1113,16 +1114,31 @@ def test_window_cut_after_a_crossing_in_its_tick():
     assert kinds[:4] == ["ClampStart", "Sense", "ClampEnd", "FixCold"] and "TransmitSkipped" in kinds
 
 
-def test_tick_starting_at_clear_goes_to_the_exact_loop():
-    # clear[code] is the highest start voltage from which a segment might
-    # reach v_min: a tick that starts there exactly is the exact loop's.
-    gates = VoltageThresholds(v_turn_on=1.8001)  # so that a start near v_min is powered
+def test_tick_ending_below_the_floor_goes_to_the_exact_loop():
+    # A segment that ends below the floor, v_min (1 + 1e-6), may have
+    # reached v_min: the pass gives its tick to the exact loop. With no
+    # harvest, a sensing tick's plain step scales its start by its Sense's
+    # exp(-x) and then its closing sleep's. From the lowest start whose tick
+    # ends at or above the floor the pass steps the first tick; from one ulp
+    # lower the exact loop does. Either way the second tick ends below it.
+    gates = VoltageThresholds(v_turn_on=1.800001)  # under the floor, so that a start near it is powered
     config = validate_config(SystemConfig(thresholds=gates, fix_interval_s=None, transmit_interval_s=None))
-    clear = engine._Simulator(config).clear[SENSE]
+    sim = engine._Simulator(config)
+    ((_, _, sense, e_sense, _),) = sim.plans["Sense"][1]
+    e_sleep = sim._closing(config.base_tick_s - sense)[0][3]
+
+    def ends_at_floor(v: float) -> bool:
+        return v * e_sense * e_sleep >= sim.floor
+
+    v0 = sim.floor / (e_sense * e_sleep)
+    while not ends_at_floor(v0):
+        v0 = math.nextafter(v0, math.inf)
+    while ends_at_floor(math.nextafter(v0, -math.inf)):
+        v0 = math.nextafter(v0, -math.inf)
     trace = harvest_trace("flat", 2, 0.0, 0)
-    for v0, stepped in ((clear, False), (math.nextafter(clear, math.inf), True)):
-        sim, _ = recorded_run(replace(config, initial_voltage=v0), trace)
-        assert speculated(sim)[0] == stepped
+    for start, stepped in ((math.nextafter(v0, -math.inf), False), (v0, True)):
+        sim, _ = recorded_run(replace(config, initial_voltage=start), trace)
+        assert speculated(sim).tolist() == [stepped, False]
 
 
 def test_busy_ticks_straddle_2_20_and_2_21_s():
@@ -1192,8 +1208,8 @@ def cut_reason(sim: engine._Simulator, result: engine.SimResult, tick: int) -> s
     kinds = {EVENT_KINDS[k] for k, t in zip(result.log.kind.tolist(), result.log.time_s.tolist()) if t // base == tick}
     if "Recovery" in kinds:
         return "Recovery"
-    if result.voltages[tick] <= sim.clear[device.due_codes(tick * base, 1, sim.config)[0]]:
-        return "at or below clear"
+    if min(result.voltages[tick : tick + 2]) < sim.floor:
+        return "below the floor"
     for kind in ("FixSkipped", "TransmitSkipped", "TaskFailed", "TransmitFailed", "FixHot"):
         if kind in kinds:
             return kind if kind != "FixHot" else "FixHotEph fell back to FixHot"
