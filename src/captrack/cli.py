@@ -7,7 +7,7 @@ Commands:
     gen-kinetic  write a synthetic kinetic harvest CSV
 
 Exit codes: 0 success, 2 invalid configuration or flags, 3 invalid or
-missing trace, 4 I/O failure while writing outputs.
+missing trace, 4 I/O failure while writing outputs or a dead sweep worker.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import contextlib
 import csv
 import importlib
 import os
+import pickle
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -236,23 +237,53 @@ def _run_cell(config: SystemConfig, trace: HarvestTrace, duration: int | None, o
     return [format(values[name], spec) for name, spec in COMPARISON_COLUMNS], m.total_fixes, m.depletion_count
 
 
-# Set only in a pool worker, by the pool initializer: the (trace, duration,
-# out_dir) that every cell of the sweep shares. The worker is forked, so it
-# inherits them copy-on-write and the trace is never pickled.
-_shared: tuple = ()
-
-
-def _share(*shared) -> None:
-    global _shared
-    _shared = shared
-
-
-def _run_shared_cell(config: SystemConfig) -> tuple:
-    return _run_cell(config, *_shared)
+def _forked(configs: list, workers: int, shared: tuple):
+    """Yield _run_cell(config, *shared) for each config, in order. Forked
+    worker w runs cells w, w + workers, ... and pickles (ok, result or
+    exception) for each into its own pipe, stopping after its first failure.
+    A worker that dies before sending a result is a ChildProcessError."""
+    pipes, pids = [], {}
+    try:
+        for w in range(workers):
+            read, write = os.pipe()
+            pipes.append(open(read, "rb"))
+            pids[w] = os.fork()
+            if pids[w] == 0:  # the worker, which always leaves by os._exit
+                try:
+                    for pipe in pipes:  # holding no read end, it gets EPIPE once the parent has closed its own
+                        pipe.close()
+                    with open(write, "wb") as out:
+                        for config in configs[w::workers]:
+                            try:
+                                message = (True, _run_cell(config, *shared))
+                            except Exception as exc:
+                                message = (False, exc)
+                            pickle.dump(message, out)
+                            out.flush()
+                            if not message[0]:
+                                break
+                    os._exit(0)
+                finally:  # reached only if the worker failed
+                    os._exit(1)
+            os.close(write)
+        for k, config in enumerate(configs):
+            try:
+                ok, result = pickle.load(pipes[k % workers])
+            except (EOFError, pickle.UnpicklingError):
+                status = os.waitstatus_to_exitcode(os.waitpid(pids.pop(k % workers), 0)[1])
+                raise ChildProcessError(f"cell {cell_name(config)}: its worker exited with status {status}") from None
+            if not ok:
+                raise result
+            yield result
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        for pid in pids.values():
+            os.waitpid(pid, 0)
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    _bind_engine()  # before the pool forks, so that its workers inherit the engine
+    _bind_engine()  # before the workers fork, so that they inherit the engine
     _check_days(args.days)
     spec = load_sweep_spec(args.spec)
     if args.seed is not None:
@@ -267,27 +298,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     out_dir = Path(args.out)  # made by the first cell's outputs
 
-    def report(results) -> list[list[str]]:
-        rows = []
-        for config, (row, total_fixes, depletions) in zip(configs, results):
-            print(f"{cell_name(config)}: total {total_fixes} fixes, {depletions} depletions")
-            rows.append(row)
-        return rows
-
-    # Cells are independent, so they run in a fork pool over the usable CPUs;
-    # results come back in cell order, so every output is as a serial run's.
-    import multiprocessing
-
-    workers = min(_usable_cpus(), len(configs))
-    if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(
-            workers, multiprocessing.get_context("fork"), initializer=_share, initargs=(trace, duration, out_dir)
-        ) as pool:
-            rows = report(pool.map(_run_shared_cell, configs))
-    else:
-        rows = report(_run_cell(config, trace, duration, out_dir) for config in configs)
+    # Cells are independent, so they run in forked workers over the usable CPUs,
+    # which inherit json too; results come in cell order, as a serial run's.
+    import json  # noqa: F401
+    shared = trace, duration, out_dir
+    workers = min(_usable_cpus(), len(configs)) if hasattr(os, "fork") else 1
+    results = _forked(configs, workers, shared) if workers > 1 else (_run_cell(config, *shared) for config in configs)
+    rows = []
+    for config, (row, total_fixes, depletions) in zip(configs, results):
+        print(f"{cell_name(config)}: total {total_fixes} fixes, {depletions} depletions")
+        rows.append(row)
 
     comparison = out_dir / "comparison.csv"
     with open(comparison, "w", newline="") as handle:

@@ -646,9 +646,9 @@ class _Simulator:
             for column in self.type_durations:
                 ends += column[busy_types]
             closing = (start + tick) - ends
-            left = np.unique(closing)
+            # With return_inverse, np.unique does not import numpy.ma.
+            left, which = np.unique(closing, return_inverse=True)
             plans = [self._closing(d)[0] if d > 0.0 else (-1, 0.0, 0.0, 0.0) for d in left.tolist()]
-            which = np.searchsorted(left, closing)
             closing_slot, closing_e = (np.array([plan[k] for plan in plans])[which] for k in (0, 3))
             closed = closing_slot >= 0
             counts = self.type_counts[types]

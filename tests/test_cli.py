@@ -546,6 +546,28 @@ def test_only_commands_that_read_yaml_import_it(tmp_path, argv, imported):
     assert run.stdout.splitlines()[-1] == " ".join(["0", *[imported] * 4])
 
 
+@pytest.mark.parametrize(("argv", "workers"), [
+    (["simulate", "--days", "1", "--out", "run"], 1),
+    (["sweep", "--spec", "sweep.yaml", "--out", "grid"], 1),
+    (["sweep", "--spec", "sweep.yaml", "--out", "grid"], 2),
+])
+def test_commands_load_neither_numpy_ma_nor_a_pool_module(tmp_path, argv, workers):
+    # No run uses numpy.ma, multiprocessing or concurrent.futures, and each
+    # costs start-up time. A pooled sweep's parent runs no cell, so only the
+    # serial runs speak for numpy.ma.
+    (tmp_path / "sweep.yaml").write_text("capacitors: [1.0, 2.5]\nfix_intervals_s: [600]\ngenerate: {days: 1}\n")
+    probe = (
+        "import sys; import captrack.cli as cli; "
+        f"cli._usable_cpus = lambda: {workers}; code = cli.main(sys.argv[1:]); "
+        "print(code, *(m in sys.modules for m in ('numpy.ma', 'concurrent.futures', 'multiprocessing')))"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", probe, *argv], cwd=tmp_path, capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": SRC},
+    )
+    assert run.stdout.splitlines()[-1] == "0 False False False"
+
+
 def test_bare_import_loads_nothing_until_a_name_is_used():
     probe = (
         "import sys, captrack\n"

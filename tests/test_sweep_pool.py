@@ -1,9 +1,8 @@
-"""Sweep cells run in a fork pool over the usable CPUs: the same bytes and the
-same errors as one after another, no process left behind, and each
+"""Sweep cells run in forked workers over the usable CPUs: the same bytes and
+the same errors as one after another, no process left behind, and each
 safe-bound warning shown once per command."""
 
 import contextlib
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -31,10 +30,10 @@ base:
 
 
 @contextlib.contextmanager
-def one_cpu():
-    """Pin this process (and what it starts) to one CPU; restore on exit."""
+def pinned(n: int):
+    """Pin this process (and what it starts) to at most n CPUs; restore on exit."""
     cpus = os.sched_getaffinity(0)
-    os.sched_setaffinity(0, {min(cpus)})
+    os.sched_setaffinity(0, sorted(cpus)[:n])
     try:
         yield
     finally:
@@ -46,20 +45,37 @@ def tree(root: Path) -> dict[str, bytes]:
 
 
 def no_children_left() -> bool:
-    return multiprocessing.active_children() == []
+    """This process has no child, running or unreaped. The workers are bare
+    os.fork children, which multiprocessing.active_children() cannot see."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+@contextlib.contextmanager
+def workers(n: int):
+    """Run the sweep in n workers, whatever CPUs the host has."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("captrack.cli._usable_cpus", lambda: n)
+        yield
 
 
 def test_sweep_bytes_do_not_depend_on_the_cpus(tmp_path, monkeypatch, capsys):
+    # On two CPUs a worker runs two cells, which a host with a CPU per cell
+    # never shows; three workers split the four cells unevenly.
     (tmp_path / "sweep.yaml").write_text(SPEC)
     runs = {}
-    for name, cpus in (("all", contextlib.nullcontext()), ("one", one_cpu())):
+    cases = (("all", contextlib.nullcontext()), ("two", pinned(2)), ("three", workers(3)), ("one", pinned(1)))
+    for name, cpus in cases:
         (tmp_path / name).mkdir()
         monkeypatch.chdir(tmp_path / name)
         with cpus:
             assert main(["sweep", "--spec", "../sweep.yaml", "--out", "grid"]) == EXIT_OK
         runs[name] = (tree(tmp_path / name), capsys.readouterr().out)
         assert no_children_left()
-    assert runs["all"] == runs["one"]
+    assert runs["all"] == runs["two"] == runs["three"] == runs["one"]
     files, stdout = runs["all"]
     assert len(files) == 4 * 4 + 1
     assert stdout.count(" depletions\n") == 4
@@ -109,6 +125,37 @@ def test_worker_io_error_keeps_exit_code(tmp_path, capsys):
     assert no_children_left()
 
 
+def test_dead_worker_stops_the_sweep_naming_its_cell(tmp_path):
+    # The second cell's worker dies without a result. The parent reports the
+    # first cell, then that one's death with its status, and reaps every worker.
+    (tmp_path / "sweep.yaml").write_text(SPEC)
+    probe = (
+        "import os, sys\n"
+        "import captrack.cli as cli\n"
+        "cli._bind_engine()\n"
+        "real = cli.run_simulation\n"
+        "def run(config, trace, duration):\n"
+        "    if cli.cell_name(config) == 'c1F_i600s':\n"
+        "        os._exit(7)\n"
+        "    return real(config, trace, duration)\n"
+        "cli.run_simulation = run\n"
+        "cli._usable_cpus = lambda: 2\n"
+        "code = cli.main(sys.argv[1:])\n"
+        "try:\n"
+        "    os.waitpid(-1, os.WNOHANG)\n"
+        "except ChildProcessError:\n"
+        "    print('no children', code)\n"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", probe, "sweep", "--spec", "sweep.yaml", "--out", "grid"],
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": SRC}, capture_output=True, text=True, timeout=120,
+    )
+    assert run.stderr.splitlines()[-1] == "i/o error: cell c1F_i600s: its worker exited with status 7"
+    first, last = run.stdout.splitlines()
+    assert first.startswith("c1F_i120s: total ") and last == f"no children {EXIT_IO}"
+    assert not (tmp_path / "grid" / "comparison.csv").exists()
+
+
 def cli(tmp_path: Path, *argv: str) -> subprocess.CompletedProcess:
     """The CLI in a fresh interpreter, with Python's default warning filters."""
     env = {**os.environ, "PYTHONPATH": SRC}
@@ -133,7 +180,7 @@ def test_simulate_warns_once_per_threshold(tmp_path):
 def test_sweep_warns_once_per_threshold_whatever_the_workers(tmp_path):
     (tmp_path / "sweep.yaml").write_text(SPEC)
     shown = {}
-    for name, cpus in (("all", contextlib.nullcontext()), ("one", one_cpu())):
+    for name, cpus in (("all", contextlib.nullcontext()), ("one", pinned(1))):
         with cpus:
             run = cli(tmp_path, "sweep", "--spec", "sweep.yaml", "--out", name)
         assert run.returncode == EXIT_OK
