@@ -45,7 +45,6 @@ from .capacitor import crossing_time, decay_factors, equivalent_resistance, segm
 from .capacitor import integrate_segment  # noqa: F401 -- perfbench/tracer.py counts calls through this name
 from .device import select_gps_mode
 from .energy_model import ACTIVITIES, FIX, SENSE, TASKS, TRANSMIT, SystemConfig, compose_task_current, validate_config
-from .errors import ConfigError
 from .harvest import HarvestTrace, TextColumn, TraceError, csv_field, number_text, text_column, write_csv
 
 SECONDS_PER_DAY = 86400
@@ -867,13 +866,9 @@ class _Simulator:
             for chunk in chunks:
                 chunk[j] = None
         log = EventLog(*columns, tuple(self.details))
-        try:
-            delta_stored = 0.5 * self.c * (self.v**2 - v_initial**2)
-        except OverflowError:  # a voltage past 1.3e154 V, whose run run_simulation rejects
-            delta_stored = math.nan
         ledger = EnergyLedger(
             harvested, {_TASK_NAMES[index]: value for index, value in consumed.items()}, leakage, discarded,
-            delta_stored,
+            0.5 * self.c * (self.v**2 - v_initial**2),
         )
         return log, ledger, vs[firsts]
 
@@ -904,18 +899,8 @@ def run_simulation(config: SystemConfig, harvest: HarvestTrace, duration_s: int 
         raise TraceError(f"trace covers {available} s, shorter than requested {duration_s} s")
     if duration_s % config.base_tick_s != 0:
         raise TraceError(f"duration {duration_s} not a multiple of base tick {config.base_tick_s}")
-    result = _Simulator(config).run(harvest, duration_s // config.base_tick_s)
-    # A term past float64's range leaves the ledger inf or NaN and its
-    # closure unchecked: the model cannot run this config on this trace.
-    ledger = result.ledger.to_dict()
-    del ledger["consumed_by_task_j"]  # in consumed_total_j
-    lost = [name for name, value in ledger.items() if not math.isfinite(value)]
-    if lost:
-        raise ConfigError([
-            f"energy terms overflow float64 ({', '.join(lost)}): v_max, C, R = v_supply / current "
-            "or the asymptote I R of the trace's currents is out of range"
-        ])
-    return result
+    sim = _Simulator(config)
+    return sim.run(harvest, duration_s // config.base_tick_s)
 
 
 def compute_metrics(
