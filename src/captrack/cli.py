@@ -239,44 +239,67 @@ def _run_cell(config: SystemConfig, trace: HarvestTrace, duration: int | None, o
 
 def _forked(configs: list, workers: int, shared: tuple):
     """Yield _run_cell(config, *shared) for each config, in order. Forked
-    worker w runs cells w, w + workers, ... and pickles (ok, result or
-    exception) for each into its own pipe, stopping after its first failure.
-    A worker that dies before sending a result is a ChildProcessError."""
-    pipes, pids = [], {}
+    workers are handed the cells in order, one at a time, each as soon as it
+    has pickled (ok, result or exception) for its last. A result waits in
+    `done` until the cells before it are in, and no cell is handed out after a
+    failure. A worker that dies before sending a result fails its cell."""
+    import select
+
+    inbox, pids, running, done = {}, {}, {}, {}  # by a worker's result pipe: its task pipe, pid, cell
+    cells = iter(range(len(configs)))
+
+    def hand(pipe):  # the worker's next cell, or the end of its tasks
+        k = next(cells, None) if all(ok for ok, _ in done.values()) else None
+        if k is None:
+            return os.close(inbox.pop(pipe))
+        running[pipe] = k
+        with contextlib.suppress(BrokenPipeError):  # a dead worker's result pipe reads EOF
+            os.write(inbox[pipe], k.to_bytes(8, "little"))
+
     try:
-        for w in range(workers):
-            read, write = os.pipe()
-            pipes.append(open(read, "rb"))
-            pids[w] = os.fork()
-            if pids[w] == 0:  # the worker, which always leaves by os._exit
-                try:
-                    for pipe in pipes:  # holding no read end, it gets EPIPE once the parent has closed its own
-                        pipe.close()
+        for _ in range(workers):
+            (tasks, task_write), (read, write) = os.pipe(), os.pipe()
+            pid = os.fork()
+            if pid == 0:  # the worker, which always leaves by os._exit
+                try:  # holding no other end, it reads EOF or gets EPIPE once the parent closes its own
+                    for end in (task_write, read, *inbox.values(), *(pipe.fileno() for pipe in pids)):
+                        os.close(end)
                     with open(write, "wb") as out:
-                        for config in configs[w::workers]:
+                        while task := os.read(tasks, 8):
                             try:
-                                message = (True, _run_cell(config, *shared))
+                                message = (True, _run_cell(configs[int.from_bytes(task, "little")], *shared))
                             except Exception as exc:
                                 message = (False, exc)
                             pickle.dump(message, out)
                             out.flush()
-                            if not message[0]:
-                                break
                     os._exit(0)
                 finally:  # reached only if the worker failed
                     os._exit(1)
+            os.close(tasks)
             os.close(write)
-        for k, config in enumerate(configs):
-            try:
-                ok, result = pickle.load(pipes[k % workers])
-            except (EOFError, pickle.UnpicklingError):
-                status = os.waitstatus_to_exitcode(os.waitpid(pids.pop(k % workers), 0)[1])
-                raise ChildProcessError(f"cell {cell_name(config)}: its worker exited with status {status}") from None
+            pipe = open(read, "rb")
+            pids[pipe], inbox[pipe] = pid, task_write
+            hand(pipe)
+        for k in range(len(configs)):
+            while k not in done:
+                for pipe in select.select(list(running), [], [])[0]:
+                    cell = running.pop(pipe)
+                    try:
+                        done[cell] = pickle.load(pipe)
+                    except (EOFError, pickle.UnpicklingError):
+                        status = os.waitstatus_to_exitcode(os.waitpid(pids.pop(pipe), 0)[1])
+                        pipe.close()
+                        message = f"cell {cell_name(configs[cell])}: its worker exited with status {status}"
+                        done[cell] = False, ChildProcessError(message)
+                    hand(pipe)
+            ok, result = done.pop(k)
             if not ok:
                 raise result
             yield result
     finally:
-        for pipe in pipes:
+        for end in inbox.values():
+            os.close(end)
+        for pipe in pids:
             pipe.close()
         for pid in pids.values():
             os.waitpid(pid, 0)
@@ -305,7 +328,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     workers = min(_usable_cpus(), len(configs)) if hasattr(os, "fork") else 1
     results = _forked(configs, workers, shared) if workers > 1 else (_run_cell(config, *shared) for config in configs)
     rows = []
-    for config, (row, total_fixes, depletions) in zip(configs, results):
+    for config, (row, total_fixes, depletions) in zip(configs, results, strict=True):
         print(f"{cell_name(config)}: total {total_fixes} fixes, {depletions} depletions")
         rows.append(row)
 

@@ -6,12 +6,15 @@ import contextlib
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from captrack.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_TRACE, main
+from captrack.configfile import cell_name
+from captrack.engine import run_simulation
 from captrack.errors import ConfigError
 from captrack.harvest import HarvestTrace, save_harvest_csv
 
@@ -63,8 +66,8 @@ def workers(n: int):
 
 
 def test_sweep_bytes_do_not_depend_on_the_cpus(tmp_path, monkeypatch, capsys):
-    # On two CPUs a worker runs two cells, which a host with a CPU per cell
-    # never shows; three workers split the four cells unevenly.
+    # On two CPUs a worker runs several cells, which a host with a CPU per
+    # cell never shows; three workers split the four cells unevenly.
     (tmp_path / "sweep.yaml").write_text(SPEC)
     runs = {}
     cases = (("all", contextlib.nullcontext()), ("two", pinned(2)), ("three", workers(3)), ("one", pinned(1)))
@@ -79,6 +82,30 @@ def test_sweep_bytes_do_not_depend_on_the_cpus(tmp_path, monkeypatch, capsys):
     files, stdout = runs["all"]
     assert len(files) == 4 * 4 + 1
     assert stdout.count(" depletions\n") == 4
+
+
+def test_a_slow_cell_holds_back_no_other_cell(tmp_path, monkeypatch):
+    # The first cell waits until every other cell has started. Handed out one
+    # at a time, they all go to the second worker. Dealt out by a stride, the
+    # third cell would wait behind the first, in the first one's worker.
+    started = tmp_path / "started"
+    started.mkdir()
+
+    def run(config, trace, duration):
+        deadline = time.monotonic() + 10
+        while cell_name(config) == "c1F_i120s" and len(list(started.iterdir())) < 3 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        (started / cell_name(config)).write_text(str(os.getpid()))
+        return run_simulation(config, trace, duration)
+
+    monkeypatch.setattr("captrack.cli.run_simulation", run)  # forked workers inherit it
+    (tmp_path / "sweep.yaml").write_text(SPEC)
+    with workers(2):
+        assert main(["sweep", "--spec", str(tmp_path / "sweep.yaml"), "--out", str(tmp_path / "grid")]) == EXIT_OK
+    pids = {path.name: path.read_text() for path in started.iterdir()}
+    first = pids.pop("c1F_i120s")
+    assert len(pids) == 3 and len(set(pids.values())) == 1 and first not in pids.values()
+    assert no_children_left()
 
 
 def write_trace(path: Path) -> None:
