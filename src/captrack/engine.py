@@ -45,6 +45,7 @@ from .capacitor import crossing_time, decay_factors, equivalent_resistance, segm
 from .capacitor import integrate_segment  # noqa: F401 -- perfbench/tracer.py counts calls through this name
 from .device import select_gps_mode
 from .energy_model import ACTIVITIES, FIX, SENSE, TASKS, TRANSMIT, SystemConfig, compose_task_current, validate_config
+from .errors import ConfigError
 from .harvest import HarvestTrace, TextColumn, TraceError, csv_field, number_text, text_column, write_csv
 
 SECONDS_PER_DAY = 86400
@@ -431,17 +432,17 @@ class _Simulator:
 
     def run(self, harvest: HarvestTrace, n_ticks: int) -> SimResult:
         v_initial = self.v
-        power_on = self._decide(harvest, n_ticks)
-        log, ledger, voltages = self._book(harvest.combined_a[:n_ticks], v_initial)
+        self._decide(harvest, n_ticks)
+        log, ledger, voltages, power_on = self._book(harvest.combined_a[:n_ticks], v_initial)
         tick = self.config.base_tick_s
         duration = n_ticks * tick
         metrics = compute_metrics(log, duration, voltages=voltages, power_on_at_start=bool(power_on[0]))
         times = np.arange(n_ticks + 1, dtype=np.int64) * tick
         return SimResult(self.config, harvest, duration, times, voltages, power_on, log, metrics, ledger)
 
-    def _decide(self, harvest: HarvestTrace, n_ticks: int) -> np.ndarray:
-        """The decide loop over n_ticks ticks: the power state at each tick
-        boundary, and the record of the run for _book.
+    def _decide(self, harvest: HarvestTrace, n_ticks: int) -> None:
+        """The decide loop over n_ticks ticks, which leaves the record of the
+        run for _book.
 
         Each stretch of ticks it can, it hands to the speculative pass
         (_speculate) a window at a time. The rest it steps itself, the exact
@@ -582,17 +583,8 @@ class _Simulator:
             counts[i] = len(vs) - first
             i += 1
 
-        # The power state at each tick boundary: off from the one after a
-        # Depletion's tick, on from a Recovery's.
-        at, state = [0], [self.powered]
-        for tick_of_row, _, _, kind, *_ in self.marks:
-            if kind == _DEPLETION or kind == _RECOVERY:
-                at.append(tick_of_row + (kind == _DEPLETION))
-                state.append(kind == _RECOVERY)
-        power_on = np.repeat(np.array(state), np.diff([*at, n_ticks + 1]))
         self.v, self.powered, self.ephemeris_t, self.buffered = v, powered, ephemeris_t, buffered
         flush()
-        return power_on
 
     def _speculate(
         self, combined: np.ndarray, codes: np.ndarray, i0: int, i1: int, v: float, powered: bool,
@@ -729,9 +721,9 @@ class _Simulator:
             ephemeris_t = state
         return i0 + end, v, ephemeris_t, buffered, threshold
 
-    def _book(self, combined: np.ndarray, v_initial: float) -> tuple[EventLog, EnergyLedger, np.ndarray]:
-        """The event log, the ledger and the voltage at each tick boundary of
-        a run, from the decide loop's record.
+    def _book(self, combined: np.ndarray, v_initial: float) -> tuple[EventLog, EnergyLedger, np.ndarray, np.ndarray]:
+        """The event log, the ledger, and the voltage and the power state at
+        each tick boundary of a run, from the decide loop's record.
 
         The one place that computes a ledger term. Works through the run in
         chunks of whole ticks that hold about _BOOKING_CHUNK segments, each
@@ -739,11 +731,14 @@ class _Simulator:
         its partial (t_up long, exponentials from decay_factors) and then its
         pinned rest from v_max. Each piece is booked by one rule: by
         segment_energy on arrays, or at v_max where the pinned test holds.
-        Every sum adds its terms in run order from 0.0, and start times are
-        summed along each tick from its start, as the loop did. The rows come
-        from the pieces (a clamp row where the pinned test changes, an
-        activity row where its chain's last segment ends) and the loop's whole
-        rows, put in log order by a stable sort on (piece, sub-position).
+        The totals share one accumulator, to which np.add.at adds a chunk's
+        terms one at a time, so that each adds its terms in run order from
+        0.0; start times are summed along each tick from its start, as the
+        loop did. The rows come from the pieces (a clamp row where the pinned
+        test changes, an activity row where its chain's last segment ends) and
+        the loop's whole rows, put in log order by a stable sort on (piece,
+        sub-position). The power states follow from the Depletion and
+        Recovery rows.
         """
         tick = self.config.base_tick_s
         n_ticks = combined.size
@@ -762,12 +757,12 @@ class _Simulator:
             np.array(column, dtype=dtype)
             for column, dtype in zip(zip(*marks) if marks else ((),) * 7, (int, int, float, int, float, float, int))
         ]
-        mark_tick, mark_position = mark_columns[:2]
+        mark_tick, mark_position, _, mark_kind = mark_columns[:4]
         # A whole row goes before the first piece of the segment it is placed ahead of.
         mark_segment = firsts[mark_tick] + mark_position
         mark_key = (mark_segment + np.searchsorted(crossing_at, mark_segment)) * 3
-        harvested = leakage = discarded = 0.0
-        consumed: dict[int, float] = {}  # task index -> sum, in first-use order
+        totals = np.zeros(3 + len(_TASK_NAMES))  # harvested, leakage, discarded, then each task's
+        first_use: dict[int, None] = {}  # the tasks used, in the order of their first pieces
         clamp = False
         chunks = []
         chunk = max(1, _BOOKING_CHUNK * n_ticks // max(1, slots.size))  # ticks
@@ -780,15 +775,14 @@ class _Simulator:
                 slot = slots[k0:k1].astype(np.intp)
                 length = duration_of[slot]
 
-                # Start times, summed along each tick from its start.
-                position = np.arange(k1 - k0) - np.repeat(firsts[c0:c1] - k0, count)
-                by_position = np.argsort(position.astype(np.int8), kind="stable")
-                position_ends = np.cumsum(np.bincount(position)).tolist()
+                # Start times, summed along each tick from its first segment, a position at a time.
+                heads = firsts[c0:c1] - k0
+                reach = np.flatnonzero(count)
                 start = np.empty(k1 - k0)
-                first = by_position[: position_ends[0]]
-                start[first] = (tick_of[first] * tick).astype(float)
-                for begin, end in zip(position_ends, position_ends[1:]):
-                    at_position = by_position[begin:end]
+                start[heads[reach]] = ((c0 + reach) * tick).astype(float)
+                for position in range(1, count.max(initial=0)):
+                    reach = reach[count[reach] > position]
+                    at_position = heads[reach] + position
                     start[at_position] = start[at_position - 1] + length[at_position - 1]
 
                 # The pieces, on their segments' slots: a v_max crossing's partial
@@ -815,22 +809,11 @@ class _Simulator:
                 leakage_t = consumed_t * leak_of[piece_slot]
                 task_t = consumed_t * keep_of[piece_slot]
                 discarded_t = np.where(pinned, harvested_t - consumed_t, 0.0)
-                harvested = _running_sum(harvested, harvested_t)
-                leakage = _running_sum(leakage, leakage_t)
-                discarded = _running_sum(discarded, discarded_t)
-                # Each task's terms in run order, by a stable sort on the task.
                 task = task_of[piece_slot]
-                by_task = np.argsort(task.astype(np.int8), kind="stable")
-                task_t = task_t[by_task]
-                task_ends = np.cumsum(np.bincount(task, minlength=len(_TASK_NAMES))).tolist()
-                sums, first_use = {}, []
-                for index, (begin, end) in enumerate(zip([0, *task_ends], task_ends)):
-                    if begin < end:
-                        sums[index] = _running_sum(consumed.get(index, 0.0), task_t[begin:end])
-                        if index not in consumed:
-                            first_use.append((by_task[begin], index))
-                consumed.update((index, 0.0) for _, index in sorted(first_use))
-                consumed.update(sums)
+                fresh = [index for index in np.flatnonzero(np.bincount(task)).tolist() if index not in first_use]
+                first_use.update(dict.fromkeys(sorted(fresh, key=lambda index: (task == index).argmax())))
+                lanes = np.concatenate([np.repeat(np.arange(3), task.size), 3 + task])
+                np.add.at(totals, lanes, np.concatenate([harvested_t, leakage_t, discarded_t, task_t]))
 
                 before_state = np.append(clamp, pinned[:-1])
                 clamp = bool(pinned[-1]) if pinned.size else clamp
@@ -866,16 +849,21 @@ class _Simulator:
             for chunk in chunks:
                 chunk[j] = None
         log = EventLog(*columns, tuple(self.details))
+        harvested, leakage, discarded, *consumed = totals.tolist()
+        try:
+            delta_stored = 0.5 * self.c * (self.v**2 - v_initial**2)
+        except OverflowError:  # a voltage past 1.3e154 V, whose run run_simulation rejects
+            delta_stored = math.nan
         ledger = EnergyLedger(
-            harvested, {_TASK_NAMES[index]: value for index, value in consumed.items()}, leakage, discarded,
-            0.5 * self.c * (self.v**2 - v_initial**2),
+            harvested, {_TASK_NAMES[index]: consumed[index] for index in first_use}, leakage, discarded, delta_stored
         )
-        return log, ledger, vs[firsts]
-
-
-def _running_sum(total: float, terms: np.ndarray) -> float:
-    """total + terms[0] + terms[1] + ..., added one at a time in order."""
-    return float(np.add.accumulate(np.concatenate(([total], terms)))[-1])
+        # The power state at each tick boundary: off from the one after a Depletion's tick, on
+        # from a Recovery's; before the first switch its opposite, or with none the end's.
+        switch = np.flatnonzero((mark_kind == _DEPLETION) | (mark_kind == _RECOVERY))
+        on = mark_kind[switch] == _RECOVERY
+        state = np.append(not on[0] if on.size else self.powered, on)
+        power_on = np.repeat(state, np.diff(mark_tick[switch] + ~on, prepend=0, append=n_ticks + 1))
+        return log, ledger, vs[firsts], power_on
 
 
 def run_simulation(config: SystemConfig, harvest: HarvestTrace, duration_s: int | None = None) -> SimResult:
@@ -899,8 +887,18 @@ def run_simulation(config: SystemConfig, harvest: HarvestTrace, duration_s: int 
         raise TraceError(f"trace covers {available} s, shorter than requested {duration_s} s")
     if duration_s % config.base_tick_s != 0:
         raise TraceError(f"duration {duration_s} not a multiple of base tick {config.base_tick_s}")
-    sim = _Simulator(config)
-    return sim.run(harvest, duration_s // config.base_tick_s)
+    result = _Simulator(config).run(harvest, duration_s // config.base_tick_s)
+    # A term past float64's range leaves the ledger inf or NaN and its
+    # closure unchecked: the model cannot run this config on this trace.
+    ledger = result.ledger.to_dict()
+    del ledger["consumed_by_task_j"]  # in consumed_total_j
+    lost = [name for name, value in ledger.items() if not math.isfinite(value)]
+    if lost:
+        raise ConfigError([
+            f"energy terms overflow float64 ({', '.join(lost)}): v_max, C, R = v_supply / current "
+            "or the asymptote I R of the trace's currents is out of range"
+        ])
+    return result
 
 
 def compute_metrics(

@@ -282,7 +282,6 @@ def generate_kinetic_trace(
     # the first start.
     day_labels = np.searchsorted(profile.period_starts_min, np.arange(MINUTES_PER_DAY), side="right") - 1
     day_labels[day_labels < 0] = 3
-    labels = np.tile(day_labels.astype(np.int8), days)
 
     # Bout chain: stay-active prob fixes the mean bout length; activation prob
     # fixes the duty cycle of each period. One uniform starts the chain and
@@ -291,7 +290,7 @@ def generate_kinetic_trace(
     p_stay = 1.0 - 1.0 / profile.mean_bout_min
     p_activate = np.array([min(1.0, d / (profile.mean_bout_min * max(1.0 - d, 1e-9))) for d in profile.duty])
     uniforms = rng.random(n + 1)
-    first = uniforms[0] < profile.duty[labels[0]]
+    first = uniforms[0] < profile.duty[day_labels[0]]
     stay = uniforms[1:] < p_stay
     activate = (uniforms[1:].reshape(days, MINUTES_PER_DAY) < p_activate[day_labels]).reshape(n)
     del uniforms  # n floats, not needed next to the n-sized index arrays below
@@ -307,24 +306,22 @@ def generate_kinetic_trace(
     active = np.where(known, stay[last], first)
     active ^= flips ^ (known & flips[last])
 
+    # Active minutes per (day, period) group, day * 4 + period; a group with weight and
+    # minutes but none active gets a forced minute, drawn in day and period order.
+    weights = np.array(profile.weights)
+    minutes = np.flatnonzero(active)
+    group = minutes // MINUTES_PER_DAY * 4 + day_labels[minutes % MINUTES_PER_DAY]
+    counts = np.bincount(group, minlength=4 * days)
+    present = (weights > 0.0) & (np.bincount(day_labels, minlength=4) > 0)
+    starved = np.flatnonzero((counts.reshape(days, 4) == 0) & present)
+    if starved.size:
+        forced = [g // 4 * MINUTES_PER_DAY + rng.choice(np.flatnonzero(day_labels == g % 4)) for g in starved.tolist()]
+        minutes, group = np.append(minutes, forced), np.append(group, starved)
+        counts[starved] = 1
     current = np.zeros(n)
-    for day in range(days):
-        sl = slice(day * MINUTES_PER_DAY, (day + 1) * MINUTES_PER_DAY)
-        day_labels = labels[sl]
-        day_active = active[sl].copy()
-        for p in range(4):
-            weight = profile.weights[p]
-            in_period = day_labels == p
-            if weight == 0.0 or not in_period.any():
-                continue
-            chosen = in_period & day_active
-            if not chosen.any():
-                indices = np.flatnonzero(in_period)
-                chosen = np.zeros_like(in_period)
-                chosen[rng.choice(indices)] = True
-            energy_per_minute = profile.daily_energy_j * weight / int(chosen.sum())
-            current[sl][chosen] = energy_per_minute / (60.0 * v_supply)
-    _check_finite("kinetic current", current)  # E / (60 V) overflows for a tiny supply or a huge energy
+    with np.errstate(over="ignore"):  # E / (60 V) overflows for a tiny supply or a huge energy
+        current[minutes] = profile.daily_energy_j * weights[group % 4] / counts[group] / (60.0 * v_supply)
+    _check_finite("kinetic current", current)
     return current
 
 
@@ -340,18 +337,27 @@ def combine_sources(solar: np.ndarray, kinetic: np.ndarray, efficiency: float) -
 
 
 def _parse_timestamp(raw: str, line: int) -> int:
+    """Epoch seconds of an integer, a decimal or an ISO-8601 stamp, which must
+    be a whole second: a fraction of zeros is dropped, any other rejected."""
     raw = raw.strip()
     try:
         return int(raw)
     except ValueError:
         pass
-    try:
-        stamp = datetime.fromisoformat(raw.replace("Z", "+00:00"))
-    except ValueError as exc:
-        raise TraceError(f"line {line}: unparseable timestamp {raw!r}") from exc
-    if stamp.tzinfo is None:
-        stamp = stamp.replace(tzinfo=timezone.utc)
-    return int(stamp.timestamp())
+    epoch = re.fullmatch(r"([-+]?[0-9]+)\.[0-9]+", raw)
+    if epoch is None:
+        try:
+            stamp = datetime.fromisoformat(raw.replace("Z", "+00:00"))
+        except ValueError as exc:
+            raise TraceError(f"line {line}: unparseable timestamp {raw!r}") from exc
+        if stamp.tzinfo is None:
+            stamp = stamp.replace(tzinfo=timezone.utc)
+    # The date and time fields hold no "." or ",", so a digit after one is a
+    # fraction, of the second or of the offset's; fromisoformat drops digits
+    # past the sixth, so the text is read, not the parsed stamp.
+    if re.search(r"[.,][0-9]*[1-9]", raw):
+        raise TraceError(f"line {line}: timestamp {raw!r} is not a whole second")
+    return int(epoch[1]) if epoch else int(stamp.timestamp())
 
 
 @contextmanager
@@ -499,11 +505,12 @@ def _plain_irradiance(path: str, encoding: str, resolution_s: int, max_gap_steps
 def load_irradiance_csv(path: str, resolution_s: int = 60, max_gap_steps: int = 5) -> IrradianceTrace:
     """Read "timestamp,irradiance_wm2" rows into a trace.
 
-    Timestamps may be epoch seconds or ISO-8601, strictly increasing on the
-    declared resolution grid. Gaps of up to max_gap_steps missing rows are
-    filled by holding the previous value (counted in gaps_filled); anything
-    larger is an error. A file whose first stamp _plain_stamps takes is
-    parsed in one pass; the row checker reads any file that pass declines.
+    Timestamps may be epoch seconds or ISO-8601, in whole seconds, strictly
+    increasing on the declared resolution grid. Gaps of up to max_gap_steps
+    missing rows are filled by holding the previous value (counted in
+    gaps_filled); anything larger is an error. A file whose first stamp
+    _plain_stamps takes is parsed in one pass; the row checker reads any
+    file that pass declines.
     """
     if resolution_s <= 0:
         raise TraceError(f"resolution must be positive, got {resolution_s}")
@@ -812,8 +819,8 @@ def save_harvest_csv(trace: HarvestTrace, path: str) -> None:
 
 
 def _time_step(times: np.ndarray) -> int | None:
-    """The step of a finite time column, in whole seconds as int() gives them
-    (truncated, and exact however large); 60 for one row, None unless uniform and positive."""
+    """The step of a finite time column of whole seconds, exact however large;
+    60 for one row, None unless uniform and positive."""
     if times.size == 1:
         return 60
     if np.abs(times).max() < _EXACT_LIMIT:
@@ -825,12 +832,14 @@ def _time_step(times: np.ndarray) -> int | None:
 
 
 def _plain_harvest(path: str, encoding: str) -> HarvestTrace | None:
-    """The trace of a plain harvest file whose values are finite, currents non-negative and times uniform."""
+    """The trace of a plain harvest file whose values are finite, currents non-negative and times uniform
+    whole seconds."""
     rows = _read_plain(path, encoding, _HARVEST_ROWS)
     if rows is None:
         return None
     times, *currents = (np.ascontiguousarray(rows[name]) for name in HARVEST_HEADER)
-    if not (np.isfinite(times).all() and all(((c >= 0.0) & (c < math.inf)).all() for c in currents)):
+    if not (np.isfinite(times).all() and (times % 1.0 == 0.0).all()
+            and all(((c >= 0.0) & (c < math.inf)).all() for c in currents)):
         return None
     step = _time_step(times)
     return None if step is None else HarvestTrace(0, step, *currents)
@@ -844,7 +853,9 @@ def load_harvest_csv(path: str) -> HarvestTrace:
         if trace is not None:
             return trace
         columns = [array("d") for _ in HARVEST_HEADER]
-        non_finite = None  # line of the first row with a non-finite value, reported once every row parses
+        # The first row with a non-finite value, and the first whose t_s is not
+        # a whole second, reported in that order once every row parses.
+        non_finite = fraction = None
         for line, row in _data_rows(reader, len(HARVEST_HEADER)):
             try:
                 values = list(map(float, row))
@@ -852,6 +863,8 @@ def load_harvest_csv(path: str) -> HarvestTrace:
                 raise TraceError(f"line {line}: unparseable row {row!r}") from None
             if non_finite is None and not all(map(math.isfinite, values)):
                 non_finite = line
+            if fraction is None and values[0] % 1.0 > 0.0:  # NaN for a non-finite t_s
+                fraction = f"line {line}: t_s {row[0].strip()!r} is not a whole second"
             for column, value in zip(columns, values):
                 column.append(value)
     times, solar, kinetic, combined = map(np.frombuffer, columns)
@@ -859,6 +872,8 @@ def load_harvest_csv(path: str) -> HarvestTrace:
         raise TraceError(f"{path}: no data rows")
     if non_finite is not None:
         raise TraceError(f"line {non_finite}: non-finite value")
+    if fraction is not None:
+        raise TraceError(fraction)
     step = _time_step(times)
     if step is None:
         raise TraceError(f"{path}: time column not uniformly spaced")

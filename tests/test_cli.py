@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import captrack.cli as cli
@@ -218,6 +218,28 @@ def test_simulate_rejects_non_finite_trace(tmp_path, capsys, header, row):
     assert code == EXIT_TRACE
     assert "line 4: non-finite" in capsys.readouterr().err
     assert not (out / "metrics.json").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+@pytest.mark.parametrize(("header", "rows"), [
+    ("timestamp,irradiance_wm2", ["2025-01-01T00:00:00.9Z,1", "2025-01-01T00:01:00.2Z,1", "2025-01-01T00:02:00.7Z,1"]),
+    ("t_s,solar_a,kinetic_a,combined_a", ["0.9,0,0,0", "60.2,0,0,0", "120.7,0,0,0"]),
+], ids=["timestamp", "t_s"])
+def test_trace_time_off_the_second_is_a_trace_error(tmp_path, capsys, command, header, rows):
+    # Each time was cut to its whole second, and the file ran as an even 60 s trace.
+    trace = tmp_path / "trace.csv"
+    trace.write_text("\n".join([header, *rows]) + "\n")
+    out = tmp_path / "out"
+    if command == "simulate":
+        argv = ["simulate", "--trace", str(trace)]
+    else:
+        spec = tmp_path / "sweep.yaml"
+        spec.write_text(f"capacitors: [2.5]\nfix_intervals_s: [120]\ntrace: {trace}\n")
+        argv = ["sweep", "--spec", str(spec)]
+    assert main([*argv, "--out", str(out)]) == EXIT_TRACE
+    err = capsys.readouterr().err
+    assert err.startswith("trace error: line 2: ") and "is not a whole second" in err
+    assert not out.exists()
 
 
 def test_simulate_invalid_config(tmp_path, capsys):
@@ -823,6 +845,10 @@ CONFIG_KEYS = tuple(
 
 @settings(max_examples=300, deadline=None)
 @given(st.dictionaries(st.sampled_from(CONFIG_KEYS), st.sampled_from(EXTREMES), min_size=1, max_size=4))
+# Runs whose energy terms overflow float64, each once a NaN ledger or a traceback:
+@example({("capacitor", "v_max"): 1e300, ("sim", "initial_voltage"): 1e300})
+@example({("capacitor", "v_max"): 1e300, ("sim", "v_supply"): 1e300})
+@example({("capacitor", "leakage_ma"): 1e-300, ("sim", "initial_voltage"): 0})
 def test_extreme_configs_exit_with_a_code_and_a_finite_ledger(fields):
     # Each config runs or is rejected with its exit code, never a traceback.
     # A run's ledger closes relative to its own energy scale: what flowed
@@ -854,6 +880,57 @@ def test_extreme_configs_exit_with_a_code_and_a_finite_ledger(fields):
             stored = 0.5 * capacitor.capacitance_f * peak * peak  # inf where it overflows, not an OverflowError
             scale = ledger["harvested_in_j"] + ledger["consumed_total_j"] + ledger["discarded_at_clamp_j"] + stored
             assert abs(ledger["closure_error_j"]) <= 1e-9 * scale, ledger
+
+
+# A sweep spec's fields: its one capacitor entry's keys, its one interval, the
+# base's config keys the grid does not set, and the generate section's keys.
+SWEEP_KEYS = (
+    *(("capacitors", key) for key in configfile.SECTIONS["capacitor"][1]),
+    ("fix_intervals_s",),
+    *(("base", section, key) for section, key in CONFIG_KEYS if section != "capacitor" and key != "fix_s"),
+    ("generate", "days"),
+    *(("generate", section, key) for section in ("solar", "kinetic") for key in configfile.SECTIONS[section][1]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.dictionaries(st.sampled_from(SWEEP_KEYS), st.sampled_from(EXTREMES), min_size=1, max_size=4))
+# Cells whose energy terms overflow float64, each once a traceback or a NaN ledger:
+@example({("capacitors", "v_max"): 1e300, ("base", "sim", "initial_voltage"): 1e300})
+@example({("capacitors", "v_max"): 1e300, ("base", "sim", "v_supply"): 1e300})
+@example({("capacitors", "leakage_ma"): 1e-300, ("base", "sim", "initial_voltage"): 0})
+def test_extreme_sweep_specs_exit_with_a_code_and_a_finite_comparison(fields):
+    # Each spec runs or is rejected with its exit code, never a traceback. The
+    # one cell runs on a 2-row trace file, or on a 1-day generated trace when
+    # a generate key is drawn; a list-valued kinetic key gets the value first.
+    spec = {"capacitors": [{"capacitance_f": 1.0, "leakage_ma": 0.01}], "fix_intervals_s": [120], "base": {}}
+    for (head, *path), value in fields.items():
+        if head == "capacitors":
+            spec["capacitors"][0][path[0]] = value
+        elif head == "fix_intervals_s":
+            spec["fix_intervals_s"] = [value]
+        else:
+            node = spec.setdefault(head, {"days": 1} if head == "generate" else {})
+            for key in path[:-1]:
+                node = node.setdefault(key, {})
+            default = getattr(ActivityProfile(), path[-1], None) if path[0] == "kinetic" else None
+            node[path[-1]] = [value, *default[1:]] if isinstance(default, tuple) else value
+    with tempfile.TemporaryDirectory() as work, pytest.MonkeyPatch.context() as patch:
+        work = Path(work)
+        patch.setattr(cli, "_usable_cpus", lambda: 1)  # a serial sweep forks no pool per example
+        if "generate" not in spec:
+            spec["trace"] = str(work / "trace.csv")
+            (work / "trace.csv").write_text("t_s,solar_a,kinetic_a,combined_a\n0,0.001,0.0005,0\n60,0.002,0,0\n")
+        (work / "spec.yaml").write_text(json.dumps(spec))  # JSON is YAML
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # safe-bound warnings
+                code = main(["sweep", "--spec", str(work / "spec.yaml"), "--out", str(work / "out")])
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_TRACE) and "Traceback" not in stderr.getvalue(), stderr.getvalue()
+        if code == EXIT_OK:
+            _, *rows = (work / "out" / "comparison.csv").read_text().splitlines()
+            assert all(math.isfinite(float(value)) for row in rows for value in row.split(",")), rows
 
 
 GEN_FLAGS = {

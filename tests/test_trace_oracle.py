@@ -10,6 +10,11 @@ reads every file. It compares the arrays by their bytes, the scalars by value
 and type, and a failure by its exception type and message. Plain files, which
 the one-pass reader takes, are drawn on their own and must never reach the
 row checker.
+
+The per-row loaders truncated a stamp or a t_s to whole seconds. The loaders
+now reject a nonzero fraction of a second, naming its line, and read a zero
+fraction as its whole second, so the oracles run under that rule
+(whole_second_irradiance, whole_second_harvest).
 """
 
 import csv
@@ -160,6 +165,49 @@ def oracle_load_harvest_csv(path: str) -> HarvestTrace:
     return HarvestTrace(0, resolution, table[1], table[2], table[3])
 
 
+# -- the whole-second rule --------------------------------------------------------
+
+verbatim_parse_timestamp = oracle_parse_timestamp
+
+
+def whole_second_timestamp(raw: str, line: int) -> int:
+    """oracle_parse_timestamp, with a decimal epoch stamp read, and an error for
+    any nonzero digits after a "." or "," (the fraction of a second or of an
+    offset's second)."""
+    stripped = raw.strip()
+    decimal = re.fullmatch(r"([-+]?[0-9]+)\.[0-9]+", stripped)
+    seconds = int(decimal[1]) if decimal else verbatim_parse_timestamp(raw, line)
+    if any(int(digits) for digits in re.findall(r"[.,]([0-9]+)", stripped)):
+        raise TraceError(f"line {line}: timestamp {stripped!r} is not a whole second")
+    return seconds
+
+
+def whole_second_irradiance(path: str, *args) -> IrradianceTrace:
+    with mock.patch.dict(globals(), oracle_parse_timestamp=whole_second_timestamp):
+        return oracle_load_irradiance_csv(path, *args)
+
+
+def whole_second_harvest(path: str) -> HarvestTrace:
+    """oracle_load_harvest_csv, where the first t_s that is not a whole second
+    is an error once every row has parsed: after the errors that name the
+    header or a line (parse, then non-finite), before those of the columns
+    (spacing, negative currents)."""
+    try:
+        trace, failure = oracle_load_harvest_csv(path), None
+    except TraceError as exc:
+        if str(exc).startswith("line ") or "expected header" in str(exc):
+            raise
+        trace, failure = None, exc
+    with open(path, newline="") as handle:
+        for line, row in enumerate(csv.reader(handle), start=1):
+            t = float(row[0]) if line > 1 and "".join(row).strip() else 0.0
+            if t != int(t):
+                raise TraceError(f"line {line}: t_s {row[0].strip()!r} is not a whole second")
+    if failure is not None:
+        raise failure
+    return trace
+
+
 # -- comparison ------------------------------------------------------------------
 
 
@@ -175,8 +223,8 @@ def outcome(load, path, *args):
     }
 
 
-LOADERS = {"irradiance": (load_irradiance_csv, oracle_load_irradiance_csv),
-           "harvest": (load_harvest_csv, oracle_load_harvest_csv)}
+LOADERS = {"irradiance": (load_irradiance_csv, whole_second_irradiance),
+           "harvest": (load_harvest_csv, whole_second_harvest)}
 
 
 def same_as_oracle(path, kind, *args):
@@ -225,7 +273,8 @@ STAMP_FORMS = {
     "east": lambda s: iso(s, 2) + "+02:00",
     "west": lambda s: iso(s, -5) + "-05:00",
     "naive": iso,
-    "fraction": lambda s: iso(s) + ".250000Z",
+    "fraction": lambda s: iso(s) + ".000000Z",  # a zero fraction: the whole second
+    "decimal": lambda s: f"{s}.0",
     "padded": lambda s: f" {iso(s)}Z ",
     "space": lambda s: iso(s).replace("T", " ") + "Z",
 }
@@ -266,7 +315,7 @@ def irradiance_files(draw):
     rows = [[STAMP_FORMS[draw(st.sampled_from(forms))](s), draw(st.sampled_from(FLOAT_FORMS))(
         draw(st.floats(0.0, 1500.0)))] for s in stamps]
     for index, fault in draw(st.lists(st.tuples(st.integers(0, len(rows) - 1), st.sampled_from(
-            ["extra", "short", "stamp", "value", "repeat", "shift", "jump"])), max_size=2)):
+            ["extra", "short", "stamp", "value", "repeat", "shift", "jump", "fraction"])), max_size=2)):
         row = rows[index]
         if fault == "extra":
             row.append("1")
@@ -282,6 +331,10 @@ def irradiance_files(draw):
             row[0] = str(stamps[index] + resolution // 2 + 1)
         elif fault == "jump":
             row[0] = str(stamps[index] + resolution * (max_gap + 2))
+        elif fault == "fraction":  # a fraction of a second past the row's stamp
+            s = stamps[index]
+            row[0] = draw(st.sampled_from([f"{s}.5", f"{s}.0000000001"] + (
+                [] if big is not None else [iso(s) + ".9Z", iso(s) + ".0000001Z", iso(s) + ",5+00:00"])))
     header = draw(st.sampled_from(IRRADIANCE_HEADERS[:3] * 5 + IRRADIANCE_HEADERS[3:]))
     return header + "\n" + draw(layout(rows)), resolution, max_gap
 
@@ -435,13 +488,13 @@ def test_mixed_stamp_forms_load_like_the_oracle(tmp_path):
 @pytest.mark.parametrize(
     ("times", "resolution"),
     [
-        (["0.5", "1.7", "2.9"], 1),  # int() truncates each time
+        (["0.0", "1.00", "2.000"], 1),  # a zero fraction is the whole second
         (["-120", "-60", "0"], 60),
-        (["-1.5", "-0.5", "0.5"], None),  # truncated to -1, 0, 0: not uniform
+        (["-1.0", "0", "2.0"], None),
         (["1e19", "1e19", "1e19"], None),
         (["1e20", "2e20", "3e20"], 100000000000000000000),  # beyond int64
         (["9.3e18", "9.4e18", "9.5e18"], 100000000000000000),  # beyond int64 from the second row
-        (["7.5"], 60),
+        (["7.0"], 60),
     ],
 )
 def test_harvest_time_column_read_as_int_reads_it(tmp_path, times, resolution):
@@ -453,6 +506,41 @@ def test_harvest_time_column_read_as_int_reads_it(tmp_path, times, resolution):
         assert got == (TraceError, f"{path}: time column not uniformly spaced")
     else:
         assert got["resolution_s"] == (int, resolution)
+
+
+FRACTIONAL_TIMES = {  # the header, then times each a fraction of a second off the 60 s grid
+    "iso": (IRRADIANCE_HEADER, ["2025-01-01T00:00:00.9Z", "2025-01-01T00:01:00.2Z", "2025-01-01T00:02:00.7+00:00"]),
+    "t_s": (HARVEST_HEADER, ["0.9", "60.2", "120.7"]),
+}
+
+
+@pytest.mark.parametrize(("header", "times"), FRACTIONAL_TIMES.values(), ids=FRACTIONAL_TIMES)
+def test_a_fraction_of_a_second_is_an_error_naming_its_line(tmp_path, header, times):
+    # Each was cut to its whole second, and the three loaded as an even 60 s
+    # trace. The first is an error now, and so is a later one after whole
+    # seconds, which the one-pass reader declines so that the row checker
+    # names its line.
+    kind = "irradiance" if header == IRRADIANCE_HEADER else "harvest"
+    cells = ["1.0"] if kind == "irradiance" else ["0", "1e-4", "1e-4"]
+    word = "timestamp" if kind == "irradiance" else "t_s"
+    path = tmp_path / "trace.csv"
+    path.write_text(render([header, *([t, *cells] for t in times)]))
+    assert same_as_oracle(path, kind) == (TraceError, f"line 2: {word} {times[0]!r} is not a whole second")
+    whole = ["1735689600", "2025-01-01T00:01:00Z"] if kind == "irradiance" else ["0", "60"]
+    path.write_text(render([header, *([t, *cells] for t in [*whole, times[2]])]))
+    with mock.patch.object(harvest, "_data_rows", wraps=harvest._data_rows) as rows:
+        assert same_as_oracle(path, kind) == (TraceError, f"line 4: {word} {times[2]!r} is not a whole second")
+    assert rows.called
+
+
+@pytest.mark.parametrize("stamp", ["1735689660.0", "1735689660.000", "2025-01-01T00:01:00.000Z",
+                                   "2025-01-01T00:01:00,000000+00:00"])
+def test_a_zero_fraction_is_the_whole_second(tmp_path, stamp):
+    # 1735689600.0 was an unparseable stamp, while a fraction of .9 was cut.
+    path, twin = tmp_path / "sun.csv", tmp_path / "twin.csv"
+    path.write_text(render([IRRADIANCE_HEADER, ["1735689600", "1.0"], [stamp, "2.0"]]))
+    twin.write_text(render([IRRADIANCE_HEADER, ["1735689600", "1.0"], ["1735689660", "2.0"]]))
+    assert same_as_oracle(path, "irradiance") == same_as_oracle(twin, "irradiance")
 
 
 def test_iso_trace_loads_without_warnings(tmp_path):
